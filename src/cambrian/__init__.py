@@ -13,13 +13,12 @@ The package is organized as:
 - ``cli``: the ``cambrian`` command line entry point.
 """
 
-from functools import lru_cache
-
 from .coxeter import (
     CapExceeded,
     CoxeterSystem,
     build_system,
     contains_signed_pattern,
+    get_system,
     standardize_signed,
     ji_subset_to_perm,
     perm_to_ji_subset,
@@ -110,12 +109,6 @@ from .fans import (
 )
 
 __version__ = "0.1.0"
-
-
-@lru_cache(maxsize=None)
-def get_system(family: str, rank=None, bond=None) -> CoxeterSystem:
-    """Build and memoize a Coxeter system keyed by its parameters."""
-    return build_system(family, rank, bond)
 
 
 def enumerate_weak_order(system: CoxeterSystem, cap=None) -> FiniteLattice:

@@ -454,11 +454,18 @@ class CoxeterSystem:
     # -- weak order enumeration ---------------------------------------------
 
     def weak_order_lattice(self, cap: Optional[int] = None, validate: bool = True):
-        if self._lattice is not None:
-            return self._lattice
-        elements, covers = self._enumerate(cap)
-        self._lattice = FiniteLattice.from_covers(elements, covers, validate=validate)
-        return self._lattice
+        """The weak order as a lattice; CapExceeded if it has more than
+        ``cap`` elements.  Only a validated build is kept for later calls:
+        one that finished under a cap is the whole weak order too."""
+        lattice = self._lattice
+        if lattice is None:
+            elements, covers = self._enumerate(cap)
+            lattice = FiniteLattice.from_covers(elements, covers, validate=validate)
+            if validate:
+                self._lattice = lattice
+        elif cap is not None and lattice.n > cap:
+            raise CapExceeded(f"weak order enumeration exceeded cap {cap}")
+        return lattice
 
     def _enumerate(self, cap):
         start = self.identity()
@@ -614,3 +621,15 @@ def build_system(family: str, rank: Optional[int] = None, bond: Optional[int] = 
     if rank is None or rank < 1:
         raise ValueError(f"family {family} needs a positive rank")
     return CoxeterSystem(family, rank)
+
+
+_SYSTEMS: dict = {}
+
+
+def get_system(family: str, rank: Optional[int] = None, bond: Optional[int] = None) -> CoxeterSystem:
+    """The one shared system per (family, rank, bond), so that each weak
+    order is enumerated once per process."""
+    key = (family, rank, bond)
+    if key not in _SYSTEMS:
+        _SYSTEMS[key] = build_system(family, rank, bond)
+    return _SYSTEMS[key]

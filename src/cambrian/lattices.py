@@ -4,23 +4,40 @@ Lattices are stored over an internal linear extension; each element
 carries its down-set and up-set as Python integer bitmasks.  With
 indices respecting the order, the join of x and y is the lowest set bit
 of up(x) & up(y) and the meet is the highest set bit of down(x) &
-down(y); both are verified at construction instead of trusted.
+down(y).  Construction verifies both: every edge must be a cover, and
+x v j must be a least upper bound for every x and every join-irreducible
+j, which is enough for all joins (see ``FiniteLattice._validate``).
 
-Congruence closure works over the generating pairs with a union-find,
-propagating x ~ y to x v z ~ y v z for join-irreducible z and to
-x ^ z ~ y ^ z for meet-irreducible z.  Every element is a join of
-join-irreducibles, so by induction through transitivity the result is
-closed under joins and meets with arbitrary elements.
+A congruence is determined by the covers it contracts.  In a polygonal
+lattice, such as the weak order of a finite Coxeter group and its
+Cambrian quotients, edge forcing is generated by polygons [x, a v b]
+(a, b upper covers of x): contracting a bottom edge forces the opposite
+top edge and every side edge, and dually for top edges (N. Reading,
+Lattice congruences of the weak order, Order 21 (2004)).  The first
+closure on a lattice decides polygonality and builds that forcing table
+in one pass; closure is then a walk over the table.  Other lattices use
+a union-find over the generating pairs, propagating x ~ y to
+x v z ~ y v z for join-irreducible z and to x ^ z ~ y ^ z for
+meet-irreducible z; every element is a join of join-irreducibles, so by
+induction through transitivity the result is closed under joins and
+meets with arbitrary elements.  The union-find is also the oracle the
+tests check the polygonal closure against.
 """
 
 from __future__ import annotations
 
+from array import array
 from collections import deque
+from itertools import compress
 from typing import Callable, Optional, Sequence
 
 
 def _lsb(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
+
+
+# Marks a lattice whose polygonality has not been decided yet.
+_UNDECIDED = object()
 
 
 class FiniteLattice:
@@ -40,6 +57,7 @@ class FiniteLattice:
         self._ji: Optional[list[int]] = None
         self._mi: Optional[list[int]] = None
         self._mobius_cache: dict[tuple[int, int], int] = {}
+        self._forcing = _UNDECIDED
 
     # -- construction -------------------------------------------------------
 
@@ -100,19 +118,22 @@ class FiniteLattice:
         return lattice
 
     def _validate(self) -> None:
-        # Covers must be genuine covers (no transitive edges).
+        """Raise ValueError unless the covers are covers and joins exist.
+
+        Only joins x v j with j join-irreducible are checked: if y covers
+        a and b then y = a v b and x v y = (x v a) v b, so induction along
+        the linear extension gives every other join.  With a bottom
+        element, a join-semilattice is a lattice (meets come for free).
+        """
         for a, b in self.covers:
             between = self.up[a] & self.down[b]
             if between != (1 << a) | (1 << b):
                 raise ValueError(f"edge {a} -> {b} is not a cover")
-        # Every pair needs a least upper bound; with a bottom element this
-        # makes the poset a lattice (meets come for free).
         up = self.up
-        n = self.n
-        for i in range(n):
-            ui = up[i]
-            for j in range(i + 1, n):
-                m = ui & up[j]
+        for j in self.join_irreducibles:
+            uj = up[j]
+            for i in range(self.n):
+                m = up[i] & uj
                 c = m & -m
                 if m & ~up[c.bit_length() - 1]:
                     raise ValueError(
@@ -155,6 +176,12 @@ class FiniteLattice:
         if self._mi is None:
             self._mi = [i for i in range(self.n) if len(self.upper[i]) == 1]
         return self._mi
+
+    def polygon_forcing(self) -> Optional["PolygonForcing"]:
+        """Edge forcing table, or None if the lattice is not polygonal."""
+        if self._forcing is _UNDECIDED:
+            self._forcing = PolygonForcing.of(self)
+        return self._forcing
 
     def atoms(self) -> list[int]:
         return list(self.upper[self.bottom])
@@ -265,8 +292,155 @@ class LatticeCongruence:
         return True, None
 
 
+def _chain(edge: int, u: int, end: int, upper, first, inside: int):
+    """Edge ids of the chain that takes ``edge`` up to u and then always
+    the only upper cover in the bitmask ``inside`` until it reaches end;
+    None where a step has another choice."""
+    path = [edge]
+    while u != end:
+        step = [k for k, v in enumerate(upper[u]) if inside >> v & 1]
+        if len(step) != 1:
+            return None
+        path.append(first[u] + step[0])
+        u = upper[u][step[0]]
+    return path
+
+
+class PolygonForcing:
+    """Polygonal edge forcing of a lattice, in compressed rows.
+
+    Edge ``first[x] + k`` is the cover x -> upper[x][k], which is also its
+    position in ``lattice.covers``.  Contracting edge e forces the edges
+    ``targets[offsets[e]:offsets[e + 1]]``.
+    """
+
+    __slots__ = ("first", "offsets", "targets")
+
+    def __init__(self, first: array, offsets: array, targets: array):
+        self.first = first
+        self.offsets = offsets
+        self.targets = targets
+
+    @classmethod
+    def of(cls, lattice: FiniteLattice) -> Optional["PolygonForcing"]:
+        """The table of a polygonal lattice, or None for any other.
+
+        The lattice is polygonal when [x, a v b] is a polygon (two chains
+        meeting only at their ends) for any two upper covers a, b of x,
+        and dually [a ^ b, y] for any two lower covers a, b of y.
+        """
+        up, down, upper, lower = lattice.up, lattice.down, lattice.upper, lattice.lower
+        first = array("i", [0])
+        for ux in upper:
+            first.append(first[-1] + len(ux))
+
+        def chains():
+            """For any two upper covers a, b of x: the chains from x up
+            through a and through b to a v b, as edge ids (None where a
+            chain branches inside [x, a v b]), and the size of [x, a v b]."""
+            for x, ux in enumerate(upper):
+                for i, a in enumerate(ux):
+                    for j in range(i + 1, len(ux)):
+                        b = ux[j]
+                        top = _lsb(up[a] & up[b])
+                        inside = up[x] & down[top]
+                        yield (
+                            _chain(first[x] + i, a, top, upper, first, inside),
+                            _chain(first[x] + j, b, top, upper, first, inside),
+                            inside.bit_count(),
+                        )
+
+        # The rows are sized in one walk over the polygons and filled in a
+        # second, so that no list of polygons is held beside the table.
+        # Each of the four corner edges of a polygon with s elements forces
+        # one opposite corner and s - 4 side edges.
+        offsets = array("i", [0]) * (len(lattice.covers) + 1)
+        for chain_a, chain_b, size in chains():
+            if chain_a is None or chain_b is None:
+                return None
+            if len(chain_a) + len(chain_b) != size:
+                return None
+            for edge in (chain_a[0], chain_a[-1], chain_b[0], chain_b[-1]):
+                offsets[edge + 1] += size - 3
+        # Dually, [a ^ b, y] must be a polygon.  It is one exactly when
+        # a ^ b has two upper covers c, d in it with c v d = y, because
+        # [a ^ b, c v d] was checked above.
+        for y, ly in enumerate(lower):
+            below = down[y]
+            for i, a in enumerate(ly):
+                for b in ly[i + 1 :]:
+                    bottom = (down[a] & down[b]).bit_length() - 1
+                    covers = [v for v in upper[bottom] if below >> v & 1]
+                    if len(covers) != 2 or lattice.join(*covers) != y:
+                        return None
+        for edge in range(len(lattice.covers)):
+            offsets[edge + 1] += offsets[edge]
+        fill = offsets[:-1]
+        targets = array("i", [0]) * offsets[-1]
+        # A bottom edge forces the top edge on the other side and every
+        # side edge; a top edge forces the bottom edge on the other side
+        # and every side edge.
+        for chain_a, chain_b, _ in chains():
+            sides = array("i", chain_a[1:-1] + chain_b[1:-1])
+            for edge, opposite in (
+                (chain_a[0], chain_b[-1]),
+                (chain_b[-1], chain_a[0]),
+                (chain_b[0], chain_a[-1]),
+                (chain_a[-1], chain_b[0]),
+            ):
+                start = fill[edge]
+                targets[start] = opposite
+                targets[start + 1 : start + 1 + len(sides)] = sides
+                fill[edge] = start + 1 + len(sides)
+        return cls(first, offsets, targets)
+
+    def closure(self, lattice: FiniteLattice, pairs) -> LatticeCongruence:
+        """Contract every cover in [a ^ b, a v b] for each pair, close the
+        contracted covers under forcing, and join them into classes."""
+        up, down, upper = lattice.up, lattice.down, lattice.upper
+        first, offsets, targets = self.first, self.offsets, self.targets
+        contracted = bytearray(len(lattice.covers))
+        stack = []
+        for a, b in pairs:
+            inside = up[lattice.meet(a, b)] & down[lattice.join(a, b)]
+            rest = inside
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                x = low.bit_length() - 1
+                for k, y in enumerate(upper[x], first[x]):
+                    if inside >> y & 1 and not contracted[k]:
+                        contracted[k] = 1
+                        stack.append(k)
+        while stack:
+            edge = stack.pop()
+            for forced in targets[offsets[edge] : offsets[edge + 1]]:
+                if not contracted[forced]:
+                    contracted[forced] = 1
+                    stack.append(forced)
+        # Covers are sorted by their lower end, so the class of x is final
+        # before its upper covers are reached.
+        class_of = list(range(lattice.n))
+        for x, y in compress(lattice.covers, contracted):
+            class_of[y] = class_of[x]
+        return LatticeCongruence(lattice, class_of)
+
+
 def congruence_closure(lattice: FiniteLattice, pairs) -> LatticeCongruence:
-    """Smallest lattice congruence identifying each given pair of indices."""
+    """Smallest lattice congruence identifying each given pair of indices.
+
+    Polygonal lattices close over their edge forcing table; any other
+    lattice falls back to ``union_find_closure``.
+    """
+    forcing = lattice.polygon_forcing()
+    if forcing is None:
+        return union_find_closure(lattice, pairs)
+    return forcing.closure(lattice, pairs)
+
+
+def union_find_closure(lattice: FiniteLattice, pairs) -> LatticeCongruence:
+    """Smallest lattice congruence identifying each given pair of indices,
+    by propagating merges through joins and meets with irreducibles."""
     parent = list(range(lattice.n))
 
     def find(i: int) -> int:

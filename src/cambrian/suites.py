@@ -20,7 +20,7 @@ from math import comb
 
 from .coxeter import (
     CoxeterSystem,
-    build_system,
+    get_system,
     perm_to_ji_subset,
     perm_to_signed_ji,
 )
@@ -88,16 +88,6 @@ SUITE_NAMES = (
     "iso",
     "b-tamari",
 )
-
-_SYSTEMS: dict = {}
-
-
-def get_system(family: str, rank=None, bond=None) -> CoxeterSystem:
-    """Memoized system construction so weak orders are enumerated once."""
-    key = (family, rank, bond)
-    if key not in _SYSTEMS:
-        _SYSTEMS[key] = build_system(family, rank, bond)
-    return _SYSTEMS[key]
 
 
 def catalan(k: int) -> int:

@@ -63,6 +63,28 @@ def test_weak_order_cap():
         build_system("A", 3).weak_order_lattice(cap=5)
 
 
+def test_weak_order_cap_holds_after_cached_build():
+    system = build_system("A", 3)
+    lattice = system.weak_order_lattice()
+    with pytest.raises(CapExceeded):
+        system.weak_order_lattice(cap=5)
+    assert system.weak_order_lattice(cap=24) is lattice
+
+
+def test_weak_order_unvalidated_build_is_not_cached():
+    system = build_system("A", 2)
+    unchecked = system.weak_order_lattice(validate=False)
+    assert system.weak_order_lattice() is not unchecked
+
+
+def test_get_system_is_one_memo_table():
+    import cambrian
+    from cambrian import suites
+
+    assert cambrian.get_system("A", 3) is suites.get_system("A", 3)
+    assert cambrian.get_system("I2", None, 5) is suites.get_system("I2", None, 5)
+
+
 def test_inversion_sets():
     system = build_system("A", 2)
     assert inversion_set(system, (2, 3, 1)) == {(1, 2), (1, 3)}

@@ -1,12 +1,17 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cambrian import (
+    all_orientations,
     build_system,
+    cambrian_lattice,
     cg,
     congruence_closure,
     forcing_poset,
+    generating_pairs,
+    get_system,
     is_lattice_congruence,
     quotient,
 )
@@ -16,6 +21,7 @@ from cambrian.lattices import (
     poset_anti_isomorphism,
     poset_isomorphism,
     quotient_lattice,
+    union_find_closure,
 )
 
 
@@ -188,3 +194,145 @@ def test_closure_outputs_verify():
             cong = cg(lattice, g)
             ok, reason = cong.verify()
             assert ok, reason
+
+
+# -- polygonal closure against the union-find oracle -------------------------
+
+ORACLE_SYSTEMS = [
+    ("A", 3, None),
+    ("A", 4, None),
+    ("A", 5, None),
+    ("B", 3, None),
+    ("B", 4, None),
+    ("H3", None, None),
+    ("I2", None, 5),
+    ("I2", None, 8),
+]
+
+
+def assert_same_as_oracle(lattice, pairs):
+    fast = congruence_closure(lattice, pairs)
+    assert fast.key() == union_find_closure(lattice, pairs).key()
+
+
+@pytest.mark.parametrize("family, rank, bond", ORACLE_SYSTEMS)
+def test_polygonal_closure_matches_union_find_on_orientations(family, rank, bond):
+    system = get_system(family, rank, bond)
+    lattice = system.weak_order_lattice()
+    assert lattice.polygon_forcing() is not None
+    for orientation in all_orientations(system):
+        pairs = [
+            (lattice.index[a], lattice.index[b])
+            for a, b in generating_pairs(system, orientation)
+        ]
+        assert_same_as_oracle(lattice, pairs)
+
+
+@pytest.mark.parametrize("family, rank, bond", ORACLE_SYSTEMS)
+def test_polygonal_closure_matches_union_find_on_contractions(family, rank, bond):
+    system = get_system(family, rank, bond)
+    lattices = [system.weak_order_lattice()] + [
+        cambrian_lattice(system, orientation).quotient
+        for orientation in all_orientations(system)
+    ]
+    for lattice in lattices:
+        assert lattice.polygon_forcing() is not None
+        for g in lattice.join_irreducibles:
+            assert_same_as_oracle(lattice, [(lattice.lower[g][0], g)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([("A", 3), ("B", 3)]), st.data())
+def test_polygonal_closure_matches_union_find_on_random_pairs(key, data):
+    lattice = get_system(*key).weak_order_lattice()
+    index = st.integers(0, lattice.n - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index), max_size=4))
+    assert_same_as_oracle(lattice, pairs)
+
+
+def m3():
+    elements = ("0", "a", "b", "c", "1")
+    covers = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]
+    return FiniteLattice.from_covers(elements, covers)
+
+
+def test_m3_is_not_polygonal_and_still_closes():
+    lattice = m3()
+    assert lattice.polygon_forcing() is None
+    idx = lattice.index
+    pairs = [(idx["0"], idx["a"])]
+    # M3 is simple: contracting any edge collapses it.
+    assert congruence_closure(lattice, pairs).num_classes == 1
+    assert_same_as_oracle(lattice, pairs)
+    assert congruence_closure(lattice, []).num_classes == lattice.n
+
+
+# -- join-irreducible validation against the all-pairs check -----------------
+
+
+def has_all_joins(lattice):
+    """The all-pairs check: every pair has a least upper bound."""
+    up = lattice.up
+    for i, j in itertools.combinations(range(lattice.n), 2):
+        m = up[i] & up[j]
+        c = m & -m
+        if m & ~up[c.bit_length() - 1]:
+            return False
+    return True
+
+
+def bounded_poset_covers(k, related):
+    """Covers of the order on 0..k+1 with bottom 0, top k+1, and i < j
+    among 1..k when (i, j) is in ``related`` or implied by it."""
+    n = k + 2
+    less = set(related) | {(0, i) for i in range(1, n)}
+    less |= {(i, n - 1) for i in range(1, n - 1)}
+    above = [0] * n
+    for i in reversed(range(n)):
+        for j in range(i + 1, n):
+            if (i, j) in less:
+                above[i] |= (1 << j) | above[j]
+    return [
+        (i, j)
+        for i in range(n)
+        for j in range(n)
+        if above[i] >> j & 1
+        and not any(above[i] >> m & 1 and above[m] >> j & 1 for m in range(n))
+    ]
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 7).flatmap(
+        lambda k: st.tuples(
+            st.just(k),
+            st.lists(
+                st.booleans(),
+                min_size=k * (k - 1) // 2,
+                max_size=k * (k - 1) // 2,
+            ),
+        )
+    )
+)
+def test_ji_validation_agrees_with_all_pairs(drawn):
+    k, flags = drawn
+    pairs = itertools.combinations(range(1, k + 1), 2)
+    related = [pair for pair, flag in zip(pairs, flags) if flag]
+    covers = bounded_poset_covers(k, related)
+    elements = tuple(range(k + 2))
+    unchecked = FiniteLattice.from_covers(elements, covers, validate=False)
+    if has_all_joins(unchecked):
+        FiniteLattice.from_covers(elements, covers)
+    else:
+        with pytest.raises(ValueError, match="least upper bound"):
+            FiniteLattice.from_covers(elements, covers)
+
+
+def test_validation_rejects_bounded_bowtie_and_transitive_edge():
+    elements = ("0", "a", "b", "c", "d", "1")
+    bowtie = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]
+    with pytest.raises(ValueError, match="least upper bound"):
+        FiniteLattice.from_covers(elements, bowtie)
+    chain = [(0, 1), (1, 2), (0, 2)]
+    with pytest.raises(ValueError, match="not a cover"):
+        FiniteLattice.from_covers(("0", "1", "2"), chain)
