@@ -230,7 +230,12 @@ def cmd_fan(args) -> int:
         _emit_json(out, args.output)
         ok = all(report[k] for k in ("simplicial", "tiling", "dual_graph_is_hasse"))
         return 0 if ok else 1
-    # H3
+    if args.family != "H3":
+        print(
+            f"error: fan checks cover families A, B and H3, not {args.family}",
+            file=sys.stderr,
+        )
+        raise SystemExit(USAGE_ERROR)
     system = build_system("H3")
     if not args.orientation:
         print("error: --orientation is required for family H3", file=sys.stderr)

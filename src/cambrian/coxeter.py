@@ -511,21 +511,23 @@ class CoxeterSystem:
         else:
             field = NumberField(max_label)
         self._field = field
-        # Bilinear form B(alpha_i, alpha_j) = -cos(pi / m_ij).
-        def neg_cos(m):
+        # 2*B(alpha_i, alpha_j) = -2*cos(pi / m_ij), an element of Z[c].
+        def two_b(m):
             if m == 1:
-                return field.neg(field.one)
+                return field.from_rational(2)
             if m == 2:
                 return field.zero
             if m == 3:
-                return field.from_rational(Fraction(-1, 2))
+                return field.from_rational(-1)
             if m == max_label:
-                return field.scale(field.generator, Fraction(-1, 2))
+                return field.neg(field.generator)
             raise ValueError(f"unsupported bond label {m} alongside {max_label}")
 
-        gram = [[neg_cos(labels[i][j]) if i != j else field.one for j in range(r)] for i in range(r)]
-        self._gram = tuple(tuple(row) for row in gram)
-        # Generator matrices: s_i(alpha_j) = alpha_j - 2 B(i,j) alpha_i.
+        two_gram = [[two_b(labels[i][j]) for j in range(r)] for i in range(r)]
+        half = Fraction(1, 2)
+        self._gram = tuple(tuple(field.scale(x, half) for x in row) for row in two_gram)
+        # Generator matrices: s_i(alpha_j) = alpha_j - 2 B(i,j) alpha_i, with
+        # entries in Z[c].
         mats = []
         for i in range(r):
             rows = []
@@ -534,7 +536,7 @@ class CoxeterSystem:
                 for j in range(r):
                     base = field.one if a == j else field.zero
                     if a == i:
-                        base = field.sub(base, field.scale(gram[i][j], Fraction(2)))
+                        base = field.sub(base, two_gram[i][j])
                     row.append(base)
                 rows.append(tuple(row))
             mats.append(tuple(rows))

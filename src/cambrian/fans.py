@@ -12,6 +12,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .congruences import (
     Orientation,
@@ -19,8 +20,8 @@ from .congruences import (
     cambrian_lattice,
     orientation_from_edges,
 )
-from .coxeter import CoxeterSystem, embed_b_in_a
-from .fields import RationalField, mat_vec, solve_linear
+from .coxeter import CoxeterSystem, embed_b_in_a, get_system
+from .fields import mat_vec
 from .lattices import FiniteLattice, poset_isomorphism
 from .polygon_a import (
     PolygonQ,
@@ -32,64 +33,55 @@ from .polygon_a import (
 )
 from .polygon_b import SymmetricSignature, eta_b
 
-_RF = RationalField()
-
-
 # ---------------------------------------------------------------------------
-# Exact linear algebra over the rationals.
+# Exact linear algebra over the integers.  Rank, kernel and cone tests are
+# unchanged by scaling a vector (or an equation) by a positive integer, so
+# the fan checks below run on integer rays and never reduce a fraction.
 
 
-def _vec(entries) -> tuple[Fraction, ...]:
-    return tuple(Fraction(e) for e in entries)
+def _echelon(rows):
+    """Fraction-free (Bareiss) Gauss-Jordan elimination of integer rows.
+
+    Returns (rows, pivot columns, d).  Each entry stays an integer minor
+    of the input, so every division is exact; every pivot entry ends up
+    equal to d, the last pivot (1 when there is none), and pivot row i
+    reads d*x[pivots[i]] + sum over non-pivot columns j of row[j]*x[j].
+    """
+    rows = [list(r) for r in rows]
+    cols = len(rows[0]) if rows else 0
+    pivots = []
+    d = 1
+    for col in range(cols):
+        k = len(pivots)
+        if k == len(rows):
+            break
+        pivot = next((r for r in range(k, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[k], rows[pivot] = rows[pivot], rows[k]
+        top = rows[k]
+        lead = top[col]
+        for r, row in enumerate(rows):
+            if r != k:
+                f = row[col]
+                rows[r] = [(lead * x - f * y) // d for x, y in zip(row, top)]
+        pivots.append(col)
+        d = lead
+    return rows, pivots, d
 
 
 def _rank(vectors) -> int:
-    rows = [list(v) for v in vectors]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    pivot_col = 0
-    while rank < len(rows) and pivot_col < cols:
-        pivot = next(
-            (r for r in range(rank, len(rows)) if rows[r][pivot_col] != 0), None
-        )
-        if pivot is None:
-            pivot_col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][pivot_col]
-        for r in range(len(rows)):
-            if r != rank and rows[r][pivot_col] != 0:
-                f = Fraction(rows[r][pivot_col], 1) / lead
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        pivot_col += 1
-    return rank
+    return len(_echelon(vectors)[1])
 
 
 def _kernel_vector(vectors):
-    """A nonzero rational vector orthogonal to all the given vectors."""
-    cols = len(vectors[0])
-    rows = [list(v) for v in vectors]
-    pivots = {}
-    rank = 0
-    for col in range(cols):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        rows[rank] = [Fraction(x, 1) / lead for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                f = rows[r][col]
-                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
-        pivots[col] = rank
-        rank += 1
-    free = next(c for c in range(cols) if c not in pivots)
-    out = [Fraction(0)] * cols
-    out[free] = Fraction(1)
-    for col, r in pivots.items():
-        out[col] = -rows[r][free]
+    """A nonzero integer vector orthogonal to all the given integer vectors."""
+    rows, pivots, d = _echelon(vectors)
+    free = next(c for c in range(len(vectors[0])) if c not in pivots)
+    out = [0] * len(vectors[0])
+    out[free] = d
+    for row, col in zip(rows, pivots):
+        out[col] = -row[free]
     return tuple(out)
 
 
@@ -98,14 +90,23 @@ def _dot(u, v):
 
 
 def _nonneg_combo(rays, v):
-    """Coefficients >= 0 with sum(lambda_i * ray_i) = v, or None."""
-    matrix = [[r[i] for r in rays] for i in range(len(v))]
-    sol = solve_linear(_RF, matrix, list(v))
-    if sol is None:
+    """Coefficients >= 0 with sum(lambda_i * ray_i) = v, or None.
+
+    None also when the rays are linearly dependent.  Entries may be int
+    or Fraction; each equation is scaled to integers before elimination.
+    """
+    matrix = []
+    for i in range(len(v)):
+        row = [r[i] for r in rays] + [v[i]]
+        den = lcm(*(x.denominator for x in row))
+        matrix.append([x.numerator * (den // x.denominator) for x in row])
+    rows, pivots, d = _echelon(matrix)
+    k = len(rays)
+    if pivots != list(range(k)):
         return None
-    if any(c < 0 for c in sol):
+    if any(row[k] * d < 0 for row in rows[:k]):
         return None
-    return tuple(sol)
+    return tuple(Fraction(row[k], d) for row in rows[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -120,21 +121,6 @@ class RationalCone:
     facets: tuple = ()
 
 
-def _suffix_rays_a(x: tuple[int, ...]):
-    """Extreme rays of the weak-order region of a permutation.
-
-    The region of x is the chain p_{x_1} <= ... <= p_{x_n}; its extreme
-    rays (modulo the all-ones lineality) are the projected indicators of
-    the suffix value sets of the one-line notation.
-    """
-    n = len(x)
-    out = []
-    for k in range(1, n):
-        members = frozenset(x[k:])
-        out.append(ray_vector(n, members))
-    return out
-
-
 def ray_vector(n: int, members: frozenset[int]) -> tuple[Fraction, ...]:
     """Indicator of the subset, projected to the sum-zero hyperplane."""
     share = Fraction(len(members), n)
@@ -142,6 +128,23 @@ def ray_vector(n: int, members: frozenset[int]) -> tuple[Fraction, ...]:
         (Fraction(1) if i in members else Fraction(0)) - share
         for i in range(1, n + 1)
     )
+
+
+def _int_ray(n: int, members: frozenset[int]) -> tuple[int, ...]:
+    """n * ray_vector(n, members): n on the subset, minus its size."""
+    size = len(members)
+    return tuple((n if i in members else 0) - size for i in range(1, n + 1))
+
+
+def _suffix_rays_a(x: tuple[int, ...], ray=ray_vector):
+    """Extreme rays of the weak-order region of a permutation.
+
+    The region of x is the chain p_{x_1} <= ... <= p_{x_n}; its extreme
+    rays (modulo the all-ones lineality) are the projected indicators of
+    the suffix value sets of the one-line notation, as given by ``ray``.
+    """
+    n = len(x)
+    return [ray(n, frozenset(x[k:])) for k in range(1, n)]
 
 
 def region_cone(x: tuple[int, ...], family: str = "A") -> RationalCone:
@@ -254,13 +257,13 @@ def check_fan_a(signature: UpDownSignature, consistency: bool = True) -> dict:
     Hasse diagram.
     """
     n = signature.n
-    system = CoxeterSystem("A", n - 1)
+    system = get_system("A", n - 1)
     camb = cambrian_lattice(system, _signature_orientation(system, signature))
     lattice = camb.congruence.lattice
     polygon = polygon_from_signature(signature)
     d2s = diagonal_ray_map(signature)
     subsets = fan_ray_subsets(signature)
-    vectors = {a: ray_vector(n, a) for a in subsets}
+    vectors = {a: _int_ray(n, a) for a in subsets}
 
     class_tri = []
     tri_index = {}
@@ -279,7 +282,7 @@ def check_fan_a(signature: UpDownSignature, consistency: bool = True) -> dict:
         if _rank(rays) != n - 1:
             simplicial = False
         for i in members:
-            for v in _suffix_rays_a(lattice.elements[i]):
+            for v in _suffix_rays_a(lattice.elements[i], _int_ray):
                 if _nonneg_combo(rays, v) is None:
                     tiling = False
         if consistency:
@@ -291,7 +294,7 @@ def check_fan_a(signature: UpDownSignature, consistency: bool = True) -> dict:
 
     # Facet pairing: dropping a diagonal flips to the adjacent class on
     # the opposite side of the shared wall.
-    ones = tuple(Fraction(1) for _ in range(n))
+    ones = (1,) * n
     dual_edges = set()
     from .polygon_a import _flip
 
@@ -357,21 +360,18 @@ def _symmetrize(v):
     return tuple(a + b for a, b in zip(v, _chi(v)))
 
 
-def _symmetric_region_rays(x: tuple[int, ...]):
-    """Rays of the region of a signed permutation, in doubled coordinates."""
+def _symmetric_region_rays(x: tuple[int, ...], ray=ray_vector):
+    """Rays of the region of a signed permutation, in doubled coordinates,
+    symmetrized from ``ray``."""
     n = len(x)
     e = embed_b_in_a(x)
-    out = []
-    for k in range(1, n + 1):
-        members = frozenset(e[k:])
-        out.append(_symmetrize(ray_vector(2 * n, members)))
-    return out
+    return [_symmetrize(ray(2 * n, frozenset(e[k:]))) for k in range(1, n + 1)]
 
 
 def check_fan_b(signature: SymmetricSignature) -> dict:
     """Verify the type-B Cambrian fan inside the antisymmetric subspace."""
     n = signature.n
-    system = CoxeterSystem("B", n)
+    system = get_system("B", n)
     camb = cambrian_lattice(
         system, orientation_from_edges(system, signature.orientation_edges())
     )
@@ -381,7 +381,7 @@ def check_fan_b(signature: SymmetricSignature) -> dict:
     two_n = 2 * n
 
     def orbit_ray(d):
-        return _symmetrize(ray_vector(two_n, d2s[d]))
+        return _symmetrize(_int_ray(two_n, d2s[d]))
 
     class_data = []
     base_index = {}
@@ -402,7 +402,7 @@ def check_fan_b(signature: SymmetricSignature) -> dict:
         if _rank(rays) != n:
             simplicial = False
         for i in members:
-            for v in _symmetric_region_rays(lattice.elements[i]):
+            for v in _symmetric_region_rays(lattice.elements[i], _int_ray):
                 if _nonneg_combo(rays, v) is None:
                     tiling = False
 
@@ -468,56 +468,67 @@ def check_fan_b(signature: SymmetricSignature) -> dict:
 # Fan verification, H3 (exact number-field arithmetic).
 
 
-def _field_normalize(field, v):
-    lead = next((c for c in v if not field.is_zero(c)), None)
-    if lead is None:
-        raise ValueError("zero vector")
-    if field.sign(lead) < 0:
-        lead = field.neg(lead)
-    inv = field.inv(lead)
-    return tuple(field.mul(inv, c) for c in v)
+def _cross(field, u, v):
+    def minor(i, j):
+        return field.sub(field.mul(u[i], v[j]), field.mul(u[j], v[i]))
+
+    return (minor(1, 2), minor(2, 0), minor(0, 1))
 
 
 def _det3(field, u, v, w):
-    def m(a, b):
-        return field.mul(a, b)
-
-    def term(a, b, c):
-        return m(a, m(b, c))
-
-    pos = field.add(
-        field.add(term(u[0], v[1], w[2]), term(u[1], v[2], w[0])),
-        term(u[2], v[0], w[1]),
+    """det of the 3x3 matrix with rows u, v, w: u . (v x w)."""
+    vw = _cross(field, v, w)
+    return field.add(
+        field.add(field.mul(u[0], vw[0]), field.mul(u[1], vw[1])),
+        field.mul(u[2], vw[2]),
     )
-    neg = field.add(
-        field.add(term(u[2], v[1], w[0]), term(u[0], v[2], w[1])),
-        term(u[1], v[0], w[2]),
+
+
+def _in_simplicial_cone(field, extreme, r) -> bool:
+    """Whether r is a nonnegative combination of the three rays; False
+    when they are linearly dependent.
+
+    Cramer's rule: r = sum_j lambda_j e_j with lambda_j = det(E_j) / det(E),
+    where E_j is E with e_j replaced by r; only the signs are compared.
+    """
+    e0, e1, e2 = extreme
+    det_sign = field.sign(_det3(field, e0, e1, e2))
+    return det_sign != 0 and all(
+        det_sign * field.sign(_det3(field, *rows)) >= 0
+        for rows in ((r, e1, e2), (e0, r, e2), (e0, e1, r))
     )
-    return field.sub(pos, neg)
+
+
+def _scaled_weights(system: CoxeterSystem):
+    """Positive multiples of the fundamental weights with entries in Z[c].
+
+    The columns of adj(2*Gram), the cross products of its rows, are
+    det(2*Gram)/2 times the fundamental weights, and det(2*Gram) > 0.
+    """
+    field = system.field
+    two_gram = [[field.scale(x, 2) for x in row] for row in system.gram]
+    return [
+        _cross(field, two_gram[(i + 1) % 3], two_gram[(i + 2) % 3]) for i in range(3)
+    ]
 
 
 def check_fan_h3(system: CoxeterSystem, orientation: Orientation) -> dict:
-    """Verify the Cambrian fan of an H3 orientation over its number field."""
+    """Verify the Cambrian fan of an H3 orientation over its number field.
+
+    Every chamber ray w * omega_i is an integer vector over Z[c], from the
+    scaled weights.  Each ray of the Coxeter arrangement is w * omega_i for
+    exactly one i, so the raw vector is its canonical key; and only signs
+    of determinants are read, which positive scaling does not change.
+    """
     if system.family != "H3":
         raise ValueError("expected an H3 system")
     field = system.field
-    gram = system.gram
-    weights = [
-        solve_linear(
-            field,
-            gram,
-            [field.one if j == i else field.zero for j in range(3)],
-        )
-        for i in range(3)
-    ]
+    weights = _scaled_weights(system)
     camb = cambrian_lattice(system, orientation)
     lattice = camb.congruence.lattice
 
     def chamber_rays(w):
-        return [
-            _field_normalize(field, mat_vec(field, w.matrix, weights[i]))
-            for i in range(3)
-        ]
+        return [mat_vec(field, w.matrix, weights[i]) for i in range(3)]
 
     rays_of = [chamber_rays(lattice.elements[i]) for i in range(lattice.n)]
 
@@ -564,15 +575,8 @@ def check_fan_h3(system: CoxeterSystem, orientation: Orientation) -> dict:
                 extreme.append(r)
         if len(extreme) != 3:
             simplicial = False
-        else:
-            for r in member_rays:
-                sol = solve_linear(
-                    field,
-                    [[extreme[j][i] for j in range(3)] for i in range(3)],
-                    list(r),
-                )
-                if sol is None or any(field.sign(c) < 0 for c in sol):
-                    tiling = False
+        elif not all(_in_simplicial_cone(field, extreme, r) for r in member_rays):
+            tiling = False
         all_extreme.append(extreme)
 
     ray_set = {r for ext in all_extreme for r in ext}
@@ -990,7 +994,7 @@ def fan_to_json(signature: UpDownSignature) -> dict:
     n = signature.n
     subsets = fan_ray_subsets(signature)
     ray_index = {a: k for k, a in enumerate(subsets)}
-    system = CoxeterSystem("A", n - 1)
+    system = get_system("A", n - 1)
     camb = cambrian_lattice(system, _signature_orientation(system, signature))
     lattice = camb.congruence.lattice
     polygon = polygon_from_signature(signature)

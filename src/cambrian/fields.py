@@ -2,9 +2,12 @@
 
 Geometric computations for reflection groups with bond labels other than
 2 and 3 need the algebraic number c = 2*cos(pi/m).  Elements of Q(c) are
-represented as polynomials in c of degree below deg(minpoly), with
-Fraction coefficients, so every operation is exact.  No floating point
-is used anywhere.
+coefficient tuples (a_0, ..., a_{d-1}) standing for a_0 + a_1*c + ... +
+a_{d-1}*c^(d-1), where d is the degree of the minimal polynomial of c.
+That polynomial is monic with integer coefficients, so Z[c] is closed
+under multiplication: group matrices, roots and scaled weights keep
+plain ``int`` coefficients, and only inverses bring in ``Fraction``.
+Every operation is exact; no floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -13,30 +16,67 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-Coeffs = tuple[Fraction, ...]
+Coeffs = tuple  # of int or Fraction
 
-_ZERO = Fraction(0)
-_ONE = Fraction(1)
+
+def _rational(q):
+    """q as an int when it is integral, else as a Fraction."""
+    q = Fraction(q)
+    return q.numerator if q.denominator == 1 else q
+
+
+def _divide_monic(a: Sequence[int], b: Sequence[int]) -> list[int]:
+    """Exact quotient of integer polynomials (increasing degree), b monic."""
+    rem = list(a)
+    quo = [0] * (len(a) - len(b) + 1)
+    for i in range(len(quo) - 1, -1, -1):
+        q = quo[i] = rem[i + len(b) - 1]
+        if q:
+            for j, bj in enumerate(b):
+                rem[i + j] -= q * bj
+    if any(rem):
+        raise AssertionError("polynomial division left a remainder")
+    return quo
 
 
 @lru_cache(maxsize=None)
-def minimal_polynomial_2cos(m: int) -> Coeffs:
+def _cyclotomic(n: int) -> tuple[int, ...]:
+    """Phi_n: x^n - 1 divided by Phi_d for every proper divisor d of n."""
+    poly = [-1] + [0] * (n - 1) + [1]
+    for d in range(1, n):
+        if n % d == 0:
+            poly = _divide_monic(poly, _cyclotomic(d))
+    return tuple(poly)
+
+
+@lru_cache(maxsize=None)
+def minimal_polynomial_2cos(m: int) -> tuple[int, ...]:
     """Monic minimal polynomial of 2*cos(pi/m) over Q.
 
-    Returned as a coefficient tuple (c0, c1, ..., 1) in increasing degree.
+    Returned as an integer coefficient tuple (c0, c1, ..., 1) in
+    increasing degree.  c = z + 1/z for z = exp(i*pi/m), a primitive
+    2m-th root of unity.  Phi_2m is palindromic of degree 2d, so
+    z^-d Phi_2m(z) = a_d + sum_j a_(d+j) (z^j + z^-j), and
+    z^j + z^-j = T_j(z + 1/z) with T_0 = 2, T_1 = y and
+    T_(j+1) = y T_j - T_(j-1).
     """
     if m < 2:
         raise ValueError(f"bond label must be at least 2, got {m}")
-    import sympy
+    phi = _cyclotomic(2 * m)
+    d = (len(phi) - 1) // 2
+    out = [phi[d]] + [0] * d
+    t_prev, t = [2], [0, 1]
+    for j in range(1, d + 1):
+        for k, tk in enumerate(t):
+            out[k] += phi[d + j] * tk
+        t_next = [0] + t
+        for k, tk in enumerate(t_prev):
+            t_next[k] -= tk
+        t_prev, t = t, t_next
+    return tuple(out)
 
-    x = sympy.Symbol("x")
-    poly = sympy.minimal_polynomial(2 * sympy.cos(sympy.pi / m), x)
-    p = sympy.Poly(poly, x).monic()
-    coeffs = [Fraction(str(c)) for c in reversed(p.all_coeffs())]
-    return tuple(coeffs)
 
-
-def _trim(coeffs: Sequence[Fraction]) -> Coeffs:
+def _trim(coeffs: Sequence) -> Coeffs:
     i = len(coeffs)
     while i > 0 and coeffs[i - 1] == 0:
         i -= 1
@@ -47,16 +87,36 @@ def _poly_divmod(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
     if not b:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(a)
-    quo = [_ZERO] * max(0, len(a) - len(b) + 1)
-    inv_lead = 1 / b[-1]
+    quo = [0] * max(0, len(a) - len(b) + 1)
+    lead = b[-1]
     for i in range(len(a) - len(b), -1, -1):
-        factor = rem[i + len(b) - 1] * inv_lead
-        if factor == 0:
+        top = rem[i + len(b) - 1]
+        if top == 0:
             continue
-        quo[i] = factor
+        factor = quo[i] = Fraction(top) / lead
         for j, bj in enumerate(b):
             rem[i + j] -= factor * bj
     return _trim(quo), _trim(rem)
+
+
+def _poly_eval(coeffs: Sequence, x):
+    total = 0
+    for c in reversed(coeffs):
+        total = total * x + c
+    return total
+
+
+def _sturm_chain(f: Sequence) -> list[Coeffs]:
+    """f, f', then negated remainders, for counting real roots of f."""
+    chain = [_trim(f), _trim([k * c for k, c in enumerate(f)][1:])]
+    while len(chain[-1]) > 1:
+        chain.append(tuple(-c for c in _poly_divmod(chain[-2], chain[-1])[1]))
+    return chain
+
+
+def _sign_changes(chain: list[Coeffs], x) -> int:
+    signs = [v > 0 for v in (_poly_eval(p, x) for p in chain) if v != 0]
+    return sum(a != b for a, b in zip(signs, signs[1:]))
 
 
 class NumberField:
@@ -70,27 +130,28 @@ class NumberField:
     def __init__(self, m: int):
         self.m = m
         self.minpoly = minimal_polynomial_2cos(m)
-        self.degree = len(self.minpoly) - 1
-        if self.degree < 1:
+        self.degree = d = len(self.minpoly) - 1
+        if d < 1:
             raise ValueError(f"degenerate minimal polynomial for m={m}")
-        self.zero: Coeffs = (_ZERO,) * self.degree
-        self.one: Coeffs = (_ONE,) + (_ZERO,) * (self.degree - 1)
-        if self.degree == 1:
-            self.generator = self.from_rational(-self.minpoly[0])
+        self.zero: Coeffs = (0,) * d
+        self.one: Coeffs = (1,) + (0,) * (d - 1)
+        if d == 1:
+            self.generator = (-self.minpoly[0],)
         else:
-            self.generator = (_ZERO, _ONE) + (_ZERO,) * (self.degree - 2)
-        # x^k mod minpoly for k up to 2*degree - 2, for fast reduction.
+            self.generator = (0, 1) + (0,) * (d - 2)
+        # c^k mod minpoly for k up to 2*degree - 2, for fast reduction.
         self._powers: list[Coeffs] = []
-        power = [_ONE]
-        for _ in range(2 * self.degree - 1):
-            self._powers.append(tuple(power) + (_ZERO,) * (self.degree - len(power)))
-            power = [_ZERO] + power
-            if len(power) > self.degree:
-                lead = power.pop()
-                power = [c - lead * mc for c, mc in zip(power, self.minpoly[:-1])]
+        power = list(self.one)
+        for _ in range(2 * d - 1):
+            self._powers.append(tuple(power))
+            lead = power[-1]
+            power = [0] + power[:-1]
+            if lead:
+                power = [c - lead * mc for c, mc in zip(power, self.minpoly)]
+        self._bracket = None
 
     def from_rational(self, q) -> Coeffs:
-        return (Fraction(q),) + (_ZERO,) * (self.degree - 1)
+        return (_rational(q),) + (0,) * (self.degree - 1)
 
     def add(self, a: Coeffs, b: Coeffs) -> Coeffs:
         return tuple(x + y for x, y in zip(a, b))
@@ -103,23 +164,30 @@ class NumberField:
 
     def mul(self, a: Coeffs, b: Coeffs) -> Coeffs:
         d = self.degree
-        conv = [_ZERO] * (2 * d - 1)
+        if d == 2:
+            # c^2 = -p*c - q for minpoly x^2 + p*x + q.
+            a0, a1 = a
+            b0, b1 = b
+            top = a1 * b1
+            q, p, _ = self.minpoly
+            return (a0 * b0 - top * q, a0 * b1 + a1 * b0 - top * p)
+        conv = [0] * (2 * d - 1)
         for i, ai in enumerate(a):
-            if ai == 0:
-                continue
-            for j, bj in enumerate(b):
-                if bj != 0:
-                    conv[i + j] += ai * bj
-        out = [_ZERO] * d
-        for k, ck in enumerate(conv):
-            if ck != 0:
+            if ai:
+                for j, bj in enumerate(b):
+                    if bj:
+                        conv[i + j] += ai * bj
+        out = conv[:d]
+        for k in range(d, 2 * d - 1):
+            ck = conv[k]
+            if ck:
                 pk = self._powers[k]
                 for t in range(d):
                     out[t] += ck * pk[t]
         return tuple(out)
 
-    def scale(self, a: Coeffs, q: Fraction) -> Coeffs:
-        return tuple(x * q for x in a)
+    def scale(self, a: Coeffs, q) -> Coeffs:
+        return tuple(_rational(x * q) for x in a)
 
     def inv(self, a: Coeffs) -> Coeffs:
         if all(x == 0 for x in a):
@@ -127,18 +195,18 @@ class NumberField:
         # Extended Euclid over Q[x]: find u with u*a = 1 mod minpoly.
         r0, r1 = self.minpoly, _trim(a)
         t0: Coeffs = ()
-        t1: Coeffs = (_ONE,)
+        t1: Coeffs = (1,)
         while len(r1) > 1:
             q, r = _poly_divmod(r0, r1)
-            t = list(t0) + [_ZERO] * max(0, len(q) + len(t1) - 1 - len(t0))
+            t = list(t0) + [0] * max(0, len(q) + len(t1) - 1 - len(t0))
             for i, qi in enumerate(q):
                 for j, tj in enumerate(t1):
                     t[i + j] -= qi * tj
             r0, r1 = r1, r
             t0, t1 = t1, _trim(t)
         lead = r1[0]
-        result = [c / lead for c in t1]
-        result += [_ZERO] * (self.degree - len(result))
+        result = [_rational(Fraction(c) / lead) for c in t1]
+        result += [0] * (self.degree - len(result))
         return tuple(result[: self.degree])
 
     def div(self, a: Coeffs, b: Coeffs) -> Coeffs:
@@ -148,24 +216,18 @@ class NumberField:
         return all(x == 0 for x in a)
 
     def sign(self, a: Coeffs) -> int:
-        """Sign of the element under the real embedding c = 2*cos(pi/m) > 0.
-
-        Exact; supported for field degree at most 2, which covers every
-        bond label needed here (2, 3, 4, 5, 6).
-        """
+        """Sign of the element under the real embedding c = 2*cos(pi/m) > 0."""
         if self.degree == 1:
             v = a[0]
             return (v > 0) - (v < 0)
-        if self.degree != 2:
-            raise NotImplementedError(
-                f"exact sign test not implemented for field degree {self.degree}"
-            )
-        # c is the largest root of x^2 + p*x + q: c = (-p + sqrt(D)) / 2.
-        p_, q_ = self.minpoly[1], self.minpoly[0]
+        if self.degree > 2:
+            return self._sign_by_bisection(a)
+        # c is the largest root of x^2 + p*x + q, so 2c = -p + sqrt(D), and
+        # 2*(a0 + a1*c) = A + B*sqrt(D) with A = 2*a0 - a1*p, B = a1.
+        q_, p_, _ = self.minpoly
         disc = p_ * p_ - 4 * q_
-        # a0 + a1*c = A + B*sqrt(D) with A = a0 - a1*p/2, B = a1/2.
-        big_a = a[0] - a[1] * p_ / 2
-        big_b = a[1] / 2
+        big_a = 2 * a[0] - a[1] * p_
+        big_b = a[1]
         if big_b == 0:
             return (big_a > 0) - (big_a < 0)
         if big_a == 0:
@@ -182,9 +244,46 @@ class NumberField:
             return 1 if lhs > rhs else -1
         return -1 if lhs > rhs else 1
 
+    def _sign_by_bisection(self, a: Coeffs) -> int:
+        """Sign for degree >= 3: shrink a rational interval (lo, hi] around
+        c until the interval value of a excludes 0.  A nonzero element of
+        degree below the field's has no root at c, so this terminates."""
+        if self.is_zero(a):
+            return 0
+        if self._bracket is None:
+            # c is the largest root of the minimal polynomial, all of whose
+            # roots 2*cos(k*pi/m) lie in (-2, 2); none is rational.
+            chain = _sturm_chain(self.minpoly)
+            lo, hi = Fraction(0), Fraction(2)
+            while _sign_changes(chain, lo) - _sign_changes(chain, hi) > 1:
+                mid = (lo + hi) / 2
+                if _sign_changes(chain, mid) > _sign_changes(chain, hi):
+                    lo = mid
+                else:
+                    hi = mid
+            self._bracket = (lo, hi)
+        lo, hi = self._bracket
+        while True:
+            low = high = 0
+            for k, ak in enumerate(a):
+                # 0 <= lo < c <= hi, so c^k lies in [lo^k, hi^k].
+                ends = (ak * lo**k, ak * hi**k)
+                low += min(ends)
+                high += max(ends)
+            if low > 0:
+                return 1
+            if high < 0:
+                return -1
+            mid = (lo + hi) / 2
+            if (_poly_eval(self.minpoly, mid) > 0) == (_poly_eval(self.minpoly, hi) > 0):
+                hi = mid
+            else:
+                lo = mid
+            self._bracket = (lo, hi)
+
 
 class RationalField:
-    """Drop-in field interface over plain Fractions.
+    """Drop-in field interface over the rationals, as int or Fraction.
 
     Lets the generic linear algebra below run unchanged on crystallographic
     data where no irrational cosine is needed.
@@ -193,12 +292,11 @@ class RationalField:
     degree = 1
     m = None
 
-    def __init__(self):
-        self.zero = Fraction(0)
-        self.one = Fraction(1)
+    zero = 0
+    one = 1
 
     def from_rational(self, q):
-        return Fraction(q)
+        return _rational(q)
 
     def add(self, a, b):
         return a + b
@@ -216,10 +314,10 @@ class RationalField:
         return a * q
 
     def inv(self, a):
-        return 1 / a
+        return Fraction(1) / a
 
     def div(self, a, b):
-        return a / b
+        return Fraction(a) / b
 
     def is_zero(self, a):
         return a == 0

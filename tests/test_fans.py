@@ -5,8 +5,10 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from cambrian import UpDownSignature, get_system
+from cambrian import UpDownSignature, fans, get_system
+from cambrian.congruences import all_orientations
 from cambrian.fans import (
     alternating_signature,
     b_bipartite_signature,
@@ -37,6 +39,7 @@ from cambrian.fans import (
     tau,
     twist_check,
 )
+from cambrian.fields import RationalField, mat_vec, solve_linear
 from cambrian.polygon_b import SymmetricSignature
 from cambrian.suites import catalan
 
@@ -212,3 +215,123 @@ def test_fan_to_json():
         for entry in ray:
             assert "/" in entry
     assert len(data["cones"]) == 5
+
+
+# ---------------------------------------------------------------------------
+# The integer fast paths against the simple field algorithms.
+
+
+def _rank_oracle(vectors):
+    """Rank by Gaussian elimination over Fractions."""
+    rows = [[Fraction(x) for x in v] for v in vectors]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank:
+                f = rows[r][col] / rows[rank][col]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _combo_oracle(rays, v):
+    matrix = [[r[i] for r in rays] for i in range(len(v))]
+    sol = solve_linear(RationalField(), matrix, list(v))
+    if sol is None or any(c < 0 for c in sol):
+        return None
+    return tuple(sol)
+
+
+entries = st.integers(min_value=-3, max_value=3)
+
+
+@given(st.integers(1, 4), st.integers(1, 4), st.data())
+def test_integer_elimination_matches_rational_solve(rows, cols, data):
+    vectors = [data.draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
+    rank = fans._rank(vectors)
+    assert rank == _rank_oracle(vectors)
+    if rank < cols:
+        kernel = fans._kernel_vector(vectors)
+        assert all(type(x) is int for x in kernel)
+        assert any(kernel)
+        assert all(fans._dot(v, kernel) == 0 for v in vectors)
+    # The vectors as cone rays in `cols`-space, tested on a random point.
+    v = data.draw(st.lists(entries, min_size=cols, max_size=cols))
+    assert fans._nonneg_combo(vectors, v) == _combo_oracle(vectors, v)
+    scaled = [[Fraction(x, 3) for x in r] for r in vectors]
+    assert fans._nonneg_combo(scaled, v) == _combo_oracle(scaled, v)
+
+
+def test_nonneg_combo_on_cone_members():
+    # Every suffix ray of a permutation's region is a nonneg combination of
+    # its own rays, with exact unit coefficients.
+    rays = fans._suffix_rays_a((2, 4, 1, 3), fans._int_ray)
+    for k, ray in enumerate(rays):
+        combo = fans._nonneg_combo(rays, ray)
+        assert combo == tuple(Fraction(int(j == k)) for j in range(len(rays)))
+    assert fans._nonneg_combo(rays, tuple(-x for x in rays[0])) is None
+
+
+def test_int_ray_is_scaled_ray_vector():
+    for members in (frozenset({2}), frozenset({1, 3}), frozenset({1, 2, 4})):
+        assert fans._int_ray(4, members) == tuple(4 * x for x in ray_vector(4, members))
+
+
+def test_h3_chamber_rays_are_62_integer_keys():
+    system = get_system("H3")
+    field = system.field
+    weights = fans._scaled_weights(system)
+    # Positive multiples of the fundamental weights Gram^-1 e_i.
+    for i, omega in enumerate(weights):
+        exact = solve_linear(field, system.gram, [field.one if j == i else field.zero for j in range(3)])
+        ratio = None
+        for x, y in zip(omega, exact):
+            if not field.is_zero(y):
+                ratio = field.div(x, y)
+                break
+        assert field.sign(ratio) > 0
+        assert tuple(field.mul(ratio, y) for y in exact) == omega
+    elements = system.weak_order_lattice().elements
+    assert len(elements) == 120
+    orbits = [{mat_vec(field, w.matrix, omega) for w in elements} for omega in weights]
+    for orbit in orbits:
+        assert all(type(c) is int for ray in orbit for x in ray for c in x)
+    assert sorted(len(o) for o in orbits) == [12, 20, 30]
+    assert len(set().union(*orbits)) == 62
+
+
+def test_h3_cramer_containment_matches_solve(monkeypatch):
+    system = get_system("H3")
+    field = system.field
+    seen = []
+    cramer = fans._in_simplicial_cone
+
+    def recording(field_, extreme, r):
+        inside = cramer(field_, extreme, r)
+        seen.append((extreme, r, inside))
+        return inside
+
+    monkeypatch.setattr(fans, "_in_simplicial_cone", recording)
+    orientations = all_orientations(system)
+    assert len(orientations) == 4
+    for orientation in orientations:
+        assert fans.check_fan_h3(system, orientation)["tiling"]
+    assert len(seen) >= 4 * 32
+    # Each recorded call, and each cone against the next call's ray (which
+    # often lies outside it) or a negated member ray (which always does).
+    cases = [(extreme, r) for extreme, r, _ in seen]
+    cases += [(a[0], b[1]) for a, b in zip(seen, seen[1:])]
+    cases += [(extreme, tuple(field.neg(x) for x in r)) for extreme, r, _ in seen[:20]]
+    outside = 0
+    for extreme, r in cases:
+        columns = [[extreme[j][i] for j in range(3)] for i in range(3)]
+        sol = solve_linear(field, columns, list(r))
+        expected = sol is not None and all(field.sign(c) >= 0 for c in sol)
+        assert cramer(field, extreme, r) == expected
+        outside += not expected
+    assert all(inside for _, _, inside in seen)
+    assert outside >= 20

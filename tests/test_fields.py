@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -21,6 +22,41 @@ def test_minimal_polynomial_small_orders():
         Fraction(-1),
         Fraction(1),
     )
+
+
+def test_minimal_polynomial_known_higher_orders():
+    assert minimal_polynomial_2cos(7) == (1, -2, -1, 1)  # x^3 - x^2 - 2x + 1
+    assert minimal_polynomial_2cos(8) == (2, 0, -4, 0, 1)  # x^4 - 4x^2 + 2
+    assert minimal_polynomial_2cos(12) == (1, 0, -4, 0, 1)  # x^4 - 4x^2 + 1
+
+
+def _poly_rem(a, b):
+    """Remainder of integer polynomial a by monic b (increasing degree)."""
+    rem = list(a)
+    for i in range(len(a) - len(b), -1, -1):
+        q = rem[i + len(b) - 1]
+        for j, bj in enumerate(b):
+            rem[i + j] -= q * bj
+    return rem[: len(b) - 1]
+
+
+@pytest.mark.parametrize("m", range(2, 31))
+def test_minimal_polynomial_degree_and_chebyshev_root(m):
+    poly = minimal_polynomial_2cos(m)
+    assert all(type(c) is int for c in poly)
+    assert poly[-1] == 1
+    totient = sum(1 for k in range(1, 2 * m + 1) if math.gcd(k, 2 * m) == 1)
+    assert len(poly) - 1 == totient // 2
+    # Q_k(2cos t) = 2cos(kt): Q_0 = 2, Q_1 = x, Q_(k+1) = x Q_k - Q_(k-1).
+    # 2cos(pi/m) is a root of Q_m + 2, so the minimal polynomial divides it.
+    q_prev, q = [2], [0, 1]
+    for _ in range(m - 1):
+        q_next = [0] + q
+        for k, c in enumerate(q_prev):
+            q_next[k] -= c
+        q_prev, q = q, q_next
+    q[0] += 2
+    assert not any(_poly_rem(q, poly))
 
 
 def test_field_degree_two_arithmetic():
@@ -52,6 +88,49 @@ def test_rational_field_ring_laws(a, b, c):
     assert field.sub(a, a) == field.from_rational(0)
     if not field.is_zero(b):
         assert field.mul(field.div(a, b), b) == a
+
+
+small_ints = st.integers(min_value=-30, max_value=30)
+
+
+def _exact(element):
+    return all(type(c) in (int, Fraction) for c in element)
+
+
+def _approx(field, element):
+    c = 2 * math.cos(math.pi / field.m)
+    return sum(float(a) * c**k for k, a in enumerate(element))
+
+
+@pytest.mark.parametrize("m", [5, 8])
+@given(data=st.data())
+def test_integer_elements_never_become_floats(m, data):
+    field = NumberField(m)
+    a, b = (
+        tuple(data.draw(st.lists(small_ints, min_size=field.degree, max_size=field.degree)))
+        for _ in range(2)
+    )
+    assert _exact(field.mul(a, b))
+    sign = field.sign(a)
+    assert sign == field.sign(tuple(Fraction(x) for x in a))
+    value = _approx(field, a)
+    if abs(value) > 1e-6:
+        assert sign == (1 if value > 0 else -1)
+    if field.is_zero(a):
+        assert sign == 0
+        return
+    inverse = field.inv(a)
+    assert _exact(inverse)
+    assert field.mul(a, inverse) == field.one
+    assert _exact(field.div(b, a))
+    assert field.sign(inverse) == sign
+    assert type(field.sign(field.sub(b, a))) is int
+
+
+def test_rational_field_divides_ints_exactly():
+    field = RationalField()
+    assert field.inv(2) == Fraction(1, 2) and type(field.inv(2)) is Fraction
+    assert type(field.div(1, 3)) is Fraction
 
 
 @given(rationals, rationals)
