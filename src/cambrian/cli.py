@@ -6,9 +6,12 @@ Three commands:
 - ``cambrian verify``: run a named verification suite; exit 0 iff it passes.
 - ``cambrian fan``: Cambrian fan artifacts and exact fan checks.
 
-Exit codes: 0 pass, 1 suite or check failure, 2 usage error, 3 element cap
-exceeded.  The environment variable ``CAMB_CAP`` overrides the default
-element cap; the ``--cap`` flag overrides both.
+Exit codes: 0 pass, 1 suite or check failure (a suite with no checks
+fails), 2 usage error (including a family a suite does not cover), 3
+element cap exceeded, 4 internal error (an invariant of the program
+failed; the message goes to stderr).  The environment variable
+``CAMB_CAP`` overrides the default element cap; the ``--cap`` flag
+overrides both.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ from .suites import SUITE_NAMES, run_suite
 
 USAGE_ERROR = 2
 CAP_ERROR = 3
+INTERNAL_ERROR = 4
 
 
 def _element_label(system: CoxeterSystem, w) -> str:
@@ -306,6 +310,9 @@ def main(argv=None) -> int:
     except (NotCambrianError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
+    except AssertionError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -4,17 +4,24 @@ A signature marks each interior index 1..n as up or down; vertex i of
 the convex polygon Q sits at (i, +-i(n+1-i)), above or below the line
 through v_0 = (0,0) and v_{n+1} = (n+1, 0).  The map eta sends a
 permutation to a triangulation of Q by accumulating the edges of the
-nested paths lambda_0 .. lambda_n.  Its fibers are the classes of the
-Cambrian congruence attached to the orientation induced by the
-signature; the class projections pi_down / pi_up are realized by local
-pattern moves on one-line notation.
+nested paths lambda_0 .. lambda_n (``lambda_paths``).  Its fibers are the
+classes of the Cambrian congruence attached to the orientation induced
+by the signature; the class projections pi_down / pi_up are realized by
+local pattern moves on one-line notation.
+
+The maps work on bitmasks, bit v standing for vertex or value v.
+``eta`` keeps the current path as a mask and collects only the edges
+each step creates: inserting an up value v between its path neighbours
+u < v < w (the nearest set bits) adds (u, v) and (v, w); removing a down
+value adds (u, w).  The projections carry the mask of the values already
+read, so whether an adjacent pair has its "2" is one mask intersection.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
-from functools import lru_cache
+from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from typing import Optional
 
 from .lattices import FiniteLattice
@@ -45,6 +52,11 @@ class UpDownSignature:
     @property
     def downs(self) -> frozenset[int]:
         return frozenset(range(1, self.n + 1)) - self.ups
+
+    @cached_property
+    def upmask(self) -> int:
+        """Bitmask with bit i set for each up index i."""
+        return sum(1 << i for i in self.ups)
 
     def is_up(self, i: int) -> bool:
         if i == 0 or i == self.n + 1:
@@ -113,6 +125,7 @@ class PolygonQ:
             + tuple(sorted(sig.downs, reverse=True))
         )
 
+    @cached_property
     def boundary_edges(self) -> frozenset[tuple[int, int]]:
         cycle = self.boundary_cycle()
         out = set()
@@ -176,10 +189,14 @@ class TriangulationA:
 # Lambda paths and eta.
 
 
+def _check_permutation(x: tuple[int, ...], n: int) -> None:
+    if sorted(x) != list(range(1, n + 1)):
+        raise ValueError(f"{x} is not a permutation of 1..{n}")
+
+
 def lambda_paths(x: tuple[int, ...], polygon: PolygonQ) -> list[tuple[int, ...]]:
     sig = polygon.signature
-    if sorted(x) != list(range(1, sig.n + 1)):
-        raise ValueError(f"{x} is not a permutation of 1..{sig.n}")
+    _check_permutation(x, sig.n)
     path = [0] + sorted(sig.downs) + [sig.n + 1]
     out = [tuple(path)]
     for v in x:
@@ -193,14 +210,27 @@ def lambda_paths(x: tuple[int, ...], polygon: PolygonQ) -> list[tuple[int, ...]]
 
 
 def eta(x: tuple[int, ...], polygon: PolygonQ) -> TriangulationA:
+    """The lambda-path edges off the boundary (lambda_0 lies on it)."""
     sig = polygon.signature
+    n = sig.n
+    _check_permutation(x, n)
+    ups = sig.ups
+    path = ((1 << (n + 2)) - 1) ^ sig.upmask
     edges = set()
-    for path in lambda_paths(x, polygon):
-        edges.update(zip(path, path[1:]))
-    diagonals = frozenset(edges) - polygon.boundary_edges()
-    if len(diagonals) != sig.n - 1:
-        raise AssertionError(f"eta produced {len(diagonals)} diagonals, wanted {sig.n - 1}")
-    return TriangulationA(sig.n, sig.ups, diagonals)
+    for v in x:
+        u = (path & ((1 << v) - 1)).bit_length() - 1
+        above = path >> (v + 1)
+        w = v + (above & -above).bit_length()
+        if v in ups:
+            edges.add((u, v))
+            edges.add((v, w))
+        else:
+            edges.add((u, w))
+        path ^= 1 << v
+    diagonals = frozenset(edges) - polygon.boundary_edges
+    if len(diagonals) != n - 1:
+        raise AssertionError(f"eta produced {len(diagonals)} diagonals, wanted {n - 1}")
+    return TriangulationA(n, ups, diagonals)
 
 
 # ---------------------------------------------------------------------------
@@ -231,49 +261,43 @@ def contains_colored_pattern(
     return False, None
 
 
+def _project(
+    x: tuple[int, ...], signature: UpDownSignature, descending: bool
+) -> tuple[int, ...]:
+    """Swap the leftmost adjacent descent (ascent) that has its "2", then
+    start again from the left, until none has one.
+
+    The "2" of x[j], x[j+1] is a value strictly between them that is up
+    and before j, or down and after j+1.  ``before`` holds x[0..j-1]; the
+    pair is not strictly between itself, so the rest of ``~before`` is after.
+    """
+    n = signature.n
+    _check_permutation(x, n)
+    x = list(x)
+    up = signature.upmask
+    down = ((1 << (n + 1)) - 2) ^ up
+    while True:
+        before = 0
+        for j in range(n - 1):
+            a, b = x[j], x[j + 1]
+            if (a > b) == descending:
+                lo, hi = (b, a) if descending else (a, b)
+                if ((1 << hi) - (2 << lo)) & (before & up | ~before & down):
+                    x[j], x[j + 1] = b, a
+                    break
+            before |= 1 << a
+        else:
+            return tuple(x)
+
+
 def pi_down(x: tuple[int, ...], signature: UpDownSignature) -> tuple[int, ...]:
     """Iterate downward moves on adjacent pattern instances to the fixpoint."""
-    x = list(x)
-    n = len(x)
-    ups = signature.ups
-    while True:
-        moved = False
-        for j in range(n - 1):
-            if x[j] <= x[j + 1]:
-                continue
-            # Adjacent "31" at positions j, j+1; look for the "2".
-            hi, lo = x[j], x[j + 1]
-            fires = any(lo < x[i] < hi and x[i] in ups for i in range(j)) or any(
-                lo < x[k] < hi and x[k] not in ups for k in range(j + 2, n)
-            )
-            if fires:
-                x[j], x[j + 1] = x[j + 1], x[j]
-                moved = True
-                break
-        if not moved:
-            return tuple(x)
+    return _project(x, signature, True)
 
 
 def pi_up(x: tuple[int, ...], signature: UpDownSignature) -> tuple[int, ...]:
     """Iterate upward moves on adjacent pattern instances to the fixpoint."""
-    x = list(x)
-    n = len(x)
-    ups = signature.ups
-    while True:
-        moved = False
-        for j in range(n - 1):
-            if x[j] >= x[j + 1]:
-                continue
-            lo, hi = x[j], x[j + 1]
-            fires = any(lo < x[i] < hi and x[i] in ups for i in range(j)) or any(
-                lo < x[k] < hi and x[k] not in ups for k in range(j + 2, n)
-            )
-            if fires:
-                x[j], x[j + 1] = x[j + 1], x[j]
-                moved = True
-                break
-        if not moved:
-            return tuple(x)
+    return _project(x, signature, False)
 
 
 def is_pi_down_fixed(x: tuple[int, ...], signature: UpDownSignature) -> bool:
@@ -328,7 +352,7 @@ def all_triangulations(polygon: PolygonQ) -> list[TriangulationA]:
 
 def _flip(polygon: PolygonQ, tri: frozenset, diag: tuple[int, int]):
     """The opposite diagonal of the quadrilateral around diag."""
-    edges = tri | polygon.boundary_edges()
+    edges = tri | polygon.boundary_edges
     a, b = diag
 
     def connected(u, v):
@@ -364,28 +388,36 @@ def triangulation_lattice(signature: UpDownSignature) -> FiniteLattice:
 # Descents from a triangulation.
 
 
+def _case_table_descents(diagonals, n: int, ups) -> set[int]:
+    """The a in 1..n-1 for which (a, a+1) is a descent, by the four up/down
+    cases of a and a+1.  Types A and B share the table."""
+    beyond = {a for a, b in diagonals if b > a + 1}
+    out = set()
+    for a in range(1, n):
+        a_up = a in ups
+        b_up = (a + 1) in ups
+        adjacent = (a, a + 1) in diagonals
+        if not a_up and not b_up:
+            is_descent = a in beyond
+        elif not a_up and b_up:
+            is_descent = adjacent
+        elif a_up and b_up:
+            is_descent = a not in beyond
+        else:
+            is_descent = not adjacent
+        if is_descent:
+            out.add(a)
+    return out
+
+
 def descent_set_of_triangulation(
     tri: TriangulationA, signature: UpDownSignature
 ) -> frozenset[tuple[int, int]]:
     """Reflections (a, a+1) that are descents, by the four up/down cases."""
-    out = set()
-    diag = tri.diagonals
-    for a in range(1, signature.n):
-        a_up = a in signature.ups
-        b_up = (a + 1) in signature.ups
-        beyond = any(d[0] == a and d[1] > a + 1 for d in diag)
-        adjacent = (a, a + 1) in diag
-        if not a_up and not b_up:
-            is_descent = beyond
-        elif not a_up and b_up:
-            is_descent = adjacent
-        elif a_up and b_up:
-            is_descent = not beyond
-        else:
-            is_descent = not adjacent
-        if is_descent:
-            out.add((a, a + 1))
-    return frozenset(out)
+    return frozenset(
+        (a, a + 1)
+        for a in _case_table_descents(tri.diagonals, signature.n, signature.ups)
+    )
 
 
 # ---------------------------------------------------------------------------

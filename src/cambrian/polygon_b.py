@@ -25,9 +25,9 @@ from .polygon_a import (
     PolygonQ,
     TriangulationA,
     UpDownSignature,
+    _case_table_descents,
     _flip,
     all_triangulations,
-    descent_set_of_triangulation,
     eta,
     polygon_from_signature,
 )
@@ -287,31 +287,10 @@ def symmetric_triangulation_lattice(signature: SymmetricSignature) -> FiniteLatt
 def descent_set_b(tri: TriangulationB) -> frozenset[int]:
     """Left descents as generator names 0..n-1, read off the triangulation."""
     sig = tri.signature
-    n = sig.n
     diagonals = tri.signed_diagonals
-    out = set()
-    for a in range(1, n):
-        a_up = sig.is_up(a)
-        b_up = sig.is_up(a + 1)
-        beyond = any(d[0] == a and d[1] > a + 1 for d in diagonals)
-        adjacent = (a, a + 1) in diagonals
-        if not a_up and not b_up:
-            is_descent = beyond
-        elif not a_up and b_up:
-            is_descent = adjacent
-        elif a_up and b_up:
-            is_descent = not beyond
-        else:
-            is_descent = not adjacent
-        if is_descent:
-            out.add(a)
-    has_diameter = (-1, 1) in diagonals
-    if sig.is_up(1):
-        if has_diameter:
-            out.add(0)
-    else:
-        if not has_diameter:
-            out.add(0)
+    out = _case_table_descents(diagonals, sig.n, sig.ups)
+    if sig.is_up(1) == ((-1, 1) in diagonals):
+        out.add(0)
     return frozenset(out)
 
 

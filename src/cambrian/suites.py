@@ -124,12 +124,19 @@ def _check(name: str, passed, **extra) -> dict:
 
 
 def _report(suite: str, checks: list[dict], **meta) -> dict:
+    """A report passes when it has checks and every one of them passes."""
     return {
         "suite": suite,
         **meta,
-        "passed": all(c["passed"] for c in checks),
+        "passed": bool(checks) and all(c["passed"] for c in checks),
         "checks": checks,
     }
+
+
+def _require_family(suite: str, family, supported: tuple[str, ...]) -> None:
+    """Fail closed on a family the suite does not cover."""
+    if family is not None and family not in supported:
+        raise ValueError(f"suite {suite} does not cover family {family!r}")
 
 
 def _cut(default: int, max_rank) -> int:
@@ -140,66 +147,40 @@ def _cut(default: int, max_rank) -> int:
 # Counting suites.
 
 
-def suite_catalan(family: str = "A", max_rank=None, cap=None) -> dict:
-    """Class counts of every orientation against the family's formula."""
-    checks = []
+def _catalan_groups(family: str, max_rank):
+    """(system, label, class count) per group: Catalan(n) for S_n, C(2n, n)
+    for B_n, m + 2 for I2(m) and 32 for H3."""
     if family == "A":
-        for n in range(3, (max_rank if max_rank is not None else 7) + 1):
-            system = get_system("A", n - 1)
-            for orientation in all_orientations(system):
-                cong = cambrian_congruence(system, orientation, cap=cap)
-                checks.append(
-                    _check(
-                        f"A n={n} [{orientation}]",
-                        cong.num_classes == catalan(n),
-                        count=cong.num_classes,
-                        expected=catalan(n),
-                        generating_pairs=_pairs_repr(system, orientation),
-                    )
-                )
+        for n in range(3, (7 if max_rank is None else max_rank) + 1):
+            yield get_system("A", n - 1), f"A n={n}", catalan(n)
     elif family == "B":
-        for n in range(2, (max_rank if max_rank is not None else 4) + 1):
-            system = get_system("B", n)
-            for orientation in all_orientations(system):
-                cong = cambrian_congruence(system, orientation, cap=cap)
-                checks.append(
-                    _check(
-                        f"B n={n} [{orientation}]",
-                        cong.num_classes == comb(2 * n, n),
-                        count=cong.num_classes,
-                        expected=comb(2 * n, n),
-                        generating_pairs=_pairs_repr(system, orientation),
-                    )
-                )
+        for n in range(2, (4 if max_rank is None else max_rank) + 1):
+            yield get_system("B", n), f"B n={n}", comb(2 * n, n)
     elif family == "I2":
-        for m in range(3, (max_rank if max_rank is not None else 8) + 1):
-            system = get_system("I2", None, m)
-            for orientation in all_orientations(system):
-                cong = cambrian_congruence(system, orientation, cap=cap)
-                checks.append(
-                    _check(
-                        f"I2({m}) [{orientation}]",
-                        cong.num_classes == m + 2,
-                        count=cong.num_classes,
-                        expected=m + 2,
-                        generating_pairs=_pairs_repr(system, orientation),
-                    )
-                )
+        for m in range(3, (8 if max_rank is None else max_rank) + 1):
+            yield get_system("I2", None, m), f"I2({m})", m + 2
     elif family == "H3":
-        system = get_system("H3")
+        yield get_system("H3"), "H3", 32
+    else:
+        raise ValueError(f"unsupported family {family!r}")
+
+
+def suite_catalan(family=None, max_rank=None, cap=None) -> dict:
+    """Class counts of every orientation against the family's formula."""
+    family = family or "A"
+    checks = []
+    for system, label, expected in _catalan_groups(family, max_rank):
         for orientation in all_orientations(system):
-            cong = cambrian_congruence(system, orientation, cap=cap)
+            count = cambrian_congruence(system, orientation, cap=cap).num_classes
             checks.append(
                 _check(
-                    f"H3 [{orientation}]",
-                    cong.num_classes == 32,
-                    count=cong.num_classes,
-                    expected=32,
+                    f"{label} [{orientation}]",
+                    count == expected,
+                    count=count,
+                    expected=expected,
                     generating_pairs=_pairs_repr(system, orientation),
                 )
             )
-    else:
-        raise ValueError(f"unsupported family {family!r}")
     return _report("catalan", checks, family=family)
 
 
@@ -342,32 +323,28 @@ def _pattern_masks(x: tuple[int, ...]):
 
 
 def _firing_masks(x: tuple[int, ...], descending: bool):
-    """Per adjacent inversion (or ascent), witness masks for a move.
+    """Witness masks for the moves a downward (upward) projection could make.
 
-    For each adjacent pair that a downward (upward) move could swap,
-    returns (mask of earlier values strictly between the pair, mask of
-    later values strictly between the pair).  The move fires exactly
-    when an earlier witness is up or a later witness is down.
+    Over every adjacent inversion (or ascent), returns the union of the
+    masks of earlier values strictly between the pair, and the union of
+    the masks of later ones.  Some move fires exactly when an earlier
+    witness is up or a later witness is down, so x is fixed under the
+    projection iff neither union meets the matching mask.
     """
-    n = len(x)
-    out = []
-    for j in range(n - 1):
-        if (x[j] > x[j + 1]) != descending:
-            continue
-        lo, hi = sorted((x[j], x[j + 1]))
-        before = after = 0
-        for i in range(j):
-            if lo < x[i] < hi:
-                before |= 1 << x[i]
-        for k in range(j + 2, n):
-            if lo < x[k] < hi:
-                after |= 1 << x[k]
-        out.append((before, after))
-    return out
+    before = earlier = later = 0
+    for a, b in zip(x, x[1:]):
+        if (a > b) == descending:
+            lo, hi = (b, a) if descending else (a, b)
+            between = (1 << hi) - (2 << lo)
+            earlier |= before & between
+            later |= ~before & between
+        before |= 1 << a
+    return earlier, later
 
 
-def suite_patterns(max_rank=None) -> dict:
+def suite_patterns(family=None, max_rank=None, cap=None) -> dict:
     """Fixed points of the projections are the colored-pattern avoiders."""
+    _require_family("patterns", family, ("A",))
     checks = []
     for n in range(3, _cut(7, max_rank) + 1):
         per_perm = [
@@ -377,20 +354,14 @@ def suite_patterns(max_rank=None) -> dict:
         full = ((1 << n) - 1) << 1
         bad = None
         for sig in all_updown_signatures(n):
-            upmask = sum(1 << i for i in sig.ups)
+            upmask = sig.upmask
             downmask = full & ~upmask
-            for x, masks, down_fires, up_fires in per_perm:
+            for x, masks, (down_b, down_a), (up_b, up_a) in per_perm:
                 m231, m312, m213, m132 = masks
                 avoid_down = not (m231 & upmask) and not (m312 & downmask)
-                fixed_down = all(
-                    not (b & upmask) and not (a & downmask)
-                    for b, a in down_fires
-                )
+                fixed_down = not (down_b & upmask) and not (down_a & downmask)
                 avoid_up = not (m213 & upmask) and not (m132 & downmask)
-                fixed_up = all(
-                    not (b & upmask) and not (a & downmask)
-                    for b, a in up_fires
-                )
+                fixed_up = not (up_b & upmask) and not (up_a & downmask)
                 if avoid_down != fixed_down or avoid_up != fixed_up:
                     bad = (x, sig.to_string())
                     break
@@ -447,9 +418,10 @@ def suite_sublattice(family=None, max_rank=None, cap=None) -> dict:
 # B-Tamari pattern avoiders.
 
 
-def suite_b_tamari(max_rank=None, cap=None) -> dict:
+def suite_b_tamari(family=None, max_rank=None, cap=None) -> dict:
     """Signed-pattern avoiders equal the class bottoms of the two linear
     orientations, with the central binomial counts."""
+    _require_family("b-tamari", family, ("B",))
     checks = []
     expected = {2: 6, 3: 20, 4: 70}
     for n in range(2, _cut(4, max_rank) + 1):
@@ -605,8 +577,12 @@ def suite_fan(family=None, max_rank=None, cap=None, stasheff=True) -> dict:
 # Cluster suite.
 
 
-def suite_cluster(max_rank=None, cap=None) -> dict:
-    """Cluster counts, cluster poset isomorphisms, psi, twist, coroots."""
+def suite_cluster(family=None, max_rank=None, cap=None) -> dict:
+    """Cluster counts, cluster poset isomorphisms, psi, twist, coroots.
+
+    The suite covers types A and B together, so it takes no family.
+    """
+    _require_family("cluster", family, ())
     checks = []
     for n in range(2, _cut(6, max_rank) + 1):
         count = len(clusters(n).clusters)
@@ -855,7 +831,9 @@ def suite_iso(family=None, max_rank=None, cap=None) -> dict:
             ("B", n, None, f"B n={n}") for n in range(2, _cut(3, max_rank) + 1)
         ]
     if "I2" in families:
-        instances += [("I2", None, m, f"I2({m})") for m in range(3, 9)]
+        instances += [
+            ("I2", None, m, f"I2({m})") for m in range(3, _cut(8, max_rank) + 1)
+        ]
     if "H3" in families:
         instances += [("H3", None, None, "H3")]
     for fam, rank, bond, label in instances:
@@ -907,25 +885,17 @@ def suite_iso(family=None, max_rank=None, cap=None) -> dict:
 
 
 SUITES = {
-    "catalan": lambda family=None, max_rank=None, cap=None: suite_catalan(
-        family or "A", max_rank, cap
-    ),
+    "catalan": suite_catalan,
     "congruence-eq": suite_congruence_eq,
     "sublattice": suite_sublattice,
-    "patterns": lambda family=None, max_rank=None, cap=None: suite_patterns(
-        max_rank
-    ),
+    "patterns": suite_patterns,
     "shard": suite_shard,
     "fan": suite_fan,
-    "cluster": lambda family=None, max_rank=None, cap=None: suite_cluster(
-        max_rank, cap
-    ),
+    "cluster": suite_cluster,
     "descent": suite_descent,
     "mobius": suite_mobius,
     "iso": suite_iso,
-    "b-tamari": lambda family=None, max_rank=None, cap=None: suite_b_tamari(
-        max_rank, cap
-    ),
+    "b-tamari": suite_b_tamari,
 }
 
 

@@ -9,7 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from cambrian.cli import main
+from cambrian import suites
+from cambrian.cli import INTERNAL_ERROR, main
 from cambrian.lattices import FiniteLattice
 from cambrian.suites import catalan
 
@@ -102,6 +103,47 @@ def test_verify_suites_pass(capsys):
         report = json.loads(out)
         assert report["passed"] is True
         assert all(c["passed"] for c in report["checks"])
+
+
+@pytest.mark.parametrize(
+    "suite, family",
+    [("patterns", "B"), ("patterns", "H3"), ("b-tamari", "A"), ("cluster", "A")],
+)
+def test_verify_unsupported_family_is_usage_error(capsys, suite, family):
+    code, out = run_cli(capsys, "verify", "--suite", suite, "--family", family)
+    assert code == 2
+    assert out == ""
+
+
+def test_verify_without_checks_fails(capsys):
+    # S_n starts at n = 3, so --max-rank 2 leaves the suite nothing to check.
+    code, out = run_cli(capsys, "verify", "--suite", "catalan", "--max-rank", "2")
+    assert code == 1
+    report = json.loads(out)
+    assert report["checks"] == [] and report["passed"] is False
+
+
+def test_verify_iso_honours_max_rank_for_i2(capsys):
+    code, out = run_cli(
+        capsys, "verify", "--suite", "iso", "--family", "I2", "--max-rank", "4"
+    )
+    assert code == 0
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert names == [
+        f"recover I2({m}) [{o}]" for m in (3, 4) for o in ("1>2", "2>1")
+    ]
+
+
+def test_internal_error_exit_code(capsys, monkeypatch):
+    def broken(family=None, max_rank=None, cap=None):
+        raise AssertionError("invariant broken")
+
+    monkeypatch.setitem(suites.SUITES, "catalan", broken)
+    code = main(["verify", "--suite", "catalan"])
+    captured = capsys.readouterr()
+    assert code == INTERNAL_ERROR == 4
+    assert captured.out == ""
+    assert "invariant broken" in captured.err
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

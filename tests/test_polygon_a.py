@@ -28,7 +28,7 @@ from cambrian import (
     triangulation_lattice,
     uncontracted_ji_subsets,
 )
-from cambrian.suites import catalan
+from cambrian.suites import _firing_masks, all_updown_signatures, catalan
 
 
 SIG6 = UpDownSignature(6, frozenset({1, 3, 4}))
@@ -185,3 +185,138 @@ def test_uncontracted_ji_subsets():
         assert not ji_contracted_a(sig, members)
     forcing = camb_forcing_a(sig)
     assert set(forcing) == set(survivors.values())
+
+
+# ---------------------------------------------------------------------------
+# The simple general algorithms, kept as oracles for the bitmask kernels.
+
+
+def _small_cases(max_n=6):
+    for n in range(1, max_n + 1):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        for sig in all_updown_signatures(n):
+            yield sig, perms
+
+
+def _scan_pi_down(x, signature):
+    x = list(x)
+    n = len(x)
+    ups = signature.ups
+    while True:
+        moved = False
+        for j in range(n - 1):
+            if x[j] <= x[j + 1]:
+                continue
+            hi, lo = x[j], x[j + 1]
+            fires = any(lo < x[i] < hi and x[i] in ups for i in range(j)) or any(
+                lo < x[k] < hi and x[k] not in ups for k in range(j + 2, n)
+            )
+            if fires:
+                x[j], x[j + 1] = x[j + 1], x[j]
+                moved = True
+                break
+        if not moved:
+            return tuple(x)
+
+
+def _scan_pi_up(x, signature):
+    x = list(x)
+    n = len(x)
+    ups = signature.ups
+    while True:
+        moved = False
+        for j in range(n - 1):
+            if x[j] >= x[j + 1]:
+                continue
+            lo, hi = x[j], x[j + 1]
+            fires = any(lo < x[i] < hi and x[i] in ups for i in range(j)) or any(
+                lo < x[k] < hi and x[k] not in ups for k in range(j + 2, n)
+            )
+            if fires:
+                x[j], x[j + 1] = x[j + 1], x[j]
+                moved = True
+                break
+        if not moved:
+            return tuple(x)
+
+
+def _scan_descents(tri, signature):
+    out = set()
+    diag = tri.diagonals
+    for a in range(1, signature.n):
+        a_up = a in signature.ups
+        b_up = (a + 1) in signature.ups
+        beyond = any(d[0] == a and d[1] > a + 1 for d in diag)
+        adjacent = (a, a + 1) in diag
+        if not a_up and not b_up:
+            is_descent = beyond
+        elif not a_up and b_up:
+            is_descent = adjacent
+        elif a_up and b_up:
+            is_descent = not beyond
+        else:
+            is_descent = not adjacent
+        if is_descent:
+            out.add((a, a + 1))
+    return frozenset(out)
+
+
+def _pair_masks(x, descending):
+    """Per adjacent pair a move could swap: (earlier, later) between-masks."""
+    out = []
+    for j in range(len(x) - 1):
+        if (x[j] > x[j + 1]) != descending:
+            continue
+        lo, hi = sorted((x[j], x[j + 1]))
+        before = sum(1 << v for v in x[:j] if lo < v < hi)
+        after = sum(1 << v for v in x[j + 2:] if lo < v < hi)
+        out.append((before, after))
+    return out
+
+
+def test_projections_match_scan_oracle():
+    for sig, perms in _small_cases():
+        for x in perms:
+            assert pi_down(x, sig) == _scan_pi_down(x, sig), (x, sig)
+            assert pi_up(x, sig) == _scan_pi_up(x, sig), (x, sig)
+
+
+def test_eta_matches_lambda_path_union():
+    for sig, perms in _small_cases():
+        poly = polygon_from_signature(sig)
+        for x in perms:
+            edges = set()
+            for path in lambda_paths(x, poly):
+                edges.update(zip(path, path[1:]))
+            assert eta(x, poly).diagonals == frozenset(edges) - poly.boundary_edges
+
+
+def test_descent_set_matches_scan_oracle():
+    for sig, _ in _small_cases():
+        for tri in all_triangulations(polygon_from_signature(sig)):
+            got = descent_set_of_triangulation(tri, sig)
+            assert got == _scan_descents(tri, sig), (tri, sig)
+
+
+def test_or_reduced_firing_masks_match_per_pair_form():
+    for sig, perms in _small_cases():
+        up = sum(1 << i for i in sig.ups)
+        down = sum(1 << i for i in sig.downs)
+        for x in perms:
+            for descending in (True, False):
+                per_pair = all(
+                    not (b & up) and not (a & down)
+                    for b, a in _pair_masks(x, descending)
+                )
+                earlier, later = _firing_masks(x, descending)
+                assert per_pair == (not (earlier & up) and not (later & down))
+
+
+@pytest.mark.parametrize("x", [(1, 1, 2), (1, 2), (0, 1, 2), (1, 2, 4)])
+def test_maps_reject_non_permutations(x):
+    sig = UpDownSignature(3, frozenset({2}))
+    for project in (pi_down, pi_up):
+        with pytest.raises(ValueError):
+            project(x, sig)
+    with pytest.raises(ValueError):
+        eta(x, polygon_from_signature(sig))
