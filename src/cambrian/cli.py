@@ -1,17 +1,26 @@
 """Command line interface.
 
-Three commands:
+Three commands, each taking only the flags it reads:
 
-- ``cambrian build``: weak order or Cambrian lattice, as JSON or DOT.
-- ``cambrian verify``: run a named verification suite; exit 0 iff it passes.
-- ``cambrian fan``: Cambrian fan artifacts and exact fan checks.
+- ``cambrian build --family F [--rank R | --m M] [--orientation O]
+  [--format json|dot]``: weak order or Cambrian lattice, as JSON or DOT.
+- ``cambrian verify --suite S [--family F] [--max-rank N]``: run a named
+  verification suite; exit 0 iff it passes.
+- ``cambrian fan --family A|B|H3 [--rank R] [--signature S |
+  --orientation O] [--stasheff-check]``: Cambrian fan artifacts and exact
+  fan checks.
+
+All three take ``--output`` and ``--cap``.  A flag the chosen family does
+not read (``--m`` outside I2, ``--rank`` for I2 and H3; for ``fan``,
+``--orientation`` and ``--stasheff-check`` for B, ``--signature`` and
+``--stasheff-check`` for H3) is a usage error, not ignored.
 
 Exit codes: 0 pass, 1 suite or check failure (a suite with no checks
 fails), 2 usage error (including a family a suite does not cover), 3
 element cap exceeded, 4 internal error (an invariant of the program
 failed; the message goes to stderr).  The environment variable
 ``CAMB_CAP`` overrides the default element cap; the ``--cap`` flag
-overrides both.
+overrides both.  Every command honours the cap, ``fan`` included.
 """
 
 from __future__ import annotations
@@ -21,7 +30,7 @@ import json
 import os
 import sys
 
-from .coxeter import CapExceeded, CoxeterSystem, build_system
+from .coxeter import CapExceeded, CoxeterSystem, build_system, get_system
 from .congruences import (
     NotCambrianError,
     cambrian_lattice,
@@ -34,20 +43,15 @@ from .fans import (
     check_fan_a,
     check_fan_b,
     check_fan_h3,
+    fan_passed,
     fan_to_json,
     stasheff_ray_check,
 )
-from .suites import SUITE_NAMES, run_suite
+from .suites import SUITE_NAMES, element_label, run_suite
 
 USAGE_ERROR = 2
 CAP_ERROR = 3
 INTERNAL_ERROR = 4
-
-
-def _element_label(system: CoxeterSystem, w) -> str:
-    if system.family in ("A", "B"):
-        return ",".join(str(v) for v in w)
-    return " ".join(f"s{g}" for g in w.word) if w.word else "e"
 
 
 def _canonical_order(system: CoxeterSystem, lattice: FiniteLattice) -> list[int]:
@@ -67,7 +71,7 @@ def lattice_to_json(system: CoxeterSystem, lattice: FiniteLattice, meta: dict) -
     return {
         **meta,
         "num_elements": lattice.n,
-        "elements": [_element_label(system, lattice.elements[i]) for i in order],
+        "elements": [element_label(system, lattice.elements[i]) for i in order],
         "covers": sorted([pos[a], pos[b]] for a, b in lattice.covers),
     }
 
@@ -77,7 +81,7 @@ def lattice_to_dot(system: CoxeterSystem, lattice: FiniteLattice, title: str) ->
     pos = {i: k for k, i in enumerate(order)}
     lines = [f'digraph "{title}" {{', "  rankdir=BT;"]
     for i in order:
-        label = _element_label(system, lattice.elements[i])
+        label = element_label(system, lattice.elements[i])
         lines.append(f'  n{pos[i]} [label="{label}"];')
     for a, b in sorted(lattice.covers):
         lines.append(f"  n{pos[a]} -> n{pos[b]};")
@@ -109,17 +113,47 @@ def _resolve_cap(args) -> int | None:
     return None
 
 
-def _build_target_system(args) -> CoxeterSystem:
-    if args.family == "I2":
-        if args.m is None:
-            print("error: --m is required for family I2", file=sys.stderr)
+# Per command, the flags each family does not read.
+_UNREAD = {
+    "build": {"A": ("m",), "B": ("m",), "I2": ("rank",), "H3": ("rank", "m")},
+    "fan": {
+        "A": (),
+        "B": ("orientation", "stasheff_check"),
+        "H3": ("rank", "signature", "stasheff_check"),
+    },
+}
+
+
+def _reject_unread(args) -> None:
+    """Fail closed on a flag the chosen family would silently ignore."""
+    for flag in _UNREAD[args.command][args.family]:
+        value = getattr(args, flag)
+        if value is not None and value is not False:
+            option = "--" + flag.replace("_", "-")
+            print(
+                f"error: {option} does not apply to family {args.family}",
+                file=sys.stderr,
+            )
             raise SystemExit(USAGE_ERROR)
+
+
+def _require(args, flag: str) -> None:
+    if getattr(args, flag) is None:
+        print(
+            f"error: --{flag} is required for family {args.family}",
+            file=sys.stderr,
+        )
+        raise SystemExit(USAGE_ERROR)
+
+
+def _build_target_system(args) -> CoxeterSystem:
+    _reject_unread(args)
+    if args.family == "I2":
+        _require(args, "m")
         return build_system("I2", None, args.m)
     if args.family == "H3":
         return build_system("H3")
-    if args.rank is None:
-        print(f"error: --rank is required for family {args.family}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+    _require(args, "rank")
     return build_system(args.family, args.rank)
 
 
@@ -176,42 +210,21 @@ def _a_signature_for(args, system: CoxeterSystem) -> UpDownSignature:
 
 
 def cmd_fan(args) -> int:
+    _reject_unread(args)
+    cap = _resolve_cap(args)
+    if args.family != "H3":
+        _require(args, "rank")
+    system = get_system(args.family, args.rank)
+    system.weak_order_lattice(cap=cap)
+    extra = {}
     if args.family == "A":
-        if args.rank is None:
-            print("error: --rank is required for family A", file=sys.stderr)
-            raise SystemExit(USAGE_ERROR)
-        system = build_system("A", args.rank)
         sig = _a_signature_for(args, system)
         report = check_fan_a(sig)
-        artifact = fan_to_json(sig)
-        out = {
-            "family": "A",
-            "signature": sig.to_string(),
-            "summary": {
-                "num_rays": report["num_rays"],
-                "num_cones": report["num_cones"],
-                "simplicial": report["simplicial"],
-            },
-            "report": report,
-            "fan": artifact,
-        }
-        ok = all(
-            report[k]
-            for k in ("simplicial", "tiling", "consistency", "dual_graph_is_hasse")
-        )
-        if args.stasheff_check:
-            stasheff = stasheff_ray_check(sig.n)
-            out["stasheff"] = stasheff
-            ok = ok and stasheff
-        _emit_json(out, args.output)
-        return 0 if ok else 1
-    if args.family == "B":
-        if args.rank is None:
-            print("error: --rank is required for family B", file=sys.stderr)
-            raise SystemExit(USAGE_ERROR)
-        if not args.signature:
-            print("error: --signature is required for family B", file=sys.stderr)
-            raise SystemExit(USAGE_ERROR)
+        head = {"signature": sig.to_string()}
+        summary = ("num_rays", "num_cones", "simplicial")
+        extra["fan"] = fan_to_json(sig)
+    elif args.family == "B":
+        _require(args, "signature")
         positive = UpDownSignature.from_string(args.signature)
         if positive.n != args.rank:
             print(
@@ -220,43 +233,28 @@ def cmd_fan(args) -> int:
                 file=sys.stderr,
             )
             raise SystemExit(USAGE_ERROR)
-        sig = SymmetricSignature.from_positive_ups(args.rank, positive.ups)
-        report = check_fan_b(sig)
-        out = {
-            "family": "B",
-            "signature": args.signature,
-            "summary": {
-                "num_cones": report["num_cones"],
-                "simplicial": report["simplicial"],
-            },
-            "report": report,
-        }
-        _emit_json(out, args.output)
-        ok = all(report[k] for k in ("simplicial", "tiling", "dual_graph_is_hasse"))
-        return 0 if ok else 1
-    if args.family != "H3":
-        print(
-            f"error: fan checks cover families A, B and H3, not {args.family}",
-            file=sys.stderr,
+        report = check_fan_b(
+            SymmetricSignature.from_positive_ups(args.rank, positive.ups)
         )
-        raise SystemExit(USAGE_ERROR)
-    system = build_system("H3")
-    if not args.orientation:
-        print("error: --orientation is required for family H3", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
-    orientation = parse_orientation(system, args.orientation)
-    report = check_fan_h3(system, orientation)
+        head = {"signature": args.signature}
+        summary = ("num_cones", "simplicial")
+    else:
+        _require(args, "orientation")
+        report = check_fan_h3(system, parse_orientation(system, args.orientation))
+        head = {"orientation": args.orientation}
+        summary = ("num_cones", "simplicial")
+    ok = fan_passed(report)
+    if args.stasheff_check:
+        extra["stasheff"] = stasheff_ray_check(system.rank + 1)
+        ok = ok and extra["stasheff"]
     out = {
-        "family": "H3",
-        "orientation": args.orientation,
-        "summary": {
-            "num_cones": report["num_cones"],
-            "simplicial": report["simplicial"],
-        },
+        "family": args.family,
+        **head,
+        "summary": {k: report[k] for k in summary},
         "report": report,
+        **extra,
     }
     _emit_json(out, args.output)
-    ok = all(report[k] for k in ("simplicial", "tiling", "dual_graph_is_hasse"))
     return 0 if ok else 1
 
 
@@ -267,28 +265,31 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--family", choices=["A", "B", "I2", "H3"], default="A")
-        p.add_argument("--rank", type=int)
-        p.add_argument("--m", type=int, help="bond label for I2")
-        p.add_argument("--orientation", help='directed edges, e.g. "1>2,3>2"')
-        p.add_argument("--signature", help='up/down string, e.g. "uudu"')
+    def common(p, families=("A", "B", "I2", "H3"), default="A"):
+        p.add_argument("--family", choices=families, default=default)
         p.add_argument("--output", help="output file (default: stdout)")
         p.add_argument("--cap", type=int, help="element cap for enumeration")
 
     p_build = sub.add_parser("build", help="build a lattice artifact")
     common(p_build)
+    p_build.add_argument("--rank", type=int)
+    p_build.add_argument("--m", type=int, help="bond label for I2")
+    p_build.add_argument("--orientation", help='directed edges, e.g. "1>2,3>2"')
     p_build.add_argument("--format", choices=["json", "dot"], default="json")
     p_build.set_defaults(func=cmd_build)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    common(p_verify)
+    common(p_verify, default=None)
     p_verify.add_argument("--suite", choices=list(SUITE_NAMES), required=True)
     p_verify.add_argument("--max-rank", type=int, dest="max_rank")
-    p_verify.set_defaults(func=cmd_verify, family=None)
+    p_verify.set_defaults(func=cmd_verify)
 
     p_fan = sub.add_parser("fan", help="build and check a Cambrian fan")
-    common(p_fan)
+    common(p_fan, families=("A", "B", "H3"))
+    p_fan.add_argument("--rank", type=int)
+    chamber = p_fan.add_mutually_exclusive_group()
+    chamber.add_argument("--signature", help='up/down string, e.g. "uudu"')
+    chamber.add_argument("--orientation", help='directed edges, e.g. "1>2,3>2"')
     p_fan.add_argument(
         "--stasheff-check",
         action="store_true",

@@ -396,17 +396,18 @@ class CoxeterSystem:
         return w.inversions
 
     def left_descents(self, w) -> frozenset:
-        if self.family == "A":
-            inv = inversion_set_a(w)
-            return frozenset(a for a in self.generator_names if (a, a + 1) in inv)
-        if self.family == "B":
-            inv = inversion_set_b(w)
-            out = set()
-            if (-1, 1) in inv:
+        """Generators s with l(sw) < l(w).
+
+        In A and B they are read from value positions: s_a (a >= 1) is a
+        descent iff a+1 comes before a in the one-line (for B, the full)
+        notation, and s_0 in B iff -1 occurs in w.
+        """
+        if self.family in ("A", "B"):
+            line = w if self.family == "A" else full_notation(w)
+            where = {v: i for i, v in enumerate(line)}
+            out = {a for a in range(1, self.n) if where[a + 1] < where[a]}
+            if self.family == "B" and -1 in w:
                 out.add(0)
-            for a in range(1, self.n):
-                if (a, a + 1) in inv:
-                    out.add(a)
             return frozenset(out)
         self._init_generic()
         return frozenset(

@@ -1,31 +1,30 @@
-"""Fans: region cones, Cambrian fan rays, cluster machinery, H3 checks.
+"""Fans: region cones, Cambrian fan rays, cluster machinery, fan checks.
 
 Type-A geometry lives in the sum-zero hyperplane of an n-coordinate
 space; the type-B fan is the restriction of the type-A fan of the
 doubled polygon to the antisymmetric subspace; the H3 fan is built over
 the exact degree-2 number field of the generic realization.
+
+Each of ``check_fan_a``, ``check_fan_b`` and ``check_fan_h3`` builds the
+cone of every Cambrian class and a side-of-wall test in its own
+coordinates; one wall/dual-graph check (``_fan_faces``) serves all three:
+wall pairing, dual graph against the Hasse diagram, and f-vector.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import comb, lcm
 
-from .congruences import (
-    Orientation,
-    all_orientations,
-    cambrian_lattice,
-    orientation_from_edges,
-)
+from .congruences import Orientation, cambrian_lattice, orientation_from_edges
 from .coxeter import CoxeterSystem, embed_b_in_a, get_system
 from .fields import mat_vec
-from .lattices import FiniteLattice, poset_isomorphism
+from .lattices import FiniteLattice
 from .polygon_a import (
-    PolygonQ,
-    TriangulationA,
     UpDownSignature,
     all_triangulations,
     eta,
@@ -240,6 +239,53 @@ def diagonal_ray_map(signature: UpDownSignature) -> dict:
 
 
 # ---------------------------------------------------------------------------
+# Fan verification: one wall and dual-graph check for A, B and H3.
+
+
+def _fan_faces(camb, cones, side):
+    """Wall pairing, dual graph and f-vector of the fan with the given cones.
+
+    ``cones[c]`` holds the ray keys of the maximal cone of congruence
+    class c, and ``side(wall, a, b)`` says whether rays a and b lie
+    strictly on opposite sides of the hyperplane spanned by the rays of
+    ``wall``.  Returns (paired, dual graph is Hasse, f-vector): paired
+    holds when every cone has rank-many rays and every codimension-1 face
+    lies in exactly two cones, on opposite sides; the dual graph joins
+    the two cones of each such face and is compared with the Hasse
+    diagram of the Cambrian quotient; the f-vector counts the faces
+    spanned by 1, 2, ..., rank rays.
+    """
+    dim = camb.system.rank
+    paired = all(len(cone) == dim for cone in cones)
+    faces = set()
+    owners = defaultdict(list)
+    for c, cone in enumerate(cones):
+        for size in range(1, dim + 1):
+            faces.update(map(frozenset, itertools.combinations(cone, size)))
+        if len(cone) == dim:
+            for ray in cone:
+                owners[frozenset(cone) - {ray}].append((c, ray))
+    dual_edges = set()
+    for wall, sides in owners.items():
+        if len(sides) != 2:
+            paired = False
+            continue
+        (c1, a), (c2, b) = sides
+        dual_edges.add(frozenset((c1, c2)))
+        paired = paired and side(tuple(wall), a, b)
+
+    cong, quotient = camb.congruence, camb.quotient
+    index = cong.lattice.index
+    hasse_edges = {
+        frozenset(cong.class_of[index[quotient.elements[q]]] for q in cover)
+        for cover in quotient.covers
+    }
+    sizes = Counter(map(len, faces))
+    f_vector = tuple(sizes[size] for size in range(1, dim + 1))
+    return paired, dual_edges == hasse_edges, f_vector
+
+
+# ---------------------------------------------------------------------------
 # Fan verification, type A.
 
 
@@ -265,20 +311,15 @@ def check_fan_a(signature: UpDownSignature, consistency: bool = True) -> dict:
     subsets = fan_ray_subsets(signature)
     vectors = {a: _int_ray(n, a) for a in subsets}
 
-    class_tri = []
-    tri_index = {}
-    for c, members in enumerate(camb.congruence.classes):
-        t = eta(lattice.elements[members[0]], polygon)
-        class_tri.append(t)
-        tri_index[t.diagonals] = c
-
     simplicial = True
     tiling = True
     consistent = True
-    cone_rays = []
-    for c, members in enumerate(camb.congruence.classes):
-        rays = [vectors[d2s[d]] for d in sorted(class_tri[c].diagonals)]
-        cone_rays.append(rays)
+    cones = []
+    for members in camb.congruence.classes:
+        t = eta(lattice.elements[members[0]], polygon)
+        cone = tuple(d2s[d] for d in sorted(t.diagonals))
+        cones.append(cone)
+        rays = [vectors[a] for a in cone]
         if _rank(rays) != n - 1:
             simplicial = False
         for i in members:
@@ -286,56 +327,25 @@ def check_fan_a(signature: UpDownSignature, consistency: bool = True) -> dict:
                 if _nonneg_combo(rays, v) is None:
                     tiling = False
         if consistency:
-            in_tri = {d2s[d] for d in class_tri[c].diagonals}
             for a in subsets:
                 inside = _nonneg_combo(rays, vectors[a]) is not None
-                if inside != (a in in_tri):
+                if inside != (a in cone):
                     consistent = False
 
-    # Facet pairing: dropping a diagonal flips to the adjacent class on
-    # the opposite side of the shared wall.
+    # Walls live in the sum-zero hyperplane: the normal is orthogonal to
+    # the shared rays and to the all-ones lineality.
     ones = (1,) * n
-    dual_edges = set()
-    from .polygon_a import _flip
 
-    for c, t in enumerate(class_tri):
-        for d in t.diagonals:
-            new = _flip(polygon, t.diagonals, d)
-            other = tri_index.get(frozenset((t.diagonals - {d}) | {new}))
-            if other is None:
-                tiling = False
-                continue
-            dual_edges.add(frozenset((c, other)))
-            shared = [vectors[d2s[x]] for x in t.diagonals if x != d]
-            normal = _kernel_vector(shared + [ones])
-            s1 = _dot(normal, vectors[d2s[d]])
-            s2 = _dot(normal, vectors[d2s[new]])
-            if s1 == 0 or s2 == 0 or (s1 > 0) == (s2 > 0):
-                tiling = False
+    def side(wall, a, b):
+        normal = _kernel_vector([vectors[r] for r in wall] + [ones])
+        return _dot(normal, vectors[a]) * _dot(normal, vectors[b]) < 0
 
-    bottoms = sorted({camb.congruence.down_projection[i] for i in range(lattice.n)})
-    class_of_bottom = {b: camb.congruence.class_of[b] for b in bottoms}
-    hasse_edges = set()
-    for qa, qb in camb.quotient.covers:
-        ca = class_of_bottom[lattice.index[camb.quotient.elements[qa]]]
-        cb = class_of_bottom[lattice.index[camb.quotient.elements[qb]]]
-        hasse_edges.add(frozenset((ca, cb)))
-    dual_is_hasse = dual_edges == hasse_edges
-
-    faces = set()
-    for rays_t in class_tri:
-        diags = sorted(rays_t.diagonals)
-        for size in range(1, n):
-            for combo in itertools.combinations(diags, size):
-                faces.add(frozenset(combo))
-    f_vector = tuple(
-        sum(1 for f in faces if len(f) == size) for size in range(1, n)
-    )
+    paired, dual_is_hasse, f_vector = _fan_faces(camb, cones, side)
     return {
         "family": "A",
-        "num_cones": len(class_tri),
+        "num_cones": len(cones),
         "simplicial": simplicial,
-        "tiling": tiling,
+        "tiling": tiling and paired,
         "consistency": consistent,
         "dual_graph_is_hasse": dual_is_hasse,
         "f_vector": f_vector,
@@ -376,29 +386,24 @@ def check_fan_b(signature: SymmetricSignature) -> dict:
         system, orientation_from_edges(system, signature.orientation_edges())
     )
     lattice = camb.congruence.lattice
-    a_sig = signature.a_signature()
-    d2s = diagonal_ray_map(a_sig)
     two_n = 2 * n
-
-    def orbit_ray(d):
-        return _symmetrize(_int_ray(two_n, d2s[d]))
-
-    class_data = []
-    base_index = {}
-    for c, members in enumerate(camb.congruence.classes):
-        t = eta_b(lattice.elements[members[0]], signature)
-        orbits = sorted(
-            {frozenset((d, _mirror_diagonal(d, two_n))) for d in t.base.diagonals},
-            key=lambda o: sorted(o),
-        )
-        rays = [orbit_ray(min(o)) for o in orbits]
-        class_data.append((t, orbits, rays))
-        base_index[t.base.diagonals] = c
+    # Both diagonals of an orbit under the central symmetry give its ray;
+    # cones name each orbit by its smaller diagonal.
+    vectors = {
+        d: _symmetrize(_int_ray(two_n, a))
+        for d, a in diagonal_ray_map(signature.a_signature()).items()
+    }
 
     simplicial = True
     tiling = True
-    for c, members in enumerate(camb.congruence.classes):
-        _, _, rays = class_data[c]
+    cones = []
+    for members in camb.congruence.classes:
+        t = eta_b(lattice.elements[members[0]], signature)
+        cone = tuple(
+            sorted({min(d, _mirror_diagonal(d, two_n)) for d in t.base.diagonals})
+        )
+        cones.append(cone)
+        rays = [vectors[d] for d in cone]
         if _rank(rays) != n:
             simplicial = False
         for i in members:
@@ -406,58 +411,18 @@ def check_fan_b(signature: SymmetricSignature) -> dict:
                 if _nonneg_combo(rays, v) is None:
                     tiling = False
 
-    dual_edges = set()
-    for c, (t, orbits, rays) in enumerate(class_data):
-        for j, orbit in enumerate(orbits):
-            kept = t.base.diagonals - orbit
-            other = next(
-                (
-                    c2
-                    for c2, (t2, _, _) in enumerate(class_data)
-                    if c2 != c and kept < t2.base.diagonals
-                ),
-                None,
-            )
-            if other is None:
-                tiling = False
-                continue
-            dual_edges.add(frozenset((c, other)))
-            shared = [r for jj, r in enumerate(rays) if jj != j]
-            normal = _kernel_vector(
-                [v[:n] for v in shared]
-            )
-            t2, orbits2, rays2 = class_data[other]
-            new_orbit = next(
-                o for o in orbits2 if not (o & t.base.diagonals)
-            )
-            s1 = _dot(normal, rays[j][:n])
-            s2 = _dot(normal, orbit_ray(min(new_orbit))[:n])
-            if s1 == 0 or s2 == 0 or (s1 > 0) == (s2 > 0):
-                tiling = False
+    # An antisymmetric vector is fixed by its first n coordinates.  The
+    # zero row carries the dimension when the wall is the origin (B_1).
+    def side(wall, a, b):
+        normal = _kernel_vector([vectors[r][:n] for r in wall] + [(0,) * n])
+        return _dot(normal, vectors[a][:n]) * _dot(normal, vectors[b][:n]) < 0
 
-    bottoms = sorted({camb.congruence.down_projection[i] for i in range(lattice.n)})
-    class_of_bottom = {b: camb.congruence.class_of[b] for b in bottoms}
-    hasse_edges = set()
-    for qa, qb in camb.quotient.covers:
-        ca = class_of_bottom[lattice.index[camb.quotient.elements[qa]]]
-        cb = class_of_bottom[lattice.index[camb.quotient.elements[qb]]]
-        hasse_edges.add(frozenset((ca, cb)))
-    dual_is_hasse = dual_edges == hasse_edges
-
-    faces = set()
-    for _, orbits, _ in class_data:
-        keys = [min(o) for o in orbits]
-        for size in range(1, n + 1):
-            for combo in itertools.combinations(sorted(keys), size):
-                faces.add(frozenset(combo))
-    f_vector = tuple(
-        sum(1 for f in faces if len(f) == size) for size in range(1, n + 1)
-    )
+    paired, dual_is_hasse, f_vector = _fan_faces(camb, cones, side)
     return {
         "family": "B",
-        "num_cones": len(class_data),
+        "num_cones": len(cones),
         "simplicial": simplicial,
-        "tiling": tiling,
+        "tiling": tiling and paired,
         "dual_graph_is_hasse": dual_is_hasse,
         "f_vector": f_vector,
         "num_rays": f_vector[0],
@@ -534,7 +499,7 @@ def check_fan_h3(system: CoxeterSystem, orientation: Orientation) -> dict:
 
     simplicial = True
     tiling = True
-    all_extreme = []
+    cones = []
     for members in camb.congruence.classes:
         facet_count: dict = {}
         member_rays = set()
@@ -577,49 +542,31 @@ def check_fan_h3(system: CoxeterSystem, orientation: Orientation) -> dict:
             simplicial = False
         elif not all(_in_simplicial_cone(field, extreme, r) for r in member_rays):
             tiling = False
-        all_extreme.append(extreme)
+        cones.append(tuple(extreme))
 
-    ray_set = {r for ext in all_extreme for r in ext}
-    two_faces = {
-        frozenset(p) for ext in all_extreme for p in itertools.combinations(ext, 2)
-    }
-    # Each two-face of the complete simplicial fan is shared by exactly
-    # two maximal cones, on opposite sides.
-    face_owners: dict = {}
-    for c, ext in enumerate(all_extreme):
-        for p in itertools.combinations(ext, 2):
-            face_owners.setdefault(frozenset(p), []).append(c)
-    dual_edges = set()
-    for face, owners in face_owners.items():
-        if len(owners) != 2:
-            tiling = False
-            continue
-        dual_edges.add(frozenset(owners))
-        u, v = tuple(face)
-        signs = []
-        for c in owners:
-            third = next(r for r in all_extreme[c] if r not in face)
-            signs.append(field.sign(_det3(field, u, v, third)))
-        if 0 in signs or signs[0] == signs[1]:
-            tiling = False
+    def side(wall, a, b):
+        u, v = wall
+        sign_a = field.sign(_det3(field, u, v, a))
+        return sign_a * field.sign(_det3(field, u, v, b)) < 0
 
-    bottoms = sorted({camb.congruence.down_projection[i] for i in range(lattice.n)})
-    class_of_bottom = {b: camb.congruence.class_of[b] for b in bottoms}
-    hasse_edges = set()
-    for qa, qb in camb.quotient.covers:
-        ca = class_of_bottom[lattice.index[camb.quotient.elements[qa]]]
-        cb = class_of_bottom[lattice.index[camb.quotient.elements[qb]]]
-        hasse_edges.add(frozenset((ca, cb)))
-
+    paired, dual_is_hasse, f_vector = _fan_faces(camb, cones, side)
     return {
         "family": "H3",
-        "num_cones": len(all_extreme),
+        "num_cones": len(cones),
         "simplicial": simplicial,
-        "tiling": tiling,
-        "dual_graph_is_hasse": dual_edges == hasse_edges,
-        "f_vector": (len(ray_set), len(two_faces), len(all_extreme)),
-        "num_rays": len(ray_set),
+        "tiling": tiling and paired,
+        "dual_graph_is_hasse": dual_is_hasse,
+        "f_vector": f_vector,
+        "num_rays": f_vector[0],
     }
+
+
+def fan_passed(report: dict) -> bool:
+    """Verdict of a check_fan_* report: every fan property it reports holds."""
+    return all(
+        report.get(k, True)
+        for k in ("simplicial", "tiling", "consistency", "dual_graph_is_hasse")
+    )
 
 
 def check_fan(arg, orientation: Orientation = None) -> dict:
@@ -793,11 +740,22 @@ def cluster_poset(n: int) -> FiniteLattice:
 
 def b_bipartite_signature(n: int):
     """Symmetric signature whose doubled signature is alternating."""
-    from .polygon_b import SymmetricSignature
-
     return SymmetricSignature.from_positive_ups(
         n, frozenset(i for i in range(1, n + 1) if (n + i) % 2 == 1)
     )
+
+
+def _chi_root(r):
+    """The diagram flip chi of S_{2n} on roots: coordinate reversal."""
+    return tuple(reversed(r))
+
+
+def _invariant_clusters(n: int) -> list:
+    """The clusters of S_{2n} fixed by chi."""
+    return [
+        c for c in clusters(2 * n).clusters
+        if frozenset(_chi_root(r) for r in c) == c
+    ]
 
 
 def b_cluster_poset(n: int) -> FiniteLattice:
@@ -808,14 +766,7 @@ def b_cluster_poset(n: int) -> FiniteLattice:
     the orbit exchanged by a flip.
     """
     m = 2 * n
-
-    def chi_root(r):
-        return tuple(reversed(r))
-
-    invariant = [
-        c for c in clusters(m).clusters
-        if frozenset(chi_root(r) for r in c) == c
-    ]
+    invariant = _invariant_clusters(n)
     covers = []
     for i, c1 in enumerate(invariant):
         for j in range(i + 1, len(invariant)):
@@ -823,9 +774,9 @@ def b_cluster_poset(n: int) -> FiniteLattice:
             gone, came = c1 - c2, c2 - c1
             if not gone:
                 continue
-            if len({frozenset((r, chi_root(r))) for r in gone}) != 1:
+            if len({frozenset((r, _chi_root(r))) for r in gone}) != 1:
                 continue
-            if len({frozenset((r, chi_root(r))) for r in came}) != 1:
+            if len({frozenset((r, _chi_root(r))) for r in came}) != 1:
                 continue
             rb = {rotation_number(m, r) for r in gone}
             rt = {rotation_number(m, r) for r in came}
@@ -876,29 +827,19 @@ def cluster_refine_check(n: int, family: str = "A") -> bool:
     if family == "B":
         # Fold S_{2n} by the diagram flip chi; B walls are the chi-fixed
         # restrictions of invariant cluster walls.
-        m = 2 * n
-
-        def chi_root(r):
-            return tuple(reversed(r))
-
-        invariant = [
-            c for c in clusters(m).clusters
-            if frozenset(chi_root(r) for r in c) == c
-        ]
-        from math import comb
-
+        invariant = _invariant_clusters(n)
         if len(invariant) != comb(2 * n, n):
             return False
         for cluster in invariant:
-            orbits = {frozenset((r, chi_root(r))) for r in cluster}
+            orbits = {frozenset((r, _chi_root(r))) for r in cluster}
             for orbit in orbits:
                 wall = [
-                    tuple(a + b for a, b in zip(r, chi_root(r)))
+                    tuple(a + b for a, b in zip(r, _chi_root(r)))
                     for r in cluster - orbit
                 ]
                 found = any(
                     all(bracket(beta, w) == 0 for w in wall)
-                    for beta in positive_roots(m)
+                    for beta in positive_roots(2 * n)
                 )
                 if not found:
                     return False

@@ -12,11 +12,11 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 
 from .coxeter import (
     contains_signed_pattern,
     embed_b_in_a,
-    full_notation,
     signed_ji_bounds,
     signed_ji_members_valid,
 )
@@ -74,6 +74,10 @@ class SymmetricSignature:
         ups = pos | frozenset(-i for i in range(1, n + 1) if i not in pos)
         return cls(n, ups)
 
+    def to_string(self) -> str:
+        """The up/down string of 1..n, e.g. "udu"."""
+        return "".join("u" if i in self.ups else "d" for i in range(1, self.n + 1))
+
     def is_up(self, i: int) -> bool:
         return i in self.ups
 
@@ -96,6 +100,11 @@ class SymmetricSignature:
         return UpDownSignature(
             2 * self.n, frozenset(self.bridge(i) for i in self.ups)
         )
+
+    @cached_property
+    def polygon(self) -> PolygonQ:
+        """The (2n+2)-gon of the doubled signature, built once."""
+        return polygon_from_signature(self.a_signature())
 
     def orientation_edges(self) -> tuple[tuple[int, int], ...]:
         """Directed B-diagram edges (s, t): s_b -> s_{b-1} iff b is up."""
@@ -140,8 +149,7 @@ def _is_symmetric(tri: frozenset[tuple[int, int]], two_n: int) -> bool:
 
 
 def eta_b(x: tuple[int, ...], signature: SymmetricSignature) -> TriangulationB:
-    polygon = polygon_from_signature(signature.a_signature())
-    base = eta(embed_b_in_a(x), polygon)
+    base = eta(embed_b_in_a(x), signature.polygon)
     if not _is_symmetric(base.diagonals, 2 * signature.n):
         raise AssertionError(f"eta_b({x}) is not centrally symmetric")
     return TriangulationB(signature, base)
@@ -244,17 +252,16 @@ def linear_signature(n: int, variant: str) -> SymmetricSignature:
 
 
 def symmetric_triangulations(signature: SymmetricSignature) -> list[TriangulationB]:
-    polygon = polygon_from_signature(signature.a_signature())
     return [
         TriangulationB(signature, t)
-        for t in all_triangulations(polygon)
+        for t in all_triangulations(signature.polygon)
         if _is_symmetric(t.diagonals, 2 * signature.n)
     ]
 
 
 def symmetric_triangulation_lattice(signature: SymmetricSignature) -> FiniteLattice:
     """Symmetric triangulations under diameter flips and symmetric flip pairs."""
-    polygon = polygon_from_signature(signature.a_signature())
+    polygon = signature.polygon
     two_n = 2 * signature.n
     tris = symmetric_triangulations(signature)
     index = {t.base.diagonals: i for i, t in enumerate(tris)}

@@ -51,6 +51,7 @@ from .polygon_a import (
     transitive_closure_digraph,
 )
 from .polygon_b import (
+    SymmetricSignature,
     all_symmetric_signatures,
     b_tamari_membership,
     descent_set_b,
@@ -68,6 +69,7 @@ from .fans import (
     cluster_poset,
     cluster_refine_check,
     clusters,
+    fan_passed,
     nice_coroot,
     positive_roots,
     psi_and_bipartite_iso_check,
@@ -102,11 +104,8 @@ def all_updown_signatures(n: int) -> list[UpDownSignature]:
     return out
 
 
-def _sym_sig_string(sig) -> str:
-    return "".join("u" if i in sig.ups else "d" for i in range(1, sig.n + 1))
-
-
-def _element_repr(system: CoxeterSystem, w) -> str:
+def element_label(system: CoxeterSystem, w) -> str:
+    """One-line notation for A and B, a reduced word for I2 and H3."""
     if system.family in ("A", "B"):
         return ",".join(str(v) for v in w)
     return " ".join(f"s{g}" for g in w.word) if w.word else "e"
@@ -114,7 +113,7 @@ def _element_repr(system: CoxeterSystem, w) -> str:
 
 def _pairs_repr(system: CoxeterSystem, orientation: Orientation) -> list:
     return [
-        [_element_repr(system, a), _element_repr(system, b)]
+        [element_label(system, a), element_label(system, b)]
         for a, b in generating_pairs(system, orientation)
     ]
 
@@ -143,33 +142,63 @@ def _cut(default: int, max_rank) -> int:
     return default if max_rank is None else min(default, max_rank)
 
 
+def _groups(family, max_rank, bounds: dict):
+    """(n, system, label) for each group a suite covers, in report order.
+
+    ``bounds`` maps every family the suite covers, in order, to its
+    default largest group index, which ``max_rank`` can only lower: S_n
+    from n = 3, B_n from n = 2 and I2(m) from m = 3.  H3 is one group and
+    ignores both.  ``family`` None covers every family of ``bounds``.
+    """
+    for fam in [family] if family else bounds:
+        if fam not in bounds:
+            raise ValueError(f"unsupported family {fam!r}")
+        if fam == "H3":
+            yield 3, get_system("H3"), "H3"
+            continue
+        last = _cut(bounds[fam], max_rank)
+        if fam == "A":
+            for n in range(3, last + 1):
+                yield n, get_system("A", n - 1), f"A n={n}"
+        elif fam == "B":
+            for n in range(2, last + 1):
+                yield n, get_system("B", n), f"B n={n}"
+        else:
+            for m in range(3, last + 1):
+                yield m, get_system("I2", None, m), f"I2({m})"
+
+
+def _signatures(system: CoxeterSystem, n: int) -> list:
+    if system.family == "A":
+        return all_updown_signatures(n)
+    return all_symmetric_signatures(n)
+
+
 # ---------------------------------------------------------------------------
 # Counting suites.
 
-
-def _catalan_groups(family: str, max_rank):
-    """(system, label, class count) per group: Catalan(n) for S_n, C(2n, n)
-    for B_n, m + 2 for I2(m) and 32 for H3."""
-    if family == "A":
-        for n in range(3, (7 if max_rank is None else max_rank) + 1):
-            yield get_system("A", n - 1), f"A n={n}", catalan(n)
-    elif family == "B":
-        for n in range(2, (4 if max_rank is None else max_rank) + 1):
-            yield get_system("B", n), f"B n={n}", comb(2 * n, n)
-    elif family == "I2":
-        for m in range(3, (8 if max_rank is None else max_rank) + 1):
-            yield get_system("I2", None, m), f"I2({m})", m + 2
-    elif family == "H3":
-        yield get_system("H3"), "H3", 32
-    else:
-        raise ValueError(f"unsupported family {family!r}")
+# Class count of every Cambrian congruence of the n-th group of a family.
+_CATALAN = {
+    "A": catalan,
+    "B": lambda n: comb(2 * n, n),
+    "I2": lambda m: m + 2,
+    "H3": lambda n: 32,
+}
 
 
 def suite_catalan(family=None, max_rank=None, cap=None) -> dict:
-    """Class counts of every orientation against the family's formula."""
+    """Class counts of every orientation against the family's formula.
+
+    Unlike the other suites, ``max_rank`` here replaces the default
+    largest index (S_7, B_4, I2(8)) and so can raise it.
+    """
     family = family or "A"
+    bounds = {"A": 7, "B": 4, "I2": 8, "H3": None}
+    if max_rank is not None:
+        bounds = dict.fromkeys(bounds, max_rank)
     checks = []
-    for system, label, expected in _catalan_groups(family, max_rank):
+    for n, system, label in _groups(family, None, bounds):
+        expected = _CATALAN[family](n)
         for orientation in all_orientations(system):
             count = cambrian_congruence(system, orientation, cap=cap).num_classes
             checks.append(
@@ -188,66 +217,44 @@ def suite_catalan(family=None, max_rank=None, cap=None) -> dict:
 # Fibers of eta versus the Cambrian congruence.
 
 
-def _eta_fiber_partition(lattice: FiniteLattice, signature: UpDownSignature):
-    polygon = polygon_from_signature(signature)
+def _eta_fiber_partition(lattice: FiniteLattice, signature):
+    """Element indices grouped by triangulation: eta in type A, eta_b in B."""
+    if isinstance(signature, SymmetricSignature):
+        def triangulate(x):
+            return eta_b(x, signature).base.diagonals
+    else:
+        polygon = polygon_from_signature(signature)
+
+        def triangulate(x):
+            return eta(x, polygon).diagonals
+
     fibers: dict = defaultdict(list)
     for i, x in enumerate(lattice.elements):
-        fibers[eta(x, polygon).diagonals].append(i)
+        fibers[triangulate(x)].append(i)
     return fibers
 
 
 def suite_congruence_eq(family=None, max_rank=None, cap=None) -> dict:
     """Fiber partitions of eta equal the Cambrian congruence classes."""
     checks = []
-    for fam in [family] if family else ["A", "B"]:
-        if fam == "A":
-            for n in range(3, _cut(5, max_rank) + 1):
-                system = get_system("A", n - 1)
-                lattice = system.weak_order_lattice(cap=cap)
-                cong_keys = {}
-                for sig in all_updown_signatures(n):
-                    orientation = orientation_from_edges(
-                        system, sig.orientation_edges()
-                    )
-                    if orientation not in cong_keys:
-                        cong_keys[orientation] = cambrian_congruence(
-                            system, orientation
-                        ).key()
-                    fibers = _eta_fiber_partition(lattice, sig)
-                    key = frozenset(frozenset(f) for f in fibers.values())
-                    checks.append(
-                        _check(
-                            f"A n={n} sig {sig.to_string()}",
-                            key == cong_keys[orientation],
-                            generating_pairs=_pairs_repr(system, orientation),
-                        )
-                    )
-        elif fam == "B":
-            for n in range(2, _cut(3, max_rank) + 1):
-                system = get_system("B", n)
-                lattice = system.weak_order_lattice(cap=cap)
-                cong_keys = {}
-                for sig in all_symmetric_signatures(n):
-                    orientation = orientation_from_edges(
-                        system, sig.orientation_edges()
-                    )
-                    if orientation not in cong_keys:
-                        cong_keys[orientation] = cambrian_congruence(
-                            system, orientation
-                        ).key()
-                    fibers: dict = defaultdict(list)
-                    for i, x in enumerate(lattice.elements):
-                        fibers[eta_b(x, sig).base.diagonals].append(i)
-                    key = frozenset(frozenset(f) for f in fibers.values())
-                    checks.append(
-                        _check(
-                            f"B n={n} sig {_sym_sig_string(sig)}",
-                            key == cong_keys[orientation],
-                            generating_pairs=_pairs_repr(system, orientation),
-                        )
-                    )
-        else:
-            raise ValueError(f"unsupported family {fam!r}")
+    for n, system, label in _groups(family, max_rank, {"A": 5, "B": 3}):
+        lattice = system.weak_order_lattice(cap=cap)
+        cong_keys = {}
+        for sig in _signatures(system, n):
+            orientation = orientation_from_edges(system, sig.orientation_edges())
+            if orientation not in cong_keys:
+                cong_keys[orientation] = cambrian_congruence(
+                    system, orientation
+                ).key()
+            fibers = _eta_fiber_partition(lattice, sig)
+            key = frozenset(frozenset(f) for f in fibers.values())
+            checks.append(
+                _check(
+                    f"{label} sig {sig.to_string()}",
+                    key == cong_keys[orientation],
+                    generating_pairs=_pairs_repr(system, orientation),
+                )
+            )
     return _report("congruence-eq", checks, family=family or "A,B")
 
 
@@ -255,14 +262,11 @@ def suite_fibers(max_rank=None, cap=None) -> dict:
     """Each eta fiber is the interval between the two projections of any
     member, and is connected in the Hasse diagram."""
     checks = []
-    for n in range(3, _cut(6, max_rank) + 1):
-        system = get_system("A", n - 1)
+    for n, system, label in _groups("A", max_rank, {"A": 6}):
         lattice = system.weak_order_lattice(cap=cap)
         for sig in all_updown_signatures(n):
             ok, witness = _fibers_ok(lattice, sig)
-            checks.append(
-                _check(f"A n={n} sig {sig.to_string()}", ok, witness=witness)
-            )
+            checks.append(_check(f"{label} sig {sig.to_string()}", ok, witness=witness))
     return _report("fibers", checks, family="A")
 
 
@@ -384,33 +388,22 @@ def suite_patterns(family=None, max_rank=None, cap=None) -> dict:
 def suite_sublattice(family=None, max_rank=None, cap=None) -> dict:
     """Bottom elements of congruence classes are closed under join/meet."""
     checks = []
-    for fam in [family] if family else ["A", "B"]:
-        if fam == "A":
-            ns = range(3, _cut(6, max_rank) + 1)
-        elif fam == "B":
-            ns = range(2, _cut(3, max_rank) + 1)
-        else:
-            raise ValueError(f"unsupported family {fam!r}")
-        for n in ns:
-            system = get_system(fam, n - 1 if fam == "A" else n)
-            lattice = system.weak_order_lattice(cap=cap)
-            for orientation in all_orientations(system):
-                cong = cambrian_congruence(system, orientation)
-                fixed = sorted({cls[0] for cls in cong.classes})
-                ok, witness = lattice.is_sublattice(fixed)
-                checks.append(
-                    _check(
-                        f"{fam} n={n} [{orientation}]",
-                        ok,
-                        witness=None
-                        if witness is None
-                        else [
-                            _element_repr(system, lattice.elements[i])
-                            for i in witness
-                        ],
-                        generating_pairs=_pairs_repr(system, orientation),
-                    )
+    for n, system, label in _groups(family, max_rank, {"A": 6, "B": 3}):
+        lattice = system.weak_order_lattice(cap=cap)
+        for orientation in all_orientations(system):
+            cong = cambrian_congruence(system, orientation)
+            fixed = sorted({cls[0] for cls in cong.classes})
+            ok, witness = lattice.is_sublattice(fixed)
+            checks.append(
+                _check(
+                    f"{label} [{orientation}]",
+                    ok,
+                    witness=None
+                    if witness is None
+                    else [element_label(system, lattice.elements[i]) for i in witness],
+                    generating_pairs=_pairs_repr(system, orientation),
                 )
+            )
     return _report("sublattice", checks, family=family or "A,B")
 
 
@@ -421,11 +414,9 @@ def suite_sublattice(family=None, max_rank=None, cap=None) -> dict:
 def suite_b_tamari(family=None, max_rank=None, cap=None) -> dict:
     """Signed-pattern avoiders equal the class bottoms of the two linear
     orientations, with the central binomial counts."""
-    _require_family("b-tamari", family, ("B",))
     checks = []
     expected = {2: 6, 3: 20, 4: 70}
-    for n in range(2, _cut(4, max_rank) + 1):
-        system = get_system("B", n)
+    for n, system, label in _groups(family, max_rank, {"B": 4}):
         lattice = system.weak_order_lattice(cap=cap)
         for variant in ("toward_s0", "away_from_s0"):
             sig = linear_signature(n, variant)
@@ -437,7 +428,7 @@ def suite_b_tamari(family=None, max_rank=None, cap=None) -> dict:
             }
             checks.append(
                 _check(
-                    f"B n={n} {variant}",
+                    f"{label} {variant}",
                     avoiders == reps and len(avoiders) == expected[n],
                     count=len(avoiders),
                     expected=expected[n],
@@ -455,42 +446,34 @@ def suite_shard(family=None, max_rank=None, cap=None) -> dict:
     """Transitive closures of the shard arrows equal the forcing relation
     computed from smallest contracting congruences."""
     checks = []
-    for fam in [family] if family else ["A", "B"]:
-        if fam == "A":
-            ns = range(3, _cut(5, max_rank) + 1)
+    for n, system, label in _groups(family, max_rank, {"A": 5, "B": 3}):
+        if system.family == "A":
             digraph, to_subset = shard_digraph_a, perm_to_ji_subset
-        elif fam == "B":
-            ns = range(2, _cut(3, max_rank) + 1)
-            digraph, to_subset = shard_digraph_b, perm_to_signed_ji
         else:
-            raise ValueError(f"unsupported family {fam!r}")
-        for n in ns:
-            system = get_system(fam, n - 1 if fam == "A" else n)
-            lattice = system.weak_order_lattice(cap=cap)
-            brute = {}
-            for g, contracted in forcing_arrows(lattice).items():
-                a = to_subset(lattice.elements[g])
-                brute[a] = frozenset(
-                    to_subset(lattice.elements[h]) for h in contracted
-                ) - {a}
-            shard = transitive_closure_digraph(digraph(n))
-            witness = None
-            if shard != brute:
-                for a in set(shard) | set(brute):
-                    if shard.get(a) != brute.get(a):
-                        witness = (
-                            sorted(a),
-                            sorted(map(sorted, shard.get(a, frozenset()))),
-                            sorted(map(sorted, brute.get(a, frozenset()))),
-                        )
-                        break
-            checks.append(
-                _check(
-                    f"{fam} n={n}",
-                    shard == brute,
-                    witness=None if witness is None else str(witness),
-                )
+            digraph, to_subset = shard_digraph_b, perm_to_signed_ji
+        lattice = system.weak_order_lattice(cap=cap)
+        brute = {}
+        for g, contracted in forcing_arrows(lattice).items():
+            a = to_subset(lattice.elements[g])
+            brute[a] = frozenset(
+                to_subset(lattice.elements[h]) for h in contracted
+            ) - {a}
+        shard = transitive_closure_digraph(digraph(n))
+        witness = None
+        if shard != brute:
+            for a in set(shard) | set(brute):
+                if shard.get(a) != brute.get(a):
+                    witness = (
+                        sorted(a),
+                        sorted(map(sorted, shard.get(a, frozenset()))),
+                        sorted(map(sorted, brute.get(a, frozenset()))),
+                    )
+                    break
+        checks.append(
+            _check(
+                label, shard == brute, witness=None if witness is None else str(witness)
             )
+        )
     return _report("shard", checks, family=family or "A,B")
 
 
@@ -502,39 +485,7 @@ def suite_fan(family=None, max_rank=None, cap=None, stasheff=True) -> dict:
     """Exact fan checks: simplicial tiling, dual graph, ray dictionary."""
     checks = []
     for fam in [family] if family else ["A", "B", "H3"]:
-        if fam == "A":
-            for n in range(3, _cut(4, max_rank) + 1):
-                for sig in all_updown_signatures(n):
-                    report = check_fan_a(sig)
-                    ok = all(
-                        report[k]
-                        for k in (
-                            "simplicial",
-                            "tiling",
-                            "consistency",
-                            "dual_graph_is_hasse",
-                        )
-                    )
-                    checks.append(
-                        _check(f"A n={n} sig {sig.to_string()}", ok, **report)
-                    )
-            if stasheff:
-                for n in range(3, _cut(7, max_rank) + 1):
-                    checks.append(
-                        _check(f"stasheff rays n={n}", stasheff_ray_check(n))
-                    )
-        elif fam == "B":
-            for n in range(2, _cut(3, max_rank) + 1):
-                for sig in all_symmetric_signatures(n):
-                    report = check_fan_b(sig)
-                    ok = all(
-                        report[k]
-                        for k in ("simplicial", "tiling", "dual_graph_is_hasse")
-                    )
-                    checks.append(
-                        _check(f"B n={n} sig {_sym_sig_string(sig)}", ok, **report)
-                    )
-        elif fam == "H3":
+        if fam == "H3":
             system = get_system("H3")
             f_vectors = set()
             for orientation in all_orientations(system):
@@ -545,14 +496,7 @@ def suite_fan(family=None, max_rank=None, cap=None, stasheff=True) -> dict:
                     len(quotient.lower[i]) + len(quotient.upper[i])
                     for i in range(quotient.n)
                 }
-                ok = (
-                    all(
-                        report[k]
-                        for k in ("simplicial", "tiling", "dual_graph_is_hasse")
-                    )
-                    and report["num_cones"] == 32
-                    and degrees == {3}
-                )
+                ok = fan_passed(report) and report["num_cones"] == 32 and degrees == {3}
                 checks.append(
                     _check(
                         f"H3 [{orientation}]",
@@ -568,8 +512,16 @@ def suite_fan(family=None, max_rank=None, cap=None, stasheff=True) -> dict:
                     f_vectors=sorted(f_vectors),
                 )
             )
-        else:
-            raise ValueError(f"unsupported family {fam!r}")
+            continue
+        check_fan = check_fan_a if fam == "A" else check_fan_b
+        for n, system, label in _groups(fam, max_rank, {"A": 4, "B": 3}):
+            for sig in _signatures(system, n):
+                report = check_fan(sig)
+                ok = fan_passed(report)
+                checks.append(_check(f"{label} sig {sig.to_string()}", ok, **report))
+        if fam == "A" and stasheff:
+            for n in range(3, _cut(7, max_rank) + 1):
+                checks.append(_check(f"stasheff rays n={n}", stasheff_ray_check(n)))
     return _report("fan", checks, family=family or "A,B,H3")
 
 
@@ -594,29 +546,17 @@ def suite_cluster(family=None, max_rank=None, cap=None) -> dict:
                 expected=catalan(n),
             )
         )
-    for n in range(3, _cut(5, max_rank) + 1):
-        system = get_system("A", n - 1)
-        orientation = orientation_from_edges(
-            system, alternating_signature(n).orientation_edges()
-        )
+    for n, system, label in _groups(None, max_rank, {"A": 5, "B": 3}):
+        if system.family == "A":
+            sig, poset = alternating_signature(n), cluster_poset(n)
+        else:
+            sig, poset = b_bipartite_signature(n), b_cluster_poset(n)
+        orientation = orientation_from_edges(system, sig.orientation_edges())
         quotient = cambrian_lattice(system, orientation, cap=cap).quotient
         checks.append(
             _check(
-                f"cluster poset iso A n={n}",
-                poset_isomorphism(cluster_poset(n), quotient) is not None,
-                generating_pairs=_pairs_repr(system, orientation),
-            )
-        )
-    for n in range(2, _cut(3, max_rank) + 1):
-        system = get_system("B", n)
-        orientation = orientation_from_edges(
-            system, b_bipartite_signature(n).orientation_edges()
-        )
-        quotient = cambrian_lattice(system, orientation, cap=cap).quotient
-        checks.append(
-            _check(
-                f"cluster poset iso B n={n}",
-                poset_isomorphism(b_cluster_poset(n), quotient) is not None,
+                f"cluster poset iso {label}",
+                poset_isomorphism(poset, quotient) is not None,
                 generating_pairs=_pairs_repr(system, orientation),
             )
         )
@@ -684,85 +624,56 @@ def suite_cluster(family=None, max_rank=None, cap=None) -> dict:
 # Descents.
 
 
+def _case_table_check(system: CoxeterSystem, n: int, label: str, cap) -> dict:
+    """The triangulation case tables give the left descents of every
+    element, for every signature."""
+    name = f"{label} case tables"
+    lattice = system.weak_order_lattice(cap=cap)
+    for sig in _signatures(system, n):
+        if system.family == "A":
+            polygon = polygon_from_signature(sig)
+        for x in lattice.elements:
+            if system.family == "A":
+                tri = eta(x, polygon)
+                got = {a for a, _ in descent_set_of_triangulation(tri, sig)}
+            else:
+                got = set(descent_set_b(eta_b(x, sig)))
+            if got != set(system.left_descents(x)):
+                return _check(name, False, witness=str((sig.to_string(), x)))
+    return _check(name, True, witness=None)
+
+
+def _quotient_descent_checks(system: CoxeterSystem, label: str, cap) -> list:
+    checks = []
+    for orientation in all_orientations(system):
+        ok, witness = descent_quotient_check(system, orientation, cap=cap)
+        checks.append(
+            _check(
+                f"{label} quotient descents [{orientation}]",
+                ok,
+                witness=None if witness is None else str(witness),
+                generating_pairs=_pairs_repr(system, orientation),
+            )
+        )
+    return checks
+
+
 def suite_descent(family=None, max_rank=None, cap=None) -> dict:
     """Triangulation case tables reproduce left descents; class descents
-    respect joins and meets in the quotient."""
+    respect joins and meets in the quotient.  Type A runs every case table
+    (S_3..S_6) before the quotient checks (S_3..S_5); type B interleaves
+    them per group."""
     checks = []
     for fam in [family] if family else ["A", "B"]:
         if fam == "A":
-            for n in range(3, _cut(6, max_rank) + 1):
-                system = get_system("A", n - 1)
-                lattice = system.weak_order_lattice(cap=cap)
-                bad = None
-                for sig in all_updown_signatures(n):
-                    polygon = polygon_from_signature(sig)
-                    for x in lattice.elements:
-                        got = {
-                            a
-                            for a, _ in descent_set_of_triangulation(
-                                eta(x, polygon), sig
-                            )
-                        }
-                        if got != set(system.left_descents(x)):
-                            bad = (sig.to_string(), x)
-                            break
-                    if bad:
-                        break
-                checks.append(
-                    _check(
-                        f"A n={n} case tables",
-                        bad is None,
-                        witness=None if bad is None else str(bad),
-                    )
-                )
-            for n in range(3, _cut(5, max_rank) + 1):
-                system = get_system("A", n - 1)
-                for orientation in all_orientations(system):
-                    ok, witness = descent_quotient_check(
-                        system, orientation, cap=cap
-                    )
-                    checks.append(
-                        _check(
-                            f"A n={n} quotient descents [{orientation}]",
-                            ok,
-                            witness=None if witness is None else str(witness),
-                            generating_pairs=_pairs_repr(system, orientation),
-                        )
-                    )
-        elif fam == "B":
-            for n in range(2, _cut(3, max_rank) + 1):
-                system = get_system("B", n)
-                lattice = system.weak_order_lattice(cap=cap)
-                bad = None
-                for sig in all_symmetric_signatures(n):
-                    for x in lattice.elements:
-                        got = descent_set_b(eta_b(x, sig))
-                        if set(got) != set(system.left_descents(x)):
-                            bad = (_sym_sig_string(sig), x)
-                            break
-                    if bad:
-                        break
-                checks.append(
-                    _check(
-                        f"B n={n} case tables",
-                        bad is None,
-                        witness=None if bad is None else str(bad),
-                    )
-                )
-                for orientation in all_orientations(system):
-                    ok, witness = descent_quotient_check(
-                        system, orientation, cap=cap
-                    )
-                    checks.append(
-                        _check(
-                            f"B n={n} quotient descents [{orientation}]",
-                            ok,
-                            witness=None if witness is None else str(witness),
-                            generating_pairs=_pairs_repr(system, orientation),
-                        )
-                    )
+            for n, system, label in _groups(fam, max_rank, {"A": 6}):
+                checks.append(_case_table_check(system, n, label, cap))
+            for n, system, label in _groups(fam, max_rank, {"A": 5}):
+                checks += _quotient_descent_checks(system, label, cap)
         else:
-            raise ValueError(f"unsupported family {fam!r}")
+            for n, system, label in _groups(fam, max_rank, {"B": 3}):
+                checks.append(_case_table_check(system, n, label, cap))
+                checks += _quotient_descent_checks(system, label, cap)
     return _report("descent", checks, family=family or "A,B")
 
 
@@ -773,37 +684,29 @@ def suite_descent(family=None, max_rank=None, cap=None) -> dict:
 def suite_mobius(family=None, max_rank=None, cap=None) -> dict:
     """Mobius values in {-1, 0, 1}, nonzero exactly on atomic intervals."""
     checks = []
-    for fam in [family] if family else ["A", "B"]:
-        if fam == "A":
-            ns = range(3, _cut(5, max_rank) + 1)
-        elif fam == "B":
-            ns = range(2, _cut(3, max_rank) + 1)
-        else:
-            raise ValueError(f"unsupported family {fam!r}")
-        for n in ns:
-            system = get_system(fam, n - 1 if fam == "A" else n)
-            for orientation in all_orientations(system):
-                quotient = cambrian_lattice(system, orientation, cap=cap).quotient
-                bad = None
-                for i in range(quotient.n):
-                    for j in range(quotient.n):
-                        if not quotient.le(i, j):
-                            continue
-                        mu = quotient.mobius(i, j)
-                        atomic = quotient.is_atomic_interval(i, j)
-                        if mu not in (-1, 0, 1) or (mu != 0) != atomic:
-                            bad = (i, j, mu, atomic)
-                            break
-                    if bad:
+    for n, system, label in _groups(family, max_rank, {"A": 5, "B": 3}):
+        for orientation in all_orientations(system):
+            quotient = cambrian_lattice(system, orientation, cap=cap).quotient
+            bad = None
+            for i in range(quotient.n):
+                for j in range(quotient.n):
+                    if not quotient.le(i, j):
+                        continue
+                    mu = quotient.mobius(i, j)
+                    atomic = quotient.is_atomic_interval(i, j)
+                    if mu not in (-1, 0, 1) or (mu != 0) != atomic:
+                        bad = (i, j, mu, atomic)
                         break
-                checks.append(
-                    _check(
-                        f"{fam} n={n} [{orientation}]",
-                        bad is None,
-                        witness=None if bad is None else str(bad),
-                        generating_pairs=_pairs_repr(system, orientation),
-                    )
+                if bad:
+                    break
+            checks.append(
+                _check(
+                    f"{label} [{orientation}]",
+                    bad is None,
+                    witness=None if bad is None else str(bad),
+                    generating_pairs=_pairs_repr(system, orientation),
                 )
+            )
     return _report("mobius", checks, family=family or "A,B")
 
 
@@ -819,25 +722,8 @@ def suite_iso(family=None, max_rank=None, cap=None) -> dict:
     """Recover the orientation from each quotient; dualities of the Tamari
     and B-Tamari lattices."""
     checks = []
-    instances = []
-    families = [family] if family else ["A", "B", "I2", "H3"]
-    if "A" in families:
-        instances += [
-            ("A", n - 1, None, f"A n={n}")
-            for n in range(3, _cut(5, max_rank) + 1)
-        ]
-    if "B" in families:
-        instances += [
-            ("B", n, None, f"B n={n}") for n in range(2, _cut(3, max_rank) + 1)
-        ]
-    if "I2" in families:
-        instances += [
-            ("I2", None, m, f"I2({m})") for m in range(3, _cut(8, max_rank) + 1)
-        ]
-    if "H3" in families:
-        instances += [("H3", None, None, "H3")]
-    for fam, rank, bond, label in instances:
-        system = get_system(fam, rank, bond)
+    bounds = {"A": 5, "B": 3, "I2": 8, "H3": None}
+    for n, system, label in _groups(family, max_rank, bounds):
         for orientation in all_orientations(system):
             quotient = cambrian_lattice(system, orientation, cap=cap).quotient
             recovered = recover_orientation(
@@ -852,8 +738,7 @@ def suite_iso(family=None, max_rank=None, cap=None) -> dict:
                 )
             )
     if family in (None, "A"):
-        for n in range(3, _cut(5, max_rank) + 1):
-            system = get_system("A", n - 1)
+        for n, system, _ in _groups("A", max_rank, bounds):
             sig = UpDownSignature(n, frozenset(range(1, n + 1)))
             orientation = orientation_from_edges(system, sig.orientation_edges())
             quotient = cambrian_lattice(system, orientation, cap=cap).quotient
@@ -864,8 +749,7 @@ def suite_iso(family=None, max_rank=None, cap=None) -> dict:
                 )
             )
     if family in (None, "B"):
-        for n in range(2, _cut(3, max_rank) + 1):
-            system = get_system("B", n)
+        for n, system, _ in _groups("B", max_rank, bounds):
             quotients = []
             for variant in ("toward_s0", "away_from_s0"):
                 sig = linear_signature(n, variant)

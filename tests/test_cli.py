@@ -241,3 +241,74 @@ def test_runs_without_sympy(argv):
     )
     assert done.returncode == 0, done.stderr  # 0: every check passed
     assert json.loads(done.stdout)["family"] in ("I2", "H3")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fan", "--family", "A", "--rank", "3", "--signature", "uudu", "--cap", "5"],
+        ["fan", "--family", "B", "--rank", "2", "--signature", "ud", "--cap", "5"],
+        ["fan", "--family", "H3", "--orientation", "1>2,2>3", "--cap", "5"],
+    ],
+    ids=["A", "B", "H3"],
+)
+def test_fan_cap_exceeded_exit_code(capsys, argv):
+    code, out = run_cli(capsys, *argv)
+    assert code == 3
+    assert out == ""
+
+
+def test_fan_cap_env_variable(capsys, monkeypatch):
+    monkeypatch.setenv("CAMB_CAP", "5")
+    code, _ = run_cli(capsys, "fan", "--family", "H3", "--orientation", "1>2,2>3")
+    assert code == 3
+    code, _ = run_cli(
+        capsys, "fan", "--family", "A", "--rank", "3", "--signature", "uudu"
+    )
+    assert code == 3
+    # The flag takes precedence over the environment.
+    code, _ = run_cli(
+        capsys,
+        "fan", "--family", "A", "--rank", "3", "--signature", "uudu",
+        "--cap", "24",
+    )
+    assert code == 0
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        # Flags a command does not take.
+        ("--rank", ["verify", "--suite", "mobius", "--rank", "9", "--m", "4", "--signature", "uu"]),
+        ("--orientation", ["verify", "--suite", "catalan", "--orientation", "1>2"]),
+        ("--signature", ["build", "--family", "A", "--rank", "3", "--signature", "uudu"]),
+        ("--m", ["fan", "--family", "B", "--rank", "2", "--signature", "ud", "--m", "7"]),
+        # --signature and --orientation name the same fan twice.
+        (
+            "--orientation",
+            [
+                "fan", "--family", "A", "--rank", "3", "--signature", "uudu",
+                "--orientation", "1>2,2>3,3>2",
+            ],
+        ),
+        # Flags the chosen family does not read.
+        ("--orientation", ["fan", "--family", "B", "--rank", "2", "--orientation", "0>1"]),
+        (
+            "--stasheff-check",
+            ["fan", "--family", "B", "--rank", "2", "--signature", "ud", "--stasheff-check"],
+        ),
+        ("--signature", ["fan", "--family", "H3", "--orientation", "1>2,2>3", "--signature", "uuu"]),
+        ("--rank", ["fan", "--family", "H3", "--orientation", "1>2,2>3", "--rank", "3"]),
+        ("--stasheff-check", ["fan", "--family", "H3", "--orientation", "1>2,2>3", "--stasheff-check"]),
+        ("--m", ["build", "--family", "A", "--rank", "3", "--m", "5"]),
+        ("--rank", ["build", "--family", "I2", "--m", "5", "--rank", "2"]),
+        ("--rank", ["build", "--family", "H3", "--rank", "3"]),
+    ],
+)
+def test_unread_flag_is_usage_error(capsys, flag, argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert flag in captured.err

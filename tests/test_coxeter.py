@@ -20,6 +20,9 @@ from cambrian.coxeter import (
     all_signed_ji_subsets,
     contains_signed_pattern,
     embed_b_in_a,
+    get_system,
+    inversion_set_a,
+    inversion_set_b,
     standardize_signed,
 )
 
@@ -203,3 +206,22 @@ def test_join_is_least_upper_bound(x, y):
 @given(permutations(max_n=7))
 def test_standardize_idempotent(x):
     assert standardize_signed(x) == x
+
+
+@pytest.mark.parametrize(
+    "family, rank", [("A", r) for r in range(1, 6)] + [("B", r) for r in range(1, 5)]
+)
+def test_left_descents_match_inversion_sets(family, rank):
+    # Oracle: s is a left descent of w iff the reflection s is a left
+    # inversion of w; in B, s_0 is the reflection (-1, 1).
+    system = get_system(family, rank)
+    for w in system.weak_order_lattice().elements:
+        if family == "A":
+            inv = inversion_set_a(w)
+        else:
+            inv = inversion_set_b(w)
+        expected = frozenset(
+            s for s in system.generator_names
+            if ((-1, 1) if family == "B" and s == 0 else (s, s + 1)) in inv
+        )
+        assert system.left_descents(w) == expected, w

@@ -23,6 +23,7 @@ from cambrian.fans import (
     cluster_refine_check,
     compatible,
     diagonal_ray_map,
+    fan_passed,
     fan_ray_subsets,
     fan_to_json,
     fraction_str,
@@ -115,6 +116,14 @@ def test_check_fan_b2():
     report = check_fan_b(SymmetricSignature.from_positive_ups(2, {1}))
     assert report["num_cones"] == math.comb(4, 2)
     assert report["simplicial"] and report["tiling"]
+
+
+@pytest.mark.parametrize("ups", [(), (1,)])
+def test_check_fan_b1(ups):
+    # B_1: two rays on a line, glued along the origin.
+    report = check_fan_b(SymmetricSignature.from_positive_ups(1, ups))
+    assert report["num_cones"] == 2 and report["f_vector"] == (2,)
+    assert fan_passed(report)
 
 
 def test_check_fan_dispatch():

@@ -1,0 +1,149 @@
+"""Golden digests of every suite report and command line artifact.
+
+Each case runs one ``cambrian`` command in-process and pins the SHA-256
+of its exact stdout bytes together with its exit code, so a refactor that
+changes a report's content, check order or key order fails here.  The
+digests were captured before the per-family code paths were merged.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from cambrian import suites
+from cambrian.cli import main
+
+H3_ORIENTATIONS = ("1>2,2>3", "1>2,3>2", "2>1,2>3", "2>1,3>2")
+
+# Every (suite, family) pair that ``verify`` accepts, at default ranks.
+VERIFY_FAMILIES = {
+    "catalan": (None, "A", "B", "I2", "H3"),
+    "congruence-eq": (None, "A", "B"),
+    "sublattice": (None, "A", "B"),
+    "patterns": (None, "A"),
+    "shard": (None, "A", "B"),
+    "fan": (None, "A", "B", "H3"),
+    "cluster": (None,),
+    "descent": (None, "A", "B"),
+    "mobius": (None, "A", "B"),
+    "iso": (None, "A", "B", "I2", "H3"),
+    "b-tamari": (None, "B"),
+}
+
+CASES = {
+    **{
+        f"verify {suite} {family or 'default'}": (
+            ["verify", "--suite", suite] + (["--family", family] if family else [])
+        )
+        for suite, families in VERIFY_FAMILIES.items()
+        for family in families
+    },
+    "fan A signature": ["fan", "--family", "A", "--rank", "3", "--signature", "uudu"],
+    "fan A orientation": [
+        "fan", "--family", "A", "--rank", "3", "--orientation", "1>2,3>2",
+    ],
+    "fan A stasheff": [
+        "fan", "--family", "A", "--rank", "3", "--signature", "uuuu",
+        "--stasheff-check",
+    ],
+    "fan B n=2": ["fan", "--family", "B", "--rank", "2", "--signature", "ud"],
+    "fan B n=3": ["fan", "--family", "B", "--rank", "3", "--signature", "udu"],
+    **{
+        f"fan H3 {o}": ["fan", "--family", "H3", "--orientation", o]
+        for o in H3_ORIENTATIONS
+    },
+    **{
+        f"build {label} {fmt}": ["build", *argv, "--format", fmt]
+        for label, argv in {
+            "A weak": ["--family", "A", "--rank", "3"],
+            "A cambrian": ["--family", "A", "--rank", "3", "--orientation", "1>2,3>2"],
+            "B weak": ["--family", "B", "--rank", "2"],
+            "B cambrian": ["--family", "B", "--rank", "3", "--orientation", "0>1,2>1"],
+            "I2 weak": ["--family", "I2", "--m", "5"],
+            "I2 cambrian": ["--family", "I2", "--m", "5", "--orientation", "1>2"],
+            "H3 weak": ["--family", "H3"],
+            "H3 cambrian": ["--family", "H3", "--orientation", "2>1,2>3"],
+        }.items()
+        for fmt in ("json", "dot")
+    },
+}
+
+GOLDEN = {
+    "build A cambrian dot": (0, "b73a720a89768671582ea037cb92d765689ceed638c9911a2e5fb1f8ce061492"),
+    "build A cambrian json": (0, "d10f8fd397fe4c54bf315ff2fec20fc03330f127d4a8da953f54e925cea10106"),
+    "build A weak dot": (0, "16c319e6888ede1e6fede1e6ecbc7fc6dce174ad1cf63c90e1255625663eaef6"),
+    "build A weak json": (0, "63db1e8aa832a3247b21a6de5ac797a9cbe47575cfa7548df7cf088659773c76"),
+    "build B cambrian dot": (0, "c9b6537102f6a8b46128ed80c403fdca6a825a959fc8811cf19a3c82d788f44a"),
+    "build B cambrian json": (0, "a69168d6c9da7e229a354f5cabced5355912827e3eb89b45079e4d2211711b03"),
+    "build B weak dot": (0, "a59eafcd9405df05ba2eaea163936fd9759addd2c66b52059691eb12c498afe2"),
+    "build B weak json": (0, "21ecd277dea5572fe364cabe48de1a3953b9aa5a704e0baf1ab99cdb8268351e"),
+    "build H3 cambrian dot": (0, "a88e2421d8804d9e5a851f06e739a17a39b83873df40f503eca14cd6cb96f4c3"),
+    "build H3 cambrian json": (0, "0747bdd108570f733544517720ad90dce7abe6eba805fd5b0940fdc47a2cab28"),
+    "build H3 weak dot": (0, "86591a5331419b7890afd013b06af52d4173ae4a5ca5612942dd27614000ec2a"),
+    "build H3 weak json": (0, "e31e42511734b4ced4fdf9ab50807b2ef5857f4afc8b0b1fe0c50218e86f7acd"),
+    "build I2 cambrian dot": (0, "e1946a28bbc8d277f839ef0cb474b0573b75653c3338301cdb0886c96143f811"),
+    "build I2 cambrian json": (0, "6480ecbc552205961363e2de0f6e1709dcca50374a68b7c4ca61f6e618a280bd"),
+    "build I2 weak dot": (0, "713b403350e587e291948f01dbccb96c1a9140a097a3f1ad34ace8bdf62adc9f"),
+    "build I2 weak json": (0, "887e5423158b746ee93ee631c324f1654db509effd2fca5d2acd9569a0118bcc"),
+    "fan A orientation": (0, "05faaa382747f351f24e123e84060731846448910020b491a30fb1c0f431089d"),
+    "fan A signature": (0, "e91e30bf2e88615c643e6d894922a2d98e5c534be6062aee4e96d2d0335e9ad8"),
+    "fan A stasheff": (0, "ce25d544fe628937c77c7d554fbe3ce37bb7f8ae708f05b652c5f4ee410cf941"),
+    "fan B n=2": (0, "25cde8ab4a14186b16d63bd666675c2d783ec8d5958a52f84928d4226f8a7791"),
+    "fan B n=3": (0, "c5551f8d1b08352fd7ee74dccb242691b9b2a9f9750e7b1b43f70fd624d924dc"),
+    "fan H3 1>2,2>3": (0, "f87d343a44c9f902548bf4e806a2c24c69fa8315db58469fa9fc0a3da4e7f205"),
+    "fan H3 1>2,3>2": (0, "40373bc7c6574b4f96fcf8f4a094ab7f2d010fb3533ae8eb85f5a50b4bfe0d29"),
+    "fan H3 2>1,2>3": (0, "f0507ae22db989f931b13bd1a3e4911d28ea1a088095fceacff349bad4a3e80b"),
+    "fan H3 2>1,3>2": (0, "7f4c8b1c922a0d10fe2b4b83179d3706494c1e2af627a518b5febf1a745352a1"),
+    "suite_fibers": "2760b609d66a7dd56da9b0605dec40c0065901b2f0f43e4f7b5491cbe0f208f2",
+    "verify b-tamari B": (0, "e0560d930fd5f9e037baa23495694ed9047ee2148dd89abeb962fa32d6389949"),
+    "verify b-tamari default": (0, "e0560d930fd5f9e037baa23495694ed9047ee2148dd89abeb962fa32d6389949"),
+    "verify catalan A": (0, "5331f3557d5bb26d086b752b72fae01123ac82791feac68059d5ae28467f0232"),
+    "verify catalan B": (0, "6572ee7d6ee61e27e3ead3d2f50c4697cca924745be6ac935c45e1f195275529"),
+    "verify catalan H3": (0, "18df64fc42dbf7349cc438bcea3f42e01ce19b07e1efc2a369ef0abaafeeee5f"),
+    "verify catalan I2": (0, "c7b924dcd670c9ca3213360121eb86a222786d364827514927006ac782a39abe"),
+    "verify catalan default": (0, "5331f3557d5bb26d086b752b72fae01123ac82791feac68059d5ae28467f0232"),
+    "verify cluster default": (0, "5317a56e678ec15f57fc80e4ebcc6cbe43b8c979422f0f98dafff76c4f4b5bb9"),
+    "verify congruence-eq A": (0, "8e4e460beee39ae342612a64e66147b6069b76d6fa0f2f4ca0853bf20d3ae0bb"),
+    "verify congruence-eq B": (0, "9a230e78c095f6793c6a9a97d8d2dcb3de1079113f2aa9e1f9b5cbc9b86a4ec2"),
+    "verify congruence-eq default": (0, "815c55381eedadf73905e0da88a62f2e52aba7e31e3a27f43ce993509ddbffbf"),
+    "verify descent A": (0, "8fa0328601e23c41d1c66ec9c9c36133291758e5730aec10687f1a9e770797a5"),
+    "verify descent B": (0, "3244ed7680f3c9c72bbe442430574bac23e845adaad1d9ec6abb44be37db0074"),
+    "verify descent default": (0, "8ba3af0b96e4584dcb75b97cfdf5a345455ae5c06827953203c8a6ba13b6d0bb"),
+    "verify fan A": (0, "7f32646e07c68b692a5e23050abe77599c65a5ad1804a665678e3f55e139d398"),
+    "verify fan B": (0, "024b02c280fc8e7d0f11cffcdd82fcf90d77a607358678325d01f7269467df99"),
+    "verify fan H3": (0, "769e9bfaa981a552e2e0b0baafb2b6dd76750923efb0d93a7a870494de274ea6"),
+    "verify fan default": (0, "d03bba0f9eb506c7a8af5d63adc9447efb36082ccc5ee623c192f4e5aa800e62"),
+    "verify iso A": (0, "48c1705415f45d28ef281d8b43a184ba9409ef34d20462dbb7fa38b446ace845"),
+    "verify iso B": (0, "507656fb6475b7f75261fcbd214eca0d2a00082ecf95173164567493aa8a7deb"),
+    "verify iso H3": (0, "8fbf0ed43a943be0db64daa5acf38496c1d9e477ae15957119d5ab1a8462ce64"),
+    "verify iso I2": (0, "422cf570305aada881ccd318cd7d505f010cc3f97960bff582d97498fc1a6393"),
+    "verify iso default": (0, "281166d62324175319158f41e816c73cfc5bf94c2dda2fa6cd554dcf7dbeeca7"),
+    "verify mobius A": (0, "76b88a140ab5e4b923d6548517735ea9ae184f1e84135a6b1dab2614be261f9d"),
+    "verify mobius B": (0, "0274bb357aa2a2a2964e076905eaa792cf1ba4333e686cade16f23c060014dfe"),
+    "verify mobius default": (0, "bb3f0512b0cf69064dd1219297de3150911d52f03ef9a05c005c80b488fb3535"),
+    "verify patterns A": (0, "d9ab4d3e2d1978f6d83b9bfededb426f92e1ca51d76502300f03e4030eb7cfa5"),
+    "verify patterns default": (0, "d9ab4d3e2d1978f6d83b9bfededb426f92e1ca51d76502300f03e4030eb7cfa5"),
+    "verify shard A": (0, "91c338c9c982b99f516a91a02565b1e4578783969b1227e57de8cf34ad844f43"),
+    "verify shard B": (0, "67f1786c6aa0675f90900b40435a7fa01e4704a96359916ce122b2fc28fe1ec2"),
+    "verify shard default": (0, "568bb65a6a9ae511aeffcb8a46889335e0e60cf6091832746759267ebb95bf8a"),
+    "verify sublattice A": (0, "ae6da98d6ce9b6987884b890815ff8cf26927d3eede73134dd5d482986a024f3"),
+    "verify sublattice B": (0, "8a5cdf7109b9ad762973ec289bf1f0889e213b98219fc67ef0490e035f6f4410"),
+    "verify sublattice default": (0, "4399e62dbcd2136eddcbc231308b1beeda0811c8f3d42e1a62e8eb2544d55a95"),
+}
+
+
+def _digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_cli_output_matches_golden(capsys, name):
+    code = main(CASES[name])
+    out = capsys.readouterr().out
+    assert (code, _digest(out)) == GOLDEN[name], name
+
+
+def test_fibers_report_matches_golden():
+    text = json.dumps(suites.suite_fibers(), indent=2) + "\n"
+    assert _digest(text) == GOLDEN["suite_fibers"]

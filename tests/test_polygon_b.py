@@ -145,3 +145,33 @@ def test_descent_set_b_matches_group_descents():
     for x in system.weak_order_lattice().elements:
         got = descent_set_b(eta_b(tuple(x), sig))
         assert got == frozenset(system.left_descents(x))
+
+
+def test_symmetric_signature_builds_its_polygon_once(monkeypatch):
+    from cambrian import polygon_b
+    from cambrian.polygon_a import polygon_from_signature
+
+    calls = []
+
+    def counting(signature):
+        calls.append(signature)
+        return polygon_from_signature(signature)
+
+    monkeypatch.setattr(polygon_b, "polygon_from_signature", counting)
+    sig = SymmetricSignature.from_positive_ups(3, {2})
+    elements = get_system("B", 3).weak_order_lattice().elements
+    for x in elements[:10]:
+        eta_b(tuple(x), sig)
+    symmetric_triangulations(sig)
+    symmetric_triangulation_lattice(sig)
+    assert calls == [sig.a_signature()]
+    assert sig.polygon.boundary_cycle() == polygon_from_signature(
+        sig.a_signature()
+    ).boundary_cycle()
+
+
+def test_symmetric_signature_to_string():
+    assert SymmetricSignature.from_positive_ups(3, {1, 3}).to_string() == "udu"
+    assert [s.to_string() for s in all_symmetric_signatures(2)] == [
+        "dd", "du", "ud", "uu",
+    ]
