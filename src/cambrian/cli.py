@@ -30,7 +30,7 @@ import json
 import os
 import sys
 
-from .coxeter import CapExceeded, CoxeterSystem, build_system, get_system
+from .coxeter import CapExceeded, CoxeterSystem, get_system
 from .congruences import (
     NotCambrianError,
     cambrian_lattice,
@@ -47,7 +47,7 @@ from .fans import (
     fan_to_json,
     stasheff_ray_check,
 )
-from .suites import SUITE_NAMES, element_label, run_suite
+from .suites import SUITE_NAMES, run_suite
 
 USAGE_ERROR = 2
 CAP_ERROR = 3
@@ -56,13 +56,7 @@ INTERNAL_ERROR = 4
 
 def _canonical_order(system: CoxeterSystem, lattice: FiniteLattice) -> list[int]:
     """Element indices sorted by (length, lexicographic representation)."""
-    def key(i: int):
-        w = lattice.elements[i]
-        if system.family in ("A", "B"):
-            return (system.length(w), tuple(w))
-        return (system.length(w), tuple(w.word))
-
-    return sorted(range(lattice.n), key=key)
+    return sorted(range(lattice.n), key=lambda i: system.sort_key(lattice.elements[i]))
 
 
 def lattice_to_json(system: CoxeterSystem, lattice: FiniteLattice, meta: dict) -> dict:
@@ -71,7 +65,7 @@ def lattice_to_json(system: CoxeterSystem, lattice: FiniteLattice, meta: dict) -
     return {
         **meta,
         "num_elements": lattice.n,
-        "elements": [element_label(system, lattice.elements[i]) for i in order],
+        "elements": [system.element_label(lattice.elements[i]) for i in order],
         "covers": sorted([pos[a], pos[b]] for a, b in lattice.covers),
     }
 
@@ -81,7 +75,7 @@ def lattice_to_dot(system: CoxeterSystem, lattice: FiniteLattice, title: str) ->
     pos = {i: k for k, i in enumerate(order)}
     lines = [f'digraph "{title}" {{', "  rankdir=BT;"]
     for i in order:
-        label = element_label(system, lattice.elements[i])
+        label = system.element_label(lattice.elements[i])
         lines.append(f'  n{pos[i]} [label="{label}"];')
     for a, b in sorted(lattice.covers):
         lines.append(f"  n{pos[a]} -> n{pos[b]};")
@@ -150,11 +144,11 @@ def _build_target_system(args) -> CoxeterSystem:
     _reject_unread(args)
     if args.family == "I2":
         _require(args, "m")
-        return build_system("I2", None, args.m)
+        return get_system("I2", None, args.m)
     if args.family == "H3":
-        return build_system("H3")
+        return get_system("H3")
     _require(args, "rank")
-    return build_system(args.family, args.rank)
+    return get_system(args.family, args.rank)
 
 
 def cmd_build(args) -> int:

@@ -6,9 +6,10 @@ Supported families:
   one-line permutation tuples.
 * ``B`` (rank n): signed permutations, elements as abbreviated signed
   tuples (x_1, ..., x_n) with x_{-i} = -x_i implied.
-* ``I2`` (parameter m) and ``H3``: a generic engine tracking each element
-  as an exact matrix in the simple-root basis together with its set of
-  (positive-root) inversions.
+* ``I2`` (parameter m) and ``H3``: a generic engine that closes the roots
+  once over Z[2cos(pi/m)] and tracks each element as the permutation it
+  induces on the roots, together with its set of (positive-root)
+  inversions and a reduced word.
 
 The right weak order is generated by covers w < ws; joins and meets are
 computed per family (inversion-set closure for A, an embedding into a
@@ -23,12 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .fields import (
-    NumberField,
-    RationalField,
-    identity_matrix,
-    mat_mul,
-)
+from .fields import NumberField, RationalField
 from .lattices import FiniteLattice
 
 
@@ -194,13 +190,6 @@ def perm_to_ji_subset(x: tuple[int, ...]) -> frozenset[int]:
     return frozenset(x[descents[0] + 1 :])
 
 
-def ji_subset_reflection(n: int, members: frozenset[int]) -> tuple[int, int]:
-    """The reflection (m, M) labelling the unique lower cover edge."""
-    m = min(members)
-    big_m = max(set(range(1, n + 1)) - set(members))
-    return (m, big_m)
-
-
 def all_ji_subsets_a(n: int) -> list[frozenset[int]]:
     out = []
     for r in range(1, n):
@@ -275,11 +264,15 @@ def all_signed_ji_subsets(n: int) -> list[frozenset[int]]:
 
 @dataclass(frozen=True)
 class GenericElement:
-    """Element of a generic Coxeter system, identified by its inversion set."""
+    """Element of a generic Coxeter system, identified by its inversion set.
+
+    ``perm[k]`` is the id of w(rho_k) for every root id k: the positive
+    roots are 0..N-1 and -rho_k is k+N.
+    """
 
     inversions: frozenset[int]
     word: tuple[int, ...]
-    matrix: tuple
+    perm: tuple[int, ...]
 
     def __eq__(self, other):
         return isinstance(other, GenericElement) and self.inversions == other.inversions
@@ -299,56 +292,42 @@ class CoxeterSystem:
         self.family = family
         self.rank = rank
         self.bond = bond
+        # The bonds m(s, t) > 2 of the Coxeter diagram.
         if family == "A":
             self.n = rank + 1
-            self.generator_names = tuple(range(1, rank + 1))
+            names = tuple(range(1, rank + 1))
+            bonds = {(s, s + 1): 3 for s in names[:-1]}
         elif family == "B":
             self.n = rank
-            self.generator_names = tuple(range(rank))
+            names = tuple(range(rank))
+            bonds = {(s, s + 1): 4 if s == 0 else 3 for s in names[:-1]}
         elif family == "I2":
             if bond is None or bond < 3:
                 raise ValueError("I2 needs a bond label m >= 3")
-            self.generator_names = (1, 2)
+            names = (1, 2)
+            bonds = {(1, 2): bond}
         elif family == "H3":
-            self.generator_names = (1, 2, 3)
+            names = (1, 2, 3)
+            bonds = {(1, 2): 5, (2, 3): 3}
         else:
             raise ValueError(f"unknown family {family!r}")
+        self.generator_names = names
+        self._bonds = {**bonds, **{(t, s): m for (s, t), m in bonds.items()}}
         self._lattice: Optional[FiniteLattice] = None
         self._roots = None
-        self._gen_matrices = None
-        self._field = None
 
     # -- Coxeter matrix -----------------------------------------------------
 
     def bond_label(self, s, t) -> int:
-        if s == t:
-            return 1
-        a, b = sorted((s, t))
-        if self.family == "A":
-            return 3 if b == a + 1 else 2
-        if self.family == "B":
-            if (a, b) == (0, 1):
-                return 4
-            return 3 if b == a + 1 else 2
-        if self.family == "I2":
-            return self.bond
-        if self.family == "H3":
-            if (a, b) == (1, 2):
-                return 5
-            if (a, b) == (2, 3):
-                return 3
-            return 2
-        raise AssertionError
+        return 1 if s == t else self._bonds.get((s, t), 2)
 
     # -- elements and multiplication ---------------------------------------
 
     def identity(self):
-        if self.family == "A":
-            return tuple(range(1, self.n + 1))
-        if self.family == "B":
+        if self.family in ("A", "B"):
             return tuple(range(1, self.n + 1))
         self._init_generic()
-        return GenericElement(frozenset(), (), identity_matrix(self._field, self.rank))
+        return GenericElement(frozenset(), (), tuple(range(2 * len(self._roots))))
 
     def generator(self, name):
         return self.right_multiply(self.identity(), name)
@@ -382,8 +361,7 @@ class CoxeterSystem:
                 return w[0] < 0
             return w[name - 1] > w[name]
         self._init_generic()
-        col = self._matrix_column(w.matrix, self._gen_index(name))
-        return self._root_id(tuple(self._field.neg(c) for c in col)) is not None
+        return w.perm[self._gen_index(name)] >= len(self._roots)
 
     def length(self, w) -> int:
         return len(self.inversion_set(w))
@@ -413,7 +391,7 @@ class CoxeterSystem:
         return frozenset(
             name
             for name in self.generator_names
-            if self._simple_root_ids[self._gen_index(name)] in w.inversions
+            if self._gen_index(name) in w.inversions
         )
 
     def generator_of_atom(self, w):
@@ -422,6 +400,32 @@ class CoxeterSystem:
             if w == self.generator(name):
                 return name
         raise ValueError(f"{w} is not a generator")
+
+    def act(self, w, v):
+        """w(v) for v in the simple-root basis: sum of v_j * w(alpha_j)."""
+        self._init_generic()
+        field = self._field
+        images = [self._root_vectors[k] for k in w.perm[: self.rank]]
+        return tuple(
+            functools.reduce(
+                field.add,
+                (field.mul(image[a], vj) for image, vj in zip(images, v)),
+                field.zero,
+            )
+            for a in range(self.rank)
+        )
+
+    # -- element format -----------------------------------------------------
+
+    def element_label(self, w) -> str:
+        """One-line notation for A and B, a reduced word for I2 and H3."""
+        if self.family in ("A", "B"):
+            return ",".join(str(v) for v in w)
+        return " ".join(f"s{g}" for g in w.word) if w.word else "e"
+
+    def sort_key(self, w):
+        """(length, one-line notation or reduced word): the canonical order."""
+        return (self.length(w), tuple(w) if self.family in ("A", "B") else w.word)
 
     # -- joins and meets ----------------------------------------------------
 
@@ -499,6 +503,8 @@ class CoxeterSystem:
         return self.generator_names.index(name)
 
     def _init_generic(self):
+        """Close the roots over Z[c] and store each simple reflection as a
+        permutation of the root ids; the simple root alpha_i has id i."""
         if self._roots is not None:
             return
         r = self.rank
@@ -527,21 +533,14 @@ class CoxeterSystem:
         two_gram = [[two_b(labels[i][j]) for j in range(r)] for i in range(r)]
         half = Fraction(1, 2)
         self._gram = tuple(tuple(field.scale(x, half) for x in row) for row in two_gram)
-        # Generator matrices: s_i(alpha_j) = alpha_j - 2 B(i,j) alpha_i, with
-        # entries in Z[c].
-        mats = []
-        for i in range(r):
-            rows = []
-            for a in range(r):
-                row = []
-                for j in range(r):
-                    base = field.one if a == j else field.zero
-                    if a == i:
-                        base = field.sub(base, two_gram[i][j])
-                    row.append(base)
-                rows.append(tuple(row))
-            mats.append(tuple(rows))
-        self._gen_matrices = tuple(mats)
+
+        def reflect(i, v):
+            # s_i(v) = v - 2 B(alpha_i, v) alpha_i
+            two_bv = functools.reduce(
+                field.add, (field.mul(g, x) for g, x in zip(two_gram[i], v)), field.zero
+            )
+            return tuple(field.sub(x, two_bv) if a == i else x for a, x in enumerate(v))
+
         # Positive roots: close the simple roots under the generators.  A
         # simple reflection permutes the positive roots other than its own.
         simples = [
@@ -556,48 +555,36 @@ class CoxeterSystem:
                 for i in range(r):
                     if v == simples[i]:
                         continue
-                    image = tuple(
-                        self._field_dot_row(self._gen_matrices[i], v, a)
-                        for a in range(r)
-                    )
+                    image = reflect(i, v)
                     if image not in roots:
                         roots[image] = len(roots)
                         nxt.append(image)
             frontier = nxt
         self._roots = roots
         self._root_list = sorted(roots, key=roots.get)
-        self._simple_root_ids = [roots[v] for v in simples]
-
-    def _field_dot_row(self, matrix, vec, row):
-        field = self._field
-        total = field.zero
-        for k, vk in enumerate(vec):
-            total = field.add(total, field.mul(matrix[row][k], vk))
-        return total
-
-    def _matrix_column(self, matrix, j):
-        return tuple(matrix[i][j] for i in range(self.rank))
-
-    def _root_id(self, vec):
-        return self._roots.get(tuple(vec))
+        n = len(roots)
+        self._root_vectors = self._root_list + [
+            tuple(field.neg(x) for x in v) for v in self._root_list
+        ]
+        gens = []
+        for i in range(r):
+            positive = [
+                i + n if k == i else roots[reflect(i, v)]
+                for k, v in enumerate(self._root_list)
+            ]
+            gens.append(tuple(positive + [(k + n) % (2 * n) for k in positive]))
+        self._gen_perms = tuple(gens)
 
     def _generic_right_multiply(self, w: GenericElement, name) -> GenericElement:
         self._init_generic()
-        field = self._field
         i = self._gen_index(name)
-        new_matrix = mat_mul(field, w.matrix, self._gen_matrices[i])
-        col = self._matrix_column(w.matrix, i)
-        rid = self._root_id(col)
-        if rid is not None:
-            return GenericElement(
-                w.inversions | {rid}, w.word + (name,), new_matrix
-            )
-        neg = tuple(field.neg(c) for c in col)
-        rid = self._root_id(neg)
-        if rid is None:
-            raise AssertionError("w(alpha_s) is not a root")
+        perm = tuple(w.perm[k] for k in self._gen_perms[i])
+        root = w.perm[i]
+        n = len(self._roots)
+        if root < n:
+            return GenericElement(w.inversions | {root}, w.word + (name,), perm)
         word = w.word[:-1] if w.word and w.word[-1] == name else w.word + (name,)
-        return GenericElement(w.inversions - {rid}, word, new_matrix)
+        return GenericElement(w.inversions - {root - n}, word, perm)
 
     @property
     def roots(self):

@@ -22,7 +22,6 @@ from math import comb, lcm
 
 from .congruences import Orientation, cambrian_lattice, orientation_from_edges
 from .coxeter import CoxeterSystem, embed_b_in_a, get_system
-from .fields import mat_vec
 from .lattices import FiniteLattice
 from .polygon_a import (
     UpDownSignature,
@@ -492,10 +491,7 @@ def check_fan_h3(system: CoxeterSystem, orientation: Orientation) -> dict:
     camb = cambrian_lattice(system, orientation)
     lattice = camb.congruence.lattice
 
-    def chamber_rays(w):
-        return [mat_vec(field, w.matrix, weights[i]) for i in range(3)]
-
-    rays_of = [chamber_rays(lattice.elements[i]) for i in range(lattice.n)]
+    rays_of = [[system.act(w, omega) for omega in weights] for w in lattice.elements]
 
     simplicial = True
     tiling = True
@@ -812,18 +808,26 @@ def nice_coroot(n: int, near_cluster):
     raise LookupError("no positive coroot is orthogonal to the near-cluster")
 
 
+def wall_without_nice_coroot(n: int):
+    """The first wall of the S_n cluster fan with no nice coroot, or None."""
+    seen = set()
+    for cluster in clusters(n).clusters:
+        for alpha in cluster:
+            wall = cluster - {alpha}
+            if wall in seen:
+                continue
+            seen.add(wall)
+            try:
+                nice_coroot(n, wall)
+            except LookupError:
+                return wall
+    return None
+
+
 def cluster_refine_check(n: int, family: str = "A") -> bool:
     """Walls of the cluster fan lie inside twisted-arrangement hyperplanes."""
     if family == "A":
-        seen = set()
-        for cluster in clusters(n).clusters:
-            for alpha in cluster:
-                wall = cluster - {alpha}
-                if wall in seen:
-                    continue
-                seen.add(wall)
-                nice_coroot(n, wall)
-        return True
+        return wall_without_nice_coroot(n) is None
     if family == "B":
         # Fold S_{2n} by the diagram flip chi; B walls are the chi-fixed
         # restrictions of invariant cluster walls.

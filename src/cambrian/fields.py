@@ -5,7 +5,7 @@ Geometric computations for reflection groups with bond labels other than
 coefficient tuples (a_0, ..., a_{d-1}) standing for a_0 + a_1*c + ... +
 a_{d-1}*c^(d-1), where d is the degree of the minimal polynomial of c.
 That polynomial is monic with integer coefficients, so Z[c] is closed
-under multiplication: group matrices, roots and scaled weights keep
+under multiplication: roots, chamber rays and scaled weights keep
 plain ``int`` coefficients, and only inverses bring in ``Fraction``.
 Every operation is exact; no floating point is used anywhere.
 """
@@ -326,28 +326,10 @@ class RationalField:
         return (a > 0) - (a < 0)
 
 
-def mat_mul(field, a, b):
-    """Product of square matrices given as tuples of rows of field elements."""
-    n = len(a)
-    return tuple(
-        tuple(
-            _sum_field(field, [field.mul(a[i][k], b[k][j]) for k in range(n)])
-            for j in range(n)
-        )
-        for i in range(n)
-    )
-
-
 def mat_vec(field, a, v):
     n = len(a)
     return tuple(
         _sum_field(field, [field.mul(a[i][k], v[k]) for k in range(n)]) for i in range(n)
-    )
-
-
-def identity_matrix(field, n):
-    return tuple(
-        tuple(field.one if i == j else field.zero for j in range(n)) for i in range(n)
     )
 
 

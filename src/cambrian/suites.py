@@ -70,11 +70,11 @@ from .fans import (
     cluster_refine_check,
     clusters,
     fan_passed,
-    nice_coroot,
     positive_roots,
     psi_and_bipartite_iso_check,
     stasheff_ray_check,
     twist_check,
+    wall_without_nice_coroot,
 )
 
 SUITE_NAMES = (
@@ -104,16 +104,9 @@ def all_updown_signatures(n: int) -> list[UpDownSignature]:
     return out
 
 
-def element_label(system: CoxeterSystem, w) -> str:
-    """One-line notation for A and B, a reduced word for I2 and H3."""
-    if system.family in ("A", "B"):
-        return ",".join(str(v) for v in w)
-    return " ".join(f"s{g}" for g in w.word) if w.word else "e"
-
-
 def _pairs_repr(system: CoxeterSystem, orientation: Orientation) -> list:
     return [
-        [element_label(system, a), element_label(system, b)]
+        [system.element_label(a), system.element_label(b)]
         for a, b in generating_pairs(system, orientation)
     ]
 
@@ -400,7 +393,7 @@ def suite_sublattice(family=None, max_rank=None, cap=None) -> dict:
                     ok,
                     witness=None
                     if witness is None
-                    else [element_label(system, lattice.elements[i]) for i in witness],
+                    else [system.element_label(lattice.elements[i]) for i in witness],
                     generating_pairs=_pairs_repr(system, orientation),
                 )
             )
@@ -587,21 +580,7 @@ def suite_cluster(family=None, max_rank=None, cap=None) -> dict:
             )
         )
     for n in range(2, _cut(5, max_rank) + 1):
-        missing = None
-        seen = set()
-        for cluster in clusters(n).clusters:
-            for alpha in cluster:
-                wall = cluster - {alpha}
-                if wall in seen:
-                    continue
-                seen.add(wall)
-                try:
-                    nice_coroot(n, wall)
-                except LookupError:
-                    missing = wall
-                    break
-            if missing:
-                break
+        missing = wall_without_nice_coroot(n)
         checks.append(
             _check(
                 f"nice coroot A n={n}",

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cambrian import suites
+from cambrian import fans, suites
 from cambrian.cli import INTERNAL_ERROR, main
 from cambrian.lattices import FiniteLattice
 from cambrian.suites import catalan
@@ -144,6 +144,20 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert code == INTERNAL_ERROR == 4
     assert captured.out == ""
     assert "invariant broken" in captured.err
+
+
+def test_verify_cluster_fails_closed_without_nice_coroot(capsys, monkeypatch):
+    def no_nice_coroot(n, wall):
+        raise LookupError("no positive coroot is orthogonal to the near-cluster")
+
+    monkeypatch.setattr(fans, "nice_coroot", no_nice_coroot)
+    code, out = run_cli(capsys, "verify", "--suite", "cluster")
+    assert code == 1
+    checks = {c["name"]: c for c in json.loads(out)["checks"]}
+    assert not checks["nice coroot A n=2"]["passed"]
+    assert checks["nice coroot A n=2"]["witness"]
+    assert not checks["cluster refine A n=2"]["passed"]
+    assert checks["cluster refine B n=2"]["passed"]
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

@@ -25,6 +25,7 @@ from cambrian.coxeter import (
     inversion_set_b,
     standardize_signed,
 )
+from cambrian.fields import mat_vec
 
 
 def test_build_system_families():
@@ -190,16 +191,44 @@ def permutations(draw, max_n=6):
     return tuple(draw(st.permutations(values)))
 
 
+def _lattice_join_meet(system, x, y):
+    # Oracle: join and meet read off the enumerated weak order.
+    lattice = system.weak_order_lattice()
+    i, j = lattice.index[x], lattice.index[y]
+    return lattice.elements[lattice.join(i, j)], lattice.elements[lattice.meet(i, j)]
+
+
+def test_join_meet_match_weak_order_on_s4():
+    system = get_system("A", 3)
+    elements = system.weak_order_lattice().elements
+    for x, y in itertools.product(elements, repeat=2):
+        assert (system.join(x, y), system.meet(x, y)) == _lattice_join_meet(system, x, y)
+
+
+@st.composite
+def element_pairs(draw):
+    """Two elements of S_5, S_6 or B_3."""
+    family, rank = draw(st.sampled_from([("A", 4), ("A", 5), ("B", 3)]))
+    if family == "A":
+        pair = [tuple(draw(st.permutations(range(1, rank + 2)))) for _ in "xy"]
+    else:
+        pair = [
+            tuple(
+                v * draw(st.sampled_from((1, -1)))
+                for v in draw(st.permutations(range(1, rank + 1)))
+            )
+            for _ in "xy"
+        ]
+    return get_system(family, rank), *pair
+
+
 @settings(max_examples=60, deadline=None)
-@given(permutations(), permutations())
-def test_join_is_least_upper_bound(x, y):
-    if len(x) != len(y):
-        return
-    system = build_system("A", len(x) - 1)
-    j = weak_join(system, x, y)
-    assert system.weak_le(x, j) and system.weak_le(y, j)
-    m = weak_meet(system, x, y)
-    assert system.weak_le(m, x) and system.weak_le(m, y)
+@given(element_pairs())
+def test_join_is_least_upper_bound(case):
+    system, x, y = case
+    assert (weak_join(system, x, y), weak_meet(system, x, y)) == _lattice_join_meet(
+        system, x, y
+    )
 
 
 @settings(max_examples=60, deadline=None)
@@ -225,3 +254,39 @@ def test_left_descents_match_inversion_sets(family, rank):
             if ((-1, 1) if family == "B" and s == 0 else (s, s + 1)) in inv
         )
         assert system.left_descents(w) == expected, w
+
+
+def _word_matrix(system, word):
+    # The product of the generator matrices s_i(alpha_j) = alpha_j -
+    # 2 B(alpha_i, alpha_j) alpha_i along a word, in the simple-root basis.
+    field, r = system.field, system.rank
+    two_gram = [[field.scale(x, 2) for x in row] for row in system.gram]
+    matrix = [[field.one if a == j else field.zero for j in range(r)] for a in range(r)]
+    for name in word:
+        i = system.generator_names.index(name)
+        for row in matrix:
+            row_i = row[i]
+            for j in range(r):
+                row[j] = field.sub(row[j], field.mul(row_i, two_gram[i][j]))
+    return matrix
+
+
+@pytest.mark.parametrize(
+    "key", [("H3", None, None), ("I2", None, 5), ("I2", None, 7), ("I2", None, 8)]
+)
+def test_root_permutations_match_matrix_products(key):
+    system = get_system(*key)
+    field, r = system.field, system.rank
+    simples = [tuple(field.one if j == i else field.zero for j in range(r)) for i in range(r)]
+    for w in system.weak_order_lattice().elements:
+        assert len(w.word) == len(w.inversions)
+        matrix = _word_matrix(system, w.word)
+        for j, alpha in enumerate(simples):
+            assert system.act(w, alpha) == tuple(row[j] for row in matrix)
+        inverse = _word_matrix(system, w.word[::-1])
+        negated = {
+            k
+            for k, beta in enumerate(system.roots)
+            if any(field.sign(x) < 0 for x in mat_vec(field, inverse, beta))
+        }
+        assert w.inversions == negated, w.word

@@ -40,7 +40,7 @@ from cambrian.fans import (
     tau,
     twist_check,
 )
-from cambrian.fields import RationalField, mat_vec, solve_linear
+from cambrian.fields import RationalField, solve_linear
 from cambrian.polygon_b import SymmetricSignature
 from cambrian.suites import catalan
 
@@ -195,6 +195,16 @@ def test_cluster_refine(n, family):
     assert cluster_refine_check(n, family)
 
 
+def _no_nice_coroot(n, wall):
+    raise LookupError("no positive coroot is orthogonal to the near-cluster")
+
+
+def test_cluster_refine_fails_closed_without_nice_coroot(monkeypatch):
+    monkeypatch.setattr(fans, "nice_coroot", _no_nice_coroot)
+    assert fans.wall_without_nice_coroot(3) is not None
+    assert not cluster_refine_check(3, "A")
+
+
 def test_psi_examples():
     assert psi(5, (2, 5)) == (0, 0, 1, 0)
     for a in range(1, 5):
@@ -306,7 +316,7 @@ def test_h3_chamber_rays_are_62_integer_keys():
         assert tuple(field.mul(ratio, y) for y in exact) == omega
     elements = system.weak_order_lattice().elements
     assert len(elements) == 120
-    orbits = [{mat_vec(field, w.matrix, omega) for w in elements} for omega in weights]
+    orbits = [{system.act(w, omega) for w in elements} for omega in weights]
     for orbit in orbits:
         assert all(type(c) is int for ray in orbit for x in ray for c in x)
     assert sorted(len(o) for o in orbits) == [12, 20, 30]
