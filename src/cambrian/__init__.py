@@ -164,9 +164,15 @@ def is_lattice_congruence(lattice: FiniteLattice, blocks):
 
 
 def quotient(lattice: FiniteLattice, cong: LatticeCongruence) -> FiniteLattice:
-    """Quotient by a congruence; elements are the class bottoms."""
+    """Quotient by a congruence; elements are the class bottoms.
+
+    Raises ValueError unless ``cong`` is a lattice congruence of ``lattice``.
+    """
     if cong.lattice is not lattice:
         raise ValueError("congruence belongs to a different lattice")
+    ok, reason = cong.verify()
+    if not ok:
+        raise ValueError(f"not a lattice congruence: {reason}")
     return quotient_lattice(cong)
 
 

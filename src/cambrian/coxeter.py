@@ -583,7 +583,15 @@ class CoxeterSystem:
         n = len(self._roots)
         if root < n:
             return GenericElement(w.inversions | {root}, w.word + (name,), perm)
-        word = w.word[:-1] if w.word and w.word[-1] == name else w.word + (name,)
+        # Exchange condition: ws is w with the letter deleted whose prefix
+        # root s_1 ... s_{j-1}(alpha_{s_j}) is -w(alpha_s).
+        prefix = range(2 * n)
+        for j, letter in enumerate(w.word):
+            k = self._gen_index(letter)
+            if prefix[k] == root - n:
+                break
+            prefix = [prefix[t] for t in self._gen_perms[k]]
+        word = w.word[:j] + w.word[j + 1 :]
         return GenericElement(w.inversions - {root - n}, word, perm)
 
     @property

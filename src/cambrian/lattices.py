@@ -5,8 +5,8 @@ carries its down-set and up-set as Python integer bitmasks.  With
 indices respecting the order, the join of x and y is the lowest set bit
 of up(x) & up(y) and the meet is the highest set bit of down(x) &
 down(y).  Construction verifies both: every edge must be a cover, and
-x v j must be a least upper bound for every x and every join-irreducible
-j, which is enough for all joins (see ``FiniteLattice._validate``).
+a v b must be a least upper bound for any two upper covers a, b of one
+element, which is enough for all joins (see ``FiniteLattice._validate``).
 
 A congruence is determined by the covers it contracts.  In a polygonal
 lattice, such as the weak order of a finite Coxeter group and its
@@ -120,25 +120,24 @@ class FiniteLattice:
     def _validate(self) -> None:
         """Raise ValueError unless the covers are covers and joins exist.
 
-        Only joins x v j with j join-irreducible are checked: if y covers
-        a and b then y = a v b and x v y = (x v a) v b, so induction along
-        the linear extension gives every other join.  With a bottom
-        element, a join-semilattice is a lattice (meets come for free).
+        Only joins a v b of two upper covers a, b of one element are
+        checked: a bounded poset in which every such pair has a least upper
+        bound is a lattice (Bjorner, Edelman and Ziegler, Hyperplane
+        arrangements with a lattice of regions, DCG 5 (1990), Lemma 2.1).
         """
         for a, b in self.covers:
             between = self.up[a] & self.down[b]
             if between != (1 << a) | (1 << b):
                 raise ValueError(f"edge {a} -> {b} is not a cover")
         up = self.up
-        for j in self.join_irreducibles:
-            uj = up[j]
-            for i in range(self.n):
-                m = up[i] & uj
-                c = m & -m
-                if m & ~up[c.bit_length() - 1]:
-                    raise ValueError(
-                        f"elements {i}, {j} have no least upper bound"
-                    )
+        for ux in self.upper:
+            for i, a in enumerate(ux):
+                ua = up[a]
+                for b in ux[i + 1 :]:
+                    m = ua & up[b]
+                    c = m & -m
+                    if m & ~up[c.bit_length() - 1]:
+                        raise ValueError(f"covers {a}, {b} have no least upper bound")
 
     # -- basic queries -------------------------------------------------------
 
@@ -498,22 +497,19 @@ def congruence_from_partition(
 
 
 def quotient_lattice(cong: LatticeCongruence, validate: bool = True) -> FiniteLattice:
-    """Quotient lattice; elements are the class-bottom elements."""
-    lattice = cong.lattice
-    bottoms = sorted({cong.down_projection[i] for i in range(lattice.n)})
-    pos = {b: k for k, b in enumerate(bottoms)}
-    mask = 0
-    for b in bottoms:
-        mask |= 1 << b
-    covers = []
-    for a_pos, a in enumerate(bottoms):
-        for b in bottoms:
-            if b != a and lattice.le(a, b):
-                between = lattice.up[a] & lattice.down[b] & mask
-                if between == (1 << a) | (1 << b):
-                    covers.append((a_pos, pos[b]))
-    elements = tuple(lattice.elements[b] for b in bottoms)
+    """Quotient lattice; elements are the class-bottom elements.
+
+    ``cong`` must be a lattice congruence.  Then a cover it does not
+    contract maps to a cover of the quotient, and every cover of the
+    quotient is such an image, so the covers are read off the edges.
+    """
+    lattice, class_of = cong.lattice, cong.class_of
+    # Classes are numbered by their least index, which is their bottom.
+    images = {(class_of[a], class_of[b]) for a, b in lattice.covers}
+    covers = sorted((c, d) for c, d in images if c != d)
+    elements = tuple(lattice.elements[cls[0]] for cls in cong.classes)
     return FiniteLattice.from_covers(elements, covers, validate=validate)
+
 
 def contraction_congruence(lattice: FiniteLattice, ji_index: int) -> LatticeCongruence:
     """Smallest congruence contracting the given join-irreducible."""

@@ -26,8 +26,8 @@ from .polygon_a import (
     TriangulationA,
     UpDownSignature,
     _case_table_descents,
+    _chain_triangulations,
     _flip,
-    all_triangulations,
     eta,
     polygon_from_signature,
 )
@@ -141,11 +141,13 @@ class TriangulationB:
         }
 
 
+def _mirror(tri, two_n: int) -> frozenset[tuple[int, int]]:
+    """The diagonals under the central symmetry p -> 2n+1-p."""
+    return frozenset((two_n + 1 - q, two_n + 1 - p) for p, q in tri)
+
+
 def _is_symmetric(tri: frozenset[tuple[int, int]], two_n: int) -> bool:
-    mirror = frozenset(
-        tuple(sorted((two_n + 1 - q, two_n + 1 - p))) for p, q in tri
-    )
-    return mirror == tri
+    return _mirror(tri, two_n) == tri
 
 
 def eta_b(x: tuple[int, ...], signature: SymmetricSignature) -> TriangulationB:
@@ -252,11 +254,24 @@ def linear_signature(n: int, variant: str) -> SymmetricSignature:
 
 
 def symmetric_triangulations(signature: SymmetricSignature) -> list[TriangulationB]:
-    return [
-        TriangulationB(signature, t)
-        for t in all_triangulations(signature.polygon)
-        if _is_symmetric(t.diagonals, 2 * signature.n)
-    ]
+    """The C(2n, n) centrally symmetric triangulations of the polygon.
+
+    Each has exactly one diameter, which cuts the polygon into two halves
+    that the symmetry swaps; a triangulation of one half and its mirror
+    image give each of them once.
+    """
+    n = signature.n
+    polygon = signature.polygon
+    a_sig, cycle = polygon.signature, polygon.boundary_cycle()
+    out = []
+    for k in range(n + 1):
+        half = cycle[k : k + n + 2]
+        diameter = {tuple(sorted((half[0], half[-1])))}
+        for chords in _chain_triangulations(half):
+            diagonals = chords | _mirror(chords, 2 * n) | diameter
+            base = TriangulationA(a_sig.n, a_sig.ups, diagonals)
+            out.append(TriangulationB(signature, base))
+    return out
 
 
 def symmetric_triangulation_lattice(signature: SymmetricSignature) -> FiniteLattice:

@@ -290,3 +290,17 @@ def test_root_permutations_match_matrix_products(key):
             if any(field.sign(x) < 0 for x in mat_vec(field, inverse, beta))
         }
         assert w.inversions == negated, w.word
+
+
+@pytest.mark.parametrize(
+    "key", [("H3", None, None), ("I2", None, 3), ("I2", None, 5), ("I2", None, 8)]
+)
+def test_right_multiply_by_a_descent_keeps_the_word_reduced(key):
+    system = get_system(*key)
+    for w in system.weak_order_lattice().elements:
+        for name in system.generator_names:
+            if system.is_right_descent(w, name):
+                ws = system.right_multiply(w, name)
+                assert len(ws.word) == len(ws.inversions), (w.word, name)
+                from_word = system.from_word(ws.word)
+                assert from_word == ws and from_word.perm == ws.perm

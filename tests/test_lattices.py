@@ -78,12 +78,16 @@ def test_is_lattice_congruence():
     ]
     ok, reason = is_lattice_congruence(lattice, blocks)
     assert not ok and "interval" in reason
+    with pytest.raises(ValueError, match="not a lattice congruence"):
+        quotient(lattice, congruence_from_partition(lattice, blocks))
     # Interval classes whose projections fail to be order-preserving.
     blocks = [[idx[(1, 2, 3)], idx[(2, 1, 3)]]] + [
         [i] for i in range(lattice.n) if i not in (idx[(1, 2, 3)], idx[(2, 1, 3)])
     ]
     ok, _ = is_lattice_congruence(lattice, blocks)
     assert not ok
+    with pytest.raises(ValueError, match="not a lattice congruence"):
+        quotient(lattice, congruence_from_partition(lattice, blocks))
 
 
 def test_quotient_of_hexagon_is_pentagon():
@@ -250,6 +254,66 @@ def test_polygonal_closure_matches_union_find_on_random_pairs(key, data):
     assert_same_as_oracle(lattice, pairs)
 
 
+# -- quotient covers and validation against the quadratic oracles ----------
+
+
+def ji_loop_has_all_joins(lattice):
+    """Whether x v j is a least upper bound for every x and every
+    join-irreducible j, which gives every join by induction."""
+    up = lattice.up
+    for j in lattice.join_irreducibles:
+        for i in range(lattice.n):
+            m = up[i] & up[j]
+            c = m & -m
+            if m & ~up[c.bit_length() - 1]:
+                return False
+    return True
+
+
+def scanned_quotient_covers(cong):
+    """Covers of the order on the class bottoms, by testing every pair of
+    bottoms for an element strictly between them."""
+    lattice = cong.lattice
+    up, down = lattice.up, lattice.down
+    bottoms = sorted(set(cong.down_projection))
+    mask = sum(1 << b for b in bottoms)
+    covers = set()
+    for k, a in enumerate(bottoms):
+        above = up[a] & mask
+        for b in bottoms[k + 1 :]:
+            if above >> b & 1 and above & down[b] == (1 << a) | (1 << b):
+                covers.add((lattice.elements[a], lattice.elements[b]))
+    return covers
+
+
+def assert_quotient_matches_oracles(cong):
+    q = quotient_lattice(cong)
+    assert ji_loop_has_all_joins(q)
+    assert {(q.elements[a], q.elements[b]) for a, b in q.covers} == (
+        scanned_quotient_covers(cong)
+    )
+
+
+@pytest.mark.parametrize("family, rank, bond", ORACLE_SYSTEMS + [("A", 6, None)])
+def test_quotient_matches_oracles_on_orientations(family, rank, bond):
+    system = get_system(family, rank, bond)
+    lattice = system.weak_order_lattice()
+    assert ji_loop_has_all_joins(lattice)
+    for orientation in all_orientations(system):
+        pairs = [
+            (lattice.index[a], lattice.index[b])
+            for a, b in generating_pairs(system, orientation)
+        ]
+        assert_quotient_matches_oracles(congruence_closure(lattice, pairs))
+
+
+@pytest.mark.parametrize("family, rank, bond", ORACLE_SYSTEMS)
+def test_quotient_matches_oracles_on_contractions(family, rank, bond):
+    lattice = get_system(family, rank, bond).weak_order_lattice()
+    for g in lattice.join_irreducibles:
+        assert_quotient_matches_oracles(cg(lattice, g))
+
+
 def m3():
     elements = ("0", "a", "b", "c", "1")
     covers = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]
@@ -265,6 +329,9 @@ def test_m3_is_not_polygonal_and_still_closes():
     assert congruence_closure(lattice, pairs).num_classes == 1
     assert_same_as_oracle(lattice, pairs)
     assert congruence_closure(lattice, []).num_classes == lattice.n
+    assert ji_loop_has_all_joins(lattice)
+    for pairs in ([], [(idx["0"], idx["a"])], [(idx["b"], idx["c"])]):
+        assert_quotient_matches_oracles(union_find_closure(lattice, pairs))
 
 
 # -- join-irreducible validation against the all-pairs check -----------------
@@ -321,6 +388,7 @@ def test_ji_validation_agrees_with_all_pairs(drawn):
     covers = bounded_poset_covers(k, related)
     elements = tuple(range(k + 2))
     unchecked = FiniteLattice.from_covers(elements, covers, validate=False)
+    assert ji_loop_has_all_joins(unchecked) == has_all_joins(unchecked)
     if has_all_joins(unchecked):
         FiniteLattice.from_covers(elements, covers)
     else:

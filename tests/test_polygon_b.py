@@ -23,6 +23,8 @@ from cambrian import (
     symmetric_triangulations,
 )
 from cambrian.coxeter import embed_b_in_a, full_notation
+from cambrian.polygon_a import all_triangulations
+from cambrian.polygon_b import _is_symmetric
 
 
 def test_symmetric_signature_validation():
@@ -119,10 +121,21 @@ def test_b_tamari_matches_projection_fixedness():
             assert fixed == b_tamari_membership(tuple(x), variant)
 
 
-@pytest.mark.parametrize("n", [2, 3])
+def filtered_symmetric_triangulations(signature):
+    """Every triangulation of the polygon that the central symmetry fixes."""
+    return {
+        t
+        for t in all_triangulations(signature.polygon)
+        if _is_symmetric(t.diagonals, 2 * signature.n)
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_symmetric_triangulation_counts(n):
-    sig = SymmetricSignature.from_positive_ups(n, {1})
-    assert len(symmetric_triangulations(sig)) == math.comb(2 * n, n)
+    for sig in all_symmetric_signatures(n):
+        bases = [t.base for t in symmetric_triangulations(sig)]
+        assert len(bases) == len(set(bases)) == math.comb(2 * n, n)
+        assert set(bases) == filtered_symmetric_triangulations(sig)
 
 
 def test_symmetric_triangulation_lattice_matches_quotient():
