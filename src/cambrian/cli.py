@@ -103,6 +103,7 @@ def _resolve_cap(args) -> int | None:
         try:
             return int(env)
         except ValueError:
+            print("error: CAMB_CAP must be an integer", file=sys.stderr)
             raise SystemExit(USAGE_ERROR)
     return None
 
@@ -160,7 +161,7 @@ def cmd_build(args) -> int:
         "m": args.m,
         "orientation": args.orientation,
     }
-    if args.orientation:
+    if args.orientation is not None:
         orientation = parse_orientation(system, args.orientation)
         lattice = cambrian_lattice(system, orientation, cap=cap).quotient
         meta["kind"] = "cambrian"
@@ -186,7 +187,7 @@ def cmd_verify(args) -> int:
 
 def _a_signature_for(args, system: CoxeterSystem) -> UpDownSignature:
     n = system.rank + 1
-    if args.signature:
+    if args.signature is not None:
         sig = UpDownSignature.from_string(args.signature)
         if sig.n != n:
             print(
@@ -195,7 +196,7 @@ def _a_signature_for(args, system: CoxeterSystem) -> UpDownSignature:
             )
             raise SystemExit(USAGE_ERROR)
         return sig
-    if args.orientation:
+    if args.orientation is not None:
         orientation = parse_orientation(system, args.orientation)
         directed = [(s, t) for s, t, _ in orientation.edges]
         return signatures_for_orientation(n, directed)[0]

@@ -333,12 +333,8 @@ class CoxeterSystem:
         return self.right_multiply(self.identity(), name)
 
     def right_multiply(self, w, name):
-        if self.family == "A":
-            a = name
-            lst = list(w)
-            lst[a - 1], lst[a] = lst[a], lst[a - 1]
-            return tuple(lst)
-        if self.family == "B":
+        if self.family in ("A", "B"):
+            # s_0 (B only) negates the first entry; s_a swaps entries a, a+1.
             lst = list(w)
             if name == 0:
                 lst[0] = -lst[0]
@@ -354,12 +350,8 @@ class CoxeterSystem:
         return w
 
     def is_right_descent(self, w, name) -> bool:
-        if self.family == "A":
-            return w[name - 1] > w[name]
-        if self.family == "B":
-            if name == 0:
-                return w[0] < 0
-            return w[name - 1] > w[name]
+        if self.family in ("A", "B"):
+            return w[0] < 0 if name == 0 else w[name - 1] > w[name]
         self._init_generic()
         return w.perm[self._gen_index(name)] >= len(self._roots)
 

@@ -5,10 +5,14 @@ space; the type-B fan is the restriction of the type-A fan of the
 doubled polygon to the antisymmetric subspace; the H3 fan is built over
 the exact degree-2 number field of the generic realization.
 
-Each of ``check_fan_a``, ``check_fan_b`` and ``check_fan_h3`` builds the
-cone of every Cambrian class and a side-of-wall test in its own
-coordinates; one wall/dual-graph check (``_fan_faces``) serves all three:
-wall pairing, dual graph against the Hasse diagram, and f-vector.
+Every fan check builds the cone of each Cambrian class and a
+side-of-wall test, then hands them to one report (``_fan_faces``): wall
+pairing, dual graph against the Hasse diagram, and f-vector.  In A and B
+a cone is spanned by the rays of the class bottom's triangulation, and
+one class loop (``_check_fan_ab``) tests its rank and that it contains
+every member region.  In H3 a cone is cut out by the walls that leave
+its class: the wall of w's chamber opposite w * omega_k bounds the
+class exactly when w * s_k is in another class.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ from .polygon_a import (
     eta,
     polygon_from_signature,
 )
-from .polygon_b import SymmetricSignature, eta_b
+from .polygon_b import SymmetricSignature, _mirror, eta_b
 
 # ---------------------------------------------------------------------------
 # Exact linear algebra over the integers.  Rank, kernel and cone tests are
@@ -150,8 +154,7 @@ def region_cone(x: tuple[int, ...], family: str = "A") -> RationalCone:
         facets = tuple((x[i], x[i + 1]) for i in range(len(x) - 1))
         return RationalCone(tuple(_suffix_rays_a(x)), facets)
     if family == "B":
-        rays = tuple(v[len(x):] for v in _symmetric_region_rays(x))
-        return RationalCone(rays)
+        return RationalCone(tuple(_symmetric_region_rays(x)))
     raise ValueError(f"unsupported family {family!r}")
 
 
@@ -238,21 +241,20 @@ def diagonal_ray_map(signature: UpDownSignature) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Fan verification: one wall and dual-graph check for A, B and H3.
+# Fan verification: one report for A, B and H3.
 
 
-def _fan_faces(camb, cones, side):
-    """Wall pairing, dual graph and f-vector of the fan with the given cones.
+def _fan_faces(camb, cones, side, simplicial, tiling, **extra) -> dict:
+    """The report of a fan check, with wall pairing, dual graph, f-vector.
 
     ``cones[c]`` holds the ray keys of the maximal cone of congruence
     class c, and ``side(wall, a, b)`` says whether rays a and b lie
     strictly on opposite sides of the hyperplane spanned by the rays of
-    ``wall``.  Returns (paired, dual graph is Hasse, f-vector): paired
-    holds when every cone has rank-many rays and every codimension-1 face
-    lies in exactly two cones, on opposite sides; the dual graph joins
-    the two cones of each such face and is compared with the Hasse
-    diagram of the Cambrian quotient; the f-vector counts the faces
-    spanned by 1, 2, ..., rank rays.
+    ``wall``.  The tiling also needs every cone to have rank-many rays
+    and every codimension-1 face to lie in exactly two cones, on
+    opposite sides; the dual graph joins those two cones and is compared
+    with the Hasse diagram of the Cambrian quotient; the f-vector counts
+    the faces spanned by 1, 2, ..., rank rays.
     """
     dim = camb.system.rank
     paired = all(len(cone) == dim for cone in cones)
@@ -281,151 +283,141 @@ def _fan_faces(camb, cones, side):
     }
     sizes = Counter(map(len, faces))
     f_vector = tuple(sizes[size] for size in range(1, dim + 1))
-    return paired, dual_edges == hasse_edges, f_vector
+    return {
+        "num_cones": len(cones),
+        "simplicial": simplicial,
+        "tiling": tiling and paired,
+        **extra,
+        "dual_graph_is_hasse": dual_edges == hasse_edges,
+        "f_vector": f_vector,
+        "num_rays": f_vector[0],
+    }
+
+
+def _check_fan_ab(camb, cones, vectors, region_rays, row, **extra) -> dict:
+    """The fan report of type A or B, from the ray keys of each class cone.
+
+    Each cone must have rank-many independent rays and contain the
+    region of every member x, whose rays are ``region_rays(x)`` in the
+    coordinates of ``vectors``.  ``row`` joins the rays of a wall when
+    solving for its normal: the all-ones lineality in A, and in B a zero
+    row, which carries the dimension when the wall is the origin (B_1).
+    """
+    lattice = camb.congruence.lattice
+    simplicial = tiling = True
+    for members, cone in zip(camb.congruence.classes, cones):
+        rays = [vectors[a] for a in cone]
+        if _rank(rays) != camb.system.rank:
+            simplicial = False
+        for i in members:
+            for v in region_rays(lattice.elements[i]):
+                if _nonneg_combo(rays, v) is None:
+                    tiling = False
+
+    def side(wall, a, b):
+        normal = _kernel_vector([vectors[r] for r in wall] + [row])
+        return _dot(normal, vectors[a]) * _dot(normal, vectors[b]) < 0
+
+    return _fan_faces(camb, cones, side, simplicial, tiling, **extra)
 
 
 # ---------------------------------------------------------------------------
 # Fan verification, type A.
 
 
-def _signature_orientation(system: CoxeterSystem, signature: UpDownSignature):
-    return orientation_from_edges(system, signature.orientation_edges())
+def _cones_a(signature: UpDownSignature):
+    """The Cambrian lattice of the signature, and the ray subsets of each
+    class cone: those of the diagonals of the class bottom's triangulation."""
+    system = get_system("A", signature.n - 1)
+    camb = cambrian_lattice(
+        system, orientation_from_edges(system, signature.orientation_edges())
+    )
+    polygon = polygon_from_signature(signature)
+    d2s = diagonal_ray_map(signature)
+    elements = camb.congruence.lattice.elements
+    return camb, [
+        tuple(d2s[d] for d in sorted(eta(elements[members[0]], polygon).diagonals))
+        for members in camb.congruence.classes
+    ]
 
 
-def check_fan_a(signature: UpDownSignature, consistency: bool = True) -> dict:
+def check_fan_a(signature: UpDownSignature) -> dict:
     """Verify the Cambrian fan of a type-A signature.
 
     Checks, in exact arithmetic, that the maximal cones indexed by the
     congruence classes are simplicial with rays matching the class
-    triangulations, contain all member regions, and glue along facets in
-    opposite-side pairs; the dual graph is compared with the quotient's
-    Hasse diagram.
+    triangulations, contain no other fan ray, contain all member regions,
+    and glue along facets in opposite-side pairs; the dual graph is
+    compared with the quotient's Hasse diagram.
     """
     n = signature.n
-    system = get_system("A", n - 1)
-    camb = cambrian_lattice(system, _signature_orientation(system, signature))
-    lattice = camb.congruence.lattice
-    polygon = polygon_from_signature(signature)
-    d2s = diagonal_ray_map(signature)
+    camb, cones = _cones_a(signature)
     subsets = fan_ray_subsets(signature)
     vectors = {a: _int_ray(n, a) for a in subsets}
-
-    simplicial = True
-    tiling = True
     consistent = True
-    cones = []
-    for members in camb.congruence.classes:
-        t = eta(lattice.elements[members[0]], polygon)
-        cone = tuple(d2s[d] for d in sorted(t.diagonals))
-        cones.append(cone)
+    for cone in cones:
         rays = [vectors[a] for a in cone]
-        if _rank(rays) != n - 1:
-            simplicial = False
-        for i in members:
-            for v in _suffix_rays_a(lattice.elements[i], _int_ray):
-                if _nonneg_combo(rays, v) is None:
-                    tiling = False
-        if consistency:
-            for a in subsets:
-                inside = _nonneg_combo(rays, vectors[a]) is not None
-                if inside != (a in cone):
-                    consistent = False
-
-    # Walls live in the sum-zero hyperplane: the normal is orthogonal to
-    # the shared rays and to the all-ones lineality.
-    ones = (1,) * n
-
-    def side(wall, a, b):
-        normal = _kernel_vector([vectors[r] for r in wall] + [ones])
-        return _dot(normal, vectors[a]) * _dot(normal, vectors[b]) < 0
-
-    paired, dual_is_hasse, f_vector = _fan_faces(camb, cones, side)
-    return {
-        "family": "A",
-        "num_cones": len(cones),
-        "simplicial": simplicial,
-        "tiling": tiling and paired,
-        "consistency": consistent,
-        "dual_graph_is_hasse": dual_is_hasse,
-        "f_vector": f_vector,
-        "num_rays": len(subsets),
-    }
+        for a in subsets:
+            if (_nonneg_combo(rays, vectors[a]) is not None) != (a in cone):
+                consistent = False
+    report = _check_fan_ab(
+        camb,
+        cones,
+        vectors,
+        lambda x: _suffix_rays_a(x, _int_ray),
+        (1,) * n,
+        consistency=consistent,
+    )
+    return {"family": "A", **report, "num_rays": len(subsets)}
 
 
 # ---------------------------------------------------------------------------
 # Fan verification, type B (restriction to the antisymmetric subspace).
 
 
-def _mirror_diagonal(d, two_n):
-    return tuple(sorted((two_n + 1 - d[1], two_n + 1 - d[0])))
-
-
-def _chi(v):
-    """The linear map q_i -> -q_{2n+1-i} on the doubled coordinates."""
-    return tuple(-x for x in reversed(v))
-
-
-def _symmetrize(v):
-    return tuple(a + b for a, b in zip(v, _chi(v)))
+def _antisymmetric_part(v):
+    """v + chi(v), where chi maps q_i to -q_{2n+1-i} on the 2n doubled
+    coordinates, as its last n coordinates q_1..q_n, which fix it."""
+    n = len(v) // 2
+    return tuple(v[n + i] - v[n - 1 - i] for i in range(n))
 
 
 def _symmetric_region_rays(x: tuple[int, ...], ray=ray_vector):
-    """Rays of the region of a signed permutation, in doubled coordinates,
-    symmetrized from ``ray``."""
+    """Rays of the region of a signed permutation: the antisymmetric parts
+    of the doubled rays given by ``ray``."""
     n = len(x)
     e = embed_b_in_a(x)
-    return [_symmetrize(ray(2 * n, frozenset(e[k:]))) for k in range(1, n + 1)]
+    return [_antisymmetric_part(ray(2 * n, frozenset(e[k:]))) for k in range(1, n + 1)]
 
 
 def check_fan_b(signature: SymmetricSignature) -> dict:
-    """Verify the type-B Cambrian fan inside the antisymmetric subspace."""
+    """Verify the type-B Cambrian fan inside the antisymmetric subspace.
+
+    Rank, cone membership and sides of walls do not change when each
+    antisymmetric vector is kept as its last n coordinates.
+    """
     n = signature.n
     system = get_system("B", n)
     camb = cambrian_lattice(
         system, orientation_from_edges(system, signature.orientation_edges())
     )
-    lattice = camb.congruence.lattice
+    elements = camb.congruence.lattice.elements
     two_n = 2 * n
     # Both diagonals of an orbit under the central symmetry give its ray;
     # cones name each orbit by its smaller diagonal.
     vectors = {
-        d: _symmetrize(_int_ray(two_n, a))
+        d: _antisymmetric_part(_int_ray(two_n, a))
         for d, a in diagonal_ray_map(signature.a_signature()).items()
     }
-
-    simplicial = True
-    tiling = True
     cones = []
     for members in camb.congruence.classes:
-        t = eta_b(lattice.elements[members[0]], signature)
-        cone = tuple(
-            sorted({min(d, _mirror_diagonal(d, two_n)) for d in t.base.diagonals})
-        )
-        cones.append(cone)
-        rays = [vectors[d] for d in cone]
-        if _rank(rays) != n:
-            simplicial = False
-        for i in members:
-            for v in _symmetric_region_rays(lattice.elements[i], _int_ray):
-                if _nonneg_combo(rays, v) is None:
-                    tiling = False
-
-    # An antisymmetric vector is fixed by its first n coordinates.  The
-    # zero row carries the dimension when the wall is the origin (B_1).
-    def side(wall, a, b):
-        normal = _kernel_vector([vectors[r][:n] for r in wall] + [(0,) * n])
-        return _dot(normal, vectors[a][:n]) * _dot(normal, vectors[b][:n]) < 0
-
-    paired, dual_is_hasse, f_vector = _fan_faces(camb, cones, side)
-    return {
-        "family": "B",
-        "num_cones": len(cones),
-        "simplicial": simplicial,
-        "tiling": tiling and paired,
-        "dual_graph_is_hasse": dual_is_hasse,
-        "f_vector": f_vector,
-        "num_rays": f_vector[0],
-    }
+        t = eta_b(elements[members[0]], signature)
+        orbits = {min(d, _mirror(d, two_n)) for d in t.base.diagonals}
+        cones.append(tuple(sorted(orbits)))
+    report = _check_fan_ab(
+        camb, cones, vectors, lambda x: _symmetric_region_rays(x, _int_ray), (0,) * n
+    )
+    return {"family": "B", **report}
 
 
 # ---------------------------------------------------------------------------
@@ -479,62 +471,47 @@ def _scaled_weights(system: CoxeterSystem):
 def check_fan_h3(system: CoxeterSystem, orientation: Orientation) -> dict:
     """Verify the Cambrian fan of an H3 orientation over its number field.
 
-    Every chamber ray w * omega_i is an integer vector over Z[c], from the
-    scaled weights.  Each ray of the Coxeter arrangement is w * omega_i for
-    exactly one i, so the raw vector is its canonical key; and only signs
-    of determinants are read, which positive scaling does not change.
+    Every chamber ray w * omega_k is an integer vector over Z[c], from the
+    scaled weights.  Each ray of the Coxeter arrangement is w * omega_k
+    for exactly one k, so the raw vector is its canonical key; and only
+    signs of determinants are read, which positive scaling does not change.
+
+    A class is bounded by the walls its chambers share with chambers of
+    other classes; it must lie weakly on the inner side of each, and its
+    extreme rays are the member rays on two of their hyperplanes.
     """
     if system.family != "H3":
         raise ValueError("expected an H3 system")
     field = system.field
     weights = _scaled_weights(system)
     camb = cambrian_lattice(system, orientation)
-    lattice = camb.congruence.lattice
-
+    cong = camb.congruence
+    lattice = cong.lattice
     rays_of = [[system.act(w, omega) for omega in weights] for w in lattice.elements]
 
-    simplicial = True
-    tiling = True
+    simplicial = tiling = True
     cones = []
-    for members in camb.congruence.classes:
-        facet_count: dict = {}
-        member_rays = set()
+    for c, members in enumerate(cong.classes):
+        # Boundary hyperplane -> (the two rays of one wall on it, inner ray).
+        walls = {}
         for i in members:
-            rs = rays_of[i]
-            member_rays.update(rs)
-            for pair in itertools.combinations(rs, 2):
-                key = frozenset(pair)
-                facet_count[key] = facet_count.get(key, 0) + 1
-        boundary = [tuple(k) for k, cnt in facet_count.items() if cnt == 1]
-        if any(cnt > 2 for cnt in facet_count.values()):
-            tiling = False
-        # Convexity: every member ray lies weakly on the inner side of
-        # every boundary wall.
-        for u, v in boundary:
-            base_sign = 0
-            for i in members:
-                rs = rays_of[i]
-                if u in rs and v in rs:
-                    third = next(r for r in rs if r not in (u, v))
-                    base_sign = field.sign(_det3(field, u, v, third))
-                    break
-            for r in member_rays:
-                s = field.sign(_det3(field, u, v, r))
-                if s != 0 and s != base_sign:
+            w, rays = lattice.elements[i], rays_of[i]
+            for k, name in enumerate(system.generator_names):
+                ws = system.right_multiply(w, name)
+                if cong.class_of[lattice.index[ws]] != c:
+                    (t,) = system.inversion_set(w) ^ system.inversion_set(ws)
+                    walls.setdefault(t, (rays[k - 2], rays[k - 1], rays[k]))
+        member_rays = {r for i in members for r in rays_of[i]}
+        on_walls = Counter()
+        for u, v, inner in walls.values():
+            signs = {r: field.sign(_det3(field, u, v, r)) for r in member_rays}
+            for r, s in signs.items():
+                if s == 0:
+                    on_walls[r] += 1
+                elif s != signs[inner]:
                     tiling = False
-        # Extreme rays from the boundary cycle.
-        neighbors: dict = {}
-        for u, v in boundary:
-            neighbors.setdefault(u, []).append(v)
-            neighbors.setdefault(v, []).append(u)
-        extreme = []
-        for r, nbrs in neighbors.items():
-            if len(nbrs) != 2:
-                tiling = False
-                continue
-            if field.sign(_det3(field, nbrs[0], r, nbrs[1])) != 0:
-                extreme.append(r)
-        if len(extreme) != 3:
+        extreme = [r for r in member_rays if on_walls[r] >= 2]
+        if len(walls) != 3 or len(extreme) != 3:
             simplicial = False
         elif not all(_in_simplicial_cone(field, extreme, r) for r in member_rays):
             tiling = False
@@ -545,16 +522,7 @@ def check_fan_h3(system: CoxeterSystem, orientation: Orientation) -> dict:
         sign_a = field.sign(_det3(field, u, v, a))
         return sign_a * field.sign(_det3(field, u, v, b)) < 0
 
-    paired, dual_is_hasse, f_vector = _fan_faces(camb, cones, side)
-    return {
-        "family": "H3",
-        "num_cones": len(cones),
-        "simplicial": simplicial,
-        "tiling": tiling and paired,
-        "dual_graph_is_hasse": dual_is_hasse,
-        "f_vector": f_vector,
-        "num_rays": f_vector[0],
-    }
+    return {"family": "H3", **_fan_faces(camb, cones, side, simplicial, tiling)}
 
 
 def fan_passed(report: dict) -> bool:
@@ -939,15 +907,7 @@ def fan_to_json(signature: UpDownSignature) -> dict:
     n = signature.n
     subsets = fan_ray_subsets(signature)
     ray_index = {a: k for k, a in enumerate(subsets)}
-    system = get_system("A", n - 1)
-    camb = cambrian_lattice(system, _signature_orientation(system, signature))
-    lattice = camb.congruence.lattice
-    polygon = polygon_from_signature(signature)
-    d2s = diagonal_ray_map(signature)
-    cones = []
-    for members in camb.congruence.classes:
-        t = eta(lattice.elements[members[0]], polygon)
-        cones.append(sorted(ray_index[d2s[d]] for d in t.diagonals))
+    cones = [sorted(ray_index[a] for a in cone) for cone in _cones_a(signature)[1]]
     return {
         "dim": n - 1,
         "lineality": [fraction_str(Fraction(1)) for _ in range(n)],

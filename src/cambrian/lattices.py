@@ -496,7 +496,7 @@ def congruence_from_partition(
     return LatticeCongruence(lattice, class_of)
 
 
-def quotient_lattice(cong: LatticeCongruence, validate: bool = True) -> FiniteLattice:
+def quotient_lattice(cong: LatticeCongruence) -> FiniteLattice:
     """Quotient lattice; elements are the class-bottom elements.
 
     ``cong`` must be a lattice congruence.  Then a cover it does not
@@ -508,7 +508,7 @@ def quotient_lattice(cong: LatticeCongruence, validate: bool = True) -> FiniteLa
     images = {(class_of[a], class_of[b]) for a, b in lattice.covers}
     covers = sorted((c, d) for c, d in images if c != d)
     elements = tuple(lattice.elements[cls[0]] for cls in cong.classes)
-    return FiniteLattice.from_covers(elements, covers, validate=validate)
+    return FiniteLattice.from_covers(elements, covers)
 
 
 def contraction_congruence(lattice: FiniteLattice, ji_index: int) -> LatticeCongruence:

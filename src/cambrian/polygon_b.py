@@ -141,13 +141,13 @@ class TriangulationB:
         }
 
 
-def _mirror(tri, two_n: int) -> frozenset[tuple[int, int]]:
-    """The diagonals under the central symmetry p -> 2n+1-p."""
-    return frozenset((two_n + 1 - q, two_n + 1 - p) for p, q in tri)
+def _mirror(d: tuple[int, int], two_n: int) -> tuple[int, int]:
+    """The diagonal (p, q), p < q, under the central symmetry p -> 2n+1-p."""
+    return (two_n + 1 - d[1], two_n + 1 - d[0])
 
 
 def _is_symmetric(tri: frozenset[tuple[int, int]], two_n: int) -> bool:
-    return _mirror(tri, two_n) == tri
+    return all(_mirror(d, two_n) in tri for d in tri)
 
 
 def eta_b(x: tuple[int, ...], signature: SymmetricSignature) -> TriangulationB:
@@ -268,7 +268,7 @@ def symmetric_triangulations(signature: SymmetricSignature) -> list[Triangulatio
         half = cycle[k : k + n + 2]
         diameter = {tuple(sorted((half[0], half[-1])))}
         for chords in _chain_triangulations(half):
-            diagonals = chords | _mirror(chords, 2 * n) | diameter
+            diagonals = chords | {_mirror(d, 2 * n) for d in chords} | diameter
             base = TriangulationA(a_sig.n, a_sig.ups, diagonals)
             out.append(TriangulationB(signature, base))
     return out
@@ -285,7 +285,7 @@ def symmetric_triangulation_lattice(signature: SymmetricSignature) -> FiniteLatt
         diagonals = t.base.diagonals
         seen_orbits = set()
         for diag in diagonals:
-            mirror = tuple(sorted((two_n + 1 - diag[1], two_n + 1 - diag[0])))
+            mirror = _mirror(diag, two_n)
             orbit = frozenset({diag, mirror})
             if orbit in seen_orbits:
                 continue
@@ -294,8 +294,7 @@ def symmetric_triangulation_lattice(signature: SymmetricSignature) -> FiniteLatt
             if mirror == diag:
                 candidate = (diagonals - {diag}) | {new}
             else:
-                new_mirror = tuple(sorted((two_n + 1 - new[1], two_n + 1 - new[0])))
-                candidate = (diagonals - orbit) | {new, new_mirror}
+                candidate = (diagonals - orbit) | {new, _mirror(new, two_n)}
             j = index.get(frozenset(candidate))
             if j is not None and polygon.slope_less(diag, new):
                 covers.append((i, j))

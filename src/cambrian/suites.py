@@ -474,7 +474,7 @@ def suite_shard(family=None, max_rank=None, cap=None) -> dict:
 # Fans.
 
 
-def suite_fan(family=None, max_rank=None, cap=None, stasheff=True) -> dict:
+def suite_fan(family=None, max_rank=None, cap=None) -> dict:
     """Exact fan checks: simplicial tiling, dual graph, ray dictionary."""
     checks = []
     for fam in [family] if family else ["A", "B", "H3"]:
@@ -512,7 +512,7 @@ def suite_fan(family=None, max_rank=None, cap=None, stasheff=True) -> dict:
                 report = check_fan(sig)
                 ok = fan_passed(report)
                 checks.append(_check(f"{label} sig {sig.to_string()}", ok, **report))
-        if fam == "A" and stasheff:
+        if fam == "A":
             for n in range(3, _cut(7, max_rank) + 1):
                 checks.append(_check(f"stasheff rays n={n}", stasheff_ray_check(n)))
     return _report("fan", checks, family=family or "A,B,H3")

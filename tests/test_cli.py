@@ -177,6 +177,13 @@ def test_fan_a_summary(capsys):
     assert data["summary"]["simplicial"] is True
 
 
+def test_fan_a1_empty_orientation(capsys):
+    code, out = run_cli(capsys, "fan", "--family", "A", "--rank", "1", "--orientation", "")
+    assert code == 0
+    data = json.loads(out)
+    assert data["summary"] == {"num_rays": 2, "num_cones": 2, "simplicial": True}
+
+
 def test_fan_h3(capsys):
     code, out = run_cli(capsys, "fan", "--family", "H3", "--orientation", "1>2,2>3")
     assert code == 0
@@ -215,6 +222,18 @@ def test_cap_env_variable(capsys, monkeypatch):
     with pytest.raises(SystemExit) as err:
         main(["build", "--family", "A", "--rank", "2"])
     assert err.value.code == 2
+    assert "CAMB_CAP" in capsys.readouterr().err
+
+
+def test_build_empty_orientation_is_given(capsys):
+    # A_1 has no diagram edges, so "" is its one orientation.
+    code, out = run_cli(capsys, "build", "--family", "A", "--rank", "1", "--orientation", "")
+    assert code == 0
+    data = json.loads(out)
+    assert data["kind"] == "cambrian" and data["num_elements"] == 2
+    # Elsewhere it leaves diagram edges undirected.
+    code, _ = run_cli(capsys, "build", "--family", "A", "--rank", "3", "--orientation", "")
+    assert code == 2
 
 
 def test_bad_orientation_is_usage_error(capsys):

@@ -2,13 +2,19 @@
 
 import itertools
 import math
+from collections import Counter, defaultdict
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
 
 from cambrian import UpDownSignature, fans, get_system
-from cambrian.congruences import all_orientations
+from cambrian.congruences import (
+    CambrianLattice,
+    all_orientations,
+    cambrian_lattice,
+    orientation_from_edges,
+)
 from cambrian.fans import (
     alternating_signature,
     b_bipartite_signature,
@@ -40,9 +46,16 @@ from cambrian.fans import (
     tau,
     twist_check,
 )
+from cambrian.coxeter import embed_b_in_a
 from cambrian.fields import RationalField, solve_linear
-from cambrian.polygon_b import SymmetricSignature
-from cambrian.suites import catalan
+from cambrian.lattices import (
+    LatticeCongruence,
+    contraction_congruence,
+    quotient_lattice,
+)
+from cambrian.polygon_a import eta, polygon_from_signature
+from cambrian.polygon_b import SymmetricSignature, all_symmetric_signatures, eta_b
+from cambrian.suites import all_updown_signatures, catalan
 
 
 TAMARI3 = UpDownSignature(3, frozenset({1, 2, 3}))
@@ -354,3 +367,326 @@ def test_h3_cramer_containment_matches_solve(monkeypatch):
         outside += not expected
     assert all(inside for _, _, inside in seen)
     assert outside >= 20
+
+
+# ---------------------------------------------------------------------------
+# The fan checks against the boundary-cycle and per-family oracles, on
+# Cambrian congruences and on congruences that contract one join-irreducible
+# (most of whose fans fail).
+
+
+def _old_fan_faces(camb, cones, side):
+    dim = camb.system.rank
+    paired = all(len(cone) == dim for cone in cones)
+    faces = set()
+    owners = defaultdict(list)
+    for c, cone in enumerate(cones):
+        for size in range(1, dim + 1):
+            faces.update(map(frozenset, itertools.combinations(cone, size)))
+        if len(cone) == dim:
+            for ray in cone:
+                owners[frozenset(cone) - {ray}].append((c, ray))
+    dual_edges = set()
+    for wall, sides in owners.items():
+        if len(sides) != 2:
+            paired = False
+            continue
+        (c1, a), (c2, b) = sides
+        dual_edges.add(frozenset((c1, c2)))
+        paired = paired and side(tuple(wall), a, b)
+    cong, quotient = camb.congruence, camb.quotient
+    index = cong.lattice.index
+    hasse_edges = {
+        frozenset(cong.class_of[index[quotient.elements[q]]] for q in cover)
+        for cover in quotient.covers
+    }
+    sizes = Counter(map(len, faces))
+    f_vector = tuple(sizes[size] for size in range(1, dim + 1))
+    return paired, dual_edges == hasse_edges, f_vector
+
+
+def _old_check_fan_a(signature, camb):
+    """One class loop per family, as check_fan_a was before the A/B body."""
+    n = signature.n
+    lattice = camb.congruence.lattice
+    polygon = polygon_from_signature(signature)
+    d2s = diagonal_ray_map(signature)
+    subsets = fan_ray_subsets(signature)
+    vectors = {a: fans._int_ray(n, a) for a in subsets}
+    simplicial = tiling = consistent = True
+    cones = []
+    for members in camb.congruence.classes:
+        t = eta(lattice.elements[members[0]], polygon)
+        cone = tuple(d2s[d] for d in sorted(t.diagonals))
+        cones.append(cone)
+        rays = [vectors[a] for a in cone]
+        if fans._rank(rays) != n - 1:
+            simplicial = False
+        for i in members:
+            for v in fans._suffix_rays_a(lattice.elements[i], fans._int_ray):
+                if fans._nonneg_combo(rays, v) is None:
+                    tiling = False
+        for a in subsets:
+            inside = fans._nonneg_combo(rays, vectors[a]) is not None
+            if inside != (a in cone):
+                consistent = False
+    ones = (1,) * n
+
+    def side(wall, a, b):
+        normal = fans._kernel_vector([vectors[r] for r in wall] + [ones])
+        return fans._dot(normal, vectors[a]) * fans._dot(normal, vectors[b]) < 0
+
+    paired, dual_is_hasse, f_vector = _old_fan_faces(camb, cones, side)
+    return {
+        "family": "A",
+        "num_cones": len(cones),
+        "simplicial": simplicial,
+        "tiling": tiling and paired,
+        "consistency": consistent,
+        "dual_graph_is_hasse": dual_is_hasse,
+        "f_vector": f_vector,
+        "num_rays": len(subsets),
+    }
+
+
+def _old_symmetrize(v):
+    return tuple(a - b for a, b in zip(v, reversed(v)))
+
+
+def _old_check_fan_b(signature, camb):
+    """check_fan_b before the A/B body, in doubled coordinates."""
+    n = signature.n
+    lattice = camb.congruence.lattice
+    two_n = 2 * n
+    vectors = {
+        d: _old_symmetrize(fans._int_ray(two_n, a))
+        for d, a in diagonal_ray_map(signature.a_signature()).items()
+    }
+    simplicial = tiling = True
+    cones = []
+    for members in camb.congruence.classes:
+        t = eta_b(lattice.elements[members[0]], signature)
+        cone = tuple(
+            sorted(
+                {
+                    min(d, tuple(sorted((two_n + 1 - d[1], two_n + 1 - d[0]))))
+                    for d in t.base.diagonals
+                }
+            )
+        )
+        cones.append(cone)
+        rays = [vectors[d] for d in cone]
+        if fans._rank(rays) != n:
+            simplicial = False
+        for i in members:
+            e = embed_b_in_a(lattice.elements[i])
+            for k in range(1, n + 1):
+                v = _old_symmetrize(fans._int_ray(two_n, frozenset(e[k:])))
+                if fans._nonneg_combo(rays, v) is None:
+                    tiling = False
+
+    def side(wall, a, b):
+        normal = fans._kernel_vector([vectors[r][:n] for r in wall] + [(0,) * n])
+        return fans._dot(normal, vectors[a][:n]) * fans._dot(normal, vectors[b][:n]) < 0
+
+    paired, dual_is_hasse, f_vector = _old_fan_faces(camb, cones, side)
+    return {
+        "family": "B",
+        "num_cones": len(cones),
+        "simplicial": simplicial,
+        "tiling": tiling and paired,
+        "dual_graph_is_hasse": dual_is_hasse,
+        "f_vector": f_vector,
+        "num_rays": f_vector[0],
+    }
+
+
+def _old_check_fan_h3(system, camb):
+    """check_fan_h3 with cones from boundary cycles: pair counting, a
+    base-sign search per boundary wall, and the neighbour graph."""
+    field = system.field
+    lattice = camb.congruence.lattice
+    weights = fans._scaled_weights(system)
+    rays_of = [[system.act(w, omega) for omega in weights] for w in lattice.elements]
+    det3 = fans._det3
+    simplicial = tiling = True
+    cones = []
+    for members in camb.congruence.classes:
+        facet_count: dict = {}
+        member_rays = set()
+        for i in members:
+            rs = rays_of[i]
+            member_rays.update(rs)
+            for pair in itertools.combinations(rs, 2):
+                key = frozenset(pair)
+                facet_count[key] = facet_count.get(key, 0) + 1
+        boundary = [tuple(k) for k, cnt in facet_count.items() if cnt == 1]
+        if any(cnt > 2 for cnt in facet_count.values()):
+            tiling = False
+        for u, v in boundary:
+            base_sign = 0
+            for i in members:
+                rs = rays_of[i]
+                if u in rs and v in rs:
+                    third = next(r for r in rs if r not in (u, v))
+                    base_sign = field.sign(det3(field, u, v, third))
+                    break
+            for r in member_rays:
+                s = field.sign(det3(field, u, v, r))
+                if s != 0 and s != base_sign:
+                    tiling = False
+        neighbors: dict = {}
+        for u, v in boundary:
+            neighbors.setdefault(u, []).append(v)
+            neighbors.setdefault(v, []).append(u)
+        extreme = []
+        for r, nbrs in neighbors.items():
+            if len(nbrs) != 2:
+                tiling = False
+                continue
+            if field.sign(det3(field, nbrs[0], r, nbrs[1])) != 0:
+                extreme.append(r)
+        if len(extreme) != 3:
+            simplicial = False
+        elif not all(fans._in_simplicial_cone(field, extreme, r) for r in member_rays):
+            tiling = False
+        cones.append(tuple(extreme))
+
+    def side(wall, a, b):
+        u, v = wall
+        sign_a = field.sign(det3(field, u, v, a))
+        return sign_a * field.sign(det3(field, u, v, b)) < 0
+
+    paired, dual_is_hasse, f_vector = _old_fan_faces(camb, cones, side)
+    return {
+        "family": "H3",
+        "num_cones": len(cones),
+        "simplicial": simplicial,
+        "tiling": tiling and paired,
+        "dual_graph_is_hasse": dual_is_hasse,
+        "f_vector": f_vector,
+        "num_rays": f_vector[0],
+    }
+
+
+def _with_quotient(system, orientation, congruences):
+    return [
+        CambrianLattice(system, orientation, cong, quotient_lattice(cong))
+        for cong in congruences
+    ]
+
+
+def _contractions(system):
+    """The congruence generated by each join-irreducible of the weak order."""
+    lattice = system.weak_order_lattice()
+    return [contraction_congruence(lattice, g) for g in lattice.join_irreducibles]
+
+
+def _moved_members(camb):
+    """Partitions, not congruences, that move one member x other than a
+    class bottom into the class of a lower cover of x.  No class bottom
+    changes, so the A and B cones and the quotient stay, but the region of
+    x leaves the cone of its new class."""
+    cong = camb.congruence
+    lattice = cong.lattice
+    bottoms = {members[0] for members in cong.classes}
+    out = []
+    for x in set(range(lattice.n)) - bottoms:
+        for y in lattice.lower[x]:
+            if cong.class_of[y] != cong.class_of[x]:
+                class_of = list(cong.class_of)
+                class_of[x] = cong.class_of[y]
+                moved = LatticeCongruence(lattice, class_of)
+                out.append(CambrianLattice(camb.system, None, moved, camb.quotient))
+    return out
+
+
+def _memoize(monkeypatch, name, key):
+    """Cache a pure helper of ``fans``: the congruences of one group share
+    most of their cones, so both checks repeat the same exact solves."""
+    fn = getattr(fans, name)
+    cache = {}
+
+    def cached(*args):
+        k = key(*args)
+        if k not in cache:
+            cache[k] = fn(*args)
+        return cache[k]
+
+    monkeypatch.setattr(fans, name, cached)
+
+
+def _same_reports(monkeypatch, cambs, check, oracle):
+    """The report of ``check`` on each lattice, fed to it through
+    ``fans.cambrian_lattice``, after comparing it with ``oracle``."""
+    reports = []
+    for camb in cambs:
+        monkeypatch.setattr(fans, "cambrian_lattice", lambda *args, **kwargs: camb)
+        report = check()
+        assert report == oracle(camb)
+        reports.append(report)
+    return reports
+
+
+def test_h3_leaving_walls_match_boundary_cycles(monkeypatch):
+    _memoize(monkeypatch, "_det3", lambda field, *rows: rows)
+    system = get_system("H3")
+    lattice = system.weak_order_lattice()
+    trivial = LatticeCongruence(lattice, list(range(lattice.n)))
+    reports = []
+    for k, orientation in enumerate(all_orientations(system)):
+        congruences = [cambrian_lattice(system, orientation).congruence]
+        if k == 0:
+            congruences += [trivial] + _contractions(system)
+        reports += _same_reports(
+            monkeypatch,
+            _with_quotient(system, orientation, congruences),
+            lambda: fans.check_fan_h3(system, orientation),
+            lambda camb: _old_check_fan_h3(system, camb),
+        )
+    assert len(reports) == 4 + 1 + 59
+    assert sum(fan_passed(r) for r in reports) >= 5
+    assert any(not r["simplicial"] for r in reports)
+    assert any(not r["tiling"] for r in reports)
+
+
+def _rows(vectors):
+    return tuple(map(tuple, vectors))
+
+
+def test_ab_body_matches_per_family_loops(monkeypatch):
+    _memoize(monkeypatch, "_rank", _rows)
+    _memoize(monkeypatch, "_nonneg_combo", lambda rays, v: (_rows(rays), tuple(v)))
+    cases = (
+        [("A", 3, sig) for sig in all_updown_signatures(4)]
+        + [("B", 3, sig) for sig in all_symmetric_signatures(3)]
+        + [("A", 4, sig) for sig in all_updown_signatures(5)[::6]]
+    )
+    reports = []
+    moved = []
+    for family, rank, sig in cases:
+        system = get_system(family, rank)
+        orientation = orientation_from_edges(system, sig.orientation_edges())
+        check, oracle = {
+            "A": (check_fan_a, _old_check_fan_a),
+            "B": (check_fan_b, _old_check_fan_b),
+        }[family]
+        congruences = [cambrian_lattice(system, orientation).congruence]
+        cambs = _with_quotient(system, orientation, congruences + _contractions(system))
+        reports += _same_reports(
+            monkeypatch, cambs, lambda: check(sig), lambda camb: oracle(sig, camb)
+        )
+        if rank == 3:
+            moved += _same_reports(
+                monkeypatch,
+                _moved_members(cambs[0]),
+                lambda: check(sig),
+                lambda camb: oracle(sig, camb),
+            )
+    assert len(reports) == 16 * 12 + 8 * 24 + 6 * 27
+    assert sum(fan_passed(r) for r in reports) == len(cases)
+    assert sum(not r["tiling"] for r in reports) == len(reports) - len(cases)
+    # Only the member regions show that a moved member left its cone.
+    assert len(moved) == 72 + 88
+    assert not any(r["tiling"] for r in moved)
+    assert all(r["simplicial"] and r["dual_graph_is_hasse"] for r in moved)

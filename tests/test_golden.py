@@ -49,6 +49,10 @@ CASES = {
     ],
     "fan B n=2": ["fan", "--family", "B", "--rank", "2", "--signature", "ud"],
     "fan B n=3": ["fan", "--family", "B", "--rank", "3", "--signature", "udu"],
+    # Larger fans: S_5, S_6 and B_4 cones.
+    "fan A n=5": ["fan", "--family", "A", "--rank", "4", "--signature", "uduud"],
+    "fan A n=6": ["fan", "--family", "A", "--rank", "5", "--signature", "uduudu"],
+    "fan B n=4": ["fan", "--family", "B", "--rank", "4", "--signature", "udud"],
     **{
         f"fan H3 {o}": ["fan", "--family", "H3", "--orientation", o]
         for o in H3_ORIENTATIONS
@@ -95,11 +99,14 @@ GOLDEN = {
     "build I2 m=7 weak json": (0, "91b205fe22a439aaadbc1e064ccb726215b55c132e529bf06996a8f8bf76bf8e"),
     "build I2 weak dot": (0, "713b403350e587e291948f01dbccb96c1a9140a097a3f1ad34ace8bdf62adc9f"),
     "build I2 weak json": (0, "887e5423158b746ee93ee631c324f1654db509effd2fca5d2acd9569a0118bcc"),
+    "fan A n=5": (0, "0f2a51cdd31d46f64e3a450b78a4dbee703d59130d3a2d4f7e7de7109583326d"),
+    "fan A n=6": (0, "e0346b04c4107bac9c93cda96e41c737f75e60cd4fd27873d8ba28aa4d638e22"),
     "fan A orientation": (0, "05faaa382747f351f24e123e84060731846448910020b491a30fb1c0f431089d"),
     "fan A signature": (0, "e91e30bf2e88615c643e6d894922a2d98e5c534be6062aee4e96d2d0335e9ad8"),
     "fan A stasheff": (0, "ce25d544fe628937c77c7d554fbe3ce37bb7f8ae708f05b652c5f4ee410cf941"),
     "fan B n=2": (0, "25cde8ab4a14186b16d63bd666675c2d783ec8d5958a52f84928d4226f8a7791"),
     "fan B n=3": (0, "c5551f8d1b08352fd7ee74dccb242691b9b2a9f9750e7b1b43f70fd624d924dc"),
+    "fan B n=4": (0, "1c1747ffbdc1b9fb11191433045ef544d1a9749489927a42b478b4f211ca23a0"),
     "fan H3 1>2,2>3": (0, "f87d343a44c9f902548bf4e806a2c24c69fa8315db58469fa9fc0a3da4e7f205"),
     "fan H3 1>2,3>2": (0, "40373bc7c6574b4f96fcf8f4a094ab7f2d010fb3533ae8eb85f5a50b4bfe0d29"),
     "fan H3 2>1,2>3": (0, "f0507ae22db989f931b13bd1a3e4911d28ea1a088095fceacff349bad4a3e80b"),
