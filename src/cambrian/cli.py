@@ -20,7 +20,10 @@ fails), 2 usage error (including a family a suite does not cover), 3
 element cap exceeded, 4 internal error (an invariant of the program
 failed; the message goes to stderr).  The environment variable
 ``CAMB_CAP`` overrides the default element cap; the ``--cap`` flag
-overrides both.  Every command honours the cap, ``fan`` included.
+overrides both.  Every command honours the cap: ``build`` and ``fan``
+build the weak order under it first; ``verify`` builds each group's weak
+order under it before that group's checks, and its ``patterns`` suite,
+which builds no weak order, checks n! against it before enumerating S_n.
 """
 
 from __future__ import annotations
@@ -160,14 +163,14 @@ def cmd_build(args) -> int:
         "rank": args.rank,
         "m": args.m,
         "orientation": args.orientation,
+        "kind": "weak-order" if args.orientation is None else "cambrian",
     }
+    orientation = None
     if args.orientation is not None:
         orientation = parse_orientation(system, args.orientation)
-        lattice = cambrian_lattice(system, orientation, cap=cap).quotient
-        meta["kind"] = "cambrian"
-    else:
-        lattice = system.weak_order_lattice(cap=cap)
-        meta["kind"] = "weak-order"
+    lattice = system.weak_order_lattice(cap=cap)
+    if orientation is not None:
+        lattice = cambrian_lattice(system, orientation).quotient
     if args.format == "dot":
         title = f"{args.family} {args.orientation or 'weak order'}"
         _emit(lattice_to_dot(system, lattice, title), args.output)

@@ -133,9 +133,9 @@ class CambrianLattice:
 
 
 def cambrian_congruence(
-    system: CoxeterSystem, orientation: Orientation, cap=None
+    system: CoxeterSystem, orientation: Orientation
 ) -> LatticeCongruence:
-    lattice = system.weak_order_lattice(cap=cap)
+    lattice = system.weak_order_lattice()
     pairs = [
         (lattice.index[a], lattice.index[b])
         for a, b in generating_pairs(system, orientation)
@@ -144,9 +144,9 @@ def cambrian_congruence(
 
 
 def cambrian_lattice(
-    system: CoxeterSystem, orientation: Orientation, cap=None
+    system: CoxeterSystem, orientation: Orientation
 ) -> CambrianLattice:
-    cong = cambrian_congruence(system, orientation, cap=cap)
+    cong = cambrian_congruence(system, orientation)
     return CambrianLattice(system, orientation, cong, quotient_lattice(cong))
 
 
@@ -215,14 +215,12 @@ def _diagram_maps(a: Orientation, b: Orientation, reverse: bool) -> bool:
     return False
 
 
-def check_iso_anti_iso(
-    system: CoxeterSystem, a: Orientation, b: Orientation, cap=None
-) -> dict:
+def check_iso_anti_iso(system: CoxeterSystem, a: Orientation, b: Orientation) -> dict:
     """Diagram-level decision, confirmed by lattice-level search."""
     iso = _diagram_maps(a, b, reverse=False)
     anti = _diagram_maps(a, b, reverse=True)
-    la = cambrian_lattice(system, a, cap=cap).quotient
-    lb = cambrian_lattice(system, b, cap=cap).quotient
+    la = cambrian_lattice(system, a).quotient
+    lb = cambrian_lattice(system, b).quotient
     lat_iso = poset_isomorphism(la, lb) is not None
     lat_anti = poset_anti_isomorphism(la, lb) is not None
     verdict = {
@@ -243,10 +241,9 @@ def check_iso_anti_iso(
 # Descent map and parabolic restriction.
 
 
-def descent_quotient_check(system: CoxeterSystem, orientation: Orientation, cap=None):
+def descent_quotient_check(system: CoxeterSystem, orientation: Orientation):
     """Classwise descents respect joins (union) and meets (intersection)."""
-    camb = cambrian_lattice(system, orientation, cap=cap)
-    quotient = camb.quotient
+    quotient = cambrian_lattice(system, orientation).quotient
     delta = [frozenset(system.left_descents(e)) for e in quotient.elements]
     for x, y in itertools.combinations_with_replacement(range(quotient.n), 2):
         j = quotient.join(x, y)
@@ -272,17 +269,11 @@ def parabolic_elements(system: CoxeterSystem, K) -> set:
     return seen
 
 
-def parabolic_restriction_check(
-    system: CoxeterSystem, orientation: Orientation, K, cap=None
-):
+def parabolic_restriction_check(system: CoxeterSystem, orientation: Orientation, K):
     """Restricting the congruence to W_K matches the sub-orientation's one."""
     K = frozenset(K)
-    lattice = system.weak_order_lattice(cap=cap)
-    pairs = [
-        (lattice.index[a], lattice.index[b])
-        for a, b in generating_pairs(system, orientation)
-    ]
-    cong = congruence_closure(lattice, pairs)
+    cong = cambrian_congruence(system, orientation)
+    lattice = cong.lattice
     members = parabolic_elements(system, K)
     member_idx = [i for i, w in enumerate(lattice.elements) if w in members]
     pos = {i: k for k, i in enumerate(member_idx)}

@@ -450,19 +450,15 @@ class CoxeterSystem:
 
     # -- weak order enumeration ---------------------------------------------
 
-    def weak_order_lattice(self, cap: Optional[int] = None, validate: bool = True):
-        """The weak order as a lattice; CapExceeded if it has more than
-        ``cap`` elements.  Only a validated build is kept for later calls:
-        one that finished under a cap is the whole weak order too."""
-        lattice = self._lattice
-        if lattice is None:
-            elements, covers = self._enumerate(cap)
-            lattice = FiniteLattice.from_covers(elements, covers, validate=validate)
-            if validate:
-                self._lattice = lattice
-        elif cap is not None and lattice.n > cap:
+    def weak_order_lattice(self, cap: Optional[int] = None):
+        """The weak order as a validated lattice, built once and kept (a
+        build that finished under a cap is the whole weak order too);
+        CapExceeded if it has more than ``cap`` elements."""
+        if self._lattice is None:
+            self._lattice = FiniteLattice.from_covers(*self._enumerate(cap))
+        elif cap is not None and self._lattice.n > cap:
             raise CapExceeded(f"weak order enumeration exceeded cap {cap}")
-        return lattice
+        return self._lattice
 
     def _enumerate(self, cap):
         start = self.identity()

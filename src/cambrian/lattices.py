@@ -56,7 +56,6 @@ class FiniteLattice:
         self.top = next(i for i in range(self.n) if not upper[i])
         self._ji: Optional[list[int]] = None
         self._mi: Optional[list[int]] = None
-        self._mobius_cache: dict[tuple[int, int], int] = {}
         self._forcing = _UNDECIDED
 
     # -- construction -------------------------------------------------------
@@ -150,12 +149,6 @@ class FiniteLattice:
     def meet(self, i: int, j: int) -> int:
         return (self.down[i] & self.down[j]).bit_length() - 1
 
-    def join_many(self, indices) -> int:
-        mask = self.up[self.bottom]
-        for i in indices:
-            mask &= self.up[i]
-        return _lsb(mask)
-
     def interval(self, i: int, j: int) -> list[int]:
         mask = self.up[i] & self.down[j]
         out = []
@@ -194,18 +187,16 @@ class FiniteLattice:
     # -- Möbius function and atomicity --------------------------------------
 
     def mobius(self, i: int, j: int) -> int:
-        if not self.le(i, j):
-            return 0
-        key = (i, j)
-        cached = self._mobius_cache.get(key)
-        if cached is not None:
-            return cached
-        if i == j:
-            value = 1
-        else:
-            value = -sum(self.mobius(i, z) for z in self.interval(i, j) if z != j)
-        self._mobius_cache[key] = value
-        return value
+        """mu(i, j) by Rota's crosscut theorem (Bjorner, Topological
+        methods, Handbook of Combinatorics, 1995, section 10): the sum of
+        (-1)^|S| over the sets S of atoms of [i, j] whose join with i is j;
+        0 unless i <= j.  The atoms are upper covers of i, at most rank-many
+        in a weak order and in its quotients."""
+        terms = [(self.up[i], 1)]
+        for a in self.upper[i]:
+            if self.le(a, j):
+                terms += [(mask & self.up[a], -sign) for mask, sign in terms]
+        return sum(sign for mask, sign in terms if _lsb(mask) == j)
 
     def is_atomic_interval(self, i: int, j: int) -> bool:
         """Whether j is the join of the atoms of the interval [i, j]."""
@@ -531,7 +522,11 @@ def forcing_arrows(lattice: FiniteLattice) -> dict[int, frozenset[int]]:
 # Poset isomorphism search (for duality and shape checks on small posets).
 
 
-def _refine_signatures(lattice: FiniteLattice, rounds: int = 3):
+# Rounds of neighbour refinement in the isomorphism search's invariants.
+_REFINE_ROUNDS = 3
+
+
+def _refine_signatures(lattice: FiniteLattice):
     n = lattice.n
     sigs = [
         (
@@ -542,7 +537,7 @@ def _refine_signatures(lattice: FiniteLattice, rounds: int = 3):
         )
         for i in range(n)
     ]
-    for _ in range(rounds):
+    for _ in range(_REFINE_ROUNDS):
         keys = [
             (
                 sigs[i],

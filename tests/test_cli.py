@@ -291,6 +291,22 @@ def test_fan_cap_exceeded_exit_code(capsys, argv):
     assert out == ""
 
 
+@pytest.mark.parametrize("suite", suites.SUITE_NAMES)
+def test_verify_honours_cap(capsys, suite):
+    # Every suite reads a group of more than 5 elements before its first
+    # verdict, so none of them may finish under this cap.
+    code, out = run_cli(capsys, "verify", "--suite", suite, "--cap", "5")
+    assert code == 3
+    assert out == ""
+
+
+def test_verify_fan_h3_honours_cap_env_variable(capsys, monkeypatch):
+    monkeypatch.setenv("CAMB_CAP", "5")
+    code, out = run_cli(capsys, "verify", "--suite", "fan", "--family", "H3")
+    assert code == 3
+    assert out == ""
+
+
 def test_fan_cap_env_variable(capsys, monkeypatch):
     monkeypatch.setenv("CAMB_CAP", "5")
     code, _ = run_cli(capsys, "fan", "--family", "H3", "--orientation", "1>2,2>3")

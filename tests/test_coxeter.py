@@ -75,12 +75,6 @@ def test_weak_order_cap_holds_after_cached_build():
     assert system.weak_order_lattice(cap=24) is lattice
 
 
-def test_weak_order_unvalidated_build_is_not_cached():
-    system = build_system("A", 2)
-    unchecked = system.weak_order_lattice(validate=False)
-    assert system.weak_order_lattice() is not unchecked
-
-
 def test_get_system_is_one_memo_table():
     import cambrian
     from cambrian import suites

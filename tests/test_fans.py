@@ -119,6 +119,40 @@ def test_check_fan_a_small():
     assert report["dual_graph_is_hasse"]
 
 
+def test_check_fan_a_tiling_fails_when_a_wall_does_not_separate(monkeypatch):
+    # Reflect the ray {2} of the S3 Tamari fan through the origin, in the
+    # fan rays and the region rays alike.  Every class still fills its
+    # cone and every wall still has two cones, but the two cones on the
+    # wall {2,3} now lie on the same side of it.
+    int_ray = fans._int_ray
+
+    def reflected(n, members):
+        ray = int_ray(n, members)
+        return tuple(-x for x in ray) if members == {2} else ray
+
+    monkeypatch.setattr(fans, "_int_ray", reflected)
+    report = check_fan_a(TAMARI3)
+    assert report["simplicial"] and report["dual_graph_is_hasse"]
+    assert report["tiling"] is False
+
+
+def test_check_fan_a_consistency_fails_when_a_cone_lists_a_neighbours_ray(monkeypatch):
+    # The cone on the rays {1,2} and {2} lists {2,3}, a ray of its
+    # neighbour, in place of {2}; the cone it spans holds the unlisted {2}.
+    cones_a = fans._cones_a
+    wrong = {frozenset({1, 2}), frozenset({2})}
+
+    def swapped(signature):
+        camb, cones = cones_a(signature)
+        return camb, [
+            (frozenset({1, 2}), frozenset({2, 3})) if set(cone) == wrong else cone
+            for cone in cones
+        ]
+
+    monkeypatch.setattr(fans, "_cones_a", swapped)
+    assert check_fan_a(TAMARI3)["consistency"] is False
+
+
 def test_check_fan_a4_f_vector():
     sig = UpDownSignature(4, frozenset({2, 4}))
     report = check_fan_a(sig)

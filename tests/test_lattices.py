@@ -334,6 +334,33 @@ def test_m3_is_not_polygonal_and_still_closes():
         assert_quotient_matches_oracles(union_find_closure(lattice, pairs))
 
 
+# -- crosscut Möbius function against the recursive definition --------------
+
+
+def assert_mobius_matches_recursion(lattice):
+    """mu(i, i) = 1 and mu(i, j) = -sum of mu(i, z) over i <= z < j."""
+    mu = {}
+    for i in range(lattice.n):
+        # An interval lists its elements along a linear extension.
+        for j in lattice.interval(i, lattice.top):
+            below = (mu[i, z] for z in lattice.interval(i, j) if z != j)
+            mu[i, j] = 1 if i == j else -sum(below)
+    for i, j in itertools.product(range(lattice.n), repeat=2):
+        assert lattice.mobius(i, j) == mu.get((i, j), 0), (i, j)
+
+
+@pytest.mark.parametrize("family, rank", [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3)])
+def test_crosscut_mobius_matches_recursion_on_cambrian_quotients(family, rank):
+    system = get_system(family, rank)
+    for orientation in all_orientations(system):
+        assert_mobius_matches_recursion(cambrian_lattice(system, orientation).quotient)
+
+
+def test_crosscut_mobius_matches_recursion_on_small_lattices():
+    for lattice in (m3(), pentagon(), hexagon()):
+        assert_mobius_matches_recursion(lattice)
+
+
 # -- join-irreducible validation against the all-pairs check -----------------
 
 
