@@ -5,6 +5,13 @@ space; the type-B fan is the restriction of the type-A fan of the
 doubled polygon to the antisymmetric subspace; the H3 fan is built over
 the exact degree-2 number field of the generic realization.
 
+Inside the module the A and B rays are integers: n * ray in S_n and 2n
+* ray in B_n, where rank, kernels, cone membership and wall sides are
+unchanged.  Only ``ray_vector``, ``region_cone`` and ``fan_to_json``
+divide, at the public boundary.  One table, ``_rays_and_diagonals``,
+pairs each ray subset with its polygon diagonal, and the ray list, the
+ray-to-diagonal map and its inverse all read it.
+
 Every fan check builds the cone of each Cambrian class and a
 side-of-wall test, then hands them to one report (``_fan_faces``): wall
 pairing, dual graph against the Hasse diagram, and f-vector.  In A and B
@@ -22,7 +29,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, lcm
+from math import comb
 
 from .congruences import Orientation, cambrian_lattice, orientation_from_edges
 from .coxeter import CoxeterSystem, embed_b_in_a, get_system
@@ -94,14 +101,9 @@ def _dot(u, v):
 def _nonneg_combo(rays, v):
     """Coefficients >= 0 with sum(lambda_i * ray_i) = v, or None.
 
-    None also when the rays are linearly dependent.  Entries may be int
-    or Fraction; each equation is scaled to integers before elimination.
+    None also when the rays are linearly dependent.  Entries are integers.
     """
-    matrix = []
-    for i in range(len(v)):
-        row = [r[i] for r in rays] + [v[i]]
-        den = lcm(*(x.denominator for x in row))
-        matrix.append([x.numerator * (den // x.denominator) for x in row])
+    matrix = [[r[i] for r in rays] + [v[i]] for i in range(len(v))]
     rows, pivots, d = _echelon(matrix)
     k = len(rays)
     if pivots != list(range(k)):
@@ -123,43 +125,41 @@ class RationalCone:
     facets: tuple = ()
 
 
-def ray_vector(n: int, members: frozenset[int]) -> tuple[Fraction, ...]:
-    """Indicator of the subset, projected to the sum-zero hyperplane."""
-    share = Fraction(len(members), n)
-    return tuple(
-        (Fraction(1) if i in members else Fraction(0)) - share
-        for i in range(1, n + 1)
-    )
-
-
 def _int_ray(n: int, members: frozenset[int]) -> tuple[int, ...]:
     """n * ray_vector(n, members): n on the subset, minus its size."""
     size = len(members)
     return tuple((n if i in members else 0) - size for i in range(1, n + 1))
 
 
-def _suffix_rays_a(x: tuple[int, ...], ray=ray_vector):
-    """Extreme rays of the weak-order region of a permutation.
+def _divided(ray, d: int) -> tuple[Fraction, ...]:
+    return tuple(Fraction(x, d) for x in ray)
+
+
+def ray_vector(n: int, members: frozenset[int]) -> tuple[Fraction, ...]:
+    """Indicator of the subset, projected to the sum-zero hyperplane."""
+    return _divided(_int_ray(n, members), n)
+
+
+def _suffix_rays_a(x: tuple[int, ...]):
+    """Extreme rays of the weak-order region of a permutation, times n.
 
     The region of x is the chain p_{x_1} <= ... <= p_{x_n}; its extreme
     rays (modulo the all-ones lineality) are the projected indicators of
-    the suffix value sets of the one-line notation, as given by ``ray``.
+    the suffix value sets of the one-line notation.
     """
     n = len(x)
-    return [ray(n, frozenset(x[k:])) for k in range(1, n)]
+    return [_int_ray(n, frozenset(x[k:])) for k in range(1, n)]
 
 
 def region_cone(x: tuple[int, ...], family: str = "A") -> RationalCone:
+    n = len(x)
     if family == "A":
-        facets = tuple((x[i], x[i + 1]) for i in range(len(x) - 1))
-        return RationalCone(tuple(_suffix_rays_a(x)), facets)
+        facets = tuple((x[i], x[i + 1]) for i in range(n - 1))
+        return RationalCone(tuple(_divided(r, n) for r in _suffix_rays_a(x)), facets)
     if family == "B":
-        return RationalCone(tuple(_symmetric_region_rays(x)))
+        rays = _symmetric_region_rays(x)
+        return RationalCone(tuple(_divided(r, 2 * n) for r in rays))
     raise ValueError(f"unsupported family {family!r}")
-
-
-def suffix_interval_subsets(n: int):
-    return [frozenset(range(k + 1, n + 1)) for k in range(1, n)]
 
 
 def a_kl_subset(signature: UpDownSignature, k: int, l: int) -> frozenset[int]:
@@ -175,15 +175,41 @@ def a_kl_subset(signature: UpDownSignature, k: int, l: int) -> frozenset[int]:
     return frozenset(lo | up_part | hi)
 
 
-def fan_ray_subsets(signature: UpDownSignature) -> list[frozenset[int]]:
+def _rays_and_diagonals(signature: UpDownSignature):
+    """(ray subset, polygon diagonal) for every ray of the Cambrian fan.
+
+    The suffix intervals {k+1..n} come first, then a_kl for k <= l.  Each
+    diagonal joins the nearest up or down vertex at or below k to the
+    nearest up or down vertex at or above k+1 (l+1 for a_kl); 0 and n+1
+    count as both.
+    """
     n = signature.n
-    subsets = suffix_interval_subsets(n)
+    up, down = signature.is_up, signature.is_down
+
+    def below(i, test):
+        return max(v for v in range(i + 1) if test(v))
+
+    def above(i, test):
+        return min(v for v in range(i, n + 2) if test(v))
+
+    out = [
+        (frozenset(range(k + 1, n + 1)), (below(k, up), above(k + 1, down)))
+        for k in range(1, n)
+    ]
     for k in range(1, n):
-        for l in range(k, n):
-            subsets.append(a_kl_subset(signature, k, l))
-    if len(set(subsets)) != len(subsets):
-        raise AssertionError("fan ray subsets are not distinct")
-    return subsets
+        out.append((a_kl_subset(signature, k, k), (below(k, down), above(k + 1, up))))
+        for l in range(k + 1, n):
+            left = below(k, up if up(k + 1) else down)
+            right = above(l + 1, up if up(l) else down)
+            out.append((a_kl_subset(signature, k, l), (left, right)))
+    for column in zip(*out):
+        if len(set(column)) != len(out):
+            raise AssertionError("fan rays and diagonals are not paired one to one")
+    return out
+
+
+def fan_ray_subsets(signature: UpDownSignature) -> list[frozenset[int]]:
+    return [a for a, _ in _rays_and_diagonals(signature)]
 
 
 def cambrian_fan_rays(signature: UpDownSignature):
@@ -194,50 +220,15 @@ def cambrian_fan_rays(signature: UpDownSignature):
 
 def ray_to_diagonal(a: frozenset[int], signature: UpDownSignature):
     """The polygon diagonal whose triangulations' cones contain the ray."""
-    n = signature.n
-
-    def mu_up(i):
-        return max(v for v in range(i + 1) if signature.is_up(v))
-
-    def mu_down(i):
-        return max(v for v in range(i + 1) if signature.is_down(v))
-
-    def nu_up(i):
-        return min(v for v in range(i, n + 2) if signature.is_up(v))
-
-    def nu_down(i):
-        return min(v for v in range(i, n + 2) if signature.is_down(v))
-
-    for k in range(1, n):
-        if a == frozenset(range(k + 1, n + 1)):
-            return tuple(sorted((mu_up(k), nu_down(k + 1))))
-    for k in range(1, n):
-        for l in range(k, n):
-            if a != a_kl_subset(signature, k, l):
-                continue
-            if k == l:
-                return tuple(sorted((mu_down(k), nu_up(k + 1))))
-            if signature.is_up(k + 1):
-                left = mu_up(k)
-            else:
-                left = mu_down(k)
-            if signature.is_up(l):
-                right = nu_up(l + 1)
-            else:
-                right = nu_down(l + 1)
-            return tuple(sorted((left, right)))
+    for subset, d in _rays_and_diagonals(signature):
+        if subset == a:
+            return d
     raise ValueError(f"{sorted(a)} is not a ray subset for this signature")
 
 
 def diagonal_ray_map(signature: UpDownSignature) -> dict:
     """Diagonal -> ray subset; a bijection onto the polygon's diagonals."""
-    out = {}
-    for a in fan_ray_subsets(signature):
-        d = ray_to_diagonal(a, signature)
-        if d in out:
-            raise AssertionError(f"two ray subsets map to diagonal {d}")
-        out[d] = a
-    return out
+    return {d: a for a, d in _rays_and_diagonals(signature)}
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +352,7 @@ def check_fan_a(signature: UpDownSignature) -> dict:
             if (_nonneg_combo(rays, vectors[a]) is not None) != (a in cone):
                 consistent = False
     report = _check_fan_ab(
-        camb,
-        cones,
-        vectors,
-        lambda x: _suffix_rays_a(x, _int_ray),
-        (1,) * n,
-        consistency=consistent,
+        camb, cones, vectors, _suffix_rays_a, (1,) * n, consistency=consistent
     )
     return {"family": "A", **report, "num_rays": len(subsets)}
 
@@ -382,12 +368,14 @@ def _antisymmetric_part(v):
     return tuple(v[n + i] - v[n - 1 - i] for i in range(n))
 
 
-def _symmetric_region_rays(x: tuple[int, ...], ray=ray_vector):
-    """Rays of the region of a signed permutation: the antisymmetric parts
-    of the doubled rays given by ``ray``."""
+def _symmetric_region_rays(x: tuple[int, ...]):
+    """Rays of the region of a signed permutation, times 2n: the
+    antisymmetric parts of the doubled rays."""
     n = len(x)
     e = embed_b_in_a(x)
-    return [_antisymmetric_part(ray(2 * n, frozenset(e[k:]))) for k in range(1, n + 1)]
+    return [
+        _antisymmetric_part(_int_ray(2 * n, frozenset(e[k:]))) for k in range(1, n + 1)
+    ]
 
 
 def check_fan_b(signature: SymmetricSignature) -> dict:
@@ -414,9 +402,7 @@ def check_fan_b(signature: SymmetricSignature) -> dict:
         t = eta_b(elements[members[0]], signature)
         orbits = {min(d, _mirror(d, two_n)) for d in t.base.diagonals}
         cones.append(tuple(sorted(orbits)))
-    report = _check_fan_ab(
-        camb, cones, vectors, lambda x: _symmetric_region_rays(x, _int_ray), (0,) * n
-    )
+    report = _check_fan_ab(camb, cones, vectors, _symmetric_region_rays, (0,) * n)
     return {"family": "B", **report}
 
 
@@ -677,25 +663,29 @@ def clusters(n: int) -> ClusterComplex:
     return ClusterComplex(n, roots, pairs, tuple(found))
 
 
+def _flip_order(items, m: int, flip) -> FiniteLattice:
+    """Clusters of S_m ordered across flips.
+
+    Two clusters are joined when they trade exactly one orbit {r, flip(r)}
+    of roots; the one that gives up the orbit with the smaller
+    (orbit-constant) rotation number is the lower.
+    """
+    covers = []
+    for i, j in itertools.combinations(range(len(items)), 2):
+        gone, came = items[i] - items[j], items[j] - items[i]
+        if any(len({frozenset((r, flip(r))) for r in s}) != 1 for s in (gone, came)):
+            continue
+        rb = {rotation_number(m, r) for r in gone}
+        rt = {rotation_number(m, r) for r in came}
+        if len(rb) != 1 or len(rt) != 1 or rb == rt:
+            raise AssertionError("flip with ambiguous rotation numbers")
+        covers.append((i, j) if rb.pop() < rt.pop() else (j, i))
+    return FiniteLattice.from_covers(tuple(items), covers)
+
+
 def cluster_poset(n: int) -> FiniteLattice:
     """Clusters ordered by rotation-number comparison across flips."""
-    complex_ = clusters(n)
-    items = list(complex_.clusters)
-    covers = []
-    for i, c1 in enumerate(items):
-        for j, c2 in enumerate(items):
-            if i >= j or len(c1 & c2) != n - 2:
-                continue
-            (beta,) = tuple(c1 - c2)
-            (theta,) = tuple(c2 - c1)
-            rb, rt = rotation_number(n, beta), rotation_number(n, theta)
-            if rb == rt:
-                raise AssertionError("flip pair with equal rotation numbers")
-            if rb < rt:
-                covers.append((i, j))
-            else:
-                covers.append((j, i))
-    return FiniteLattice.from_covers(tuple(items), covers)
+    return _flip_order(clusters(n).clusters, n, lambda r: r)
 
 
 # ---------------------------------------------------------------------------
@@ -723,31 +713,9 @@ def _invariant_clusters(n: int) -> list:
 
 
 def b_cluster_poset(n: int) -> FiniteLattice:
-    """Flip-invariant clusters of S_{2n} ordered across orbit flips.
-
-    The diagram flip chi acts on roots by coordinate reversal; invariant
-    clusters are compared through the (flip-constant) rotation numbers of
-    the orbit exchanged by a flip.
-    """
-    m = 2 * n
-    invariant = _invariant_clusters(n)
-    covers = []
-    for i, c1 in enumerate(invariant):
-        for j in range(i + 1, len(invariant)):
-            c2 = invariant[j]
-            gone, came = c1 - c2, c2 - c1
-            if not gone:
-                continue
-            if len({frozenset((r, _chi_root(r))) for r in gone}) != 1:
-                continue
-            if len({frozenset((r, _chi_root(r))) for r in came}) != 1:
-                continue
-            rb = {rotation_number(m, r) for r in gone}
-            rt = {rotation_number(m, r) for r in came}
-            if len(rb) != 1 or len(rt) != 1 or rb == rt:
-                raise AssertionError("orbit flip with ambiguous rotation numbers")
-            covers.append((i, j) if rb.pop() < rt.pop() else (j, i))
-    return FiniteLattice.from_covers(tuple(invariant), covers)
+    """Flip-invariant clusters of S_{2n} ordered across orbit flips; the
+    diagram flip chi acts on roots by coordinate reversal."""
+    return _flip_order(_invariant_clusters(n), 2 * n, _chi_root)
 
 
 def bracket(x, y) -> Fraction:
@@ -830,14 +798,6 @@ def psi(n: int, diagonal):
     return _alpha(n, a + 1, b - 2)
 
 
-def _fundamental_weight(n: int, i: int):
-    """omega_i of S_n in sum-zero coordinates."""
-    return tuple(
-        (Fraction(1) if k <= i else Fraction(0)) - Fraction(i, n)
-        for k in range(1, n + 1)
-    )
-
-
 def psi_and_bipartite_iso_check(n: int):
     """The linear alpha_i -> eps(i) omega_i map matches rays and cones."""
     signature = alternating_signature(n)
@@ -850,20 +810,17 @@ def psi_and_bipartite_iso_check(n: int):
     d2s = diagonal_ray_map(signature)
 
     def linear_image(root):
-        img = [Fraction(0)] * n
+        """n times the image; n * omega_i is the integer ray of {1..i}."""
+        img = [0] * n
         for i, c in enumerate(root, start=1):
-            if c == 0:
-                continue
             eps = 1 if i % 2 == 1 else -1
-            w = _fundamental_weight(n, i)
+            w = _int_ray(n, frozenset(range(1, i + 1)))
             img = [x + eps * c * y for x, y in zip(img, w)]
         return tuple(img)
 
     for d, subset in d2s.items():
         root = psi(n, d)
-        image = linear_image(root)
-        target = ray_vector(n, subset)
-        combo = _nonneg_combo([target], image)
+        combo = _nonneg_combo([_int_ray(n, subset)], linear_image(root))
         if combo is None or combo[0] <= 0:
             return False, ("ray-mismatch", d, root)
     # Cones map to cones: every triangulation's psi image is a cluster.

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
 
+from .coxeter import all_ji_subsets_a
 from .lattices import FiniteLattice
 
 PATTERNS = ("up231", "31down2", "up213", "13down2")
@@ -450,8 +451,6 @@ def shard_arrow_a(n: int, a1: frozenset[int], a2: frozenset[int]) -> bool:
 
 
 def shard_digraph_a(n: int) -> dict[frozenset[int], frozenset[frozenset[int]]]:
-    from .coxeter import all_ji_subsets_a
-
     nodes = all_ji_subsets_a(n)
     return {
         a1: frozenset(a2 for a2 in nodes if a2 != a1 and shard_arrow_a(n, a1, a2))
@@ -475,15 +474,13 @@ def transitive_closure_digraph(graph: dict) -> dict:
 
 
 def ji_contracted_a(signature: UpDownSignature, members: frozenset[int]) -> bool:
-    """Whether the Cambrian congruence contracts the join-irreducible of A."""
+    """Whether the Cambrian congruence contracts the join-irreducible of A:
+    some b strictly between m and M is up exactly when b is not in A."""
     n = signature.n
     if not _is_ji_subset(n, members):
         raise ValueError(f"{sorted(members)} is not a join-irreducible subset")
     m, big_m = _subset_bounds(n, members)
-    comp = frozenset(range(1, n + 1)) - members
-    return any(b in signature.ups for b in comp if m < b < big_m) or any(
-        b not in signature.ups for b in members if m < b < big_m
-    )
+    return any((b in members) != (b in signature.ups) for b in range(m + 1, big_m))
 
 
 def uncontracted_ji_subsets(signature: UpDownSignature) -> dict[tuple[int, int], frozenset[int]]:

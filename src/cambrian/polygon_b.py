@@ -2,10 +2,10 @@
 
 A signed permutation of +-[n] acts on the (2n+2)-gon whose interior
 vertices carry the signed labels -n..-1, 1..n; the label bridge to the
-type-A machinery sends signed label i to i+n+1 for i < 0 and i+n for
-i > 0, with -(n+1) at 0 and n+1 at 2n+1.  The map eta_b is eta applied
-to the full notation, and always lands on a triangulation fixed by the
-central symmetry.
+type-A machinery is the value map of ``embed_b_in_a``: it sends signed
+label i to i+n+1 for i < 0 and i+n for i > 0, so -(n+1) sits at 0 and
+n+1 at 2n+1.  The map eta_b is eta applied to the full notation, and
+always lands on a triangulation fixed by the central symmetry.
 """
 
 from __future__ import annotations
@@ -15,6 +15,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .coxeter import (
+    _a_value_to_b,
+    _b_value_to_a,
+    all_signed_ji_subsets,
     contains_signed_pattern,
     embed_b_in_a,
     signed_ji_bounds,
@@ -83,18 +86,10 @@ class SymmetricSignature:
 
     def bridge(self, i: int) -> int:
         """Signed label in +-[n+1] to type-A vertex label 0..2n+1."""
-        if i == -(self.n + 1):
-            return 0
-        if i == self.n + 1:
-            return 2 * self.n + 1
-        return i + self.n + 1 if i < 0 else i + self.n
+        return _b_value_to_a(i, self.n)
 
     def unbridge(self, p: int) -> int:
-        if p == 0:
-            return -(self.n + 1)
-        if p == 2 * self.n + 1:
-            return self.n + 1
-        return p - self.n - 1 if p <= self.n else p - self.n
+        return _a_value_to_b(p, self.n)
 
     def a_signature(self) -> UpDownSignature:
         return UpDownSignature(
@@ -164,15 +159,15 @@ def eta_b(x: tuple[int, ...], signature: SymmetricSignature) -> TriangulationB:
 def ji_contraction_test_b(
     n: int, members: frozenset[int], signature: SymmetricSignature
 ) -> bool:
-    """Whether the type-B Cambrian congruence contracts the ji of signed A."""
+    """Whether the type-B Cambrian congruence contracts the ji of signed A:
+    some nonzero b strictly between m and M is up exactly when b is not
+    in A."""
     if not signed_ji_members_valid(n, members):
         raise ValueError(f"{sorted(members)} is not a valid signed subset")
     m, big_m = signed_ji_bounds(n, members)
-    values = {v for v in range(-n, n + 1) if v != 0}
-    comp = values - members
     return any(
-        signature.is_up(b) for b in comp if m < b < big_m
-    ) or any(not signature.is_up(b) for b in members if m < b < big_m)
+        (b in members) != signature.is_up(b) for b in range(m + 1, big_m) if b != 0
+    )
 
 
 def b_shard_arrow(n: int, a1: frozenset[int], a2: frozenset[int]) -> bool:
@@ -219,8 +214,6 @@ def b_shard_arrow(n: int, a1: frozenset[int], a2: frozenset[int]) -> bool:
 
 
 def shard_digraph_b(n: int) -> dict[frozenset[int], frozenset[frozenset[int]]]:
-    from .coxeter import all_signed_ji_subsets
-
     nodes = all_signed_ji_subsets(n)
     return {
         x: frozenset(y for y in nodes if y != x and b_shard_arrow(n, x, y))

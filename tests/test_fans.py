@@ -49,6 +49,7 @@ from cambrian.fans import (
 from cambrian.coxeter import embed_b_in_a
 from cambrian.fields import RationalField, solve_linear
 from cambrian.lattices import (
+    FiniteLattice,
     LatticeCongruence,
     contraction_congruence,
     quotient_lattice,
@@ -328,14 +329,14 @@ def test_integer_elimination_matches_rational_solve(rows, cols, data):
     # The vectors as cone rays in `cols`-space, tested on a random point.
     v = data.draw(st.lists(entries, min_size=cols, max_size=cols))
     assert fans._nonneg_combo(vectors, v) == _combo_oracle(vectors, v)
-    scaled = [[Fraction(x, 3) for x in r] for r in vectors]
+    scaled = [[3 * x for x in r] for r in vectors]
     assert fans._nonneg_combo(scaled, v) == _combo_oracle(scaled, v)
 
 
 def test_nonneg_combo_on_cone_members():
     # Every suffix ray of a permutation's region is a nonneg combination of
     # its own rays, with exact unit coefficients.
-    rays = fans._suffix_rays_a((2, 4, 1, 3), fans._int_ray)
+    rays = fans._suffix_rays_a((2, 4, 1, 3))
     for k, ray in enumerate(rays):
         combo = fans._nonneg_combo(rays, ray)
         assert combo == tuple(Fraction(int(j == k)) for j in range(len(rays)))
@@ -457,7 +458,7 @@ def _old_check_fan_a(signature, camb):
         if fans._rank(rays) != n - 1:
             simplicial = False
         for i in members:
-            for v in fans._suffix_rays_a(lattice.elements[i], fans._int_ray):
+            for v in fans._suffix_rays_a(lattice.elements[i]):
                 if fans._nonneg_combo(rays, v) is None:
                     tiling = False
         for a in subsets:
@@ -724,3 +725,119 @@ def test_ab_body_matches_per_family_loops(monkeypatch):
     assert len(moved) == 72 + 88
     assert not any(r["tiling"] for r in moved)
     assert all(r["simplicial"] and r["dual_graph_is_hasse"] for r in moved)
+
+
+# ---------------------------------------------------------------------------
+# The ray-diagonal table and the one flip order against the searches and
+# per-family loops they replace.
+
+
+def _old_fan_ray_subsets(signature):
+    n = signature.n
+    subsets = [frozenset(range(k + 1, n + 1)) for k in range(1, n)]
+    for k in range(1, n):
+        for l in range(k, n):
+            subsets.append(fans.a_kl_subset(signature, k, l))
+    return subsets
+
+
+def _old_ray_to_diagonal(a, signature):
+    n = signature.n
+
+    def mu_up(i):
+        return max(v for v in range(i + 1) if signature.is_up(v))
+
+    def mu_down(i):
+        return max(v for v in range(i + 1) if signature.is_down(v))
+
+    def nu_up(i):
+        return min(v for v in range(i, n + 2) if signature.is_up(v))
+
+    def nu_down(i):
+        return min(v for v in range(i, n + 2) if signature.is_down(v))
+
+    for k in range(1, n):
+        if a == frozenset(range(k + 1, n + 1)):
+            return tuple(sorted((mu_up(k), nu_down(k + 1))))
+    for k in range(1, n):
+        for l in range(k, n):
+            if a != fans.a_kl_subset(signature, k, l):
+                continue
+            if k == l:
+                return tuple(sorted((mu_down(k), nu_up(k + 1))))
+            left = mu_up(k) if signature.is_up(k + 1) else mu_down(k)
+            right = nu_up(l + 1) if signature.is_up(l) else nu_down(l + 1)
+            return tuple(sorted((left, right)))
+    raise ValueError(f"{sorted(a)} is not a ray subset for this signature")
+
+
+def _old_diagonal_ray_map(signature):
+    out = {}
+    for a in _old_fan_ray_subsets(signature):
+        d = _old_ray_to_diagonal(a, signature)
+        assert d not in out
+        out[d] = a
+    return out
+
+
+def test_ray_diagonal_table_matches_searches():
+    count = 0
+    for n in range(2, 8):
+        for sig in all_updown_signatures(n):
+            subsets = _old_fan_ray_subsets(sig)
+            assert fan_ray_subsets(sig) == subsets
+            assert [ray_to_diagonal(a, sig) for a in subsets] == [
+                _old_ray_to_diagonal(a, sig) for a in subsets
+            ]
+            mapping = diagonal_ray_map(sig)
+            assert list(mapping.items()) == list(_old_diagonal_ray_map(sig).items())
+            assert len(mapping) == (n + 2) * (n - 1) // 2
+            count += 1
+    assert count == 2 ** 2 + 2 ** 3 + 2 ** 4 + 2 ** 5 + 2 ** 6 + 2 ** 7
+
+
+def _old_cluster_poset(n):
+    items = list(clusters(n).clusters)
+    covers = []
+    for i, c1 in enumerate(items):
+        for j, c2 in enumerate(items):
+            if i >= j or len(c1 & c2) != n - 2:
+                continue
+            (beta,) = tuple(c1 - c2)
+            (theta,) = tuple(c2 - c1)
+            rb, rt = rotation_number(n, beta), rotation_number(n, theta)
+            assert rb != rt
+            covers.append((i, j) if rb < rt else (j, i))
+    return tuple(items), covers
+
+
+def _old_b_cluster_poset(n):
+    m = 2 * n
+    invariant = fans._invariant_clusters(n)
+    covers = []
+    for i, c1 in enumerate(invariant):
+        for j in range(i + 1, len(invariant)):
+            c2 = invariant[j]
+            gone, came = c1 - c2, c2 - c1
+            if not gone:
+                continue
+            if len({frozenset((r, fans._chi_root(r))) for r in gone}) != 1:
+                continue
+            if len({frozenset((r, fans._chi_root(r))) for r in came}) != 1:
+                continue
+            rb = {rotation_number(m, r) for r in gone}
+            rt = {rotation_number(m, r) for r in came}
+            assert len(rb) == len(rt) == 1 and rb != rt
+            covers.append((i, j) if rb.pop() < rt.pop() else (j, i))
+    return tuple(invariant), covers
+
+
+@pytest.mark.parametrize(
+    "poset,oracle,n",
+    [(cluster_poset, _old_cluster_poset, n) for n in range(2, 7)]
+    + [(b_cluster_poset, _old_b_cluster_poset, n) for n in range(1, 4)],
+)
+def test_flip_order_matches_per_family_loops(poset, oracle, n):
+    lattice, expected = poset(n), FiniteLattice.from_covers(*oracle(n))
+    assert lattice.elements == expected.elements
+    assert lattice.covers == expected.covers

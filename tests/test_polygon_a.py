@@ -28,6 +28,7 @@ from cambrian import (
     triangulation_lattice,
     uncontracted_ji_subsets,
 )
+from cambrian.coxeter import all_ji_subsets_a
 from cambrian.suites import _firing_masks, all_updown_signatures, catalan
 
 
@@ -185,6 +186,30 @@ def test_uncontracted_ji_subsets():
         assert not ji_contracted_a(sig, members)
     forcing = camb_forcing_a(sig)
     assert set(forcing) == set(survivors.values())
+
+
+def _ji_contracted_oracle(signature, members):
+    """ji_contracted_a before the parity form: an up value outside the
+    subset, or a down value inside it, strictly between m and M."""
+    n = signature.n
+    m, big_m = min(members), max(set(range(1, n + 1)) - members)
+    comp = frozenset(range(1, n + 1)) - members
+    return any(b in signature.ups for b in comp if m < b < big_m) or any(
+        b not in signature.ups for b in members if m < b < big_m
+    )
+
+
+def test_ji_contracted_matches_two_sided_oracle():
+    cases = [
+        (sig, members)
+        for n in range(2, 7)
+        for sig in all_updown_signatures(n)
+        for members in all_ji_subsets_a(n)
+    ]
+    assert len(cases) == 4692
+    for sig, members in cases:
+        assert ji_contracted_a(sig, members) == _ji_contracted_oracle(sig, members)
+    assert 0 < sum(ji_contracted_a(sig, members) for sig, members in cases) < len(cases)
 
 
 # ---------------------------------------------------------------------------

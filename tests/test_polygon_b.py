@@ -22,7 +22,12 @@ from cambrian import (
     symmetric_triangulation_lattice,
     symmetric_triangulations,
 )
-from cambrian.coxeter import embed_b_in_a, full_notation
+from cambrian.coxeter import (
+    all_signed_ji_subsets,
+    embed_b_in_a,
+    full_notation,
+    signed_ji_bounds,
+)
 from cambrian.polygon_a import all_triangulations
 from cambrian.polygon_b import _is_symmetric
 
@@ -45,6 +50,33 @@ def test_bridge_round_trip():
     a_sig = sig.a_signature()
     assert a_sig.n == 6
     assert a_sig.ups == frozenset(sig.bridge(i) for i in sig.ups)
+
+
+def _old_bridge(n, i):
+    if i == -(n + 1):
+        return 0
+    if i == n + 1:
+        return 2 * n + 1
+    return i + n + 1 if i < 0 else i + n
+
+
+def _old_unbridge(n, p):
+    if p == 0:
+        return -(n + 1)
+    if p == 2 * n + 1:
+        return n + 1
+    return p - n - 1 if p <= n else p - n
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_bridge_matches_piecewise_labels(n):
+    sig = SymmetricSignature.from_positive_ups(n, ())
+    labels = [i for i in range(-(n + 1), n + 2) if i != 0]
+    assert [sig.bridge(i) for i in labels] == [_old_bridge(n, i) for i in labels]
+    assert [sig.unbridge(p) for p in range(2 * n + 2)] == [
+        _old_unbridge(n, p) for p in range(2 * n + 2)
+    ]
+    assert sorted(map(sig.bridge, labels)) == list(range(2 * n + 2))
 
 
 def test_orientation_edges():
@@ -82,6 +114,29 @@ def test_ji_contraction_examples():
     members = frozenset({-2, 3})
     assert not ji_contraction_test_b(3, members, up1)
     assert ji_contraction_test_b(3, members, down1)
+
+
+def _ji_contraction_oracle_b(n, members, signature):
+    """ji_contraction_test_b before the parity form."""
+    m, big_m = signed_ji_bounds(n, members)
+    values = {v for v in range(-n, n + 1) if v != 0}
+    comp = values - members
+    return any(
+        signature.is_up(b) for b in comp if m < b < big_m
+    ) or any(not signature.is_up(b) for b in members if m < b < big_m)
+
+
+def test_ji_contraction_matches_two_sided_oracle():
+    cases = [
+        (n, members, sig)
+        for n in range(1, 5)
+        for sig in all_symmetric_signatures(n)
+        for members in all_signed_ji_subsets(n)
+    ]
+    assert len(cases) == 1426
+    for case in cases:
+        assert ji_contraction_test_b(*case) == _ji_contraction_oracle_b(*case)
+    assert 0 < sum(ji_contraction_test_b(*case) for case in cases) < len(cases)
 
 
 def test_b_shard_arrow_validation():
