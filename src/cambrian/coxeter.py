@@ -20,11 +20,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .fields import NumberField, RationalField
+from .fields import NumberField
 from .lattices import FiniteLattice
 
 
@@ -292,23 +293,28 @@ class CoxeterSystem:
         self.family = family
         self.rank = rank
         self.bond = bond
-        # The bonds m(s, t) > 2 of the Coxeter diagram.
+        # The bonds m(s, t) > 2 of the Coxeter diagram, and the degrees of
+        # the group's basic invariants.
         if family == "A":
             self.n = rank + 1
             names = tuple(range(1, rank + 1))
             bonds = {(s, s + 1): 3 for s in names[:-1]}
+            self.degrees = tuple(range(2, rank + 2))
         elif family == "B":
             self.n = rank
             names = tuple(range(rank))
             bonds = {(s, s + 1): 4 if s == 0 else 3 for s in names[:-1]}
+            self.degrees = tuple(range(2, 2 * rank + 1, 2))
         elif family == "I2":
             if bond is None or bond < 3:
                 raise ValueError("I2 needs a bond label m >= 3")
             names = (1, 2)
             bonds = {(1, 2): bond}
+            self.degrees = (2, bond)
         elif family == "H3":
             names = (1, 2, 3)
             bonds = {(1, 2): 5, (2, 3): 3}
+            self.degrees = (2, 6, 10)
         else:
             raise ValueError(f"unknown family {family!r}")
         self.generator_names = names
@@ -320,6 +326,12 @@ class CoxeterSystem:
 
     def bond_label(self, s, t) -> int:
         return 1 if s == t else self._bonds.get((s, t), 2)
+
+    def catalan_number(self) -> int:
+        """prod (h + d) / d over the degrees d, with h the largest: the
+        number of classes of every Cambrian congruence."""
+        h = max(self.degrees)
+        return math.prod(h + d for d in self.degrees) // math.prod(self.degrees)
 
     # -- elements and multiplication ---------------------------------------
 
@@ -501,11 +513,7 @@ class CoxeterSystem:
             for i in range(r)
         ]
         max_label = max(max(row) for row in labels)
-        if max_label <= 3:
-            field = RationalField()
-        else:
-            field = NumberField(max_label)
-        self._field = field
+        self._field = field = NumberField(max_label)
         # 2*B(alpha_i, alpha_j) = -2*cos(pi / m_ij), an element of Z[c].
         def two_b(m):
             if m == 1:

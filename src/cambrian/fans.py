@@ -426,21 +426,6 @@ def _det3(field, u, v, w):
     )
 
 
-def _in_simplicial_cone(field, extreme, r) -> bool:
-    """Whether r is a nonnegative combination of the three rays; False
-    when they are linearly dependent.
-
-    Cramer's rule: r = sum_j lambda_j e_j with lambda_j = det(E_j) / det(E),
-    where E_j is E with e_j replaced by r; only the signs are compared.
-    """
-    e0, e1, e2 = extreme
-    det_sign = field.sign(_det3(field, e0, e1, e2))
-    return det_sign != 0 and all(
-        det_sign * field.sign(_det3(field, *rows)) >= 0
-        for rows in ((r, e1, e2), (e0, r, e2), (e0, e1, r))
-    )
-
-
 def _scaled_weights(system: CoxeterSystem):
     """Positive multiples of the fundamental weights with entries in Z[c].
 
@@ -464,7 +449,9 @@ def check_fan_h3(system: CoxeterSystem, orientation: Orientation) -> dict:
 
     A class is bounded by the walls its chambers share with chambers of
     other classes; it must lie weakly on the inner side of each, and its
-    extreme rays are the member rays on two of their hyperplanes.
+    extreme rays are the member rays on two of their hyperplanes.  Its cone
+    is simplicial when it has three extreme rays; in rank 3 no other test
+    can change the report.
     """
     if system.family != "H3":
         raise ValueError("expected an H3 system")
@@ -497,10 +484,11 @@ def check_fan_h3(system: CoxeterSystem, orientation: Orientation) -> dict:
                 elif s != signs[inner]:
                     tiling = False
         extreme = [r for r in member_rays if on_walls[r] >= 2]
-        if len(walls) != 3 or len(extreme) != 3:
+        # Rank 3 only: on the 2-sphere three extreme rays force exactly
+        # three leaving hyperplanes, and the sign test then puts every
+        # member ray in the cone of the extremes.  Rank 4 needs both tests.
+        if len(extreme) != 3:
             simplicial = False
-        elif not all(_in_simplicial_cone(field, extreme, r) for r in member_rays):
-            tiling = False
         cones.append(tuple(extreme))
 
     def side(wall, a, b):

@@ -1,13 +1,15 @@
 """Exact arithmetic in real number fields generated by 2*cos(pi/m).
 
-Geometric computations for reflection groups with bond labels other than
-2 and 3 need the algebraic number c = 2*cos(pi/m).  Elements of Q(c) are
-coefficient tuples (a_0, ..., a_{d-1}) standing for a_0 + a_1*c + ... +
-a_{d-1}*c^(d-1), where d is the degree of the minimal polynomial of c.
-That polynomial is monic with integer coefficients, so Z[c] is closed
-under multiplication: roots, chamber rays and scaled weights keep
-plain ``int`` coefficients, and only inverses bring in ``Fraction``.
-Every operation is exact; no floating point is used anywhere.
+Every reflection group runs over one field class, ``NumberField(m)`` for
+its largest bond label m, whose generator is c = 2*cos(pi/m).  Elements of
+Q(c) are coefficient tuples (a_0, ..., a_{d-1}) standing for a_0 + a_1*c +
+... + a_{d-1}*c^(d-1), where d is the degree of the minimal polynomial of
+c.  That polynomial is monic with integer coefficients, so Z[c] is closed
+under multiplication: roots, chamber rays and scaled weights keep plain
+``int`` coefficients, and only inverses bring in ``Fraction``.  Q itself
+is ``NumberField(3)``: c = 1, the minimal polynomial is x - 1, and its
+elements are 1-tuples.  Every operation is exact; no floating point is
+used anywhere.
 """
 
 from __future__ import annotations
@@ -280,50 +282,6 @@ class NumberField:
             else:
                 lo = mid
             self._bracket = (lo, hi)
-
-
-class RationalField:
-    """Drop-in field interface over the rationals, as int or Fraction.
-
-    Lets the generic linear algebra below run unchanged on crystallographic
-    data where no irrational cosine is needed.
-    """
-
-    degree = 1
-    m = None
-
-    zero = 0
-    one = 1
-
-    def from_rational(self, q):
-        return _rational(q)
-
-    def add(self, a, b):
-        return a + b
-
-    def sub(self, a, b):
-        return a - b
-
-    def neg(self, a):
-        return -a
-
-    def mul(self, a, b):
-        return a * b
-
-    def scale(self, a, q):
-        return a * q
-
-    def inv(self, a):
-        return Fraction(1) / a
-
-    def div(self, a, b):
-        return Fraction(a) / b
-
-    def is_zero(self, a):
-        return a == 0
-
-    def sign(self, a):
-        return (a > 0) - (a < 0)
 
 
 def mat_vec(field, a, v):

@@ -175,16 +175,6 @@ class TriangulationA:
     ups: frozenset[int]
     diagonals: frozenset[tuple[int, int]]
 
-    def signature(self) -> UpDownSignature:
-        return UpDownSignature(self.n, self.ups)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "ups": sorted(self.ups),
-            "diagonals": sorted([list(d) for d in self.diagonals]),
-        }
-
 
 # ---------------------------------------------------------------------------
 # Lambda paths and eta.

@@ -127,14 +127,6 @@ class TriangulationB:
             for p, q in self.base.diagonals
         )
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.signature.n,
-            "ups": sorted(self.signature.ups),
-            "symmetric": True,
-            "diagonals": sorted([list(d) for d in self.signed_diagonals]),
-        }
-
 
 def _mirror(d: tuple[int, int], two_n: int) -> tuple[int, int]:
     """The diagonal (p, q), p < q, under the central symmetry p -> 2n+1-p."""

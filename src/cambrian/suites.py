@@ -184,17 +184,10 @@ def _signatures(system: CoxeterSystem, n: int) -> list:
 # ---------------------------------------------------------------------------
 # Counting suites.
 
-# Class count of every Cambrian congruence of the n-th group of a family.
-_CATALAN = {
-    "A": catalan,
-    "B": lambda n: comb(2 * n, n),
-    "I2": lambda m: m + 2,
-    "H3": lambda n: 32,
-}
-
 
 def suite_catalan(family=None, max_rank=None, cap=None) -> dict:
-    """Class counts of every orientation against the family's formula.
+    """Class counts of every orientation against the group's Catalan
+    number, prod (h + d) / d over its degrees d.
 
     Unlike the other suites, ``max_rank`` here replaces the default
     largest index (S_7, B_4, I2(8)) and so can raise it.
@@ -204,8 +197,8 @@ def suite_catalan(family=None, max_rank=None, cap=None) -> dict:
     if max_rank is not None:
         bounds = dict.fromkeys(bounds, max_rank)
     checks = []
-    for n, system, _, label in _groups(family, None, bounds, cap):
-        expected = _CATALAN[family](n)
+    for _, system, _, label in _groups(family, None, bounds, cap):
+        expected = system.catalan_number()
 
         def counted(orientation):
             count = cambrian_congruence(system, orientation).num_classes
@@ -404,7 +397,7 @@ def suite_b_tamari(family=None, max_rank=None, cap=None) -> dict:
     orientations, with the central binomial counts."""
     checks = []
     for n, system, lattice, label in _groups(family, max_rank, {"B": 4}, cap):
-        expected = _CATALAN["B"](n)
+        expected = system.catalan_number()
         for variant in ("toward_s0", "away_from_s0"):
             sig = linear_signature(n, variant)
             orientation = orientation_from_edges(system, sig.orientation_edges())
@@ -488,7 +481,11 @@ def suite_fan(family=None, max_rank=None, cap=None) -> dict:
                     len(quotient.lower[i]) + len(quotient.upper[i])
                     for i in range(quotient.n)
                 }
-                ok = fan_passed(report) and report["num_cones"] == 32 and degrees == {3}
+                ok = (
+                    fan_passed(report)
+                    and report["num_cones"] == system.catalan_number()
+                    and degrees == {3}
+                )
                 checks.append(
                     _check(
                         f"H3 [{orientation}]",

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -26,6 +27,23 @@ from cambrian.coxeter import (
     standardize_signed,
 )
 from cambrian.fields import mat_vec
+from cambrian.suites import catalan
+
+
+def test_catalan_number_from_degrees_matches_family_formulas():
+    # The per-family class counts the degree formula replaces.
+    cases = (
+        [(build_system("A", n - 1), catalan(n)) for n in range(3, 9)]
+        + [(build_system("B", n), math.comb(2 * n, n)) for n in range(2, 7)]
+        + [(build_system("I2", None, m), m + 2) for m in range(3, 13)]
+        + [(build_system("H3"), 32)]
+    )
+    for system, expected in cases:
+        assert system.catalan_number() == expected, system.family
+    assert build_system("A", 3).degrees == (2, 3, 4)
+    assert build_system("B", 3).degrees == (2, 4, 6)
+    assert build_system("I2", None, 7).degrees == (2, 7)
+    assert build_system("H3").degrees == (2, 6, 10)
 
 
 def test_build_system_families():

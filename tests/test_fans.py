@@ -47,7 +47,7 @@ from cambrian.fans import (
     twist_check,
 )
 from cambrian.coxeter import embed_b_in_a
-from cambrian.fields import RationalField, solve_linear
+from cambrian.fields import NumberField, solve_linear
 from cambrian.lattices import (
     FiniteLattice,
     LatticeCongruence,
@@ -306,11 +306,12 @@ def _rank_oracle(vectors):
 
 
 def _combo_oracle(rays, v):
-    matrix = [[r[i] for r in rays] for i in range(len(v))]
-    sol = solve_linear(RationalField(), matrix, list(v))
-    if sol is None or any(c < 0 for c in sol):
+    field = NumberField(3)  # Q, elements as 1-tuples
+    matrix = [[(r[i],) for r in rays] for i in range(len(v))]
+    sol = solve_linear(field, matrix, [(x,) for x in v])
+    if sol is None or any(field.sign(c) < 0 for c in sol):
         return None
-    return tuple(sol)
+    return tuple(c for (c,) in sol)
 
 
 entries = st.integers(min_value=-3, max_value=3)
@@ -369,39 +370,6 @@ def test_h3_chamber_rays_are_62_integer_keys():
         assert all(type(c) is int for ray in orbit for x in ray for c in x)
     assert sorted(len(o) for o in orbits) == [12, 20, 30]
     assert len(set().union(*orbits)) == 62
-
-
-def test_h3_cramer_containment_matches_solve(monkeypatch):
-    system = get_system("H3")
-    field = system.field
-    seen = []
-    cramer = fans._in_simplicial_cone
-
-    def recording(field_, extreme, r):
-        inside = cramer(field_, extreme, r)
-        seen.append((extreme, r, inside))
-        return inside
-
-    monkeypatch.setattr(fans, "_in_simplicial_cone", recording)
-    orientations = all_orientations(system)
-    assert len(orientations) == 4
-    for orientation in orientations:
-        assert fans.check_fan_h3(system, orientation)["tiling"]
-    assert len(seen) >= 4 * 32
-    # Each recorded call, and each cone against the next call's ray (which
-    # often lies outside it) or a negated member ray (which always does).
-    cases = [(extreme, r) for extreme, r, _ in seen]
-    cases += [(a[0], b[1]) for a, b in zip(seen, seen[1:])]
-    cases += [(extreme, tuple(field.neg(x) for x in r)) for extreme, r, _ in seen[:20]]
-    outside = 0
-    for extreme, r in cases:
-        columns = [[extreme[j][i] for j in range(3)] for i in range(3)]
-        sol = solve_linear(field, columns, list(r))
-        expected = sol is not None and all(field.sign(c) >= 0 for c in sol)
-        assert cramer(field, extreme, r) == expected
-        outside += not expected
-    assert all(inside for _, _, inside in seen)
-    assert outside >= 20
 
 
 # ---------------------------------------------------------------------------
@@ -536,6 +504,17 @@ def _old_check_fan_b(signature, camb):
     }
 
 
+def _in_simplicial_cone(field, extreme, r):
+    """Whether r is a nonnegative combination of the three rays, by the
+    signs of Cramer's determinants; False when they are dependent."""
+    e0, e1, e2 = extreme
+    det_sign = field.sign(fans._det3(field, e0, e1, e2))
+    return det_sign != 0 and all(
+        det_sign * field.sign(fans._det3(field, *rows)) >= 0
+        for rows in ((r, e1, e2), (e0, r, e2), (e0, e1, r))
+    )
+
+
 def _old_check_fan_h3(system, camb):
     """check_fan_h3 with cones from boundary cycles: pair counting, a
     base-sign search per boundary wall, and the neighbour graph."""
@@ -583,7 +562,7 @@ def _old_check_fan_h3(system, camb):
                 extreme.append(r)
         if len(extreme) != 3:
             simplicial = False
-        elif not all(fans._in_simplicial_cone(field, extreme, r) for r in member_rays):
+        elif not all(_in_simplicial_cone(field, extreme, r) for r in member_rays):
             tiling = False
         cones.append(tuple(extreme))
 
@@ -683,6 +662,102 @@ def test_h3_leaving_walls_match_boundary_cycles(monkeypatch):
     assert sum(fan_passed(r) for r in reports) >= 5
     assert any(not r["simplicial"] for r in reports)
     assert any(not r["tiling"] for r in reports)
+
+
+def _unpruned_check_fan_h3(system, camb):
+    """check_fan_h3 with the tests that cannot change a rank-3 report: the
+    count of leaving hyperplanes and the containment of every member ray
+    in the cone of the extreme rays."""
+    field = system.field
+    weights = fans._scaled_weights(system)
+    cong = camb.congruence
+    lattice = cong.lattice
+    rays_of = [[system.act(w, omega) for omega in weights] for w in lattice.elements]
+    simplicial = tiling = True
+    cones = []
+    for c, members in enumerate(cong.classes):
+        walls = {}
+        for i in members:
+            w, rays = lattice.elements[i], rays_of[i]
+            for k, name in enumerate(system.generator_names):
+                ws = system.right_multiply(w, name)
+                if cong.class_of[lattice.index[ws]] != c:
+                    (t,) = system.inversion_set(w) ^ system.inversion_set(ws)
+                    walls.setdefault(t, (rays[k - 2], rays[k - 1], rays[k]))
+        member_rays = {r for i in members for r in rays_of[i]}
+        on_walls = Counter()
+        for u, v, inner in walls.values():
+            signs = {r: field.sign(fans._det3(field, u, v, r)) for r in member_rays}
+            for r, sign in signs.items():
+                if sign == 0:
+                    on_walls[r] += 1
+                elif sign != signs[inner]:
+                    tiling = False
+        extreme = [r for r in member_rays if on_walls[r] >= 2]
+        if len(walls) != 3 or len(extreme) != 3:
+            simplicial = False
+        elif not all(_in_simplicial_cone(field, extreme, r) for r in member_rays):
+            tiling = False
+        cones.append(tuple(extreme))
+
+    def side(wall, a, b):
+        u, v = wall
+        sign_a = field.sign(fans._det3(field, u, v, a))
+        return sign_a * field.sign(fans._det3(field, u, v, b)) < 0
+
+    report = fans._fan_faces(camb, cones, side, simplicial, tiling)
+    return {"family": "H3", **report}
+
+
+def _moved_and_merged(camb):
+    """Partitions, not congruences, made from a Cambrian congruence: one
+    chamber moved into the class of an adjacent chamber, or two adjacent
+    classes merged.  The quotient stays, so most dual graphs fail too."""
+    cong = camb.congruence
+    lattice = cong.lattice
+    class_of = cong.class_of
+    moves, merges = set(), set()
+    for x, y in lattice.covers:
+        a, b = class_of[x], class_of[y]
+        if a != b:
+            moves |= {(x, b), (y, a)}
+            merges.add((min(a, b), max(a, b)))
+    partitions = [
+        [b if i == x else c for i, c in enumerate(class_of)] for x, b in sorted(moves)
+    ] + [[a if c == b else c for c in class_of] for a, b in sorted(merges)]
+    return [
+        CambrianLattice(camb.system, None, LatticeCongruence(lattice, p), camb.quotient)
+        for p in partitions
+    ]
+
+
+def test_h3_pruned_check_matches_unpruned(monkeypatch):
+    _memoize(monkeypatch, "_det3", lambda field, *rows: rows)
+    faces = fans._fan_faces
+
+    def faces_and_class_flag(camb, cones, side, simplicial, tiling):
+        # Report the class tests' verdict too, which wall pairing can hide.
+        return {**faces(camb, cones, side, simplicial, tiling), "classes_tile": tiling}
+
+    monkeypatch.setattr(fans, "_fan_faces", faces_and_class_flag)
+    system = get_system("H3")
+    reports = []
+    for orientation in all_orientations(system):
+        camb = cambrian_lattice(system, orientation)
+        # Every tenth of the 196 or 204 partitions of each orientation.
+        partitions = _moved_and_merged(camb)[::10]
+        reports += _same_reports(
+            monkeypatch,
+            [camb] + partitions,
+            lambda: fans.check_fan_h3(system, orientation),
+            lambda camb: _unpruned_check_fan_h3(system, camb),
+        )
+    assert len(reports) == 4 + 82
+    assert sum(fan_passed(r) for r in reports) == 4
+    assert any(r["simplicial"] and not r["tiling"] for r in reports)
+    assert any(not r["simplicial"] for r in reports)
+    # Some classes fail the inner-side sign test.
+    assert any(not r["classes_tile"] for r in reports)
 
 
 def _rows(vectors):

@@ -78,6 +78,12 @@ CASES = {
         ]
         for m in (7, 12)
     },
+    # I2(3) has every bond label at most 3, so its field is Q.
+    "build I2 m=3 weak json": ["build", "--family", "I2", "--m", "3", "--format", "json"],
+    "build I2 m=3 weak dot": ["build", "--family", "I2", "--m", "3", "--format", "dot"],
+    "build I2 m=3 cambrian json": [
+        "build", "--family", "I2", "--m", "3", "--orientation", "1>2", "--format", "json",
+    ],
 }
 
 GOLDEN = {
@@ -96,6 +102,9 @@ GOLDEN = {
     "build I2 cambrian dot": (0, "e1946a28bbc8d277f839ef0cb474b0573b75653c3338301cdb0886c96143f811"),
     "build I2 cambrian json": (0, "6480ecbc552205961363e2de0f6e1709dcca50374a68b7c4ca61f6e618a280bd"),
     "build I2 m=12 weak json": (0, "41431f80d48c76de61ff39a0fdd2f8a15ba23dfa4e886b9c8aef7145a3310a7e"),
+    "build I2 m=3 cambrian json": (0, "830e3f141b8a606d82d9b45421c604a6a8a2d54a4e0c9ff17d05ebef35d1f436"),
+    "build I2 m=3 weak dot": (0, "55c8cc30243865737ba29d9434ec02cc2223b7675cbf0c5a908b207031e093f6"),
+    "build I2 m=3 weak json": (0, "c5efaeb588528cdfe7142edf54d2425019e90cb680b29c601166dfee8d4b00f3"),
     "build I2 m=7 weak json": (0, "91b205fe22a439aaadbc1e064ccb726215b55c132e529bf06996a8f8bf76bf8e"),
     "build I2 weak dot": (0, "713b403350e587e291948f01dbccb96c1a9140a097a3f1ad34ace8bdf62adc9f"),
     "build I2 weak json": (0, "887e5423158b746ee93ee631c324f1654db509effd2fca5d2acd9569a0118bcc"),
