@@ -59,12 +59,14 @@ from .polygon_a import (
     contains_colored_pattern,
     descent_set_of_triangulation,
     eta,
+    eta_masks,
     is_pi_down_fixed,
     is_pi_up_fixed,
     ji_contracted_a,
     lambda_paths,
     pi_down,
     pi_up,
+    projection_tables,
     signatures_for_orientation,
     polygon_from_signature,
     shard_arrow_a,

@@ -10,11 +10,22 @@ by the signature; the class projections pi_down / pi_up are realized by
 local pattern moves on one-line notation.
 
 The maps work on bitmasks, bit v standing for vertex or value v.
-``eta`` keeps the current path as a mask and collects only the edges
-each step creates: inserting an up value v between its path neighbours
-u < v < w (the nearest set bits) adds (u, v) and (v, w); removing a down
-value adds (u, w).  The projections carry the mask of the values already
-read, so whether an adjacent pair has its "2" is one mask intersection.
+There is one eta walk, ``_eta_mask``: it keeps the current path as a
+mask and collects only the edges each step creates: inserting an up
+value v between its path neighbours u < v < w (the nearest set bits)
+adds (u, v) and (v, w); removing a down value adds (u, w).  Edge (u, w)
+is bit u(n+2) + w of the result, and the boundary edges are one mask
+(``PolygonQ.boundary_mask``) to clear.  ``eta`` decodes that mask into a
+diagonal set; ``eta_masks`` keeps the masks of a whole group, which
+name the triangulations injectively, so fibers can be grouped by them.
+
+The projections carry the mask of the values already read, so whether
+an adjacent pair has its "2" is one mask intersection; ``_first_move``
+finds the leftmost pair that moves.  ``pi_down`` / ``pi_up`` apply that
+rule until nothing moves.  ``projection_tables`` applies it once per
+element of a weak order: the lattice stores its elements along a linear
+extension and a move goes to a cover, so filling pi_down in index order
+(pi_up in reverse order) finds every move's target already done.
 """
 
 from __future__ import annotations
@@ -134,6 +145,12 @@ class PolygonQ:
             out.add((min(a, b), max(a, b)))
         return frozenset(out)
 
+    @cached_property
+    def boundary_mask(self) -> int:
+        """The boundary edges (a, b), a < b, as bits a(n+2) + b."""
+        stride = self.n + 2
+        return sum(1 << (a * stride + b) for a, b in self.boundary_edges)
+
     def slope_key(self, a: int, b: int) -> tuple[int, int]:
         """Slope of segment a--b as an exact (dy, dx) pair with dx > 0."""
         (xa, ya), (xb, yb) = self.coords[a], self.coords[b]
@@ -180,6 +197,16 @@ class TriangulationA:
 # Lambda paths and eta.
 
 
+def _bits(mask: int) -> list[int]:
+    """The indices of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
 def _check_permutation(x: tuple[int, ...], n: int) -> None:
     if sorted(x) != list(range(1, n + 1)):
         raise ValueError(f"{x} is not a permutation of 1..{n}")
@@ -200,28 +227,42 @@ def lambda_paths(x: tuple[int, ...], polygon: PolygonQ) -> list[tuple[int, ...]]
     return out
 
 
-def eta(x: tuple[int, ...], polygon: PolygonQ) -> TriangulationA:
-    """The lambda-path edges off the boundary (lambda_0 lies on it)."""
-    sig = polygon.signature
-    n = sig.n
-    _check_permutation(x, n)
-    ups = sig.ups
-    path = ((1 << (n + 2)) - 1) ^ sig.upmask
-    edges = set()
+def _eta_mask(x: tuple[int, ...], n: int, up: int, boundary: int) -> int:
+    """The lambda-path edges off the boundary (lambda_0 lies on it), edge
+    (u, w) as bit u(n+2) + w; ``up`` and ``boundary`` are the signature's
+    and the polygon's masks."""
+    stride = n + 2
+    path = ((1 << stride) - 1) ^ up
+    edges = 0
     for v in x:
         u = (path & ((1 << v) - 1)).bit_length() - 1
         above = path >> (v + 1)
         w = v + (above & -above).bit_length()
-        if v in ups:
-            edges.add((u, v))
-            edges.add((v, w))
+        if up >> v & 1:
+            edges |= 1 << (u * stride + v) | 1 << (v * stride + w)
         else:
-            edges.add((u, w))
+            edges |= 1 << (u * stride + w)
         path ^= 1 << v
-    diagonals = frozenset(edges) - polygon.boundary_edges
-    if len(diagonals) != n - 1:
-        raise AssertionError(f"eta produced {len(diagonals)} diagonals, wanted {n - 1}")
-    return TriangulationA(n, ups, diagonals)
+    edges &= ~boundary
+    if edges.bit_count() != n - 1:
+        raise AssertionError(f"eta produced {edges.bit_count()} diagonals, wanted {n - 1}")
+    return edges
+
+
+def eta(x: tuple[int, ...], polygon: PolygonQ) -> TriangulationA:
+    """The triangulation of ``_eta_mask``, decoded into diagonal pairs."""
+    sig = polygon.signature
+    n = sig.n
+    _check_permutation(x, n)
+    mask = _eta_mask(x, n, sig.upmask, polygon.boundary_mask)
+    return TriangulationA(n, sig.ups, frozenset(divmod(b, n + 2) for b in _bits(mask)))
+
+
+def eta_masks(elements, signature: UpDownSignature) -> list[int]:
+    """``_eta_mask`` of each permutation of 1..n in ``elements``."""
+    polygon = polygon_from_signature(signature)
+    n, up, boundary = signature.n, signature.upmask, polygon.boundary_mask
+    return [_eta_mask(x, n, up, boundary) for x in elements]
 
 
 # ---------------------------------------------------------------------------
@@ -252,33 +293,42 @@ def contains_colored_pattern(
     return False, None
 
 
+def _first_move(x, up: int, down: int, descending: bool) -> Optional[int]:
+    """The leftmost j whose adjacent descent (ascent) x[j], x[j+1] has its
+    "2", or None.
+
+    The "2" is a value strictly between the pair that is up and before j,
+    or down and after j+1.  ``before`` holds x[0..j-1]; the pair is not
+    strictly between itself, so the rest of ``~before`` is after.
+    """
+    before = 0
+    for j in range(len(x) - 1):
+        a, b = x[j], x[j + 1]
+        if (a > b) == descending:
+            lo, hi = (b, a) if descending else (a, b)
+            if ((1 << hi) - (2 << lo)) & (before & up | ~before & down):
+                return j
+        before |= 1 << a
+    return None
+
+
+def _value_masks(signature: UpDownSignature) -> tuple[int, int]:
+    """Masks of the up and of the down values 1..n."""
+    up = signature.upmask
+    return up, ((1 << (signature.n + 1)) - 2) ^ up
+
+
 def _project(
     x: tuple[int, ...], signature: UpDownSignature, descending: bool
 ) -> tuple[int, ...]:
-    """Swap the leftmost adjacent descent (ascent) that has its "2", then
-    start again from the left, until none has one.
-
-    The "2" of x[j], x[j+1] is a value strictly between them that is up
-    and before j, or down and after j+1.  ``before`` holds x[0..j-1]; the
-    pair is not strictly between itself, so the rest of ``~before`` is after.
-    """
-    n = signature.n
-    _check_permutation(x, n)
+    """Swap the pair of ``_first_move``, then start again from the left,
+    until no pair moves."""
+    _check_permutation(x, signature.n)
     x = list(x)
-    up = signature.upmask
-    down = ((1 << (n + 1)) - 2) ^ up
-    while True:
-        before = 0
-        for j in range(n - 1):
-            a, b = x[j], x[j + 1]
-            if (a > b) == descending:
-                lo, hi = (b, a) if descending else (a, b)
-                if ((1 << hi) - (2 << lo)) & (before & up | ~before & down):
-                    x[j], x[j + 1] = b, a
-                    break
-            before |= 1 << a
-        else:
-            return tuple(x)
+    up, down = _value_masks(signature)
+    while (j := _first_move(x, up, down, descending)) is not None:
+        x[j], x[j + 1] = x[j + 1], x[j]
+    return tuple(x)
 
 
 def pi_down(x: tuple[int, ...], signature: UpDownSignature) -> tuple[int, ...]:
@@ -289,6 +339,38 @@ def pi_down(x: tuple[int, ...], signature: UpDownSignature) -> tuple[int, ...]:
 def pi_up(x: tuple[int, ...], signature: UpDownSignature) -> tuple[int, ...]:
     """Iterate upward moves on adjacent pattern instances to the fixpoint."""
     return _project(x, signature, False)
+
+
+def projection_tables(
+    lattice: FiniteLattice, signature: UpDownSignature
+) -> tuple[list[int], list[int]]:
+    """pi_down and pi_up of every element of a weak order of S_n, as
+    lattice indices.
+
+    An element no move changes is its own projection; otherwise its
+    projection is that of the element ``_first_move`` swaps it to, which
+    is the next step ``_project`` takes.  A move goes to a lower (upper)
+    cover, which the lattice's linear extension puts before (after) the
+    element, so pi_down is filled in index order and pi_up in reverse.
+    """
+    elements, index = lattice.elements, lattice.index
+    up, down = _value_masks(signature)
+    tables = []
+    for descending in (True, False):
+        table = [-1] * len(elements)
+        order = range(len(elements))
+        for i in order if descending else reversed(order):
+            x = elements[i]
+            j = _first_move(x, up, down, descending)
+            if j is None:
+                table[i] = i
+                continue
+            target = table[index[x[:j] + (x[j + 1], x[j]) + x[j + 2:]]]
+            if target < 0:
+                raise AssertionError(f"the move from {x} leaves index order")
+            table[i] = target
+        tables.append(table)
+    return tables[0], tables[1]
 
 
 def is_pi_down_fixed(x: tuple[int, ...], signature: UpDownSignature) -> bool:
@@ -379,36 +461,56 @@ def triangulation_lattice(signature: UpDownSignature) -> FiniteLattice:
 # Descents from a triangulation.
 
 
-def _case_table_descents(diagonals, n: int, ups) -> set[int]:
-    """The a in 1..n-1 for which (a, a+1) is a descent, by the four up/down
-    cases of a and a+1.  Types A and B share the table."""
-    beyond = {a for a, b in diagonals if b > a + 1}
-    out = set()
-    for a in range(1, n):
-        a_up = a in ups
-        b_up = (a + 1) in ups
-        adjacent = (a, a + 1) in diagonals
-        if not a_up and not b_up:
-            is_descent = a in beyond
-        elif not a_up and b_up:
-            is_descent = adjacent
-        elif a_up and b_up:
-            is_descent = a not in beyond
-        else:
-            is_descent = not adjacent
-        if is_descent:
-            out.add(a)
-    return out
+def _case_table_descents(beyond: int, adjacent: int, upmask: int, n: int) -> int:
+    """Mask of the a in 1..n-1 for which (a, a+1) is a descent, by the four
+    up/down cases of a and a+1, for every a at once.  Bit a of ``beyond``
+    says a diagonal leaves a towards some b > a+1, bit a of ``adjacent``
+    that (a, a+1) is a diagonal.  Types A and B share the table."""
+    a_up, b_up = upmask, upmask >> 1
+    descents = (
+        ~a_up & ~b_up & beyond
+        | ~a_up & b_up & adjacent
+        | a_up & b_up & ~beyond
+        | a_up & ~b_up & ~adjacent
+    )
+    return descents & ((1 << n) - 2)
+
+
+def _case_masks(diagonals) -> tuple[int, int]:
+    """(beyond, adjacent) of ``_case_table_descents`` from diagonal pairs
+    (a, b), a < b; pairs with a < 1 are never read."""
+    beyond = adjacent = 0
+    for a, b in diagonals:
+        if a >= 1:
+            if b > a + 1:
+                beyond |= 1 << a
+            else:
+                adjacent |= 1 << a
+    return beyond, adjacent
 
 
 def descent_set_of_triangulation(
     tri: TriangulationA, signature: UpDownSignature
 ) -> frozenset[tuple[int, int]]:
     """Reflections (a, a+1) that are descents, by the four up/down cases."""
-    return frozenset(
-        (a, a + 1)
-        for a in _case_table_descents(tri.diagonals, signature.n, signature.ups)
+    descents = _case_table_descents(
+        *_case_masks(tri.diagonals), signature.upmask, signature.n
     )
+    return frozenset((a, a + 1) for a in _bits(descents))
+
+
+def eta_mask_descents(mask: int, signature: UpDownSignature) -> int:
+    """``_case_table_descents`` of the triangulation whose diagonals are
+    the bits of ``mask``, as ``_eta_mask`` lays them out."""
+    n = signature.n
+    stride = n + 2
+    beyond = adjacent = 0
+    for a in range(1, n):
+        row = mask >> (a * stride + a + 1)
+        adjacent |= (row & 1) << a
+        if row >> 1 & ((1 << (n - a)) - 1):
+            beyond |= 1 << a
+    return _case_table_descents(beyond, adjacent, signature.upmask, n)
 
 
 # ---------------------------------------------------------------------------

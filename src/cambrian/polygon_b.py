@@ -28,6 +28,8 @@ from .polygon_a import (
     PolygonQ,
     TriangulationA,
     UpDownSignature,
+    _bits,
+    _case_masks,
     _case_table_descents,
     _chain_triangulations,
     _flip,
@@ -83,6 +85,11 @@ class SymmetricSignature:
 
     def is_up(self, i: int) -> bool:
         return i in self.ups
+
+    @cached_property
+    def upmask(self) -> int:
+        """Bitmask with bit i set for each up index i in 1..n."""
+        return sum(1 << i for i in self.ups if i > 0)
 
     def bridge(self, i: int) -> int:
         """Signed label in +-[n+1] to type-A vertex label 0..2n+1."""
@@ -294,9 +301,9 @@ def descent_set_b(tri: TriangulationB) -> frozenset[int]:
     """Left descents as generator names 0..n-1, read off the triangulation."""
     sig = tri.signature
     diagonals = tri.signed_diagonals
-    out = _case_table_descents(diagonals, sig.n, sig.ups)
+    out = _bits(_case_table_descents(*_case_masks(diagonals), sig.upmask, sig.n))
     if sig.is_up(1) == ((-1, 1) in diagonals):
-        out.add(0)
+        out.append(0)
     return frozenset(out)
 
 

@@ -47,11 +47,11 @@ from .congruences import (
 )
 from .polygon_a import (
     UpDownSignature,
-    descent_set_of_triangulation,
-    eta,
-    pi_down,
-    pi_up,
-    polygon_from_signature,
+    # Not called here any more, but perfbench's tracing test reads suites.eta.
+    eta,  # noqa: F401
+    eta_mask_descents,
+    eta_masks,
+    projection_tables,
     shard_digraph_a,
     transitive_closure_digraph,
 )
@@ -213,19 +213,15 @@ def suite_catalan(family=None, max_rank=None, cap=None) -> dict:
 
 
 def _eta_fiber_partition(lattice: FiniteLattice, signature):
-    """Element indices grouped by triangulation: eta in type A, eta_b in B."""
+    """Element indices grouped by triangulation: eta's diagonal masks in
+    type A, eta_b in B."""
     if isinstance(signature, SymmetricSignature):
-        def triangulate(x):
-            return eta_b(x, signature).base.diagonals
+        keys = [eta_b(x, signature).base.diagonals for x in lattice.elements]
     else:
-        polygon = polygon_from_signature(signature)
-
-        def triangulate(x):
-            return eta(x, polygon).diagonals
-
+        keys = eta_masks(lattice.elements, signature)
     fibers: dict = defaultdict(list)
-    for i, x in enumerate(lattice.elements):
-        fibers[triangulate(x)].append(i)
+    for i, key in enumerate(keys):
+        fibers[key].append(i)
     return fibers
 
 
@@ -265,26 +261,23 @@ def suite_fibers(max_rank=None, cap=None) -> dict:
 
 def _fibers_ok(lattice: FiniteLattice, sig: UpDownSignature):
     fibers = _eta_fiber_partition(lattice, sig)
+    down, up = projection_tables(lattice, sig)
     for members in fibers.values():
-        fiber = set(members)
+        fiber = sum(1 << i for i in members)
         x = lattice.elements[members[0]]
-        bot = lattice.index[pi_down(x, sig)]
-        top = lattice.index[pi_up(x, sig)]
-        if fiber != set(lattice.interval(bot, top)):
+        bot, top = down[members[0]], up[members[0]]
+        if fiber != lattice.up[bot] & lattice.down[top]:
             return False, str(x)
         for i in members[1:]:
-            y = lattice.elements[i]
-            if lattice.index[pi_down(y, sig)] != bot:
-                return False, str(y)
-            if lattice.index[pi_up(y, sig)] != top:
-                return False, str(y)
-        seen = {members[0]}
+            if down[i] != bot or up[i] != top:
+                return False, str(lattice.elements[i])
+        seen = 1 << members[0]
         frontier = [members[0]]
         while frontier:
             i = frontier.pop()
             for j in itertools.chain(lattice.lower[i], lattice.upper[i]):
-                if j in fiber and j not in seen:
-                    seen.add(j)
+                if fiber >> j & 1 and not seen >> j & 1:
+                    seen |= 1 << j
                     frontier.append(j)
         if seen != fiber:
             return False, str(x)
@@ -575,18 +568,24 @@ def _case_table_check(
     system: CoxeterSystem, n: int, lattice: FiniteLattice, label: str
 ) -> dict:
     """The triangulation case tables give the left descents of every
-    element of the weak order, for every signature."""
+    element of the weak order, for every signature.  Type A reads them
+    off eta's diagonal masks, once per triangulation."""
     name = f"{label} case tables"
+    descents = [
+        sum(1 << a for a in system.left_descents(x)) for x in lattice.elements
+    ]
     for sig in _signatures(system, n):
         if system.family == "A":
-            polygon = polygon_from_signature(sig)
-        for x in lattice.elements:
-            if system.family == "A":
-                tri = eta(x, polygon)
-                got = {a for a, _ in descent_set_of_triangulation(tri, sig)}
-            else:
-                got = set(descent_set_b(eta_b(x, sig)))
-            if got != set(system.left_descents(x)):
+            masks = eta_masks(lattice.elements, sig)
+            table = {mask: eta_mask_descents(mask, sig) for mask in set(masks)}
+            got = [table[mask] for mask in masks]
+        else:
+            got = [
+                sum(1 << a for a in descent_set_b(eta_b(x, sig)))
+                for x in lattice.elements
+            ]
+        for x, mine, theirs in zip(lattice.elements, got, descents):
+            if mine != theirs:
                 return _check(name, False, witness=str((sig.to_string(), x)))
     return _check(name, True, witness=None)
 

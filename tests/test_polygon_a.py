@@ -1,10 +1,12 @@
 """Tests for polygon triangulations and pattern machinery in type A."""
 
 import itertools
+from types import SimpleNamespace
 
 import pytest
 
 from cambrian import (
+    PolygonQ,
     UpDownSignature,
     all_triangulations,
     camb_forcing_a,
@@ -12,6 +14,7 @@ from cambrian import (
     contains_colored_pattern,
     descent_set_of_triangulation,
     eta,
+    eta_masks,
     get_system,
     is_pi_down_fixed,
     is_pi_up_fixed,
@@ -22,13 +25,16 @@ from cambrian import (
     pi_up,
     polygon_from_signature,
     poset_isomorphism,
+    projection_tables,
     quotient_lattice,
     shard_arrow_a,
     signatures_for_orientation,
     triangulation_lattice,
     uncontracted_ji_subsets,
 )
+from cambrian import suites
 from cambrian.coxeter import all_ji_subsets_a
+from cambrian.polygon_a import eta_mask_descents
 from cambrian.suites import _firing_masks, all_updown_signatures, catalan
 
 
@@ -345,3 +351,112 @@ def test_maps_reject_non_permutations(x):
             project(x, sig)
     with pytest.raises(ValueError):
         eta(x, polygon_from_signature(sig))
+
+
+# ---------------------------------------------------------------------------
+# The whole-group tables against the per-element maps.
+
+
+def _weak_order(n):
+    return get_system("A", n - 1).weak_order_lattice()
+
+
+def _decode(mask, n):
+    """Diagonal pairs of an eta mask, (u, w) at bit u(n+2) + w."""
+    return frozenset(
+        divmod(b, n + 2) for b in range(mask.bit_length()) if mask >> b & 1
+    )
+
+
+def _encode(diagonals, n):
+    return sum(1 << (u * (n + 2) + w) for u, w in diagonals)
+
+
+def test_eta_masks_decode_to_eta():
+    cases = [(sig, n) for n in range(3, 6) for sig in all_updown_signatures(n)]
+    cases.append((SIG6, 6))
+    for sig, n in cases:
+        poly = polygon_from_signature(sig)
+        elements = _weak_order(n).elements
+        for x, mask in zip(elements, eta_masks(elements, sig)):
+            assert _decode(mask, n) == eta(x, poly).diagonals, (x, sig)
+
+
+def test_eta_and_eta_masks_refuse_a_wrong_diagonal_count(monkeypatch):
+    # With no boundary edges cleared, the walk keeps more than n-1 edges.
+    monkeypatch.setattr(PolygonQ, "boundary_mask", property(lambda self: 0))
+    sig = UpDownSignature(4, frozenset({2}))
+    with pytest.raises(AssertionError):
+        eta_masks([(1, 2, 3, 4)], sig)
+    with pytest.raises(AssertionError):
+        eta((1, 2, 3, 4), polygon_from_signature(sig))
+
+
+def test_projection_tables_match_per_element_projections():
+    for n in range(3, 6):
+        lattice = _weak_order(n)
+        for sig in all_updown_signatures(n):
+            down, up = projection_tables(lattice, sig)
+            assert down == [lattice.index[pi_down(x, sig)] for x in lattice.elements]
+            assert up == [lattice.index[pi_up(x, sig)] for x in lattice.elements]
+
+
+def test_projection_tables_refuse_a_move_against_index_order():
+    lattice = _weak_order(3)
+    elements = lattice.elements[::-1]
+    reversed_order = SimpleNamespace(
+        elements=elements, index={x: i for i, x in enumerate(elements)}
+    )
+    with pytest.raises(AssertionError):
+        projection_tables(reversed_order, UpDownSignature(3, frozenset({1, 2, 3})))
+
+
+def test_mask_case_table_matches_descent_set():
+    for sig, _ in _small_cases(5):
+        if sig.n < 3:
+            continue
+        for tri in all_triangulations(polygon_from_signature(sig)):
+            got = eta_mask_descents(_encode(tri.diagonals, sig.n), sig)
+            want = descent_set_of_triangulation(tri, sig)
+            assert got == sum(1 << a for a, _ in want), (tri, sig)
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_fibers_fail_when_one_projection_entry_moves(monkeypatch, which):
+    real = suites.projection_tables
+
+    def moved(lattice, sig):
+        tables = real(lattice, sig)
+        if sig.to_string() == "udud":
+            # A middle member of a fiber, whose own entry is checked
+            # against the fiber's ends, is sent to itself.
+            fibers = suites._eta_fiber_partition(lattice, sig).values()
+            i = next(members for members in fibers if len(members) >= 3)[1]
+            tables = [list(t) for t in tables]
+            tables[which][i] = i
+        return tuple(tables)
+
+    monkeypatch.setattr(suites, "projection_tables", moved)
+    report = suites.suite_fibers(max_rank=4)
+    assert not report["passed"]
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["A n=4 sig udud"]
+    assert failed[0]["witness"]
+
+
+def test_fibers_fail_when_two_fibers_merge(monkeypatch):
+    real = suites.eta_masks
+
+    def merged(elements, sig):
+        masks = real(elements, sig)
+        if sig.to_string() == "ddu":
+            first, other = masks[0], next(m for m in masks if m != masks[0])
+            masks = [first if m == other else m for m in masks]
+        return masks
+
+    monkeypatch.setattr(suites, "eta_masks", merged)
+    report = suites.suite_fibers(max_rank=3)
+    assert not report["passed"]
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [c["name"] for c in failed] == ["A n=3 sig ddu"]
+    assert failed[0]["witness"]

@@ -215,6 +215,38 @@ def test_descent_set_b_matches_group_descents():
         assert got == frozenset(system.left_descents(x))
 
 
+def _per_a_descents_b(tri):
+    """descent_set_b before the word-wide case table: one up/down case per
+    a in 1..n-1 over the signed diagonals, then the s_0 rule."""
+    sig = tri.signature
+    diagonals = tri.signed_diagonals
+    beyond = {a for a, b in diagonals if b > a + 1}
+    out = set()
+    for a in range(1, sig.n):
+        a_up, b_up = a in sig.ups, (a + 1) in sig.ups
+        adjacent = (a, a + 1) in diagonals
+        if not a_up and not b_up:
+            is_descent = a in beyond
+        elif not a_up and b_up:
+            is_descent = adjacent
+        elif a_up and b_up:
+            is_descent = a not in beyond
+        else:
+            is_descent = not adjacent
+        if is_descent:
+            out.add(a)
+    if sig.is_up(1) == ((-1, 1) in diagonals):
+        out.add(0)
+    return frozenset(out)
+
+
+def test_descent_set_b_matches_per_a_case_table():
+    for n in range(2, 5):
+        for sig in all_symmetric_signatures(n):
+            for tri in symmetric_triangulations(sig):
+                assert descent_set_b(tri) == _per_a_descents_b(tri), tri
+
+
 def test_symmetric_signature_builds_its_polygon_once(monkeypatch):
     from cambrian import polygon_b
     from cambrian.polygon_a import polygon_from_signature
