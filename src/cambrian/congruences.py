@@ -294,12 +294,11 @@ def parabolic_restriction_check(system: CoxeterSystem, orientation: Orientation,
         )
     restricted_cong = congruence_from_partition(sub, list(restricted.values()))
 
-    sub_pairs = []
-    for s, t, m in orientation.edges:
-        if s in K and t in K:
-            word = [t if k % 2 == 0 else s for k in range(m - 1)]
-            sub_pairs.append(
-                (sub.index[system.generator(t)], sub.index[system.from_word(word)])
-            )
+    edge_pairs = zip(orientation.edges, generating_pairs(system, orientation))
+    sub_pairs = [
+        (sub.index[x], sub.index[y])
+        for (s, t, _), (x, y) in edge_pairs
+        if s in K and t in K
+    ]
     sub_cong = congruence_closure(sub, sub_pairs)
     return restricted_cong.key() == sub_cong.key()

@@ -173,14 +173,23 @@ def contains_signed_pattern(x: tuple[int, ...], pattern: tuple[int, ...]) -> boo
 # Join-irreducibles as subsets (type A) and signed subsets (type B).
 
 
+def ji_subset_bounds(n: int, members: frozenset[int]) -> tuple[int, int] | None:
+    """(min A, max A^c) when A labels a join-irreducible of S_n, that is
+    when A is proper and nonempty and min A < max A^c; else None."""
+    rest = set(range(1, n + 1)).difference(members)
+    if members and rest and min(members) < max(rest):
+        return min(members), max(rest)
+    return None
+
+
 def ji_subset_to_perm(n: int, members: frozenset[int]) -> tuple[int, ...]:
     """Permutation of the join-irreducible labelled by A, as Ac asc + A asc."""
     a = sorted(members)
     ac = sorted(set(range(1, n + 1)) - set(members))
-    if not a or not ac:
+    if ji_subset_bounds(n, members) is None:
+        if a and ac:
+            raise ValueError(f"subset {a} has min exceeding max of complement")
         raise ValueError("subset must be proper and nonempty")
-    if a[0] > ac[-1]:
-        raise ValueError(f"subset {a} has min exceeding max of complement")
     return tuple(ac) + tuple(a)
 
 
@@ -192,15 +201,12 @@ def perm_to_ji_subset(x: tuple[int, ...]) -> frozenset[int]:
 
 
 def all_ji_subsets_a(n: int) -> list[frozenset[int]]:
-    out = []
-    for r in range(1, n):
-        for combo in itertools.combinations(range(1, n + 1), r):
-            members = frozenset(combo)
-            m = min(combo)
-            big_m = max(set(range(1, n + 1)) - members)
-            if big_m > m:
-                out.append(members)
-    return out
+    subsets = (
+        frozenset(combo)
+        for r in range(1, n)
+        for combo in itertools.combinations(range(1, n + 1), r)
+    )
+    return [a for a in subsets if ji_subset_bounds(n, a) is not None]
 
 
 def signed_ji_members_valid(n: int, members: frozenset[int]) -> bool:

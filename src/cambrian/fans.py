@@ -6,19 +6,20 @@ doubled polygon to the antisymmetric subspace; the H3 fan is built over
 the exact degree-2 number field of the generic realization.
 
 Inside the module the A and B rays are integers: n * ray in S_n and 2n
-* ray in B_n, where rank, kernels, cone membership and wall sides are
-unchanged.  Only ``ray_vector``, ``region_cone`` and ``fan_to_json``
-divide, at the public boundary.  One table, ``_rays_and_diagonals``,
-pairs each ray subset with its polygon diagonal, and the ray list, the
-ray-to-diagonal map and its inverse all read it.
+* ray in B_n, where rank, cone membership and wall sides are unchanged.
+Only ``ray_vector``, ``region_cone`` and ``fan_to_json`` divide, at the
+public boundary.  One table, ``_rays_and_diagonals``, pairs each ray
+subset with its polygon diagonal, and the ray list, the ray-to-diagonal
+map and its inverse all read it.
 
 Every fan check builds the cone of each Cambrian class and a
 side-of-wall test, then hands them to one report (``_fan_faces``): wall
 pairing, dual graph against the Hasse diagram, and f-vector.  In A and B
-a cone is spanned by the rays of the class bottom's triangulation, and
-one class loop (``_check_fan_ab``) tests its rank and that it contains
-every member region.  In H3 a cone is cut out by the walls that leave
-its class: the wall of w's chamber opposite w * omega_k bounds the
+a cone is spanned by the rays of the class bottom's triangulation; one
+elimination per cone gives its facet normals, and one class loop
+(``_check_fan_ab``) reads off them its rank, the regions and rays it
+holds, and its wall sides.  In H3 a cone is cut out by the walls that
+leave its class: the wall of w's chamber opposite w * omega_k bounds the
 class exactly when w * s_k is in another class.
 """
 
@@ -43,9 +44,9 @@ from .polygon_a import (
 from .polygon_b import SymmetricSignature, _mirror, eta_b
 
 # ---------------------------------------------------------------------------
-# Exact linear algebra over the integers.  Rank, kernel and cone tests are
-# unchanged by scaling a vector (or an equation) by a positive integer, so
-# the fan checks below run on integer rays and never reduce a fraction.
+# Exact linear algebra over the integers.  Scaling a ray by a positive
+# integer changes no rank, cone or wall side, so the fan checks run on
+# integer rays; one elimination per cone gives its facet normals.
 
 
 def _echelon(rows):
@@ -83,34 +84,26 @@ def _rank(vectors) -> int:
     return len(_echelon(vectors)[1])
 
 
-def _kernel_vector(vectors):
-    """A nonzero integer vector orthogonal to all the given integer vectors."""
-    rows, pivots, d = _echelon(vectors)
-    free = next(c for c in range(len(vectors[0])) if c not in pivots)
-    out = [0] * len(vectors[0])
-    out[free] = d
-    for row, col in zip(rows, pivots):
-        out[col] = -row[free]
-    return tuple(out)
+def _inward_normals(rays, lineality=()):
+    """Integer b_i, one per ray, with b_i . ray_j = d * [i == j] for one
+    d > 0 and b_i . l = 0 for each lineality vector l; None unless the rays
+    and the lineality form a basis.  The b_i are the rows of d times the
+    inverse of the basis, which one elimination leaves beside the identity.
+    """
+    basis = [*rays, *lineality]
+    dim = len(basis)
+    if any(len(v) != dim for v in basis):
+        return None
+    identity = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    matrix = [[*coords, *e] for coords, e in zip(zip(*basis), identity)]
+    rows, pivots, d = _echelon(matrix)
+    if pivots != list(range(dim)):
+        return None
+    return [tuple(x if d > 0 else -x for x in row[dim:]) for row in rows[: len(rays)]]
 
 
 def _dot(u, v):
     return sum(a * b for a, b in zip(u, v))
-
-
-def _nonneg_combo(rays, v):
-    """Coefficients >= 0 with sum(lambda_i * ray_i) = v, or None.
-
-    None also when the rays are linearly dependent.  Entries are integers.
-    """
-    matrix = [[r[i] for r in rays] + [v[i]] for i in range(len(v))]
-    rows, pivots, d = _echelon(matrix)
-    k = len(rays)
-    if pivots != list(range(k)):
-        return None
-    if any(row[k] * d < 0 for row in rows[:k]):
-        return None
-    return tuple(Fraction(row[k], d) for row in rows[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -285,29 +278,43 @@ def _fan_faces(camb, cones, side, simplicial, tiling, **extra) -> dict:
     }
 
 
-def _check_fan_ab(camb, cones, vectors, region_rays, row, **extra) -> dict:
+def _check_fan_ab(
+    camb, cones, vectors, region_rays, lineality=(), fan_rays=None
+) -> dict:
     """The fan report of type A or B, from the ray keys of each class cone.
 
-    Each cone must have rank-many independent rays and contain the
-    region of every member x, whose rays are ``region_rays(x)`` in the
-    coordinates of ``vectors``.  ``row`` joins the rays of a wall when
-    solving for its normal: the all-ones lineality in A, and in B a zero
-    row, which carries the dimension when the wall is the origin (B_1).
+    Each cone needs inward facet normals modulo the ``lineality`` and must
+    contain the region of every member x, whose rays are ``region_rays(x)``
+    in the coordinates of ``vectors``.  Given ``fan_rays``, ``consistency``
+    says whether each cone holds exactly the fan rays it lists.  Ray b is
+    across a wall from a when b is on the negative side of a's normal in
+    the cone on the wall and a.
     """
-    lattice = camb.congruence.lattice
-    simplicial = tiling = True
-    for members, cone in zip(camb.congruence.classes, cones):
-        rays = [vectors[a] for a in cone]
-        if _rank(rays) != camb.system.rank:
-            simplicial = False
-        for i in members:
-            for v in region_rays(lattice.elements[i]):
-                if _nonneg_combo(rays, v) is None:
-                    tiling = False
+    normals = [_inward_normals([vectors[a] for a in cone], lineality) for cone in cones]
+
+    def inside(c, v):
+        return normals[c] is not None and all(_dot(b, v) >= 0 for b in normals[c])
+
+    simplicial = None not in normals
+    tiling = all(
+        inside(c, v)
+        for c, members in enumerate(camb.congruence.classes)
+        for i in members
+        for v in region_rays(camb.congruence.lattice.elements[i])
+    )
+    extra = {}
+    if fan_rays is not None:
+        extra["consistency"] = all(
+            inside(c, vectors[a]) == (a in cone)
+            for c, cone in enumerate(cones)
+            for a in fan_rays
+        )
+    owner = {frozenset(cone): c for c, cone in enumerate(cones)}
 
     def side(wall, a, b):
-        normal = _kernel_vector([vectors[r] for r in wall] + [row])
-        return _dot(normal, vectors[a]) * _dot(normal, vectors[b]) < 0
+        c = owner[frozenset(wall) | {a}]
+        # A cone without normals has already failed the tiling.
+        return simplicial and _dot(normals[c][cones[c].index(a)], vectors[b]) < 0
 
     return _fan_faces(camb, cones, side, simplicial, tiling, **extra)
 
@@ -345,15 +352,7 @@ def check_fan_a(signature: UpDownSignature) -> dict:
     camb, cones = _cones_a(signature)
     subsets = fan_ray_subsets(signature)
     vectors = {a: _int_ray(n, a) for a in subsets}
-    consistent = True
-    for cone in cones:
-        rays = [vectors[a] for a in cone]
-        for a in subsets:
-            if (_nonneg_combo(rays, vectors[a]) is not None) != (a in cone):
-                consistent = False
-    report = _check_fan_ab(
-        camb, cones, vectors, _suffix_rays_a, (1,) * n, consistency=consistent
-    )
+    report = _check_fan_ab(camb, cones, vectors, _suffix_rays_a, [(1,) * n], subsets)
     return {"family": "A", **report, "num_rays": len(subsets)}
 
 
@@ -402,7 +401,7 @@ def check_fan_b(signature: SymmetricSignature) -> dict:
         t = eta_b(elements[members[0]], signature)
         orbits = {min(d, _mirror(d, two_n)) for d in t.base.diagonals}
         cones.append(tuple(sorted(orbits)))
-    report = _check_fan_ab(camb, cones, vectors, _symmetric_region_rays, (0,) * n)
+    report = _check_fan_ab(camb, cones, vectors, _symmetric_region_rays)
     return {"family": "B", **report}
 
 
@@ -508,12 +507,17 @@ def fan_passed(report: dict) -> bool:
 
 
 def check_fan(arg, orientation: Orientation = None) -> dict:
+    """The fan check of an A or B signature, or of H3 with an orientation."""
+    if isinstance(arg, CoxeterSystem) and arg.family == "H3":
+        if orientation is None:
+            raise ValueError("the H3 fan check needs an orientation")
+        return check_fan_h3(arg, orientation)
+    if orientation is not None:
+        raise ValueError("a signature fixes its own orientation")
     if isinstance(arg, UpDownSignature):
         return check_fan_a(arg)
     if isinstance(arg, SymmetricSignature):
         return check_fan_b(arg)
-    if isinstance(arg, CoxeterSystem) and arg.family == "H3":
-        return check_fan_h3(arg, orientation)
     raise ValueError("unsupported fan input")
 
 
@@ -808,8 +812,8 @@ def psi_and_bipartite_iso_check(n: int):
 
     for d, subset in d2s.items():
         root = psi(n, d)
-        combo = _nonneg_combo([_int_ray(n, subset)], linear_image(root))
-        if combo is None or combo[0] <= 0:
+        ray, image = _int_ray(n, subset), linear_image(root)
+        if _rank([ray, image]) != 1 or _dot(ray, image) <= 0:
             return False, ("ray-mismatch", d, root)
     # Cones map to cones: every triangulation's psi image is a cluster.
     polygon = polygon_from_signature(signature)

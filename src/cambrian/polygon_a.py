@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Optional
 
-from .coxeter import all_ji_subsets_a
+from .coxeter import all_ji_subsets_a, ji_subset_bounds
 from .lattices import FiniteLattice
 
 PATTERNS = ("up231", "31down2", "up213", "13down2")
@@ -517,24 +517,17 @@ def eta_mask_descents(mask: int, signature: UpDownSignature) -> int:
 # Shard arrows and Cambrian forcing for type A.
 
 
-def _subset_bounds(n: int, members: frozenset[int]) -> tuple[int, int]:
-    return min(members), max(set(range(1, n + 1)) - members)
-
-
-def _is_ji_subset(n: int, members: frozenset[int]) -> bool:
-    if not members or members >= frozenset(range(1, n + 1)):
-        return False
-    m, big_m = _subset_bounds(n, members)
-    return big_m > m
+def _ji_bounds(n: int, members: frozenset[int]) -> tuple[int, int]:
+    bounds = ji_subset_bounds(n, members)
+    if bounds is None:
+        raise ValueError(f"{sorted(members)} is not a join-irreducible subset")
+    return bounds
 
 
 def shard_arrow_a(n: int, a1: frozenset[int], a2: frozenset[int]) -> bool:
     """Forcing arrow between type-A join-irreducibles by subset conditions."""
-    for members in (a1, a2):
-        if not _is_ji_subset(n, members):
-            raise ValueError(f"{sorted(members)} is not a join-irreducible subset")
-    m1, big_m1 = _subset_bounds(n, a1)
-    m2, big_m2 = _subset_bounds(n, a2)
+    m1, big_m1 = _ji_bounds(n, a1)
+    m2, big_m2 = _ji_bounds(n, a2)
     window1 = frozenset(range(1, big_m1))
     if a1 & window1 == a2 & window1 and big_m2 > big_m1:
         return True
@@ -568,10 +561,7 @@ def transitive_closure_digraph(graph: dict) -> dict:
 def ji_contracted_a(signature: UpDownSignature, members: frozenset[int]) -> bool:
     """Whether the Cambrian congruence contracts the join-irreducible of A:
     some b strictly between m and M is up exactly when b is not in A."""
-    n = signature.n
-    if not _is_ji_subset(n, members):
-        raise ValueError(f"{sorted(members)} is not a join-irreducible subset")
-    m, big_m = _subset_bounds(n, members)
+    m, big_m = _ji_bounds(signature.n, members)
     return any((b in members) != (b in signature.ups) for b in range(m + 1, big_m))
 
 

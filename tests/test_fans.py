@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -154,6 +155,31 @@ def test_check_fan_a_consistency_fails_when_a_cone_lists_a_neighbours_ray(monkey
     assert check_fan_a(TAMARI3)["consistency"] is False
 
 
+def _first_cone_replaced(monkeypatch, rays):
+    cones_a = fans._cones_a
+
+    def replaced(signature):
+        camb, cones = cones_a(signature)
+        return camb, [tuple(map(frozenset, rays))] + cones[1:]
+
+    monkeypatch.setattr(fans, "_cones_a", replaced)
+
+
+def test_check_fan_a_consistency_fails_when_a_cone_holds_an_unlisted_ray(monkeypatch):
+    # The rays {1}, {3,4}, {4} of the S4 fan for dddd are independent, and
+    # the cone they span holds the fan rays {1,4} and {1,3,4} too.
+    _first_cone_replaced(monkeypatch, [{1}, {3, 4}, {4}])
+    report = check_fan_a(UpDownSignature.from_string("dddd"))
+    assert report["simplicial"] and report["consistency"] is False
+    assert not fan_passed(report)
+
+
+def test_check_fan_a_fails_everywhere_when_a_cone_repeats_a_ray(monkeypatch):
+    _first_cone_replaced(monkeypatch, [{2, 3, 4}, {4}, {4}])
+    report = check_fan_a(UpDownSignature.from_string("dddd"))
+    assert not (report["simplicial"] or report["tiling"] or report["consistency"])
+
+
 def test_check_fan_a4_f_vector():
     sig = UpDownSignature(4, frozenset({2, 4}))
     report = check_fan_a(sig)
@@ -177,6 +203,20 @@ def test_check_fan_b1(ups):
 def test_check_fan_dispatch():
     report = check_fan(TAMARI3)
     assert report["num_cones"] == 5
+
+
+def test_check_fan_h3_needs_an_orientation():
+    with pytest.raises(ValueError):
+        check_fan(get_system("H3"))
+
+
+@pytest.mark.parametrize(
+    "signature", [TAMARI3, SymmetricSignature.from_positive_ups(2, {1})]
+)
+def test_check_fan_refuses_an_orientation_with_a_signature(signature):
+    system = get_system("H3")
+    with pytest.raises(ValueError):
+        check_fan(signature, all_orientations(system)[0])
 
 
 def test_roots_and_diagonals():
@@ -320,28 +360,41 @@ entries = st.integers(min_value=-3, max_value=3)
 @given(st.integers(1, 4), st.integers(1, 4), st.data())
 def test_integer_elimination_matches_rational_solve(rows, cols, data):
     vectors = [data.draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(rows)]
-    rank = fans._rank(vectors)
-    assert rank == _rank_oracle(vectors)
-    if rank < cols:
-        kernel = fans._kernel_vector(vectors)
-        assert all(type(x) is int for x in kernel)
-        assert any(kernel)
-        assert all(fans._dot(v, kernel) == 0 for v in vectors)
-    # The vectors as cone rays in `cols`-space, tested on a random point.
+    assert fans._rank(vectors) == _rank_oracle(vectors)
+    # A square basis, its first k vectors the rays and the rest lineality.
+    basis = [data.draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(cols)]
+    k = data.draw(st.integers(1, cols))
+    normals = fans._inward_normals(basis[:k], basis[k:])
+    assert (normals is None) == (_rank_oracle(basis) < cols)
+    if normals is not None:
+        assert all(type(x) is int for b in normals for x in b)
+        d = fans._dot(normals[0], basis[0])
+        assert d > 0
+        assert [[fans._dot(b, r) for r in basis] for b in normals] == [
+            [d * (i == j) for j in range(cols)] for i in range(k)
+        ]
+    # The basis as cone rays in `cols`-space, tested on a random point.
     v = data.draw(st.lists(entries, min_size=cols, max_size=cols))
-    assert fans._nonneg_combo(vectors, v) == _combo_oracle(vectors, v)
-    scaled = [[3 * x for x in r] for r in vectors]
-    assert fans._nonneg_combo(scaled, v) == _combo_oracle(scaled, v)
+    for scale in (1, 3):
+        rays = [[scale * x for x in r] for r in basis]
+        normals = fans._inward_normals(rays)
+        inside = normals is not None and all(fans._dot(b, v) >= 0 for b in normals)
+        assert inside == (_combo_oracle(rays, v) is not None)
 
 
-def test_nonneg_combo_on_cone_members():
-    # Every suffix ray of a permutation's region is a nonneg combination of
-    # its own rays, with exact unit coefficients.
+def test_inward_normals_on_cone_members():
+    # Every suffix ray of a permutation's region lies in the region's cone,
+    # on every facet but the one opposite it; the first ray's negation
+    # lies outside.
     rays = fans._suffix_rays_a((2, 4, 1, 3))
+    normals = fans._inward_normals(rays, [(1,) * 4])
+    d = fans._dot(normals[0], rays[0])
+    assert d > 0
     for k, ray in enumerate(rays):
-        combo = fans._nonneg_combo(rays, ray)
-        assert combo == tuple(Fraction(int(j == k)) for j in range(len(rays)))
-    assert fans._nonneg_combo(rays, tuple(-x for x in rays[0])) is None
+        assert [fans._dot(b, ray) for b in normals] == [d * (j == k) for j in range(3)]
+    assert any(fans._dot(b, tuple(-x for x in rays[0])) < 0 for b in normals)
+    # Two rays and the lineality are no basis of the 4-space.
+    assert fans._inward_normals(rays[1:], [(1,) * 4]) is None
 
 
 def test_int_ray_is_scaled_ray_vector():
@@ -408,6 +461,30 @@ def _old_fan_faces(camb, cones, side):
     return paired, dual_edges == hasse_edges, f_vector
 
 
+def _kernel_vector(vectors):
+    """A nonzero integer vector orthogonal to all the given integer vectors."""
+    rows, pivots, d = fans._echelon(vectors)
+    free = next(c for c in range(len(vectors[0])) if c not in pivots)
+    out = [0] * len(vectors[0])
+    out[free] = d
+    for row, col in zip(rows, pivots):
+        out[col] = -row[free]
+    return tuple(out)
+
+
+def _nonneg_combo(rays, v):
+    """Coefficients >= 0 with sum(lambda_i * ray_i) = v, or None, also
+    when the rays are linearly dependent."""
+    matrix = [[r[i] for r in rays] + [v[i]] for i in range(len(v))]
+    rows, pivots, d = fans._echelon(matrix)
+    k = len(rays)
+    if pivots != list(range(k)):
+        return None
+    if any(row[k] * d < 0 for row in rows[:k]):
+        return None
+    return tuple(Fraction(row[k], d) for row in rows[:k])
+
+
 def _old_check_fan_a(signature, camb):
     """One class loop per family, as check_fan_a was before the A/B body."""
     n = signature.n
@@ -427,16 +504,16 @@ def _old_check_fan_a(signature, camb):
             simplicial = False
         for i in members:
             for v in fans._suffix_rays_a(lattice.elements[i]):
-                if fans._nonneg_combo(rays, v) is None:
+                if _nonneg_combo(rays, v) is None:
                     tiling = False
         for a in subsets:
-            inside = fans._nonneg_combo(rays, vectors[a]) is not None
+            inside = _nonneg_combo(rays, vectors[a]) is not None
             if inside != (a in cone):
                 consistent = False
     ones = (1,) * n
 
     def side(wall, a, b):
-        normal = fans._kernel_vector([vectors[r] for r in wall] + [ones])
+        normal = _kernel_vector([vectors[r] for r in wall] + [ones])
         return fans._dot(normal, vectors[a]) * fans._dot(normal, vectors[b]) < 0
 
     paired, dual_is_hasse, f_vector = _old_fan_faces(camb, cones, side)
@@ -485,11 +562,11 @@ def _old_check_fan_b(signature, camb):
             e = embed_b_in_a(lattice.elements[i])
             for k in range(1, n + 1):
                 v = _old_symmetrize(fans._int_ray(two_n, frozenset(e[k:])))
-                if fans._nonneg_combo(rays, v) is None:
+                if _nonneg_combo(rays, v) is None:
                     tiling = False
 
     def side(wall, a, b):
-        normal = fans._kernel_vector([vectors[r][:n] for r in wall] + [(0,) * n])
+        normal = _kernel_vector([vectors[r][:n] for r in wall] + [(0,) * n])
         return fans._dot(normal, vectors[a][:n]) * fans._dot(normal, vectors[b][:n]) < 0
 
     paired, dual_is_hasse, f_vector = _old_fan_faces(camb, cones, side)
@@ -615,10 +692,11 @@ def _moved_members(camb):
     return out
 
 
-def _memoize(monkeypatch, name, key):
-    """Cache a pure helper of ``fans``: the congruences of one group share
-    most of their cones, so both checks repeat the same exact solves."""
-    fn = getattr(fans, name)
+def _memoize(monkeypatch, name, key, module=fans):
+    """Cache a pure helper of ``fans`` or of this module: the congruences
+    of one group share most of their cones, so both checks repeat the same
+    exact solves."""
+    fn = getattr(module, name)
     cache = {}
 
     def cached(*args):
@@ -627,7 +705,7 @@ def _memoize(monkeypatch, name, key):
             cache[k] = fn(*args)
         return cache[k]
 
-    monkeypatch.setattr(fans, name, cached)
+    monkeypatch.setattr(module, name, cached)
 
 
 def _same_reports(monkeypatch, cambs, check, oracle):
@@ -766,7 +844,12 @@ def _rows(vectors):
 
 def test_ab_body_matches_per_family_loops(monkeypatch):
     _memoize(monkeypatch, "_rank", _rows)
-    _memoize(monkeypatch, "_nonneg_combo", lambda rays, v: (_rows(rays), tuple(v)))
+    _memoize(
+        monkeypatch,
+        "_nonneg_combo",
+        lambda rays, v: (_rows(rays), tuple(v)),
+        module=sys.modules[__name__],
+    )
     cases = (
         [("A", 3, sig) for sig in all_updown_signatures(4)]
         + [("B", 3, sig) for sig in all_symmetric_signatures(3)]
