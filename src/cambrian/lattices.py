@@ -13,9 +13,13 @@ lattice, such as the weak order of a finite Coxeter group and its
 Cambrian quotients, edge forcing is generated by polygons [x, a v b]
 (a, b upper covers of x): contracting a bottom edge forces the opposite
 top edge and every side edge, and dually for top edges (N. Reading,
-Lattice congruences of the weak order, Order 21 (2004)).  The first
-closure on a lattice decides polygonality and builds that forcing table
-in one pass; closure is then a walk over the table.  Other lattices use
+Lattice congruences of the weak order, Order 21 (2004)).  Each cover is
+labelled by a join-irreducible, and a congruence contracts a cover
+exactly when it contracts its label (see ``PolygonForcing``).  The first
+closure on a lattice decides polygonality in one walk over the polygons,
+which also records which labels each label forces as bitmasks, and
+closes those masks transitively; a closure is then an OR of the masks of
+its seed labels and one pass over the covers.  Other lattices use
 a union-find over the generating pairs, propagating x ~ y to
 x v z ~ y v z for join-irreducible z and to x ^ z ~ y ^ z for
 meet-irreducible z; every element is a join of join-irreducibles, so by
@@ -297,19 +301,30 @@ def _chain(edge: int, u: int, end: int, upper, first, inside: int):
 
 
 class PolygonForcing:
-    """Polygonal edge forcing of a lattice, in compressed rows.
+    """Polygonal forcing of a lattice, on join-irreducible labels.
 
     Edge ``first[x] + k`` is the cover x -> upper[x][k], which is also its
-    position in ``lattice.covers``.  Contracting edge e forces the edges
-    ``targets[offsets[e]:offsets[e + 1]]``.
+    position in ``lattice.covers``.  ``labels[e]`` is the label of edge e
+    as an ordinal into ``lattice.join_irreducibles``: for a cover x -> y
+    it is m, the lowest index in down(y) outside down(x).  ``reach[j]`` is
+    the bitmask of the labels that contracting label j forces, j included.
+
+    The elements of down(y) outside down(x) form an up-set of [0, y], so
+    everything strictly below m is below x: m is join-irreducible with
+    m_* <= x and x v m = y.  If m ~ m_* then x = x v m_* ~ x v m = y, and if x ~ y
+    then m = m ^ y ~ m ^ x = m_*: a congruence contracts a cover exactly
+    when it contracts the cover's label (Freese, Jezek and Nation, Free
+    lattices, AMS 1995).  So the contracted covers are a union of label
+    classes, and the least forcing-closed set of covers holding some seed
+    covers is the set of covers whose labels ``reach`` from a seed label.
     """
 
-    __slots__ = ("first", "offsets", "targets")
+    __slots__ = ("first", "labels", "reach")
 
-    def __init__(self, first: array, offsets: array, targets: array):
+    def __init__(self, first: array, labels: array, reach: list[int]):
         self.first = first
-        self.offsets = offsets
-        self.targets = targets
+        self.labels = labels
+        self.reach = reach
 
     @classmethod
     def of(cls, lattice: FiniteLattice) -> Optional["PolygonForcing"]:
@@ -317,41 +332,52 @@ class PolygonForcing:
 
         The lattice is polygonal when [x, a v b] is a polygon (two chains
         meeting only at their ends) for any two upper covers a, b of x,
-        and dually [a ^ b, y] for any two lower covers a, b of y.
+        and dually [a ^ b, y] for any two lower covers a, b of y.  Raises
+        AssertionError if a cover's label is not join-irreducible, which
+        the proof above rules out in a consistent lattice.
         """
         up, down, upper, lower = lattice.up, lattice.down, lattice.upper, lattice.lower
         first = array("i", [0])
         for ux in upper:
             first.append(first[-1] + len(ux))
-
-        def chains():
-            """For any two upper covers a, b of x: the chains from x up
-            through a and through b to a v b, as edge ids (None where a
-            chain branches inside [x, a v b]), and the size of [x, a v b]."""
-            for x, ux in enumerate(upper):
-                for i, a in enumerate(ux):
-                    for j in range(i + 1, len(ux)):
-                        b = ux[j]
-                        top = _lsb(up[a] & up[b])
-                        inside = up[x] & down[top]
-                        yield (
-                            _chain(first[x] + i, a, top, upper, first, inside),
-                            _chain(first[x] + j, b, top, upper, first, inside),
-                            inside.bit_count(),
-                        )
-
-        # The rows are sized in one walk over the polygons and filled in a
-        # second, so that no list of polygons is held beside the table.
-        # Each of the four corner edges of a polygon with s elements forces
-        # one opposite corner and s - 4 side edges.
-        offsets = array("i", [0]) * (len(lattice.covers) + 1)
-        for chain_a, chain_b, size in chains():
-            if chain_a is None or chain_b is None:
-                return None
-            if len(chain_a) + len(chain_b) != size:
-                return None
-            for edge in (chain_a[0], chain_a[-1], chain_b[0], chain_b[-1]):
-                offsets[edge + 1] += size - 3
+        ji = lattice.join_irreducibles
+        pos = array("i", [-1]) * lattice.n
+        for k, g in enumerate(ji):
+            pos[g] = k
+        labels = array("i")
+        for x, y in lattice.covers:
+            m = _lsb(down[y] ^ down[x])
+            if pos[m] < 0:
+                raise AssertionError(
+                    f"cover {x} -> {y} has label {m}, which is not join-irreducible"
+                )
+            labels.append(pos[m])
+        # A bottom edge forces the top edge on the other side and every
+        # side edge; a top edge forces the bottom edge on the other side
+        # and every side edge.
+        reach = [0] * len(ji)
+        for x, ux in enumerate(upper):
+            for i, a in enumerate(ux):
+                for j in range(i + 1, len(ux)):
+                    b = ux[j]
+                    top = _lsb(up[a] & up[b])
+                    inside = up[x] & down[top]
+                    chain_a = _chain(first[x] + i, a, top, upper, first, inside)
+                    chain_b = _chain(first[x] + j, b, top, upper, first, inside)
+                    if chain_a is None or chain_b is None:
+                        return None
+                    if len(chain_a) + len(chain_b) != inside.bit_count():
+                        return None
+                    sides = 0
+                    for edge in chain_a[1:-1] + chain_b[1:-1]:
+                        sides |= 1 << labels[edge]
+                    for edge, opposite in (
+                        (chain_a[0], chain_b[-1]),
+                        (chain_b[-1], chain_a[0]),
+                        (chain_b[0], chain_a[-1]),
+                        (chain_a[-1], chain_b[0]),
+                    ):
+                        reach[labels[edge]] |= sides | 1 << labels[opposite]
         # Dually, [a ^ b, y] must be a polygon.  It is one exactly when
         # a ^ b has two upper covers c, d in it with c v d = y, because
         # [a ^ b, c v d] was checked above.
@@ -363,34 +389,22 @@ class PolygonForcing:
                     covers = [v for v in upper[bottom] if below >> v & 1]
                     if len(covers) != 2 or lattice.join(*covers) != y:
                         return None
-        for edge in range(len(lattice.covers)):
-            offsets[edge + 1] += offsets[edge]
-        fill = offsets[:-1]
-        targets = array("i", [0]) * offsets[-1]
-        # A bottom edge forces the top edge on the other side and every
-        # side edge; a top edge forces the bottom edge on the other side
-        # and every side edge.
-        for chain_a, chain_b, _ in chains():
-            sides = array("i", chain_a[1:-1] + chain_b[1:-1])
-            for edge, opposite in (
-                (chain_a[0], chain_b[-1]),
-                (chain_b[-1], chain_a[0]),
-                (chain_b[0], chain_a[-1]),
-                (chain_a[-1], chain_b[0]),
-            ):
-                start = fill[edge]
-                targets[start] = opposite
-                targets[start + 1 : start + 1 + len(sides)] = sides
-                fill[edge] = start + 1 + len(sides)
-        return cls(first, offsets, targets)
+        # Transitive closure of the label forcing, one pivot at a time.
+        reach = [row | 1 << j for j, row in enumerate(reach)]
+        for k in range(len(reach)):
+            bit, row_k = 1 << k, reach[k]
+            for j, row in enumerate(reach):
+                if row & bit:
+                    reach[j] = row | row_k
+        return cls(first, labels, reach)
 
     def closure(self, lattice: FiniteLattice, pairs) -> LatticeCongruence:
-        """Contract every cover in [a ^ b, a v b] for each pair, close the
-        contracted covers under forcing, and join them into classes."""
+        """Contract every cover in [a ^ b, a v b] for each pair, close
+        their labels under forcing, and join the covers with a hit label
+        into classes."""
         up, down, upper = lattice.up, lattice.down, lattice.upper
-        first, offsets, targets = self.first, self.offsets, self.targets
-        contracted = bytearray(len(lattice.covers))
-        stack = []
+        first, labels, reach = self.first, self.labels, self.reach
+        hit = 0
         for a, b in pairs:
             inside = up[lattice.meet(a, b)] & down[lattice.join(a, b)]
             rest = inside
@@ -399,19 +413,13 @@ class PolygonForcing:
                 rest ^= low
                 x = low.bit_length() - 1
                 for k, y in enumerate(upper[x], first[x]):
-                    if inside >> y & 1 and not contracted[k]:
-                        contracted[k] = 1
-                        stack.append(k)
-        while stack:
-            edge = stack.pop()
-            for forced in targets[offsets[edge] : offsets[edge + 1]]:
-                if not contracted[forced]:
-                    contracted[forced] = 1
-                    stack.append(forced)
+                    if inside >> y & 1:
+                        hit |= reach[labels[k]]
+        flags = bytes(hit >> j & 1 for j in range(len(reach)))
         # Covers are sorted by their lower end, so the class of x is final
         # before its upper covers are reached.
         class_of = list(range(lattice.n))
-        for x, y in compress(lattice.covers, contracted):
+        for x, y in compress(lattice.covers, map(flags.__getitem__, labels)):
             class_of[y] = class_of[x]
         return LatticeCongruence(lattice, class_of)
 
@@ -510,12 +518,22 @@ def contraction_congruence(lattice: FiniteLattice, ji_index: int) -> LatticeCong
 
 
 def forcing_arrows(lattice: FiniteLattice) -> dict[int, frozenset[int]]:
-    """For each join-irreducible g, the join-irreducibles contracted by Cg(g)."""
-    out = {}
-    for g in lattice.join_irreducibles:
-        cong = contraction_congruence(lattice, g)
-        out[g] = frozenset(cong.contracted_join_irreducibles())
-    return out
+    """For each join-irreducible g, the join-irreducibles contracted by Cg(g).
+
+    The cover g_* -> g has label g, so on a polygonal lattice the answer is
+    g's row of label forcing; other lattices close Cg(g) one g at a time.
+    """
+    ji = lattice.join_irreducibles
+    forcing = lattice.polygon_forcing()
+    if forcing is None:
+        return {
+            g: frozenset(contraction_congruence(lattice, g).contracted_join_irreducibles())
+            for g in ji
+        }
+    return {
+        g: frozenset(h for k, h in enumerate(ji) if row >> k & 1)
+        for g, row in zip(ji, forcing.reach)
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from cambrian import (
 from cambrian.lattices import (
     FiniteLattice,
     congruence_from_partition,
+    forcing_arrows,
     poset_anti_isomorphism,
     poset_isomorphism,
     quotient_lattice,
@@ -332,6 +333,97 @@ def test_m3_is_not_polygonal_and_still_closes():
     assert ji_loop_has_all_joins(lattice)
     for pairs in ([], [(idx["0"], idx["a"])], [(idx["b"], idx["c"])]):
         assert_quotient_matches_oracles(union_find_closure(lattice, pairs))
+
+
+# -- join-irreducible labels of covers ---------------------------------------
+
+
+def label_of(lattice, x, y):
+    """The lowest index at or below y that is not at or below x."""
+    return min(i for i in range(lattice.n) if lattice.le(i, y) and not lattice.le(i, x))
+
+
+def first_cambrian_quotient(family, rank):
+    system = get_system(family, rank)
+    return cambrian_lattice(system, next(iter(all_orientations(system)))).quotient
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: get_system("A", 3).weak_order_lattice(),
+        lambda: get_system("B", 3).weak_order_lattice(),
+        lambda: get_system("H3").weak_order_lattice(),
+        lambda: get_system("I2", None, 5).weak_order_lattice(),
+        lambda: first_cambrian_quotient("A", 3),
+        m3,
+        pentagon,
+    ],
+    ids=["S4", "B3", "H3", "I2(5)", "Camb(S4)", "M3", "N5"],
+)
+def test_cover_labels_are_join_irreducibles_contracted_with_their_cover(make):
+    lattice = make()
+    ji = lattice.join_irreducibles
+    labels = {}
+    for x, y in lattice.covers:
+        m = labels[x, y] = label_of(lattice, x, y)
+        assert m in ji
+        assert lattice.le(lattice.lower[m][0], x)
+        assert lattice.join(x, m) == y
+    forcing = lattice.polygon_forcing()
+    if forcing is not None:
+        assert list(forcing.labels) == [ji.index(labels[e]) for e in lattice.covers]
+    for g in ji:
+        class_of = union_find_closure(lattice, [(lattice.lower[g][0], g)]).class_of
+        for (x, y), m in labels.items():
+            assert (class_of[x] == class_of[y]) == (
+                class_of[m] == class_of[lattice.lower[m][0]]
+            )
+
+
+def per_ji_forcing_arrows(lattice):
+    return {
+        g: frozenset(
+            union_find_closure(
+                lattice, [(lattice.lower[g][0], g)]
+            ).contracted_join_irreducibles()
+        )
+        for g in lattice.join_irreducibles
+    }
+
+
+@pytest.mark.parametrize(
+    "family, rank", [("A", 2), ("A", 3), ("A", 4), ("B", 3), ("H3", None)]
+)
+def test_forcing_arrows_match_per_ji_union_find(family, rank):
+    system = get_system(family, rank)
+    lattices = [system.weak_order_lattice()] + [
+        cambrian_lattice(system, orientation).quotient
+        for orientation in all_orientations(system)
+    ]
+    for lattice in lattices:
+        assert lattice.polygon_forcing() is not None
+        assert forcing_arrows(lattice) == per_ji_forcing_arrows(lattice)
+
+
+def test_forcing_arrows_fall_back_on_m3():
+    lattice = m3()
+    assert lattice.polygon_forcing() is None
+    arrows = forcing_arrows(lattice)
+    assert arrows == per_ji_forcing_arrows(lattice)
+    # M3 is simple: each atom forces every atom.
+    assert all(forced == set(lattice.atoms()) for forced in arrows.values())
+
+
+def test_polygon_forcing_fails_closed_on_a_label_outside_the_join_irreducibles():
+    source = hexagon()
+    lattice = FiniteLattice.from_covers(source.elements, source.covers)
+    atom, other = lattice.atoms()
+    # The atom now seems to have two lower covers, so the label of the
+    # cover bottom -> atom is no longer join-irreducible.
+    lattice.lower[atom].append(other)
+    with pytest.raises(AssertionError, match=f"cover {lattice.bottom} -> {atom} "):
+        lattice.polygon_forcing()
 
 
 # -- crosscut Möbius function against the recursive definition --------------
