@@ -16,7 +16,8 @@ not read (``--m`` outside I2, ``--rank`` for I2 and H3; for ``fan``,
 ``--stasheff-check`` for H3) is a usage error, not ignored.
 
 Exit codes: 0 pass, 1 suite or check failure (a suite with no checks
-fails), 2 usage error (including a family a suite does not cover), 3
+fails), 2 usage error (including a family a suite does not cover and an
+``--output`` that cannot be written), 3
 element cap exceeded, 4 internal error (an invariant of the program
 failed; the message goes to stderr).  The environment variable
 ``CAMB_CAP`` overrides the default element cap; the ``--cap`` flag
@@ -87,11 +88,15 @@ def lattice_to_dot(system: CoxeterSystem, lattice: FiniteLattice, title: str) ->
 
 
 def _emit(text: str, output) -> None:
-    if output:
+    if not output:
+        sys.stdout.write(text)
+        return
+    try:
         with open(output, "w") as handle:
             handle.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write --output {output}: {exc.strerror}", file=sys.stderr)
+        raise SystemExit(USAGE_ERROR)
 
 
 def _emit_json(obj: dict, output) -> None:

@@ -150,14 +150,12 @@ def cambrian_lattice(
     return CambrianLattice(system, orientation, cong, quotient_lattice(cong))
 
 
-def recover_orientation(lattice: FiniteLattice, name=None) -> Orientation:
+def recover_orientation(lattice: FiniteLattice, system: CoxeterSystem) -> Orientation:
     """Reconstruct the orientation from a Cambrian lattice's atom joins.
 
-    Vertices are the atoms, named by `name(element)` when given and by the
-    atom's element value otherwise.
+    Vertices are the atoms, named by the generator of ``system`` each one is.
     """
-    if name is None:
-        name = lambda elt: elt
+    name = system.generator_of_atom
     bottom = lattice.bottom
     atoms = lattice.atoms()
     edges = []

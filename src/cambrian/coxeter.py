@@ -175,9 +175,11 @@ def contains_signed_pattern(x: tuple[int, ...], pattern: tuple[int, ...]) -> boo
 
 def ji_subset_bounds(n: int, members: frozenset[int]) -> tuple[int, int] | None:
     """(min A, max A^c) when A labels a join-irreducible of S_n, that is
-    when A is proper and nonempty and min A < max A^c; else None."""
-    rest = set(range(1, n + 1)).difference(members)
-    if members and rest and min(members) < max(rest):
+    when A is a proper nonempty subset of 1..n and min A < max A^c; else
+    None."""
+    values = set(range(1, n + 1))
+    rest = values.difference(members)
+    if members and rest and values.issuperset(members) and min(members) < max(rest):
         return min(members), max(rest)
     return None
 
@@ -187,6 +189,8 @@ def ji_subset_to_perm(n: int, members: frozenset[int]) -> tuple[int, ...]:
     a = sorted(members)
     ac = sorted(set(range(1, n + 1)) - set(members))
     if ji_subset_bounds(n, members) is None:
+        if not set(members) <= set(range(1, n + 1)):
+            raise ValueError(f"subset {a} has members outside 1..{n}")
         if a and ac:
             raise ValueError(f"subset {a} has min exceeding max of complement")
         raise ValueError("subset must be proper and nonempty")

@@ -485,10 +485,17 @@ def union_find_closure(lattice: FiniteLattice, pairs) -> LatticeCongruence:
 def congruence_from_partition(
     lattice: FiniteLattice, blocks
 ) -> LatticeCongruence:
-    """Wrap an explicit partition (of element indices) as a congruence."""
+    """Wrap an explicit partition (of element indices) as a congruence.
+
+    Raises ValueError on an index outside 0..n-1 or in two blocks.
+    """
     class_of = [-1] * lattice.n
     for c, block in enumerate(blocks):
         for i in block:
+            if not 0 <= i < lattice.n:
+                raise ValueError(f"element {i} is not an index 0..{lattice.n - 1}")
+            if class_of[i] >= 0:
+                raise ValueError(f"element {i} lies in more than one block")
             class_of[i] = c
     if any(c < 0 for c in class_of):
         raise ValueError("partition does not cover the lattice")

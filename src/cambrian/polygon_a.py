@@ -9,15 +9,17 @@ classes of the Cambrian congruence attached to the orientation induced
 by the signature; the class projections pi_down / pi_up are realized by
 local pattern moves on one-line notation.
 
-The maps work on bitmasks, bit v standing for vertex or value v.
-There is one eta walk, ``_eta_mask``: it keeps the current path as a
-mask and collects only the edges each step creates: inserting an up
-value v between its path neighbours u < v < w (the nearest set bits)
-adds (u, v) and (v, w); removing a down value adds (u, w).  Edge (u, w)
-is bit u(n+2) + w of the result, and the boundary edges are one mask
-(``PolygonQ.boundary_mask``) to clear.  ``eta`` decodes that mask into a
-diagonal set; ``eta_masks`` keeps the masks of a whole group, which
-name the triangulations injectively, so fibers can be grouped by them.
+The maps work on bitmasks, bit v standing for vertex or value v, and a
+triangulation is one mask of its diagonals, (u, w) at bit u(n+2) + w.
+The one eta walk, ``_eta_mask``, keeps the current path as a mask and
+collects the edges each step creates: inserting an up value v between
+its path neighbours u < v < w adds (u, v) and (v, w); removing a down
+value adds (u, w); then the boundary (``PolygonQ.boundary_mask``) is
+cleared.  ``eta`` decodes the mask; ``eta_masks`` keeps the masks of a
+whole group, which name the triangulations injectively, so fibers are
+grouped by them; ``eta_mask_descents`` is the one reader of the descent
+case table.  ``_flip_lattice`` is the one flip order, over orbits of
+diagonals: single diagonals here, mirror pairs in type B.
 
 The projections carry the mask of the values already read, so whether
 an adjacent pair has its "2" is one mask intersection; ``_first_move``
@@ -249,13 +251,18 @@ def _eta_mask(x: tuple[int, ...], n: int, up: int, boundary: int) -> int:
     return edges
 
 
+def _mask_diagonals(mask: int, n: int) -> frozenset[tuple[int, int]]:
+    """The diagonal pairs (u, w) of a mask, read off bits u(n+2) + w."""
+    return frozenset(divmod(b, n + 2) for b in _bits(mask))
+
+
 def eta(x: tuple[int, ...], polygon: PolygonQ) -> TriangulationA:
     """The triangulation of ``_eta_mask``, decoded into diagonal pairs."""
     sig = polygon.signature
     n = sig.n
     _check_permutation(x, n)
     mask = _eta_mask(x, n, sig.upmask, polygon.boundary_mask)
-    return TriangulationA(n, sig.ups, frozenset(divmod(b, n + 2) for b in _bits(mask)))
+    return TriangulationA(n, sig.ups, _mask_diagonals(mask, n))
 
 
 def eta_masks(elements, signature: UpDownSignature) -> list[int]:
@@ -442,31 +449,59 @@ def _flip(polygon: PolygonQ, tri: frozenset, diag: tuple[int, int]):
     return (min(c, d), max(c, d))
 
 
+def _flip_lattice(polygon: PolygonQ, elements, diagonal_sets, orbit) -> FiniteLattice:
+    """``elements``, the triangulations of ``polygon`` with the listed
+    diagonal sets, under slope-increasing flips.  Each orbit of diagonals
+    flips once: ``orbit(d)`` gives way to the orbit of d's flip."""
+    index = {diagonals: i for i, diagonals in enumerate(diagonal_sets)}
+    covers = []
+    for i, diagonals in enumerate(diagonal_sets):
+        done = set()
+        for diag in diagonals:
+            if diag in done:
+                continue
+            old = orbit(diag)
+            done |= old
+            new = _flip(polygon, diagonals, diag)
+            if polygon.slope_less(diag, new):
+                covers.append((i, index[(diagonals - old) | orbit(new)]))
+    return FiniteLattice.from_covers(elements, covers)
+
+
 def triangulation_lattice(signature: UpDownSignature) -> FiniteLattice:
     """Lattice of triangulations of Q under slope-increasing flips."""
     polygon = polygon_from_signature(signature)
     tris = all_triangulations(polygon)
-    index = {t.diagonals: i for i, t in enumerate(tris)}
-    covers = []
-    for i, t in enumerate(tris):
-        for diag in t.diagonals:
-            other = _flip(polygon, t.diagonals, diag)
-            if polygon.slope_less(diag, other):
-                flipped = (t.diagonals - {diag}) | {other}
-                covers.append((i, index[flipped]))
-    return FiniteLattice.from_covers(tris, covers)
+    return _flip_lattice(polygon, tris, [t.diagonals for t in tris], lambda d: {d})
 
 
 # ---------------------------------------------------------------------------
 # Descents from a triangulation.
 
 
-def _case_table_descents(beyond: int, adjacent: int, upmask: int, n: int) -> int:
-    """Mask of the a in 1..n-1 for which (a, a+1) is a descent, by the four
+def _diagonal_mask(tri: TriangulationA) -> int:
+    """The diagonals (u, w) of ``tri`` as bits u(n+2) + w, the inverse of
+    ``_mask_diagonals``."""
+    stride = tri.n + 2
+    return sum(1 << (u * stride + w) for u, w in tri.diagonals)
+
+
+def eta_mask_descents(mask: int, signature: UpDownSignature) -> int:
+    """Mask of the a in 1..n-1 for which (a, a+1) is a descent of the
+    triangulation whose diagonals are the bits of ``mask``, by the four
     up/down cases of a and a+1, for every a at once.  Bit a of ``beyond``
     says a diagonal leaves a towards some b > a+1, bit a of ``adjacent``
-    that (a, a+1) is a diagonal.  Types A and B share the table."""
-    a_up, b_up = upmask, upmask >> 1
+    that (a, a+1) is a diagonal."""
+    n = signature.n
+    stride = n + 2
+    beyond = adjacent = 0
+    for a in range(1, n):
+        row = mask >> (a * stride + a + 1)
+        adjacent |= (row & 1) << a
+        if row >> 1 & ((1 << (n - a)) - 1):
+            beyond |= 1 << a
+    a_up = signature.upmask
+    b_up = a_up >> 1
     descents = (
         ~a_up & ~b_up & beyond
         | ~a_up & b_up & adjacent
@@ -476,41 +511,12 @@ def _case_table_descents(beyond: int, adjacent: int, upmask: int, n: int) -> int
     return descents & ((1 << n) - 2)
 
 
-def _case_masks(diagonals) -> tuple[int, int]:
-    """(beyond, adjacent) of ``_case_table_descents`` from diagonal pairs
-    (a, b), a < b; pairs with a < 1 are never read."""
-    beyond = adjacent = 0
-    for a, b in diagonals:
-        if a >= 1:
-            if b > a + 1:
-                beyond |= 1 << a
-            else:
-                adjacent |= 1 << a
-    return beyond, adjacent
-
-
 def descent_set_of_triangulation(
     tri: TriangulationA, signature: UpDownSignature
 ) -> frozenset[tuple[int, int]]:
     """Reflections (a, a+1) that are descents, by the four up/down cases."""
-    descents = _case_table_descents(
-        *_case_masks(tri.diagonals), signature.upmask, signature.n
-    )
+    descents = eta_mask_descents(_diagonal_mask(tri), signature)
     return frozenset((a, a + 1) for a in _bits(descents))
-
-
-def eta_mask_descents(mask: int, signature: UpDownSignature) -> int:
-    """``_case_table_descents`` of the triangulation whose diagonals are
-    the bits of ``mask``, as ``_eta_mask`` lays them out."""
-    n = signature.n
-    stride = n + 2
-    beyond = adjacent = 0
-    for a in range(1, n):
-        row = mask >> (a * stride + a + 1)
-        adjacent |= (row & 1) << a
-        if row >> 1 & ((1 << (n - a)) - 1):
-            beyond |= 1 << a
-    return _case_table_descents(beyond, adjacent, signature.upmask, n)
 
 
 # ---------------------------------------------------------------------------

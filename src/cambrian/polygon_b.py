@@ -1,11 +1,13 @@
 """The type-B polygon model: centrally symmetric triangulations.
 
-A signed permutation of +-[n] acts on the (2n+2)-gon whose interior
-vertices carry the signed labels -n..-1, 1..n; the label bridge to the
-type-A machinery is the value map of ``embed_b_in_a``: it sends signed
-label i to i+n+1 for i < 0 and i+n for i > 0, so -(n+1) sits at 0 and
-n+1 at 2n+1.  The map eta_b is eta applied to the full notation, and
-always lands on a triangulation fixed by the central symmetry.
+Type B runs on the type-A polygon of the doubled signature, the
+(2n+2)-gon.  The value map of ``embed_b_in_a`` sends signed label i to
+i+n+1 for i < 0 and to i+n for i > 0, so -(n+1) sits at 0 and n+1 at
+2n+1.  ``eta_b`` and ``eta_b_masks`` are eta and ``eta_masks`` of the
+embedding, checked to be fixed by the central symmetry.  The descent
+case table is the doubled one shifted by n: positions n and n+1 hold -1
+and 1, of opposite colours, so their mixed case is the s_0 rule.  The
+flip lattice flips a diameter alone and a mirror pair together.
 """
 
 from __future__ import annotations
@@ -29,11 +31,13 @@ from .polygon_a import (
     TriangulationA,
     UpDownSignature,
     _bits,
-    _case_masks,
-    _case_table_descents,
     _chain_triangulations,
-    _flip,
+    _diagonal_mask,
+    _flip_lattice,
+    _mask_diagonals,
     eta,
+    eta_mask_descents,
+    eta_masks,
     polygon_from_signature,
 )
 
@@ -85,11 +89,6 @@ class SymmetricSignature:
 
     def is_up(self, i: int) -> bool:
         return i in self.ups
-
-    @cached_property
-    def upmask(self) -> int:
-        """Bitmask with bit i set for each up index i in 1..n."""
-        return sum(1 << i for i in self.ups if i > 0)
 
     def bridge(self, i: int) -> int:
         """Signed label in +-[n+1] to type-A vertex label 0..2n+1."""
@@ -149,6 +148,18 @@ def eta_b(x: tuple[int, ...], signature: SymmetricSignature) -> TriangulationB:
     if not _is_symmetric(base.diagonals, 2 * signature.n):
         raise AssertionError(f"eta_b({x}) is not centrally symmetric")
     return TriangulationB(signature, base)
+
+
+def eta_b_masks(elements, signature: SymmetricSignature) -> list[int]:
+    """``eta_masks`` of the embedded signed permutations on the doubled
+    signature, each distinct mask checked to be centrally symmetric."""
+    two_n = 2 * signature.n
+    masks = eta_masks([embed_b_in_a(x) for x in elements], signature.polygon.signature)
+    for mask in set(masks):
+        if not _is_symmetric(_mask_diagonals(mask, two_n), two_n):
+            x = elements[masks.index(mask)]
+            raise AssertionError(f"eta_b({x}) is not centrally symmetric")
+    return masks
 
 
 # ---------------------------------------------------------------------------
@@ -267,44 +278,27 @@ def symmetric_triangulations(signature: SymmetricSignature) -> list[Triangulatio
 
 
 def symmetric_triangulation_lattice(signature: SymmetricSignature) -> FiniteLattice:
-    """Symmetric triangulations under diameter flips and symmetric flip pairs."""
-    polygon = signature.polygon
+    """Symmetric triangulations under diameter flips and symmetric flip
+    pairs: a diameter flips to a diameter, a mirror pair to a mirror pair."""
     two_n = 2 * signature.n
     tris = symmetric_triangulations(signature)
-    index = {t.base.diagonals: i for i, t in enumerate(tris)}
-    covers = []
-    for i, t in enumerate(tris):
-        diagonals = t.base.diagonals
-        seen_orbits = set()
-        for diag in diagonals:
-            mirror = _mirror(diag, two_n)
-            orbit = frozenset({diag, mirror})
-            if orbit in seen_orbits:
-                continue
-            seen_orbits.add(orbit)
-            new = _flip(polygon, diagonals, diag)
-            if mirror == diag:
-                candidate = (diagonals - {diag}) | {new}
-            else:
-                candidate = (diagonals - orbit) | {new, _mirror(new, two_n)}
-            j = index.get(frozenset(candidate))
-            if j is not None and polygon.slope_less(diag, new):
-                covers.append((i, j))
-    return FiniteLattice.from_covers(tris, covers)
+    diagonals = [t.base.diagonals for t in tris]
+    return _flip_lattice(signature.polygon, tris, diagonals, lambda d: {d, _mirror(d, two_n)})
 
 
 # ---------------------------------------------------------------------------
 # Descents of a symmetric triangulation.
 
 
+def eta_b_mask_descents(mask: int, signature: SymmetricSignature) -> int:
+    """Left descents, bit i for s_i, of the symmetric triangulation with
+    diagonal mask ``mask``: the doubled signature's case table shifted by n."""
+    return eta_mask_descents(mask, signature.polygon.signature) >> signature.n
+
+
 def descent_set_b(tri: TriangulationB) -> frozenset[int]:
     """Left descents as generator names 0..n-1, read off the triangulation."""
-    sig = tri.signature
-    diagonals = tri.signed_diagonals
-    out = _bits(_case_table_descents(*_case_masks(diagonals), sig.upmask, sig.n))
-    if sig.is_up(1) == ((-1, 1) in diagonals):
-        out.append(0)
-    return frozenset(out)
+    return frozenset(_bits(eta_b_mask_descents(_diagonal_mask(tri.base), tri.signature)))
 
 
 def all_symmetric_signatures(n: int):

@@ -59,8 +59,8 @@ from .polygon_b import (
     SymmetricSignature,
     all_symmetric_signatures,
     b_tamari_membership,
-    descent_set_b,
-    eta_b,
+    eta_b_mask_descents,
+    eta_b_masks,
     linear_signature,
     shard_digraph_b,
 )
@@ -212,16 +212,20 @@ def suite_catalan(family=None, max_rank=None, cap=None) -> dict:
 # Fibers of eta versus the Cambrian congruence.
 
 
-def _eta_fiber_partition(lattice: FiniteLattice, signature):
-    """Element indices grouped by triangulation: eta's diagonal masks in
-    type A, eta_b in B."""
+def _polygon_maps(signature):
+    """(eta's diagonal masks of a list of elements, the descents of one
+    mask) on the signature's polygon; type B's is the doubled type-A one."""
     if isinstance(signature, SymmetricSignature):
-        keys = [eta_b(x, signature).base.diagonals for x in lattice.elements]
-    else:
-        keys = eta_masks(lattice.elements, signature)
+        return eta_b_masks, eta_b_mask_descents
+    return eta_masks, eta_mask_descents
+
+
+def _eta_fiber_partition(lattice: FiniteLattice, signature):
+    """Element indices grouped by triangulation, that is by eta's mask."""
+    masks_of, _ = _polygon_maps(signature)
     fibers: dict = defaultdict(list)
-    for i, key in enumerate(keys):
-        fibers[key].append(i)
+    for i, mask in enumerate(masks_of(lattice.elements, signature)):
+        fibers[mask].append(i)
     return fibers
 
 
@@ -568,24 +572,18 @@ def _case_table_check(
     system: CoxeterSystem, n: int, lattice: FiniteLattice, label: str
 ) -> dict:
     """The triangulation case tables give the left descents of every
-    element of the weak order, for every signature.  Type A reads them
-    off eta's diagonal masks, once per triangulation."""
+    element of the weak order, for every signature, read off eta's
+    diagonal masks once per triangulation."""
     name = f"{label} case tables"
     descents = [
         sum(1 << a for a in system.left_descents(x)) for x in lattice.elements
     ]
     for sig in _signatures(system, n):
-        if system.family == "A":
-            masks = eta_masks(lattice.elements, sig)
-            table = {mask: eta_mask_descents(mask, sig) for mask in set(masks)}
-            got = [table[mask] for mask in masks]
-        else:
-            got = [
-                sum(1 << a for a in descent_set_b(eta_b(x, sig)))
-                for x in lattice.elements
-            ]
-        for x, mine, theirs in zip(lattice.elements, got, descents):
-            if mine != theirs:
+        masks_of, descents_of = _polygon_maps(sig)
+        masks = masks_of(lattice.elements, sig)
+        table = {mask: descents_of(mask, sig) for mask in set(masks)}
+        for x, mask, theirs in zip(lattice.elements, masks, descents):
+            if table[mask] != theirs:
                 return _check(name, False, witness=str((sig.to_string(), x)))
     return _check(name, True, witness=None)
 
@@ -657,7 +655,7 @@ def suite_iso(family=None, max_rank=None, cap=None) -> dict:
 
         def recovered(orientation):
             quotient = cambrian_lattice(system, orientation).quotient
-            found = recover_orientation(quotient, name=system.generator_of_atom)
+            found = recover_orientation(quotient, system)
             ok = _orientation_eq(found, orientation)
             return {"passed": ok, "recovered": str(found)}
 

@@ -92,6 +92,26 @@ def test_build_output_file(tmp_path, capsys):
     assert json.loads(target.read_text())["num_elements"] == 6
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "catalan", "--max-rank", "3"],
+        ["build", "--family", "A", "--rank", "2"],
+        ["fan", "--family", "A", "--rank", "2", "--signature", "udu"],
+    ],
+)
+def test_unwritable_output_is_usage_error(tmp_path, capsys, argv):
+    target = tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit) as err:
+        main(argv + ["--output", str(target)])
+    captured = capsys.readouterr()
+    assert err.value.code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write --output")
+    assert captured.err.count("\n") == 1
+    assert not target.parent.exists()
+
+
 def test_verify_suites_pass(capsys):
     for argv in (
         ["verify", "--suite", "catalan", "--family", "A", "--max-rank", "4"],

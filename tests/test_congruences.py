@@ -73,7 +73,7 @@ def test_recover_orientation_round_trip():
             system = build_system(family, rank)
         for o in all_orientations(system):
             quotient = cambrian_lattice(system, o).quotient
-            got = recover_orientation(quotient, name=system.generator_of_atom)
+            got = recover_orientation(quotient, system)
             assert set(got.edges) == set(o.edges)
 
 

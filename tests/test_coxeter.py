@@ -24,6 +24,7 @@ from cambrian.coxeter import (
     get_system,
     inversion_set_a,
     inversion_set_b,
+    ji_subset_bounds,
     standardize_signed,
 )
 from cambrian.fields import mat_vec
@@ -146,6 +147,13 @@ def test_ji_from_subset_examples():
     assert ji_from_subset(3, {2}) == (1, 3, 2)
     with pytest.raises(ValueError):
         ji_from_subset(3, {2, 3})
+
+
+@pytest.mark.parametrize("members", [{0}, {2, 7}, {-1, 3}])
+def test_ji_subset_outside_one_to_n_is_refused(members):
+    assert ji_subset_bounds(3, frozenset(members)) is None
+    with pytest.raises(ValueError, match=r"outside 1\.\.3"):
+        ji_from_subset(3, members)
 
 
 def test_ji_subset_round_trip():

@@ -91,6 +91,22 @@ def test_is_lattice_congruence():
         quotient(lattice, congruence_from_partition(lattice, blocks))
 
 
+@pytest.mark.parametrize(
+    "blocks, element",
+    [
+        ([[0], [1], [2], [3], [4], [5], [1]], "1"),
+        ([[0, 1, 2, 3, 4, -1]], "-1"),
+        ([[0, 1, 2, 3, 4, 5, 9]], "9"),
+    ],
+)
+def test_block_list_that_is_not_a_partition_is_refused(blocks, element):
+    lattice = hexagon()
+    with pytest.raises(ValueError, match=f"element {element} "):
+        congruence_from_partition(lattice, blocks)
+    ok, reason = is_lattice_congruence(lattice, blocks)
+    assert not ok and f"element {element} " in reason
+
+
 def test_quotient_of_hexagon_is_pentagon():
     lattice = hexagon()
     idx = lattice.index

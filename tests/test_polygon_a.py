@@ -32,8 +32,9 @@ from cambrian import (
     triangulation_lattice,
     uncontracted_ji_subsets,
 )
-from cambrian import suites
+from cambrian import polygon_a, suites
 from cambrian.coxeter import all_ji_subsets_a
+from cambrian.lattices import FiniteLattice
 from cambrian.polygon_a import eta_mask_descents
 from cambrian.suites import _firing_masks, all_updown_signatures, catalan
 
@@ -460,3 +461,65 @@ def test_fibers_fail_when_two_fibers_merge(monkeypatch):
     failed = [c for c in report["checks"] if not c["passed"]]
     assert [c["name"] for c in failed] == ["A n=3 sig ddu"]
     assert failed[0]["witness"]
+
+
+# ---------------------------------------------------------------------------
+# The shared mask reader and flip body against the per-type forms they replace.
+
+
+def _diagonal_case_descents(tri, sig):
+    """descent_set_of_triangulation read straight off the diagonal pairs:
+    (beyond, adjacent) masks of the a >= 1, then the four up/down cases."""
+    beyond = adjacent = 0
+    for a, b in tri.diagonals:
+        if a >= 1:
+            if b > a + 1:
+                beyond |= 1 << a
+            else:
+                adjacent |= 1 << a
+    a_up = sum(1 << i for i in sig.ups)
+    b_up = a_up >> 1
+    descents = (
+        ~a_up & ~b_up & beyond
+        | ~a_up & b_up & adjacent
+        | a_up & b_up & ~beyond
+        | a_up & ~b_up & ~adjacent
+    ) & ((1 << sig.n) - 2)
+    return frozenset((a, a + 1) for a in range(1, sig.n) if descents >> a & 1)
+
+
+def test_descent_set_matches_diagonal_pair_reader():
+    for n in range(3, 7):
+        for sig in all_updown_signatures(n):
+            for tri in all_triangulations(polygon_from_signature(sig)):
+                got = descent_set_of_triangulation(tri, sig)
+                assert got == _diagonal_case_descents(tri, sig), (tri, sig)
+
+
+def _per_diagonal_flip_lattice(sig):
+    """triangulation_lattice as one loop over every diagonal of every
+    triangulation."""
+    polygon = polygon_from_signature(sig)
+    tris = all_triangulations(polygon)
+    index = {t.diagonals: i for i, t in enumerate(tris)}
+    covers = []
+    for i, t in enumerate(tris):
+        for diag in t.diagonals:
+            other = polygon_a._flip(polygon, t.diagonals, diag)
+            if polygon.slope_less(diag, other):
+                covers.append((i, index[(t.diagonals - {diag}) | {other}]))
+    return FiniteLattice.from_covers(tris, covers)
+
+
+def test_triangulation_lattice_matches_per_diagonal_flips():
+    for n in range(3, 7):
+        for sig in all_updown_signatures(n):
+            got, want = triangulation_lattice(sig), _per_diagonal_flip_lattice(sig)
+            assert got.elements == want.elements, sig
+            assert got.covers == want.covers, sig
+
+
+def test_ji_contracted_a_refuses_members_outside_one_to_n():
+    sig = UpDownSignature(3, frozenset({2}))
+    with pytest.raises(ValueError):
+        ji_contracted_a(sig, frozenset({1, 9}))

@@ -28,6 +28,8 @@ from cambrian.coxeter import (
     full_notation,
     signed_ji_bounds,
 )
+from cambrian import polygon_a, suites
+from cambrian.lattices import FiniteLattice
 from cambrian.polygon_a import all_triangulations
 from cambrian.polygon_b import _is_symmetric
 
@@ -275,3 +277,93 @@ def test_symmetric_signature_to_string():
     assert [s.to_string() for s in all_symmetric_signatures(2)] == [
         "dd", "du", "ud", "uu",
     ]
+
+
+# ---------------------------------------------------------------------------
+# The doubled type-A paths against the per-element type-B forms they replace.
+
+
+def _mirror_pair(d, two_n):
+    return (two_n + 1 - d[1], two_n + 1 - d[0])
+
+
+def _per_orbit_flip_lattice(sig):
+    """symmetric_triangulation_lattice as its own loop: each orbit of
+    diagonals flips once, a diameter alone and a mirror pair together, and
+    a flip that lands off the list is dropped."""
+    polygon, two_n = sig.polygon, 2 * sig.n
+    tris = symmetric_triangulations(sig)
+    index = {t.base.diagonals: i for i, t in enumerate(tris)}
+    covers = []
+    for i, t in enumerate(tris):
+        diagonals = t.base.diagonals
+        seen = set()
+        for diag in diagonals:
+            mirror = _mirror_pair(diag, two_n)
+            orbit = frozenset({diag, mirror})
+            if orbit in seen:
+                continue
+            seen.add(orbit)
+            new = polygon_a._flip(polygon, diagonals, diag)
+            if mirror == diag:
+                candidate = (diagonals - {diag}) | {new}
+            else:
+                candidate = (diagonals - orbit) | {new, _mirror_pair(new, two_n)}
+            j = index.get(frozenset(candidate))
+            if j is not None and polygon.slope_less(diag, new):
+                covers.append((i, j))
+    return FiniteLattice.from_covers(tris, covers)
+
+
+def test_symmetric_triangulation_lattice_matches_per_orbit_flips():
+    for n in range(1, 5):
+        for sig in all_symmetric_signatures(n):
+            got, want = symmetric_triangulation_lattice(sig), _per_orbit_flip_lattice(sig)
+            assert got.elements == want.elements, sig
+            assert got.covers == want.covers, sig
+
+
+def test_suite_b_bodies_match_per_element_eta_b():
+    """Fibers grouped by eta_b's diagonals, one element at a time, and the
+    per-element signed case table with the s_0 rule, on B_2..B_4."""
+    for n in range(2, 5):
+        system = get_system("B", n)
+        lattice = system.weak_order_lattice()
+        for sig in all_symmetric_signatures(n):
+            fibers = {}
+            for i, x in enumerate(lattice.elements):
+                tri = eta_b(x, sig)
+                fibers.setdefault(tri.base.diagonals, []).append(i)
+                assert _per_a_descents_b(tri) == frozenset(system.left_descents(x))
+            got = suites._eta_fiber_partition(lattice, sig)
+            assert list(got.values()) == list(fibers.values()), sig
+        assert suites._case_table_check(system, n, lattice, f"B n={n}")["passed"]
+
+
+def test_b_mask_path_refuses_an_asymmetric_triangulation(monkeypatch):
+    real = polygon_a._eta_mask
+
+    def asymmetric(x, n, up, boundary):
+        """The real mask without the mirror image of its first paired
+        diagonal."""
+        mask = real(x, n, up, boundary)
+        stride = n + 2
+        for b in range(mask.bit_length()):
+            p, q = divmod(b, stride)
+            mirror = (n + 1 - q) * stride + (n + 1 - p)
+            if mask >> b & 1 and mirror != b and mask >> mirror & 1:
+                return mask ^ (1 << mirror)
+        return mask
+
+    monkeypatch.setattr(polygon_a, "_eta_mask", asymmetric)
+    system = get_system("B", 3)
+    lattice = system.weak_order_lattice()
+    sig = SymmetricSignature.from_positive_ups(3, {2})
+    with pytest.raises(AssertionError):
+        eta_b((1, 2, 3), sig)
+    with pytest.raises(AssertionError):
+        suites._eta_fiber_partition(lattice, sig)
+    with pytest.raises(AssertionError):
+        suites._case_table_check(system, 3, lattice, "B n=3")
+    with pytest.raises(AssertionError):
+        suites.suite_congruence_eq(family="B", max_rank=2)
