@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -475,37 +476,65 @@ class CoxeterSystem:
     def weak_order_lattice(self, cap: Optional[int] = None):
         """The weak order as a validated lattice, built once and kept (a
         build that finished under a cap is the whole weak order too);
-        CapExceeded if it has more than ``cap`` elements."""
+        CapExceeded if it has more than ``cap`` elements.  Its forcing
+        table is read off the rank-2 cosets when first needed."""
         if self._lattice is None:
-            self._lattice = FiniteLattice.from_covers(*self._enumerate(cap))
+            elements, covers, ascents = self._enumerate(cap)
+            lattice = FiniteLattice.from_covers(elements, covers)
+            lattice.cosets = functools.partial(self._coset_table, elements, ascents)
+            self._lattice = lattice
         elif cap is not None and self._lattice.n > cap:
             raise CapExceeded(f"weak order enumeration exceeded cap {cap}")
         return self._lattice
 
     def _enumerate(self, cap):
+        """Elements by breadth-first search from the identity, the covers
+        (w, ws) as sorted index pairs, and ``ascents[w * r + k]``: the index
+        of w s_k for the k-th generator, -1 where s_k is a descent of w."""
         start = self.identity()
         seen = {start: 0}
         order = [start]
+        names = self.generator_names
+        r = len(names)
+        blank = array("i", [-1]) * r
+        ascents = array("i", blank)
         covers = []
         frontier = [start]
         while frontier:
             nxt = []
             for w in frontier:
-                for name in self.generator_names:
+                i = seen[w]
+                for k, name in enumerate(names):
                     if self.is_right_descent(w, name):
                         continue
                     ws = self.right_multiply(w, name)
-                    if ws not in seen:
+                    j = seen.get(ws)
+                    if j is None:
                         if cap is not None and len(order) >= cap:
                             raise CapExceeded(
                                 f"weak order enumeration exceeded cap {cap}"
                             )
-                        seen[ws] = len(order)
+                        j = seen[ws] = len(order)
                         order.append(ws)
+                        ascents += blank
                         nxt.append(ws)
-                    covers.append((w, ws))
+                    covers.append((i, j))
+                    ascents[i * r + k] = j
             frontier = nxt
-        return order, sorted(set((seen[a], seen[b]) for a, b in covers))
+        return order, sorted(covers), ascents
+
+    def _coset_table(self, order, ascents, lattice):
+        """``ascents`` of ``_enumerate`` over the elements ``order``, as
+        indices of the weak order ``lattice``, and the bonds m(s, t), for
+        ``PolygonForcing.from_cosets``."""
+        names = self.generator_names
+        r = len(names)
+        position = [lattice.index[w] for w in order]
+        table = array("i", [-1]) * len(ascents)
+        for i, j in enumerate(ascents):
+            if j >= 0:
+                table[position[i // r] * r + i % r] = position[j]
+        return table, [[self.bond_label(s, t) for t in names] for s in names]
 
     # -- generic engine internals -------------------------------------------
 

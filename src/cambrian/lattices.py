@@ -16,10 +16,17 @@ top edge and every side edge, and dually for top edges (N. Reading,
 Lattice congruences of the weak order, Order 21 (2004)).  Each cover is
 labelled by a join-irreducible, and a congruence contracts a cover
 exactly when it contracts its label (see ``PolygonForcing``).  The first
-closure on a lattice decides polygonality in one walk over the polygons,
-which also records which labels each label forces as bitmasks, and
-closes those masks transitively; a closure is then an OR of the masks of
-its seed labels and one pass over the covers.  Other lattices use
+closure on a lattice builds its forcing table: the labels, and for each
+label the bitmask of the labels it forces, closed transitively.  A weak
+order reads the table off its rank-2 cosets [x, x w0(s, t)], whose
+opposite edges are perspective, through the ascent table x -> xs that
+its enumeration records (``PolygonForcing.from_cosets``); any other
+lattice decides polygonality in one walk over the polygons of its
+bitmasks (``PolygonForcing.of``).  A closure is then an OR of the masks
+of its seed labels.  It keeps that set of contracted labels: the class
+bottoms are the elements with no contracted lower cover, so the class
+count is one pass over the lower-label masks, and the classes and
+projections are derived only when they are read.  Other lattices use
 a union-find over the generating pairs, propagating x ~ y to
 x v z ~ y v z for join-irreducible z and to x ^ z ~ y ^ z for
 meet-irreducible z; every element is a join of join-irreducibles, so by
@@ -32,7 +39,8 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from itertools import compress
+from functools import cached_property
+from itertools import combinations, compress
 from typing import Callable, Optional, Sequence
 
 
@@ -61,6 +69,9 @@ class FiniteLattice:
         self._ji: Optional[list[int]] = None
         self._mi: Optional[list[int]] = None
         self._forcing = _UNDECIDED
+        # For a weak order, a function of the lattice giving the ascents
+        # and bonds that ``PolygonForcing.from_cosets`` reads.
+        self.cosets: Optional[Callable] = None
 
     # -- construction -------------------------------------------------------
 
@@ -176,7 +187,10 @@ class FiniteLattice:
     def polygon_forcing(self) -> Optional["PolygonForcing"]:
         """Edge forcing table, or None if the lattice is not polygonal."""
         if self._forcing is _UNDECIDED:
-            self._forcing = PolygonForcing.of(self)
+            if self.cosets is None:
+                self._forcing = PolygonForcing.of(self)
+            else:
+                self._forcing = PolygonForcing.from_cosets(self, *self.cosets(self))
         return self._forcing
 
     def atoms(self) -> list[int]:
@@ -232,10 +246,32 @@ class FiniteLattice:
 
 
 class LatticeCongruence:
-    """A lattice congruence stored as a partition with projections."""
+    """A lattice congruence stored as a partition with projections.
 
-    def __init__(self, lattice: FiniteLattice, class_of: list[int]):
+    It is given either by ``class_of``, a class name for each element, or,
+    on a polygonal lattice, by ``hit``, the bitmask of the labels of
+    ``forcing`` (a ``PolygonForcing`` table) that it contracts.  In the
+    second case ``num_classes`` counts the class bottoms, the elements none
+    of whose lower covers has a hit label, and ``class_of``, ``classes``
+    and the projections are derived from ``hit`` the first time one of
+    them is read.
+    """
+
+    def __init__(
+        self,
+        lattice: FiniteLattice,
+        class_of: Optional[list[int]] = None,
+        forcing: Optional["PolygonForcing"] = None,
+        hit: Optional[int] = None,
+    ):
         self.lattice = lattice
+        self.forcing = forcing
+        self.hit = hit
+        if class_of is not None:
+            self._partition(class_of)
+
+    def _partition(self, class_of) -> None:
+        lattice = self.lattice
         relabel: dict[int, int] = {}
         self.class_of = []
         for i in range(lattice.n):
@@ -244,13 +280,46 @@ class LatticeCongruence:
                 relabel[c] = len(relabel)
             self.class_of.append(relabel[c])
         self.num_classes = len(relabel)
-        self.classes: list[list[int]] = [[] for _ in range(self.num_classes)]
+        self.classes = [[] for _ in range(self.num_classes)]
         for i, c in enumerate(self.class_of):
             self.classes[c].append(i)
         # Index order is a linear extension, so in an interval class the
         # first element is the class bottom and the last the class top.
         self.down_projection = [self.classes[c][0] for c in self.class_of]
         self.up_projection = [self.classes[c][-1] for c in self.class_of]
+
+    def _derived(self, name: str):
+        """Partition by the covers with a hit label and read ``name``.
+
+        Covers are sorted by their lower end, so the class of x is final
+        before its upper covers are reached."""
+        lattice, forcing, hit = self.lattice, self.forcing, self.hit
+        flags = bytes(hit >> j & 1 for j in range(len(forcing.reach)))
+        class_of = list(range(lattice.n))
+        for x, y in compress(lattice.covers, map(flags.__getitem__, forcing.labels)):
+            class_of[y] = class_of[x]
+        self._partition(class_of)
+        return vars(self)[name]
+
+    @cached_property
+    def num_classes(self) -> int:
+        return list(map(self.hit.__and__, self.forcing.lowmask)).count(0)
+
+    @cached_property
+    def class_of(self) -> list[int]:
+        return self._derived("class_of")
+
+    @cached_property
+    def classes(self) -> list[list[int]]:
+        return self._derived("classes")
+
+    @cached_property
+    def down_projection(self) -> list[int]:
+        return self._derived("down_projection")
+
+    @cached_property
+    def up_projection(self) -> list[int]:
+        return self._derived("up_projection")
 
     def key(self) -> frozenset:
         return frozenset(frozenset(cls) for cls in self.classes)
@@ -300,6 +369,27 @@ def _chain(edge: int, u: int, end: int, upper, first, inside: int):
     return path
 
 
+def _edge_starts(upper) -> array:
+    """``first[x]``: the id of x's first upper cover, covers numbered in
+    order of their lower end."""
+    first = array("i", [0])
+    for ux in upper:
+        first.append(first[-1] + len(ux))
+    return first
+
+
+def _transitive(reach: list[int]) -> list[int]:
+    """Close the label forcing rows transitively, one pivot at a time;
+    each row also gets its own label."""
+    reach = [row | 1 << j for j, row in enumerate(reach)]
+    for k in range(len(reach)):
+        bit, row_k = 1 << k, reach[k]
+        for j, row in enumerate(reach):
+            if row & bit:
+                reach[j] = row | row_k
+    return reach
+
+
 class PolygonForcing:
     """Polygonal forcing of a lattice, on join-irreducible labels.
 
@@ -308,6 +398,7 @@ class PolygonForcing:
     as an ordinal into ``lattice.join_irreducibles``: for a cover x -> y
     it is m, the lowest index in down(y) outside down(x).  ``reach[j]`` is
     the bitmask of the labels that contracting label j forces, j included.
+    ``lowmask[y]`` is the bitmask of the labels of the lower covers of y.
 
     The elements of down(y) outside down(x) form an up-set of [0, y], so
     everything strictly below m is below x: m is join-irreducible with
@@ -317,14 +408,19 @@ class PolygonForcing:
     lattices, AMS 1995).  So the contracted covers are a union of label
     classes, and the least forcing-closed set of covers holding some seed
     covers is the set of covers whose labels ``reach`` from a seed label.
+    A class bottom is an element none of whose lower covers is contracted.
     """
 
-    __slots__ = ("first", "labels", "reach")
+    __slots__ = ("first", "labels", "reach", "lowmask")
 
-    def __init__(self, first: array, labels: array, reach: list[int]):
+    def __init__(self, lattice: FiniteLattice, first: array, labels: array, reach: list[int]):
         self.first = first
         self.labels = labels
         self.reach = reach
+        lowmask = [0] * lattice.n
+        for (_, y), label in zip(lattice.covers, labels):
+            lowmask[y] |= 1 << label
+        self.lowmask = lowmask
 
     @classmethod
     def of(cls, lattice: FiniteLattice) -> Optional["PolygonForcing"]:
@@ -337,9 +433,7 @@ class PolygonForcing:
         the proof above rules out in a consistent lattice.
         """
         up, down, upper, lower = lattice.up, lattice.down, lattice.upper, lattice.lower
-        first = array("i", [0])
-        for ux in upper:
-            first.append(first[-1] + len(ux))
+        first = _edge_starts(upper)
         ji = lattice.join_irreducibles
         pos = array("i", [-1]) * lattice.n
         for k, g in enumerate(ji):
@@ -389,19 +483,98 @@ class PolygonForcing:
                     covers = [v for v in upper[bottom] if below >> v & 1]
                     if len(covers) != 2 or lattice.join(*covers) != y:
                         return None
-        # Transitive closure of the label forcing, one pivot at a time.
-        reach = [row | 1 << j for j, row in enumerate(reach)]
-        for k in range(len(reach)):
-            bit, row_k = 1 << k, reach[k]
-            for j, row in enumerate(reach):
-                if row & bit:
-                    reach[j] = row | row_k
-        return cls(first, labels, reach)
+        return cls(lattice, first, labels, _transitive(reach))
+
+    @classmethod
+    def from_cosets(cls, lattice: FiniteLattice, ascents: array, bonds) -> "PolygonForcing":
+        """The table of a weak order, read off its rank-2 cosets.
+
+        ``ascents[x * r + s]`` is the index of xs, or -1 where s is a
+        descent of x, over r generators whose bonds m(s, t) are
+        ``bonds[s][t]``.  Each polygon of the weak order is a coset
+        interval [x, x w0(s, t)] for two ascents s, t of x, made of the
+        chains x, xs, xst, ... and x, xt, xts, ... of m(s, t) edges each,
+        and the bottom edge of one chain is perspective to the top edge of
+        the other, so it has the same label.  A cover j_* -> j into a
+        join-irreducible j has label j; every other cover x -> y is the
+        top edge of the coset of y by two of its descents, whose bottom is
+        below x, so walking the bottoms in index order labels every edge
+        before it is read as a bottom edge.  Raises AssertionError where
+        the table does not describe such cosets: ascents that are not the
+        covers, a chain that leaves the table, two chains that do not meet,
+        an edge with two labels or none.
+        """
+        upper, lower = lattice.upper, lattice.lower
+        r = len(bonds)
+        first = _edge_starts(upper)
+        head = array("i", [y for _, y in lattice.covers])
+        # step[x * r + s]: the edge x -> xs, or -1.
+        step = array("i", [-1]) * len(ascents)
+        for edge, (x, y) in enumerate(lattice.covers):
+            try:
+                step[ascents.index(y, x * r, x * r + r)] = edge
+            except ValueError:
+                raise AssertionError(f"cover {x} -> {y} is no ascent of {x}") from None
+        if step.count(-1) != ascents.count(-1):
+            raise AssertionError("an ascent is not a cover")
+        ji = lattice.join_irreducibles
+        labels = array("i", [-1]) * len(head)
+        for k, g in enumerate(ji):
+            x = lower[g][0]
+            labels[first[x] + upper[x].index(g)] = k
+        # (s, t, the letters after s on the chain xs..., those after t).
+        pairs = []
+        for s, t in combinations(range(r), 2):
+            letters = range(bonds[s][t] - 1)
+            pairs.append((s, t, [(t, s)[i % 2] for i in letters], [(s, t)[i % 2] for i in letters]))
+
+        def walk(edge: int, word) -> list[int]:
+            path = [edge]
+            for s in word:
+                edge = step[head[edge] * r + s]
+                if edge < 0:
+                    raise AssertionError(f"edge {path[-1]} has no ascent {s} after it")
+                path.append(edge)
+            return path
+
+        def polygons(pairs):
+            """(chain xs..., chain xt...) of each coset, bottoms x in index order."""
+            for x in range(lattice.n):
+                row = step[x * r : x * r + r]
+                for s, t, word_s, word_t in pairs:
+                    if row[s] >= 0 and row[t] >= 0:
+                        chain_s, chain_t = walk(row[s], word_s), walk(row[t], word_t)
+                        if head[chain_s[-1]] != head[chain_t[-1]]:
+                            raise AssertionError(
+                                f"the chains of {s}, {t} from {x} end at "
+                                f"{head[chain_s[-1]]} and {head[chain_t[-1]]}"
+                            )
+                        yield chain_s, chain_t
+
+        for chain_s, chain_t in polygons(pairs):
+            for top, bottom in ((chain_s[-1], chain_t[0]), (chain_t[-1], chain_s[0])):
+                label = labels[bottom]
+                if label < 0:
+                    raise AssertionError(f"edge {bottom} is a bottom edge with no label yet")
+                if labels[top] not in (-1, label):
+                    raise AssertionError(f"edge {top} has labels {labels[top]} and {label}")
+                labels[top] = label
+        if -1 in labels:
+            raise AssertionError(f"edge {labels.index(-1)} has no label")
+        # The top edges carry the bottom labels, so only the side edges add
+        # to the rows; two-edge chains have none.
+        reach = [0] * len(ji)
+        for chain_s, chain_t in polygons([p for p in pairs if len(p[2]) > 1]):
+            sides = 0
+            for edge in chain_s[1:-1] + chain_t[1:-1]:
+                sides |= 1 << labels[edge]
+            reach[labels[chain_s[0]]] |= sides
+            reach[labels[chain_t[0]]] |= sides
+        return cls(lattice, first, labels, _transitive(reach))
 
     def closure(self, lattice: FiniteLattice, pairs) -> LatticeCongruence:
-        """Contract every cover in [a ^ b, a v b] for each pair, close
-        their labels under forcing, and join the covers with a hit label
-        into classes."""
+        """Contract every cover in [a ^ b, a v b] for each pair and close
+        their labels under forcing; the classes follow from the labels."""
         up, down, upper = lattice.up, lattice.down, lattice.upper
         first, labels, reach = self.first, self.labels, self.reach
         hit = 0
@@ -415,13 +588,7 @@ class PolygonForcing:
                 for k, y in enumerate(upper[x], first[x]):
                     if inside >> y & 1:
                         hit |= reach[labels[k]]
-        flags = bytes(hit >> j & 1 for j in range(len(reach)))
-        # Covers are sorted by their lower end, so the class of x is final
-        # before its upper covers are reached.
-        class_of = list(range(lattice.n))
-        for x, y in compress(lattice.covers, map(flags.__getitem__, labels)):
-            class_of[y] = class_of[x]
-        return LatticeCongruence(lattice, class_of)
+        return LatticeCongruence(lattice, forcing=self, hit=hit)
 
 
 def congruence_closure(lattice: FiniteLattice, pairs) -> LatticeCongruence:

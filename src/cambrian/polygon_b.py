@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .coxeter import (
-    _a_value_to_b,
     _b_value_to_a,
     all_signed_ji_subsets,
     contains_signed_pattern,
@@ -94,9 +93,6 @@ class SymmetricSignature:
         """Signed label in +-[n+1] to type-A vertex label 0..2n+1."""
         return _b_value_to_a(i, self.n)
 
-    def unbridge(self, p: int) -> int:
-        return _a_value_to_b(p, self.n)
-
     def a_signature(self) -> UpDownSignature:
         return UpDownSignature(
             2 * self.n, frozenset(self.bridge(i) for i in self.ups)
@@ -124,14 +120,6 @@ class TriangulationB:
 
     signature: SymmetricSignature
     base: TriangulationA
-
-    @property
-    def signed_diagonals(self) -> frozenset[tuple[int, int]]:
-        sig = self.signature
-        return frozenset(
-            tuple(sorted((sig.unbridge(p), sig.unbridge(q))))
-            for p, q in self.base.diagonals
-        )
 
 
 def _mirror(d: tuple[int, int], two_n: int) -> tuple[int, int]:

@@ -74,6 +74,28 @@ def test_weak_order_s3():
     assert lattice.elements[lattice.top] == (3, 2, 1)
 
 
+@pytest.mark.parametrize(
+    "family, rank, bond", [("A", 3, None), ("B", 3, None), ("H3", None, None), ("I2", None, 5)]
+)
+def test_enumerate_records_the_generator_of_each_cover(family, rank, bond):
+    system = build_system(family, rank, bond)
+    order, covers, ascents = system._enumerate(None)
+    names = system.generator_names
+    r = len(names)
+    assert len(ascents) == len(order) * r
+    expected = []
+    for i, w in enumerate(order):
+        for k, name in enumerate(names):
+            if system.is_right_descent(w, name):
+                assert ascents[i * r + k] == -1
+            else:
+                j = order.index(system.right_multiply(w, name))
+                assert ascents[i * r + k] == j
+                expected.append((i, j))
+    assert covers == sorted(expected)
+    assert len(set(covers)) == len(covers)
+
+
 def test_weak_order_counts():
     assert enumerate_weak_order(build_system("B", 2)).n == 8
     h3 = enumerate_weak_order(build_system("H3"))

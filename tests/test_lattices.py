@@ -1,4 +1,5 @@
 import itertools
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from cambrian import (
     all_orientations,
     build_system,
+    cambrian_congruence,
     cambrian_lattice,
     cg,
     congruence_closure,
@@ -17,6 +19,8 @@ from cambrian import (
 )
 from cambrian.lattices import (
     FiniteLattice,
+    LatticeCongruence,
+    PolygonForcing,
     congruence_from_partition,
     forcing_arrows,
     poset_anti_isomorphism,
@@ -262,6 +266,15 @@ def test_polygonal_closure_matches_union_find_on_contractions(family, rank, bond
             assert_same_as_oracle(lattice, [(lattice.lower[g][0], g)])
 
 
+PARTITION_FIELDS = ("num_classes", "class_of", "classes", "down_projection", "up_projection")
+
+
+def partition_fields(cong):
+    """The fields a congruence derives from its labels, ``num_classes``
+    read first so that a lazy congruence counts its bottoms."""
+    return tuple(getattr(cong, name) for name in PARTITION_FIELDS)
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.sampled_from([("A", 3), ("B", 3)]), st.data())
 def test_polygonal_closure_matches_union_find_on_random_pairs(key, data):
@@ -269,6 +282,85 @@ def test_polygonal_closure_matches_union_find_on_random_pairs(key, data):
     index = st.integers(0, lattice.n - 1)
     pairs = data.draw(st.lists(st.tuples(index, index), max_size=4))
     assert_same_as_oracle(lattice, pairs)
+    fast = congruence_closure(lattice, pairs)
+    assert fast.hit is not None
+    assert partition_fields(fast) == partition_fields(union_find_closure(lattice, pairs))
+
+
+# -- weak-order tables from rank-2 cosets and congruences from labels -------
+
+WEAK_ORDERS = (
+    [("A", rank, None) for rank in range(2, 6)]
+    + [("B", rank, None) for rank in range(2, 5)]
+    + [("H3", None, None)]
+    + [("I2", None, m) for m in range(3, 9)]
+)
+
+
+@pytest.mark.parametrize("family, rank, bond", WEAK_ORDERS)
+def test_coset_table_matches_polygon_walk(family, rank, bond):
+    lattice = get_system(family, rank, bond).weak_order_lattice()
+    assert lattice.cosets is not None
+    cosets = PolygonForcing.from_cosets(lattice, *lattice.cosets(lattice))
+    walked = PolygonForcing.of(lattice)
+    assert list(cosets.first) == list(walked.first)
+    assert list(cosets.labels) == list(walked.labels)
+    assert cosets.reach == walked.reach
+    assert cosets.lowmask == walked.lowmask
+
+
+@pytest.mark.parametrize("family, rank, bond", [("A", 3, None), ("B", 3, None), ("H3", None, None)])
+def test_coset_table_fails_closed_on_a_swapped_generator(family, rank, bond):
+    """Swapping the ascents of two generators at any element, where one of
+    them is an ascent, raises instead of returning a table."""
+    lattice = get_system(family, rank, bond).weak_order_lattice()
+    ascents, bonds = lattice.cosets(lattice)
+    r = len(bonds)
+    swaps = 0
+    for x in range(lattice.n):
+        for s, t in itertools.combinations(range(x * r, x * r + r), 2):
+            if ascents[s] < 0 and ascents[t] < 0:
+                continue
+            swapped = array("i", ascents)
+            swapped[s], swapped[t] = ascents[t], ascents[s]
+            with pytest.raises(AssertionError):
+                PolygonForcing.from_cosets(lattice, swapped, bonds)
+            swaps += 1
+    assert swaps > lattice.n
+
+
+def eager_congruence(lattice, forcing, hit):
+    """The congruence joining the covers with a hit label, built at once."""
+    class_of = list(range(lattice.n))
+    for (x, y), label in zip(lattice.covers, forcing.labels):
+        if hit >> label & 1:
+            class_of[y] = class_of[x]
+    return LatticeCongruence(lattice, class_of)
+
+
+@pytest.mark.parametrize("family, rank, bond", WEAK_ORDERS)
+def test_congruence_from_labels_matches_eager_partition(family, rank, bond):
+    system = get_system(family, rank, bond)
+    lattice = system.weak_order_lattice()
+    forcing = lattice.polygon_forcing()
+    for orientation in all_orientations(system):
+        lazy = cambrian_congruence(system, orientation)
+        eager = eager_congruence(lattice, forcing, lazy.hit)
+        assert lazy.forcing is forcing
+        assert partition_fields(lazy) == partition_fields(eager)
+        assert lazy.key() == eager.key()
+        assert lazy.verify() == eager.verify() == (True, None)
+        bottoms = [x for x in range(lattice.n) if not forcing.lowmask[x] & lazy.hit]
+        assert bottoms == [members[0] for members in lazy.classes]
+
+
+def test_class_count_does_not_derive_the_partition():
+    system = get_system("A", 5)
+    cong = cambrian_congruence(system, all_orientations(system)[0])
+    assert cong.num_classes == system.catalan_number() == 132
+    assert not {"class_of", "classes", "down_projection", "up_projection"} & set(vars(cong))
+    assert len(cong.classes) == 132
+    assert "class_of" in vars(cong)
 
 
 # -- quotient covers and validation against the quadratic oracles ----------
