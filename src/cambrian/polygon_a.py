@@ -11,15 +11,20 @@ local pattern moves on one-line notation.
 
 The maps work on bitmasks, bit v standing for vertex or value v, and a
 triangulation is one mask of its diagonals, (u, w) at bit u(n+2) + w.
-The one eta walk, ``_eta_mask``, keeps the current path as a mask and
-collects the edges each step creates: inserting an up value v between
-its path neighbours u < v < w adds (u, v) and (v, w); removing a down
-value adds (u, w); then the boundary (``PolygonQ.boundary_mask``) is
-cleared.  ``eta`` decodes the mask; ``eta_masks`` keeps the masks of a
-whole group, which name the triangulations injectively, so fibers are
-grouped by them; ``eta_mask_descents`` is the one reader of the descent
-case table.  ``_flip_lattice`` is the one flip order, over orbits of
-diagonals: single diagonals here, mirror pairs in type B.
+The one eta edge rule, ``_step_edges``, gives the edges reading v adds
+to the current path: inserting an up value v between its path
+neighbours u < v < w adds (u, v) and (v, w); removing a down value adds
+(u, w).  Once a set P of values has been read the path is lambda_0 ^ P,
+whatever the order, so a step depends on (P, v) alone.  ``_eta_mask``
+walks one permutation; ``eta_masks`` fills a step table over every
+(P, v) once per signature (2^n rows) and reads each element of a whole
+group off it in n lookups.  Both then clear the boundary
+(``PolygonQ.boundary_mask``) and check that n-1 diagonals are left.
+``eta`` decodes the mask; the masks of ``eta_masks`` name the
+triangulations injectively, so fibers are grouped by them;
+``eta_mask_descents`` is the one reader of the descent case table.
+``_flip_lattice`` is the one flip order, over orbits of diagonals:
+single diagonals here, mirror pairs in type B.
 
 The projections carry the mask of the values already read, so whether
 an adjacent pair has its "2" is one mask intersection; ``_first_move``
@@ -229,26 +234,44 @@ def lambda_paths(x: tuple[int, ...], polygon: PolygonQ) -> list[tuple[int, ...]]
     return out
 
 
+def _step_edges(path: int, v: int, up: int, stride: int) -> int:
+    """The edges reading v adds to the lambda path ``path`` (a vertex
+    mask), edge (u, w) as bit u(n+2) + w: with u < v < w v's neighbours on
+    the path, (u, v) and (v, w) if v is up (it is inserted), (u, w) if it
+    is down (it is removed)."""
+    u = (path & ((1 << v) - 1)).bit_length() - 1
+    above = path >> (v + 1)
+    w = v + (above & -above).bit_length()
+    if up >> v & 1:
+        return 1 << (u * stride + v) | 1 << (v * stride + w)
+    return 1 << (u * stride + w)
+
+
+def _lambda_0(n: int, up: int) -> int:
+    """The first lambda path, 0, the down values and n+1, as a mask."""
+    return ((1 << (n + 2)) - 1) ^ up
+
+
+def _off_boundary(edges: int, n: int, boundary: int) -> int:
+    """``edges`` without the boundary, checked to be the n-1 diagonals of
+    a triangulation."""
+    edges &= ~boundary
+    if edges.bit_count() != n - 1:
+        raise AssertionError(f"eta produced {edges.bit_count()} diagonals, wanted {n - 1}")
+    return edges
+
+
 def _eta_mask(x: tuple[int, ...], n: int, up: int, boundary: int) -> int:
     """The lambda-path edges off the boundary (lambda_0 lies on it), edge
     (u, w) as bit u(n+2) + w; ``up`` and ``boundary`` are the signature's
     and the polygon's masks."""
     stride = n + 2
-    path = ((1 << stride) - 1) ^ up
+    path = _lambda_0(n, up)
     edges = 0
     for v in x:
-        u = (path & ((1 << v) - 1)).bit_length() - 1
-        above = path >> (v + 1)
-        w = v + (above & -above).bit_length()
-        if up >> v & 1:
-            edges |= 1 << (u * stride + v) | 1 << (v * stride + w)
-        else:
-            edges |= 1 << (u * stride + w)
+        edges |= _step_edges(path, v, up, stride)
         path ^= 1 << v
-    edges &= ~boundary
-    if edges.bit_count() != n - 1:
-        raise AssertionError(f"eta produced {edges.bit_count()} diagonals, wanted {n - 1}")
-    return edges
+    return _off_boundary(edges, n, boundary)
 
 
 def _mask_diagonals(mask: int, n: int) -> frozenset[tuple[int, int]]:
@@ -266,10 +289,32 @@ def eta(x: tuple[int, ...], polygon: PolygonQ) -> TriangulationA:
 
 
 def eta_masks(elements, signature: UpDownSignature) -> list[int]:
-    """``_eta_mask`` of each permutation of 1..n in ``elements``."""
-    polygon = polygon_from_signature(signature)
-    n, up, boundary = signature.n, signature.upmask, polygon.boundary_mask
-    return [_eta_mask(x, n, up, boundary) for x in elements]
+    """``_eta_mask`` of each permutation of 1..n in ``elements``.
+
+    Once the values in a set P have been read, the lambda path is
+    lambda_0 ^ P whatever their order, so the edges reading v adds depend
+    on (P, v) alone.  ``step[P][v]`` holds them for every set P of values
+    and every v not in P; each element is then n lookups.
+    """
+    n, up = signature.n, signature.upmask
+    boundary = polygon_from_signature(signature).boundary_mask
+    stride = n + 2
+    lambda_0 = _lambda_0(n, up)
+    step = [None] * (1 << (n + 1))
+    for prefix in range(0, 1 << (n + 1), 2):
+        step[prefix] = row = [0] * (n + 1)
+        path = lambda_0 ^ prefix
+        for v in range(1, n + 1):
+            if not prefix >> v & 1:
+                row[v] = _step_edges(path, v, up, stride)
+    out = []
+    for x in elements:
+        prefix = edges = 0
+        for v in x:
+            edges |= step[prefix][v]
+            prefix |= 1 << v
+        out.append(_off_boundary(edges, n, boundary))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -297,22 +297,34 @@ def _pattern_masks(x: tuple[int, ...]):
 
     Returns (m231, m312, m213, m132); the marked letter carries the up or
     down requirement, everything else is signature-free, so containment
-    for a given signature is a mask intersection.
+    for a given signature is a mask intersection.  The marked letter a of
+    231 (213) sees to its right a larger (smaller) value and then a
+    smaller (larger) one; that of 312 (132) sees the same to its left,
+    read leftwards.  Two flags per direction find both.
     """
-    n = len(x)
     m231 = m312 = m213 = m132 = 0
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                a, b, c = x[i], x[j], x[k]
-                if c < a < b:
-                    m231 |= 1 << a
-                if b < c < a:
-                    m312 |= 1 << c
-                if b < a < c:
-                    m213 |= 1 << a
-                if a < c < b:
-                    m132 |= 1 << c
+    for i, a in enumerate(x):
+        bit = 1 << a
+        larger = smaller = False
+        for b in x[i + 1:]:
+            if b > a:
+                if smaller:
+                    m213 |= bit
+                larger = True
+            else:
+                if larger:
+                    m231 |= bit
+                smaller = True
+        larger = smaller = False
+        for b in reversed(x[:i]):
+            if b > a:
+                if smaller:
+                    m312 |= bit
+                larger = True
+            else:
+                if larger:
+                    m132 |= bit
+                smaller = True
     return m231, m312, m213, m132
 
 
@@ -336,30 +348,64 @@ def _firing_masks(x: tuple[int, ...], descending: bool):
     return earlier, later
 
 
+def _signature_intervals(x: tuple[int, ...]):
+    """(avoid down, fixed down, avoid up, fixed up) of x, each as the
+    interval of up masks U where it holds, a pair (low, high) standing
+    for low <= U <= complement of high."""
+    m231, m312, m213, m132 = _pattern_masks(x)
+    down_before, down_after = _firing_masks(x, True)
+    up_before, up_after = _firing_masks(x, False)
+    return (m312, m231), (down_after, down_before), (m132, m213), (up_after, up_before)
+
+
+def _in_interval(up: int, interval) -> bool:
+    """Whether the up mask lies in the (low, high) interval."""
+    low, high = interval
+    return not (low & ~up or high & up)
+
+
+def _same_interval(one, other) -> bool:
+    """Whether two intervals of up masks hold the same masks: both empty
+    (low meets high) or with the same ends."""
+    return one == other or bool(one[0] & one[1] and other[0] & other[1])
+
+
 def suite_patterns(family=None, max_rank=None, cap=None) -> dict:
-    """Fixed points of the projections are the colored-pattern avoiders."""
+    """Fixed points of the projections are the colored-pattern avoiders.
+
+    For a permutation x and up set U, x avoids up231 and 31down2 iff
+    m312 <= U and U misses m231 (``_pattern_masks``), and pi_down fixes x
+    iff the later witnesses of ``_firing_masks`` lie in U and the earlier
+    ones miss it; likewise for pi_up.  Each is an interval of U, so the
+    claim for every signature at once is one interval comparison per
+    permutation.  A failing n reports the first (x, signature) that
+    breaks it, signatures in ``all_updown_signatures`` order and then
+    permutations in lexicographic order.
+    """
     _require_family("patterns", family, ("A",))
 
     def avoiders_are_fixed(n):
         if cap is not None and factorial(n) > cap:
             raise CapExceeded(f"S_{n} has {factorial(n)} elements, more than cap {cap}")
-        per_perm = [
-            (x, _pattern_masks(x), _firing_masks(x, True), _firing_masks(x, False))
-            for x in itertools.permutations(range(1, n + 1))
-        ]
-        full = ((1 << n) - 1) << 1
+        failed = []
+        for x in itertools.permutations(range(1, n + 1)):
+            avoid_down, fixed_down, avoid_up, fixed_up = intervals = _signature_intervals(x)
+            if not (
+                _same_interval(avoid_down, fixed_down)
+                and _same_interval(avoid_up, fixed_up)
+            ):
+                failed.append((x, intervals))
+        if not failed:
+            return {"passed": True, "witness": None}
         for sig in all_updown_signatures(n):
-            upmask = sig.upmask
-            downmask = full & ~upmask
-            for x, masks, (down_b, down_a), (up_b, up_a) in per_perm:
-                m231, m312, m213, m132 = masks
-                avoid_down = not (m231 & upmask) and not (m312 & downmask)
-                fixed_down = not (down_b & upmask) and not (down_a & downmask)
-                avoid_up = not (m213 & upmask) and not (m132 & downmask)
-                fixed_up = not (up_b & upmask) and not (up_a & downmask)
+            up = sig.upmask
+            for x, intervals in failed:
+                avoid_down, fixed_down, avoid_up, fixed_up = (
+                    _in_interval(up, interval) for interval in intervals
+                )
                 if avoid_down != fixed_down or avoid_up != fixed_up:
                     return {"passed": False, "witness": str((x, sig.to_string()))}
-        return {"passed": True, "witness": None}
+        raise AssertionError(f"no signature tells the intervals of {failed[0][0]} apart")
 
     checks = _per_index("A n={n} all signatures", 3, 7, max_rank, avoiders_are_fixed)
     return _report("patterns", checks, family="A")

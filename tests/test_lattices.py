@@ -329,6 +329,42 @@ def test_coset_table_fails_closed_on_a_swapped_generator(family, rank, bond):
     assert swaps > lattice.n
 
 
+def test_coset_table_fails_closed_on_two_labels_for_one_edge():
+    """Squares [0, p], [x1, T] and [x2, T] close, but p -> T is the top edge
+    opposite both x1 -> u1 and x2 -> u2, which have different labels."""
+    s, t, t2 = range(3)
+    moves = {
+        "0": {t: "x2", t2: "x1"},
+        "x1": {s: "u1", t: "p"},
+        "x2": {s: "u2", t2: "p"},
+        "u1": {t: "T"},
+        "u2": {t2: "T"},
+        "p": {s: "T"},
+        "T": {},
+    }
+    names = tuple(moves)
+    lattice = FiniteLattice.from_covers(
+        names,
+        [(names.index(x), names.index(y)) for x, row in moves.items() for y in row.values()],
+    )
+    index = lattice.index
+    ascents = array("i", [-1]) * (3 * lattice.n)
+    for x, row in moves.items():
+        for gen, y in row.items():
+            ascents[index[x] * 3 + gen] = index[y]
+    top = lattice.covers.index((index["p"], index["T"]))
+    labels = sorted(
+        lattice.join_irreducibles.index(index[u]) for u in ("u1", "u2")
+    )
+    bonds = [[1, 2, 2], [2, 1, 2], [2, 2, 1]]
+    with pytest.raises(AssertionError) as raised:
+        PolygonForcing.from_cosets(lattice, ascents, bonds)
+    assert str(raised.value) in (
+        f"edge {top} has labels {labels[0]} and {labels[1]}",
+        f"edge {top} has labels {labels[1]} and {labels[0]}",
+    )
+
+
 def eager_congruence(lattice, forcing, hit):
     """The congruence joining the covers with a hit label, built at once."""
     class_of = list(range(lattice.n))

@@ -4,6 +4,7 @@ import itertools
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cambrian import (
     PolygonQ,
@@ -344,6 +345,96 @@ def test_or_reduced_firing_masks_match_per_pair_form():
                 assert per_pair == (not (earlier & up) and not (later & down))
 
 
+def _triple_loop_pattern_masks(x):
+    """(m231, m312, m213, m132) over every triple of positions."""
+    m231 = m312 = m213 = m132 = 0
+    for a, b, c in itertools.combinations(x, 3):
+        if c < a < b:
+            m231 |= 1 << a
+        if b < c < a:
+            m312 |= 1 << c
+        if b < a < c:
+            m213 |= 1 << a
+        if a < c < b:
+            m132 |= 1 << c
+    return m231, m312, m213, m132
+
+
+def _patterns_by_signature_scan(n):
+    """The patterns check for S_n, every signature against every
+    permutation; the witness is the first failure in that order."""
+    per_perm = [
+        (x, _triple_loop_pattern_masks(x), suites._firing_masks(x, True),
+         suites._firing_masks(x, False))
+        for x in itertools.permutations(range(1, n + 1))
+    ]
+    full = ((1 << n) - 1) << 1
+    for sig in all_updown_signatures(n):
+        upmask = sig.upmask
+        downmask = full & ~upmask
+        for x, (m231, m312, m213, m132), (down_b, down_a), (up_b, up_a) in per_perm:
+            avoid_down = not (m231 & upmask) and not (m312 & downmask)
+            fixed_down = not (down_b & upmask) and not (down_a & downmask)
+            avoid_up = not (m213 & upmask) and not (m132 & downmask)
+            fixed_up = not (up_b & upmask) and not (up_a & downmask)
+            if avoid_down != fixed_down or avoid_up != fixed_up:
+                return {"passed": False, "witness": str((x, sig.to_string()))}
+    return {"passed": True, "witness": None}
+
+
+def _scanned_pattern_checks(last):
+    return [
+        {"name": f"A n={n} all signatures", **_patterns_by_signature_scan(n)}
+        for n in range(3, last + 1)
+    ]
+
+
+def test_pattern_masks_match_the_triple_loop():
+    for n in range(1, 8):
+        for x in itertools.permutations(range(1, n + 1)):
+            assert suites._pattern_masks(x) == _triple_loop_pattern_masks(x), x
+
+
+def test_patterns_suite_matches_the_signature_scan():
+    report = suites.suite_patterns(max_rank=6)
+    assert report["passed"]
+    assert report["checks"] == _scanned_pattern_checks(6)
+
+
+@settings(max_examples=300)
+@given(st.integers(1, 6), st.data())
+def test_interval_identity_matches_every_up_set(n, data):
+    full = ((1 << n) - 1) << 1
+    low, high, other_low, other_high = (
+        data.draw(st.integers(0, full)) & full for _ in range(4)
+    )
+    one, other = (low, high), (other_low, other_high)
+
+    def members(low, high):
+        return {u for u in range(0, full + 1, 2) if low & u == low and not high & u}
+
+    assert [suites._in_interval(u, one) for u in range(0, full + 1, 2)] == [
+        u in members(*one) for u in range(0, full + 1, 2)
+    ]
+    assert suites._same_interval(one, other) == (members(*one) == members(*other))
+
+
+def test_patterns_suite_fails_with_the_scan_witness(monkeypatch):
+    real = suites._firing_masks
+
+    def dropped(x, descending):
+        earlier, later = real(x, descending)
+        if descending:
+            earlier &= earlier - 1
+        return earlier, later
+
+    monkeypatch.setattr(suites, "_firing_masks", dropped)
+    report = suites.suite_patterns(max_rank=5)
+    assert not report["passed"]
+    assert all(c["witness"] for c in report["checks"])
+    assert report["checks"] == _scanned_pattern_checks(5)
+
+
 @pytest.mark.parametrize("x", [(1, 1, 2), (1, 2), (0, 1, 2), (1, 2, 4)])
 def test_maps_reject_non_permutations(x):
     sig = UpDownSignature(3, frozenset({2}))
@@ -381,6 +472,29 @@ def test_eta_masks_decode_to_eta():
         elements = _weak_order(n).elements
         for x, mask in zip(elements, eta_masks(elements, sig)):
             assert _decode(mask, n) == eta(x, poly).diagonals, (x, sig)
+
+
+def test_eta_mask_step_table_matches_the_walk_on_every_signature():
+    for n in range(3, 7):
+        elements = _weak_order(n).elements
+        for sig in all_updown_signatures(n):
+            boundary = polygon_from_signature(sig).boundary_mask
+            walked = [polygon_a._eta_mask(x, n, sig.upmask, boundary) for x in elements]
+            assert eta_masks(elements, sig) == walked, sig
+
+
+def test_eta_masks_read_a_whole_group_without_the_walk(monkeypatch):
+    """A guard on the step table: it must not fall back to one walk per
+    element."""
+    elements = _weak_order(5).elements
+    sig = UpDownSignature(5, frozenset({2, 3}))
+    want = eta_masks(elements, sig)
+
+    def walk(*args):
+        raise AssertionError("eta_masks walked one element")
+
+    monkeypatch.setattr(polygon_a, "_eta_mask", walk)
+    assert eta_masks(elements, sig) == want
 
 
 def test_eta_and_eta_masks_refuse_a_wrong_diagonal_count(monkeypatch):

@@ -29,10 +29,10 @@ from cambrian.coxeter import (
     full_notation,
     signed_ji_bounds,
 )
-from cambrian import polygon_a, suites
+from cambrian import polygon_a, polygon_b, suites
 from cambrian.lattices import FiniteLattice
-from cambrian.polygon_a import all_triangulations
-from cambrian.polygon_b import _is_symmetric
+from cambrian.polygon_a import _mask_diagonals, all_triangulations
+from cambrian.polygon_b import _is_symmetric, eta_b_masks
 
 
 def unbridge(sig, p):
@@ -338,15 +338,18 @@ def test_symmetric_triangulation_lattice_matches_per_orbit_flips():
 
 
 def test_suite_b_bodies_match_per_element_eta_b():
-    """Fibers grouped by eta_b's diagonals, one element at a time, and the
-    per-element signed case table with the s_0 rule, on B_2..B_4."""
+    """eta_b_masks against eta_b's diagonals, fibers grouped by them one
+    element at a time, and the per-element signed case table with the s_0
+    rule, on B_2..B_4."""
     for n in range(2, 5):
         system = get_system("B", n)
         lattice = system.weak_order_lattice()
         for sig in all_symmetric_signatures(n):
             fibers = {}
-            for i, x in enumerate(lattice.elements):
+            masks = eta_b_masks(lattice.elements, sig)
+            for i, (x, mask) in enumerate(zip(lattice.elements, masks)):
                 tri = eta_b(x, sig)
+                assert _mask_diagonals(mask, 2 * n) == tri.base.diagonals, (x, sig)
                 fibers.setdefault(tri.base.diagonals, []).append(i)
                 assert _per_a_descents_b(tri) == frozenset(system.left_descents(x))
             got = suites._eta_fiber_partition(lattice, sig)
@@ -354,22 +357,29 @@ def test_suite_b_bodies_match_per_element_eta_b():
         assert suites._case_table_check(system, n, lattice, f"B n={n}")["passed"]
 
 
+def _drop_a_mirror(mask, n):
+    """The mask without the mirror image of its first paired diagonal."""
+    stride = n + 2
+    for b in range(mask.bit_length()):
+        p, q = divmod(b, stride)
+        mirror = (n + 1 - q) * stride + (n + 1 - p)
+        if mask >> b & 1 and mirror != b and mask >> mirror & 1:
+            return mask ^ (1 << mirror)
+    return mask
+
+
 def test_b_mask_path_refuses_an_asymmetric_triangulation(monkeypatch):
-    real = polygon_a._eta_mask
-
-    def asymmetric(x, n, up, boundary):
-        """The real mask without the mirror image of its first paired
-        diagonal."""
-        mask = real(x, n, up, boundary)
-        stride = n + 2
-        for b in range(mask.bit_length()):
-            p, q = divmod(b, stride)
-            mirror = (n + 1 - q) * stride + (n + 1 - p)
-            if mask >> b & 1 and mirror != b and mask >> mirror & 1:
-                return mask ^ (1 << mirror)
-        return mask
-
-    monkeypatch.setattr(polygon_a, "_eta_mask", asymmetric)
+    # eta_b walks one element through polygon_a._eta_mask; the suites read
+    # eta_b_masks, which calls eta_masks and its step table.
+    real_mask, real_masks = polygon_a._eta_mask, polygon_b.eta_masks
+    monkeypatch.setattr(
+        polygon_a, "_eta_mask",
+        lambda x, n, up, boundary: _drop_a_mirror(real_mask(x, n, up, boundary), n),
+    )
+    monkeypatch.setattr(
+        polygon_b, "eta_masks",
+        lambda elements, sig: [_drop_a_mirror(m, sig.n) for m in real_masks(elements, sig)],
+    )
     system = get_system("B", 3)
     lattice = system.weak_order_lattice()
     sig = SymmetricSignature.from_positive_ups(3, {2})
