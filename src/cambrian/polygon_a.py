@@ -88,14 +88,14 @@ class UpDownSignature:
         return i not in self.ups
 
     def orientation_edges(self) -> tuple[tuple[int, int], ...]:
-        """Directed diagram edges (s, t) of S_n: s_b -> s_{b-1} iff b is up."""
-        out = []
-        for b in range(2, self.n):
-            if b in self.ups:
-                out.append((b, b - 1))
-            else:
-                out.append((b - 1, b))
-        return tuple(out)
+        """Directed diagram edges (s, t) of S_n, b = 2..n-1."""
+        return _orientation_edges(self.ups, range(2, self.n))
+
+
+def _orientation_edges(ups, indices) -> tuple[tuple[int, int], ...]:
+    """The diagram edges (s, t) between s_{b-1} and s_b for b in
+    ``indices``: s_b -> s_{b-1} iff b is up.  Types A and B share it."""
+    return tuple((b, b - 1) if b in ups else (b - 1, b) for b in indices)
 
 
 def signatures_for_orientation(n: int, edges) -> list[UpDownSignature]:

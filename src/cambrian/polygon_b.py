@@ -8,6 +8,12 @@ embedding, checked to be fixed by the central symmetry.  The descent
 case table is the doubled one shifted by n: positions n and n+1 hold -1
 and 1, of opposite colours, so their mixed case is the s_0 rule.  The
 flip lattice flips a diameter alone and a mirror pair together.
+
+``_polygon_maps`` sits here, beside both signature types, and is the one
+A/B dispatch for eta: it gives the whole-group mask reader and the
+descent reader of a type-A or type-B signature, and the suites and the
+fan checks all read eta through it.  ``eta`` and ``eta_b``, one element
+at a time, are kept as the public API and as test oracles.
 """
 
 from __future__ import annotations
@@ -34,6 +40,7 @@ from .polygon_a import (
     _diagonal_mask,
     _flip_lattice,
     _mask_diagonals,
+    _orientation_edges,
     eta,
     eta_mask_descents,
     eta_masks,
@@ -104,14 +111,8 @@ class SymmetricSignature:
         return polygon_from_signature(self.a_signature())
 
     def orientation_edges(self) -> tuple[tuple[int, int], ...]:
-        """Directed B-diagram edges (s, t): s_b -> s_{b-1} iff b is up."""
-        out = []
-        for b in range(1, self.n):
-            if b in self.ups:
-                out.append((b, b - 1))
-            else:
-                out.append((b - 1, b))
-        return tuple(out)
+        """Directed B-diagram edges (s, t), b = 1..n-1."""
+        return _orientation_edges(self.ups, range(1, self.n))
 
 
 @dataclass(frozen=True)
@@ -282,6 +283,14 @@ def eta_b_mask_descents(mask: int, signature: SymmetricSignature) -> int:
     """Left descents, bit i for s_i, of the symmetric triangulation with
     diagonal mask ``mask``: the doubled signature's case table shifted by n."""
     return eta_mask_descents(mask, signature.polygon.signature) >> signature.n
+
+
+def _polygon_maps(signature):
+    """(eta's diagonal masks of a list of elements, the descents of one
+    mask) on the signature's polygon; type B's is the doubled type-A one."""
+    if isinstance(signature, SymmetricSignature):
+        return eta_b_masks, eta_b_mask_descents
+    return eta_masks, eta_mask_descents
 
 
 def descent_set_b(tri: TriangulationB) -> frozenset[int]:

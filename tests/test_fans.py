@@ -999,3 +999,54 @@ def test_flip_order_matches_per_family_loops(poset, oracle, n):
     lattice, expected = poset(n), FiniteLattice.from_covers(*oracle(n))
     assert lattice.elements == expected.elements
     assert lattice.covers == expected.covers
+
+
+# ---------------------------------------------------------------------------
+# Class cones read off the whole-group eta tables.
+
+
+@pytest.mark.parametrize(
+    "family,n", [("A", n) for n in range(3, 6)] + [("B", n) for n in range(2, 4)]
+)
+def test_class_diagonals_match_per_element_eta(family, n):
+    """The class bottoms' diagonals, read off the eta tables, against eta
+    (eta_b's doubled base in type B) of each bottom on every signature."""
+    if family == "A":
+        system, signatures, size = get_system("A", n - 1), all_updown_signatures(n), n
+    else:
+        system, signatures, size = get_system("B", n), all_symmetric_signatures(n), 2 * n
+    for sig in signatures:
+        camb, got = fans._class_diagonals(system, sig, size)
+        elements = camb.congruence.lattice.elements
+        bottoms = [elements[members[0]] for members in camb.congruence.classes]
+        if family == "A":
+            polygon = polygon_from_signature(sig)
+            want = [sorted(eta(x, polygon).diagonals) for x in bottoms]
+        else:
+            want = [sorted(eta_b(x, sig).base.diagonals) for x in bottoms]
+        assert got == want, sig
+
+
+def test_no_check_walks_eta_one_element_at_a_time(monkeypatch, capsys):
+    """With eta, eta_b and the per-element walk made to raise, the fan
+    checks, the fan export, the fibers suite and the eta suites all pass."""
+    from cambrian import polygon_a, polygon_b, suites
+    from cambrian.cli import main
+
+    def walked(*args, **kwargs):
+        raise AssertionError("eta walked one element")
+
+    for module, name in (
+        (polygon_a, "eta"), (polygon_a, "_eta_mask"), (polygon_b, "eta_b"), (suites, "eta"),
+    ):
+        monkeypatch.setattr(module, name, walked)
+    assert suites.run_suite("fan", "A")["passed"]
+    assert suites.run_suite("fan", "B")["passed"]
+    assert fan_to_json(UpDownSignature.from_string("udud"))["cones"]
+    assert suites.suite_fibers(max_rank=4)["passed"]
+    for suite in ("congruence-eq", "descent"):
+        assert main(["verify", "--suite", suite, "--max-rank", "4"]) == 0, suite
+    for family, signature in (("A", "udud"), ("B", "udu")):
+        args = ["fan", "--family", family, "--rank", "3", "--signature", signature]
+        assert main(args) == 0, family
+    capsys.readouterr()
