@@ -460,17 +460,6 @@ class CoxeterSystem:
         lattice = self.weak_order_lattice()
         return lattice.elements[lattice.meet(lattice.index[x], lattice.index[y])]
 
-    def weak_le(self, x, y) -> bool:
-        return self.inversion_set(x) <= self.inversion_set(y)
-
-    def longest_element(self):
-        if self.family == "A":
-            return tuple(range(self.n, 0, -1))
-        if self.family == "B":
-            return tuple(range(-1, -self.n - 1, -1))
-        lattice = self.weak_order_lattice()
-        return lattice.elements[lattice.top]
-
     # -- weak order enumeration ---------------------------------------------
 
     def weak_order_lattice(self, cap: Optional[int] = None):

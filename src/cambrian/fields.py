@@ -211,9 +211,6 @@ class NumberField:
         result += [0] * (self.degree - len(result))
         return tuple(result[: self.degree])
 
-    def div(self, a: Coeffs, b: Coeffs) -> Coeffs:
-        return self.mul(a, self.inv(b))
-
     def is_zero(self, a: Coeffs) -> bool:
         return all(x == 0 for x in a)
 
@@ -282,20 +279,6 @@ class NumberField:
             else:
                 lo = mid
             self._bracket = (lo, hi)
-
-
-def mat_vec(field, a, v):
-    n = len(a)
-    return tuple(
-        _sum_field(field, [field.mul(a[i][k], v[k]) for k in range(n)]) for i in range(n)
-    )
-
-
-def _sum_field(field, items):
-    total = field.zero
-    for x in items:
-        total = field.add(total, x)
-    return total
 
 
 def solve_linear(field, matrix, rhs):

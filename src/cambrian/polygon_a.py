@@ -15,10 +15,14 @@ The one eta edge rule, ``_step_edges``, gives the edges reading v adds
 to the current path: inserting an up value v between its path
 neighbours u < v < w adds (u, v) and (v, w); removing a down value adds
 (u, w).  Once a set P of values has been read the path is lambda_0 ^ P,
-whatever the order, so a step depends on (P, v) alone.  ``_eta_mask``
-walks one permutation; ``eta_masks`` fills a step table over every
-(P, v) once per signature (2^n rows) and reads each element of a whole
-group off it in n lookups.  Both then clear the boundary
+whatever the order, which for the up set U is the vertices outside
+P ^ U, so a step depends on (P ^ U, v) alone and one table,
+``_step_table(n)``, serves every signature.  ``_eta_mask`` walks one
+permutation.  A ``GroupWalk`` holds the signature-free part of a whole
+group, built once: the prefix tree of its permutations, each node one
+step table key, and the move table of the projections.  ``eta_masks``
+reads the tree under a signature one level at a time, each level a few
+passes of ``map``.  Both clear the boundary
 (``PolygonQ.boundary_mask``) and check that n-1 diagonals are left.
 ``eta`` decodes the mask; the masks of ``eta_masks`` name the
 triangulations injectively, so fibers are grouped by them;
@@ -29,10 +33,14 @@ single diagonals here, mirror pairs in type B.
 The projections carry the mask of the values already read, so whether
 an adjacent pair has its "2" is one mask intersection; ``_first_move``
 finds the leftmost pair that moves.  ``pi_down`` / ``pi_up`` apply that
-rule until nothing moves.  ``projection_tables`` applies it once per
-element of a weak order: the lattice stores its elements along a linear
-extension and a move goes to a cover, so filling pi_down in index order
-(pi_up in reverse order) finds every move's target already done.
+rule until nothing moves.  ``projection_tables`` reads it off the
+walk's move table, which keeps for every adjacent descent (ascent) the
+values between the pair before and after it and the element the swap
+gives: a signature marks the masks that move, and each element takes
+the projection of its leftmost moving pair's target.  The lattice
+stores its elements along a linear extension and a move goes to a
+cover, so filling pi_down in index order (pi_up in reverse order) finds
+every target already done.
 """
 
 from __future__ import annotations
@@ -40,6 +48,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from operator import or_
 from typing import Optional
 
 from .coxeter import all_ji_subsets_a, ji_subset_bounds
@@ -288,33 +297,146 @@ def eta(x: tuple[int, ...], polygon: PolygonQ) -> TriangulationA:
     return TriangulationA(n, sig.ups, _mask_diagonals(mask, n))
 
 
-def eta_masks(elements, signature: UpDownSignature) -> list[int]:
-    """``_eta_mask`` of each permutation of 1..n in ``elements``.
+@lru_cache(maxsize=None)
+def _step_table(n: int) -> tuple[int, ...]:
+    """``_step_edges`` of every value v read after a set P of values,
+    under every signature, at ``_step_key(P ^ U, v, n)`` for up set U.
 
-    Once the values in a set P have been read, the lambda path is
-    lambda_0 ^ P whatever their order, so the edges reading v adds depend
-    on (P, v) alone.  ``step[P][v]`` holds them for every set P of values
-    and every v not in P; each element is then n lookups.
+    Once the values in P have been read, the lambda path is
+    lambda_0 ^ P = (0..n+1) ^ (P ^ U) whatever their order, and v, not in
+    P, is up iff it is in P ^ U, so the edges reading v adds depend on
+    (P ^ U, v) alone.  The table depends on n only and is kept; 2^n n of
+    its entries are used.
     """
-    n, up = signature.n, signature.upmask
-    boundary = polygon_from_signature(signature).boundary_mask
     stride = n + 2
-    lambda_0 = _lambda_0(n, up)
-    step = [None] * (1 << (n + 1))
-    for prefix in range(0, 1 << (n + 1), 2):
-        step[prefix] = row = [0] * (n + 1)
-        path = lambda_0 ^ prefix
+    full = (1 << stride) - 1
+    step = [0] * _step_key(1 << (n + 1), 0, n)
+    for flipped in range(0, 1 << (n + 1), 2):
         for v in range(1, n + 1):
-            if not prefix >> v & 1:
-                row[v] = _step_edges(path, v, up, stride)
-    out = []
-    for x in elements:
-        prefix = edges = 0
-        for v in x:
-            edges |= step[prefix][v]
-            prefix |= 1 << v
-        out.append(_off_boundary(edges, n, boundary))
-    return out
+            step[_step_key(flipped, v, n)] = _step_edges(full ^ flipped, v, flipped, stride)
+    return tuple(step)
+
+
+def _step_key(values: int, v: int, n: int) -> int:
+    """The step table key of value v after the value set ``values``
+    (bits 1..n): the set above the bits of v, so that xor-ing it with
+    ``_step_key(U, 0, n)`` reads it under the up set U."""
+    return values >> 1 << n.bit_length() | v
+
+
+class GroupWalk:
+    """The signature-free part of eta and of the projections over a list
+    of permutations of 1..n, built once and read once per signature.
+
+    ``levels`` is a prefix tree: level k lists the distinct k-prefixes of
+    the permutations, each by its parent on level k-1 and the
+    ``_step_key`` of its last value after the set of the others.  It
+    stops at the (n-1)-prefixes of the permutations, in list order: the
+    last value read only closes lambda_n, the upper boundary, so its step
+    adds boundary edges alone.
+
+    ``moves`` lists, per direction (descents, then ascents), every
+    adjacent pair a projection could swap, backwards through the list and
+    through each element, so that the last pair of an element is its
+    leftmost.  Each pair is its element's position, the position in
+    ``index`` (which only the projections need) of the permutation with
+    the pair swapped, and, as one byte, the place in ``sides`` of the
+    values strictly between the pair that come before it or, shifted by
+    n+1, after it: at most 241 masks for n <= 8, so a byte holds the
+    place.
+    """
+
+    def __init__(self, elements, index=None):
+        self.elements = elements
+        self.index = index
+        self.n = len(elements[0]) if elements else 0
+
+    @cached_property
+    def levels(self) -> list[tuple[list[int], list[int]]]:
+        elements, n = self.elements, self.n
+        depth = max(n - 1, 1)
+        node, sets, levels = {(): 0}, [0], []
+        for k in range(1, depth + 1):
+            prefixes = (
+                [x[:k] for x in elements] if k == depth
+                else list(dict.fromkeys(x[:k] for x in elements))
+            )
+            parents = [node[p[:-1]] for p in prefixes]
+            last = [p[-1] for p in prefixes]
+            keys = [_step_key(sets[a], v, n) for a, v in zip(parents, last)]
+            sets = [sets[a] | 1 << v for a, v in zip(parents, last)]
+            node = {p: i for i, p in enumerate(prefixes)}
+            levels.append((parents, keys))
+        return levels
+
+    def eta_masks(self, signature: UpDownSignature) -> list[int]:
+        """``_eta_mask`` of every permutation: the step table read along
+        the tree one level at a time, then the boundary cleared."""
+        n = signature.n
+        boundary = polygon_from_signature(signature).boundary_mask
+        under = _step_key(signature.upmask, 0, n).__xor__
+        step = _step_table(self.n)
+        edges = [0]
+        for parents, keys in self.levels:
+            steps = map(step.__getitem__, map(under, keys))
+            edges = list(map(or_, map(edges.__getitem__, parents), steps))
+        masks = list(map((~boundary).__and__, edges))
+        if set(map(int.bit_count, masks)) != {n - 1}:
+            return [_off_boundary(e, n, boundary) for e in edges]
+        return masks
+
+    @cached_property
+    def moves(self) -> list[tuple[list[int], list[int], bytes, list[int]]]:
+        index, shift = self.index, self.n + 1
+        out = []
+        for descending in (True, False):
+            owner, target, place, sides = [], [], [], {}
+            for i, x in enumerate(self.elements):
+                before = 0
+                for j in range(len(x) - 1):
+                    a, b = x[j], x[j + 1]
+                    if (a > b) == descending:
+                        lo, hi = (b, a) if descending else (a, b)
+                        between = (1 << hi) - (2 << lo)
+                        owner.append(i)
+                        target.append(index[x[:j] + (b, a) + x[j + 2:]])
+                        side = between & before | (between & ~before) << shift
+                        sides.setdefault(side, len(sides))
+                        place.append(sides[side])
+                    before |= 1 << a
+            out.append((owner[::-1], target[::-1], bytes(place[::-1]), list(sides)))
+        return out
+
+    def projection_tables(self, signature: UpDownSignature) -> tuple[list[int], list[int]]:
+        """pi_down and pi_up of every element, as positions.
+
+        A pair moves iff a value before it is up or one after it is down
+        (``_first_move``'s rule), one mask intersection per distinct
+        ``sides`` mask.  An element whose leftmost moving pair takes it to
+        another shares that element's projection, which pi_down (pi_up)
+        has filled already if the move goes down (up) in index order.
+        """
+        up, down = _value_masks(signature)
+        moving = up | down << (self.n + 1)
+        tables = []
+        for descending, (owner, target, place, sides) in zip((True, False), self.moves):
+            fires = place.translate(bytes(bool(m & moving) for m in sides).ljust(256, b"\0"))
+            pairs = zip(itertools.compress(owner, fires), itertools.compress(target, fires))
+            # The dict keeps an element's last moving pair: its leftmost.
+            first = dict(pairs)
+            table = list(range(len(self.elements)))
+            for i, j in reversed(first.items()) if descending else first.items():
+                if (j > i) == descending:
+                    raise AssertionError(f"the move from {self.elements[i]} leaves index order")
+                table[i] = table[j]
+            tables.append(table)
+        return tables[0], tables[1]
+
+
+def eta_masks(elements, signature: UpDownSignature, walk=None) -> list[int]:
+    """``_eta_mask`` of each permutation of 1..n in ``elements``, read off
+    ``walk``, the ``GroupWalk`` of ``elements`` (built here if not given)."""
+    return (walk or GroupWalk(elements)).eta_masks(signature)
 
 
 # ---------------------------------------------------------------------------
@@ -394,35 +516,20 @@ def pi_up(x: tuple[int, ...], signature: UpDownSignature) -> tuple[int, ...]:
 
 
 def projection_tables(
-    lattice: FiniteLattice, signature: UpDownSignature
+    lattice: FiniteLattice, signature: UpDownSignature, walk=None
 ) -> tuple[list[int], list[int]]:
     """pi_down and pi_up of every element of a weak order of S_n, as
-    lattice indices.
+    lattice indices, read off ``walk``, the ``GroupWalk`` of the lattice's
+    elements and index (built here if not given).
 
     An element no move changes is its own projection; otherwise its
     projection is that of the element ``_first_move`` swaps it to, which
     is the next step ``_project`` takes.  A move goes to a lower (upper)
     cover, which the lattice's linear extension puts before (after) the
-    element, so pi_down is filled in index order and pi_up in reverse.
+    element.
     """
-    elements, index = lattice.elements, lattice.index
-    up, down = _value_masks(signature)
-    tables = []
-    for descending in (True, False):
-        table = [-1] * len(elements)
-        order = range(len(elements))
-        for i in order if descending else reversed(order):
-            x = elements[i]
-            j = _first_move(x, up, down, descending)
-            if j is None:
-                table[i] = i
-                continue
-            target = table[index[x[:j] + (x[j + 1], x[j]) + x[j + 2:]]]
-            if target < 0:
-                raise AssertionError(f"the move from {x} leaves index order")
-            table[i] = target
-        tables.append(table)
-    return tables[0], tables[1]
+    walk = walk or GroupWalk(lattice.elements, lattice.index)
+    return walk.projection_tables(signature)
 
 
 def is_pi_down_fixed(x: tuple[int, ...], signature: UpDownSignature) -> bool:

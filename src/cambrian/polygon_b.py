@@ -10,10 +10,11 @@ and 1, of opposite colours, so their mixed case is the s_0 rule.  The
 flip lattice flips a diameter alone and a mirror pair together.
 
 ``_polygon_maps`` sits here, beside both signature types, and is the one
-A/B dispatch for eta: it gives the whole-group mask reader and the
-descent reader of a type-A or type-B signature, and the suites and the
-fan checks all read eta through it.  ``eta`` and ``eta_b``, one element
-at a time, are kept as the public API and as test oracles.
+A/B dispatch for eta: it gives the group walk builder (``GroupWalk``, or
+``b_group_walk`` of the embedded elements), the whole-group mask reader
+and the descent reader of a type-A or type-B signature, and the suites
+and the fan checks all read eta through it.  ``eta`` and ``eta_b``, one
+element at a time, are kept as the public API and as test oracles.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .coxeter import (
 )
 from .lattices import FiniteLattice
 from .polygon_a import (
+    GroupWalk,
     PolygonQ,
     TriangulationA,
     UpDownSignature,
@@ -139,11 +141,19 @@ def eta_b(x: tuple[int, ...], signature: SymmetricSignature) -> TriangulationB:
     return TriangulationB(signature, base)
 
 
-def eta_b_masks(elements, signature: SymmetricSignature) -> list[int]:
+def b_group_walk(elements) -> GroupWalk:
+    """The ``GroupWalk`` of signed permutations, embedded in the doubled
+    type A."""
+    return GroupWalk([embed_b_in_a(x) for x in elements])
+
+
+def eta_b_masks(elements, signature: SymmetricSignature, walk=None) -> list[int]:
     """``eta_masks`` of the embedded signed permutations on the doubled
-    signature, each distinct mask checked to be centrally symmetric."""
+    signature, read off ``walk``, their ``b_group_walk`` (built here if not
+    given), each distinct mask checked to be centrally symmetric."""
     two_n = 2 * signature.n
-    masks = eta_masks([embed_b_in_a(x) for x in elements], signature.polygon.signature)
+    walk = walk or b_group_walk(elements)
+    masks = eta_masks(walk.elements, signature.polygon.signature, walk)
     for mask in set(masks):
         if not _is_symmetric(_mask_diagonals(mask, two_n), two_n):
             x = elements[masks.index(mask)]
@@ -286,11 +296,12 @@ def eta_b_mask_descents(mask: int, signature: SymmetricSignature) -> int:
 
 
 def _polygon_maps(signature):
-    """(eta's diagonal masks of a list of elements, the descents of one
-    mask) on the signature's polygon; type B's is the doubled type-A one."""
+    """(the group walk of a list of elements, eta's diagonal masks of the
+    elements, given their walk or not, the descents of one mask) on the
+    signature's polygon; type B's is the doubled type-A one."""
     if isinstance(signature, SymmetricSignature):
-        return eta_b_masks, eta_b_mask_descents
-    return eta_masks, eta_mask_descents
+        return b_group_walk, eta_b_masks, eta_b_mask_descents
+    return GroupWalk, eta_masks, eta_mask_descents
 
 
 def descent_set_b(tri: TriangulationB) -> frozenset[int]:

@@ -46,6 +46,7 @@ from .congruences import (
     recover_orientation,
 )
 from .polygon_a import (
+    GroupWalk,
     UpDownSignature,
     # Not called here any more, but perfbench's tracing test reads suites.eta.
     eta,  # noqa: F401
@@ -217,10 +218,19 @@ def _fibers(masks) -> dict:
     return fibers
 
 
-def _eta_fiber_partition(lattice: FiniteLattice, signature):
-    """The fibers of eta on a weak order of type A or B."""
-    masks_of, _ = _polygon_maps(signature)
-    return _fibers(masks_of(lattice.elements, signature))
+def _eta_fiber_partition(lattice: FiniteLattice, signature, walk=None):
+    """The fibers of eta on a weak order of type A or B, read off
+    ``walk``, the group walk of its elements (built here if not given)."""
+    _, masks_of, _ = _polygon_maps(signature)
+    return _fibers(masks_of(lattice.elements, signature, walk))
+
+
+def _group_walk(system: CoxeterSystem, n: int, lattice: FiniteLattice):
+    """The group's signatures, and the group walk of its weak order that
+    eta and the projections read under each of them."""
+    signatures = _signatures(system, n)
+    walk_of, _, _ = _polygon_maps(signatures[0])
+    return signatures, walk_of(lattice.elements)
 
 
 def suite_congruence_eq(family=None, max_rank=None, cap=None) -> dict:
@@ -228,13 +238,14 @@ def suite_congruence_eq(family=None, max_rank=None, cap=None) -> dict:
     checks = []
     for n, system, lattice, label in _groups(family, max_rank, {"A": 5, "B": 3}, cap):
         cong_keys = {}
-        for sig in _signatures(system, n):
+        signatures, walk = _group_walk(system, n, lattice)
+        for sig in signatures:
             orientation = orientation_from_edges(system, sig.orientation_edges())
             if orientation not in cong_keys:
                 cong_keys[orientation] = cambrian_congruence(
                     system, orientation
                 ).key()
-            fibers = _eta_fiber_partition(lattice, sig)
+            fibers = _eta_fiber_partition(lattice, sig, walk)
             key = frozenset(frozenset(f) for f in fibers.values())
             checks.append(
                 _check(
@@ -246,31 +257,55 @@ def suite_congruence_eq(family=None, max_rank=None, cap=None) -> dict:
     return _report("congruence-eq", checks, family=family or "A,B")
 
 
-def suite_fibers(max_rank=None, cap=None) -> dict:
+def suite_fibers(max_rank=None, cap=None, family=None) -> dict:
     """Each eta fiber is the interval between the two projections of any
-    member.  Being an interval, it is connected in the Hasse diagram: a
-    saturated chain from its bottom to any member stays inside it."""
+    member, on S_3..S_6.  Being an interval, it is connected in the Hasse
+    diagram: a saturated chain from its bottom to any member stays inside
+    it."""
     checks = []
-    for n, _, lattice, label in _groups("A", max_rank, {"A": 6}, cap):
+    for n, _, lattice, label in _groups(family, max_rank, {"A": 6}, cap):
+        walk = GroupWalk(lattice.elements, lattice.index)
         for sig in all_updown_signatures(n):
-            ok, witness = _fibers_ok(lattice, sig)
+            ok, witness = _fibers_ok(lattice, sig, walk)
             checks.append(_check(f"{label} sig {sig.to_string()}", ok, witness=witness))
     return _report("fibers", checks, family="A")
 
 
-def _fibers_ok(lattice: FiniteLattice, sig: UpDownSignature):
-    fibers = _fibers(eta_masks(lattice.elements, sig))
-    down, up = projection_tables(lattice, sig)
-    for members in fibers.values():
+def _fibers_ok(lattice: FiniteLattice, sig: UpDownSignature, walk: GroupWalk):
+    """Whether the fibers of eta are the intervals [pi_down x, pi_up x],
+    in one pass over the fibers' member masks: it holds iff each distinct
+    (mask, pi_down, pi_up) gives a fiber equal to its interval.  A
+    nonempty interval has one bottom and one top, so two members of a
+    fiber with different projections, or two fibers with the same ones,
+    fail that test too and the block counts need no test of their own.
+    A failure is rescanned by ``_fiber_witness``."""
+    masks = eta_masks(lattice.elements, sig, walk)
+    down, up = projection_tables(lattice, sig, walk)
+    fibers: dict = {}
+    for i, mask in enumerate(masks):
+        fibers[mask] = fibers.get(mask, 0) | 1 << i
+    if all(
+        fibers[mask] == lattice.up[bot] & lattice.down[top]
+        for mask, bot, top in set(zip(masks, down, up))
+    ):
+        return True, None
+    return False, _fiber_witness(lattice, masks, down, up)
+
+
+def _fiber_witness(lattice: FiniteLattice, masks, down, up) -> str:
+    """The first member, fibers in order of their first members, whose
+    fiber is not the interval between the first member's projections or
+    whose own projections differ from the first member's."""
+    for members in _fibers(masks).values():
         fiber = sum(1 << i for i in members)
         x = lattice.elements[members[0]]
         bot, top = down[members[0]], up[members[0]]
         if fiber != lattice.up[bot] & lattice.down[top]:
-            return False, str(x)
+            return str(x)
         for i in members[1:]:
             if down[i] != bot or up[i] != top:
-                return False, str(lattice.elements[i])
-    return True, None
+                return str(lattice.elements[i])
+    raise AssertionError("the fiber check failed but no fiber breaks it")
 
 
 # ---------------------------------------------------------------------------
@@ -609,13 +644,18 @@ def _case_table_check(
     descents = [
         sum(1 << a for a in system.left_descents(x)) for x in lattice.elements
     ]
-    for sig in _signatures(system, n):
-        masks_of, descents_of = _polygon_maps(sig)
-        masks = masks_of(lattice.elements, sig)
+    signatures, walk = _group_walk(system, n, lattice)
+    for sig in signatures:
+        _, masks_of, descents_of = _polygon_maps(sig)
+        masks = masks_of(lattice.elements, sig, walk)
         table = {mask: descents_of(mask, sig) for mask in set(masks)}
-        for x, mask, theirs in zip(lattice.elements, masks, descents):
-            if table[mask] != theirs:
-                return _check(name, False, witness=str((sig.to_string(), x)))
+        ours = list(map(table.__getitem__, masks))
+        if ours != descents:
+            x = next(
+                x for x, mine, theirs in zip(lattice.elements, ours, descents)
+                if mine != theirs
+            )
+            return _check(name, False, witness=str((sig.to_string(), x)))
     return _check(name, True, witness=None)
 
 
@@ -730,6 +770,7 @@ SUITES = {
     "mobius": suite_mobius,
     "iso": suite_iso,
     "b-tamari": suite_b_tamari,
+    "fibers": suite_fibers,
 }
 
 

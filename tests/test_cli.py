@@ -127,7 +127,10 @@ def test_verify_suites_pass(capsys):
 
 @pytest.mark.parametrize(
     "suite, family",
-    [("patterns", "B"), ("patterns", "H3"), ("b-tamari", "A"), ("cluster", "A")],
+    [
+        ("patterns", "B"), ("patterns", "H3"), ("b-tamari", "A"), ("cluster", "A"),
+        ("fibers", "B"), ("fibers", "I2"),
+    ],
 )
 def test_verify_unsupported_family_is_usage_error(capsys, suite, family):
     code, out = run_cli(capsys, "verify", "--suite", suite, "--family", family)

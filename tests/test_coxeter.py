@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import reduce
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,8 +28,23 @@ from cambrian.coxeter import (
     ji_subset_bounds,
     standardize_signed,
 )
-from cambrian.fields import mat_vec
 from cambrian.suites import catalan
+
+
+def mat_vec(field, a, v):
+    """The matrix ``a`` times the vector ``v`` over ``field``."""
+    return tuple(
+        reduce(field.add, (field.mul(x, y) for x, y in zip(row, v)), field.zero) for row in a
+    )
+
+
+def _weak_le(system, x, y) -> bool:
+    return system.inversion_set(x) <= system.inversion_set(y)
+
+
+def _longest_b(n: int) -> tuple[int, ...]:
+    """The longest element of B_n, -1 -2 ... -n."""
+    return tuple(range(-1, -n - 1, -1))
 
 
 def test_catalan_number_from_degrees_matches_family_formulas():
@@ -152,7 +168,7 @@ def test_weak_order_is_inversion_containment():
 def test_longest_element_anti_automorphisms():
     system = build_system("B", 2)
     lattice = system.weak_order_lattice()
-    w0 = system.longest_element()
+    w0 = _longest_b(system.n)
     n = lattice.n
     for i in range(n):
         for j in range(n):
@@ -160,7 +176,7 @@ def test_longest_element_anti_automorphisms():
             if lattice.le(i, j):
                 w0x = tuple(w0[abs(v) - 1] * (1 if v > 0 else -1) for v in x)
                 w0y = tuple(w0[abs(v) - 1] * (1 if v > 0 else -1) for v in y)
-                assert system.weak_le(w0y, w0x)
+                assert _weak_le(system, w0y, w0x)
 
 
 def test_ji_from_subset_examples():

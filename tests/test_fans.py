@@ -412,7 +412,7 @@ def test_h3_chamber_rays_are_62_integer_keys():
         ratio = None
         for x, y in zip(omega, exact):
             if not field.is_zero(y):
-                ratio = field.div(x, y)
+                ratio = field.mul(x, field.inv(y))
                 break
         assert field.sign(ratio) > 0
         assert tuple(field.mul(ratio, y) for y in exact) == omega

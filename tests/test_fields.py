@@ -1,15 +1,26 @@
 import math
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 from hypothesis import given, strategies as st
 
 from cambrian.fields import (
     NumberField,
-    mat_vec,
     minimal_polynomial_2cos,
     solve_linear,
 )
+
+
+def _div(field, a, b):
+    return field.mul(a, field.inv(b))
+
+
+def mat_vec(field, a, v):
+    """The matrix ``a`` times the vector ``v`` over ``field``."""
+    return tuple(
+        reduce(field.add, (field.mul(x, y) for x, y in zip(row, v)), field.zero) for row in a
+    )
 
 
 def test_minimal_polynomial_small_orders():
@@ -87,7 +98,7 @@ def test_rational_field_ring_laws(a, b, c):
     )
     assert field.sub(a, a) == field.from_rational(0)
     if not field.is_zero(b):
-        assert field.mul(field.div(a, b), b) == a
+        assert field.mul(_div(field, a, b), b) == a
 
 
 small_ints = st.integers(min_value=-30, max_value=30)
@@ -122,7 +133,7 @@ def test_integer_elements_never_become_floats(m, data):
     inverse = field.inv(a)
     assert _exact(inverse)
     assert field.mul(a, inverse) == field.one
-    assert _exact(field.div(b, a))
+    assert _exact(_div(field, b, a))
     assert field.sign(inverse) == sign
     assert type(field.sign(field.sub(b, a))) is int
 
@@ -130,7 +141,7 @@ def test_integer_elements_never_become_floats(m, data):
 def test_rational_field_divides_ints_exactly():
     field = NumberField(3)
     assert field.inv((2,)) == (Fraction(1, 2),) and type(field.inv((2,))[0]) is Fraction
-    assert type(field.div((1,), (3,))[0]) is Fraction
+    assert type(_div(field, (1,), (3,))[0]) is Fraction
 
 
 @given(rationals, rationals)

@@ -113,6 +113,10 @@ def test_pi_down_small_examples():
 def test_projection_properties(ups):
     sig = UpDownSignature(4, ups)
     system = get_system("A", 3)
+
+    def weak_le(x, y):
+        return system.inversion_set(x) <= system.inversion_set(y)
+
     fixed_down = 0
     for x in itertools.permutations(range(1, 5)):
         down = pi_down(x, sig)
@@ -124,7 +128,7 @@ def test_projection_properties(ups):
         assert is_pi_down_fixed(x, sig) == (down == x)
         assert is_pi_up_fixed(x, sig) == (up == x)
         # Projections move within the weak order, bracketing x.
-        assert system.weak_le(down, x) and system.weak_le(x, up)
+        assert weak_le(down, x) and weak_le(x, up)
         fixed_down += down == x
     assert fixed_down == catalan(4)
 
@@ -526,6 +530,52 @@ def test_projection_tables_refuse_a_move_against_index_order():
         projection_tables(reversed_order, UpDownSignature(3, frozenset({1, 2, 3})))
 
 
+def test_one_group_walk_reads_eta_under_every_signature():
+    """One walk per group, read under each signature in turn, against the
+    per-element walk; its tree stops at the (n-1)-prefixes, one node per
+    element."""
+    for n in range(3, 7):
+        elements = _weak_order(n).elements
+        walk = polygon_a.GroupWalk(elements)
+        for sig in all_updown_signatures(n):
+            boundary = polygon_from_signature(sig).boundary_mask
+            walked = [polygon_a._eta_mask(x, n, sig.upmask, boundary) for x in elements]
+            assert walk.eta_masks(sig) == walked, sig
+        sizes = [len(parents) for parents, _ in walk.levels]
+        prefixes = [len({x[:k] for x in elements}) for k in range(1, n - 1)]
+        assert sizes == prefixes + [len(elements)]
+
+
+def test_one_group_walk_reads_the_projections_under_every_signature():
+    for n in range(3, 7):
+        lattice = _weak_order(n)
+        walk = polygon_a.GroupWalk(lattice.elements, lattice.index)
+        for sig in all_updown_signatures(n):
+            down, up = projection_tables(lattice, sig, walk)
+            assert down == [lattice.index[pi_down(x, sig)] for x in lattice.elements], sig
+            assert up == [lattice.index[pi_up(x, sig)] for x in lattice.elements], sig
+
+
+@pytest.mark.parametrize("family, n, first", [("A", 4, "dddd"), ("B", 3, "ddd")])
+def test_case_tables_fail_with_the_scan_witness(monkeypatch, family, n, first):
+    """One element's left descents moved: every signature's case table
+    disagrees there and nowhere else, so the witness is the first
+    signature with that element."""
+    system = get_system(family, n - 1 if family == "A" else n)
+    lattice = system.weak_order_lattice()
+    x = lattice.elements[len(lattice.elements) // 2]
+    real = system.left_descents
+    monkeypatch.setattr(
+        system, "left_descents", lambda w: real(w) ^ {1} if w == x else real(w)
+    )
+    check = suites._case_table_check(system, n, lattice, f"{family} n={n}")
+    assert check == {
+        "name": f"{family} n={n} case tables",
+        "passed": False,
+        "witness": str((first, x)),
+    }
+
+
 def test_mask_case_table_matches_descent_set():
     for sig, _ in _small_cases(5):
         if sig.n < 3:
@@ -540,8 +590,8 @@ def test_mask_case_table_matches_descent_set():
 def test_fibers_fail_when_one_projection_entry_moves(monkeypatch, which):
     real = suites.projection_tables
 
-    def moved(lattice, sig):
-        tables = real(lattice, sig)
+    def moved(lattice, sig, walk=None):
+        tables = real(lattice, sig, walk)
         if sig.to_string() == "udud":
             # A middle member of a fiber, whose own entry is checked
             # against the fiber's ends, is sent to itself.
@@ -562,8 +612,8 @@ def test_fibers_fail_when_one_projection_entry_moves(monkeypatch, which):
 def test_fibers_fail_when_two_fibers_merge(monkeypatch):
     real = suites.eta_masks
 
-    def merged(elements, sig):
-        masks = real(elements, sig)
+    def merged(elements, sig, walk=None):
+        masks = real(elements, sig, walk)
         if sig.to_string() == "ddu":
             first, other = masks[0], next(m for m in masks if m != masks[0])
             masks = [first if m == other else m for m in masks]

@@ -357,6 +357,16 @@ def test_suite_b_bodies_match_per_element_eta_b():
         assert suites._case_table_check(system, n, lattice, f"B n={n}")["passed"]
 
 
+def test_one_b_group_walk_reads_eta_b_under_every_signature():
+    for n in range(2, 5):
+        elements = get_system("B", n).weak_order_lattice().elements
+        walk = polygon_b.b_group_walk(elements)
+        for sig in all_symmetric_signatures(n):
+            want = [eta_b(x, sig).base.diagonals for x in elements]
+            got = [_mask_diagonals(m, 2 * n) for m in eta_b_masks(elements, sig, walk)]
+            assert got == want, sig
+
+
 def _drop_a_mirror(mask, n):
     """The mask without the mirror image of its first paired diagonal."""
     stride = n + 2
@@ -378,7 +388,9 @@ def test_b_mask_path_refuses_an_asymmetric_triangulation(monkeypatch):
     )
     monkeypatch.setattr(
         polygon_b, "eta_masks",
-        lambda elements, sig: [_drop_a_mirror(m, sig.n) for m in real_masks(elements, sig)],
+        lambda elements, sig, walk=None: [
+            _drop_a_mirror(m, sig.n) for m in real_masks(elements, sig, walk)
+        ],
     )
     system = get_system("B", 3)
     lattice = system.weak_order_lattice()
