@@ -20,9 +20,21 @@ a cone is spanned by the rays of the class bottom's triangulation, which
 suites, through ``polygon_b._polygon_maps``; one elimination per cone
 gives its facet normals, and one class loop
 (``_check_fan_ab``) reads off them its rank, the regions and rays it
-holds, and its wall sides.  In H3 a cone is cut out by the walls that
-leave its class: the wall of w's chamber opposite w * omega_k bounds the
-class exactly when w * s_k is in another class.
+holds, and its wall sides; the member regions' rays come from one table
+per weak order (``_region_table``), and each class tests its distinct
+member rays once.
+
+In H3 a cone is cut out by the walls that leave its class: the wall of
+w's chamber opposite w * omega_k bounds the class exactly when w * s_k is
+in another class.  Everything but the classes is fixed by the group, so
+one chamber table per weak order (``_chamber_table``) holds the 62 chamber
+rays as ids, the three rays, neighbours and wall reflections of each
+chamber, and one row of determinant signs per reflection: the side of its
+hyperplane that each ray lies on.  Every wall on a reflection's hyperplane
+spans the same plane, so its determinant with any ray is one fixed
+nonzero multiple of the row's; the check reads only whether it is zero
+and whether it agrees in sign with the inner ray's, which that multiple
+keeps.  Each orientation is then a pass of table lookups.
 """
 
 from __future__ import annotations
@@ -33,6 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb
+from operator import mul
 
 from .congruences import Orientation, cambrian_lattice, orientation_from_edges
 from .coxeter import CoxeterSystem, embed_b_in_a, get_system
@@ -105,7 +118,7 @@ def _inward_normals(rays, lineality=()):
 
 
 def _dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
+    return sum(map(mul, u, v))
 
 
 # ---------------------------------------------------------------------------
@@ -298,16 +311,17 @@ def _check_fan_ab(
         return normals[c] is not None and all(_dot(b, v) >= 0 for b in normals[c])
 
     simplicial = None not in normals
+    region_vectors, rays_of = _region_table(camb.congruence.lattice, region_rays)
     tiling = all(
-        inside(c, v)
+        inside(c, region_vectors[r])
         for c, members in enumerate(camb.congruence.classes)
-        for i in members
-        for v in region_rays(camb.congruence.lattice.elements[i])
+        for r in {r for i in members for r in rays_of[i]}
     )
     extra = {}
     if fan_rays is not None:
+        # A cone with normals holds its own rays: b_i . ray_j = d * [i == j].
         extra["consistency"] = all(
-            inside(c, vectors[a]) == (a in cone)
+            normals[c] is not None if a in cone else not inside(c, vectors[a])
             for c, cone in enumerate(cones)
             for a in fan_rays
         )
@@ -319,6 +333,19 @@ def _check_fan_ab(
         return simplicial and _dot(normals[c][cones[c].index(a)], vectors[b]) < 0
 
     return _fan_faces(camb, cones, side, simplicial, tiling, **extra)
+
+
+@lru_cache(maxsize=None)
+def _region_table(lattice: FiniteLattice, region_rays):
+    """The distinct rays of the members' regions, ``region_rays(x)`` over
+    the elements x of a weak order, and the ids of each element's rays in
+    lattice order; built once per weak order and family."""
+    ids = {}
+    rays_of = tuple(
+        tuple(ids.setdefault(v, len(ids)) for v in region_rays(x))
+        for x in lattice.elements
+    )
+    return tuple(ids), rays_of
 
 
 def _class_diagonals(system: CoxeterSystem, signature, n: int):
@@ -338,12 +365,13 @@ def _class_diagonals(system: CoxeterSystem, signature, n: int):
 # Fan verification, type A.
 
 
-def _cones_a(signature: UpDownSignature):
+def _cones_a(signature: UpDownSignature, pairs):
     """The Cambrian lattice of the signature, and the ray subsets of each
-    class cone: those of the diagonals of the class bottom's triangulation."""
+    class cone: those of the diagonals of the class bottom's triangulation.
+    ``pairs`` is the signature's ``_rays_and_diagonals`` table."""
     n = signature.n
     camb, diagonals = _class_diagonals(get_system("A", n - 1), signature, n)
-    d2s = diagonal_ray_map(signature)
+    d2s = {d: a for a, d in pairs}
     return camb, [tuple(d2s[d] for d in diags) for diags in diagonals]
 
 
@@ -357,8 +385,9 @@ def check_fan_a(signature: UpDownSignature) -> dict:
     compared with the quotient's Hasse diagram.
     """
     n = signature.n
-    camb, cones = _cones_a(signature)
-    subsets = fan_ray_subsets(signature)
+    pairs = _rays_and_diagonals(signature)
+    camb, cones = _cones_a(signature, pairs)
+    subsets = [a for a, _ in pairs]
     vectors = {a: _int_ray(n, a) for a in subsets}
     report = _check_fan_ab(camb, cones, vectors, _suffix_rays_a, [(1,) * n], subsets)
     return {"family": "A", **report, "num_rays": len(subsets)}
@@ -418,13 +447,16 @@ def _cross(field, u, v):
     return (minor(1, 2), minor(2, 0), minor(0, 1))
 
 
+def _dot3(field, u, v):
+    return field.add(
+        field.add(field.mul(u[0], v[0]), field.mul(u[1], v[1])),
+        field.mul(u[2], v[2]),
+    )
+
+
 def _det3(field, u, v, w):
     """det of the 3x3 matrix with rows u, v, w: u . (v x w)."""
-    vw = _cross(field, v, w)
-    return field.add(
-        field.add(field.mul(u[0], vw[0]), field.mul(u[1], vw[1])),
-        field.mul(u[2], vw[2]),
-    )
+    return _dot3(field, u, _cross(field, v, w))
 
 
 def _scaled_weights(system: CoxeterSystem):
@@ -440,46 +472,87 @@ def _scaled_weights(system: CoxeterSystem):
     ]
 
 
-def check_fan_h3(system: CoxeterSystem, orientation: Orientation) -> dict:
-    """Verify the Cambrian fan of an H3 orientation over its number field.
+@lru_cache(maxsize=None)
+def _chamber_table(system: CoxeterSystem, lattice: FiniteLattice):
+    """The orientation-free part of the H3 fan check, on the weak order
+    ``lattice`` of the H3 ``system``: (rays, rays_of, moves, signs).
+
+    ``rays[r]`` is the vector of ray id r.  Chamber i, of the element w at
+    lattice index i, has the rays ``rays_of[i][k]`` = w * omega_k; its wall
+    opposite that ray leads to the chamber ``moves[i][k][0]`` = w * s_k,
+    across the hyperplane of the reflection ``moves[i][k][1]``.
+    ``signs[t][r]`` is the sign of det(u, v, ray r) for the rays u, v of
+    the first chamber wall found on the hyperplane of t.
 
     Every chamber ray w * omega_k is an integer vector over Z[c], from the
-    scaled weights.  Each ray of the Coxeter arrangement is w * omega_k
-    for exactly one k, so the raw vector is its canonical key; and only
-    signs of determinants are read, which positive scaling does not change.
+    scaled weights.  Each ray of the Coxeter arrangement is w * omega_k for
+    exactly one k, so the raw vector is its canonical key; and only signs
+    of determinants are read, which positive scaling does not change.
+    """
+    field = system.field
+    weights = _scaled_weights(system)
+    ids = {}
+    rays_of, moves, first_wall = [], [], {}
+    for w in lattice.elements:
+        rays = tuple(
+            ids.setdefault(system.act(w, omega), len(ids)) for omega in weights
+        )
+        inversions = system.inversion_set(w)
+        row = []
+        for k, name in enumerate(system.generator_names):
+            ws = system.right_multiply(w, name)
+            (t,) = inversions ^ system.inversion_set(ws)
+            first_wall.setdefault(t, (rays[k - 2], rays[k - 1]))
+            row.append((lattice.index[ws], t))
+        rays_of.append(rays)
+        moves.append(tuple(row))
+    vectors = tuple(ids)
+    signs = {
+        t: tuple(field.sign(_det3(field, vectors[u], vectors[v], r)) for r in vectors)
+        for t, (u, v) in first_wall.items()
+    }
+    return vectors, tuple(rays_of), tuple(moves), signs
+
+
+def check_fan_h3(system: CoxeterSystem, orientation: Orientation) -> dict:
+    """Verify the Cambrian fan of an H3 orientation over its number field.
 
     A class is bounded by the walls its chambers share with chambers of
     other classes; it must lie weakly on the inner side of each, and its
     extreme rays are the member rays on two of their hyperplanes.  Its cone
     is simplicial when it has three extreme rays; in rank 3 no other test
     can change the report.
+
+    Rays, neighbours, wall reflections and signs are read off the group's
+    chamber table (``_chamber_table``).  A leaving wall's signs are those
+    of its reflection's row: every wall on that hyperplane spans the same
+    plane, so its determinant with a ray is the row's times one nonzero
+    factor, which keeps both tests made of it, whether a ray is on the
+    wall and whether it is on the inner ray's side.
     """
     if system.family != "H3":
         raise ValueError("expected an H3 system")
     field = system.field
-    weights = _scaled_weights(system)
     camb = cambrian_lattice(system, orientation)
     cong = camb.congruence
-    lattice = cong.lattice
-    rays_of = [[system.act(w, omega) for omega in weights] for w in lattice.elements]
+    class_of = cong.class_of
+    rays, rays_of, moves, signs_of = _chamber_table(system, cong.lattice)
 
     simplicial = tiling = True
     cones = []
     for c, members in enumerate(cong.classes):
-        # Boundary hyperplane -> (the two rays of one wall on it, inner ray).
+        # Leaving hyperplane -> the ray of one member chamber off its wall.
         walls = {}
         for i in members:
-            w, rays = lattice.elements[i], rays_of[i]
-            for k, name in enumerate(system.generator_names):
-                ws = system.right_multiply(w, name)
-                if cong.class_of[lattice.index[ws]] != c:
-                    (t,) = system.inversion_set(w) ^ system.inversion_set(ws)
-                    walls.setdefault(t, (rays[k - 2], rays[k - 1], rays[k]))
+            for (j, t), inner in zip(moves[i], rays_of[i]):
+                if class_of[j] != c:
+                    walls.setdefault(t, inner)
         member_rays = {r for i in members for r in rays_of[i]}
         on_walls = Counter()
-        for u, v, inner in walls.values():
-            signs = {r: field.sign(_det3(field, u, v, r)) for r in member_rays}
-            for r, s in signs.items():
+        for t, inner in walls.items():
+            signs = signs_of[t]
+            for r in member_rays:
+                s = signs[r]
                 if s == 0:
                     on_walls[r] += 1
                 elif s != signs[inner]:
@@ -493,9 +566,9 @@ def check_fan_h3(system: CoxeterSystem, orientation: Orientation) -> dict:
         cones.append(tuple(extreme))
 
     def side(wall, a, b):
-        u, v = wall
-        sign_a = field.sign(_det3(field, u, v, a))
-        return sign_a * field.sign(_det3(field, u, v, b)) < 0
+        normal = _cross(field, *(rays[r] for r in wall))
+        sign_a = field.sign(_dot3(field, normal, rays[a]))
+        return sign_a * field.sign(_dot3(field, normal, rays[b])) < 0
 
     return {"family": "H3", **_fan_faces(camb, cones, side, simplicial, tiling)}
 
@@ -510,7 +583,12 @@ def fan_passed(report: dict) -> bool:
 
 def check_fan(arg, orientation: Orientation = None) -> dict:
     """The fan check of an A or B signature, or of H3 with an orientation."""
-    if isinstance(arg, CoxeterSystem) and arg.family == "H3":
+    if isinstance(arg, CoxeterSystem):
+        if arg.family != "H3":
+            raise ValueError(
+                f"unsupported fan input: a Coxeter system of family {arg.family}"
+                " (the A and B fan checks take a signature)"
+            )
         if orientation is None:
             raise ValueError("the H3 fan check needs an orientation")
         return check_fan_h3(arg, orientation)
@@ -831,21 +909,16 @@ def psi_and_bipartite_iso_check(n: int):
 
 def stasheff_ray_check(n: int) -> bool:
     """All-up rays are the proper intervals [i,j], mapped to (i-1, j+1)."""
-    signature = UpDownSignature(n, frozenset(range(1, n + 1)))
-    subsets = set(fan_ray_subsets(signature))
+    pairs = _rays_and_diagonals(UpDownSignature(n, frozenset(range(1, n + 1))))
     intervals = {
         frozenset(range(i, j + 1))
         for i in range(1, n + 1)
         for j in range(i, n + 1)
         if not (i == 1 and j == n)
     }
-    if subsets != intervals:
+    if {a for a, _ in pairs} != intervals:
         return False
-    for a in subsets:
-        i, j = min(a), max(a)
-        if ray_to_diagonal(a, signature) != (i - 1, j + 1):
-            return False
-    return True
+    return all(d == (min(a) - 1, max(a) + 1) for a, d in pairs)
 
 
 # ---------------------------------------------------------------------------
@@ -854,9 +927,11 @@ def stasheff_ray_check(n: int) -> bool:
 
 def fan_to_json(signature: UpDownSignature) -> dict:
     n = signature.n
-    subsets = fan_ray_subsets(signature)
+    pairs = _rays_and_diagonals(signature)
+    subsets = [a for a, _ in pairs]
     ray_index = {a: k for k, a in enumerate(subsets)}
-    cones = [sorted(ray_index[a] for a in cone) for cone in _cones_a(signature)[1]]
+    _, cones_a = _cones_a(signature, pairs)
+    cones = [sorted(ray_index[a] for a in cone) for cone in cones_a]
     return {
         "dim": n - 1,
         "lineality": [fraction_str(Fraction(1)) for _ in range(n)],

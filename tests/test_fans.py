@@ -133,7 +133,13 @@ def test_check_fan_a_tiling_fails_when_a_wall_does_not_separate(monkeypatch):
         return tuple(-x for x in ray) if members == {2} else ray
 
     monkeypatch.setattr(fans, "_int_ray", reflected)
-    report = check_fan_a(TAMARI3)
+    # The region rays are kept per weak order: read them afresh from the
+    # reflected rays, and drop them again so that no later check sees them.
+    fans._region_table.cache_clear()
+    try:
+        report = check_fan_a(TAMARI3)
+    finally:
+        fans._region_table.cache_clear()
     assert report["simplicial"] and report["dual_graph_is_hasse"]
     assert report["tiling"] is False
 
@@ -144,8 +150,8 @@ def test_check_fan_a_consistency_fails_when_a_cone_lists_a_neighbours_ray(monkey
     cones_a = fans._cones_a
     wrong = {frozenset({1, 2}), frozenset({2})}
 
-    def swapped(signature):
-        camb, cones = cones_a(signature)
+    def swapped(signature, pairs):
+        camb, cones = cones_a(signature, pairs)
         return camb, [
             (frozenset({1, 2}), frozenset({2, 3})) if set(cone) == wrong else cone
             for cone in cones
@@ -158,8 +164,8 @@ def test_check_fan_a_consistency_fails_when_a_cone_lists_a_neighbours_ray(monkey
 def _first_cone_replaced(monkeypatch, rays):
     cones_a = fans._cones_a
 
-    def replaced(signature):
-        camb, cones = cones_a(signature)
+    def replaced(signature, pairs):
+        camb, cones = cones_a(signature, pairs)
         return camb, [tuple(map(frozenset, rays))] + cones[1:]
 
     monkeypatch.setattr(fans, "_cones_a", replaced)
@@ -206,7 +212,7 @@ def test_check_fan_dispatch():
 
 
 def test_check_fan_h3_needs_an_orientation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="the H3 fan check needs an orientation"):
         check_fan(get_system("H3"))
 
 
@@ -215,8 +221,24 @@ def test_check_fan_h3_needs_an_orientation():
 )
 def test_check_fan_refuses_an_orientation_with_a_signature(signature):
     system = get_system("H3")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="a signature fixes its own orientation"):
         check_fan(signature, all_orientations(system)[0])
+
+
+@pytest.mark.parametrize("family,rank,bond", [("A", 2, None), ("I2", None, 5)])
+@pytest.mark.parametrize("oriented", [False, True])
+def test_check_fan_names_the_family_of_an_unsupported_system(
+    family, rank, bond, oriented
+):
+    system = get_system(family, rank, bond)
+    orientation = all_orientations(system)[0] if oriented else None
+    with pytest.raises(ValueError, match=f"unsupported fan input: .* family {family} "):
+        check_fan(system, orientation)
+
+
+def test_check_fan_refuses_other_input():
+    with pytest.raises(ValueError, match="unsupported fan input"):
+        check_fan("udu")
 
 
 def test_roots_and_diagonals():
@@ -838,6 +860,101 @@ def test_h3_pruned_check_matches_unpruned(monkeypatch):
     assert any(not r["classes_tile"] for r in reports)
 
 
+def _per_orientation_check_fan_h3(system, camb):
+    """check_fan_h3 before the chamber table: rays, neighbours and wall
+    reflections found again for each orientation, and one determinant per
+    leaving wall and member ray, from that wall's own two rays."""
+    field = system.field
+    weights = fans._scaled_weights(system)
+    cong = camb.congruence
+    lattice = cong.lattice
+    rays_of = [[system.act(w, omega) for omega in weights] for w in lattice.elements]
+    simplicial = tiling = True
+    cones = []
+    for c, members in enumerate(cong.classes):
+        walls = {}
+        for i in members:
+            w, rays = lattice.elements[i], rays_of[i]
+            for k, name in enumerate(system.generator_names):
+                ws = system.right_multiply(w, name)
+                if cong.class_of[lattice.index[ws]] != c:
+                    (t,) = system.inversion_set(w) ^ system.inversion_set(ws)
+                    walls.setdefault(t, (rays[k - 2], rays[k - 1], rays[k]))
+        member_rays = {r for i in members for r in rays_of[i]}
+        on_walls = Counter()
+        for u, v, inner in walls.values():
+            signs = {r: field.sign(fans._det3(field, u, v, r)) for r in member_rays}
+            for r, sign in signs.items():
+                if sign == 0:
+                    on_walls[r] += 1
+                elif sign != signs[inner]:
+                    tiling = False
+        extreme = [r for r in member_rays if on_walls[r] >= 2]
+        if len(extreme) != 3:
+            simplicial = False
+        cones.append(tuple(extreme))
+
+    def side(wall, a, b):
+        u, v = wall
+        sign_a = field.sign(fans._det3(field, u, v, a))
+        return sign_a * field.sign(fans._det3(field, u, v, b)) < 0
+
+    return {"family": "H3", **fans._fan_faces(camb, cones, side, simplicial, tiling)}
+
+
+def test_h3_chamber_table_matches_per_orientation_body(monkeypatch):
+    _memoize(monkeypatch, "_det3", lambda field, *rows: rows)
+    faces = fans._fan_faces
+
+    def faces_and_class_flag(camb, cones, side, simplicial, tiling):
+        return {**faces(camb, cones, side, simplicial, tiling), "classes_tile": tiling}
+
+    monkeypatch.setattr(fans, "_fan_faces", faces_and_class_flag)
+    system = get_system("H3")
+    lattice = system.weak_order_lattice()
+    trivial = LatticeCongruence(lattice, list(range(lattice.n)))
+    reports = []
+    for k, orientation in enumerate(all_orientations(system)):
+        camb = cambrian_lattice(system, orientation)
+        cambs = [camb] + _moved_and_merged(camb)[::10]
+        if k == 0:
+            cambs += _with_quotient(system, orientation, [trivial] + _contractions(system))
+        reports += _same_reports(
+            monkeypatch,
+            cambs,
+            lambda: fans.check_fan_h3(system, orientation),
+            lambda camb: _per_orientation_check_fan_h3(system, camb),
+        )
+    assert len(reports) == 4 + 82 + 1 + 59
+    assert sum(fan_passed(r) for r in reports) >= 5
+    assert any(r["simplicial"] and not r["tiling"] for r in reports)
+    assert any(not r["simplicial"] for r in reports)
+    assert any(not r["classes_tile"] for r in reports)
+
+
+def test_h3_second_orientation_builds_nothing(monkeypatch):
+    system = get_system("H3")
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(system, "act", counted("act", system.act))
+    monkeypatch.setattr(fans, "_det3", counted("det3", fans._det3))
+    fans._chamber_table.cache_clear()
+    first, *rest = all_orientations(system)
+    fans.check_fan_h3(system, first)
+    # Three rays per chamber, and one sign per reflection and ray.
+    assert calls == {"act": 120 * 3, "det3": 15 * 62}
+    for orientation in rest:
+        fans.check_fan_h3(system, orientation)
+    assert calls == {"act": 120 * 3, "det3": 15 * 62}
+
+
 def _rows(vectors):
     return tuple(map(tuple, vectors))
 
@@ -883,6 +1000,114 @@ def test_ab_body_matches_per_family_loops(monkeypatch):
     assert len(moved) == 72 + 88
     assert not any(r["tiling"] for r in moved)
     assert all(r["simplicial"] and r["dual_graph_is_hasse"] for r in moved)
+
+
+def _per_member_check_fan_ab(
+    camb, cones, vectors, region_rays, lineality=(), fan_rays=None
+):
+    """_check_fan_ab before the region table: every ray of every member's
+    region tested against its class cone."""
+    normals = [
+        fans._inward_normals([vectors[a] for a in cone], lineality) for cone in cones
+    ]
+
+    def inside(c, v):
+        return normals[c] is not None and all(fans._dot(b, v) >= 0 for b in normals[c])
+
+    simplicial = None not in normals
+    tiling = all(
+        inside(c, v)
+        for c, members in enumerate(camb.congruence.classes)
+        for i in members
+        for v in region_rays(camb.congruence.lattice.elements[i])
+    )
+    extra = {}
+    if fan_rays is not None:
+        extra["consistency"] = all(
+            inside(c, vectors[a]) == (a in cone)
+            for c, cone in enumerate(cones)
+            for a in fan_rays
+        )
+    owner = {frozenset(cone): c for c, cone in enumerate(cones)}
+
+    def side(wall, a, b):
+        c = owner[frozenset(wall) | {a}]
+        return simplicial and fans._dot(normals[c][cones[c].index(a)], vectors[b]) < 0
+
+    return fans._fan_faces(camb, cones, side, simplicial, tiling, **extra)
+
+
+@pytest.mark.parametrize(
+    "family,n,moved_count",
+    [("A", 3, 0), ("A", 4, 72), ("A", 5, 216), ("B", 2, 0), ("B", 3, 88)],
+)
+def test_region_table_matches_per_member_loop(monkeypatch, family, n, moved_count):
+    """The fan check of every signature against the per-member tiling loop,
+    and of the partitions that move one member into the class of a lower
+    neighbour (every tenth of them for S5), where the tiling fails."""
+    _memoize(
+        monkeypatch,
+        "_inward_normals",
+        lambda rays, lineality=(): (_rows(rays), _rows(lineality)),
+    )
+    check_ab = fans._check_fan_ab
+
+    def both(*args):
+        report = check_ab(*args)
+        assert report == _per_member_check_fan_ab(*args)
+        return report
+
+    monkeypatch.setattr(fans, "_check_fan_ab", both)
+    if family == "A":
+        system, check = get_system("A", n - 1), check_fan_a
+        signatures = all_updown_signatures(n)
+    else:
+        system, check = get_system("B", n), check_fan_b
+        signatures = all_symmetric_signatures(n)
+    moved = []
+    for sig in signatures:
+        orientation = orientation_from_edges(system, sig.orientation_edges())
+        camb = cambrian_lattice(system, orientation)
+        partitions = _moved_members(camb)[:: 10 if n == 5 else 1]
+        for partition in [camb] + partitions:
+            monkeypatch.setattr(fans, "cambrian_lattice", lambda *_, **__: partition)
+            report = check(sig)
+            if partition is camb:
+                assert fan_passed(report), sig
+            else:
+                moved.append(report)
+    assert len(moved) == moved_count
+    assert not any(r["tiling"] for r in moved)
+
+
+def _counted(monkeypatch, name, calls):
+    """Count the calls of a helper of ``fans`` by its first argument."""
+    fn = getattr(fans, name)
+
+    def counted(*args):
+        calls[args[0]] += 1
+        return fn(*args)
+
+    monkeypatch.setattr(fans, name, counted)
+
+
+def test_region_rays_are_read_once_per_weak_order(monkeypatch):
+    calls = Counter()
+    _counted(monkeypatch, "_suffix_rays_a", calls)
+    for sig in all_updown_signatures(4):
+        assert fan_passed(check_fan_a(sig))
+    assert len(calls) == 24 and set(calls.values()) == {1}
+
+
+def test_ray_table_is_built_once_per_signature(monkeypatch):
+    """The fan suite of A builds it once per signature of S3 and S4, and
+    once per Stasheff n = 3..7."""
+    from cambrian import suites
+
+    calls = Counter()
+    _counted(monkeypatch, "_rays_and_diagonals", calls)
+    assert suites.run_suite("fan", "A", 7)["passed"]
+    assert sum(calls.values()) == 8 + 16 + 5
 
 
 # ---------------------------------------------------------------------------
