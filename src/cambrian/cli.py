@@ -19,8 +19,8 @@ Exit codes: 0 pass, 1 suite or check failure (a suite with no checks
 fails), 2 usage error (including a family a suite does not cover and an
 ``--output`` that cannot be written), 3
 element cap exceeded, 4 internal error (an invariant of the program
-failed; the message goes to stderr).  The environment variable
-``CAMB_CAP`` overrides the default element cap; the ``--cap`` flag
+failed; the message goes to stderr).  The element cap is ``DEFAULT_CAP``
+unless the environment variable ``CAMB_CAP`` sets it; the ``--cap`` flag
 overrides both.  Every command honours the cap: ``build`` and ``fan``
 build the weak order under it first; ``verify`` builds each group's weak
 order under it before that group's checks, and its ``patterns`` suite,
@@ -56,6 +56,10 @@ from .suites import SUITE_NAMES, run_suite
 USAGE_ERROR = 2
 CAP_ERROR = 3
 INTERNAL_ERROR = 4
+
+# The element cap without --cap or CAMB_CAP: it admits S_8 (40,320) and B_6
+# (46,080) and refuses S_9 (362,880), whose |W|-bit masks outgrow 8 GB.
+DEFAULT_CAP = 50_000
 
 
 def _canonical_order(system: CoxeterSystem, lattice: FiniteLattice) -> list[int]:
@@ -103,7 +107,7 @@ def _emit_json(obj: dict, output) -> None:
     _emit(json.dumps(obj, indent=2) + "\n", output)
 
 
-def _resolve_cap(args) -> int | None:
+def _resolve_cap(args) -> int:
     if args.cap is not None:
         return args.cap
     env = os.environ.get("CAMB_CAP")
@@ -113,7 +117,7 @@ def _resolve_cap(args) -> int | None:
         except ValueError:
             print("error: CAMB_CAP must be an integer", file=sys.stderr)
             raise SystemExit(USAGE_ERROR)
-    return None
+    return DEFAULT_CAP
 
 
 # Per command, the flags each family does not read.

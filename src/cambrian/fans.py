@@ -47,7 +47,7 @@ from functools import lru_cache
 from math import comb
 from operator import mul
 
-from .congruences import Orientation, cambrian_lattice, orientation_from_edges
+from .congruences import CambrianLattice, Orientation, cambrian_lattice, orientation_from_edges
 from .coxeter import CoxeterSystem, embed_b_in_a, get_system
 from .lattices import FiniteLattice
 from .polygon_a import (
@@ -515,7 +515,14 @@ def _chamber_table(system: CoxeterSystem, lattice: FiniteLattice):
 
 
 def check_fan_h3(system: CoxeterSystem, orientation: Orientation) -> dict:
-    """Verify the Cambrian fan of an H3 orientation over its number field.
+    """Verify the Cambrian fan of an H3 orientation (``_check_fan_h3``)."""
+    if system.family != "H3":
+        raise ValueError("expected an H3 system")
+    return _check_fan_h3(system, cambrian_lattice(system, orientation))
+
+
+def _check_fan_h3(system: CoxeterSystem, camb: CambrianLattice) -> dict:
+    """The fan check of the Cambrian lattice ``camb`` of H3.
 
     A class is bounded by the walls its chambers share with chambers of
     other classes; it must lie weakly on the inner side of each, and its
@@ -530,10 +537,7 @@ def check_fan_h3(system: CoxeterSystem, orientation: Orientation) -> dict:
     factor, which keeps both tests made of it, whether a ray is on the
     wall and whether it is on the inner ray's side.
     """
-    if system.family != "H3":
-        raise ValueError("expected an H3 system")
     field = system.field
-    camb = cambrian_lattice(system, orientation)
     cong = camb.congruence
     class_of = cong.class_of
     rays, rays_of, moves, signs_of = _chamber_table(system, cong.lattice)

@@ -15,20 +15,20 @@ Cambrian quotients, edge forcing is generated by polygons [x, a v b]
 top edge and every side edge, and dually for top edges (N. Reading,
 Lattice congruences of the weak order, Order 21 (2004)).  Each cover is
 labelled by a join-irreducible, and a congruence contracts a cover
-exactly when it contracts its label (see ``PolygonForcing``).  The first
-closure on a lattice builds its forcing table: the labels, and for each
-label the bitmask of the labels it forces, closed transitively.  A weak
-order reads the table off its rank-2 cosets [x, x w0(s, t)], whose
-opposite edges are perspective, through the ascent table x -> xs that
-its enumeration records (``PolygonForcing.from_cosets``); any other
-lattice decides polygonality in one walk over the polygons of its
-bitmasks (``PolygonForcing.of``).  A closure is then an OR of the masks
-of its seed labels.  It keeps that set of contracted labels: the class
-bottoms are the elements with no contracted lower cover, so the class
-count is one pass over the lower-label masks, and the classes and
-projections are derived only when they are read.  Other lattices use
-a union-find over the generating pairs, propagating x ~ y to
-x v z ~ y v z for join-irreducible z and to x ^ z ~ y ^ z for
+exactly when it contracts its label (see ``PolygonForcing``).  The
+forcing table holds the labels and, for each label, the bitmask of the
+labels it forces, closed transitively.  A weak order reads it off its
+rank-2 cosets [x, x w0(s, t)], whose opposite edges are perspective
+(``PolygonForcing.from_cosets``).  The congruences of a quotient L/T are
+those of L above T, so a quotient by a congruence with a table restricts
+that table to the labels T leaves uncontracted
+(``PolygonForcing.restricted``).  A closure is then an OR of the masks
+of its seed labels; the class bottoms are the elements with no
+contracted lower cover, so the class count is one pass over the
+lower-label masks, and the classes and projections are derived only
+when they are read.  Any other lattice, such as one built from its
+covers, closes by a union-find over the generating pairs, propagating
+x ~ y to x v z ~ y v z for join-irreducible z and to x ^ z ~ y ^ z for
 meet-irreducible z; every element is a join of join-irreducibles, so by
 induction through transitivity the result is closed under joins and
 meets with arbitrary elements.  The union-find is also the oracle the
@@ -48,10 +48,6 @@ def _lsb(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
-# Marks a lattice whose polygonality has not been decided yet.
-_UNDECIDED = object()
-
-
 class FiniteLattice:
     """A finite lattice given by its Hasse diagram."""
 
@@ -68,10 +64,11 @@ class FiniteLattice:
         self.top = next(i for i in range(self.n) if not upper[i])
         self._ji: Optional[list[int]] = None
         self._mi: Optional[list[int]] = None
-        self._forcing = _UNDECIDED
-        # For a weak order, a function of the lattice giving the ascents
-        # and bonds that ``PolygonForcing.from_cosets`` reads.
+        self._forcing: Optional[PolygonForcing] = None
+        # What the forcing table is read from: for a weak order, a function
+        # giving its ascents and bonds; for a quotient, its congruence.
         self.cosets: Optional[Callable] = None
+        self.quotient_of: Optional[LatticeCongruence] = None
 
     # -- construction -------------------------------------------------------
 
@@ -185,12 +182,14 @@ class FiniteLattice:
         return self._mi
 
     def polygon_forcing(self) -> Optional["PolygonForcing"]:
-        """Edge forcing table, or None if the lattice is not polygonal."""
-        if self._forcing is _UNDECIDED:
-            if self.cosets is None:
-                self._forcing = PolygonForcing.of(self)
-            else:
+        """The forcing table of a weak order or of a quotient by a congruence
+        with a table, built on the first read; None for any other lattice,
+        which closes by union-find."""
+        if self._forcing is None:
+            if self.cosets is not None:
                 self._forcing = PolygonForcing.from_cosets(self, *self.cosets(self))
+            elif self.quotient_of is not None:
+                self._forcing = PolygonForcing.restricted(self.quotient_of, self)
         return self._forcing
 
     def atoms(self) -> list[int]:
@@ -249,8 +248,8 @@ class LatticeCongruence:
     """A lattice congruence stored as a partition with projections.
 
     It is given either by ``class_of``, a class name for each element, or,
-    on a polygonal lattice, by ``hit``, the bitmask of the labels of
-    ``forcing`` (a ``PolygonForcing`` table) that it contracts.  In the
+    on a lattice with a forcing table, by ``hit``, the bitmask of the labels
+    of ``forcing`` (a ``PolygonForcing`` table) that it contracts.  In the
     second case ``num_classes`` counts the class bottoms, the elements none
     of whose lower covers has a hit label, and ``class_of``, ``classes``
     and the projections are derived from ``hit`` the first time one of
@@ -355,20 +354,6 @@ class LatticeCongruence:
         return True, None
 
 
-def _chain(edge: int, u: int, end: int, upper, first, inside: int):
-    """Edge ids of the chain that takes ``edge`` up to u and then always
-    the only upper cover in the bitmask ``inside`` until it reaches end;
-    None where a step has another choice."""
-    path = [edge]
-    while u != end:
-        step = [k for k, v in enumerate(upper[u]) if inside >> v & 1]
-        if len(step) != 1:
-            return None
-        path.append(first[u] + step[0])
-        u = upper[u][step[0]]
-    return path
-
-
 def _edge_starts(upper) -> array:
     """``first[x]``: the id of x's first upper cover, covers numbered in
     order of their lower end."""
@@ -421,69 +406,6 @@ class PolygonForcing:
         for (_, y), label in zip(lattice.covers, labels):
             lowmask[y] |= 1 << label
         self.lowmask = lowmask
-
-    @classmethod
-    def of(cls, lattice: FiniteLattice) -> Optional["PolygonForcing"]:
-        """The table of a polygonal lattice, or None for any other.
-
-        The lattice is polygonal when [x, a v b] is a polygon (two chains
-        meeting only at their ends) for any two upper covers a, b of x,
-        and dually [a ^ b, y] for any two lower covers a, b of y.  Raises
-        AssertionError if a cover's label is not join-irreducible, which
-        the proof above rules out in a consistent lattice.
-        """
-        up, down, upper, lower = lattice.up, lattice.down, lattice.upper, lattice.lower
-        first = _edge_starts(upper)
-        ji = lattice.join_irreducibles
-        pos = array("i", [-1]) * lattice.n
-        for k, g in enumerate(ji):
-            pos[g] = k
-        labels = array("i")
-        for x, y in lattice.covers:
-            m = _lsb(down[y] ^ down[x])
-            if pos[m] < 0:
-                raise AssertionError(
-                    f"cover {x} -> {y} has label {m}, which is not join-irreducible"
-                )
-            labels.append(pos[m])
-        # A bottom edge forces the top edge on the other side and every
-        # side edge; a top edge forces the bottom edge on the other side
-        # and every side edge.
-        reach = [0] * len(ji)
-        for x, ux in enumerate(upper):
-            for i, a in enumerate(ux):
-                for j in range(i + 1, len(ux)):
-                    b = ux[j]
-                    top = _lsb(up[a] & up[b])
-                    inside = up[x] & down[top]
-                    chain_a = _chain(first[x] + i, a, top, upper, first, inside)
-                    chain_b = _chain(first[x] + j, b, top, upper, first, inside)
-                    if chain_a is None or chain_b is None:
-                        return None
-                    if len(chain_a) + len(chain_b) != inside.bit_count():
-                        return None
-                    sides = 0
-                    for edge in chain_a[1:-1] + chain_b[1:-1]:
-                        sides |= 1 << labels[edge]
-                    for edge, opposite in (
-                        (chain_a[0], chain_b[-1]),
-                        (chain_b[-1], chain_a[0]),
-                        (chain_b[0], chain_a[-1]),
-                        (chain_a[-1], chain_b[0]),
-                    ):
-                        reach[labels[edge]] |= sides | 1 << labels[opposite]
-        # Dually, [a ^ b, y] must be a polygon.  It is one exactly when
-        # a ^ b has two upper covers c, d in it with c v d = y, because
-        # [a ^ b, c v d] was checked above.
-        for y, ly in enumerate(lower):
-            below = down[y]
-            for i, a in enumerate(ly):
-                for b in ly[i + 1 :]:
-                    bottom = (down[a] & down[b]).bit_length() - 1
-                    covers = [v for v in upper[bottom] if below >> v & 1]
-                    if len(covers) != 2 or lattice.join(*covers) != y:
-                        return None
-        return cls(lattice, first, labels, _transitive(reach))
 
     @classmethod
     def from_cosets(cls, lattice: FiniteLattice, ascents: array, bonds) -> "PolygonForcing":
@@ -572,6 +494,43 @@ class PolygonForcing:
             reach[labels[chain_t[0]]] |= sides
         return cls(lattice, first, labels, _transitive(reach))
 
+    @classmethod
+    def restricted(cls, cong: LatticeCongruence, quotient: FiniteLattice) -> "PolygonForcing":
+        """The table of ``quotient``, the quotient by ``cong``, restricted
+        from the table ``cong.forcing`` of its lattice.
+
+        The congruences of the quotient are those of the lattice above
+        ``cong``, so a label outside ``cong.hit`` forces in the quotient
+        what it forces in the lattice, less the hit labels.  Such a label
+        is a join-irreducible g that is a class bottom, [g] is
+        join-irreducible in the quotient, and each quotient cover carries
+        the label of the uncontracted covers it is the image of.  Raises
+        AssertionError if a quotient cover gets two labels or none, or if
+        the kept labels are not the quotient's join-irreducibles one to one.
+        """
+        lattice, forcing, hit = cong.lattice, cong.forcing, cong.hit
+        # The quotient index of each element's class: from_covers re-sorts.
+        at = [quotient.index[lattice.elements[b]] for b in cong.down_projection]
+        ordinal = {g: k for k, g in enumerate(quotient.join_irreducibles)}
+        ji = lattice.join_irreducibles
+        kept = {k: ordinal.get(at[g], -1) for k, g in enumerate(ji) if not hit >> k & 1}
+        if sorted(kept.values()) != list(range(len(ordinal))):
+            raise AssertionError("the kept labels are not the quotient's join-irreducibles")
+        first = _edge_starts(quotient.upper)
+        labels = array("i", [-1]) * len(quotient.covers)
+        for (x, y), k in zip(lattice.covers, forcing.labels):
+            if not hit >> k & 1:
+                a, b = at[x], at[y]
+                edge = first[a] + quotient.upper[a].index(b)
+                if labels[edge] not in (-1, kept[k]):
+                    raise AssertionError(f"edge {edge} has labels {labels[edge]} and {kept[k]}")
+                labels[edge] = kept[k]
+        if -1 in labels:
+            raise AssertionError(f"edge {labels.index(-1)} has no label")
+        order = sorted(kept, key=kept.get)
+        reach = [sum(1 << kept[j] for j in kept if forcing.reach[k] >> j & 1) for k in order]
+        return cls(quotient, first, labels, reach)
+
     def closure(self, lattice: FiniteLattice, pairs) -> LatticeCongruence:
         """Contract every cover in [a ^ b, a v b] for each pair and close
         their labels under forcing; the classes follow from the labels."""
@@ -594,8 +553,8 @@ class PolygonForcing:
 def congruence_closure(lattice: FiniteLattice, pairs) -> LatticeCongruence:
     """Smallest lattice congruence identifying each given pair of indices.
 
-    Polygonal lattices close over their edge forcing table; any other
-    lattice falls back to ``union_find_closure``.
+    A lattice with a forcing table, a weak order or one of its quotients,
+    closes over it; any other lattice falls back to ``union_find_closure``.
     """
     forcing = lattice.polygon_forcing()
     if forcing is None:
@@ -681,7 +640,10 @@ def quotient_lattice(cong: LatticeCongruence) -> FiniteLattice:
     images = {(class_of[a], class_of[b]) for a, b in lattice.covers}
     covers = sorted((c, d) for c, d in images if c != d)
     elements = tuple(lattice.elements[cls[0]] for cls in cong.classes)
-    return FiniteLattice.from_covers(elements, covers)
+    quotient = FiniteLattice.from_covers(elements, covers)
+    if cong.forcing is not None:
+        quotient.quotient_of = cong
+    return quotient
 
 
 def contraction_congruence(lattice: FiniteLattice, ji_index: int) -> LatticeCongruence:
@@ -694,7 +656,7 @@ def contraction_congruence(lattice: FiniteLattice, ji_index: int) -> LatticeCong
 def forcing_arrows(lattice: FiniteLattice) -> dict[int, frozenset[int]]:
     """For each join-irreducible g, the join-irreducibles contracted by Cg(g).
 
-    The cover g_* -> g has label g, so on a polygonal lattice the answer is
+    The cover g_* -> g has label g, so with a forcing table the answer is
     g's row of label forcing; other lattices close Cg(g) one g at a time.
     """
     ji = lattice.join_irreducibles

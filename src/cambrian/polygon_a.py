@@ -443,6 +443,42 @@ def eta_masks(elements, signature: UpDownSignature, walk=None) -> list[int]:
 # Colored patterns and the projections.
 
 
+def _pattern_masks(x: tuple[int, ...]):
+    """Bitmasks of values usable as the marked letter of each pattern.
+
+    Returns (m231, m312, m213, m132); the marked letter carries the up or
+    down requirement, everything else is signature-free, so containment
+    for a given signature is a mask intersection.  The marked letter a of
+    231 (213) sees to its right a larger (smaller) value and then a
+    smaller (larger) one; that of 312 (132) sees the same to its left,
+    read leftwards.  Two flags per direction find both.
+    """
+    m231 = m312 = m213 = m132 = 0
+    for i, a in enumerate(x):
+        bit = 1 << a
+        larger = smaller = False
+        for b in x[i + 1:]:
+            if b > a:
+                if smaller:
+                    m213 |= bit
+                larger = True
+            else:
+                if larger:
+                    m231 |= bit
+                smaller = True
+        larger = smaller = False
+        for b in reversed(x[:i]):
+            if b > a:
+                if smaller:
+                    m312 |= bit
+                larger = True
+            else:
+                if larger:
+                    m132 |= bit
+                smaller = True
+    return m231, m312, m213, m132
+
+
 def contains_colored_pattern(
     x: tuple[int, ...], signature: UpDownSignature, pattern: str
 ) -> tuple[bool, Optional[tuple[int, int, int]]]:
@@ -533,17 +569,16 @@ def projection_tables(
 
 
 def is_pi_down_fixed(x: tuple[int, ...], signature: UpDownSignature) -> bool:
-    return (
-        not contains_colored_pattern(x, signature, "up231")[0]
-        and not contains_colored_pattern(x, signature, "31down2")[0]
-    )
+    """Whether x avoids up231 and 31down2: m312 lies in the up set and
+    m231 misses it (``_pattern_masks``)."""
+    m231, m312, _, _ = _pattern_masks(x)
+    return not (m312 & ~signature.upmask or m231 & signature.upmask)
 
 
 def is_pi_up_fixed(x: tuple[int, ...], signature: UpDownSignature) -> bool:
-    return (
-        not contains_colored_pattern(x, signature, "up213")[0]
-        and not contains_colored_pattern(x, signature, "13down2")[0]
-    )
+    """Whether x avoids up213 and 13down2, as ``is_pi_down_fixed``."""
+    _, _, m213, m132 = _pattern_masks(x)
+    return not (m132 & ~signature.upmask or m213 & signature.upmask)
 
 
 # ---------------------------------------------------------------------------

@@ -7,10 +7,12 @@ Every suite returns a JSON-ready report::
 Each check that builds a Cambrian congruence records the generating pairs
 used, so a failing run can be replayed from the report alone.
 
-Throughout, ``max_rank`` bounds the group index n: the symmetric group
-S_n for family A (Coxeter rank n-1), the signed-permutation group B_n,
-and the bond label m for I2.  It is applied in two places only: ``_groups``
-for the groups a suite reads and ``_per_index`` for checks indexed by n.
+``max_rank`` bounds the group index n: the symmetric group S_n for
+family A (Coxeter rank n-1), the signed-permutation group B_n, and the
+bond label m for I2.  ``catalan`` replaces its default largest index
+with it; every other suite can only lower its default, in two places:
+``_groups`` for the groups a suite reads and ``_per_index`` for checks
+indexed by n.
 ``cap`` bounds the number of elements: ``_groups`` builds each group's weak
 order under it before any check reads the group, and ``patterns``, which
 builds no weak order, checks n! against it.
@@ -48,6 +50,7 @@ from .congruences import (
 from .polygon_a import (
     GroupWalk,
     UpDownSignature,
+    _pattern_masks,
     # Not called here any more, but perfbench's tracing test reads suites.eta.
     eta,  # noqa: F401
     eta_masks,
@@ -63,12 +66,12 @@ from .polygon_b import (
     shard_digraph_b,
 )
 from .fans import (
+    _check_fan_h3,
     alternating_signature,
     b_bipartite_signature,
     b_cluster_poset,
     check_fan_a,
     check_fan_b,
-    check_fan_h3,
     cluster_poset,
     cluster_refine_check,
     clusters,
@@ -312,42 +315,6 @@ def _fiber_witness(lattice: FiniteLattice, masks, down, up) -> str:
 # Pattern characterization of the projections' fixed points.
 
 
-def _pattern_masks(x: tuple[int, ...]):
-    """Bitmasks of values usable as the marked letter of each pattern.
-
-    Returns (m231, m312, m213, m132); the marked letter carries the up or
-    down requirement, everything else is signature-free, so containment
-    for a given signature is a mask intersection.  The marked letter a of
-    231 (213) sees to its right a larger (smaller) value and then a
-    smaller (larger) one; that of 312 (132) sees the same to its left,
-    read leftwards.  Two flags per direction find both.
-    """
-    m231 = m312 = m213 = m132 = 0
-    for i, a in enumerate(x):
-        bit = 1 << a
-        larger = smaller = False
-        for b in x[i + 1:]:
-            if b > a:
-                if smaller:
-                    m213 |= bit
-                larger = True
-            else:
-                if larger:
-                    m231 |= bit
-                smaller = True
-        larger = smaller = False
-        for b in reversed(x[:i]):
-            if b > a:
-                if smaller:
-                    m312 |= bit
-                larger = True
-            else:
-                if larger:
-                    m132 |= bit
-                smaller = True
-    return m231, m312, m213, m132
-
-
 def _firing_masks(x: tuple[int, ...], descending: bool):
     """Witness masks for the moves a downward (upward) projection could make.
 
@@ -537,13 +504,11 @@ def suite_fan(family=None, max_rank=None, cap=None) -> dict:
                 continue
             f_vectors = set()
             for orientation in all_orientations(system):
-                report = check_fan_h3(system, orientation)
+                camb = cambrian_lattice(system, orientation)
+                report = _check_fan_h3(system, camb)
                 f_vectors.add(tuple(report["f_vector"]))
-                quotient = cambrian_lattice(system, orientation).quotient
-                degrees = {
-                    len(quotient.lower[i]) + len(quotient.upper[i])
-                    for i in range(quotient.n)
-                }
+                quotient = camb.quotient
+                degrees = {len(low) + len(up) for low, up in zip(quotient.lower, quotient.upper)}
                 ok = (
                     fan_passed(report)
                     and report["num_cones"] == system.catalan_number()

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from cambrian import fans, suites
+from cambrian import cli, fans, suites
 from cambrian.cli import INTERNAL_ERROR, main
 from cambrian.lattices import FiniteLattice
 from cambrian.suites import catalan
@@ -246,6 +246,24 @@ def test_cap_env_variable(capsys, monkeypatch):
         main(["build", "--family", "A", "--rank", "2"])
     assert err.value.code == 2
     assert "CAMB_CAP" in capsys.readouterr().err
+
+
+def test_default_cap_refuses_s9(capsys, monkeypatch):
+    monkeypatch.delenv("CAMB_CAP", raising=False)
+    code = main(["build", "--family", "A", "--rank", "8"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"error: weak order enumeration exceeded cap {cli.DEFAULT_CAP}\n"
+
+
+def test_cap_flag_and_env_variable_override_the_default(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "DEFAULT_CAP", 5)
+    monkeypatch.delenv("CAMB_CAP", raising=False)
+    assert run_cli(capsys, "build", "--family", "A", "--rank", "3")[0] == 3
+    assert run_cli(capsys, "build", "--family", "A", "--rank", "3", "--cap", "24")[0] == 0
+    monkeypatch.setenv("CAMB_CAP", "24")
+    assert run_cli(capsys, "build", "--family", "A", "--rank", "3")[0] == 0
 
 
 def test_build_empty_orientation_is_given(capsys):

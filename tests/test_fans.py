@@ -955,6 +955,23 @@ def test_h3_second_orientation_builds_nothing(monkeypatch):
     assert calls == {"act": 120 * 3, "det3": 15 * 62}
 
 
+def test_h3_fan_suite_builds_each_cambrian_lattice_once(monkeypatch):
+    """One closure and one quotient per orientation of H3."""
+    from cambrian import congruences, suites
+
+    calls = Counter()
+    for name in ("congruence_closure", "quotient_lattice"):
+        fn = getattr(congruences, name)
+
+        def wrapper(*args, fn=fn, name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(congruences, name, wrapper)
+    assert suites.run_suite("fan", "H3")["passed"]
+    assert calls == {"congruence_closure": 4, "quotient_lattice": 4}
+
+
 def _rows(vectors):
     return tuple(map(tuple, vectors))
 

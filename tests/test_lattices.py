@@ -1,3 +1,4 @@
+import functools
 import itertools
 from array import array
 
@@ -253,14 +254,18 @@ def test_polygonal_closure_matches_union_find_on_orientations(family, rank, bond
         assert_same_as_oracle(lattice, pairs)
 
 
-@pytest.mark.parametrize("family, rank, bond", ORACLE_SYSTEMS)
-def test_polygonal_closure_matches_union_find_on_contractions(family, rank, bond):
+def with_quotients(family, rank, bond=None):
+    """The weak order and its Cambrian quotients."""
     system = get_system(family, rank, bond)
-    lattices = [system.weak_order_lattice()] + [
+    return [system.weak_order_lattice()] + [
         cambrian_lattice(system, orientation).quotient
         for orientation in all_orientations(system)
     ]
-    for lattice in lattices:
+
+
+@pytest.mark.parametrize("family, rank, bond", ORACLE_SYSTEMS)
+def test_polygonal_closure_matches_union_find_on_contractions(family, rank, bond):
+    for lattice in with_quotients(family, rank, bond):
         assert lattice.polygon_forcing() is not None
         for g in lattice.join_irreducibles:
             assert_same_as_oracle(lattice, [(lattice.lower[g][0], g)])
@@ -297,16 +302,64 @@ WEAK_ORDERS = (
 )
 
 
+def polygon_walk(lattice):
+    """Edge labels and transitive label forcing of a polygonal lattice,
+    read off each polygon [x, a v b] for two upper covers a, b of x: the
+    bottom edge of one side is perspective to the top edge of the other,
+    and each of the two forces it and every side edge."""
+    down, upper = lattice.down, lattice.upper
+    ji = lattice.join_irreducibles
+    edge = {cover: k for k, cover in enumerate(lattice.covers)}
+    labels = []
+    for x, y in lattice.covers:
+        diff = down[y] ^ down[x]
+        labels.append(ji.index((diff & -diff).bit_length() - 1))
+    reach = [1 << j for j in range(len(ji))]
+    for x, ux in enumerate(upper):
+        for a, b in itertools.combinations(ux, 2):
+            top = lattice.join(a, b)
+            sides = []
+            for c in (a, b):
+                chain = [edge[x, c]]
+                while c != top:
+                    (d,) = [d for d in upper[c] if lattice.le(d, top)]
+                    chain.append(edge[c, d])
+                    c = d
+                sides.append(chain)
+            side_a, side_b = sides
+            interval = sum(1 for z in range(lattice.n) if lattice.le(x, z) and lattice.le(z, top))
+            assert len(side_a) + len(side_b) == interval
+            assert labels[side_a[0]] == labels[side_b[-1]]
+            assert labels[side_b[0]] == labels[side_a[-1]]
+            middle = 0
+            for k in side_a[1:-1] + side_b[1:-1]:
+                middle |= 1 << labels[k]
+            for k in (side_a[0], side_b[0]):
+                reach[labels[k]] |= middle
+    for k in range(len(ji)):
+        for j, row in enumerate(reach):
+            if row >> k & 1:
+                reach[j] = row | reach[k]
+    return labels, reach
+
+
 @pytest.mark.parametrize("family, rank, bond", WEAK_ORDERS)
 def test_coset_table_matches_polygon_walk(family, rank, bond):
+    """The table read off the rank-2 cosets is the one read off each
+    polygon of the weak order as a lattice."""
     lattice = get_system(family, rank, bond).weak_order_lattice()
     assert lattice.cosets is not None
     cosets = PolygonForcing.from_cosets(lattice, *lattice.cosets(lattice))
-    walked = PolygonForcing.of(lattice)
-    assert list(cosets.first) == list(walked.first)
-    assert list(cosets.labels) == list(walked.labels)
-    assert cosets.reach == walked.reach
-    assert cosets.lowmask == walked.lowmask
+    labels, reach = polygon_walk(lattice)
+    for x, ux in enumerate(lattice.upper):
+        for k, y in enumerate(ux):
+            assert lattice.covers[cosets.first[x] + k] == (x, y)
+    assert list(cosets.labels) == labels
+    assert cosets.reach == reach
+    lowmask = [0] * lattice.n
+    for (_, y), label in zip(lattice.covers, labels):
+        lowmask[y] |= 1 << label
+    assert cosets.lowmask == lowmask
 
 
 @pytest.mark.parametrize("family, rank, bond", [("A", 3, None), ("B", 3, None), ("H3", None, None)])
@@ -492,37 +545,50 @@ def first_cambrian_quotient(family, rank):
     return cambrian_lattice(system, next(iter(all_orientations(system)))).quotient
 
 
-@pytest.mark.parametrize(
-    "make",
-    [
-        lambda: get_system("A", 3).weak_order_lattice(),
-        lambda: get_system("B", 3).weak_order_lattice(),
-        lambda: get_system("H3").weak_order_lattice(),
-        lambda: get_system("I2", None, 5).weak_order_lattice(),
-        lambda: first_cambrian_quotient("A", 3),
-        m3,
-        pentagon,
-    ],
-    ids=["S4", "B3", "H3", "I2(5)", "Camb(S4)", "M3", "N5"],
-)
+def group_id(family, rank, bond):
+    """The case id of a weak order: S4, B3, H3, I2(5)."""
+    if family == "A":
+        return f"S{rank + 1}"
+    return f"I2({bond})" if family == "I2" else f"{family}{rank or ''}"
+
+
+LABEL_CASES = {
+    **{group_id(*key): functools.partial(with_quotients, *key) for key in WEAK_ORDERS},
+    "Camb(S4)": lambda: [first_cambrian_quotient("A", 3)],
+    "M3": lambda: [m3()],
+    "N5": lambda: [pentagon()],
+}
+
+
+@pytest.mark.parametrize("make", LABEL_CASES.values(), ids=LABEL_CASES.keys())
 def test_cover_labels_are_join_irreducibles_contracted_with_their_cover(make):
-    lattice = make()
-    ji = lattice.join_irreducibles
-    labels = {}
-    for x, y in lattice.covers:
-        m = labels[x, y] = label_of(lattice, x, y)
-        assert m in ji
-        assert lattice.le(lattice.lower[m][0], x)
-        assert lattice.join(x, m) == y
-    forcing = lattice.polygon_forcing()
-    if forcing is not None:
-        assert list(forcing.labels) == [ji.index(labels[e]) for e in lattice.covers]
-    for g in ji:
-        class_of = union_find_closure(lattice, [(lattice.lower[g][0], g)]).class_of
-        for (x, y), m in labels.items():
-            assert (class_of[x] == class_of[y]) == (
-                class_of[m] == class_of[lattice.lower[m][0]]
-            )
+    """Each cover's label is a join-irreducible contracted with it, and
+    where the lattice has a forcing table (each weak order and Cambrian
+    quotient), its edge ids, labels and lower-label masks are those of the
+    definitions."""
+    for lattice in make():
+        ji = lattice.join_irreducibles
+        labels = {}
+        for x, y in lattice.covers:
+            m = labels[x, y] = label_of(lattice, x, y)
+            assert m in ji
+            assert lattice.le(lattice.lower[m][0], x)
+            assert lattice.join(x, m) == y
+        forcing = lattice.polygon_forcing()
+        if forcing is not None:
+            assert list(forcing.labels) == [ji.index(labels[e]) for e in lattice.covers]
+            for x, ux in enumerate(lattice.upper):
+                for k, y in enumerate(ux):
+                    assert lattice.covers[forcing.first[x] + k] == (x, y)
+            assert forcing.lowmask == [
+                sum(1 << ji.index(labels[x, y]) for x in lattice.lower[y]) for y in range(lattice.n)
+            ]
+        for g in ji:
+            class_of = union_find_closure(lattice, [(lattice.lower[g][0], g)]).class_of
+            for (x, y), m in labels.items():
+                assert (class_of[x] == class_of[y]) == (
+                    class_of[m] == class_of[lattice.lower[m][0]]
+                )
 
 
 def per_ji_forcing_arrows(lattice):
@@ -536,16 +602,20 @@ def per_ji_forcing_arrows(lattice):
     }
 
 
-@pytest.mark.parametrize(
-    "family, rank", [("A", 2), ("A", 3), ("A", 4), ("B", 3), ("H3", None)]
+ARROW_SYSTEMS = (
+    [("A", 2, None), ("A", 3, None), ("A", 4, None), ("B", 2, None), ("B", 3, None)]
+    + [("H3", None, None)]
+    + [("I2", None, m) for m in range(3, 9)]
 )
-def test_forcing_arrows_match_per_ji_union_find(family, rank):
-    system = get_system(family, rank)
-    lattices = [system.weak_order_lattice()] + [
-        cambrian_lattice(system, orientation).quotient
-        for orientation in all_orientations(system)
-    ]
-    for lattice in lattices:
+
+
+@pytest.mark.parametrize(
+    "family, rank, bond",
+    ARROW_SYSTEMS,
+    ids=[f"{f}-{r}" if b is None else f"{f}-{r}-{b}" for f, r, b in ARROW_SYSTEMS],
+)
+def test_forcing_arrows_match_per_ji_union_find(family, rank, bond):
+    for lattice in with_quotients(family, rank, bond):
         assert lattice.polygon_forcing() is not None
         assert forcing_arrows(lattice) == per_ji_forcing_arrows(lattice)
 
@@ -560,14 +630,43 @@ def test_forcing_arrows_fall_back_on_m3():
 
 
 def test_polygon_forcing_fails_closed_on_a_label_outside_the_join_irreducibles():
-    source = hexagon()
-    lattice = FiniteLattice.from_covers(source.elements, source.covers)
-    atom, other = lattice.atoms()
-    # The atom now seems to have two lower covers, so the label of the
-    # cover bottom -> atom is no longer join-irreducible.
-    lattice.lower[atom].append(other)
-    with pytest.raises(AssertionError, match=f"cover {lattice.bottom} -> {atom} "):
-        lattice.polygon_forcing()
+    """A congruence whose hit mask leaves out a label it contracts keeps
+    one label too many, whose join-irreducible is no class bottom, so the
+    quotient's table is refused."""
+    system = get_system("A", 3)
+    cong = cambrian_congruence(system, all_orientations(system)[0])
+    dropped = cong.hit.bit_length() - 1
+    bad = LatticeCongruence(
+        cong.lattice, cong.class_of, forcing=cong.forcing, hit=cong.hit & ~(1 << dropped)
+    )
+    quotient = quotient_lattice(bad)
+    with pytest.raises(AssertionError, match="not the quotient's join-irreducibles"):
+        quotient.polygon_forcing()
+
+
+def test_restriction_fails_closed_on_two_labels_for_one_quotient_cover():
+    """Relabelling one uncontracted cover of a Cambrian congruence, whose
+    quotient cover is also the image of another, makes the two disagree:
+    the restriction raises on every read and leaves no table."""
+    system = get_system("A", 3)
+    cong = cambrian_congruence(system, all_orientations(system)[0])
+    lattice, forcing, hit, class_of = cong.lattice, cong.forcing, cong.hit, cong.class_of
+    images = {}
+    for edge, ((x, y), label) in enumerate(zip(lattice.covers, forcing.labels)):
+        if not hit >> label & 1:
+            images.setdefault((class_of[x], class_of[y]), []).append(edge)
+    edge = next(edges[0] for edges in images.values() if len(edges) > 1)
+    other = next(
+        k for k in range(len(forcing.reach)) if k != forcing.labels[edge] and not hit >> k & 1
+    )
+    labels = array("i", forcing.labels)
+    labels[edge] = other
+    bad = PolygonForcing(lattice, forcing.first, labels, forcing.reach)
+    quotient = quotient_lattice(LatticeCongruence(lattice, class_of, forcing=bad, hit=hit))
+    assert poset_isomorphism(quotient, quotient_lattice(cong)) is not None
+    for _ in range(2):
+        with pytest.raises(AssertionError, match=r"edge \d+ has labels"):
+            quotient.polygon_forcing()
 
 
 # -- crosscut Möbius function against the recursive definition --------------

@@ -399,6 +399,22 @@ def test_pattern_masks_match_the_triple_loop():
             assert suites._pattern_masks(x) == _triple_loop_pattern_masks(x), x
 
 
+def fixed_by_triple_loop(x, sig):
+    """(pi_down fixes x, pi_up fixes x) by ``contains_colored_pattern``."""
+    def avoids(*patterns):
+        return not any(contains_colored_pattern(x, sig, p)[0] for p in patterns)
+
+    return avoids("up231", "31down2"), avoids("up213", "13down2")
+
+
+def test_fixed_point_tests_match_the_triple_loop():
+    for n in range(1, 6):
+        for sig in all_updown_signatures(n):
+            for x in itertools.permutations(range(1, n + 1)):
+                fixed = is_pi_down_fixed(x, sig), is_pi_up_fixed(x, sig)
+                assert fixed == fixed_by_triple_loop(x, sig), (x, sig.to_string())
+
+
 def test_patterns_suite_matches_the_signature_scan():
     report = suites.suite_patterns(max_rank=6)
     assert report["passed"]
