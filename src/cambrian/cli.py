@@ -22,9 +22,9 @@ element cap exceeded, 4 internal error (an invariant of the program
 failed; the message goes to stderr).  The element cap is ``DEFAULT_CAP``
 unless the environment variable ``CAMB_CAP`` sets it; the ``--cap`` flag
 overrides both.  Every command honours the cap: ``build`` and ``fan``
-build the weak order under it first; ``verify`` builds each group's weak
-order under it before that group's checks, and its ``patterns`` suite,
-which builds no weak order, checks n! against it before enumerating S_n.
+check the group's order against it first; ``verify`` checks every group's
+order against it before it builds any, and its ``patterns`` suite, which
+builds no weak order, checks n! against it before enumerating any S_n.
 """
 
 from __future__ import annotations
@@ -222,7 +222,7 @@ def cmd_fan(args) -> int:
     if args.family != "H3":
         _require(args, "rank")
     system = get_system(args.family, args.rank)
-    system.weak_order_lattice(cap=cap)
+    system.check_cap(cap)
     extra = {}
     if args.family == "A":
         sig = _a_signature_for(args, system)

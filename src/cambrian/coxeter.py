@@ -7,9 +7,10 @@ Supported families:
 * ``B`` (rank n): signed permutations, elements as abbreviated signed
   tuples (x_1, ..., x_n) with x_{-i} = -x_i implied.
 * ``I2`` (parameter m) and ``H3``: a generic engine that closes the roots
-  once over Z[2cos(pi/m)] and tracks each element as the permutation it
-  induces on the roots, together with its set of (positive-root)
-  inversions and a reduced word.
+  over Z[2cos(pi/m)] on its first read, once per system, and tracks each
+  element as the permutation it induces on the roots, together with its
+  set of (positive-root) inversions and a reduced word.  A and B read the
+  engine only for their roots, field or Gram matrix.
 
 The right weak order is generated by covers w < ws; joins and meets are
 computed per family (inversion-set closure for A, an embedding into a
@@ -24,6 +25,7 @@ import math
 from array import array
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional
 
 from .fields import NumberField
@@ -330,8 +332,6 @@ class CoxeterSystem:
             raise ValueError(f"unknown family {family!r}")
         self.generator_names = names
         self._bonds = {**bonds, **{(t, s): m for (s, t), m in bonds.items()}}
-        self._lattice: Optional[FiniteLattice] = None
-        self._roots = None
 
     # -- Coxeter matrix -----------------------------------------------------
 
@@ -342,15 +342,19 @@ class CoxeterSystem:
         """prod (h + d) / d over the degrees d, with h the largest: the
         number of classes of every Cambrian congruence."""
         h = max(self.degrees)
-        return math.prod(h + d for d in self.degrees) // math.prod(self.degrees)
+        return math.prod(h + d for d in self.degrees) // self.order
+
+    @property
+    def order(self) -> int:
+        """|W|, the product of the degrees."""
+        return math.prod(self.degrees)
 
     # -- elements and multiplication ---------------------------------------
 
     def identity(self):
         if self.family in ("A", "B"):
             return tuple(range(1, self.n + 1))
-        self._init_generic()
-        return GenericElement(frozenset(), (), tuple(range(2 * len(self._roots))))
+        return GenericElement(frozenset(), (), tuple(range(2 * len(self._engine.roots))))
 
     def generator(self, name):
         return self.right_multiply(self.identity(), name)
@@ -375,8 +379,7 @@ class CoxeterSystem:
     def is_right_descent(self, w, name) -> bool:
         if self.family in ("A", "B"):
             return w[0] < 0 if name == 0 else w[name - 1] > w[name]
-        self._init_generic()
-        return w.perm[self._gen_index(name)] >= len(self._roots)
+        return w.perm[self._gen_index(name)] >= len(self._engine.roots)
 
     def length(self, w) -> int:
         return len(self.inversion_set(w))
@@ -402,7 +405,6 @@ class CoxeterSystem:
             if self.family == "B" and -1 in w:
                 out.add(0)
             return frozenset(out)
-        self._init_generic()
         return frozenset(
             name
             for name in self.generator_names
@@ -418,9 +420,8 @@ class CoxeterSystem:
 
     def act(self, w, v):
         """w(v) for v in the simple-root basis: sum of v_j * w(alpha_j)."""
-        self._init_generic()
-        field = self._field
-        images = [self._root_vectors[k] for k in w.perm[: self.rank]]
+        field, root_vectors = self._engine.field, self._engine.root_vectors
+        images = [root_vectors[k] for k in w.perm[: self.rank]]
         return tuple(
             functools.reduce(
                 field.add,
@@ -462,21 +463,26 @@ class CoxeterSystem:
 
     # -- weak order enumeration ---------------------------------------------
 
-    def weak_order_lattice(self, cap: Optional[int] = None):
-        """The weak order as a validated lattice, built once and kept (a
-        build that finished under a cap is the whole weak order too);
-        CapExceeded if it has more than ``cap`` elements.  Its forcing
-        table is read off the rank-2 cosets when first needed."""
-        if self._lattice is None:
-            elements, covers, ascents = self._enumerate(cap)
-            lattice = FiniteLattice.from_covers(elements, covers)
-            lattice.cosets = functools.partial(self._coset_table, elements, ascents)
-            self._lattice = lattice
-        elif cap is not None and self._lattice.n > cap:
-            raise CapExceeded(f"weak order enumeration exceeded cap {cap}")
-        return self._lattice
+    def weak_order_lattice(self, cap: Optional[int] = None) -> FiniteLattice:
+        """The weak order as a validated lattice, built once; CapExceeded,
+        before anything is enumerated, if it has more than ``cap`` elements."""
+        self.check_cap(cap)
+        return self._weak_order
 
-    def _enumerate(self, cap):
+    def check_cap(self, cap: Optional[int]) -> None:
+        """Raise CapExceeded if the group has more than ``cap`` elements."""
+        if cap is not None and self.order > cap:
+            raise CapExceeded(f"weak order enumeration exceeded cap {cap}")
+
+    @functools.cached_property
+    def _weak_order(self) -> FiniteLattice:
+        """The weak order; its forcing table is read off its rank-2 cosets."""
+        elements, covers, ascents = self._enumerate()
+        lattice = FiniteLattice.from_covers(elements, covers)
+        lattice.cosets = functools.partial(self._coset_table, elements, ascents)
+        return lattice
+
+    def _enumerate(self):
         """Elements by breadth-first search from the identity, the covers
         (w, ws) as sorted index pairs, and ``ascents[w * r + k]``: the index
         of w s_k for the k-th generator, -1 where s_k is a descent of w."""
@@ -499,10 +505,6 @@ class CoxeterSystem:
                     ws = self.right_multiply(w, name)
                     j = seen.get(ws)
                     if j is None:
-                        if cap is not None and len(order) >= cap:
-                            raise CapExceeded(
-                                f"weak order enumeration exceeded cap {cap}"
-                            )
                         j = seen[ws] = len(order)
                         order.append(ws)
                         ascents += blank
@@ -530,18 +532,19 @@ class CoxeterSystem:
     def _gen_index(self, name) -> int:
         return self.generator_names.index(name)
 
-    def _init_generic(self):
-        """Close the roots over Z[c] and store each simple reflection as a
-        permutation of the root ids; the simple root alpha_i has id i."""
-        if self._roots is not None:
-            return
+    @functools.cached_property
+    def _engine(self) -> SimpleNamespace:
+        """The generic engine: the field Z[c], the Gram matrix in the
+        simple-root basis, the positive roots in id order (alpha_i has id
+        i), every root by id (``root_vectors[k + N]`` is -roots[k]) and
+        each simple reflection as a permutation of the root ids."""
         r = self.rank
         labels = [
             [self.bond_label(self.generator_names[i], self.generator_names[j]) for j in range(r)]
             for i in range(r)
         ]
         max_label = max(max(row) for row in labels)
-        self._field = field = NumberField(max_label)
+        field = NumberField(max_label)
         # 2*B(alpha_i, alpha_j) = -2*cos(pi / m_ij), an element of Z[c].
         def two_b(m):
             if m == 1:
@@ -556,7 +559,7 @@ class CoxeterSystem:
 
         two_gram = [[two_b(labels[i][j]) for j in range(r)] for i in range(r)]
         half = Fraction(1, 2)
-        self._gram = tuple(tuple(field.scale(x, half) for x in row) for row in two_gram)
+        gram = tuple(tuple(field.scale(x, half) for x in row) for row in two_gram)
 
         def reflect(i, v):
             # s_i(v) = v - 2 B(alpha_i, v) alpha_i
@@ -584,27 +587,26 @@ class CoxeterSystem:
                         roots[image] = len(roots)
                         nxt.append(image)
             frontier = nxt
-        self._roots = roots
-        self._root_list = sorted(roots, key=roots.get)
+        root_list = sorted(roots, key=roots.get)
         n = len(roots)
-        self._root_vectors = self._root_list + [
-            tuple(field.neg(x) for x in v) for v in self._root_list
-        ]
+        root_vectors = root_list + [tuple(field.neg(x) for x in v) for v in root_list]
         gens = []
         for i in range(r):
             positive = [
                 i + n if k == i else roots[reflect(i, v)]
-                for k, v in enumerate(self._root_list)
+                for k, v in enumerate(root_list)
             ]
             gens.append(tuple(positive + [(k + n) % (2 * n) for k in positive]))
-        self._gen_perms = tuple(gens)
+        return SimpleNamespace(
+            field=field, gram=gram, roots=root_list, root_vectors=root_vectors, gen_perms=tuple(gens)
+        )
 
     def _generic_right_multiply(self, w: GenericElement, name) -> GenericElement:
-        self._init_generic()
+        engine = self._engine
         i = self._gen_index(name)
-        perm = tuple(w.perm[k] for k in self._gen_perms[i])
+        perm = tuple(w.perm[k] for k in engine.gen_perms[i])
         root = w.perm[i]
-        n = len(self._roots)
+        n = len(engine.roots)
         if root < n:
             return GenericElement(w.inversions | {root}, w.word + (name,), perm)
         # Exchange condition: ws is w with the letter deleted whose prefix
@@ -614,24 +616,21 @@ class CoxeterSystem:
             k = self._gen_index(letter)
             if prefix[k] == root - n:
                 break
-            prefix = [prefix[t] for t in self._gen_perms[k]]
+            prefix = [prefix[t] for t in engine.gen_perms[k]]
         word = w.word[:j] + w.word[j + 1 :]
         return GenericElement(w.inversions - {root - n}, word, perm)
 
     @property
     def roots(self):
-        self._init_generic()
-        return self._root_list
+        return self._engine.roots
 
     @property
     def field(self):
-        self._init_generic()
-        return self._field
+        return self._engine.field
 
     @property
     def gram(self):
-        self._init_generic()
-        return self._gram
+        return self._engine.gram
 
 
 def build_system(family: str, rank: Optional[int] = None, bond: Optional[int] = None) -> CoxeterSystem:

@@ -25,8 +25,8 @@ that table to the labels T leaves uncontracted
 (``PolygonForcing.restricted``).  A closure is then an OR of the masks
 of its seed labels; the class bottoms are the elements with no
 contracted lower cover, so the class count is one pass over the
-lower-label masks, and the classes and projections are derived only
-when they are read.  Any other lattice, such as one built from its
+lower-label masks; the classes, read only when needed, join the ends of
+each contracted cover.  Any other lattice, such as one built from its
 covers, closes by a union-find over the generating pairs, propagating
 x ~ y to x v z ~ y v z for join-irreducible z and to x ^ z ~ y ^ z for
 meet-irreducible z; every element is a join of join-irreducibles, so by
@@ -62,8 +62,6 @@ class FiniteLattice:
         self.n = len(elements)
         self.bottom = next(i for i in range(self.n) if not lower[i])
         self.top = next(i for i in range(self.n) if not upper[i])
-        self._ji: Optional[list[int]] = None
-        self._mi: Optional[list[int]] = None
         self._forcing: Optional[PolygonForcing] = None
         # What the forcing table is read from: for a weak order, a function
         # giving its ascents and bonds; for a quotient, its congruence.
@@ -169,17 +167,13 @@ class FiniteLattice:
             mask &= mask - 1
         return out
 
-    @property
+    @cached_property
     def join_irreducibles(self) -> list[int]:
-        if self._ji is None:
-            self._ji = [i for i in range(self.n) if len(self.lower[i]) == 1]
-        return self._ji
+        return [i for i in range(self.n) if len(self.lower[i]) == 1]
 
-    @property
+    @cached_property
     def meet_irreducibles(self) -> list[int]:
-        if self._mi is None:
-            self._mi = [i for i in range(self.n) if len(self.upper[i]) == 1]
-        return self._mi
+        return [i for i in range(self.n) if len(self.upper[i]) == 1]
 
     def polygon_forcing(self) -> Optional["PolygonForcing"]:
         """The forcing table of a weak order or of a quotient by a congruence
@@ -245,15 +239,15 @@ class FiniteLattice:
 
 
 class LatticeCongruence:
-    """A lattice congruence stored as a partition with projections.
-
-    It is given either by ``class_of``, a class name for each element, or,
-    on a lattice with a forcing table, by ``hit``, the bitmask of the labels
-    of ``forcing`` (a ``PolygonForcing`` table) that it contracts.  In the
-    second case ``num_classes`` counts the class bottoms, the elements none
-    of whose lower covers has a hit label, and ``class_of``, ``classes``
-    and the projections are derived from ``hit`` the first time one of
-    them is read.
+    """A lattice congruence, given either by ``class_of``, a class name for
+    each element, or, on a lattice with a forcing table, by ``hit``, the
+    bitmask of the labels of ``forcing`` (a ``PolygonForcing`` table) that
+    it contracts.  The rest is derived on the first read, in one chain:
+    ``class_of`` (from ``hit`` unless given) numbers the classes by their
+    least elements, ``classes`` lists their members, and the projections
+    map each element to the first or last member of its class.  With
+    ``hit``, ``num_classes`` counts the class bottoms, the elements none
+    of whose lower covers has a hit label.
     """
 
     def __init__(
@@ -267,58 +261,42 @@ class LatticeCongruence:
         self.forcing = forcing
         self.hit = hit
         if class_of is not None:
-            self._partition(class_of)
+            self.class_of = _numbered(class_of)
 
-    def _partition(self, class_of) -> None:
-        lattice = self.lattice
-        relabel: dict[int, int] = {}
-        self.class_of = []
-        for i in range(lattice.n):
-            c = class_of[i]
-            if c not in relabel:
-                relabel[c] = len(relabel)
-            self.class_of.append(relabel[c])
-        self.num_classes = len(relabel)
-        self.classes = [[] for _ in range(self.num_classes)]
-        for i, c in enumerate(self.class_of):
-            self.classes[c].append(i)
-        # Index order is a linear extension, so in an interval class the
-        # first element is the class bottom and the last the class top.
-        self.down_projection = [self.classes[c][0] for c in self.class_of]
-        self.up_projection = [self.classes[c][-1] for c in self.class_of]
-
-    def _derived(self, name: str):
-        """Partition by the covers with a hit label and read ``name``.
-
-        Covers are sorted by their lower end, so the class of x is final
-        before its upper covers are reached."""
+    @cached_property
+    def class_of(self) -> list[int]:
+        """Join the ends of each cover with a hit label.  Covers are sorted
+        by their lower end, so the class of x is final before its upper
+        covers are reached."""
         lattice, forcing, hit = self.lattice, self.forcing, self.hit
         flags = bytes(hit >> j & 1 for j in range(len(forcing.reach)))
         class_of = list(range(lattice.n))
         for x, y in compress(lattice.covers, map(flags.__getitem__, forcing.labels)):
             class_of[y] = class_of[x]
-        self._partition(class_of)
-        return vars(self)[name]
+        return _numbered(class_of)
 
     @cached_property
     def num_classes(self) -> int:
+        if self.hit is None:
+            return len(self.classes)
         return list(map(self.hit.__and__, self.forcing.lowmask)).count(0)
 
     @cached_property
-    def class_of(self) -> list[int]:
-        return self._derived("class_of")
-
-    @cached_property
     def classes(self) -> list[list[int]]:
-        return self._derived("classes")
+        classes = [[] for _ in range(max(self.class_of) + 1)]
+        for i, c in enumerate(self.class_of):
+            classes[c].append(i)
+        return classes
 
+    # Index order is a linear extension, so in an interval class the first
+    # element is the class bottom and the last the class top.
     @cached_property
     def down_projection(self) -> list[int]:
-        return self._derived("down_projection")
+        return [self.classes[c][0] for c in self.class_of]
 
     @cached_property
     def up_projection(self) -> list[int]:
-        return self._derived("up_projection")
+        return [self.classes[c][-1] for c in self.class_of]
 
     def key(self) -> frozenset:
         return frozenset(frozenset(cls) for cls in self.classes)
@@ -352,6 +330,12 @@ class LatticeCongruence:
             if not lattice.le(self.up_projection[a], self.up_projection[b]):
                 return False, f"up projection not order preserving on {a} -> {b}"
         return True, None
+
+
+def _numbered(class_of) -> list[int]:
+    """Class names renumbered 0, 1, ... in order of first occurrence."""
+    number: dict[int, int] = {}
+    return [number.setdefault(c, len(number)) for c in class_of]
 
 
 def _edge_starts(upper) -> array:

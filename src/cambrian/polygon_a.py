@@ -111,25 +111,17 @@ def signatures_for_orientation(n: int, edges) -> list[UpDownSignature]:
     """All signatures inducing the given orientation (indices 1, n are free)."""
     want = {tuple(sorted(e)): e for e in edges}
     fixed_ups = set()
-    fixed_downs = set()
     for b in range(2, n):
         edge = want.get((b - 1, b))
         if edge is None:
             raise ValueError(f"orientation missing edge between s_{b-1} and s_{b}")
         if edge == (b, b - 1):
             fixed_ups.add(b)
-        else:
-            fixed_downs.add(b)
-    free = [i for i in (1, n) if 1 <= i <= n]
-    free = sorted(set(free))
-    out = []
-    for bits in itertools.product([False, True], repeat=len(free)):
-        ups = set(fixed_ups)
-        for i, bit in zip(free, bits):
-            if bit:
-                ups.add(i)
-        out.append(UpDownSignature(n, frozenset(ups)))
-    return out
+    free = sorted({1, n})
+    return [
+        UpDownSignature(n, frozenset(fixed_ups.union(itertools.compress(free, bits))))
+        for bits in itertools.product([False, True], repeat=len(free))
+    ]
 
 
 @dataclass(frozen=True)

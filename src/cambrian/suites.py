@@ -13,9 +13,9 @@ bond label m for I2.  ``catalan`` replaces its default largest index
 with it; every other suite can only lower its default, in two places:
 ``_groups`` for the groups a suite reads and ``_per_index`` for checks
 indexed by n.
-``cap`` bounds the number of elements: ``_groups`` builds each group's weak
-order under it before any check reads the group, and ``patterns``, which
-builds no weak order, checks n! against it.
+``cap`` bounds the number of elements: ``_groups`` checks every group's
+order against it before it builds any weak order, and ``patterns``,
+which builds no weak order, checks every n! before enumerating any S_n.
 """
 
 from __future__ import annotations
@@ -128,13 +128,15 @@ def _cut(default: int, max_rank) -> int:
 
 def _groups(family, max_rank, bounds: dict, cap):
     """(n, system, weak order, label) for each group a suite covers, in
-    report order; each weak order is built under ``cap``.
+    report order, each weak order built when reached; CapExceeded at
+    the call, before any is built, if a group has over ``cap`` elements.
 
     ``bounds`` maps every family the suite covers, in order, to its
     default largest group index, which ``max_rank`` can only lower: S_n
     from n = 3, B_n from n = 2 and I2(m) from m = 3.  H3 is one group and
     ignores both.  ``family`` None covers every family of ``bounds``.
     """
+    groups = []
     for fam in [family] if family else bounds:
         if fam not in bounds:
             raise ValueError(f"unsupported family {fam!r}")
@@ -144,14 +146,16 @@ def _groups(family, max_rank, bounds: dict, cap):
             indices = range(2 if fam == "B" else 3, _cut(bounds[fam], max_rank) + 1)
         for n in indices:
             if fam == "A":
-                system, label = get_system("A", n - 1), f"A n={n}"
+                groups.append((n, get_system("A", n - 1), f"A n={n}"))
             elif fam == "B":
-                system, label = get_system("B", n), f"B n={n}"
+                groups.append((n, get_system("B", n), f"B n={n}"))
             elif fam == "I2":
-                system, label = get_system("I2", None, n), f"I2({n})"
+                groups.append((n, get_system("I2", None, n), f"I2({n})"))
             else:
-                system, label = get_system("H3"), "H3"
-            yield n, system, system.weak_order_lattice(cap=cap), label
+                groups.append((n, get_system("H3"), "H3"))
+    for _, system, _ in groups:
+        system.check_cap(cap)
+    return ((n, system, system.weak_order_lattice(), label) for n, system, label in groups)
 
 
 def _per_orientation(system: CoxeterSystem, label: str, check) -> list[dict]:
@@ -371,9 +375,11 @@ def suite_patterns(family=None, max_rank=None, cap=None) -> dict:
     """
     _require_family("patterns", family, ("A",))
 
-    def avoiders_are_fixed(n):
+    for n in range(3, _cut(7, max_rank) + 1):
         if cap is not None and factorial(n) > cap:
             raise CapExceeded(f"S_{n} has {factorial(n)} elements, more than cap {cap}")
+
+    def avoiders_are_fixed(n):
         failed = []
         for x in itertools.permutations(range(1, n + 1)):
             avoid_down, fixed_down, avoid_up, fixed_up = intervals = _signature_intervals(x)
@@ -493,8 +499,10 @@ def suite_fan(family=None, max_rank=None, cap=None) -> dict:
     """Exact fan checks: simplicial tiling, dual graph, ray dictionary."""
     checks = []
     bounds = {"A": 4, "B": 3, "H3": None}
-    for fam in [family] if family else bounds:
-        for n, system, _, label in _groups(fam, max_rank, bounds, cap):
+    # Every family's groups are checked against the cap before any is built.
+    families = [family] if family else bounds
+    for fam, groups in [(fam, _groups(fam, max_rank, bounds, cap)) for fam in families]:
+        for n, system, _, label in groups:
             if fam != "H3":
                 check_fan = check_fan_a if fam == "A" else check_fan_b
                 for sig in _signatures(system, n):
@@ -547,13 +555,14 @@ def suite_cluster(family=None, max_rank=None, cap=None) -> dict:
     The suite covers types A and B together, so it takes no family.
     """
     _require_family("cluster", family, ())
+    groups = _groups(None, max_rank, {"A": 5, "B": 3}, cap)
 
     def counted(n):
         count = len(clusters(n).clusters)
         return {"passed": count == catalan(n), "count": count, "expected": catalan(n)}
 
     checks = _per_index("cluster count n={n}", 2, 6, max_rank, counted)
-    for n, system, _, label in _groups(None, max_rank, {"A": 5, "B": 3}, cap):
+    for n, system, _, label in groups:
         if system.family == "A":
             sig, poset = alternating_signature(n), cluster_poset(n)
         else:

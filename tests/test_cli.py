@@ -9,8 +9,9 @@ from pathlib import Path
 
 import pytest
 
-from cambrian import cli, fans, suites
+from cambrian import cli, coxeter, fans, suites
 from cambrian.cli import INTERNAL_ERROR, main
+from cambrian.coxeter import CapExceeded
 from cambrian.lattices import FiniteLattice
 from cambrian.suites import catalan
 
@@ -248,13 +249,60 @@ def test_cap_env_variable(capsys, monkeypatch):
     assert "CAMB_CAP" in capsys.readouterr().err
 
 
-def test_default_cap_refuses_s9(capsys, monkeypatch):
+@pytest.fixture
+def enumerations(monkeypatch):
+    """The systems each weak order enumeration runs on, from a fresh
+    system table, so that no group is built before the test starts."""
+    monkeypatch.setattr(coxeter, "_SYSTEMS", {})
+    calls = []
+    enumerate_ = coxeter.CoxeterSystem._enumerate
+
+    def counted(system, *args):
+        calls.append(system)
+        return enumerate_(system, *args)
+
+    monkeypatch.setattr(coxeter.CoxeterSystem, "_enumerate", counted)
+    return calls
+
+
+def test_default_cap_refuses_s9(capsys, monkeypatch, enumerations):
+    """The default cap refuses S_9 before any group is enumerated:
+    ``verify`` does not first build S_3..S_8, which are under it."""
     monkeypatch.delenv("CAMB_CAP", raising=False)
-    code = main(["build", "--family", "A", "--rank", "8"])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.out == ""
-    assert captured.err == f"error: weak order enumeration exceeded cap {cli.DEFAULT_CAP}\n"
+    for argv in (
+        ["build", "--family", "A", "--rank", "8"],
+        ["verify", "--suite", "catalan", "--family", "A", "--max-rank", "9"],
+    ):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert captured.err == f"error: weak order enumeration exceeded cap {cli.DEFAULT_CAP}\n"
+    assert enumerations == []
+
+
+@pytest.mark.parametrize(
+    "suite, cap",
+    [(name, 5) for name in suites.SUITE_NAMES]
+    + [("catalan", 100), ("fan", 100), ("patterns", 100)],
+)
+def test_every_suite_refuses_an_over_cap_group_before_enumerating(
+    monkeypatch, enumerations, suite, cap
+):
+    """A cap of 5 is below every suite's smallest group.  A cap of 100
+    admits S_3, S_4, B_2 and B_3 but not S_5 or H3, which ``catalan``,
+    ``fan`` and ``patterns`` reach after them; they refuse before they
+    build or enumerate any group."""
+    intervals = []
+    monkeypatch.setattr(suites, "_signature_intervals", intervals.append)
+    with pytest.raises(CapExceeded, match=f"cap {cap}$"):
+        suites.run_suite(suite, cap=cap)
+    assert enumerations == [] and intervals == []
+
+
+def test_patterns_refusal_names_the_first_n_over_the_cap():
+    with pytest.raises(CapExceeded, match=r"^S_5 has 120 elements, more than cap 100$"):
+        suites.run_suite("patterns", cap=100)
 
 
 def test_cap_flag_and_env_variable_override_the_default(capsys, monkeypatch):

@@ -16,6 +16,7 @@ from cambrian import (
     weak_join,
     weak_meet,
 )
+from cambrian import coxeter
 from cambrian.coxeter import (
     CapExceeded,
     all_ji_subsets_a,
@@ -95,7 +96,7 @@ def test_weak_order_s3():
 )
 def test_enumerate_records_the_generator_of_each_cover(family, rank, bond):
     system = build_system(family, rank, bond)
-    order, covers, ascents = system._enumerate(None)
+    order, covers, ascents = system._enumerate()
     names = system.generator_names
     r = len(names)
     assert len(ascents) == len(order) * r
@@ -120,8 +121,10 @@ def test_weak_order_counts():
 
 
 def test_weak_order_cap():
+    system = build_system("A", 3)
     with pytest.raises(CapExceeded):
-        build_system("A", 3).weak_order_lattice(cap=5)
+        system.weak_order_lattice(cap=5)
+    assert "_weak_order" not in vars(system)
 
 
 def test_weak_order_cap_holds_after_cached_build():
@@ -130,6 +133,33 @@ def test_weak_order_cap_holds_after_cached_build():
     with pytest.raises(CapExceeded):
         system.weak_order_lattice(cap=5)
     assert system.weak_order_lattice(cap=24) is lattice
+
+
+def test_generic_engine_is_built_once(monkeypatch):
+    """identity, right_multiply, act, roots, field and gram share one
+    engine: one NumberField per system."""
+    fields = []
+    number_field = coxeter.NumberField
+    monkeypatch.setattr(coxeter, "NumberField", lambda m: fields.append(m) or number_field(m))
+    system = build_system("H3")
+    s1 = system.right_multiply(system.identity(), 1)
+    alpha = system.roots[0]
+    assert system.act(s1, alpha) == tuple(system.field.neg(x) for x in alpha)
+    assert system.gram[0][0] == system.field.one
+    assert fields == [5]
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+def test_a_and_b_build_the_engine_only_for_roots_field_and_gram(family):
+    system = build_system(family, 3)
+    lattice = system.weak_order_lattice()
+    x, y = lattice.elements[1], lattice.elements[2]
+    system.join(x, y)
+    system.meet(x, y)
+    system.left_descents(x)
+    assert "_engine" not in vars(system)
+    assert len(system.roots) == len(system.inversion_set(lattice.elements[lattice.top]))
+    assert "_engine" in vars(system)
 
 
 def test_get_system_is_one_memo_table():

@@ -127,6 +127,18 @@ def test_quotient_of_hexagon_is_pentagon():
     assert poset_isomorphism(quotient_lattice(discrete), lattice) is not None
 
 
+def test_partition_congruence_derives_its_projections_when_read():
+    lattice = hexagon()
+    idx = lattice.index
+    closed = congruence_closure(lattice, [(idx[(1, 3, 2)], idx[(3, 1, 2)])])
+    cong = congruence_from_partition(lattice, closed.classes)
+    assert not {"down_projection", "up_projection"} & set(vars(cong))
+    assert cong.verify() == (True, None)
+    assert cong.down_projection == closed.down_projection
+    assert cong.up_projection == closed.up_projection
+    assert poset_isomorphism(quotient_lattice(cong), pentagon()) is not None
+
+
 def test_cg_hexagon():
     lattice = hexagon()
     idx = lattice.index
