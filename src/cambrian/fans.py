@@ -355,7 +355,7 @@ def _class_diagonals(system: CoxeterSystem, signature, n: int):
     camb = cambrian_lattice(
         system, orientation_from_edges(system, signature.orientation_edges())
     )
-    _, masks_of, _ = _polygon_maps(signature)
+    _, masks_of, *_ = _polygon_maps(signature)
     elements = camb.congruence.lattice.elements
     bottoms = [elements[members[0]] for members in camb.congruence.classes]
     return camb, [sorted(_mask_diagonals(m, n)) for m in masks_of(bottoms, signature)]

@@ -19,14 +19,18 @@ exactly when it contracts its label (see ``PolygonForcing``).  The
 forcing table holds the labels and, for each label, the bitmask of the
 labels it forces, closed transitively.  A weak order reads it off its
 rank-2 cosets [x, x w0(s, t)], whose opposite edges are perspective
-(``PolygonForcing.from_cosets``).  The congruences of a quotient L/T are
+(``PolygonForcing.from_cosets``): for each pair s, t the cosets are
+walked as one column, the elements with both ascents, stepped along both
+chains by a gather per step.  The congruences of a quotient L/T are
 those of L above T, so a quotient by a congruence with a table restricts
 that table to the labels T leaves uncontracted
 (``PolygonForcing.restricted``).  A closure is then an OR of the masks
-of its seed labels; the class bottoms are the elements with no
-contracted lower cover, so the class count is one pass over the
-lower-label masks; the classes, read only when needed, join the ends of
-each contracted cover.  Any other lattice, such as one built from its
+of its seed labels.  The class bottoms are the elements with no
+contracted lower cover, and the table keeps, for each label, the mask of
+the elements with a lower cover of that label (its heads), so the class
+count is the number of elements outside the OR of the contracted labels'
+heads; the classes, read only when needed, join the ends of each
+contracted cover.  Any other lattice, such as one built from its
 covers, closes by a union-find over the generating pairs, propagating
 x ~ y to x v z ~ y v z for join-irreducible z and to x ^ z ~ y ^ z for
 meet-irreducible z; every element is a join of join-irreducibles, so by
@@ -39,8 +43,9 @@ from __future__ import annotations
 
 from array import array
 from collections import deque
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import combinations, compress
+from operator import itemgetter, ne, or_
 from typing import Callable, Optional, Sequence
 
 
@@ -246,8 +251,9 @@ class LatticeCongruence:
     ``class_of`` (from ``hit`` unless given) numbers the classes by their
     least elements, ``classes`` lists their members, and the projections
     map each element to the first or last member of its class.  With
-    ``hit``, ``num_classes`` counts the class bottoms, the elements none
-    of whose lower covers has a hit label.
+    ``hit``, ``num_classes`` counts the class bottoms without deriving the
+    classes: every other element has a lower cover with a hit label, so
+    is in the OR of the hit labels' ``heads`` masks.
     """
 
     def __init__(
@@ -264,22 +270,30 @@ class LatticeCongruence:
             self.class_of = _numbered(class_of)
 
     @cached_property
+    def _contracted(self) -> bytes:
+        """Byte j is 1 where label j is hit."""
+        hit = self.hit
+        return bytes(hit >> j & 1 for j in range(len(self.forcing.reach)))
+
+    @cached_property
     def class_of(self) -> list[int]:
         """Join the ends of each cover with a hit label.  Covers are sorted
         by their lower end, so the class of x is final before its upper
         covers are reached."""
-        lattice, forcing, hit = self.lattice, self.forcing, self.hit
-        flags = bytes(hit >> j & 1 for j in range(len(forcing.reach)))
+        lattice = self.lattice
         class_of = list(range(lattice.n))
-        for x, y in compress(lattice.covers, map(flags.__getitem__, forcing.labels)):
+        contracted = map(self._contracted.__getitem__, self.forcing.labels)
+        for x, y in compress(lattice.covers, contracted):
             class_of[y] = class_of[x]
         return _numbered(class_of)
 
     @cached_property
     def num_classes(self) -> int:
+        """With ``hit``, the elements outside the heads of the hit labels."""
         if self.hit is None:
             return len(self.classes)
-        return list(map(self.hit.__and__, self.forcing.lowmask)).count(0)
+        heads = reduce(or_, compress(self.forcing.heads, self._contracted), 0)
+        return self.lattice.n - heads.bit_count()
 
     @cached_property
     def classes(self) -> list[list[int]]:
@@ -347,6 +361,13 @@ def _edge_starts(upper) -> array:
     return first
 
 
+def _gather(table, index) -> tuple:
+    """``table[i]`` for each i of ``index``, as a tuple."""
+    if len(index) > 1:
+        return itemgetter(*index)(table)
+    return tuple(table[i] for i in index)
+
+
 def _transitive(reach: list[int]) -> list[int]:
     """Close the label forcing rows transitively, one pivot at a time;
     each row also gets its own label."""
@@ -367,7 +388,8 @@ class PolygonForcing:
     as an ordinal into ``lattice.join_irreducibles``: for a cover x -> y
     it is m, the lowest index in down(y) outside down(x).  ``reach[j]`` is
     the bitmask of the labels that contracting label j forces, j included.
-    ``lowmask[y]`` is the bitmask of the labels of the lower covers of y.
+    ``heads[j]`` is the bitmask of the elements with a lower cover
+    labelled j.
 
     The elements of down(y) outside down(x) form an up-set of [0, y], so
     everything strictly below m is below x: m is join-irreducible with
@@ -377,19 +399,21 @@ class PolygonForcing:
     lattices, AMS 1995).  So the contracted covers are a union of label
     classes, and the least forcing-closed set of covers holding some seed
     covers is the set of covers whose labels ``reach`` from a seed label.
-    A class bottom is an element none of whose lower covers is contracted.
+    A class bottom is an element none of whose lower covers is contracted,
+    so the elements outside the heads of the contracted labels.
     """
 
-    __slots__ = ("first", "labels", "reach", "lowmask")
+    __slots__ = ("first", "labels", "reach", "heads")
 
     def __init__(self, lattice: FiniteLattice, first: array, labels: array, reach: list[int]):
         self.first = first
         self.labels = labels
         self.reach = reach
-        lowmask = [0] * lattice.n
-        for (_, y), label in zip(lattice.covers, labels):
-            lowmask[y] |= 1 << label
-        self.lowmask = lowmask
+        # The upper end of each cover, appended to its label's list.
+        ends = [[] for _ in reach]
+        tops = map(itemgetter(1), lattice.covers)
+        deque(map(list.append, map(ends.__getitem__, labels), tops), 0)
+        self.heads = [reduce(or_, map((1).__lshift__, ys), 0) for ys in ends]
 
     @classmethod
     def from_cosets(cls, lattice: FiniteLattice, ascents: array, bonds) -> "PolygonForcing":
@@ -401,81 +425,113 @@ class PolygonForcing:
         interval [x, x w0(s, t)] for two ascents s, t of x, made of the
         chains x, xs, xst, ... and x, xt, xts, ... of m(s, t) edges each,
         and the bottom edge of one chain is perspective to the top edge of
-        the other, so it has the same label.  A cover j_* -> j into a
-        join-irreducible j has label j; every other cover x -> y is the
-        top edge of the coset of y by two of its descents, whose bottom is
-        below x, so walking the bottoms in index order labels every edge
-        before it is read as a bottom edge.  Raises AssertionError where
-        the table does not describe such cosets: ascents that are not the
-        covers, a chain that leaves the table, two chains that do not meet,
-        an edge with two labels or none.
+        the other, so it has the same label.  For each pair s, t the
+        cosets are walked together, as the column of their bottoms x: the
+        elements where both s and t are ascents, stepped m(s, t) times
+        along each chain, each step a gather over the whole column.  A
+        cover j_* -> j into a join-irreducible j has label j; every other
+        cover is the top edge of the coset of its upper end by two of its
+        descents, and points at the opposite bottom edge, whose lower end
+        comes earlier in index order, so one pass in edge order labels
+        every edge.  A second walk compares the labels of all perspective
+        edges and collects the side edges each bottom edge forces.  Raises
+        AssertionError where the table does not describe such cosets:
+        ascents that are not the covers, a chain that leaves the table,
+        two chains that do not meet, an edge with two labels or none.
         """
-        upper, lower = lattice.upper, lattice.lower
-        r = len(bonds)
+        upper, lower, covers = lattice.upper, lattice.lower, lattice.covers
+        n, r, size = lattice.n, len(bonds), len(covers)
         first = _edge_starts(upper)
-        head = array("i", [y for _, y in lattice.covers])
-        # step[x * r + s]: the edge x -> xs, or -1.
-        step = array("i", [-1]) * len(ascents)
-        for edge, (x, y) in enumerate(lattice.covers):
+        head = list(map(itemgetter(1), covers))
+        # edges[s][x]: the edge x -> xs, or ``size`` where s is a descent of
+        # x, which no gather from ``head`` accepts; byte x of ascent[s] is 1
+        # where s is an ascent of x.
+        edges = [[size] * n for _ in range(r)]
+        ascent = [bytearray(n) for _ in range(r)]
+        for edge, (x, y) in enumerate(covers):
+            at = x * r
             try:
-                step[ascents.index(y, x * r, x * r + r)] = edge
+                s = ascents.index(y, at, at + r) - at
             except ValueError:
                 raise AssertionError(f"cover {x} -> {y} is no ascent of {x}") from None
-        if step.count(-1) != ascents.count(-1):
+            edges[s][x] = edge
+            ascent[s][x] = 1
+        if sum(column.count(1) for column in ascent) != len(ascents) - ascents.count(-1):
             raise AssertionError("an ascent is not a cover")
+        # The bottoms of the cosets of each pair s, t: the elements where
+        # both are ascents, read off one AND of their ascent flags.
+        flags = [int.from_bytes(column, "little") for column in ascent]
+        columns = {
+            (s, t): array("i", compress(range(n), (flags[s] & flags[t]).to_bytes(n, "little")))
+            for s, t in combinations(range(r), 2)
+        }
+
+        def walk(visit) -> None:
+            """Call ``visit`` with the edges of the chains xs... and xt...,
+            step by step, over the bottoms x of the cosets of each pair
+            s, t in index order."""
+            for (s, t), bottoms in columns.items():
+                if not bottoms:
+                    continue
+                chains = []
+                for word in ((s, t), (t, s)):
+                    level, path = bottoms, []
+                    for k in range(bonds[s][t]):
+                        g = word[k % 2]
+                        path.append(_gather(edges[g], level))
+                        try:
+                            level = _gather(head, path[-1])
+                        except IndexError:
+                            last = path[-2][path[-1].index(size)]
+                            message = f"edge {last} has no ascent {g} after it"
+                            raise AssertionError(message) from None
+                    chains.append((path, level))
+                (path_s, end_s), (path_t, end_t) = chains
+                if end_s != end_t:
+                    i = list(map(ne, end_s, end_t)).index(True)
+                    raise AssertionError(
+                        f"the chains of {s}, {t} from {bottoms[i]} end at {end_s[i]} and {end_t[i]}"
+                    )
+                visit(path_s, path_t)
+
+        # below[e]: a bottom edge perspective to the top edge e, or -1.
+        below = array("i", [-1]) * size
+
+        def point(path_s, path_t):
+            deque(map(below.__setitem__, path_s[-1], path_t[0]), 0)
+            deque(map(below.__setitem__, path_t[-1], path_s[0]), 0)
+
+        walk(point)
         ji = lattice.join_irreducibles
-        labels = array("i", [-1]) * len(head)
+        labels = array("i", [-1]) * size
         for k, g in enumerate(ji):
             x = lower[g][0]
-            labels[first[x] + upper[x].index(g)] = k
-        # (s, t, the letters after s on the chain xs..., those after t).
-        pairs = []
-        for s, t in combinations(range(r), 2):
-            letters = range(bonds[s][t] - 1)
-            pairs.append((s, t, [(t, s)[i % 2] for i in letters], [(s, t)[i % 2] for i in letters]))
-
-        def walk(edge: int, word) -> list[int]:
-            path = [edge]
-            for s in word:
-                edge = step[head[edge] * r + s]
-                if edge < 0:
-                    raise AssertionError(f"edge {path[-1]} has no ascent {s} after it")
-                path.append(edge)
-            return path
-
-        def polygons(pairs):
-            """(chain xs..., chain xt...) of each coset, bottoms x in index order."""
-            for x in range(lattice.n):
-                row = step[x * r : x * r + r]
-                for s, t, word_s, word_t in pairs:
-                    if row[s] >= 0 and row[t] >= 0:
-                        chain_s, chain_t = walk(row[s], word_s), walk(row[t], word_t)
-                        if head[chain_s[-1]] != head[chain_t[-1]]:
-                            raise AssertionError(
-                                f"the chains of {s}, {t} from {x} end at "
-                                f"{head[chain_s[-1]]} and {head[chain_t[-1]]}"
-                            )
-                        yield chain_s, chain_t
-
-        for chain_s, chain_t in polygons(pairs):
-            for top, bottom in ((chain_s[-1], chain_t[0]), (chain_t[-1], chain_s[0])):
-                label = labels[bottom]
-                if label < 0:
-                    raise AssertionError(f"edge {bottom} is a bottom edge with no label yet")
-                if labels[top] not in (-1, label):
-                    raise AssertionError(f"edge {top} has labels {labels[top]} and {label}")
-                labels[top] = label
+            edge = first[x] + upper[x].index(g)
+            labels[edge], below[edge] = k, -1
+        for edge, bottom in enumerate(below):
+            if bottom >= 0:
+                labels[edge] = labels[bottom]
         if -1 in labels:
             raise AssertionError(f"edge {labels.index(-1)} has no label")
         # The top edges carry the bottom labels, so only the side edges add
         # to the rows; two-edge chains have none.
+        forced = set()
+
+        def compare(path_s, path_t):
+            bottom_s, bottom_t = _gather(labels, path_s[0]), _gather(labels, path_t[0])
+            for top, bottom in ((path_s[-1], bottom_t), (path_t[-1], bottom_s)):
+                got = _gather(labels, top)
+                if got != bottom:
+                    i = list(map(ne, got, bottom)).index(True)
+                    raise AssertionError(f"edge {top[i]} has labels {got[i]} and {bottom[i]}")
+            for side in path_s[1:-1] + path_t[1:-1]:
+                sides = _gather(labels, side)
+                forced.update(zip(bottom_s + bottom_t, sides + sides))
+
+        walk(compare)
         reach = [0] * len(ji)
-        for chain_s, chain_t in polygons([p for p in pairs if len(p[2]) > 1]):
-            sides = 0
-            for edge in chain_s[1:-1] + chain_t[1:-1]:
-                sides |= 1 << labels[edge]
-            reach[labels[chain_s[0]]] |= sides
-            reach[labels[chain_t[0]]] |= sides
+        for j, k in forced:
+            reach[j] |= 1 << k
         return cls(lattice, first, labels, _transitive(reach))
 
     @classmethod

@@ -26,7 +26,9 @@ passes of ``map``.  Both clear the boundary
 (``PolygonQ.boundary_mask``) and check that n-1 diagonals are left.
 ``eta`` decodes the mask; the masks of ``eta_masks`` name the
 triangulations injectively, so fibers are grouped by them;
-``eta_mask_descents`` is the one reader of the descent case table.
+``eta_mask_descents`` reads the descent case table in two stages: the
+signature-free sides of a mask (``_mask_sides``), then the four up/down
+cases (``_case_descents``).
 ``_flip_lattice`` is the one flip order, over orbits of diagonals:
 single diagonals here, mirror pairs in type B.
 
@@ -665,13 +667,12 @@ def _diagonal_mask(tri: TriangulationA) -> int:
     return sum(1 << (u * stride + w) for u, w in tri.diagonals)
 
 
-def eta_mask_descents(mask: int, signature: UpDownSignature) -> int:
-    """Mask of the a in 1..n-1 for which (a, a+1) is a descent of the
-    triangulation whose diagonals are the bits of ``mask``, by the four
-    up/down cases of a and a+1, for every a at once.  Bit a of ``beyond``
-    says a diagonal leaves a towards some b > a+1, bit a of ``adjacent``
-    that (a, a+1) is a diagonal."""
-    n = signature.n
+def _mask_sides(mask: int, n: int) -> tuple[int, int]:
+    """(beyond, adjacent) of the triangulation of the (n+2)-gon whose
+    diagonals are the bits of ``mask``: bit a of ``beyond`` says a diagonal
+    leaves a towards some b > a+1, bit a of ``adjacent`` that (a, a+1) is
+    a diagonal.  No signature is read, so the masks of a group are read
+    once for all its signatures."""
     stride = n + 2
     beyond = adjacent = 0
     for a in range(1, n):
@@ -679,6 +680,14 @@ def eta_mask_descents(mask: int, signature: UpDownSignature) -> int:
         adjacent |= (row & 1) << a
         if row >> 1 & ((1 << (n - a)) - 1):
             beyond |= 1 << a
+    return beyond, adjacent
+
+
+def _case_descents(sides: tuple[int, int], signature: UpDownSignature) -> int:
+    """Mask of the a in 1..n-1 for which (a, a+1) is a descent of the
+    triangulation with ``_mask_sides`` ``sides``, by the four up/down cases
+    of a and a+1, for every a at once."""
+    beyond, adjacent = sides
     a_up = signature.upmask
     b_up = a_up >> 1
     descents = (
@@ -687,7 +696,13 @@ def eta_mask_descents(mask: int, signature: UpDownSignature) -> int:
         | a_up & b_up & ~beyond
         | a_up & ~b_up & ~adjacent
     )
-    return descents & ((1 << n) - 2)
+    return descents & ((1 << signature.n) - 2)
+
+
+def eta_mask_descents(mask: int, signature: UpDownSignature) -> int:
+    """Mask of the a in 1..n-1 for which (a, a+1) is a descent of the
+    triangulation whose diagonals are the bits of ``mask``."""
+    return _case_descents(_mask_sides(mask, signature.n), signature)
 
 
 def descent_set_of_triangulation(

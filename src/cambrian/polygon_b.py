@@ -12,7 +12,8 @@ flip lattice flips a diameter alone and a mirror pair together.
 ``_polygon_maps`` sits here, beside both signature types, and is the one
 A/B dispatch for eta: it gives the group walk builder (``GroupWalk``, or
 ``b_group_walk`` of the embedded elements), the whole-group mask reader
-and the descent reader of a type-A or type-B signature, and the suites
+and the two stages of the descent reader (a mask's signature-free sides,
+then the case table) of a type-A or type-B signature, and the suites
 and the fan checks all read eta through it.  ``eta`` and ``eta_b``, one
 element at a time, are kept as the public API and as test oracles.
 """
@@ -21,7 +22,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 from .coxeter import (
     _b_value_to_a,
@@ -38,13 +39,14 @@ from .polygon_a import (
     TriangulationA,
     UpDownSignature,
     _bits,
+    _case_descents,
     _chain_triangulations,
     _diagonal_mask,
     _flip_lattice,
     _mask_diagonals,
+    _mask_sides,
     _orientation_edges,
     eta,
-    eta_mask_descents,
     eta_masks,
     polygon_from_signature,
 )
@@ -289,19 +291,27 @@ def symmetric_triangulation_lattice(signature: SymmetricSignature) -> FiniteLatt
 # Descents of a symmetric triangulation.
 
 
+def _case_b_descents(sides: tuple[int, int], signature: SymmetricSignature) -> int:
+    """Left descents, bit i for s_i, of the symmetric triangulation whose
+    mask has ``_mask_sides`` ``sides`` on the doubled polygon: the doubled
+    signature's case table shifted by n."""
+    return _case_descents(sides, signature.polygon.signature) >> signature.n
+
+
 def eta_b_mask_descents(mask: int, signature: SymmetricSignature) -> int:
     """Left descents, bit i for s_i, of the symmetric triangulation with
-    diagonal mask ``mask``: the doubled signature's case table shifted by n."""
-    return eta_mask_descents(mask, signature.polygon.signature) >> signature.n
+    diagonal mask ``mask``."""
+    return _case_b_descents(_mask_sides(mask, 2 * signature.n), signature)
 
 
 def _polygon_maps(signature):
     """(the group walk of a list of elements, eta's diagonal masks of the
-    elements, given their walk or not, the descents of one mask) on the
-    signature's polygon; type B's is the doubled type-A one."""
+    elements, given their walk or not, the signature-free sides of one
+    mask, the descents of one mask's sides) on the signature's polygon;
+    type B's is the doubled type-A one."""
     if isinstance(signature, SymmetricSignature):
-        return b_group_walk, eta_b_masks, eta_b_mask_descents
-    return GroupWalk, eta_masks, eta_mask_descents
+        return b_group_walk, eta_b_masks, partial(_mask_sides, n=2 * signature.n), _case_b_descents
+    return GroupWalk, eta_masks, partial(_mask_sides, n=signature.n), _case_descents
 
 
 def descent_set_b(tri: TriangulationB) -> frozenset[int]:

@@ -228,7 +228,7 @@ def _fibers(masks) -> dict:
 def _eta_fiber_partition(lattice: FiniteLattice, signature, walk=None):
     """The fibers of eta on a weak order of type A or B, read off
     ``walk``, the group walk of its elements (built here if not given)."""
-    _, masks_of, _ = _polygon_maps(signature)
+    _, masks_of, *_ = _polygon_maps(signature)
     return _fibers(masks_of(lattice.elements, signature, walk))
 
 
@@ -236,7 +236,7 @@ def _group_walk(system: CoxeterSystem, n: int, lattice: FiniteLattice):
     """The group's signatures, and the group walk of its weak order that
     eta and the projections read under each of them."""
     signatures = _signatures(system, n)
-    walk_of, _, _ = _polygon_maps(signatures[0])
+    walk_of, *_ = _polygon_maps(signatures[0])
     return signatures, walk_of(lattice.elements)
 
 
@@ -613,16 +613,23 @@ def _case_table_check(
 ) -> dict:
     """The triangulation case tables give the left descents of every
     element of the weak order, for every signature, read off eta's
-    diagonal masks once per triangulation."""
+    diagonal masks once per triangulation.  The sides of a mask do not
+    depend on the signature, so each distinct mask of the group is read
+    once for all signatures."""
     name = f"{label} case tables"
     descents = [
         sum(1 << a for a in system.left_descents(x)) for x in lattice.elements
     ]
     signatures, walk = _group_walk(system, n, lattice)
+    sides = {}
     for sig in signatures:
-        _, masks_of, descents_of = _polygon_maps(sig)
+        _, masks_of, sides_of, descents_of = _polygon_maps(sig)
         masks = masks_of(lattice.elements, sig, walk)
-        table = {mask: descents_of(mask, sig) for mask in set(masks)}
+        table = {}
+        for mask in set(masks):
+            if mask not in sides:
+                sides[mask] = sides_of(mask)
+            table[mask] = descents_of(sides[mask], sig)
         ours = list(map(table.__getitem__, masks))
         if ours != descents:
             x = next(

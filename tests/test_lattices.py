@@ -368,10 +368,10 @@ def test_coset_table_matches_polygon_walk(family, rank, bond):
             assert lattice.covers[cosets.first[x] + k] == (x, y)
     assert list(cosets.labels) == labels
     assert cosets.reach == reach
-    lowmask = [0] * lattice.n
+    heads = [0] * len(reach)
     for (_, y), label in zip(lattice.covers, labels):
-        lowmask[y] |= 1 << label
-    assert cosets.lowmask == lowmask
+        heads[label] |= 1 << y
+    assert cosets.heads == heads
 
 
 @pytest.mark.parametrize("family, rank, bond", [("A", 3, None), ("B", 3, None), ("H3", None, None)])
@@ -392,6 +392,70 @@ def test_coset_table_fails_closed_on_a_swapped_generator(family, rank, bond):
                 PolygonForcing.from_cosets(lattice, swapped, bonds)
             swaps += 1
     assert swaps > lattice.n
+
+
+def forged_hexagon(forge):
+    """The weak order of S3 and its coset table, forged by ``forge``: a
+    function of (lattice, ascents, bonds) giving the forged (ascents,
+    bonds) and the message ``from_cosets`` must raise on them."""
+    lattice = hexagon()
+    ascents, bonds = lattice.cosets(lattice)
+    return (lattice, *forge(lattice, array("i", ascents), bonds))
+
+
+def drop_an_ascent(lattice, ascents, bonds):
+    x = lattice.bottom
+    y, ascents[2 * x] = ascents[2 * x], -1
+    return ascents, bonds, f"cover {x} -> {y} is no ascent of {x}"
+
+
+def add_an_ascent(lattice, ascents, bonds):
+    ascents[2 * lattice.top] = lattice.bottom
+    return ascents, bonds, "an ascent is not a cover"
+
+
+def chain_from_bottom(ascents, word):
+    """The elements x, xs, xst, ... from the bottom 0 along ``word``."""
+    chain = [0]
+    for s in word:
+        chain.append(ascents[2 * chain[-1] + s])
+    return chain
+
+
+def lengthen_the_bond(lattice, ascents, bonds):
+    # Chains of m(s, t) = 4 edges climb past the top, w0 = sts.
+    *_, st, sts = chain_from_bottom(ascents, (0, 1, 0))
+    edge = lattice.covers.index((st, sts))
+    return ascents, [[1, 4], [4, 1]], f"edge {edge} has no ascent 1 after it"
+
+
+def shorten_the_bond(lattice, ascents, bonds):
+    # Chains of m(s, t) = 2 edges stop at st and ts, which differ.
+    st, ts = chain_from_bottom(ascents, (0, 1))[-1], chain_from_bottom(ascents, (1, 0))[-1]
+    return ascents, [[1, 2], [2, 1]], f"the chains of 0, 1 from 0 end at {st} and {ts}"
+
+
+def drop_a_root(lattice, ascents, bonds):
+    # The cover into a join-irreducible is the top edge of no coset, so
+    # with the join-irreducible left out of the roots nothing labels it.
+    *kept, g = lattice.join_irreducibles
+    lattice.join_irreducibles = kept
+    edge = lattice.covers.index((lattice.lower[g][0], g))
+    return ascents, bonds, f"edge {edge} has no label"
+
+
+@pytest.mark.parametrize(
+    "forge",
+    [drop_an_ascent, add_an_ascent, lengthen_the_bond, shorten_the_bond, drop_a_root],
+)
+def test_coset_table_fails_closed_with_its_message(forge):
+    """Each check of the table walk refuses its forged table, by name; a
+    perspective edge with a second label is refused in the test below."""
+    lattice, ascents, bonds, message = forged_hexagon(forge)
+    assert lattice.bottom == 0
+    with pytest.raises(AssertionError) as raised:
+        PolygonForcing.from_cosets(lattice, ascents, bonds)
+    assert str(raised.value) == message
 
 
 def test_coset_table_fails_closed_on_two_labels_for_one_edge():
@@ -451,8 +515,37 @@ def test_congruence_from_labels_matches_eager_partition(family, rank, bond):
         assert partition_fields(lazy) == partition_fields(eager)
         assert lazy.key() == eager.key()
         assert lazy.verify() == eager.verify() == (True, None)
-        bottoms = [x for x in range(lattice.n) if not forcing.lowmask[x] & lazy.hit]
+        contracted = 0
+        for label, heads in enumerate(forcing.heads):
+            if lazy.hit >> label & 1:
+                contracted |= heads
+        bottoms = [x for x in range(lattice.n) if not contracted >> x & 1]
         assert bottoms == [members[0] for members in lazy.classes]
+
+
+@pytest.mark.parametrize("family, rank, bond", WEAK_ORDERS)
+def test_class_count_from_heads_matches_union_find(family, rank, bond):
+    """The class count read off the head masks is the number of classes the
+    union-find oracle finds, on every Cambrian congruence of the weak order
+    and on every contraction of a join-irreducible in each Cambrian
+    quotient, whose table is restricted from the weak order's."""
+    system = get_system(family, rank, bond)
+    lattice = system.weak_order_lattice()
+    for orientation in all_orientations(system):
+        pairs = [
+            (lattice.index[a], lattice.index[b])
+            for a, b in generating_pairs(system, orientation)
+        ]
+        cong = congruence_closure(lattice, pairs)
+        assert cong.hit is not None
+        assert cong.num_classes == len(union_find_closure(lattice, pairs).classes)
+        quotient = quotient_lattice(cong)
+        assert quotient.polygon_forcing() is not None
+        for g in quotient.join_irreducibles:
+            pair = [(quotient.lower[g][0], g)]
+            fast = congruence_closure(quotient, pair)
+            assert fast.hit is not None
+            assert fast.num_classes == len(union_find_closure(quotient, pair).classes)
 
 
 def test_class_count_does_not_derive_the_partition():
@@ -576,7 +669,7 @@ LABEL_CASES = {
 def test_cover_labels_are_join_irreducibles_contracted_with_their_cover(make):
     """Each cover's label is a join-irreducible contracted with it, and
     where the lattice has a forcing table (each weak order and Cambrian
-    quotient), its edge ids, labels and lower-label masks are those of the
+    quotient), its edge ids, labels and head masks are those of the
     definitions."""
     for lattice in make():
         ji = lattice.join_irreducibles
@@ -592,8 +685,8 @@ def test_cover_labels_are_join_irreducibles_contracted_with_their_cover(make):
             for x, ux in enumerate(lattice.upper):
                 for k, y in enumerate(ux):
                     assert lattice.covers[forcing.first[x] + k] == (x, y)
-            assert forcing.lowmask == [
-                sum(1 << ji.index(labels[x, y]) for x in lattice.lower[y]) for y in range(lattice.n)
+            assert forcing.heads == [
+                sum(1 << y for y in {y for (_, y), m in labels.items() if m == g}) for g in ji
             ]
         for g in ji:
             class_of = union_find_closure(lattice, [(lattice.lower[g][0], g)]).class_of

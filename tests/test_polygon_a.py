@@ -592,6 +592,27 @@ def test_case_tables_fail_with_the_scan_witness(monkeypatch, family, n, first):
     }
 
 
+@pytest.mark.parametrize("family, n, masks", [("A", 6, 2697), ("B", 3, None)])
+def test_case_tables_read_each_mask_of_a_group_once(monkeypatch, family, n, masks):
+    """The signature-free sides of a diagonal mask are read once per
+    group, however many signatures give that mask, and the check passes."""
+    from cambrian import polygon_b
+
+    system = get_system(family, n - 1 if family == "A" else n)
+    lattice = system.weak_order_lattice()
+    read = []
+    real = polygon_a._mask_sides
+    monkeypatch.setattr(polygon_b, "_mask_sides", lambda mask, n: read.append(mask) or real(mask, n))
+    assert suites._case_table_check(system, n, lattice, f"{family} n={n}")["passed"]
+    signatures, walk = suites._group_walk(system, n, lattice)
+    distinct = set()
+    for sig in signatures:
+        _, masks_of, *_ = polygon_b._polygon_maps(sig)
+        distinct.update(masks_of(lattice.elements, sig, walk))
+    assert sorted(read) == sorted(distinct)
+    assert masks is None or len(read) == masks
+
+
 def test_mask_case_table_matches_descent_set():
     for sig, _ in _small_cases(5):
         if sig.n < 3:
