@@ -7,9 +7,10 @@ Supported families:
 * ``B`` (rank n): signed permutations, elements as abbreviated signed
   tuples (x_1, ..., x_n) with x_{-i} = -x_i implied.
 * ``I2`` (parameter m) and ``H3``: a generic engine that closes the roots
-  over Z[2cos(pi/m)] on its first read, once per system, and tracks each
-  element as the permutation it induces on the roots, together with its
-  set of (positive-root) inversions and a reduced word.  A and B read the
+  over Z[2cos(pi/m)] on its first read, once per system.  An element is
+  the tuple of root ids it sends the roots to, and nothing else: its
+  (positive-root) inversions are the positive roots it sends negative,
+  and its word is read by stripping left descents.  A and B read the
   engine only for their roots, field or Gram matrix.
 
 The right weak order is generated by covers w < ws; joins and meets are
@@ -23,7 +24,6 @@ import functools
 import itertools
 import math
 from array import array
-from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Optional
@@ -272,34 +272,17 @@ def all_signed_ji_subsets(n: int) -> list[frozenset[int]]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Generic engine elements.
-
-
-@dataclass(frozen=True)
-class GenericElement:
-    """Element of a generic Coxeter system, identified by its inversion set.
-
-    ``perm[k]`` is the id of w(rho_k) for every root id k: the positive
-    roots are 0..N-1 and -rho_k is k+N.
-    """
-
-    inversions: frozenset[int]
-    word: tuple[int, ...]
-    perm: tuple[int, ...]
-
-    def __eq__(self, other):
-        return isinstance(other, GenericElement) and self.inversions == other.inversions
-
-    def __hash__(self):
-        return hash(self.inversions)
-
-
 class CoxeterSystem:
     """A finite Coxeter system with a fixed simple-generator labelling.
 
     Generator names: 1..r for family A, 0..n-1 for family B (0 is the
     sign-change generator), 1..2 for I2, 1..3 for H3 (bond m(1,2) = 5).
+
+    An I2 or H3 element w is one tuple: ``w[k]`` is the id of w(rho_k) for
+    every root id k, where the positive roots are 0..N-1 and -rho_k is
+    k+N.  Its inversion set is the positive roots p - N with p >= N in
+    ``w[:N]``; its word is its least left descent s_i followed by the
+    word of s_i w, the lexicographically least reduced word.
     """
 
     def __init__(self, family: str, rank: int, bond: Optional[int] = None):
@@ -354,7 +337,7 @@ class CoxeterSystem:
     def identity(self):
         if self.family in ("A", "B"):
             return tuple(range(1, self.n + 1))
-        return GenericElement(frozenset(), (), tuple(range(2 * len(self._engine.roots))))
+        return tuple(range(2 * len(self._engine.roots)))
 
     def generator(self, name):
         return self.right_multiply(self.identity(), name)
@@ -368,7 +351,7 @@ class CoxeterSystem:
             else:
                 lst[name - 1], lst[name] = lst[name], lst[name - 1]
             return tuple(lst)
-        return self._generic_right_multiply(w, name)
+        return tuple(w[j] for j in self._engine.gen_perms[self._gen_index(name)])
 
     def from_word(self, word):
         w = self.identity()
@@ -379,7 +362,7 @@ class CoxeterSystem:
     def is_right_descent(self, w, name) -> bool:
         if self.family in ("A", "B"):
             return w[0] < 0 if name == 0 else w[name - 1] > w[name]
-        return w.perm[self._gen_index(name)] >= len(self._engine.roots)
+        return w[self._gen_index(name)] >= len(self._engine.roots)
 
     def length(self, w) -> int:
         return len(self.inversion_set(w))
@@ -389,7 +372,8 @@ class CoxeterSystem:
             return inversion_set_a(w)
         if self.family == "B":
             return inversion_set_b(w)
-        return w.inversions
+        n = len(self._engine.roots)
+        return frozenset(p - n for p in w[:n] if p >= n)
 
     def left_descents(self, w) -> frozenset:
         """Generators s with l(sw) < l(w).
@@ -405,10 +389,9 @@ class CoxeterSystem:
             if self.family == "B" and -1 in w:
                 out.add(0)
             return frozenset(out)
+        inversions = self.inversion_set(w)
         return frozenset(
-            name
-            for name in self.generator_names
-            if self._gen_index(name) in w.inversions
+            name for i, name in enumerate(self.generator_names) if i in inversions
         )
 
     def generator_of_atom(self, w):
@@ -421,7 +404,7 @@ class CoxeterSystem:
     def act(self, w, v):
         """w(v) for v in the simple-root basis: sum of v_j * w(alpha_j)."""
         field, root_vectors = self._engine.field, self._engine.root_vectors
-        images = [root_vectors[k] for k in w.perm[: self.rank]]
+        images = [root_vectors[k] for k in w[: self.rank]]
         return tuple(
             functools.reduce(
                 field.add,
@@ -437,11 +420,27 @@ class CoxeterSystem:
         """One-line notation for A and B, a reduced word for I2 and H3."""
         if self.family in ("A", "B"):
             return ",".join(str(v) for v in w)
-        return " ".join(f"s{g}" for g in w.word) if w.word else "e"
+        word = self._word(w)
+        return " ".join(f"s{g}" for g in word) if word else "e"
 
     def sort_key(self, w):
         """(length, one-line notation or reduced word): the canonical order."""
-        return (self.length(w), tuple(w) if self.family in ("A", "B") else w.word)
+        return (self.length(w), tuple(w) if self.family in ("A", "B") else self._word(w))
+
+    def _word(self, w) -> tuple:
+        """The lexicographically least reduced word of an I2 or H3 element:
+        its least left descent s, then the word of s w."""
+        words = self._words
+        if w not in words:
+            name = min(self.left_descents(w))
+            s = self._engine.gen_perms[self._gen_index(name)]
+            words[w] = (name,) + self._word(tuple(s[p] for p in w))
+        return words[w]
+
+    @functools.cached_property
+    def _words(self) -> dict:
+        """The words derived so far, by element."""
+        return {self.identity(): ()}
 
     # -- joins and meets ----------------------------------------------------
 
@@ -601,25 +600,6 @@ class CoxeterSystem:
             field=field, gram=gram, roots=root_list, root_vectors=root_vectors, gen_perms=tuple(gens)
         )
 
-    def _generic_right_multiply(self, w: GenericElement, name) -> GenericElement:
-        engine = self._engine
-        i = self._gen_index(name)
-        perm = tuple(w.perm[k] for k in engine.gen_perms[i])
-        root = w.perm[i]
-        n = len(engine.roots)
-        if root < n:
-            return GenericElement(w.inversions | {root}, w.word + (name,), perm)
-        # Exchange condition: ws is w with the letter deleted whose prefix
-        # root s_1 ... s_{j-1}(alpha_{s_j}) is -w(alpha_s).
-        prefix = range(2 * n)
-        for j, letter in enumerate(w.word):
-            k = self._gen_index(letter)
-            if prefix[k] == root - n:
-                break
-            prefix = [prefix[t] for t in engine.gen_perms[k]]
-        word = w.word[:j] + w.word[j + 1 :]
-        return GenericElement(w.inversions - {root - n}, word, perm)
-
     @property
     def roots(self):
         return self._engine.roots
@@ -633,24 +613,34 @@ class CoxeterSystem:
         return self._engine.gram
 
 
-def build_system(family: str, rank: Optional[int] = None, bond: Optional[int] = None) -> CoxeterSystem:
-    """Construct a Coxeter system for family A, B, I2(m) or H3."""
-    if family == "I2":
-        return CoxeterSystem("I2", 2, bond)
-    if family == "H3":
-        return CoxeterSystem("H3", 3)
+def _system_key(family: str, rank: Optional[int], bond: Optional[int]) -> tuple:
+    """One (family, rank, bond) spelling per group: I2 has rank 2, H3 rank
+    3, and only I2 a bond.  ValueError on a bond outside I2, a rank that
+    I2 or H3 contradicts, or a family A or B without a positive rank."""
+    if bond is not None and family != "I2":
+        raise ValueError(f"family {family} takes no bond label, got {bond}")
+    fixed = {"I2": 2, "H3": 3}.get(family)
+    if fixed is not None:
+        if rank not in (None, fixed):
+            raise ValueError(f"family {family} has rank {fixed}, got {rank}")
+        return family, fixed, bond
     if rank is None or rank < 1:
         raise ValueError(f"family {family} needs a positive rank")
-    return CoxeterSystem(family, rank)
+    return family, rank, bond
+
+
+def build_system(family: str, rank: Optional[int] = None, bond: Optional[int] = None) -> CoxeterSystem:
+    """Construct a Coxeter system for family A, B, I2(m) or H3."""
+    return CoxeterSystem(*_system_key(family, rank, bond))
 
 
 _SYSTEMS: dict = {}
 
 
 def get_system(family: str, rank: Optional[int] = None, bond: Optional[int] = None) -> CoxeterSystem:
-    """The one shared system per (family, rank, bond), so that each weak
-    order is enumerated once per process."""
-    key = (family, rank, bond)
+    """The one shared system per group, so that each weak order is
+    enumerated once per process."""
+    key = _system_key(family, rank, bond)
     if key not in _SYSTEMS:
-        _SYSTEMS[key] = build_system(family, rank, bond)
+        _SYSTEMS[key] = CoxeterSystem(*key)
     return _SYSTEMS[key]

@@ -14,6 +14,7 @@ from cambrian import (
 from cambrian.congruences import (
     all_orientations,
     orientation_from_edges,
+    parabolic_elements,
 )
 
 
@@ -108,3 +109,9 @@ def test_parabolic_restriction():
     ob = orientation_from_edges(b3, [(0, 1), (2, 1)])
     assert parabolic_restriction_check(b3, ob, {0, 1})
     assert parabolic_restriction_check(b3, ob, {1, 2})
+    # H3 multiplies by descents on the generic engine.
+    h3 = build_system("H3")
+    for K, size in [({1, 2}, 10), ({2, 3}, 6), ({1, 3}, 4)]:
+        assert len(parabolic_elements(h3, K)) == size
+        for o in all_orientations(h3):
+            assert parabolic_restriction_check(h3, o, K), (o, K)

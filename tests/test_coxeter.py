@@ -168,6 +168,29 @@ def test_get_system_is_one_memo_table():
 
     assert cambrian.get_system("A", 3) is suites.get_system("A", 3)
     assert cambrian.get_system("I2", None, 5) is suites.get_system("I2", None, 5)
+    # Spelling out the rank I2 and H3 always have keeps the one system.
+    assert get_system("H3", 3) is get_system("H3")
+    assert get_system("I2", 2, 5) is get_system("I2", None, 5)
+
+
+@pytest.mark.parametrize(
+    "family, rank, bond, message",
+    [
+        ("A", 3, 7, "takes no bond"),
+        ("B", 2, 4, "takes no bond"),
+        ("H3", None, 5, "takes no bond"),
+        ("H3", 4, None, "has rank 3"),
+        ("I2", 3, 5, "has rank 2"),
+        ("A", None, None, "positive rank"),
+    ],
+)
+def test_get_system_rejects_contradicting_keys(family, rank, bond, message):
+    # Fail closed: a bond or rank the group does not have is no new system.
+    before = dict(coxeter._SYSTEMS)
+    for make in (get_system, build_system):
+        with pytest.raises(ValueError, match=message):
+            make(family, rank, bond)
+    assert coxeter._SYSTEMS == before
 
 
 def test_inversion_sets():
@@ -367,17 +390,18 @@ def test_root_permutations_match_matrix_products(key):
     field, r = system.field, system.rank
     simples = [tuple(field.one if j == i else field.zero for j in range(r)) for i in range(r)]
     for w in system.weak_order_lattice().elements:
-        assert len(w.word) == len(w.inversions)
-        matrix = _word_matrix(system, w.word)
+        word, inversions = system._word(w), system.inversion_set(w)
+        assert len(word) == len(inversions)
+        matrix = _word_matrix(system, word)
         for j, alpha in enumerate(simples):
             assert system.act(w, alpha) == tuple(row[j] for row in matrix)
-        inverse = _word_matrix(system, w.word[::-1])
+        inverse = _word_matrix(system, word[::-1])
         negated = {
             k
             for k, beta in enumerate(system.roots)
             if any(field.sign(x) < 0 for x in mat_vec(field, inverse, beta))
         }
-        assert w.inversions == negated, w.word
+        assert inversions == negated, word
 
 
 @pytest.mark.parametrize(
@@ -389,6 +413,33 @@ def test_right_multiply_by_a_descent_keeps_the_word_reduced(key):
         for name in system.generator_names:
             if system.is_right_descent(w, name):
                 ws = system.right_multiply(w, name)
-                assert len(ws.word) == len(ws.inversions), (w.word, name)
-                from_word = system.from_word(ws.word)
-                assert from_word == ws and from_word.perm == ws.perm
+                word = system._word(ws)
+                assert len(word) == len(system.inversion_set(ws)), (system._word(w), name)
+                assert system.length(ws) == system.length(w) - 1
+                assert system.from_word(word) == ws
+
+
+@pytest.mark.parametrize(
+    "key", [("I2", None, m) for m in range(3, 13)] + [("H3", None, None)]
+)
+def test_word_is_least_over_lower_covers(key):
+    # Oracle: the word of w is the least (word(u), s) over the lower covers
+    # u of w with u s = w, walked in index order, a linear extension.
+    system = build_system(*key)
+    lattice = system.weak_order_lattice()
+    words = []
+    for i, w in enumerate(lattice.elements):
+        expected = min(
+            (
+                (words[j], name)
+                for j in lattice.lower[i]
+                for name in system.generator_names
+                if system.right_multiply(lattice.elements[j], name) == w
+            ),
+            default=None,
+        )
+        words.append(() if expected is None else expected[0] + (expected[1],))
+        word = system._word(w)
+        assert word == words[i], i
+        assert system.from_word(word) == w
+        assert len(word) == system.length(w)
