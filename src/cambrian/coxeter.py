@@ -375,6 +375,19 @@ class CoxeterSystem:
         n = len(self._engine.roots)
         return frozenset(p - n for p in w[:n] if p >= n)
 
+    def wall_reflection(self, w, name):
+        """The reflection w s w^-1 across the wall that the chambers of w
+        and w s share, named as in ``inversion_set``: the one inversion of
+        exactly one of them.  In I2 and H3 it is the positive root of
+        w(alpha_s), read off the root permutation."""
+        if self.family == "A":
+            return tuple(sorted(w[name - 1 : name + 1]))
+        if self.family == "B":
+            if name == 0:
+                return canonical_reflection(-abs(w[0]), abs(w[0]))
+            return canonical_reflection(*sorted(w[name - 1 : name + 1]))
+        return w[self._gen_index(name)] % len(self._engine.roots)
+
     def left_descents(self, w) -> frozenset:
         """Generators s with l(sw) < l(w).
 

@@ -22,7 +22,10 @@ gives its facet normals, and one class loop
 (``_check_fan_ab``) reads off them its rank, the regions and rays it
 holds, and its wall sides; the member regions' rays come from one table
 per weak order (``_region_table``), and each class tests its distinct
-member rays once.
+member rays once.  The internal checks ``_check_fan_a``/``_check_fan_b``
+take the Cambrian lattice and a memo of eliminated cones, so that the
+fan suite builds each orientation's lattice once and eliminates each
+distinct cone of a group once.
 
 In H3 a cone is cut out by the walls that leave its class: the wall of
 w's chamber opposite w * omega_k bounds the class exactly when w * s_k is
@@ -34,7 +37,12 @@ hyperplane that each ray lies on.  Every wall on a reflection's hyperplane
 spans the same plane, so its determinant with any ray is one fixed
 nonzero multiple of the row's; the check reads only whether it is zero
 and whether it agrees in sign with the inner ray's, which that multiple
-keeps.  Each orientation is then a pass of table lookups.
+keeps.  Each orientation is then a pass of table lookups.  The table
+computes each thing once: a row dots one normal u x v per reflection
+with every ray, as det(u, v, r) = (u x v) . r; a chamber copies the rays
+it shares with a lower cover w * s_d and acts only for w * omega_d; and
+a wall's reflection is read off the root permutation
+(``CoxeterSystem.wall_reflection``).
 """
 
 from __future__ import annotations
@@ -114,7 +122,7 @@ def _inward_normals(rays, lineality=()):
     rows, pivots, d = _echelon(matrix)
     if pivots != list(range(dim)):
         return None
-    return [tuple(x if d > 0 else -x for x in row[dim:]) for row in rows[: len(rays)]]
+    return tuple(tuple(x if d > 0 else -x for x in row[dim:]) for row in rows[: len(rays)])
 
 
 def _dot(u, v):
@@ -294,7 +302,7 @@ def _fan_faces(camb, cones, side, simplicial, tiling, **extra) -> dict:
 
 
 def _check_fan_ab(
-    camb, cones, vectors, region_rays, lineality=(), fan_rays=None
+    camb, cones, vectors, region_rays, lineality=(), fan_rays=None, eliminated=None
 ) -> dict:
     """The fan report of type A or B, from the ray keys of each class cone.
 
@@ -304,8 +312,19 @@ def _check_fan_ab(
     says whether each cone holds exactly the fan rays it lists.  Ray b is
     across a wall from a when b is on the negative side of a's normal in
     the cone on the wall and a.
+
+    ``eliminated`` maps (ray vectors, lineality) of each cone eliminated
+    so far to its normals; the fan suite shares one across the signatures
+    of a group, whose congruences share most of their cones.
     """
-    normals = [_inward_normals([vectors[a] for a in cone], lineality) for cone in cones]
+    if eliminated is None:
+        eliminated = {}
+    normals = []
+    for cone in cones:
+        key = (tuple(vectors[a] for a in cone), lineality)
+        if key not in eliminated:
+            eliminated[key] = _inward_normals(*key)
+        normals.append(eliminated[key])
 
     def inside(c, v):
         return normals[c] is not None and all(_dot(b, v) >= 0 for b in normals[c])
@@ -348,31 +367,37 @@ def _region_table(lattice: FiniteLattice, region_rays):
     return tuple(ids), rays_of
 
 
-def _class_diagonals(system: CoxeterSystem, signature, n: int):
-    """The Cambrian lattice of the signature's orientation of ``system``,
-    and the sorted diagonals of each class bottom's triangulation, in class
-    order, read off the eta tables of the signature's type-A n-gon."""
-    camb = cambrian_lattice(
+def _signature_lattice(system: CoxeterSystem, signature) -> CambrianLattice:
+    """The Cambrian lattice of the signature's orientation of ``system``."""
+    return cambrian_lattice(
         system, orientation_from_edges(system, signature.orientation_edges())
     )
+
+
+def _class_diagonals(camb: CambrianLattice, signature, n: int):
+    """The sorted diagonals of each class bottom's triangulation, in class
+    order, of the signature's Cambrian lattice ``camb``, read off the eta
+    tables of the signature's type-A n-gon."""
     _, masks_of, *_ = _polygon_maps(signature)
     elements = camb.congruence.lattice.elements
     bottoms = [elements[members[0]] for members in camb.congruence.classes]
-    return camb, [sorted(_mask_diagonals(m, n)) for m in masks_of(bottoms, signature)]
+    return [sorted(_mask_diagonals(m, n)) for m in masks_of(bottoms, signature)]
 
 
 # ---------------------------------------------------------------------------
 # Fan verification, type A.
 
 
-def _cones_a(signature: UpDownSignature, pairs):
-    """The Cambrian lattice of the signature, and the ray subsets of each
-    class cone: those of the diagonals of the class bottom's triangulation.
-    ``pairs`` is the signature's ``_rays_and_diagonals`` table."""
-    n = signature.n
-    camb, diagonals = _class_diagonals(get_system("A", n - 1), signature, n)
+def _cones_a(camb: CambrianLattice, signature: UpDownSignature, pairs):
+    """The ray subsets of each class cone of the signature's Cambrian
+    lattice ``camb``: those of the diagonals of the class bottom's
+    triangulation.  ``pairs`` is the signature's ``_rays_and_diagonals``
+    table."""
     d2s = {d: a for a, d in pairs}
-    return camb, [tuple(d2s[d] for d in diags) for diags in diagonals]
+    return [
+        tuple(d2s[d] for d in diags)
+        for diags in _class_diagonals(camb, signature, signature.n)
+    ]
 
 
 def check_fan_a(signature: UpDownSignature) -> dict:
@@ -384,12 +409,21 @@ def check_fan_a(signature: UpDownSignature) -> dict:
     and glue along facets in opposite-side pairs; the dual graph is
     compared with the quotient's Hasse diagram.
     """
+    system = get_system("A", signature.n - 1)
+    return _check_fan_a(signature, _signature_lattice(system, signature))
+
+
+def _check_fan_a(signature: UpDownSignature, camb: CambrianLattice, eliminated=None) -> dict:
+    """The fan check of the signature's Cambrian lattice ``camb``; see
+    ``_check_fan_ab`` for ``eliminated``."""
     n = signature.n
     pairs = _rays_and_diagonals(signature)
-    camb, cones = _cones_a(signature, pairs)
+    cones = _cones_a(camb, signature, pairs)
     subsets = [a for a, _ in pairs]
     vectors = {a: _int_ray(n, a) for a in subsets}
-    report = _check_fan_ab(camb, cones, vectors, _suffix_rays_a, [(1,) * n], subsets)
+    report = _check_fan_ab(
+        camb, cones, vectors, _suffix_rays_a, ((1,) * n,), subsets, eliminated=eliminated
+    )
     return {"family": "A", **report, "num_rays": len(subsets)}
 
 
@@ -420,9 +454,15 @@ def check_fan_b(signature: SymmetricSignature) -> dict:
     Rank, cone membership and sides of walls do not change when each
     antisymmetric vector is kept as its last n coordinates.
     """
-    n = signature.n
-    two_n = 2 * n
-    camb, diagonals = _class_diagonals(get_system("B", n), signature, two_n)
+    system = get_system("B", signature.n)
+    return _check_fan_b(signature, _signature_lattice(system, signature))
+
+
+def _check_fan_b(signature: SymmetricSignature, camb: CambrianLattice, eliminated=None) -> dict:
+    """The fan check of the signature's Cambrian lattice ``camb``; see
+    ``_check_fan_ab`` for ``eliminated``."""
+    two_n = 2 * signature.n
+    diagonals = _class_diagonals(camb, signature, two_n)
     # Both diagonals of an orbit under the central symmetry give its ray;
     # cones name each orbit by its smaller diagonal.
     vectors = {
@@ -432,7 +472,7 @@ def check_fan_b(signature: SymmetricSignature) -> dict:
     cones = [
         tuple(sorted({min(d, _mirror(d, two_n)) for d in diags})) for diags in diagonals
     ]
-    report = _check_fan_ab(camb, cones, vectors, _symmetric_region_rays)
+    report = _check_fan_ab(camb, cones, vectors, _symmetric_region_rays, eliminated=eliminated)
     return {"family": "B", **report}
 
 
@@ -455,7 +495,13 @@ def _dot3(field, u, v):
 
 
 def _det3(field, u, v, w):
-    """det of the 3x3 matrix with rows u, v, w: u . (v x w)."""
+    """det of the 3x3 matrix with rows u, v, w: u . (v x w).
+
+    No fan check calls it: ``_chamber_table`` dots one normal per
+    reflection instead.  It stays as the tests' oracle for those sign
+    rows, and as the function that the benchmark's ``fans.det3`` span
+    (``perfbench/tracing.py``) wraps.
+    """
     return _dot3(field, u, _cross(field, v, w))
 
 
@@ -480,37 +526,46 @@ def _chamber_table(system: CoxeterSystem, lattice: FiniteLattice):
     ``rays[r]`` is the vector of ray id r.  Chamber i, of the element w at
     lattice index i, has the rays ``rays_of[i][k]`` = w * omega_k; its wall
     opposite that ray leads to the chamber ``moves[i][k][0]`` = w * s_k,
-    across the hyperplane of the reflection ``moves[i][k][1]``.
-    ``signs[t][r]`` is the sign of det(u, v, ray r) for the rays u, v of
-    the first chamber wall found on the hyperplane of t.
+    across the hyperplane of the reflection ``moves[i][k][1]``, the positive
+    root of w(alpha_k) (``CoxeterSystem.wall_reflection``).  ``signs[t][r]``
+    is the sign of det(u, v, ray r) = (u x v) . ray r for the rays u, v of
+    the first chamber wall found on the hyperplane of t: one normal u x v
+    per reflection, dotted with every ray.
 
     Every chamber ray w * omega_k is an integer vector over Z[c], from the
     scaled weights.  Each ray of the Coxeter arrangement is w * omega_k for
     exactly one k, so the raw vector is its canonical key; and only signs
     of determinants are read, which positive scaling does not change.
+    Elements come in lattice order, so the lower cover w * s_d of each w
+    but the identity, for its first right descent d, is already done: s_d
+    fixes omega_j for j != d, so w shares those rays with it and only
+    w * omega_d is computed.
     """
     field = system.field
+    names = system.generator_names
     weights = _scaled_weights(system)
     ids = {}
     rays_of, moves, first_wall = [], [], {}
     for w in lattice.elements:
-        rays = tuple(
-            ids.setdefault(system.act(w, omega), len(ids)) for omega in weights
+        row = tuple(
+            (lattice.index[system.right_multiply(w, name)], system.wall_reflection(w, name))
+            for name in names
         )
-        inversions = system.inversion_set(w)
-        row = []
-        for k, name in enumerate(system.generator_names):
-            ws = system.right_multiply(w, name)
-            (t,) = inversions ^ system.inversion_set(ws)
+        d = next((k for k, name in enumerate(names) if system.is_right_descent(w, name)), None)
+        if d is None:
+            rays = [ids.setdefault(system.act(w, omega), len(ids)) for omega in weights]
+        else:
+            rays = list(rays_of[row[d][0]])
+            rays[d] = ids.setdefault(system.act(w, weights[d]), len(ids))
+        for k, (_, t) in enumerate(row):
             first_wall.setdefault(t, (rays[k - 2], rays[k - 1]))
-            row.append((lattice.index[ws], t))
-        rays_of.append(rays)
-        moves.append(tuple(row))
+        rays_of.append(tuple(rays))
+        moves.append(row)
     vectors = tuple(ids)
-    signs = {
-        t: tuple(field.sign(_det3(field, vectors[u], vectors[v], r)) for r in vectors)
-        for t, (u, v) in first_wall.items()
-    }
+    signs = {}
+    for t, (u, v) in first_wall.items():
+        normal = _cross(field, vectors[u], vectors[v])
+        signs[t] = tuple(field.sign(_dot3(field, normal, r)) for r in vectors)
     return vectors, tuple(rays_of), tuple(moves), signs
 
 
@@ -934,7 +989,8 @@ def fan_to_json(signature: UpDownSignature) -> dict:
     pairs = _rays_and_diagonals(signature)
     subsets = [a for a, _ in pairs]
     ray_index = {a: k for k, a in enumerate(subsets)}
-    _, cones_a = _cones_a(signature, pairs)
+    camb = _signature_lattice(get_system("A", n - 1), signature)
+    cones_a = _cones_a(camb, signature, pairs)
     cones = [sorted(ray_index[a] for a in cone) for cone in cones_a]
     return {
         "dim": n - 1,

@@ -66,12 +66,12 @@ from .polygon_b import (
     shard_digraph_b,
 )
 from .fans import (
+    _check_fan_a,
+    _check_fan_b,
     _check_fan_h3,
     alternating_signature,
     b_bipartite_signature,
     b_cluster_poset,
-    check_fan_a,
-    check_fan_b,
     cluster_poset,
     cluster_refine_check,
     clusters,
@@ -496,7 +496,12 @@ def suite_shard(family=None, max_rank=None, cap=None) -> dict:
 
 
 def suite_fan(family=None, max_rank=None, cap=None) -> dict:
-    """Exact fan checks: simplicial tiling, dual graph, ray dictionary."""
+    """Exact fan checks: simplicial tiling, dual graph, ray dictionary.
+
+    In A and B each orientation's Cambrian lattice is built once for the
+    signatures that induce it, and each distinct cone of a group is
+    eliminated once; both memos are dropped with the group.
+    """
     checks = []
     bounds = {"A": 4, "B": 3, "H3": None}
     # Every family's groups are checked against the cap before any is built.
@@ -504,9 +509,13 @@ def suite_fan(family=None, max_rank=None, cap=None) -> dict:
     for fam, groups in [(fam, _groups(fam, max_rank, bounds, cap)) for fam in families]:
         for n, system, _, label in groups:
             if fam != "H3":
-                check_fan = check_fan_a if fam == "A" else check_fan_b
+                check_fan = _check_fan_a if fam == "A" else _check_fan_b
+                lattices, eliminated = {}, {}
                 for sig in _signatures(system, n):
-                    report = check_fan(sig)
+                    orientation = orientation_from_edges(system, sig.orientation_edges())
+                    if orientation not in lattices:
+                        lattices[orientation] = cambrian_lattice(system, orientation)
+                    report = check_fan(sig, lattices[orientation], eliminated)
                     ok = fan_passed(report)
                     checks.append(_check(f"{label} sig {sig.to_string()}", ok, **report))
                 continue

@@ -367,6 +367,22 @@ def test_left_descents_match_inversion_sets(family, rank):
         assert system.left_descents(w) == expected, w
 
 
+@pytest.mark.parametrize(
+    "key",
+    [("A", r, None) for r in range(1, 5)]
+    + [("B", r, None) for r in range(1, 4)]
+    + [("I2", None, 5), ("I2", None, 8), ("H3", None, None)],
+)
+def test_wall_reflection_is_the_one_inversion_of_w_or_ws(key):
+    system = get_system(*key)
+    for w in system.weak_order_lattice().elements:
+        for name in system.generator_names:
+            ws = system.right_multiply(w, name)
+            (flipped,) = system.inversion_set(w) ^ system.inversion_set(ws)
+            assert system.wall_reflection(w, name) == flipped, (w, name)
+            assert system.wall_reflection(ws, name) == flipped, (w, name)
+
+
 def _word_matrix(system, word):
     # The product of the generator matrices s_i(alpha_j) = alpha_j -
     # 2 B(alpha_i, alpha_j) alpha_i along a word, in the simple-root basis.

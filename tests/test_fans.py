@@ -150,11 +150,10 @@ def test_check_fan_a_consistency_fails_when_a_cone_lists_a_neighbours_ray(monkey
     cones_a = fans._cones_a
     wrong = {frozenset({1, 2}), frozenset({2})}
 
-    def swapped(signature, pairs):
-        camb, cones = cones_a(signature, pairs)
-        return camb, [
+    def swapped(camb, signature, pairs):
+        return [
             (frozenset({1, 2}), frozenset({2, 3})) if set(cone) == wrong else cone
-            for cone in cones
+            for cone in cones_a(camb, signature, pairs)
         ]
 
     monkeypatch.setattr(fans, "_cones_a", swapped)
@@ -164,9 +163,8 @@ def test_check_fan_a_consistency_fails_when_a_cone_lists_a_neighbours_ray(monkey
 def _first_cone_replaced(monkeypatch, rays):
     cones_a = fans._cones_a
 
-    def replaced(signature, pairs):
-        camb, cones = cones_a(signature, pairs)
-        return camb, [tuple(map(frozenset, rays))] + cones[1:]
+    def replaced(camb, signature, pairs):
+        return [tuple(map(frozenset, rays))] + cones_a(camb, signature, pairs)[1:]
 
     monkeypatch.setattr(fans, "_cones_a", replaced)
 
@@ -945,14 +943,44 @@ def test_h3_second_orientation_builds_nothing(monkeypatch):
 
     monkeypatch.setattr(system, "act", counted("act", system.act))
     monkeypatch.setattr(fans, "_det3", counted("det3", fans._det3))
+    monkeypatch.setattr(fans, "_cross", counted("cross", fans._cross))
     fans._chamber_table.cache_clear()
-    first, *rest = all_orientations(system)
-    fans.check_fan_h3(system, first)
-    # Three rays per chamber, and one sign per reflection and ray.
-    assert calls == {"act": 120 * 3, "det3": 15 * 62}
-    for orientation in rest:
+    fans._chamber_table(system, system.weak_order_lattice())
+    # Three rays for the identity and one for each other chamber, which
+    # copies the rest from a lower cover; three crosses for the scaled
+    # weights and one normal per reflection; no determinant.
+    assert calls == {"act": 3 + 119, "cross": 3 + 15}
+    for orientation in all_orientations(system):
         fans.check_fan_h3(system, orientation)
-    assert calls == {"act": 120 * 3, "det3": 15 * 62}
+    assert calls["act"] == 122 and calls["det3"] == 0
+
+
+def test_h3_chamber_table_matches_act_inversions_and_det3():
+    """Every chamber's rays are w * omega_k, every wall's reflection is the
+    one inversion of w and w * s_k that the other lacks, and on every wall,
+    not only the first one found on a hyperplane, the signs of det(u, v, r)
+    over all 62 rays are its reflection's row times one nonzero factor."""
+    system = get_system("H3")
+    field = system.field
+    lattice = system.weak_order_lattice()
+    rays, rays_of, moves, signs = fans._chamber_table(system, lattice)
+    assert len(rays) == 62 and len(signs) == 15
+    weights = fans._scaled_weights(system)
+    ids = {v: r for r, v in enumerate(rays)}
+    walls = 0
+    for i, w in enumerate(lattice.elements):
+        assert rays_of[i] == tuple(ids[system.act(w, omega)] for omega in weights)
+        for k, name in enumerate(system.generator_names):
+            ws = system.right_multiply(w, name)
+            (flipped,) = system.inversion_set(w) ^ system.inversion_set(ws)
+            assert moves[i][k] == (lattice.index[ws], flipped)
+            assert system.wall_reflection(w, name) == flipped
+            u, v = (rays[r] for m, r in enumerate(rays_of[i]) if m != k)
+            row = [field.sign(fans._det3(field, u, v, r)) for r in rays]
+            factors = {a * b for a, b in zip(row, signs[flipped]) if a or b}
+            assert factors in ({1}, {-1}), (i, name)
+            walls += 1
+    assert walls == 120 * 3
 
 
 def test_h3_fan_suite_builds_each_cambrian_lattice_once(monkeypatch):
@@ -970,6 +998,74 @@ def test_h3_fan_suite_builds_each_cambrian_lattice_once(monkeypatch):
         monkeypatch.setattr(congruences, name, wrapper)
     assert suites.run_suite("fan", "H3")["passed"]
     assert calls == {"congruence_closure": 4, "quotient_lattice": 4}
+
+
+def test_ab_fan_suite_builds_each_lattice_and_cone_once(monkeypatch):
+    """One closure and one quotient per orientation and one elimination per
+    distinct cone of each group (24 and 264 in A, 12 and 184 in B when each
+    signature built its own); a second call does the same work again, so
+    nothing outlives a call."""
+    from cambrian import congruences, suites
+
+    calls = Counter()
+    for module, name in (
+        (congruences, "congruence_closure"),
+        (congruences, "quotient_lattice"),
+        (fans, "_echelon"),
+    ):
+        fn = getattr(module, name)
+
+        def wrapper(*args, fn=fn, name=name):
+            calls[name] += 1
+            return fn(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+    for args, lattices, cones in ((("fan", "A", 7), 2 + 4, 88), (("fan", "B"), 2 + 4, 108)):
+        for _ in range(2):
+            calls.clear()
+            assert suites.run_suite(*args)["passed"]
+            assert calls == {
+                "congruence_closure": lattices, "quotient_lattice": lattices, "_echelon": cones
+            }, args
+
+
+def _swap_first_ray(cones):
+    """The cones with the first ray of the first one replaced by a ray of
+    another cone that it lacks."""
+    first = cones[0]
+    other = next(a for cone in cones[1:] for a in cone if a not in first)
+    return [(other, *first[1:])] + list(cones[1:])
+
+
+@pytest.mark.parametrize("family,broken", [("A", "uuuu"), ("B", "uuu")])
+def test_fan_suite_fails_a_cone_with_a_swapped_ray(monkeypatch, family, broken):
+    """A class cone with one ray swapped fails its signature's check in the
+    suite, after the shared elimination memo has seen the other signatures'
+    cones, and only that check."""
+    from cambrian import suites
+
+    if family == "A":
+        cones_a = fans._cones_a
+
+        def swapped(camb, signature, pairs):
+            cones = cones_a(camb, signature, pairs)
+            return _swap_first_ray(cones) if signature.to_string() == broken else cones
+
+        monkeypatch.setattr(fans, "_cones_a", swapped)
+    else:
+        class_diagonals = fans._class_diagonals
+
+        def swapped(camb, signature, n):
+            diagonals = class_diagonals(camb, signature, n)
+            if signature.to_string() != broken:
+                return diagonals
+            return [sorted(d) for d in _swap_first_ray(diagonals)]
+
+        monkeypatch.setattr(fans, "_class_diagonals", swapped)
+    report = suites.run_suite("fan", family)
+    failed = [c for c in report["checks"] if not c["passed"]]
+    assert [c["name"].split()[-1] for c in failed] == [broken]
+    assert not (failed[0]["tiling"] and failed[0].get("consistency", True))
 
 
 def _rows(vectors):
@@ -1020,10 +1116,10 @@ def test_ab_body_matches_per_family_loops(monkeypatch):
 
 
 def _per_member_check_fan_ab(
-    camb, cones, vectors, region_rays, lineality=(), fan_rays=None
+    camb, cones, vectors, region_rays, lineality=(), fan_rays=None, eliminated=None
 ):
     """_check_fan_ab before the region table: every ray of every member's
-    region tested against its class cone."""
+    region tested against its class cone, each cone eliminated afresh."""
     normals = [
         fans._inward_normals([vectors[a] for a in cone], lineality) for cone in cones
     ]
@@ -1069,9 +1165,9 @@ def test_region_table_matches_per_member_loop(monkeypatch, family, n, moved_coun
     )
     check_ab = fans._check_fan_ab
 
-    def both(*args):
-        report = check_ab(*args)
-        assert report == _per_member_check_fan_ab(*args)
+    def both(*args, **kwargs):
+        report = check_ab(*args, **kwargs)
+        assert report == _per_member_check_fan_ab(*args, **kwargs)
         return report
 
     monkeypatch.setattr(fans, "_check_fan_ab", both)
@@ -1258,7 +1354,8 @@ def test_class_diagonals_match_per_element_eta(family, n):
     else:
         system, signatures, size = get_system("B", n), all_symmetric_signatures(n), 2 * n
     for sig in signatures:
-        camb, got = fans._class_diagonals(system, sig, size)
+        camb = fans._signature_lattice(system, sig)
+        got = fans._class_diagonals(camb, sig, size)
         elements = camb.congruence.lattice.elements
         bottoms = [elements[members[0]] for members in camb.congruence.classes]
         if family == "A":
