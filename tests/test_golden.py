@@ -40,6 +40,20 @@ CASES = {
         for suite, families in VERIFY_FAMILIES.items()
         for family in families
     },
+    # The same pairs under --max-rank 3, which lowers every default largest
+    # index but catalan's, which it replaces; at 5 it raises catalan's B_4.
+    **{
+        f"verify {suite} {family or 'default'} max-rank 3": (
+            ["verify", "--suite", suite]
+            + (["--family", family] if family else [])
+            + ["--max-rank", "3"]
+        )
+        for suite, families in VERIFY_FAMILIES.items()
+        for family in families
+    },
+    "verify catalan B max-rank 5": [
+        "verify", "--suite", "catalan", "--family", "B", "--max-rank", "5",
+    ],
     "fan A signature": ["fan", "--family", "A", "--rank", "3", "--signature", "uudu"],
     "fan A orientation": [
         "fan", "--family", "A", "--rank", "3", "--orientation", "1>2,3>2",
@@ -158,6 +172,43 @@ GOLDEN = {
     "verify sublattice A": (0, "ae6da98d6ce9b6987884b890815ff8cf26927d3eede73134dd5d482986a024f3"),
     "verify sublattice B": (0, "8a5cdf7109b9ad762973ec289bf1f0889e213b98219fc67ef0490e035f6f4410"),
     "verify sublattice default": (0, "4399e62dbcd2136eddcbc231308b1beeda0811c8f3d42e1a62e8eb2544d55a95"),
+    "verify b-tamari B max-rank 3": (0, "1b5d36edf877df9ea3e1fa6b6fe7717e9280e66f8b1930f84cabf92252ede3d6"),
+    "verify b-tamari default max-rank 3": (0, "1b5d36edf877df9ea3e1fa6b6fe7717e9280e66f8b1930f84cabf92252ede3d6"),
+    "verify catalan A max-rank 3": (0, "6e97b52a5015bca0545a7e3bb475c18ea1721cd0cb4b704e93a123b94eed0097"),
+    "verify catalan B max-rank 3": (0, "f939e5798d0aed5c386a636ee9c07a14a9c1d7b40714909cf636dccd19d7d0e4"),
+    "verify catalan B max-rank 5": (0, "948b9d8cb886acc2b1569d5a1b5e13221fa5beb975493026ff5ebdd8ed369c5e"),
+    "verify catalan H3 max-rank 3": (0, "18df64fc42dbf7349cc438bcea3f42e01ce19b07e1efc2a369ef0abaafeeee5f"),
+    "verify catalan I2 max-rank 3": (0, "9ee90e612e4481d0c515f9d45dd7e91034c6bd9f09a3f2de11e58eaed777a8b8"),
+    "verify catalan default max-rank 3": (0, "6e97b52a5015bca0545a7e3bb475c18ea1721cd0cb4b704e93a123b94eed0097"),
+    "verify cluster default max-rank 3": (0, "ca1c2916241c8b34c37d9e97b4c2b41de2e074728bfdd1dcc8178c0e613cf6d3"),
+    "verify congruence-eq A max-rank 3": (0, "e9d735e01d855898f76706fc9fce1fcbf4109a2de029185a5110d54c3acfc484"),
+    "verify congruence-eq B max-rank 3": (0, "9a230e78c095f6793c6a9a97d8d2dcb3de1079113f2aa9e1f9b5cbc9b86a4ec2"),
+    "verify congruence-eq default max-rank 3": (0, "9c077606460f340b10d6e7d9d31bbf29f207a84429aa1727b7d5b623018c4f50"),
+    "verify descent A max-rank 3": (0, "21c89f26a9a5055bc214cd0abc72130edfc60695f6621fd393597683eeb8bae3"),
+    "verify descent B max-rank 3": (0, "3244ed7680f3c9c72bbe442430574bac23e845adaad1d9ec6abb44be37db0074"),
+    "verify descent default max-rank 3": (0, "5d1f0351ce53f713a1895a446ad59e33a4194789674406313dd054e40b83025d"),
+    "verify fan A max-rank 3": (0, "2d92f64827eb4f900b15fee1364664514e283d59a33cc8dc1c3b8e8584703d57"),
+    "verify fan B max-rank 3": (0, "024b02c280fc8e7d0f11cffcdd82fcf90d77a607358678325d01f7269467df99"),
+    "verify fan H3 max-rank 3": (0, "769e9bfaa981a552e2e0b0baafb2b6dd76750923efb0d93a7a870494de274ea6"),
+    "verify fan default max-rank 3": (0, "f694320767223ff8992ecdecffa6b8c12d908950adfc96a66648d3d2f45122f0"),
+    "verify fibers A max-rank 3": (0, "ce86853904755399c17be6817c40c59693e185d35300cf1880069b876d3c4bdc"),
+    "verify fibers default max-rank 3": (0, "ce86853904755399c17be6817c40c59693e185d35300cf1880069b876d3c4bdc"),
+    "verify iso A max-rank 3": (0, "830dae7415f905b22550f4199c6bf4f3106e9d8b7fecf75ad743e65fbb5f45de"),
+    "verify iso B max-rank 3": (0, "507656fb6475b7f75261fcbd214eca0d2a00082ecf95173164567493aa8a7deb"),
+    "verify iso H3 max-rank 3": (0, "8fbf0ed43a943be0db64daa5acf38496c1d9e477ae15957119d5ab1a8462ce64"),
+    "verify iso I2 max-rank 3": (0, "54961f15f0403f5b29939f68a7e24f8b368ef983e651edd5715984a53a878e57"),
+    "verify iso default max-rank 3": (0, "31f05e766246c7708f6b89ec5504e1431faa7a2119a13fb18effafe94e2fd9bd"),
+    "verify mobius A max-rank 3": (0, "dbb9ba4fa218efef08500cb628ca3fd53209d921ef5596ddc5d8cf97c5a6878e"),
+    "verify mobius B max-rank 3": (0, "0274bb357aa2a2a2964e076905eaa792cf1ba4333e686cade16f23c060014dfe"),
+    "verify mobius default max-rank 3": (0, "7d865c3aa39060d0e0b4ae689827a575437e6007d1f73fd6a54011fd23e02f4c"),
+    "verify patterns A max-rank 3": (0, "9dfeb487238789b110cefe385a80e694d6ae9da00d608f7e230c3604abf5dda5"),
+    "verify patterns default max-rank 3": (0, "9dfeb487238789b110cefe385a80e694d6ae9da00d608f7e230c3604abf5dda5"),
+    "verify shard A max-rank 3": (0, "bf10f96d14372cbf1dbc40023e4f9114b1266a03f194c3b492ee532127cbdf46"),
+    "verify shard B max-rank 3": (0, "67f1786c6aa0675f90900b40435a7fa01e4704a96359916ce122b2fc28fe1ec2"),
+    "verify shard default max-rank 3": (0, "104215f0138e96580ea9078d56e314329b211e440bc6099c166e87b61f95a366"),
+    "verify sublattice A max-rank 3": (0, "d9acec9b8cef556bd46e8c7663f2b23b191ff8124f44a1afb3cb11a49882fa28"),
+    "verify sublattice B max-rank 3": (0, "8a5cdf7109b9ad762973ec289bf1f0889e213b98219fc67ef0490e035f6f4410"),
+    "verify sublattice default max-rank 3": (0, "22010b447e75ae512b6e08dcf7caf18d134b238203ac32a25ee97d9554922bc5"),
 }
 
 
