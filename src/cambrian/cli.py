@@ -44,11 +44,12 @@ from .lattices import FiniteLattice
 from .polygon_a import UpDownSignature, signatures_for_orientation
 from .polygon_b import SymmetricSignature
 from .fans import (
-    check_fan_a,
+    _check_fan_a,
+    _fan_to_json,
+    _signature_lattice,
     check_fan_b,
     check_fan_h3,
     fan_passed,
-    fan_to_json,
     stasheff_ray_check,
 )
 from .suites import SUITE_NAMES, run_suite
@@ -226,10 +227,11 @@ def cmd_fan(args) -> int:
     extra = {}
     if args.family == "A":
         sig = _a_signature_for(args, system)
-        report = check_fan_a(sig)
+        camb = _signature_lattice(system, sig)
+        report = _check_fan_a(sig, camb)
         head = {"signature": sig.to_string()}
         summary = ("num_rays", "num_cones", "simplicial")
-        extra["fan"] = fan_to_json(sig)
+        extra["fan"] = _fan_to_json(sig, camb)
     elif args.family == "B":
         _require(args, "signature")
         positive = UpDownSignature.from_string(args.signature)

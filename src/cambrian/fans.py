@@ -985,11 +985,15 @@ def stasheff_ray_check(n: int) -> bool:
 
 
 def fan_to_json(signature: UpDownSignature) -> dict:
+    return _fan_to_json(signature, _signature_lattice(get_system("A", signature.n - 1), signature))
+
+
+def _fan_to_json(signature: UpDownSignature, camb: CambrianLattice) -> dict:
+    """The fan of the signature's Cambrian lattice ``camb``."""
     n = signature.n
     pairs = _rays_and_diagonals(signature)
     subsets = [a for a, _ in pairs]
     ray_index = {a: k for k, a in enumerate(subsets)}
-    camb = _signature_lattice(get_system("A", n - 1), signature)
     cones_a = _cones_a(camb, signature, pairs)
     cones = [sorted(ray_index[a] for a in cone) for cone in cones_a]
     return {

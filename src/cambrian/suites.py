@@ -2,27 +2,33 @@
 
 Every suite returns a JSON-ready report::
 
-    {"suite": ..., "passed": bool, "checks": [{"name", "passed", ...}, ...]}
+    {"suite": ..., "family": ..., "passed": bool, "checks": [{"name", "passed", ...}, ...]}
 
 Each check that builds a Cambrian congruence records the generating pairs
 used, so a failing run can be replayed from the report alone.
 
-``max_rank`` bounds the group index n: the symmetric group S_n for
-family A (Coxeter rank n-1), the signed-permutation group B_n, and the
-bond label m for I2.  ``catalan`` replaces its default largest index
-with it; every other suite can only lower its default, in two places:
-``_groups`` for the groups a suite reads and ``_per_index`` for checks
-indexed by n.
-``cap`` bounds the number of elements: ``_groups`` checks every group's
-order against it before it builds any weak order, and ``patterns``,
-which builds no weak order, checks every n! before enumerating any S_n.
+Each claim is one row of ``SUITES``, and a new claim is a new row: the
+``--family`` values it accepts, the family it runs without one (``catalan``
+runs A, the others every part), and its parts in report order.  A group
+part maps each family it covers to its default largest group index and
+gives the checks of one group; an index part gives one check per index n.
+One driver, ``_run``, refuses a family the row does not cover, keeps the
+parts of the chosen family, applies ``max_rank``, checks the cap of every
+group of every part before building any, and writes the report.  A check
+builds a weak order only if it reads it (``system.weak_order_lattice()``).
+
+``max_rank`` bounds the index n: S_n for family A (Coxeter rank n-1), B_n,
+I2(n), and n in an index part; H3 is one group.  In ``catalan`` it replaces
+the default largest index, and so can raise it; elsewhere it can only
+lower it.  ``cap`` bounds the order of every group a suite reads.
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from math import comb, factorial
+from math import comb
+from typing import Callable, NamedTuple
 
 from .coxeter import (
     CapExceeded,
@@ -38,6 +44,7 @@ from .lattices import (
     poset_isomorphism,
 )
 from .congruences import (
+    NotCambrianError,
     Orientation,
     all_orientations,
     cambrian_congruence,
@@ -116,48 +123,6 @@ def _report(suite: str, checks: list[dict], **meta) -> dict:
     }
 
 
-def _require_family(suite: str, family, supported: tuple[str, ...]) -> None:
-    """Fail closed on a family the suite does not cover."""
-    if family is not None and family not in supported:
-        raise ValueError(f"suite {suite} does not cover family {family!r}")
-
-
-def _cut(default: int, max_rank) -> int:
-    return default if max_rank is None else min(default, max_rank)
-
-
-def _groups(family, max_rank, bounds: dict, cap):
-    """(n, system, weak order, label) for each group a suite covers, in
-    report order, each weak order built when reached; CapExceeded at
-    the call, before any is built, if a group has over ``cap`` elements.
-
-    ``bounds`` maps every family the suite covers, in order, to its
-    default largest group index, which ``max_rank`` can only lower: S_n
-    from n = 3, B_n from n = 2 and I2(m) from m = 3.  H3 is one group and
-    ignores both.  ``family`` None covers every family of ``bounds``.
-    """
-    groups = []
-    for fam in [family] if family else bounds:
-        if fam not in bounds:
-            raise ValueError(f"unsupported family {fam!r}")
-        if fam == "H3":
-            indices = [3]
-        else:
-            indices = range(2 if fam == "B" else 3, _cut(bounds[fam], max_rank) + 1)
-        for n in indices:
-            if fam == "A":
-                groups.append((n, get_system("A", n - 1), f"A n={n}"))
-            elif fam == "B":
-                groups.append((n, get_system("B", n), f"B n={n}"))
-            elif fam == "I2":
-                groups.append((n, get_system("I2", None, n), f"I2({n})"))
-            else:
-                groups.append((n, get_system("H3"), "H3"))
-    for _, system, _ in groups:
-        system.check_cap(cap)
-    return ((n, system, system.weak_order_lattice(), label) for n, system, label in groups)
-
-
 def _per_orientation(system: CoxeterSystem, label: str, check) -> list[dict]:
     """One check per orientation, named "{label} [{orientation}]".
 
@@ -170,16 +135,6 @@ def _per_orientation(system: CoxeterSystem, label: str, check) -> list[dict]:
     ]
 
 
-def _per_index(name: str, first: int, last: int, max_rank, check) -> list[dict]:
-    """One check per index n from ``first`` to ``last``, which ``max_rank``
-    can only lower, named ``name`` with n filled in; ``check(n)`` gives the
-    check's fields from "passed" on."""
-    return [
-        _check(name.format(n=n), **check(n))
-        for n in range(first, _cut(last, max_rank) + 1)
-    ]
-
-
 def _signatures(system: CoxeterSystem, n: int) -> list:
     if system.family == "A":
         return all_updown_signatures(n)
@@ -187,30 +142,19 @@ def _signatures(system: CoxeterSystem, n: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# Counting suites.
+# Counting.
 
 
-def suite_catalan(family=None, max_rank=None, cap=None) -> dict:
+def _catalan_checks(n: int, system: CoxeterSystem, label: str) -> list:
     """Class counts of every orientation against the group's Catalan
-    number, prod (h + d) / d over its degrees d.
+    number, prod (h + d) / d over its degrees d."""
+    expected = system.catalan_number()
 
-    Unlike the other suites, ``max_rank`` here replaces the default
-    largest index (S_7, B_4, I2(8)) and so can raise it.
-    """
-    family = family or "A"
-    bounds = {"A": 7, "B": 4, "I2": 8, "H3": None}
-    if max_rank is not None:
-        bounds = dict.fromkeys(bounds, max_rank)
-    checks = []
-    for _, system, _, label in _groups(family, None, bounds, cap):
-        expected = system.catalan_number()
+    def counted(orientation):
+        count = cambrian_congruence(system, orientation).num_classes
+        return {"passed": count == expected, "count": count, "expected": expected}
 
-        def counted(orientation):
-            count = cambrian_congruence(system, orientation).num_classes
-            return {"passed": count == expected, "count": count, "expected": expected}
-
-        checks += _per_orientation(system, label, counted)
-    return _report("catalan", checks, family=family)
+    return _per_orientation(system, label, counted)
 
 
 # ---------------------------------------------------------------------------
@@ -240,42 +184,41 @@ def _group_walk(system: CoxeterSystem, n: int, lattice: FiniteLattice):
     return signatures, walk_of(lattice.elements)
 
 
-def suite_congruence_eq(family=None, max_rank=None, cap=None) -> dict:
+def _congruence_eq_checks(n: int, system: CoxeterSystem, label: str) -> list:
     """Fiber partitions of eta equal the Cambrian congruence classes."""
+    lattice = system.weak_order_lattice()
+    checks, cong_keys = [], {}
+    signatures, walk = _group_walk(system, n, lattice)
+    for sig in signatures:
+        orientation = orientation_from_edges(system, sig.orientation_edges())
+        if orientation not in cong_keys:
+            cong_keys[orientation] = cambrian_congruence(system, orientation).key()
+        fibers = _eta_fiber_partition(lattice, sig, walk)
+        key = frozenset(frozenset(f) for f in fibers.values())
+        checks.append(_check(
+            f"{label} sig {sig.to_string()}", key == cong_keys[orientation],
+            generating_pairs=_pairs_repr(system, orientation),
+        ))
+    return checks
+
+
+def _fibers_checks(n: int, system: CoxeterSystem, label: str) -> list:
+    """Each eta fiber is the interval between the two projections of any
+    member.  Being an interval, it is connected in the Hasse diagram: a
+    saturated chain from its bottom to any member stays inside it."""
+    lattice = system.weak_order_lattice()
+    walk = GroupWalk(lattice.elements, lattice.index)
     checks = []
-    for n, system, lattice, label in _groups(family, max_rank, {"A": 5, "B": 3}, cap):
-        cong_keys = {}
-        signatures, walk = _group_walk(system, n, lattice)
-        for sig in signatures:
-            orientation = orientation_from_edges(system, sig.orientation_edges())
-            if orientation not in cong_keys:
-                cong_keys[orientation] = cambrian_congruence(
-                    system, orientation
-                ).key()
-            fibers = _eta_fiber_partition(lattice, sig, walk)
-            key = frozenset(frozenset(f) for f in fibers.values())
-            checks.append(
-                _check(
-                    f"{label} sig {sig.to_string()}",
-                    key == cong_keys[orientation],
-                    generating_pairs=_pairs_repr(system, orientation),
-                )
-            )
-    return _report("congruence-eq", checks, family=family or "A,B")
+    for sig in all_updown_signatures(n):
+        ok, witness = _fibers_ok(lattice, sig, walk)
+        checks.append(_check(f"{label} sig {sig.to_string()}", ok, witness=witness))
+    return checks
 
 
 def suite_fibers(max_rank=None, cap=None, family=None) -> dict:
-    """Each eta fiber is the interval between the two projections of any
-    member, on S_3..S_6.  Being an interval, it is connected in the Hasse
-    diagram: a saturated chain from its bottom to any member stays inside
-    it."""
-    checks = []
-    for n, _, lattice, label in _groups(family, max_rank, {"A": 6}, cap):
-        walk = GroupWalk(lattice.elements, lattice.index)
-        for sig in all_updown_signatures(n):
-            ok, witness = _fibers_ok(lattice, sig, walk)
-            checks.append(_check(f"{label} sig {sig.to_string()}", ok, witness=witness))
-    return _report("fibers", checks, family="A")
+    """The ``fibers`` report, S_3..S_6 by default.  It calls the driver,
+    not ``run_suite``, so that wrapping both counts one run."""
+    return _run("fibers", family, max_rank, cap)
 
 
 def _fibers_ok(lattice: FiniteLattice, sig: UpDownSignature, walk: GroupWalk):
@@ -361,7 +304,7 @@ def _same_interval(one, other) -> bool:
     return one == other or bool(one[0] & one[1] and other[0] & other[1])
 
 
-def suite_patterns(family=None, max_rank=None, cap=None) -> dict:
+def _patterns_checks(n: int, system: CoxeterSystem, label: str) -> list:
     """Fixed points of the projections are the colored-pattern avoiders.
 
     For a permutation x and up set U, x avoids up231 and 31down2 iff
@@ -373,244 +316,182 @@ def suite_patterns(family=None, max_rank=None, cap=None) -> dict:
     breaks it, signatures in ``all_updown_signatures`` order and then
     permutations in lexicographic order.
     """
-    _require_family("patterns", family, ("A",))
-
-    for n in range(3, _cut(7, max_rank) + 1):
-        if cap is not None and factorial(n) > cap:
-            raise CapExceeded(f"S_{n} has {factorial(n)} elements, more than cap {cap}")
-
-    def avoiders_are_fixed(n):
-        failed = []
-        for x in itertools.permutations(range(1, n + 1)):
-            avoid_down, fixed_down, avoid_up, fixed_up = intervals = _signature_intervals(x)
-            if not (
-                _same_interval(avoid_down, fixed_down)
-                and _same_interval(avoid_up, fixed_up)
-            ):
-                failed.append((x, intervals))
-        if not failed:
-            return {"passed": True, "witness": None}
-        for sig in all_updown_signatures(n):
-            up = sig.upmask
-            for x, intervals in failed:
-                avoid_down, fixed_down, avoid_up, fixed_up = (
-                    _in_interval(up, interval) for interval in intervals
-                )
-                if avoid_down != fixed_down or avoid_up != fixed_up:
-                    return {"passed": False, "witness": str((x, sig.to_string()))}
-        raise AssertionError(f"no signature tells the intervals of {failed[0][0]} apart")
-
-    checks = _per_index("A n={n} all signatures", 3, 7, max_rank, avoiders_are_fixed)
-    return _report("patterns", checks, family="A")
+    name, failed = f"{label} all signatures", []
+    for x in itertools.permutations(range(1, n + 1)):
+        avoid_down, fixed_down, avoid_up, fixed_up = intervals = _signature_intervals(x)
+        if not (
+            _same_interval(avoid_down, fixed_down)
+            and _same_interval(avoid_up, fixed_up)
+        ):
+            failed.append((x, intervals))
+    if not failed:
+        return [_check(name, True, witness=None)]
+    for sig in all_updown_signatures(n):
+        up = sig.upmask
+        for x, intervals in failed:
+            avoid_down, fixed_down, avoid_up, fixed_up = (
+                _in_interval(up, interval) for interval in intervals
+            )
+            if avoid_down != fixed_down or avoid_up != fixed_up:
+                return [_check(name, False, witness=str((x, sig.to_string())))]
+    raise AssertionError(f"no signature tells the intervals of {failed[0][0]} apart")
 
 
 # ---------------------------------------------------------------------------
 # Sublattice of class bottoms.
 
 
-def suite_sublattice(family=None, max_rank=None, cap=None) -> dict:
+def _sublattice_checks(n: int, system: CoxeterSystem, label: str) -> list:
     """Bottom elements of congruence classes are closed under join/meet."""
-    checks = []
-    for n, system, lattice, label in _groups(family, max_rank, {"A": 6, "B": 3}, cap):
+    lattice = system.weak_order_lattice()
 
-        def closed(orientation):
-            cong = cambrian_congruence(system, orientation)
-            ok, witness = lattice.is_sublattice(sorted({cls[0] for cls in cong.classes}))
-            if witness is not None:
-                witness = [system.element_label(lattice.elements[i]) for i in witness]
-            return {"passed": ok, "witness": witness}
+    def closed(orientation):
+        cong = cambrian_congruence(system, orientation)
+        ok, witness = lattice.is_sublattice(sorted({cls[0] for cls in cong.classes}))
+        if witness is not None:
+            witness = [system.element_label(lattice.elements[i]) for i in witness]
+        return {"passed": ok, "witness": witness}
 
-        checks += _per_orientation(system, label, closed)
-    return _report("sublattice", checks, family=family or "A,B")
+    return _per_orientation(system, label, closed)
 
 
 # ---------------------------------------------------------------------------
 # B-Tamari pattern avoiders.
 
 
-def suite_b_tamari(family=None, max_rank=None, cap=None) -> dict:
+def _b_tamari_checks(n: int, system: CoxeterSystem, label: str) -> list:
     """Signed-pattern avoiders equal the class bottoms of the two linear
     orientations, with the central binomial counts."""
+    lattice = system.weak_order_lattice()
+    expected = system.catalan_number()
     checks = []
-    for n, system, lattice, label in _groups(family, max_rank, {"B": 4}, cap):
-        expected = system.catalan_number()
-        for variant in ("toward_s0", "away_from_s0"):
-            sig = linear_signature(n, variant)
-            orientation = orientation_from_edges(system, sig.orientation_edges())
-            reps = set(cambrian_lattice(system, orientation).class_representatives)
-            avoiders = {
-                x for x in lattice.elements if b_tamari_membership(x, variant)
-            }
-            checks.append(
-                _check(
-                    f"{label} {variant}",
-                    avoiders == reps and len(avoiders) == expected,
-                    count=len(avoiders),
-                    expected=expected,
-                    generating_pairs=_pairs_repr(system, orientation),
-                )
-            )
-    return _report("b-tamari", checks, family="B")
+    for variant in ("toward_s0", "away_from_s0"):
+        sig = linear_signature(n, variant)
+        orientation = orientation_from_edges(system, sig.orientation_edges())
+        reps = set(cambrian_lattice(system, orientation).class_representatives)
+        avoiders = {x for x in lattice.elements if b_tamari_membership(x, variant)}
+        ok = avoiders == reps and len(avoiders) == expected
+        checks.append(_check(
+            f"{label} {variant}", ok, count=len(avoiders), expected=expected,
+            generating_pairs=_pairs_repr(system, orientation),
+        ))
+    return checks
 
 
 # ---------------------------------------------------------------------------
 # Shard digraphs versus brute-force forcing.
 
 
-def suite_shard(family=None, max_rank=None, cap=None) -> dict:
+def _shard_checks(n: int, system: CoxeterSystem, label: str) -> list:
     """Transitive closures of the shard arrows equal the forcing relation
     computed from smallest contracting congruences."""
-    checks = []
-    for n, system, lattice, label in _groups(family, max_rank, {"A": 5, "B": 3}, cap):
-        if system.family == "A":
-            digraph, to_subset = shard_digraph_a, perm_to_ji_subset
-        else:
-            digraph, to_subset = shard_digraph_b, perm_to_signed_ji
-        brute = {}
-        for g, contracted in forcing_arrows(lattice).items():
-            a = to_subset(lattice.elements[g])
-            brute[a] = frozenset(
-                to_subset(lattice.elements[h]) for h in contracted
-            ) - {a}
-        shard = transitive_closure_digraph(digraph(n))
-        witness = None
-        if shard != brute:
-            for a in set(shard) | set(brute):
-                if shard.get(a) != brute.get(a):
-                    witness = (
-                        sorted(a),
-                        sorted(map(sorted, shard.get(a, frozenset()))),
-                        sorted(map(sorted, brute.get(a, frozenset()))),
-                    )
-                    break
-        checks.append(
-            _check(
-                label, shard == brute, witness=None if witness is None else str(witness)
-            )
-        )
-    return _report("shard", checks, family=family or "A,B")
+    lattice = system.weak_order_lattice()
+    if system.family == "A":
+        digraph, to_subset = shard_digraph_a, perm_to_ji_subset
+    else:
+        digraph, to_subset = shard_digraph_b, perm_to_signed_ji
+    brute = {}
+    for g, contracted in forcing_arrows(lattice).items():
+        a = to_subset(lattice.elements[g])
+        brute[a] = frozenset(to_subset(lattice.elements[h]) for h in contracted) - {a}
+    shard = transitive_closure_digraph(digraph(n))
+    witness = None
+    if shard != brute:
+        for a in set(shard) | set(brute):
+            if shard.get(a) != brute.get(a):
+                witness = (
+                    sorted(a),
+                    sorted(map(sorted, shard.get(a, frozenset()))),
+                    sorted(map(sorted, brute.get(a, frozenset()))),
+                )
+                break
+    return [_check(label, shard == brute, witness=None if witness is None else str(witness))]
 
 
 # ---------------------------------------------------------------------------
 # Fans.
 
 
-def suite_fan(family=None, max_rank=None, cap=None) -> dict:
-    """Exact fan checks: simplicial tiling, dual graph, ray dictionary.
+def _fan_ab_checks(n: int, system: CoxeterSystem, label: str) -> list:
+    """Exact fan checks of every signature of an A or B group: simplicial
+    tiling, dual graph, ray dictionary.  Each orientation's Cambrian
+    lattice is built once for the signatures that induce it, and each
+    distinct cone is eliminated once; both memos are dropped with the
+    group."""
+    check_fan = _check_fan_a if system.family == "A" else _check_fan_b
+    checks, lattices, eliminated = [], {}, {}
+    for sig in _signatures(system, n):
+        orientation = orientation_from_edges(system, sig.orientation_edges())
+        if orientation not in lattices:
+            lattices[orientation] = cambrian_lattice(system, orientation)
+        report = check_fan(sig, lattices[orientation], eliminated)
+        checks.append(_check(f"{label} sig {sig.to_string()}", fan_passed(report), **report))
+    return checks
 
-    In A and B each orientation's Cambrian lattice is built once for the
-    signatures that induce it, and each distinct cone of a group is
-    eliminated once; both memos are dropped with the group.
-    """
-    checks = []
-    bounds = {"A": 4, "B": 3, "H3": None}
-    # Every family's groups are checked against the cap before any is built.
-    families = [family] if family else bounds
-    for fam, groups in [(fam, _groups(fam, max_rank, bounds, cap)) for fam in families]:
-        for n, system, _, label in groups:
-            if fam != "H3":
-                check_fan = _check_fan_a if fam == "A" else _check_fan_b
-                lattices, eliminated = {}, {}
-                for sig in _signatures(system, n):
-                    orientation = orientation_from_edges(system, sig.orientation_edges())
-                    if orientation not in lattices:
-                        lattices[orientation] = cambrian_lattice(system, orientation)
-                    report = check_fan(sig, lattices[orientation], eliminated)
-                    ok = fan_passed(report)
-                    checks.append(_check(f"{label} sig {sig.to_string()}", ok, **report))
-                continue
-            f_vectors = set()
-            for orientation in all_orientations(system):
-                camb = cambrian_lattice(system, orientation)
-                report = _check_fan_h3(system, camb)
-                f_vectors.add(tuple(report["f_vector"]))
-                quotient = camb.quotient
-                degrees = {len(low) + len(up) for low, up in zip(quotient.lower, quotient.upper)}
-                ok = (
-                    fan_passed(report)
-                    and report["num_cones"] == system.catalan_number()
-                    and degrees == {3}
-                )
-                checks.append(
-                    _check(
-                        f"H3 [{orientation}]",
-                        ok,
-                        hasse_degrees=sorted(degrees),
-                        **report,
-                    )
-                )
-            checks.append(
-                _check(
-                    "H3 equal f-vectors",
-                    len(f_vectors) == 1,
-                    f_vectors=sorted(f_vectors),
-                )
-            )
-        if fam == "A":
-            checks += _per_index(
-                "stasheff rays n={n}", 3, 7, max_rank,
-                lambda n: {"passed": stasheff_ray_check(n)},
-            )
-    return _report("fan", checks, family=family or "A,B,H3")
+
+def _fan_h3_checks(n: int, system: CoxeterSystem, label: str) -> list:
+    """The H3 fan of every orientation, with a Catalan number of cones and
+    a 3-regular Hasse diagram, and one f-vector for all of them."""
+    checks, f_vectors = [], set()
+    for orientation in all_orientations(system):
+        camb = cambrian_lattice(system, orientation)
+        report = _check_fan_h3(system, camb)
+        f_vectors.add(tuple(report["f_vector"]))
+        quotient = camb.quotient
+        degrees = {len(low) + len(up) for low, up in zip(quotient.lower, quotient.upper)}
+        ok = fan_passed(report) and report["num_cones"] == system.catalan_number()
+        ok = ok and degrees == {3}
+        checks.append(
+            _check(f"{label} [{orientation}]", ok, hasse_degrees=sorted(degrees), **report)
+        )
+    return checks + [
+        _check(f"{label} equal f-vectors", len(f_vectors) == 1, f_vectors=sorted(f_vectors))
+    ]
 
 
 # ---------------------------------------------------------------------------
-# Cluster suite.
+# Clusters.
 
 
-def suite_cluster(family=None, max_rank=None, cap=None) -> dict:
-    """Cluster counts, cluster poset isomorphisms, psi, twist, coroots.
+def _cluster_count(n: int) -> dict:
+    count = len(clusters(n).clusters)
+    return {"passed": count == catalan(n), "count": count, "expected": catalan(n)}
 
-    The suite covers types A and B together, so it takes no family.
-    """
-    _require_family("cluster", family, ())
-    groups = _groups(None, max_rank, {"A": 5, "B": 3}, cap)
 
-    def counted(n):
-        count = len(clusters(n).clusters)
-        return {"passed": count == catalan(n), "count": count, "expected": catalan(n)}
+def _cluster_poset_checks(n: int, system: CoxeterSystem, label: str) -> list:
+    """The cluster poset is isomorphic to the bipartite Cambrian lattice."""
+    if system.family == "A":
+        sig, poset = alternating_signature(n), cluster_poset(n)
+    else:
+        sig, poset = b_bipartite_signature(n), b_cluster_poset(n)
+    orientation = orientation_from_edges(system, sig.orientation_edges())
+    quotient = cambrian_lattice(system, orientation).quotient
+    ok = poset_isomorphism(poset, quotient) is not None
+    pairs = _pairs_repr(system, orientation)
+    return [_check(f"cluster poset iso {label}", ok, generating_pairs=pairs)]
 
-    checks = _per_index("cluster count n={n}", 2, 6, max_rank, counted)
-    for n, system, _, label in groups:
-        if system.family == "A":
-            sig, poset = alternating_signature(n), cluster_poset(n)
-        else:
-            sig, poset = b_bipartite_signature(n), b_cluster_poset(n)
-        orientation = orientation_from_edges(system, sig.orientation_edges())
-        quotient = cambrian_lattice(system, orientation).quotient
-        checks.append(
-            _check(
-                f"cluster poset iso {label}",
-                poset_isomorphism(poset, quotient) is not None,
-                generating_pairs=_pairs_repr(system, orientation),
-            )
-        )
 
-    def psi_bijective(n):
-        ok, witness = psi_and_bipartite_iso_check(n)
-        return {"passed": ok, "witness": None if ok else str(witness)}
+def _psi_bijective(n: int) -> dict:
+    ok, witness = psi_and_bipartite_iso_check(n)
+    return {"passed": ok, "witness": None if ok else str(witness)}
 
-    def twisted(n):
-        for beta, theta in itertools.product(positive_roots(n), repeat=2):
-            for eps in ("+", "-"):
-                if not twist_check(n, beta, theta, eps):
-                    return {"passed": False, "witness": str((beta, theta, eps))}
-        return {"passed": True, "witness": None}
 
-    def nice_coroots(n):
-        missing = wall_without_nice_coroot(n)
-        witness = None if missing is None else str(sorted(missing))
-        return {"passed": missing is None, "witness": witness}
+def _twisted(n: int) -> dict:
+    for beta, theta in itertools.product(positive_roots(n), repeat=2):
+        for eps in ("+", "-"):
+            if not twist_check(n, beta, theta, eps):
+                return {"passed": False, "witness": str((beta, theta, eps))}
+    return {"passed": True, "witness": None}
 
-    checks += _per_index("psi cone bijection n={n}", 3, 5, max_rank, psi_bijective)
-    checks += _per_index("twist identity n={n}", 2, 4, max_rank, twisted)
-    checks += _per_index("nice coroot A n={n}", 2, 5, max_rank, nice_coroots)
-    for fam, last in (("A", 4), ("B", 3)):
-        checks += _per_index(
-            f"cluster refine {fam} n={{n}}", 2, last, max_rank,
-            lambda n: {"passed": cluster_refine_check(n, fam)},
-        )
-    return _report("cluster", checks)
+
+def _nice_coroots(n: int) -> dict:
+    missing = wall_without_nice_coroot(n)
+    witness = None if missing is None else str(sorted(missing))
+    return {"passed": missing is None, "witness": witness}
+
+
+def _refined(n: int, family: str) -> dict:
+    return {"passed": cluster_refine_check(n, family)}
 
 
 # ---------------------------------------------------------------------------
@@ -649,7 +530,13 @@ def _case_table_check(
     return _check(name, True, witness=None)
 
 
-def _quotient_descent_checks(system: CoxeterSystem, label: str) -> list:
+def _case_tables(n: int, system: CoxeterSystem, label: str) -> list:
+    return [_case_table_check(system, n, system.weak_order_lattice(), label)]
+
+
+def _quotient_descent_checks(n: int, system: CoxeterSystem, label: str) -> list:
+    """Class descents respect joins and meets in the quotient."""
+
     def respected(orientation):
         ok, witness = descent_quotient_check(system, orientation)
         return {"passed": ok, "witness": None if witness is None else str(witness)}
@@ -657,46 +544,24 @@ def _quotient_descent_checks(system: CoxeterSystem, label: str) -> list:
     return _per_orientation(system, f"{label} quotient descents", respected)
 
 
-def suite_descent(family=None, max_rank=None, cap=None) -> dict:
-    """Triangulation case tables reproduce left descents; class descents
-    respect joins and meets in the quotient.  Type A runs every case table
-    (S_3..S_6) before the quotient checks (S_3..S_5); type B interleaves
-    them per group."""
-    checks = []
-    for fam in [family] if family else ["A", "B"]:
-        if fam == "A":
-            for n, system, lattice, label in _groups(fam, max_rank, {"A": 6}, cap):
-                checks.append(_case_table_check(system, n, lattice, label))
-            for n, system, _, label in _groups(fam, max_rank, {"A": 5}, cap):
-                checks += _quotient_descent_checks(system, label)
-        else:
-            for n, system, lattice, label in _groups(fam, max_rank, {"B": 3}, cap):
-                checks.append(_case_table_check(system, n, lattice, label))
-                checks += _quotient_descent_checks(system, label)
-    return _report("descent", checks, family=family or "A,B")
-
-
 # ---------------------------------------------------------------------------
 # Mobius function and atomic intervals.
 
 
-def suite_mobius(family=None, max_rank=None, cap=None) -> dict:
+def _mobius_checks(n: int, system: CoxeterSystem, label: str) -> list:
     """Mobius values in {-1, 0, 1}, nonzero exactly on atomic intervals."""
-    checks = []
-    for n, system, _, label in _groups(family, max_rank, {"A": 5, "B": 3}, cap):
 
-        def spherical(orientation):
-            quotient = cambrian_lattice(system, orientation).quotient
-            for i, j in itertools.product(range(quotient.n), repeat=2):
-                if quotient.le(i, j):
-                    mu = quotient.mobius(i, j)
-                    atomic = quotient.is_atomic_interval(i, j)
-                    if mu not in (-1, 0, 1) or (mu != 0) != atomic:
-                        return {"passed": False, "witness": str((i, j, mu, atomic))}
-            return {"passed": True, "witness": None}
+    def spherical(orientation):
+        quotient = cambrian_lattice(system, orientation).quotient
+        for i, j in itertools.product(range(quotient.n), repeat=2):
+            if quotient.le(i, j):
+                mu = quotient.mobius(i, j)
+                atomic = quotient.is_atomic_interval(i, j)
+                if mu not in (-1, 0, 1) or (mu != 0) != atomic:
+                    return {"passed": False, "witness": str((i, j, mu, atomic))}
+        return {"passed": True, "witness": None}
 
-        checks += _per_orientation(system, label, spherical)
-    return _report("mobius", checks, family=family or "A,B")
+    return _per_orientation(system, label, spherical)
 
 
 # ---------------------------------------------------------------------------
@@ -707,65 +572,181 @@ def _orientation_eq(a: Orientation, b: Orientation) -> bool:
     return set(a.vertices) == set(b.vertices) and set(a.edges) == set(b.edges)
 
 
-def suite_iso(family=None, max_rank=None, cap=None) -> dict:
-    """Recover the orientation from each quotient; dualities of the Tamari
-    and B-Tamari lattices."""
-    checks = []
-    bounds = {"A": 5, "B": 3, "I2": 8, "H3": None}
-    for n, system, _, label in _groups(family, max_rank, bounds, cap):
+def _recover_checks(n: int, system: CoxeterSystem, label: str) -> list:
+    """Recover the orientation from each quotient.  A quotient without the
+    Cambrian shape fails its check, with the reason as its witness."""
 
-        def recovered(orientation):
-            quotient = cambrian_lattice(system, orientation).quotient
+    def recovered(orientation):
+        quotient = cambrian_lattice(system, orientation).quotient
+        try:
             found = recover_orientation(quotient, system)
-            ok = _orientation_eq(found, orientation)
-            return {"passed": ok, "recovered": str(found)}
+        except NotCambrianError as exc:
+            return {"passed": False, "recovered": None, "witness": str(exc)}
+        return {"passed": _orientation_eq(found, orientation), "recovered": str(found)}
 
-        checks += _per_orientation(system, f"recover {label}", recovered)
-    if family in (None, "A"):
-        for n, system, _, _ in _groups("A", max_rank, bounds, cap):
-            sig = UpDownSignature(n, frozenset(range(1, n + 1)))
-            orientation = orientation_from_edges(system, sig.orientation_edges())
-            quotient = cambrian_lattice(system, orientation).quotient
-            checks.append(
-                _check(
-                    f"Tamari self-duality n={n}",
-                    poset_anti_isomorphism(quotient, quotient) is not None,
-                )
-            )
-    if family in (None, "B"):
-        for n, system, _, _ in _groups("B", max_rank, bounds, cap):
-            quotients = []
-            for variant in ("toward_s0", "away_from_s0"):
-                sig = linear_signature(n, variant)
-                orientation = orientation_from_edges(system, sig.orientation_edges())
-                quotients.append(cambrian_lattice(system, orientation).quotient)
-            checks.append(
-                _check(
-                    f"B-Tamari anti-isomorphism n={n}",
-                    poset_anti_isomorphism(*quotients) is not None,
-                )
-            )
-    return _report("iso", checks, family=family or "A,B,I2,H3")
+    return _per_orientation(system, f"recover {label}", recovered)
+
+
+def _duality_checks(n: int, system: CoxeterSystem, label: str) -> list:
+    """The Tamari lattice (of the all-up signature) is self-dual, and the
+    two B-Tamari lattices (of the linear orientations) are anti-isomorphic."""
+    if system.family == "A":
+        name, sigs = f"Tamari self-duality n={n}", [UpDownSignature(n, frozenset(range(1, n + 1)))]
+    else:
+        name = f"B-Tamari anti-isomorphism n={n}"
+        sigs = [linear_signature(n, variant) for variant in ("toward_s0", "away_from_s0")]
+    quotients = [
+        cambrian_lattice(system, orientation_from_edges(system, sig.orientation_edges())).quotient
+        for sig in sigs
+    ]
+    return [_check(name, poset_anti_isomorphism(quotients[0], quotients[-1]) is not None)]
+
+
+# ---------------------------------------------------------------------------
+# The claim table and its driver.
+
+
+class _Groups(NamedTuple):
+    """``bounds``: family -> default largest index (None for H3), in report
+    order; ``check(n, system, label)``: one group's checks.  ``weak_order``
+    is False where the checks enumerate the group but build no weak order."""
+
+    bounds: dict
+    check: Callable
+    weak_order: bool = True
+
+
+class _Index(NamedTuple):
+    """One check per n from ``first`` to ``last``, named ``name`` with n
+    filled in; ``check(n)`` gives its fields from "passed" on."""
+
+    family: str
+    name: str
+    first: int
+    last: int
+    check: Callable
+
+
+class _Suite(NamedTuple):
+    """The accepted ``--family`` values, the parts, the family run without
+    one (None: all), and whether ``max_rank`` replaces the largest indices."""
+
+    families: tuple
+    parts: tuple
+    default: str | None = None
+    max_rank_replaces: bool = False
+
+
+# Per family: the first group index, the group of index n, its name, and
+# its label in check names.
+_FAMILIES = {
+    "A": (3, lambda n: get_system("A", n - 1), "S_{n}", "A n={n}"),
+    "B": (2, lambda n: get_system("B", n), "B_{n}", "B n={n}"),
+    "I2": (3, lambda n: get_system("I2", None, n), "I2({n})", "I2({n})"),
+    "H3": (3, lambda n: get_system("H3"), "H3", "H3"),
+}
 
 
 SUITES = {
-    "catalan": suite_catalan,
-    "congruence-eq": suite_congruence_eq,
-    "sublattice": suite_sublattice,
-    "patterns": suite_patterns,
-    "shard": suite_shard,
-    "fan": suite_fan,
-    "cluster": suite_cluster,
-    "descent": suite_descent,
-    "mobius": suite_mobius,
-    "iso": suite_iso,
-    "b-tamari": suite_b_tamari,
-    "fibers": suite_fibers,
+    "catalan": _Suite(
+        ("A", "B", "I2", "H3"),
+        (_Groups({"A": 7, "B": 4, "I2": 8, "H3": None}, _catalan_checks),),
+        default="A",
+        max_rank_replaces=True,
+    ),
+    "congruence-eq": _Suite(("A", "B"), (_Groups({"A": 5, "B": 3}, _congruence_eq_checks),)),
+    "sublattice": _Suite(("A", "B"), (_Groups({"A": 6, "B": 3}, _sublattice_checks),)),
+    "patterns": _Suite(("A",), (_Groups({"A": 7}, _patterns_checks, weak_order=False),)),
+    "shard": _Suite(("A", "B"), (_Groups({"A": 5, "B": 3}, _shard_checks),)),
+    "fan": _Suite(
+        ("A", "B", "H3"),
+        (
+            _Groups({"A": 4}, _fan_ab_checks),
+            _Index("A", "stasheff rays n={n}", 3, 7, lambda n: {"passed": stasheff_ray_check(n)}),
+            _Groups({"B": 3}, _fan_ab_checks),
+            _Groups({"H3": None}, _fan_h3_checks),
+        ),
+    ),
+    "cluster": _Suite(
+        (),
+        (
+            _Index("A", "cluster count n={n}", 2, 6, _cluster_count),
+            _Groups({"A": 5, "B": 3}, _cluster_poset_checks),
+            _Index("A", "psi cone bijection n={n}", 3, 5, _psi_bijective),
+            _Index("A", "twist identity n={n}", 2, 4, _twisted),
+            _Index("A", "nice coroot A n={n}", 2, 5, _nice_coroots),
+            _Index("A", "cluster refine A n={n}", 2, 4, lambda n: _refined(n, "A")),
+            _Index("B", "cluster refine B n={n}", 2, 3, lambda n: _refined(n, "B")),
+        ),
+    ),
+    "descent": _Suite(
+        ("A", "B"),
+        (
+            _Groups({"A": 6}, _case_tables),
+            _Groups({"A": 5}, _quotient_descent_checks),
+            _Groups({"B": 3}, lambda *g: _case_tables(*g) + _quotient_descent_checks(*g)),
+        ),
+    ),
+    "mobius": _Suite(("A", "B"), (_Groups({"A": 5, "B": 3}, _mobius_checks),)),
+    "iso": _Suite(
+        ("A", "B", "I2", "H3"),
+        (
+            _Groups({"A": 5, "B": 3, "I2": 8, "H3": None}, _recover_checks),
+            _Groups({"A": 5, "B": 3}, _duality_checks),
+        ),
+    ),
+    "b-tamari": _Suite(("B",), (_Groups({"B": 4}, _b_tamari_checks),)),
+    "fibers": _Suite(("A",), (_Groups({"A": 6}, _fibers_checks),)),
 }
 
 
 SUITE_NAMES = tuple(SUITES)
 
 
+def _run(name: str, family, max_rank, cap) -> dict:
+    """The report of suite ``name``: refuse a family it does not cover,
+    keep the parts of ``family``, cut (or, where the row says so, set)
+    each largest index at ``max_rank``, refuse a group over ``cap`` before
+    building any, then run the parts in order."""
+    suite = SUITES[name]
+    if family is not None and family not in suite.families:
+        raise ValueError(f"suite {name} does not cover family {family!r}")
+    family = family or suite.default
+
+    def indices(first: int, last):
+        if last is None:
+            return [first]
+        if max_rank is not None:
+            last = max_rank if suite.max_rank_replaces else min(last, max_rank)
+        return range(first, last + 1)
+
+    runs = []  # (part, n, system, label) in report order; None for an index part
+    for part in suite.parts:
+        if isinstance(part, _Index):
+            if family in (None, part.family):
+                runs += [(part, n, None, None) for n in indices(part.first, part.last)]
+            continue
+        for fam, last in part.bounds.items():
+            if family in (None, fam):
+                first, group, _, label = _FAMILIES[fam]
+                runs += [(part, n, group(n), label.format(n=n)) for n in indices(first, last)]
+    for part, n, system, _ in runs:
+        if system is None:
+            continue
+        if part.weak_order:
+            system.check_cap(cap)
+        elif cap is not None and system.order > cap:
+            group = _FAMILIES[system.family][2].format(n=n)
+            raise CapExceeded(f"{group} has {system.order} elements, more than cap {cap}")
+    checks = []
+    for part, n, system, label in runs:
+        if system is None:
+            checks.append(_check(part.name.format(n=n), **part.check(n)))
+        else:
+            checks += part.check(n, system, label)
+    meta = {"family": family or ",".join(suite.families)} if suite.families else {}
+    return _report(name, checks, **meta)
+
+
 def run_suite(name: str, family=None, max_rank=None, cap=None) -> dict:
-    return SUITES[name](family=family, max_rank=max_rank, cap=cap)
+    return _run(name, family, max_rank, cap)

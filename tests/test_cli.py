@@ -159,10 +159,11 @@ def test_verify_iso_honours_max_rank_for_i2(capsys):
 
 
 def test_internal_error_exit_code(capsys, monkeypatch):
-    def broken(family=None, max_rank=None, cap=None):
+    def broken(system, orientation):
         raise AssertionError("invariant broken")
 
-    monkeypatch.setitem(suites.SUITES, "catalan", broken)
+    # The catalan row's check counts classes through this name.
+    monkeypatch.setattr(suites, "cambrian_congruence", broken)
     code = main(["verify", "--suite", "catalan"])
     captured = capsys.readouterr()
     assert code == INTERNAL_ERROR == 4
@@ -184,10 +185,43 @@ def test_verify_cluster_fails_closed_without_nice_coroot(capsys, monkeypatch):
     assert checks["cluster refine B n=2"]["passed"]
 
 
+@pytest.mark.parametrize(
+    "suite, family",
+    [
+        (suite, family)
+        for suite in suites.SUITE_NAMES
+        for family in ("A", "B", "I2", "H3")
+        if family not in suites.SUITES[suite].families
+    ],
+)
+def test_verify_refuses_an_uncovered_family(capsys, suite, family):
+    code = main(["verify", "--suite", suite, "--family", family])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == f"error: suite {suite} does not cover family {family!r}\n"
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     with pytest.raises(SystemExit) as err:
         main(["verify", "--suite", "no-such-suite"])
     assert err.value.code == 2
+
+
+def test_fan_a_builds_its_cambrian_lattice_once(capsys, monkeypatch):
+    """The fan check and the cone export read one Cambrian lattice."""
+    from cambrian import congruences
+
+    closures = []
+    closure = congruences.congruence_closure
+
+    def counted(*args):
+        closures.append(args)
+        return closure(*args)
+
+    monkeypatch.setattr(congruences, "congruence_closure", counted)
+    code, out = run_cli(capsys, "fan", "--family", "A", "--rank", "3", "--signature", "udud")
+    assert code == 0 and json.loads(out)["fan"]["cones"]
+    assert len(closures) == 1
 
 
 def test_fan_a_summary(capsys):

@@ -416,7 +416,7 @@ def test_fixed_point_tests_match_the_triple_loop():
 
 
 def test_patterns_suite_matches_the_signature_scan():
-    report = suites.suite_patterns(max_rank=6)
+    report = suites.run_suite("patterns", max_rank=6)
     assert report["passed"]
     assert report["checks"] == _scanned_pattern_checks(6)
 
@@ -449,7 +449,7 @@ def test_patterns_suite_fails_with_the_scan_witness(monkeypatch):
         return earlier, later
 
     monkeypatch.setattr(suites, "_firing_masks", dropped)
-    report = suites.suite_patterns(max_rank=5)
+    report = suites.run_suite("patterns", max_rank=5)
     assert not report["passed"]
     assert all(c["witness"] for c in report["checks"])
     assert report["checks"] == _scanned_pattern_checks(5)

@@ -402,4 +402,4 @@ def test_b_mask_path_refuses_an_asymmetric_triangulation(monkeypatch):
     with pytest.raises(AssertionError):
         suites._case_table_check(system, 3, lattice, "B n=3")
     with pytest.raises(AssertionError):
-        suites.suite_congruence_eq(family="B", max_rank=2)
+        suites.run_suite("congruence-eq", family="B", max_rank=2)
