@@ -1,12 +1,15 @@
 """Finite lattices, congruences, quotients and forcing.
 
 Lattices are stored over an internal linear extension; each element
-carries its down-set and up-set as Python integer bitmasks.  With
-indices respecting the order, the join of x and y is the lowest set bit
-of up(x) & up(y) and the meet is the highest set bit of down(x) &
-down(y).  Construction verifies both: every edge must be a cover, and
-a v b must be a least upper bound for any two upper covers a, b of one
-element, which is enough for all joins (see ``FiniteLattice._validate``).
+carries its down-set as a Python integer bitmask, and the up-sets, the
+same masks read the other way, are derived from the upper covers on the
+first read (a weak order closed under Cambrian congruences never reads
+them).  With indices respecting the order, the meet of x and y is the
+highest set bit of down(x) & down(y) and the join is the lowest set bit
+of up(x) & up(y).  Construction reads only the down-sets: every edge
+must be a cover, and a ^ b must be a greatest lower bound for any two
+lower covers a, b of one element, which is enough for all meets and so
+for all joins (see ``FiniteLattice._validate``).
 
 A congruence is determined by the covers it contracts.  In a polygonal
 lattice, such as the weak order of a finite Coxeter group and its
@@ -53,14 +56,22 @@ def _lsb(mask: int) -> int:
     return (mask & -mask).bit_length() - 1
 
 
+def _members(mask: int) -> list[int]:
+    """The set bits of ``mask``, in increasing order."""
+    out = []
+    while mask:
+        out.append(_lsb(mask))
+        mask &= mask - 1
+    return out
+
+
 class FiniteLattice:
     """A finite lattice given by its Hasse diagram."""
 
-    def __init__(self, elements, covers, up, down, lower, upper):
+    def __init__(self, elements, covers, down, lower, upper):
         self.elements = elements
         self.index = {e: i for i, e in enumerate(elements)}
         self.covers = covers
-        self.up = up
         self.down = down
         self.lower = lower
         self.upper = upper
@@ -114,63 +125,72 @@ class FiniteLattice:
             for a in lower[i]:
                 mask |= down[a]
             down[i] = mask
-        up = [0] * n
-        for i in range(n - 1, -1, -1):
-            mask = 1 << i
-            for b in upper[i]:
-                mask |= up[b]
-            up[i] = mask
         bottoms = [i for i in range(n) if not lower[i]]
         tops = [i for i in range(n) if not upper[i]]
         if len(bottoms) != 1 or len(tops) != 1:
             raise ValueError(
                 f"not bounded: {len(bottoms)} minimal and {len(tops)} maximal elements"
             )
-        lattice = cls(new_elements, new_covers, up, down, lower, upper)
+        lattice = cls(new_elements, new_covers, down, lower, upper)
         if validate:
             lattice._validate()
         return lattice
 
     def _validate(self) -> None:
-        """Raise ValueError unless the covers are covers and joins exist.
+        """Raise ValueError unless the covers are covers and meets exist,
+        reading the down-sets only.
 
-        Only joins a v b of two upper covers a, b of one element are
-        checked: a bounded poset in which every such pair has a least upper
-        bound is a lattice (Bjorner, Edelman and Ziegler, Hyperplane
-        arrangements with a lattice of regions, DCG 5 (1990), Lemma 2.1).
+        An edge a -> y is a cover unless a lies in down(b) for another
+        lower cover b of y: anything strictly between a and y lies below
+        the last edge of a chain up to y.  Only meets a ^ b of two lower
+        covers a, b of one element are checked.  The highest set bit c of
+        down(a) & down(b) is a lower bound of both, so down(c) lies in the
+        AND, and c is their greatest lower bound exactly when down(c) is
+        the whole AND.  A bounded poset in which every such pair has a
+        greatest lower bound is a lattice (the dual of Bjorner, Edelman
+        and Ziegler, Hyperplane arrangements with a lattice of regions,
+        DCG 5 (1990), Lemma 2.1).
         """
-        for a, b in self.covers:
-            between = self.up[a] & self.down[b]
-            if between != (1 << a) | (1 << b):
-                raise ValueError(f"edge {a} -> {b} is not a cover")
-        up = self.up
-        for ux in self.upper:
-            for i, a in enumerate(ux):
-                ua = up[a]
-                for b in ux[i + 1 :]:
-                    m = ua & up[b]
-                    c = m & -m
-                    if m & ~up[c.bit_length() - 1]:
-                        raise ValueError(f"covers {a}, {b} have no least upper bound")
+        down, lower = self.down, self.lower
+        for a, y in self.covers:
+            for b in lower[y]:
+                if down[b] >> a & 1 and b != a:
+                    raise ValueError(f"edge {a} -> {y} is not a cover")
+        for ly in lower:
+            for i, a in enumerate(ly):
+                da = down[a]
+                for b in ly[i + 1 :]:
+                    m = da & down[b]
+                    if m != down[m.bit_length() - 1]:
+                        raise ValueError(f"covers {a}, {b} have no greatest lower bound")
+
+    @cached_property
+    def up(self) -> list[int]:
+        """The up-set masks, derived on the first read: filled top-down
+        from the upper covers, as the down-sets are filled bottom-up."""
+        upper = self.upper
+        up = [0] * self.n
+        for i in range(self.n - 1, -1, -1):
+            mask = 1 << i
+            for b in upper[i]:
+                mask |= up[b]
+            up[i] = mask
+        return up
 
     # -- basic queries -------------------------------------------------------
 
     def le(self, i: int, j: int) -> bool:
-        return bool((self.up[i] >> j) & 1)
+        return bool((self.down[j] >> i) & 1)
 
     def join(self, i: int, j: int) -> int:
-        return _lsb(self.up[i] & self.up[j])
+        up = self.up
+        return _lsb(up[i] & up[j])
 
     def meet(self, i: int, j: int) -> int:
         return (self.down[i] & self.down[j]).bit_length() - 1
 
     def interval(self, i: int, j: int) -> list[int]:
-        mask = self.up[i] & self.down[j]
-        out = []
-        while mask:
-            out.append(_lsb(mask))
-            mask &= mask - 1
-        return out
+        return _members(self.up[i] & self.down[j])
 
     @cached_property
     def join_irreducibles(self) -> list[int]:
@@ -208,18 +228,20 @@ class FiniteLattice:
         (-1)^|S| over the sets S of atoms of [i, j] whose join with i is j;
         0 unless i <= j.  The atoms are upper covers of i, at most rank-many
         in a weak order and in its quotients."""
-        terms = [(self.up[i], 1)]
+        up, dj = self.up, self.down[j]
+        terms = [(up[i], 1)]
         for a in self.upper[i]:
-            if self.le(a, j):
-                terms += [(mask & self.up[a], -sign) for mask, sign in terms]
+            if dj >> a & 1:
+                terms += [(mask & up[a], -sign) for mask, sign in terms]
         return sum(sign for mask, sign in terms if _lsb(mask) == j)
 
     def is_atomic_interval(self, i: int, j: int) -> bool:
         """Whether j is the join of the atoms of the interval [i, j]."""
-        atoms = [a for a in self.upper[i] if self.le(a, j)]
-        mask = self.up[i]
-        for a in atoms:
-            mask &= self.up[a]
+        up, dj = self.up, self.down[j]
+        mask = up[i]
+        for a in self.upper[i]:
+            if dj >> a & 1:
+                mask &= up[a]
         return _lsb(mask) == j
 
     # -- sublattice test -----------------------------------------------------
@@ -326,9 +348,10 @@ class LatticeCongruence:
     def verify(self):
         """Confirm the order-congruence conditions; returns (ok, reason)."""
         lattice = self.lattice
+        up, down = lattice.up, lattice.down
         for members in self.classes:
             bottom, top = members[0], members[-1]
-            mask = lattice.up[bottom] & lattice.down[top]
+            mask = up[bottom] & down[top]
             cls_mask = 0
             for i in members:
                 if not (lattice.le(bottom, i) and lattice.le(i, top)):
@@ -573,19 +596,24 @@ class PolygonForcing:
 
     def closure(self, lattice: FiniteLattice, pairs) -> LatticeCongruence:
         """Contract every cover in [a ^ b, a v b] for each pair and close
-        their labels under forcing; the classes follow from the labels."""
-        up, down, upper = lattice.up, lattice.down, lattice.upper
+        their labels under forcing; the classes follow from the labels.
+        For a comparable pair a <= b, such as a Cambrian generating pair,
+        the interval is the part of down(b) above a, so it needs no
+        up-sets."""
+        down, upper = lattice.down, lattice.upper
         first, labels, reach = self.first, self.labels, self.reach
         hit = 0
         for a, b in pairs:
-            inside = up[lattice.meet(a, b)] & down[lattice.join(a, b)]
-            rest = inside
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                x = low.bit_length() - 1
+            if down[a] >> b & 1:
+                a, b = b, a
+            if down[b] >> a & 1:
+                inside = [x for x in _members(down[b]) if down[x] >> a & 1]
+            else:
+                inside = lattice.interval(lattice.meet(a, b), lattice.join(a, b))
+            mask = reduce(or_, map((1).__lshift__, inside), 0)
+            for x in inside:
                 for k, y in enumerate(upper[x], first[x]):
-                    if inside >> y & 1:
+                    if mask >> y & 1:
                         hit |= reach[labels[k]]
         return LatticeCongruence(lattice, forcing=self, hit=hit)
 
@@ -721,11 +749,11 @@ _REFINE_ROUNDS = 3
 
 
 def _refine_signatures(lattice: FiniteLattice):
-    n = lattice.n
+    n, up, down = lattice.n, lattice.up, lattice.down
     sigs = [
         (
-            bin(lattice.down[i]).count("1"),
-            bin(lattice.up[i]).count("1"),
+            bin(down[i]).count("1"),
+            bin(up[i]).count("1"),
             len(lattice.lower[i]),
             len(lattice.upper[i]),
         )

@@ -349,7 +349,9 @@ def _sublattice_checks(n: int, system: CoxeterSystem, label: str) -> list:
         cong = cambrian_congruence(system, orientation)
         ok, witness = lattice.is_sublattice(sorted({cls[0] for cls in cong.classes}))
         if witness is not None:
-            witness = [system.element_label(lattice.elements[i]) for i in witness]
+            x, y, op, result = witness
+            x, y, result = (system.element_label(lattice.elements[i]) for i in (x, y, result))
+            witness = [x, y, op, result]
         return {"passed": ok, "witness": witness}
 
     return _per_orientation(system, label, closed)

@@ -18,6 +18,7 @@ from cambrian import (
     is_lattice_congruence,
     quotient,
 )
+from cambrian import coxeter
 from cambrian.lattices import (
     FiniteLattice,
     LatticeCongruence,
@@ -29,6 +30,7 @@ from cambrian.lattices import (
     quotient_lattice,
     union_find_closure,
 )
+from cambrian.suites import run_suite
 
 
 def hexagon():
@@ -859,15 +861,121 @@ def test_ji_validation_agrees_with_all_pairs(drawn):
     if has_all_joins(unchecked):
         FiniteLattice.from_covers(elements, covers)
     else:
-        with pytest.raises(ValueError, match="least upper bound"):
+        with pytest.raises(ValueError, match="greatest lower bound"):
             FiniteLattice.from_covers(elements, covers)
+
+
+def two_family_validate(lattice):
+    """The validation that read both mask families: an edge a -> b is a
+    cover when up(a) & down(b) is {a, b}, and a v b, the lowest set bit of
+    up(a) & up(b), must be a least upper bound for any two upper covers
+    a, b of one element.  Returns the ValueError message, or None."""
+    up, down = eager_up(lattice), lattice.down
+    for a, b in lattice.covers:
+        if up[a] & down[b] != (1 << a) | (1 << b):
+            return f"edge {a} -> {b} is not a cover"
+    for ux in lattice.upper:
+        for a, b in itertools.combinations(ux, 2):
+            m = up[a] & up[b]
+            c = m & -m
+            if m & ~up[c.bit_length() - 1]:
+                return f"covers {a}, {b} have no least upper bound"
+    return None
+
+
+@st.composite
+def bounded_posets_with_extra_edges(draw):
+    """Covers of a drawn bounded poset, as ``bounded_poset_covers`` gives
+    them, plus some drawn comparable pairs that are not covers."""
+    k = draw(st.integers(1, 7))
+    pairs = list(itertools.combinations(range(1, k + 1), 2))
+    related = [pair for pair in pairs if draw(st.booleans())]
+    covers = bounded_poset_covers(k, related)
+    unchecked = FiniteLattice.from_covers(tuple(range(k + 2)), covers, validate=False)
+    position = unchecked.index
+    transitive = [
+        (i, j)
+        for i, j in itertools.combinations(range(k + 2), 2)
+        if unchecked.le(position[i], position[j]) and (i, j) not in covers
+    ]
+    extra = draw(st.lists(st.sampled_from(transitive), max_size=2, unique=True)) if transitive else []
+    return k, covers + extra
+
+
+def assert_validation_agrees_with_two_family_oracle(k, covers):
+    elements = tuple(range(k + 2))
+    unchecked = FiniteLattice.from_covers(elements, covers, validate=False)
+    reason = two_family_validate(unchecked)
+    if reason is None:
+        FiniteLattice.from_covers(elements, covers)
+    elif reason.endswith("not a cover"):
+        # Both name the first non-cover in the sorted edge list.
+        with pytest.raises(ValueError, match=f"^{reason}$"):
+            FiniteLattice.from_covers(elements, covers)
+    else:
+        with pytest.raises(ValueError, match="greatest lower bound"):
+            FiniteLattice.from_covers(elements, covers)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bounded_posets_with_extra_edges())
+def test_down_set_validation_agrees_with_two_family_oracle(drawn):
+    assert_validation_agrees_with_two_family_oracle(*drawn)
+
+
+def test_down_set_validation_agrees_with_two_family_oracle_on_every_small_poset():
+    """Every bounded poset with at most 5 elements between its bottom and
+    top, up to isomorphism (each has a labelling along 1 < ... < k)."""
+    for k in range(1, 6):
+        pairs = list(itertools.combinations(range(1, k + 1), 2))
+        for flags in itertools.product((False, True), repeat=len(pairs)):
+            related = list(itertools.compress(pairs, flags))
+            assert_validation_agrees_with_two_family_oracle(k, bounded_poset_covers(k, related))
 
 
 def test_validation_rejects_bounded_bowtie_and_transitive_edge():
     elements = ("0", "a", "b", "c", "d", "1")
     bowtie = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]
-    with pytest.raises(ValueError, match="least upper bound"):
+    with pytest.raises(ValueError, match="greatest lower bound"):
         FiniteLattice.from_covers(elements, bowtie)
     chain = [(0, 1), (1, 2), (0, 2)]
     with pytest.raises(ValueError, match="not a cover"):
         FiniteLattice.from_covers(("0", "1", "2"), chain)
+
+
+# -- up-sets derived on the first read ----------------------------------------
+
+
+def eager_up(lattice):
+    """The up-set of each element, read off the down-sets: j is above i
+    when i is in down(j)."""
+    down = lattice.down
+    return [
+        sum(1 << j for j in range(lattice.n) if down[j] >> i & 1)
+        for i in range(lattice.n)
+    ]
+
+
+UP_SYSTEMS = (
+    [("A", rank, None) for rank in range(2, 6)]
+    + [("B", rank, None) for rank in range(2, 5)]
+    + [("I2", None, m) for m in range(3, 9)]
+    + [("H3", None, None)]
+)
+
+
+@pytest.mark.parametrize("family, rank, bond", UP_SYSTEMS)
+def test_derived_up_sets_match_the_down_sets(family, rank, bond):
+    for lattice in with_quotients(family, rank, bond):
+        assert lattice.up == eager_up(lattice)
+
+
+def test_catalan_suite_reads_no_up_set_of_a_weak_order(monkeypatch):
+    """Building, validating and closing a weak order reads only down-sets,
+    so the up-sets are never derived."""
+    systems = {}
+    monkeypatch.setattr(coxeter, "_SYSTEMS", systems)
+    assert run_suite("catalan", family="A", max_rank=7)["passed"]
+    assert [system.order for system in systems.values()] == [6, 24, 120, 720, 5040]
+    for system in systems.values():
+        assert "up" not in vars(system.weak_order_lattice())
