@@ -12,13 +12,13 @@ from cambrian import (
     cambrian_lattice,
     cg,
     congruence_closure,
+    coxeter,
     forcing_poset,
     generating_pairs,
     get_system,
     is_lattice_congruence,
     quotient,
 )
-from cambrian import coxeter
 from cambrian.lattices import (
     FiniteLattice,
     LatticeCongruence,
