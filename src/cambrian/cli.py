@@ -21,10 +21,9 @@ fails), 2 usage error (including a family a suite does not cover and an
 element cap exceeded, 4 internal error (an invariant of the program
 failed; the message goes to stderr).  The element cap is ``DEFAULT_CAP``
 unless the environment variable ``CAMB_CAP`` sets it; the ``--cap`` flag
-overrides both.  Every command honours the cap: ``build`` and ``fan``
-check the group's order against it first; ``verify`` checks every group's
-order against it before it builds any, and its ``patterns`` suite, which
-builds no weak order, checks n! against it before enumerating any S_n.
+overrides both.  Every command checks the order of each group it reads
+against the cap before it builds or enumerates any; the refusal names the
+group and its order.
 """
 
 from __future__ import annotations

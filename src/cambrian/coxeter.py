@@ -482,9 +482,11 @@ class CoxeterSystem:
         return self._weak_order
 
     def check_cap(self, cap: Optional[int]) -> None:
-        """Raise CapExceeded if the group has more than ``cap`` elements."""
+        """Raise CapExceeded, naming the group, if it has over ``cap`` elements."""
         if cap is not None and self.order > cap:
-            raise CapExceeded(f"weak order enumeration exceeded cap {cap}")
+            names = {"A": f"S_{self.rank + 1}", "B": f"B_{self.rank}", "I2": f"I2({self.bond})"}
+            name = names.get(self.family, self.family)
+            raise CapExceeded(f"{name} has {self.order} elements, more than cap {cap}")
 
     @functools.cached_property
     def _weak_order(self) -> FiniteLattice:

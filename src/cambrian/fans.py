@@ -908,11 +908,9 @@ def cluster_refine_check(n: int, family: str = "A") -> bool:
                     tuple(a + b for a, b in zip(r, _chi_root(r)))
                     for r in cluster - orbit
                 ]
-                found = any(
-                    all(bracket(beta, w) == 0 for w in wall)
-                    for beta in positive_roots(2 * n)
-                )
-                if not found:
+                try:
+                    nice_coroot(2 * n, wall)
+                except LookupError:
                     return False
         return True
     raise ValueError(f"unsupported family {family!r}")

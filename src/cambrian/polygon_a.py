@@ -54,7 +54,7 @@ from operator import or_
 from typing import Optional
 
 from .coxeter import all_ji_subsets_a, ji_subset_bounds
-from .lattices import FiniteLattice
+from .lattices import FiniteLattice, _members, _transitive
 
 PATTERNS = ("up231", "31down2", "up213", "13down2")
 
@@ -207,16 +207,6 @@ class TriangulationA:
 # Lambda paths and eta.
 
 
-def _bits(mask: int) -> list[int]:
-    """The indices of the set bits of ``mask``, ascending."""
-    out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
-    return out
-
-
 def _check_permutation(x: tuple[int, ...], n: int) -> None:
     if sorted(x) != list(range(1, n + 1)):
         raise ValueError(f"{x} is not a permutation of 1..{n}")
@@ -279,7 +269,7 @@ def _eta_mask(x: tuple[int, ...], n: int, up: int, boundary: int) -> int:
 
 def _mask_diagonals(mask: int, n: int) -> frozenset[tuple[int, int]]:
     """The diagonal pairs (u, w) of a mask, read off bits u(n+2) + w."""
-    return frozenset(divmod(b, n + 2) for b in _bits(mask))
+    return frozenset(divmod(b, n + 2) for b in _members(mask))
 
 
 def eta(x: tuple[int, ...], polygon: PolygonQ) -> TriangulationA:
@@ -710,7 +700,7 @@ def descent_set_of_triangulation(
 ) -> frozenset[tuple[int, int]]:
     """Reflections (a, a+1) that are descents, by the four up/down cases."""
     descents = eta_mask_descents(_diagonal_mask(tri), signature)
-    return frozenset((a, a + 1) for a in _bits(descents))
+    return frozenset((a, a + 1) for a in _members(descents))
 
 
 # ---------------------------------------------------------------------------
@@ -744,18 +734,13 @@ def shard_digraph_a(n: int) -> dict[frozenset[int], frozenset[frozenset[int]]]:
 
 
 def transitive_closure_digraph(graph: dict) -> dict:
-    out = {a: set(targets) for a, targets in graph.items()}
-    changed = True
-    while changed:
-        changed = False
-        for a in out:
-            extra = set()
-            for b in out[a]:
-                extra |= out[b] - out[a]
-            if extra - {a}:
-                out[a] |= extra - {a}
-                changed = True
-    return {a: frozenset(t - {a}) for a, t in out.items()}
+    """Each node's reach in ``graph`` (node -> its targets), without the
+    node itself: ``_transitive``, the forcing table's Warshall pass, closes
+    the target masks of the nodes numbered in order."""
+    nodes = list(graph)
+    number = {a: i for i, a in enumerate(nodes)}
+    reach = _transitive([sum(1 << number[b] for b in graph[a]) for a in nodes])
+    return {a: frozenset(nodes[j] for j in _members(reach[i]) if j != i) for i, a in enumerate(nodes)}
 
 
 def ji_contracted_a(signature: UpDownSignature, members: frozenset[int]) -> bool:

@@ -32,13 +32,12 @@ from .coxeter import (
     signed_ji_bounds,
     signed_ji_members_valid,
 )
-from .lattices import FiniteLattice
+from .lattices import FiniteLattice, _members
 from .polygon_a import (
     GroupWalk,
     PolygonQ,
     TriangulationA,
     UpDownSignature,
-    _bits,
     _case_descents,
     _chain_triangulations,
     _diagonal_mask,
@@ -316,7 +315,7 @@ def _polygon_maps(signature):
 
 def descent_set_b(tri: TriangulationB) -> frozenset[int]:
     """Left descents as generator names 0..n-1, read off the triangulation."""
-    return frozenset(_bits(eta_b_mask_descents(_diagonal_mask(tri.base), tri.signature)))
+    return frozenset(_members(eta_b_mask_descents(_diagonal_mask(tri.base), tri.signature)))
 
 
 def all_symmetric_signatures(n: int):

@@ -182,7 +182,8 @@ def test_verify_cluster_fails_closed_without_nice_coroot(capsys, monkeypatch):
     assert not checks["nice coroot A n=2"]["passed"]
     assert checks["nice coroot A n=2"]["witness"]
     assert not checks["cluster refine A n=2"]["passed"]
-    assert checks["cluster refine B n=2"]["passed"]
+    # The B refinement folds S_4 and asks nice_coroot for each folded wall.
+    assert not checks["cluster refine B n=2"]["passed"]
 
 
 @pytest.mark.parametrize(
@@ -311,7 +312,7 @@ def test_default_cap_refuses_s9(capsys, monkeypatch, enumerations):
         captured = capsys.readouterr()
         assert code == 3
         assert captured.out == ""
-        assert captured.err == f"error: weak order enumeration exceeded cap {cli.DEFAULT_CAP}\n"
+        assert captured.err == "error: S_9 has 362880 elements, more than cap 50000\n"
     assert enumerations == []
 
 
@@ -335,8 +336,16 @@ def test_every_suite_refuses_an_over_cap_group_before_enumerating(
 
 
 def test_patterns_refusal_names_the_first_n_over_the_cap():
-    with pytest.raises(CapExceeded, match=r"^S_5 has 120 elements, more than cap 100$"):
-        suites.run_suite("patterns", cap=100)
+    """Every suite refuses with one message, naming the first group over
+    the cap: S_n, B_n, I2(m) or H3."""
+    for suite, family, cap, message in (
+        ("patterns", None, 100, r"S_5 has 120 elements, more than cap 100"),
+        ("catalan", "B", 47, r"B_3 has 48 elements, more than cap 47"),
+        ("catalan", "I2", 9, r"I2\(5\) has 10 elements, more than cap 9"),
+        ("catalan", "H3", 119, r"H3 has 120 elements, more than cap 119"),
+    ):
+        with pytest.raises(CapExceeded, match=f"^{message}$"):
+            suites.run_suite(suite, family=family, cap=cap)
 
 
 def test_cap_flag_and_env_variable_override_the_default(capsys, monkeypatch):

@@ -4,12 +4,15 @@ report.
 
 The first fault drops the last generating pair of every Cambrian
 congruence, so each closure is finer than the Cambrian congruence it
-stands for.  The suites that read no Cambrian congruence, and those whose
-claim also holds for the finer one (sublattice, mobius, descent, patterns,
-shard, fibers), pass under it.  ``sublattice`` and ``mobius`` have faults
-of their own: a congruence generated by one join-irreducible whose class
-bottoms are not a sublattice, and M3, a lattice that is no quotient of a
-weak order, in place of each Cambrian quotient.
+stands for; the second adds the pair of the first edge reversed, so each
+closure is coarser.  Both fail the same checks.  The suites that read no
+Cambrian congruence, and those whose claim also holds for other
+congruences (sublattice, mobius, descent, patterns, shard, fibers), pass
+under them, and each has faults of its own: a congruence generated by one
+join-irreducible whose class bottoms are not a sublattice; M3, a lattice
+that is no quotient of a weak order, in place of each Cambrian quotient;
+one element's left descents changed; one projection firing witness
+dropped; one shard node without its arrows; two eta fibers merged.
 """
 
 import dataclasses
@@ -19,6 +22,7 @@ import pytest
 
 from cambrian import congruences, suites
 from cambrian.cli import main
+from cambrian.coxeter import get_system
 from cambrian.lattices import FiniteLattice, contraction_congruence
 
 # Per suite at --max-rank 3: failing checks, all checks, first failing check.
@@ -42,8 +46,33 @@ def dropped_pair(monkeypatch):
     monkeypatch.setattr(congruences, "generating_pairs", dropped)
 
 
+@pytest.fixture
+def reversed_edge(monkeypatch):
+    """Each Cambrian congruence also contracts (s, st...), the pair of its
+    first edge s -> t reversed."""
+    real = congruences.generating_pairs
+
+    def added(system, orientation):
+        s, t, m = orientation.edges[0]
+        word = [s if k % 2 == 0 else t for k in range(m - 1)]
+        return [*real(system, orientation), (system.generator(s), system.from_word(word))]
+
+    monkeypatch.setattr(congruences, "generating_pairs", added)
+
+
 def _failed(report):
     return [c for c in report["checks"] if not c["passed"]]
+
+
+def _verify_fails(capsys, *argv):
+    """The report of ``cambrian verify`` with ``argv``, which must exit 1
+    and print a failing report."""
+    code = main(["verify", *argv])
+    captured = capsys.readouterr()
+    assert code == 1, captured.err
+    report = json.loads(captured.out)
+    assert report["passed"] is False
+    return report
 
 
 @pytest.mark.parametrize("suite", DROPPED_PAIR)
@@ -56,11 +85,22 @@ def test_suite_fails_when_a_generating_pair_is_dropped(dropped_pair, suite):
 
 @pytest.mark.parametrize("suite", DROPPED_PAIR)
 def test_verify_exits_1_with_the_failing_report(dropped_pair, capsys, suite):
-    code = main(["verify", "--suite", suite, "--max-rank", "3"])
-    captured = capsys.readouterr()
-    assert code == 1, captured.err
-    report = json.loads(captured.out)
+    report = _verify_fails(capsys, "--suite", suite, "--max-rank", "3")
+    assert _failed(report)[0]["name"] == DROPPED_PAIR[suite][2]
+
+
+@pytest.mark.parametrize("suite", DROPPED_PAIR)
+def test_suite_fails_when_a_reversed_edge_pair_is_added(reversed_edge, suite):
+    """The coarser congruence fails the checks the finer one fails."""
+    report = suites.run_suite(suite, max_rank=3)
+    failed = _failed(report)
     assert report["passed"] is False
+    assert (len(failed), len(report["checks"]), failed[0]["name"]) == DROPPED_PAIR[suite]
+
+
+@pytest.mark.parametrize("suite", DROPPED_PAIR)
+def test_verify_exits_1_when_a_reversed_edge_pair_is_added(reversed_edge, capsys, suite):
+    report = _verify_fails(capsys, "--suite", suite, "--max-rank", "3")
     assert _failed(report)[0]["name"] == DROPPED_PAIR[suite][2]
 
 
@@ -133,11 +173,7 @@ def test_sublattice_fails_on_bottoms_that_are_not_a_sublattice(bottoms_not_a_sub
 
 
 def test_verify_sublattice_exits_1_with_the_failing_report(bottoms_not_a_sublattice, capsys):
-    code = main(["verify", "--suite", "sublattice", "--max-rank", "4"])
-    captured = capsys.readouterr()
-    assert code == 1, captured.err
-    report = json.loads(captured.out)
-    assert report["passed"] is False
+    report = _verify_fails(capsys, "--suite", "sublattice", "--max-rank", "4")
     assert {c["name"]: c["witness"] for c in _failed(report)} == SUBLATTICE_FAILS
 
 
@@ -171,8 +207,143 @@ def test_mobius_fails_on_m3(m3_quotients):
 
 
 def test_verify_mobius_exits_1_with_the_failing_report(m3_quotients, capsys):
-    code = main(["verify", "--suite", "mobius", "--max-rank", "3"])
-    captured = capsys.readouterr()
-    assert code == 1, captured.err
-    first = _failed(json.loads(captured.out))[0]
+    first = _failed(_verify_fails(capsys, "--suite", "mobius", "--max-rank", "3"))[0]
     assert (first["name"], first["witness"]) == ("A n=3 [1>2]", M3_WITNESS)
+
+
+def _without_first_arrows(digraph):
+    """``digraph`` with the arrows of its first node that has any removed."""
+
+    def emptied(n):
+        graph = dict(digraph(n))
+        first = next(a for a, targets in graph.items() if targets)
+        graph[first] = frozenset()
+        return graph
+
+    return emptied
+
+
+@pytest.fixture
+def shard_arrows_dropped(monkeypatch):
+    for name in ("shard_digraph_a", "shard_digraph_b"):
+        monkeypatch.setattr(suites, name, _without_first_arrows(getattr(suites, name)))
+
+
+# At --max-rank 3 every check fails; the first witness is (node, its
+# closed shard arrows, the forcing read off the weak order).
+SHARD_FAILS = ["A n=3", "B n=2", "B n=3"]
+SHARD_WITNESS = "([2], [], [[1], [1, 2]])"
+
+
+def test_shard_fails_when_a_node_loses_its_arrows(shard_arrows_dropped):
+    report = suites.run_suite("shard", max_rank=3)
+    assert report["passed"] is False
+    assert [c["name"] for c in _failed(report)] == SHARD_FAILS
+    assert len(report["checks"]) == len(SHARD_FAILS)
+    assert _failed(report)[0]["witness"] == SHARD_WITNESS
+
+
+def test_verify_shard_exits_1_with_the_failing_report(shard_arrows_dropped, capsys):
+    report = _verify_fails(capsys, "--suite", "shard", "--max-rank", "3")
+    assert [c["name"] for c in _failed(report)] == SHARD_FAILS
+    assert _failed(report)[0]["witness"] == SHARD_WITNESS
+
+
+def _without_atom_descent(system):
+    """``system.left_descents`` with the first generator dropped from its
+    own descents: that atom has none, while its join with another atom
+    keeps both."""
+    real, first = system.left_descents, system.generator_names[0]
+    atom = system.generator(first)
+    return lambda w: real(w) - {first} if w == atom else real(w)
+
+
+@pytest.fixture
+def atom_without_its_descent(monkeypatch):
+    for system in (get_system("A", 2), get_system("B", 2), get_system("B", 3)):
+        monkeypatch.setattr(system, "left_descents", _without_atom_descent(system))
+
+
+# At --max-rank 3 every check of S_3, B_2 and B_3 fails: each case table at
+# its atom, each quotient at the join of its two first atoms.
+DESCENT_QUOTIENT_FAILS = {
+    **{
+        f"A n=3 quotient descents [{o}]": "((2, 1, 3), (1, 3, 2), 'join')"
+        for o in ("1>2", "2>1")
+    },
+    **{f"B n=2 quotient descents [{o}]": "((-1, 2), (2, 1), 'join')" for o in ("0>1", "1>0")},
+    **{
+        f"B n=3 quotient descents [{o}]": "((-1, 2, 3), (2, 1, 3), 'join')"
+        for o in ("0>1,1>2", "0>1,2>1", "1>0,1>2", "1>0,2>1")
+    },
+}
+
+
+def _quotient_descent_failures(report):
+    return {c["name"]: c["witness"] for c in _failed(report) if "quotient" in c["name"]}
+
+
+def test_descent_quotients_fail_when_an_atom_loses_its_descent(atom_without_its_descent):
+    report = suites.run_suite("descent", max_rank=3)
+    assert len(_failed(report)) == len(report["checks"]) == 11
+    assert _quotient_descent_failures(report) == DESCENT_QUOTIENT_FAILS
+
+
+def test_verify_descent_exits_1_when_an_atom_loses_its_descent(atom_without_its_descent, capsys):
+    report = _verify_fails(capsys, "--suite", "descent", "--max-rank", "3")
+    assert _quotient_descent_failures(report) == DESCENT_QUOTIENT_FAILS
+
+
+# The faults of the ``run_suite`` controls in test_polygon_a, through the
+# command line.
+
+
+def test_verify_patterns_exits_1_when_a_firing_witness_is_dropped(monkeypatch, capsys):
+    real = suites._firing_masks
+
+    def dropped(x, descending):
+        earlier, later = real(x, descending)
+        if descending:
+            earlier &= earlier - 1
+        return earlier, later
+
+    monkeypatch.setattr(suites, "_firing_masks", dropped)
+    report = _verify_fails(capsys, "--suite", "patterns", "--max-rank", "5")
+    assert {c["name"]: c["witness"] for c in _failed(report)} == {
+        "A n=3 all signatures": "((2, 3, 1), 'dud')",
+        "A n=4 all signatures": "((2, 3, 1, 4), 'dudd')",
+        "A n=5 all signatures": "((2, 3, 1, 4, 5), 'duddd')",
+    }
+
+
+def test_verify_fibers_exits_1_when_two_fibers_merge(monkeypatch, capsys):
+    real = suites.eta_masks
+
+    def merged(elements, sig, walk=None):
+        masks = real(elements, sig, walk)
+        if sig.to_string() == "ddu":
+            first, other = masks[0], next(m for m in masks if m != masks[0])
+            masks = [first if m == other else m for m in masks]
+        return masks
+
+    monkeypatch.setattr(suites, "eta_masks", merged)
+    report = _verify_fails(capsys, "--suite", "fibers", "--max-rank", "3")
+    assert [(c["name"], c["witness"]) for c in _failed(report)] == [("A n=3 sig ddu", "(1, 2, 3)")]
+
+
+@pytest.mark.parametrize("family, n, first", [("A", 4, "dddd"), ("B", 3, "ddd")])
+def test_verify_descent_exits_1_when_one_element_moves_its_descents(
+    monkeypatch, capsys, family, n, first
+):
+    system = get_system(family, n - 1 if family == "A" else n)
+    lattice = system.weak_order_lattice()
+    x = lattice.elements[len(lattice.elements) // 2]
+    real = system.left_descents
+    monkeypatch.setattr(
+        system, "left_descents", lambda w: real(w) ^ {1} if w == x else real(w)
+    )
+    report = _verify_fails(capsys, "--suite", "descent", "--family", family, "--max-rank", str(n))
+    case_tables = [c for c in _failed(report) if c["name"].endswith("case tables")]
+    assert [(c["name"], c["witness"]) for c in case_tables] == [
+        (f"{family} n={n} case tables", str((first, x)))
+    ]

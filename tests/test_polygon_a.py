@@ -29,7 +29,9 @@ from cambrian import (
     projection_tables,
     quotient_lattice,
     shard_arrow_a,
+    shard_digraph_a,
     signatures_for_orientation,
+    transitive_closure_digraph,
     triangulation_lattice,
     uncontracted_ji_subsets,
 )
@@ -37,6 +39,7 @@ from cambrian import polygon_a, suites
 from cambrian.coxeter import all_ji_subsets_a
 from cambrian.lattices import FiniteLattice
 from cambrian.polygon_a import eta_mask_descents
+from cambrian.polygon_b import shard_digraph_b
 from cambrian.suites import _firing_masks, all_updown_signatures, catalan
 
 
@@ -198,6 +201,42 @@ def test_uncontracted_ji_subsets():
         assert not ji_contracted_a(sig, members)
     forcing = camb_forcing_a(sig)
     assert set(forcing) == set(survivors.values())
+
+
+def _fixed_point_closure(graph):
+    """transitive_closure_digraph as a fixed-point loop: add the reach of
+    each target until nothing changes; a node never reaches itself."""
+    out = {a: set(targets) for a, targets in graph.items()}
+    changed = True
+    while changed:
+        changed = False
+        for a in out:
+            extra = set()
+            for b in out[a]:
+                extra |= out[b] - out[a]
+            if extra - {a}:
+                out[a] |= extra - {a}
+                changed = True
+    return {a: frozenset(t - {a}) for a, t in out.items()}
+
+
+def test_transitive_closure_matches_the_fixed_point_oracle():
+    graphs = [{1: {2}, 2: {1, 3}, 3: set(), 4: {4}}]
+    graphs += [shard_digraph_a(n) for n in range(3, 7)]
+    graphs += [shard_digraph_b(n) for n in range(2, 5)]
+    for graph in graphs:
+        assert transitive_closure_digraph(graph) == _fixed_point_closure(graph)
+    assert transitive_closure_digraph(graphs[0]) == {
+        1: {2, 3}, 2: {1, 3}, 3: frozenset(), 4: frozenset()
+    }
+    for n in range(3, 6):
+        for sig in all_updown_signatures(n):
+            survivors = set(uncontracted_ji_subsets(sig).values())
+            graph = {
+                a1: frozenset(a2 for a2 in survivors if a2 != a1 and shard_arrow_a(n, a1, a2))
+                for a1 in survivors
+            }
+            assert camb_forcing_a(sig) == _fixed_point_closure(graph), sig
 
 
 def _ji_contracted_oracle(signature, members):
@@ -632,8 +671,10 @@ def test_fibers_fail_when_one_projection_entry_moves(monkeypatch, which):
         if sig.to_string() == "udud":
             # A middle member of a fiber, whose own entry is checked
             # against the fiber's ends, is sent to itself.
-            fibers = suites._eta_fiber_partition(lattice, sig).values()
-            i = next(members for members in fibers if len(members) >= 3)[1]
+            fibers = {}
+            for j, mask in enumerate(suites.eta_masks(lattice.elements, sig)):
+                fibers.setdefault(mask, []).append(j)
+            i = next(members for members in fibers.values() if len(members) >= 3)[1]
             tables = [list(t) for t in tables]
             tables[which][i] = i
         return tuple(tables)
