@@ -15,7 +15,8 @@ Supported families:
 
 The right weak order is generated by covers w < ws; joins and meets are
 computed per family (inversion-set closure for A, an embedding into a
-symmetric group for B, enumerated down-sets for the generic engine).
+symmetric group for B; for I2 and H3, the weak order lattice's up-sets,
+derived on the first read, for joins and its down-sets for meets).
 """
 
 from __future__ import annotations

@@ -17,8 +17,8 @@ side-of-wall test, then hands them to one report (``_fan_faces``): wall
 pairing, dual graph against the Hasse diagram, and f-vector.  In A and B
 a cone is spanned by the rays of the class bottom's triangulation, which
 ``_class_diagonals`` reads off the same whole-group eta tables as the
-suites, through ``polygon_b._polygon_maps``; one elimination per cone
-gives its facet normals, and one class loop
+suites, through the signature's ``walk`` and ``eta_masks``; one
+elimination per cone gives its facet normals, and one class loop
 (``_check_fan_ab``) reads off them its rank, the regions and rays it
 holds, and its wall sides; the member regions' rays come from one table
 per weak order (``_region_table``), and each class tests its distinct
@@ -64,7 +64,7 @@ from .polygon_a import (
     all_triangulations,
     polygon_from_signature,
 )
-from .polygon_b import SymmetricSignature, _mirror, _polygon_maps
+from .polygon_b import SymmetricSignature, _mirror
 
 # ---------------------------------------------------------------------------
 # Exact linear algebra over the integers.  Scaling a ray by a positive
@@ -378,10 +378,8 @@ def _class_diagonals(camb: CambrianLattice, signature, n: int):
     """The sorted diagonals of each class bottom's triangulation, in class
     order, of the signature's Cambrian lattice ``camb``, read off the eta
     tables of the signature's type-A n-gon."""
-    _, masks_of, *_ = _polygon_maps(signature)
-    elements = camb.congruence.lattice.elements
-    bottoms = [elements[members[0]] for members in camb.congruence.classes]
-    return [sorted(_mask_diagonals(m, n)) for m in masks_of(bottoms, signature)]
+    masks = signature.eta_masks(signature.walk(camb.class_representatives))
+    return [sorted(_mask_diagonals(m, n)) for m in masks]
 
 
 # ---------------------------------------------------------------------------

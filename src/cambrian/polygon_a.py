@@ -25,10 +25,11 @@ reads the tree under a signature one level at a time, each level a few
 passes of ``map``.  Both clear the boundary
 (``PolygonQ.boundary_mask``) and check that n-1 diagonals are left.
 ``eta`` decodes the mask; the masks of ``eta_masks`` name the
-triangulations injectively, so fibers are grouped by them;
-``eta_mask_descents`` reads the descent case table in two stages: the
-signature-free sides of a mask (``_mask_sides``), then the four up/down
-cases (``_case_descents``).
+triangulations injectively, so fibers are grouped by them.  A signature
+reads a group through four methods, which ``SymmetricSignature`` shares:
+``walk``, ``eta_masks``, then the descent case table in two stages, a
+mask's signature-free ``sides`` (``_mask_sides``) and the four up/down
+cases (``descents``).
 ``_flip_lattice`` is the one flip order, over orbits of diagonals:
 single diagonals here, mirror pairs in type B.
 
@@ -101,6 +102,22 @@ class UpDownSignature:
     def orientation_edges(self) -> tuple[tuple[int, int], ...]:
         """Directed diagram edges (s, t) of S_n, b = 2..n-1."""
         return _orientation_edges(self.ups, range(2, self.n))
+
+    def walk(self, elements) -> GroupWalk:
+        """The ``GroupWalk`` of permutations of 1..n."""
+        return GroupWalk(elements)
+
+    def eta_masks(self, walk: GroupWalk) -> list[int]:
+        """eta's diagonal mask of each element of ``walk``."""
+        return walk.eta_masks(self)
+
+    def sides(self, mask: int) -> tuple[int, int]:
+        """``_mask_sides`` of a diagonal mask of the (n+2)-gon."""
+        return _mask_sides(mask, self.n)
+
+    def descents(self, sides: tuple[int, int]) -> int:
+        """Left descents, bit a for s_a, of the triangulation with ``sides``."""
+        return _case_descents(sides, self)
 
 
 def _orientation_edges(ups, indices) -> tuple[tuple[int, int], ...]:
@@ -417,10 +434,10 @@ class GroupWalk:
         return tables[0], tables[1]
 
 
-def eta_masks(elements, signature: UpDownSignature, walk=None) -> list[int]:
+def eta_masks(elements, signature: UpDownSignature) -> list[int]:
     """``_eta_mask`` of each permutation of 1..n in ``elements``, read off
-    ``walk``, the ``GroupWalk`` of ``elements`` (built here if not given)."""
-    return (walk or GroupWalk(elements)).eta_masks(signature)
+    their ``GroupWalk``."""
+    return GroupWalk(elements).eta_masks(signature)
 
 
 # ---------------------------------------------------------------------------
@@ -536,11 +553,11 @@ def pi_up(x: tuple[int, ...], signature: UpDownSignature) -> tuple[int, ...]:
 
 
 def projection_tables(
-    lattice: FiniteLattice, signature: UpDownSignature, walk=None
+    lattice: FiniteLattice, signature: UpDownSignature
 ) -> tuple[list[int], list[int]]:
     """pi_down and pi_up of every element of a weak order of S_n, as
-    lattice indices, read off ``walk``, the ``GroupWalk`` of the lattice's
-    elements and index (built here if not given).
+    lattice indices, read off the ``GroupWalk`` of the lattice's elements
+    and index.
 
     An element no move changes is its own projection; otherwise its
     projection is that of the element ``_first_move`` swaps it to, which
@@ -548,8 +565,7 @@ def projection_tables(
     cover, which the lattice's linear extension puts before (after) the
     element.
     """
-    walk = walk or GroupWalk(lattice.elements, lattice.index)
-    return walk.projection_tables(signature)
+    return GroupWalk(lattice.elements, lattice.index).projection_tables(signature)
 
 
 def is_pi_down_fixed(x: tuple[int, ...], signature: UpDownSignature) -> bool:
@@ -689,17 +705,11 @@ def _case_descents(sides: tuple[int, int], signature: UpDownSignature) -> int:
     return descents & ((1 << signature.n) - 2)
 
 
-def eta_mask_descents(mask: int, signature: UpDownSignature) -> int:
-    """Mask of the a in 1..n-1 for which (a, a+1) is a descent of the
-    triangulation whose diagonals are the bits of ``mask``."""
-    return _case_descents(_mask_sides(mask, signature.n), signature)
-
-
 def descent_set_of_triangulation(
     tri: TriangulationA, signature: UpDownSignature
 ) -> frozenset[tuple[int, int]]:
     """Reflections (a, a+1) that are descents, by the four up/down cases."""
-    descents = eta_mask_descents(_diagonal_mask(tri), signature)
+    descents = signature.descents(signature.sides(_diagonal_mask(tri)))
     return frozenset((a, a + 1) for a in _members(descents))
 
 

@@ -3,32 +3,35 @@
 Type B runs on the type-A polygon of the doubled signature, the
 (2n+2)-gon.  The value map of ``embed_b_in_a`` sends signed label i to
 i+n+1 for i < 0 and to i+n for i > 0, so -(n+1) sits at 0 and n+1 at
-2n+1.  ``eta_b`` and ``eta_b_masks`` are eta and ``eta_masks`` of the
-embedding, checked to be fixed by the central symmetry.  The descent
-case table is the doubled one shifted by n: positions n and n+1 hold -1
-and 1, of opposite colours, so their mixed case is the s_0 rule.  The
-flip lattice flips a diameter alone and a mirror pair together.
+2n+1.  ``eta_b`` is eta of the embedding, checked to be fixed by the
+central symmetry.  The descent case table is the doubled one shifted by
+n: positions n and n+1 hold -1 and 1, of opposite colours, so their
+mixed case is the s_0 rule.  The flip lattice flips a diameter alone and
+a mirror pair together.
 
-``_polygon_maps`` sits here, beside both signature types, and is the one
-A/B dispatch for eta: it gives the group walk builder (``GroupWalk``, or
-``b_group_walk`` of the embedded elements), the whole-group mask reader
-and the two stages of the descent reader (a mask's signature-free sides,
-then the case table) of a type-A or type-B signature, and the suites
-and the fan checks all read eta through it.  ``eta`` and ``eta_b``, one
-element at a time, are kept as the public API and as test oracles.
+``SymmetricSignature`` has the four polygon methods of
+``UpDownSignature``, so the suites and the fan checks read eta and the
+descent case table the same way in both types: ``walk`` (the
+``GroupWalk`` of the embedded elements), ``eta_masks`` (the doubled
+signature's masks, each distinct one checked to be centrally symmetric,
+a refusal naming the signed element), ``sides`` (a mask's
+signature-free sides on the (2n+2)-gon) and ``descents`` (the shifted
+case table).  ``eta`` and ``eta_b``, one element at a time, are kept as
+the public API and as test oracles.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 
 from .coxeter import (
     _b_value_to_a,
     all_signed_ji_subsets,
     contains_signed_pattern,
     embed_b_in_a,
+    project_a_to_b,
     signed_ji_bounds,
     signed_ji_members_valid,
 )
@@ -46,7 +49,6 @@ from .polygon_a import (
     _mask_sides,
     _orientation_edges,
     eta,
-    eta_masks,
     polygon_from_signature,
 )
 
@@ -117,6 +119,30 @@ class SymmetricSignature:
         """Directed B-diagram edges (s, t), b = 1..n-1."""
         return _orientation_edges(self.ups, range(1, self.n))
 
+    def walk(self, elements) -> GroupWalk:
+        """The ``GroupWalk`` of the signed permutations, embedded in S_2n."""
+        return GroupWalk([embed_b_in_a(x) for x in elements])
+
+    def eta_masks(self, walk: GroupWalk) -> list[int]:
+        """The doubled signature's eta masks of ``walk``, each distinct mask
+        checked to be centrally symmetric."""
+        two_n = 2 * self.n
+        masks = walk.eta_masks(self.polygon.signature)
+        for mask in set(masks):
+            if not _is_symmetric(_mask_diagonals(mask, two_n), two_n):
+                x = project_a_to_b(walk.elements[masks.index(mask)])
+                raise AssertionError(f"eta_b({x}) is not centrally symmetric")
+        return masks
+
+    def sides(self, mask: int) -> tuple[int, int]:
+        """``_mask_sides`` of a diagonal mask of the (2n+2)-gon."""
+        return _mask_sides(mask, 2 * self.n)
+
+    def descents(self, sides: tuple[int, int]) -> int:
+        """Left descents, bit i for s_i: the doubled signature's case table
+        shifted by n."""
+        return _case_descents(sides, self.polygon.signature) >> self.n
+
 
 @dataclass(frozen=True)
 class TriangulationB:
@@ -140,26 +166,6 @@ def eta_b(x: tuple[int, ...], signature: SymmetricSignature) -> TriangulationB:
     if not _is_symmetric(base.diagonals, 2 * signature.n):
         raise AssertionError(f"eta_b({x}) is not centrally symmetric")
     return TriangulationB(signature, base)
-
-
-def b_group_walk(elements) -> GroupWalk:
-    """The ``GroupWalk`` of signed permutations, embedded in the doubled
-    type A."""
-    return GroupWalk([embed_b_in_a(x) for x in elements])
-
-
-def eta_b_masks(elements, signature: SymmetricSignature, walk=None) -> list[int]:
-    """``eta_masks`` of the embedded signed permutations on the doubled
-    signature, read off ``walk``, their ``b_group_walk`` (built here if not
-    given), each distinct mask checked to be centrally symmetric."""
-    two_n = 2 * signature.n
-    walk = walk or b_group_walk(elements)
-    masks = eta_masks(walk.elements, signature.polygon.signature, walk)
-    for mask in set(masks):
-        if not _is_symmetric(_mask_diagonals(mask, two_n), two_n):
-            x = elements[masks.index(mask)]
-            raise AssertionError(f"eta_b({x}) is not centrally symmetric")
-    return masks
 
 
 # ---------------------------------------------------------------------------
@@ -290,32 +296,10 @@ def symmetric_triangulation_lattice(signature: SymmetricSignature) -> FiniteLatt
 # Descents of a symmetric triangulation.
 
 
-def _case_b_descents(sides: tuple[int, int], signature: SymmetricSignature) -> int:
-    """Left descents, bit i for s_i, of the symmetric triangulation whose
-    mask has ``_mask_sides`` ``sides`` on the doubled polygon: the doubled
-    signature's case table shifted by n."""
-    return _case_descents(sides, signature.polygon.signature) >> signature.n
-
-
-def eta_b_mask_descents(mask: int, signature: SymmetricSignature) -> int:
-    """Left descents, bit i for s_i, of the symmetric triangulation with
-    diagonal mask ``mask``."""
-    return _case_b_descents(_mask_sides(mask, 2 * signature.n), signature)
-
-
-def _polygon_maps(signature):
-    """(the group walk of a list of elements, eta's diagonal masks of the
-    elements, given their walk or not, the signature-free sides of one
-    mask, the descents of one mask's sides) on the signature's polygon;
-    type B's is the doubled type-A one."""
-    if isinstance(signature, SymmetricSignature):
-        return b_group_walk, eta_b_masks, partial(_mask_sides, n=2 * signature.n), _case_b_descents
-    return GroupWalk, eta_masks, partial(_mask_sides, n=signature.n), _case_descents
-
-
 def descent_set_b(tri: TriangulationB) -> frozenset[int]:
     """Left descents as generator names 0..n-1, read off the triangulation."""
-    return frozenset(_members(eta_b_mask_descents(_diagonal_mask(tri.base), tri.signature)))
+    sig = tri.signature
+    return frozenset(_members(sig.descents(sig.sides(_diagonal_mask(tri.base)))))
 
 
 def all_symmetric_signatures(n: int):

@@ -60,13 +60,10 @@ from .polygon_a import (
     _pattern_masks,
     # Not called here any more, but perfbench's tracing test reads suites.eta.
     eta,  # noqa: F401
-    eta_masks,
-    projection_tables,
     shard_digraph_a,
     transitive_closure_digraph,
 )
 from .polygon_b import (
-    _polygon_maps,
     all_symmetric_signatures,
     b_tamari_membership,
     linear_signature,
@@ -161,27 +158,19 @@ def _catalan_checks(n: int, system: CoxeterSystem, label: str) -> list:
 # Fibers of eta versus the Cambrian congruence.
 
 
-def _group_walk(system: CoxeterSystem, n: int, lattice: FiniteLattice):
-    """The group's signatures, and the group walk of its weak order that
-    eta and the projections read under each of them."""
-    signatures = _signatures(system, n)
-    walk_of, *_ = _polygon_maps(signatures[0])
-    return signatures, walk_of(lattice.elements)
-
-
 def _congruence_eq_checks(n: int, system: CoxeterSystem, label: str) -> list:
     """Fiber partitions of eta equal the Cambrian congruence classes:
     ``_numbered`` names the fibers, as ``class_of`` names the classes, by
     first member in index order, so the lists are equal iff the partitions are."""
     lattice = system.weak_order_lattice()
     checks, class_of = [], {}
-    signatures, walk = _group_walk(system, n, lattice)
-    _, masks_of, *_ = _polygon_maps(signatures[0])
+    signatures = _signatures(system, n)
+    walk = signatures[0].walk(lattice.elements)
     for sig in signatures:
         orientation = orientation_from_edges(system, sig.orientation_edges())
         if orientation not in class_of:
             class_of[orientation] = cambrian_congruence(system, orientation).class_of
-        fibers = _numbered(masks_of(lattice.elements, sig, walk))
+        fibers = _numbered(sig.eta_masks(walk))
         checks.append(_check(
             f"{label} sig {sig.to_string()}", fibers == class_of[orientation],
             generating_pairs=_pairs_repr(system, orientation),
@@ -216,8 +205,8 @@ def _fibers_ok(lattice: FiniteLattice, sig: UpDownSignature, walk: GroupWalk):
     fiber with different projections, or two fibers with the same ones,
     fail that test too and the block counts need no test of their own.
     A failure is rescanned by ``_fiber_witness``."""
-    masks = eta_masks(lattice.elements, sig, walk)
-    down, up = projection_tables(lattice, sig, walk)
+    masks = sig.eta_masks(walk)
+    down, up = walk.projection_tables(sig)
     fibers: dict = {}
     for i, mask in enumerate(masks):
         fibers[mask] = fibers.get(mask, 0) | 1 << i
@@ -499,16 +488,16 @@ def _case_table_check(
     descents = [
         sum(1 << a for a in system.left_descents(x)) for x in lattice.elements
     ]
-    signatures, walk = _group_walk(system, n, lattice)
+    signatures = _signatures(system, n)
+    walk = signatures[0].walk(lattice.elements)
     sides = {}
     for sig in signatures:
-        _, masks_of, sides_of, descents_of = _polygon_maps(sig)
-        masks = masks_of(lattice.elements, sig, walk)
+        masks = sig.eta_masks(walk)
         table = {}
         for mask in set(masks):
             if mask not in sides:
-                sides[mask] = sides_of(mask)
-            table[mask] = descents_of(sides[mask], sig)
+                sides[mask] = sig.sides(mask)
+            table[mask] = sig.descents(sides[mask])
         ours = list(map(table.__getitem__, masks))
         if ours != descents:
             x = next(

@@ -22,8 +22,9 @@ import pytest
 
 from cambrian import congruences, suites
 from cambrian.cli import main
-from cambrian.coxeter import get_system
+from cambrian.coxeter import _SYSTEMS, get_system
 from cambrian.lattices import FiniteLattice, contraction_congruence
+from cambrian.polygon_a import GroupWalk
 
 # Per suite at --max-rank 3: failing checks, all checks, first failing check.
 DROPPED_PAIR = {
@@ -250,18 +251,18 @@ def test_verify_shard_exits_1_with_the_failing_report(shard_arrows_dropped, caps
 
 
 def _without_atom_descent(system):
-    """``system.left_descents`` with the first generator dropped from its
-    own descents: that atom has none, while its join with another atom
-    keeps both."""
-    real, first = system.left_descents, system.generator_names[0]
+    """The fault that drops the first generator from its own atom's left
+    descents: that atom has none, while its join with another atom keeps
+    both."""
+    first = system.generator_names[0]
     atom = system.generator(first)
-    return lambda w: real(w) - {first} if w == atom else real(w)
+    return lambda descents, w: descents - {first} if w == atom else descents
 
 
 @pytest.fixture
-def atom_without_its_descent(monkeypatch):
+def atom_without_its_descent(fault_left_descents):
     for system in (get_system("A", 2), get_system("B", 2), get_system("B", 3)):
-        monkeypatch.setattr(system, "left_descents", _without_atom_descent(system))
+        fault_left_descents(system, _without_atom_descent(system))
 
 
 # At --max-rank 3 every check of S_3, B_2 and B_3 fails: each case table at
@@ -317,33 +318,46 @@ def test_verify_patterns_exits_1_when_a_firing_witness_is_dropped(monkeypatch, c
 
 
 def test_verify_fibers_exits_1_when_two_fibers_merge(monkeypatch, capsys):
-    real = suites.eta_masks
+    real = GroupWalk.eta_masks
 
-    def merged(elements, sig, walk=None):
-        masks = real(elements, sig, walk)
+    def merged(walk, sig):
+        masks = real(walk, sig)
         if sig.to_string() == "ddu":
             first, other = masks[0], next(m for m in masks if m != masks[0])
             masks = [first if m == other else m for m in masks]
         return masks
 
-    monkeypatch.setattr(suites, "eta_masks", merged)
+    monkeypatch.setattr(GroupWalk, "eta_masks", merged)
     report = _verify_fails(capsys, "--suite", "fibers", "--max-rank", "3")
     assert [(c["name"], c["witness"]) for c in _failed(report)] == [("A n=3 sig ddu", "(1, 2, 3)")]
 
 
 @pytest.mark.parametrize("family, n, first", [("A", 4, "dddd"), ("B", 3, "ddd")])
 def test_verify_descent_exits_1_when_one_element_moves_its_descents(
-    monkeypatch, capsys, family, n, first
+    fault_left_descents, capsys, family, n, first
 ):
     system = get_system(family, n - 1 if family == "A" else n)
     lattice = system.weak_order_lattice()
     x = lattice.elements[len(lattice.elements) // 2]
-    real = system.left_descents
-    monkeypatch.setattr(
-        system, "left_descents", lambda w: real(w) ^ {1} if w == x else real(w)
-    )
+    fault_left_descents(system, lambda descents, w: descents ^ {1} if w == x else descents)
     report = _verify_fails(capsys, "--suite", "descent", "--family", family, "--max-rank", str(n))
     case_tables = [c for c in _failed(report) if c["name"].endswith("case tables")]
     assert [(c["name"], c["witness"]) for c in case_tables] == [
         (f"{family} n={n} case tables", str((first, x)))
     ]
+
+
+def test_descent_faults_leave_no_system_attribute_behind(monkeypatch, fault_left_descents):
+    """The descent faults reach the faulted systems alone and, once undone,
+    leave no memoized system with a ``left_descents`` of its own, which
+    would hide a later class-level fault from it."""
+    a3, b3 = get_system("A", 3), get_system("B", 3)
+    atom = b3.generator(b3.generator_names[0])
+    fault_left_descents(a3, lambda descents, w: descents ^ {1})
+    fault_left_descents(b3, _without_atom_descent(b3))
+    assert a3.left_descents((1, 2, 3, 4)) == {1}
+    assert b3.left_descents(atom) == frozenset()
+    assert get_system("A", 2).left_descents((1, 2, 3)) == frozenset()
+    monkeypatch.undo()
+    assert [key for key, system in _SYSTEMS.items() if "left_descents" in vars(system)] == []
+    assert b3.left_descents(atom) == {b3.generator_names[0]}

@@ -38,7 +38,6 @@ from cambrian import (
 from cambrian import polygon_a, suites
 from cambrian.coxeter import all_ji_subsets_a
 from cambrian.lattices import FiniteLattice
-from cambrian.polygon_a import eta_mask_descents
 from cambrian.polygon_b import shard_digraph_b
 from cambrian.suites import _firing_masks, all_updown_signatures, catalan
 
@@ -606,23 +605,20 @@ def test_one_group_walk_reads_the_projections_under_every_signature():
         lattice = _weak_order(n)
         walk = polygon_a.GroupWalk(lattice.elements, lattice.index)
         for sig in all_updown_signatures(n):
-            down, up = projection_tables(lattice, sig, walk)
+            down, up = walk.projection_tables(sig)
             assert down == [lattice.index[pi_down(x, sig)] for x in lattice.elements], sig
             assert up == [lattice.index[pi_up(x, sig)] for x in lattice.elements], sig
 
 
 @pytest.mark.parametrize("family, n, first", [("A", 4, "dddd"), ("B", 3, "ddd")])
-def test_case_tables_fail_with_the_scan_witness(monkeypatch, family, n, first):
+def test_case_tables_fail_with_the_scan_witness(fault_left_descents, family, n, first):
     """One element's left descents moved: every signature's case table
     disagrees there and nowhere else, so the witness is the first
     signature with that element."""
     system = get_system(family, n - 1 if family == "A" else n)
     lattice = system.weak_order_lattice()
     x = lattice.elements[len(lattice.elements) // 2]
-    real = system.left_descents
-    monkeypatch.setattr(
-        system, "left_descents", lambda w: real(w) ^ {1} if w == x else real(w)
-    )
+    fault_left_descents(system, lambda descents, w: descents ^ {1} if w == x else descents)
     check = suites._case_table_check(system, n, lattice, f"{family} n={n}")
     assert check == {
         "name": f"{family} n={n} case tables",
@@ -641,13 +637,14 @@ def test_case_tables_read_each_mask_of_a_group_once(monkeypatch, family, n, mask
     lattice = system.weak_order_lattice()
     read = []
     real = polygon_a._mask_sides
-    monkeypatch.setattr(polygon_b, "_mask_sides", lambda mask, n: read.append(mask) or real(mask, n))
+    for module in (polygon_a, polygon_b):
+        monkeypatch.setattr(module, "_mask_sides", lambda mask, n: read.append(mask) or real(mask, n))
     assert suites._case_table_check(system, n, lattice, f"{family} n={n}")["passed"]
-    signatures, walk = suites._group_walk(system, n, lattice)
+    signatures = suites._signatures(system, n)
+    walk = signatures[0].walk(lattice.elements)
     distinct = set()
     for sig in signatures:
-        _, masks_of, *_ = polygon_b._polygon_maps(sig)
-        distinct.update(masks_of(lattice.elements, sig, walk))
+        distinct.update(sig.eta_masks(walk))
     assert sorted(read) == sorted(distinct)
     assert masks is None or len(read) == masks
 
@@ -657,52 +654,50 @@ def test_mask_case_table_matches_descent_set():
         if sig.n < 3:
             continue
         for tri in all_triangulations(polygon_from_signature(sig)):
-            got = eta_mask_descents(_encode(tri.diagonals, sig.n), sig)
+            got = sig.descents(sig.sides(_encode(tri.diagonals, sig.n)))
             want = descent_set_of_triangulation(tri, sig)
             assert got == sum(1 << a for a, _ in want), (tri, sig)
 
 
 @pytest.mark.parametrize("which", [0, 1])
 def test_fibers_fail_when_one_projection_entry_moves(monkeypatch, which):
-    real = suites.projection_tables
+    real = polygon_a.GroupWalk.projection_tables
 
-    def moved(lattice, sig, walk=None):
-        tables = real(lattice, sig, walk)
+    def moved(walk, sig):
+        tables = real(walk, sig)
         if sig.to_string() == "udud":
             # A middle member of a fiber, whose own entry is checked
             # against the fiber's ends, is sent to itself.
             fibers = {}
-            for j, mask in enumerate(suites.eta_masks(lattice.elements, sig)):
+            for j, mask in enumerate(walk.eta_masks(sig)):
                 fibers.setdefault(mask, []).append(j)
             i = next(members for members in fibers.values() if len(members) >= 3)[1]
             tables = [list(t) for t in tables]
             tables[which][i] = i
         return tuple(tables)
 
-    monkeypatch.setattr(suites, "projection_tables", moved)
+    monkeypatch.setattr(polygon_a.GroupWalk, "projection_tables", moved)
     report = suites.suite_fibers(max_rank=4)
     assert not report["passed"]
     failed = [c for c in report["checks"] if not c["passed"]]
-    assert [c["name"] for c in failed] == ["A n=4 sig udud"]
-    assert failed[0]["witness"]
+    assert [(c["name"], c["witness"]) for c in failed] == [("A n=4 sig udud", "(3, 1, 2, 4)")]
 
 
 def test_fibers_fail_when_two_fibers_merge(monkeypatch):
-    real = suites.eta_masks
+    real = polygon_a.GroupWalk.eta_masks
 
-    def merged(elements, sig, walk=None):
-        masks = real(elements, sig, walk)
+    def merged(walk, sig):
+        masks = real(walk, sig)
         if sig.to_string() == "ddu":
             first, other = masks[0], next(m for m in masks if m != masks[0])
             masks = [first if m == other else m for m in masks]
         return masks
 
-    monkeypatch.setattr(suites, "eta_masks", merged)
+    monkeypatch.setattr(polygon_a.GroupWalk, "eta_masks", merged)
     report = suites.suite_fibers(max_rank=3)
     assert not report["passed"]
     failed = [c for c in report["checks"] if not c["passed"]]
-    assert [c["name"] for c in failed] == ["A n=3 sig ddu"]
-    assert failed[0]["witness"]
+    assert [(c["name"], c["witness"]) for c in failed] == [("A n=3 sig ddu", "(1, 2, 3)")]
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Tests for centrally symmetric triangulations and signed patterns."""
 
 import math
+import re
 
 import pytest
 
@@ -29,10 +30,10 @@ from cambrian.coxeter import (
     full_notation,
     signed_ji_bounds,
 )
-from cambrian import polygon_a, polygon_b, suites
+from cambrian import polygon_a, suites
 from cambrian.lattices import FiniteLattice
 from cambrian.polygon_a import _mask_diagonals, all_triangulations
-from cambrian.polygon_b import _is_symmetric, eta_b_masks
+from cambrian.polygon_b import _is_symmetric
 
 
 def unbridge(sig, p):
@@ -338,7 +339,7 @@ def test_symmetric_triangulation_lattice_matches_per_orbit_flips():
 
 
 def test_suite_b_bodies_match_per_element_eta_b():
-    """eta_b_masks against eta_b's diagonals, fibers grouped by them one
+    """The signature's eta masks against eta_b's diagonals, fibers grouped by them one
     element at a time, and the per-element signed case table with the s_0
     rule, on B_2..B_4."""
     for n in range(2, 5):
@@ -346,7 +347,7 @@ def test_suite_b_bodies_match_per_element_eta_b():
         lattice = system.weak_order_lattice()
         for sig in all_symmetric_signatures(n):
             fibers, got = {}, {}
-            masks = eta_b_masks(lattice.elements, sig)
+            masks = sig.eta_masks(sig.walk(lattice.elements))
             for i, (x, mask) in enumerate(zip(lattice.elements, masks)):
                 tri = eta_b(x, sig)
                 assert _mask_diagonals(mask, 2 * n) == tri.base.diagonals, (x, sig)
@@ -360,10 +361,11 @@ def test_suite_b_bodies_match_per_element_eta_b():
 def test_one_b_group_walk_reads_eta_b_under_every_signature():
     for n in range(2, 5):
         elements = get_system("B", n).weak_order_lattice().elements
-        walk = polygon_b.b_group_walk(elements)
-        for sig in all_symmetric_signatures(n):
+        signatures = all_symmetric_signatures(n)
+        walk = signatures[0].walk(elements)
+        for sig in signatures:
             want = [eta_b(x, sig).base.diagonals for x in elements]
-            got = [_mask_diagonals(m, 2 * n) for m in eta_b_masks(elements, sig, walk)]
+            got = [_mask_diagonals(m, 2 * n) for m in sig.eta_masks(walk)]
             assert got == want, sig
 
 
@@ -378,28 +380,50 @@ def _drop_a_mirror(mask, n):
     return mask
 
 
+def _refusal(x):
+    """The whole refusal of the signed permutation x, as a match pattern."""
+    return f"^{re.escape(f'eta_b({x}) is not centrally symmetric')}$"
+
+
 def test_b_mask_path_refuses_an_asymmetric_triangulation(monkeypatch):
     # eta_b walks one element through polygon_a._eta_mask; the suites read
-    # eta_b_masks, which calls eta_masks and its step table.
-    real_mask, real_masks = polygon_a._eta_mask, polygon_b.eta_masks
+    # the signature's eta_masks, which calls GroupWalk.eta_masks.
+    real_mask, real_masks = polygon_a._eta_mask, polygon_a.GroupWalk.eta_masks
     monkeypatch.setattr(
         polygon_a, "_eta_mask",
         lambda x, n, up, boundary: _drop_a_mirror(real_mask(x, n, up, boundary), n),
     )
     monkeypatch.setattr(
-        polygon_b, "eta_masks",
-        lambda elements, sig, walk=None: [
-            _drop_a_mirror(m, sig.n) for m in real_masks(elements, sig, walk)
-        ],
+        polygon_a.GroupWalk, "eta_masks",
+        lambda walk, sig: [_drop_a_mirror(m, sig.n) for m in real_masks(walk, sig)],
     )
     system = get_system("B", 3)
     lattice = system.weak_order_lattice()
     sig = SymmetricSignature.from_positive_ups(3, {2})
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match=_refusal((1, 2, 3))):
         eta_b((1, 2, 3), sig)
-    with pytest.raises(AssertionError):
-        eta_b_masks(lattice.elements, sig)
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match=_refusal((1, 2, 3))):
+        sig.eta_masks(sig.walk(lattice.elements))
+    with pytest.raises(AssertionError, match=_refusal((1, 2, 3))):
         suites._case_table_check(system, 3, lattice, "B n=3")
-    with pytest.raises(AssertionError):
+    with pytest.raises(AssertionError, match=_refusal((1, 2))):
         suites.run_suite("congruence-eq", family="B", max_rank=2)
+
+
+def test_b_mask_path_refusal_names_the_signed_element(monkeypatch):
+    """One element's mask alone loses a diagonal: the refusal names that
+    signed permutation, negative entries included, not its embedding."""
+    lattice = get_system("B", 3).weak_order_lattice()
+    x = (-2, 3, -1)
+    real_masks = polygon_a.GroupWalk.eta_masks
+
+    def broken(walk, sig):
+        masks = real_masks(walk, sig)
+        i = walk.elements.index(embed_b_in_a(x))
+        masks[i] = _drop_a_mirror(masks[i], sig.n)
+        return masks
+
+    monkeypatch.setattr(polygon_a.GroupWalk, "eta_masks", broken)
+    for sig in all_symmetric_signatures(3):
+        with pytest.raises(AssertionError, match=_refusal(x)):
+            sig.eta_masks(sig.walk(lattice.elements))
