@@ -299,4 +299,6 @@ def parabolic_restriction_check(system: CoxeterSystem, orientation: Orientation,
         if s in K and t in K
     ]
     sub_cong = congruence_closure(sub, sub_pairs)
-    return restricted_cong.key() == sub_cong.key()
+    # Both number their classes by first member, so equal lists are equal
+    # partitions.
+    return restricted_cong.class_of == sub_cong.class_of

@@ -10,7 +10,8 @@ Inside the module the A and B rays are integers: n * ray in S_n and 2n
 Only ``ray_vector``, ``region_cone`` and ``fan_to_json`` divide, at the
 public boundary.  One table, ``_rays_and_diagonals``, pairs each ray
 subset with its polygon diagonal, and the ray list, the ray-to-diagonal
-map and its inverse all read it.
+map and its inverse all read it.  In both types a fan ray is keyed by
+its diagonal: a cone is the sorted diagonals of a triangulation.
 
 Every fan check builds the cone of each Cambrian class and a
 side-of-wall test, then hands them to one report (``_fan_faces``): wall
@@ -23,9 +24,11 @@ elimination per cone gives its facet normals, and one class loop
 holds, and its wall sides; the member regions' rays come from one table
 per weak order (``_region_table``), and each class tests its distinct
 member rays once.  The internal checks ``_check_fan_a``/``_check_fan_b``
-take the Cambrian lattice and a memo of eliminated cones, so that the
-fan suite builds each orientation's lattice once and eliminates each
-distinct cone of a group once.
+take the Cambrian lattice, so that the fan suite builds each
+orientation's lattice once.  A cone's normals depend on its ray vectors
+alone, so ``_inward_normals`` is cached for the process, like the region
+and chamber tables: each distinct cone is eliminated once, whichever
+signature, suite or command meets it first.
 
 In H3 a cone is cut out by the walls that leave its class: the wall of
 w's chamber opposite w * omega_k bounds the class exactly when w * s_k is
@@ -107,11 +110,13 @@ def _rank(vectors) -> int:
     return len(_echelon(vectors)[1])
 
 
-def _inward_normals(rays, lineality=()):
+@lru_cache(maxsize=None)
+def _inward_normals(rays: tuple, lineality: tuple = ()):
     """Integer b_i, one per ray, with b_i . ray_j = d * [i == j] for one
     d > 0 and b_i . l = 0 for each lineality vector l; None unless the rays
     and the lineality form a basis.  The b_i are the rows of d times the
     inverse of the basis, which one elimination leaves beside the identity.
+    Rays and lineality are tuples of integer tuples, the cache's key.
     """
     basis = [*rays, *lineality]
     dim = len(basis)
@@ -301,9 +306,7 @@ def _fan_faces(camb, cones, side, simplicial, tiling, **extra) -> dict:
     }
 
 
-def _check_fan_ab(
-    camb, cones, vectors, region_rays, lineality=(), fan_rays=None, eliminated=None
-) -> dict:
+def _check_fan_ab(camb, cones, vectors, region_rays, lineality=(), fan_rays=None) -> dict:
     """The fan report of type A or B, from the ray keys of each class cone.
 
     Each cone needs inward facet normals modulo the ``lineality`` and must
@@ -312,19 +315,8 @@ def _check_fan_ab(
     says whether each cone holds exactly the fan rays it lists.  Ray b is
     across a wall from a when b is on the negative side of a's normal in
     the cone on the wall and a.
-
-    ``eliminated`` maps (ray vectors, lineality) of each cone eliminated
-    so far to its normals; the fan suite shares one across the signatures
-    of a group, whose congruences share most of their cones.
     """
-    if eliminated is None:
-        eliminated = {}
-    normals = []
-    for cone in cones:
-        key = (tuple(vectors[a] for a in cone), lineality)
-        if key not in eliminated:
-            eliminated[key] = _inward_normals(*key)
-        normals.append(eliminated[key])
+    normals = [_inward_normals(tuple(vectors[a] for a in cone), lineality) for cone in cones]
 
     def inside(c, v):
         return normals[c] is not None and all(_dot(b, v) >= 0 for b in normals[c])
@@ -386,18 +378,6 @@ def _class_diagonals(camb: CambrianLattice, signature, n: int):
 # Fan verification, type A.
 
 
-def _cones_a(camb: CambrianLattice, signature: UpDownSignature, pairs):
-    """The ray subsets of each class cone of the signature's Cambrian
-    lattice ``camb``: those of the diagonals of the class bottom's
-    triangulation.  ``pairs`` is the signature's ``_rays_and_diagonals``
-    table."""
-    d2s = {d: a for a, d in pairs}
-    return [
-        tuple(d2s[d] for d in diags)
-        for diags in _class_diagonals(camb, signature, signature.n)
-    ]
-
-
 def check_fan_a(signature: UpDownSignature) -> dict:
     """Verify the Cambrian fan of a type-A signature.
 
@@ -411,18 +391,14 @@ def check_fan_a(signature: UpDownSignature) -> dict:
     return _check_fan_a(signature, _signature_lattice(system, signature))
 
 
-def _check_fan_a(signature: UpDownSignature, camb: CambrianLattice, eliminated=None) -> dict:
-    """The fan check of the signature's Cambrian lattice ``camb``; see
-    ``_check_fan_ab`` for ``eliminated``."""
+def _check_fan_a(signature: UpDownSignature, camb: CambrianLattice) -> dict:
+    """The fan check of the signature's Cambrian lattice ``camb``; rays
+    and cones are keyed by diagonals, as in type B."""
     n = signature.n
-    pairs = _rays_and_diagonals(signature)
-    cones = _cones_a(camb, signature, pairs)
-    subsets = [a for a, _ in pairs]
-    vectors = {a: _int_ray(n, a) for a in subsets}
-    report = _check_fan_ab(
-        camb, cones, vectors, _suffix_rays_a, ((1,) * n,), subsets, eliminated=eliminated
-    )
-    return {"family": "A", **report, "num_rays": len(subsets)}
+    vectors = {d: _int_ray(n, a) for a, d in _rays_and_diagonals(signature)}
+    cones = _class_diagonals(camb, signature, n)
+    report = _check_fan_ab(camb, cones, vectors, _suffix_rays_a, ((1,) * n,), vectors)
+    return {"family": "A", **report, "num_rays": len(vectors)}
 
 
 # ---------------------------------------------------------------------------
@@ -438,12 +414,8 @@ def _antisymmetric_part(v):
 
 def _symmetric_region_rays(x: tuple[int, ...]):
     """Rays of the region of a signed permutation, times 2n: the
-    antisymmetric parts of the doubled rays."""
-    n = len(x)
-    e = embed_b_in_a(x)
-    return [
-        _antisymmetric_part(_int_ray(2 * n, frozenset(e[k:]))) for k in range(1, n + 1)
-    ]
+    antisymmetric parts of the first n rays of the doubled region."""
+    return [_antisymmetric_part(r) for r in _suffix_rays_a(embed_b_in_a(x))[: len(x)]]
 
 
 def check_fan_b(signature: SymmetricSignature) -> dict:
@@ -456,9 +428,8 @@ def check_fan_b(signature: SymmetricSignature) -> dict:
     return _check_fan_b(signature, _signature_lattice(system, signature))
 
 
-def _check_fan_b(signature: SymmetricSignature, camb: CambrianLattice, eliminated=None) -> dict:
-    """The fan check of the signature's Cambrian lattice ``camb``; see
-    ``_check_fan_ab`` for ``eliminated``."""
+def _check_fan_b(signature: SymmetricSignature, camb: CambrianLattice) -> dict:
+    """The fan check of the signature's Cambrian lattice ``camb``."""
     two_n = 2 * signature.n
     diagonals = _class_diagonals(camb, signature, two_n)
     # Both diagonals of an orbit under the central symmetry give its ray;
@@ -470,7 +441,7 @@ def _check_fan_b(signature: SymmetricSignature, camb: CambrianLattice, eliminate
     cones = [
         tuple(sorted({min(d, _mirror(d, two_n)) for d in diags})) for diags in diagonals
     ]
-    report = _check_fan_ab(camb, cones, vectors, _symmetric_region_rays, eliminated=eliminated)
+    report = _check_fan_ab(camb, cones, vectors, _symmetric_region_rays)
     return {"family": "B", **report}
 
 
@@ -676,11 +647,7 @@ def _alpha(n: int, i: int, j: int) -> tuple[int, ...]:
 
 def all_roots_ge_minus_one(n: int):
     """Phi_{>=-1} for S_n: positive roots plus negative simples."""
-    out = [_neg_simple(n, i) for i in range(1, n)]
-    for i in range(1, n):
-        for j in range(i, n):
-            out.append(_alpha(n, i, j))
-    return out
+    return [_neg_simple(n, i) for i in range(1, n)] + positive_roots(n)
 
 
 @lru_cache(maxsize=None)
@@ -987,11 +954,11 @@ def fan_to_json(signature: UpDownSignature) -> dict:
 def _fan_to_json(signature: UpDownSignature, camb: CambrianLattice) -> dict:
     """The fan of the signature's Cambrian lattice ``camb``."""
     n = signature.n
-    pairs = _rays_and_diagonals(signature)
-    subsets = [a for a, _ in pairs]
-    ray_index = {a: k for k, a in enumerate(subsets)}
-    cones_a = _cones_a(camb, signature, pairs)
-    cones = [sorted(ray_index[a] for a in cone) for cone in cones_a]
+    subsets, diagonals = zip(*_rays_and_diagonals(signature))
+    ray_index = {d: k for k, d in enumerate(diagonals)}
+    cones = [
+        sorted(ray_index[d] for d in diags) for diags in _class_diagonals(camb, signature, n)
+    ]
     return {
         "dim": n - 1,
         "lineality": [fraction_str(Fraction(1)) for _ in range(n)],

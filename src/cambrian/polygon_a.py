@@ -339,18 +339,21 @@ class GroupWalk:
     ``moves`` lists, per direction (descents, then ascents), every
     adjacent pair a projection could swap, backwards through the list and
     through each element, so that the last pair of an element is its
-    leftmost.  Each pair is its element's position, the position in
-    ``index`` (which only the projections need) of the permutation with
-    the pair swapped, and, as one byte, the place in ``sides`` of the
+    leftmost.  Each pair is its element's position, the position of the
+    permutation with the pair swapped (``index``, which only the
+    projections need), and, as one byte, the place in ``sides`` of the
     values strictly between the pair that come before it or, shifted by
     n+1, after it: at most 241 masks for n <= 8, so a byte holds the
     place.
     """
 
-    def __init__(self, elements, index=None):
+    def __init__(self, elements):
         self.elements = elements
-        self.index = index
         self.n = len(elements[0]) if elements else 0
+
+    @cached_property
+    def index(self) -> dict:
+        return {x: i for i, x in enumerate(self.elements)}
 
     @cached_property
     def levels(self) -> list[tuple[list[int], list[int]]]:
@@ -556,8 +559,7 @@ def projection_tables(
     lattice: FiniteLattice, signature: UpDownSignature
 ) -> tuple[list[int], list[int]]:
     """pi_down and pi_up of every element of a weak order of S_n, as
-    lattice indices, read off the ``GroupWalk`` of the lattice's elements
-    and index.
+    lattice indices, read off the ``GroupWalk`` of the lattice's elements.
 
     An element no move changes is its own projection; otherwise its
     projection is that of the element ``_first_move`` swaps it to, which
@@ -565,7 +567,7 @@ def projection_tables(
     cover, which the lattice's linear extension puts before (after) the
     element.
     """
-    return GroupWalk(lattice.elements, lattice.index).projection_tables(signature)
+    return GroupWalk(lattice.elements).projection_tables(signature)
 
 
 def is_pi_down_fixed(x: tuple[int, ...], signature: UpDownSignature) -> bool:

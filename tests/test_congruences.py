@@ -1,5 +1,6 @@
 import pytest
 
+from cambrian import congruences
 from cambrian import (
     build_system,
     cambrian_congruence,
@@ -115,3 +116,18 @@ def test_parabolic_restriction():
         assert len(parabolic_elements(h3, K)) == size
         for o in all_orientations(h3):
             assert parabolic_restriction_check(h3, o, K), (o, K)
+
+
+def test_parabolic_restriction_fails_when_the_sub_closure_drops_its_pairs(monkeypatch):
+    # With no generating pair the closure on W_K is the finest partition,
+    # which the restricted Cambrian congruence of S_3 (5 classes) is not.
+    system = build_system("A", 3)
+    o = parse_orientation(system, "1>2,3>2")
+    closure = congruences.congruence_closure
+    full = system.weak_order_lattice().n
+
+    def dropped(lattice, pairs):
+        return closure(lattice, pairs if lattice.n == full else [])
+
+    monkeypatch.setattr(congruences, "congruence_closure", dropped)
+    assert not parabolic_restriction_check(system, o, {1, 2})

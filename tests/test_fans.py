@@ -1,6 +1,7 @@
 """Tests for region cones, Cambrian fan rays, and the cluster machinery."""
 
 import itertools
+import json
 import math
 import sys
 from collections import Counter, defaultdict
@@ -147,40 +148,45 @@ def test_check_fan_a_tiling_fails_when_a_wall_does_not_separate(monkeypatch):
 def test_check_fan_a_consistency_fails_when_a_cone_lists_a_neighbours_ray(monkeypatch):
     # The cone on the rays {1,2} and {2} lists {2,3}, a ray of its
     # neighbour, in place of {2}; the cone it spans holds the unlisted {2}.
-    cones_a = fans._cones_a
-    wrong = {frozenset({1, 2}), frozenset({2})}
+    class_diagonals = fans._class_diagonals
+    d12, d2, d23 = (ray_to_diagonal(frozenset(a), TAMARI3) for a in ({1, 2}, {2}, {2, 3}))
 
-    def swapped(camb, signature, pairs):
+    def swapped(camb, signature, n):
         return [
-            (frozenset({1, 2}), frozenset({2, 3})) if set(cone) == wrong else cone
-            for cone in cones_a(camb, signature, pairs)
+            sorted((d12, d23)) if set(cone) == {d12, d2} else cone
+            for cone in class_diagonals(camb, signature, n)
         ]
 
-    monkeypatch.setattr(fans, "_cones_a", swapped)
+    monkeypatch.setattr(fans, "_class_diagonals", swapped)
     assert check_fan_a(TAMARI3)["consistency"] is False
 
 
-def _first_cone_replaced(monkeypatch, rays):
-    cones_a = fans._cones_a
+def _first_cone_replaced(monkeypatch, signature, rays):
+    """The first class cone of the signature made of the diagonals of
+    the ray subsets ``rays``, repeats kept."""
+    class_diagonals = fans._class_diagonals
+    first = sorted(ray_to_diagonal(frozenset(a), signature) for a in rays)
 
-    def replaced(camb, signature, pairs):
-        return [tuple(map(frozenset, rays))] + cones_a(camb, signature, pairs)[1:]
+    def replaced(camb, signature, n):
+        return [first] + class_diagonals(camb, signature, n)[1:]
 
-    monkeypatch.setattr(fans, "_cones_a", replaced)
+    monkeypatch.setattr(fans, "_class_diagonals", replaced)
 
 
 def test_check_fan_a_consistency_fails_when_a_cone_holds_an_unlisted_ray(monkeypatch):
     # The rays {1}, {3,4}, {4} of the S4 fan for dddd are independent, and
     # the cone they span holds the fan rays {1,4} and {1,3,4} too.
-    _first_cone_replaced(monkeypatch, [{1}, {3, 4}, {4}])
-    report = check_fan_a(UpDownSignature.from_string("dddd"))
+    sig = UpDownSignature.from_string("dddd")
+    _first_cone_replaced(monkeypatch, sig, [{1}, {3, 4}, {4}])
+    report = check_fan_a(sig)
     assert report["simplicial"] and report["consistency"] is False
     assert not fan_passed(report)
 
 
 def test_check_fan_a_fails_everywhere_when_a_cone_repeats_a_ray(monkeypatch):
-    _first_cone_replaced(monkeypatch, [{2, 3, 4}, {4}, {4}])
-    report = check_fan_a(UpDownSignature.from_string("dddd"))
+    sig = UpDownSignature.from_string("dddd")
+    _first_cone_replaced(monkeypatch, sig, [{2, 3, 4}, {4}, {4}])
+    report = check_fan_a(sig)
     assert not (report["simplicial"] or report["tiling"] or report["consistency"])
 
 
@@ -374,6 +380,10 @@ def _combo_oracle(rays, v):
     return tuple(c for (c,) in sol)
 
 
+def _rows(vectors):
+    return tuple(map(tuple, vectors))
+
+
 entries = st.integers(min_value=-3, max_value=3)
 
 
@@ -384,7 +394,7 @@ def test_integer_elimination_matches_rational_solve(rows, cols, data):
     # A square basis, its first k vectors the rays and the rest lineality.
     basis = [data.draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(cols)]
     k = data.draw(st.integers(1, cols))
-    normals = fans._inward_normals(basis[:k], basis[k:])
+    normals = fans._inward_normals(_rows(basis[:k]), _rows(basis[k:]))
     assert (normals is None) == (_rank_oracle(basis) < cols)
     if normals is not None:
         assert all(type(x) is int for b in normals for x in b)
@@ -397,7 +407,7 @@ def test_integer_elimination_matches_rational_solve(rows, cols, data):
     v = data.draw(st.lists(entries, min_size=cols, max_size=cols))
     for scale in (1, 3):
         rays = [[scale * x for x in r] for r in basis]
-        normals = fans._inward_normals(rays)
+        normals = fans._inward_normals(_rows(rays))
         inside = normals is not None and all(fans._dot(b, v) >= 0 for b in normals)
         assert inside == (_combo_oracle(rays, v) is not None)
 
@@ -406,15 +416,15 @@ def test_inward_normals_on_cone_members():
     # Every suffix ray of a permutation's region lies in the region's cone,
     # on every facet but the one opposite it; the first ray's negation
     # lies outside.
-    rays = fans._suffix_rays_a((2, 4, 1, 3))
-    normals = fans._inward_normals(rays, [(1,) * 4])
+    rays = tuple(fans._suffix_rays_a((2, 4, 1, 3)))
+    normals = fans._inward_normals(rays, ((1,) * 4,))
     d = fans._dot(normals[0], rays[0])
     assert d > 0
     for k, ray in enumerate(rays):
         assert [fans._dot(b, ray) for b in normals] == [d * (j == k) for j in range(3)]
     assert any(fans._dot(b, tuple(-x for x in rays[0])) < 0 for b in normals)
     # Two rays and the lineality are no basis of the 4-space.
-    assert fans._inward_normals(rays[1:], [(1,) * 4]) is None
+    assert fans._inward_normals(rays[1:], ((1,) * 4,)) is None
 
 
 def test_int_ray_is_scaled_ray_vector():
@@ -1003,9 +1013,11 @@ def test_h3_fan_suite_builds_each_cambrian_lattice_once(monkeypatch):
 def test_ab_fan_suite_builds_each_lattice_and_cone_once(monkeypatch):
     """One closure and one quotient per orientation and one elimination per
     distinct cone of each group (24 and 264 in A, 12 and 184 in B when each
-    signature built its own); a second call does the same work again, so
-    nothing outlives a call."""
+    signature built its own).  A second call builds the lattices again, but
+    the eliminations are cached for the process and are not repeated."""
     from cambrian import congruences, suites
+
+    fans._inward_normals.cache_clear()
 
     calls = Counter()
     for module, name in (
@@ -1021,12 +1033,12 @@ def test_ab_fan_suite_builds_each_lattice_and_cone_once(monkeypatch):
 
         monkeypatch.setattr(module, name, wrapper)
     for args, lattices, cones in ((("fan", "A", 7), 2 + 4, 88), (("fan", "B"), 2 + 4, 108)):
-        for _ in range(2):
+        for eliminations in (cones, 0):
             calls.clear()
             assert suites.run_suite(*args)["passed"]
-            assert calls == {
-                "congruence_closure": lattices, "quotient_lattice": lattices, "_echelon": cones
-            }, args
+            assert calls == Counter(
+                congruence_closure=lattices, quotient_lattice=lattices, _echelon=eliminations
+            ), args
 
 
 def _swap_first_ray(cones):
@@ -1040,36 +1052,50 @@ def _swap_first_ray(cones):
 @pytest.mark.parametrize("family,broken", [("A", "uuuu"), ("B", "uuu")])
 def test_fan_suite_fails_a_cone_with_a_swapped_ray(monkeypatch, family, broken):
     """A class cone with one ray swapped fails its signature's check in the
-    suite, after the shared elimination memo has seen the other signatures'
+    suite, after the elimination cache has seen the other signatures'
     cones, and only that check."""
     from cambrian import suites
 
-    if family == "A":
-        cones_a = fans._cones_a
+    class_diagonals = fans._class_diagonals
 
-        def swapped(camb, signature, pairs):
-            cones = cones_a(camb, signature, pairs)
-            return _swap_first_ray(cones) if signature.to_string() == broken else cones
+    def swapped(camb, signature, n):
+        diagonals = class_diagonals(camb, signature, n)
+        if signature.to_string() != broken:
+            return diagonals
+        return [sorted(d) for d in _swap_first_ray(diagonals)]
 
-        monkeypatch.setattr(fans, "_cones_a", swapped)
-    else:
-        class_diagonals = fans._class_diagonals
-
-        def swapped(camb, signature, n):
-            diagonals = class_diagonals(camb, signature, n)
-            if signature.to_string() != broken:
-                return diagonals
-            return [sorted(d) for d in _swap_first_ray(diagonals)]
-
-        monkeypatch.setattr(fans, "_class_diagonals", swapped)
+    monkeypatch.setattr(fans, "_class_diagonals", swapped)
     report = suites.run_suite("fan", family)
     failed = [c for c in report["checks"] if not c["passed"]]
     assert [c["name"].split()[-1] for c in failed] == [broken]
     assert not (failed[0]["tiling"] and failed[0].get("consistency", True))
 
 
-def _rows(vectors):
-    return tuple(map(tuple, vectors))
+def test_fan_suite_fault_is_not_hidden_by_the_elimination_cache(monkeypatch):
+    """The cache is keyed by ray vectors: after a clean run has filled it,
+    a ray fault still fails the suite, and a clean rerun reports the same
+    bytes as the first run.  The fault tilts the ray {2} a little, which
+    keeps every wall side and fan ray test; only the tilted cones' own
+    normals show that the clean region rays, kept per weak order, left
+    them."""
+    from cambrian import suites
+
+    clean = json.dumps(suites.run_suite("fan"), indent=2)
+    int_ray = fans._int_ray
+
+    def tilted(n, members):
+        ray = int_ray(n, members)
+        if members != {2}:
+            return ray
+        ray = [10 * x for x in ray]
+        return (ray[0] + 1, *ray[1:-1], ray[-1] - 1)
+
+    monkeypatch.setattr(fans, "_int_ray", tilted)
+    faulty = suites.run_suite("fan")
+    assert not faulty["passed"]
+    assert any(not c.get("tiling", True) for c in faulty["checks"] if not c["passed"])
+    monkeypatch.undo()
+    assert json.dumps(suites.run_suite("fan"), indent=2) == clean
 
 
 def test_ab_body_matches_per_family_loops(monkeypatch):
@@ -1115,13 +1141,11 @@ def test_ab_body_matches_per_family_loops(monkeypatch):
     assert all(r["simplicial"] and r["dual_graph_is_hasse"] for r in moved)
 
 
-def _per_member_check_fan_ab(
-    camb, cones, vectors, region_rays, lineality=(), fan_rays=None, eliminated=None
-):
+def _per_member_check_fan_ab(camb, cones, vectors, region_rays, lineality=(), fan_rays=None):
     """_check_fan_ab before the region table: every ray of every member's
-    region tested against its class cone, each cone eliminated afresh."""
+    region tested against its class cone."""
     normals = [
-        fans._inward_normals([vectors[a] for a in cone], lineality) for cone in cones
+        fans._inward_normals(tuple(vectors[a] for a in cone), lineality) for cone in cones
     ]
 
     def inside(c, v):

@@ -603,7 +603,7 @@ def test_one_group_walk_reads_eta_under_every_signature():
 def test_one_group_walk_reads_the_projections_under_every_signature():
     for n in range(3, 7):
         lattice = _weak_order(n)
-        walk = polygon_a.GroupWalk(lattice.elements, lattice.index)
+        walk = polygon_a.GroupWalk(lattice.elements)
         for sig in all_updown_signatures(n):
             down, up = walk.projection_tables(sig)
             assert down == [lattice.index[pi_down(x, sig)] for x in lattice.elements], sig
