@@ -19,7 +19,8 @@ Exit codes: 0 pass, 1 suite or check failure (a suite with no checks
 fails), 2 usage error (including a family a suite does not cover and an
 ``--output`` that cannot be written), 3
 element cap exceeded, 4 internal error (an invariant of the program
-failed; the message goes to stderr).  The element cap is ``DEFAULT_CAP``
+failed, or memory ran out; one message goes to stderr and nothing to
+stdout).  The element cap is ``DEFAULT_CAP``
 unless the environment variable ``CAMB_CAP`` sets it; the ``--cap`` flag
 overrides both.  Every command checks the order of each group it reads
 against the cap before it builds or enumerates any; the refusal names the
@@ -322,6 +323,12 @@ def main(argv=None) -> int:
     except AssertionError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
+    except MemoryError:
+        # Reported below, once the handler has released the traceback and
+        # the partly built structures its frames hold.
+        pass
+    print("error: out of memory", file=sys.stderr)
+    return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -46,6 +46,11 @@ with every ray, as det(u, v, r) = (u x v) . r; a chamber copies the rays
 it shares with a lower cover w * s_d and acts only for w * omega_d; and
 a wall's reflection is read off the root permutation
 (``CoxeterSystem.wall_reflection``).
+
+The cluster model depends on n alone, so ``clusters`` is cached per n
+and returns one frozen complex per n to every suite check and lattice
+that reads it; ``nice_coroot`` scans the positive roots in one cached
+order per n.
 """
 
 from __future__ import annotations
@@ -739,6 +744,7 @@ class ClusterComplex:
     clusters: tuple
 
 
+@lru_cache(maxsize=None)
 def clusters(n: int) -> ClusterComplex:
     """All clusters for S_n, via triangulations of the alternating polygon."""
     polygon = polygon_from_signature(alternating_signature(n))
@@ -832,9 +838,15 @@ def positive_roots(n: int):
     return [_alpha(n, i, j) for i in range(1, n) for j in range(i, n)]
 
 
+@lru_cache(maxsize=None)
+def _coroots_by_height(n: int) -> tuple:
+    """The positive roots of S_n by height, then lexicographically."""
+    return tuple(sorted(positive_roots(n), key=lambda r: (sum(r), r)))
+
+
 def nice_coroot(n: int, near_cluster):
     """A positive coroot bracket-orthogonal to every root of the wall."""
-    for beta in sorted(positive_roots(n), key=lambda r: (sum(r), r)):
+    for beta in _coroots_by_height(n):
         if all(bracket(beta, alpha) == 0 for alpha in near_cluster):
             return beta
     raise LookupError("no positive coroot is orthogonal to the near-cluster")

@@ -29,7 +29,6 @@ from functools import cached_property
 from .coxeter import (
     _b_value_to_a,
     all_signed_ji_subsets,
-    contains_signed_pattern,
     embed_b_in_a,
     project_a_to_b,
     signed_ji_bounds,
@@ -241,12 +240,42 @@ def shard_digraph_b(n: int) -> dict[frozenset[int], frozenset[frozenset[int]]]:
 # B-Tamari pattern characterization.
 
 
+_PATTERN_LENGTHS = sorted({len(p) for patterns in B_TAMARI_PATTERNS.values() for p in patterns})
+
+
+def _signed_subpatterns(x: tuple[int, ...]) -> set[tuple[int, ...]]:
+    """The signed standardizations of the subsequences of x whose length is
+    that of a B-Tamari pattern.  x avoids a pattern of those lengths iff
+    the pattern is not in this set (``contains_signed_pattern`` is the
+    one-pattern oracle)."""
+    if 0 in x or len({abs(v) for v in x}) != len(x):
+        raise ValueError(f"{x} has repeated or zero absolute values")
+    found = set()
+    for k in _PATTERN_LENGTHS:
+        for sub in itertools.combinations(x, k):
+            absolutes = sorted(map(abs, sub))
+            found.add(tuple(
+                absolutes.index(v) + 1 if v > 0 else -1 - absolutes.index(-v) for v in sub
+            ))
+    return found
+
+
 def b_tamari_membership(x: tuple[int, ...], variant: str) -> bool:
     if variant not in B_TAMARI_PATTERNS:
         raise ValueError(f"unknown variant {variant!r}")
-    return not any(
-        contains_signed_pattern(x, p) for p in B_TAMARI_PATTERNS[variant]
-    )
+    return _signed_subpatterns(x).isdisjoint(B_TAMARI_PATTERNS[variant])
+
+
+def b_tamari_avoiders(elements) -> dict[str, set]:
+    """Each variant's pattern avoiders among ``elements``, in one pass that
+    standardizes each element's subsequences once for both variants."""
+    avoiders = {variant: set() for variant in B_TAMARI_PATTERNS}
+    for x in elements:
+        found = _signed_subpatterns(x)
+        for variant, patterns in B_TAMARI_PATTERNS.items():
+            if found.isdisjoint(patterns):
+                avoiders[variant].add(x)
+    return avoiders
 
 
 def linear_signature(n: int, variant: str) -> SymmetricSignature:

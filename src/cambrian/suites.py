@@ -65,7 +65,7 @@ from .polygon_a import (
 )
 from .polygon_b import (
     all_symmetric_signatures,
-    b_tamari_membership,
+    b_tamari_avoiders,
     linear_signature,
     shard_digraph_b,
 )
@@ -343,14 +343,14 @@ def _sublattice_checks(n: int, system: CoxeterSystem, label: str) -> list:
 def _b_tamari_checks(n: int, system: CoxeterSystem, label: str) -> list:
     """Signed-pattern avoiders equal the class bottoms of the two linear
     orientations, with the central binomial counts."""
-    lattice = system.weak_order_lattice()
     expected = system.catalan_number()
+    all_avoiders = b_tamari_avoiders(system.weak_order_lattice().elements)
     checks = []
     for variant in ("toward_s0", "away_from_s0"):
         sig = linear_signature(n, variant)
         orientation = orientation_from_edges(system, sig.orientation_edges())
         reps = set(cambrian_lattice(system, orientation).class_representatives)
-        avoiders = {x for x in lattice.elements if b_tamari_membership(x, variant)}
+        avoiders = all_avoiders[variant]
         ok = avoiders == reps and len(avoiders) == expected
         checks.append(_check(
             f"{label} {variant}", ok, count=len(avoiders), expected=expected,

@@ -171,6 +171,25 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert "invariant broken" in captured.err
 
 
+def test_out_of_memory_exits_4_with_one_error_line():
+    """S_8's weak order outgrows 160 MB of address space.  The limit is set
+    on the child alone, so the host's memory is never exhausted."""
+    resource = pytest.importorskip("resource")
+    if not hasattr(resource, "RLIMIT_AS"):
+        pytest.skip("no RLIMIT_AS on this platform")
+    limit = 160 * 2**20
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    argv = ["verify", "--suite", "catalan", "--family", "A", "--max-rank", "8", "--cap", "100000"]
+    done = subprocess.run(
+        [sys.executable, "-m", "cambrian.cli", *argv],
+        env=env, capture_output=True, text=True,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)),
+    )
+    assert (done.returncode, done.stdout) == (INTERNAL_ERROR, ""), done.stderr
+    assert done.stderr.splitlines() == ["error: out of memory"]
+
+
 def test_verify_cluster_fails_closed_without_nice_coroot(capsys, monkeypatch):
     def no_nice_coroot(n, wall):
         raise LookupError("no positive coroot is orthogonal to the near-cluster")

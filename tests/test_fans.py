@@ -1,5 +1,6 @@
 """Tests for region cones, Cambrian fan rays, and the cluster machinery."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -279,6 +280,20 @@ def test_compatibility_and_cluster_counts():
         assert all(len(c) == n - 1 for c in complex_.clusters)
 
 
+def test_clusters_is_one_frozen_complex_per_n():
+    """Every caller shares the cached complex, so none of it may change."""
+    for n in range(2, 6):
+        complex_ = clusters(n)
+        assert clusters(n) is complex_ and complex_.n == n
+        assert type(complex_.roots) is tuple and type(complex_.clusters) is tuple
+        assert all(type(r) is tuple for r in complex_.roots)
+        assert type(complex_.compatible_pairs) is frozenset
+        assert all(type(p) is frozenset for p in complex_.compatible_pairs)
+        assert all(type(c) is frozenset for c in complex_.clusters)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        clusters(3).clusters = ()
+
+
 def test_cluster_poset_minimum():
     lattice = cluster_poset(4)
     bottom = lattice.elements[lattice.bottom]
@@ -302,6 +317,31 @@ def test_bracket_and_twist():
 def test_nice_coroot_example():
     assert nice_coroot(3, frozenset({(1, 0)})) == (0, 1)
     assert bracket((0, 1), (1, 0)) == 0
+
+
+def _sorted_per_call_nice_coroot(n, wall):
+    """The first positive root by (height, root) orthogonal to the wall,
+    sorted afresh on each call, or None."""
+    for beta in sorted(positive_roots(n), key=lambda r: (sum(r), r)):
+        if all(bracket(beta, alpha) == 0 for alpha in wall):
+            return beta
+    return None
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_nice_coroot_matches_a_per_call_sort(n):
+    walls = {c - {alpha} for c in clusters(n).clusters for alpha in c}
+    # A cluster wall has one nice coroot, whatever the scan order; sets of
+    # at most two roots can have several (n >= 4) or none.
+    roots = fans.all_roots_ge_minus_one(n)
+    walls |= {frozenset(s) for k in range(3) for s in itertools.combinations(roots, k)}
+    for wall in walls:
+        expected = _sorted_per_call_nice_coroot(n, wall)
+        if expected is None:
+            with pytest.raises(LookupError):
+                nice_coroot(n, wall)
+        else:
+            assert nice_coroot(n, wall) == expected
 
 
 @pytest.mark.parametrize("n,family", [(3, "A"), (2, "B")])

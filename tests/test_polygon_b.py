@@ -1,5 +1,6 @@
 """Tests for centrally symmetric triangulations and signed patterns."""
 
+import itertools
 import math
 import re
 
@@ -26,6 +27,7 @@ from cambrian import (
 from cambrian.coxeter import (
     _a_value_to_b,
     all_signed_ji_subsets,
+    contains_signed_pattern,
     embed_b_in_a,
     full_notation,
     signed_ji_bounds,
@@ -33,7 +35,7 @@ from cambrian.coxeter import (
 from cambrian import polygon_a, suites
 from cambrian.lattices import FiniteLattice
 from cambrian.polygon_a import _mask_diagonals, all_triangulations
-from cambrian.polygon_b import _is_symmetric
+from cambrian.polygon_b import B_TAMARI_PATTERNS, _is_symmetric, b_tamari_avoiders
 
 
 def unbridge(sig, p):
@@ -171,6 +173,29 @@ def test_b_tamari_counts_and_identity():
         assert len(members) == math.comb(6, 3)
     with pytest.raises(ValueError):
         b_tamari_membership((1, 2), "sideways")
+    with pytest.raises(ValueError):
+        b_tamari_membership((2, 1, -2), "toward_s0")
+
+
+@pytest.mark.parametrize("n", range(2, 6))
+def test_b_tamari_avoiders_match_brute_force_pattern_search(n):
+    """One pass over B_n equals one brute-force pattern search per element,
+    pattern and variant."""
+    elements = [
+        tuple(s * v for s, v in zip(signs, perm))
+        for perm in itertools.permutations(range(1, n + 1))
+        for signs in itertools.product((1, -1), repeat=n)
+    ]
+    avoiders = b_tamari_avoiders(elements)
+    assert set(avoiders) == set(B_TAMARI_PATTERNS)
+    for variant, patterns in B_TAMARI_PATTERNS.items():
+        brute = {
+            x for x in elements
+            if not any(contains_signed_pattern(x, p) for p in patterns)
+        }
+        assert avoiders[variant] == brute
+        assert len(brute) == math.comb(2 * n, n)
+        assert {x for x in elements if b_tamari_membership(x, variant)} == brute
 
 
 def test_b_tamari_excluded_at_rank_two():
