@@ -240,15 +240,15 @@ def check_iso_anti_iso(system: CoxeterSystem, a: Orientation, b: Orientation) ->
 
 
 def descent_quotient_check(system: CoxeterSystem, orientation: Orientation):
-    """Classwise descents respect joins (union) and meets (intersection)."""
+    """Classwise descents respect joins (union) and meets (intersection),
+    compared as masks of generator positions."""
     quotient = cambrian_lattice(system, orientation).quotient
-    delta = [frozenset(system.left_descents(e)) for e in quotient.elements]
+    bit = {name: 1 << k for k, name in enumerate(system.generator_names)}
+    delta = [sum(bit[s] for s in system.left_descents(e)) for e in quotient.elements]
     for x, y in itertools.combinations_with_replacement(range(quotient.n), 2):
-        j = quotient.join(x, y)
-        m = quotient.meet(x, y)
-        if delta[j] != delta[x] | delta[y]:
+        if delta[quotient.join(x, y)] != delta[x] | delta[y]:
             return False, (quotient.elements[x], quotient.elements[y], "join")
-        if delta[m] != delta[x] & delta[y]:
+        if delta[quotient.meet(x, y)] != delta[x] & delta[y]:
             return False, (quotient.elements[x], quotient.elements[y], "meet")
     return True, None
 

@@ -770,13 +770,19 @@ def _flip_order(items, m: int, flip) -> FiniteLattice:
 
     Two clusters are joined when they trade exactly one orbit {r, flip(r)}
     of roots; the one that gives up the orbit with the smaller
-    (orbit-constant) rotation number is the lower.
+    (orbit-constant) rotation number is the lower.  Such clusters agree
+    once each drops its traded orbit, so keying every cluster minus each
+    of its orbits finds the flips as the clusters sharing a key.  The
+    covers go to ``from_covers`` in index-pair order, which its linear
+    extension follows.
     """
+    sharing = {}
+    for i, cluster in enumerate(items):
+        for orbit in {frozenset((r, flip(r))) for r in cluster}:
+            sharing.setdefault(cluster - orbit, []).append(i)
     covers = []
-    for i, j in itertools.combinations(range(len(items)), 2):
+    for i, j in sorted(p for group in sharing.values() for p in itertools.combinations(group, 2)):
         gone, came = items[i] - items[j], items[j] - items[i]
-        if any(len({frozenset((r, flip(r))) for r in s}) != 1 for s in (gone, came)):
-            continue
         rb = {rotation_number(m, r) for r in gone}
         rt = {rotation_number(m, r) for r in came}
         if len(rb) != 1 or len(rt) != 1 or rb == rt:

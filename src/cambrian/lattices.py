@@ -83,6 +83,9 @@ class FiniteLattice:
         # giving its ascents and bonds; for a quotient, its congruence.
         self.cosets: Optional[Callable] = None
         self.quotient_of: Optional[LatticeCongruence] = None
+        # A weak order's polygon walks, by signature type
+        # (``polygon_a.weak_order_walk``), dropped with the lattice.
+        self.walks: dict = {}
 
     # -- construction -------------------------------------------------------
 

@@ -44,11 +44,27 @@ the projection of its leftmost moving pair's target.  The lattice
 stores its elements along a linear extension and a move goes to a
 cover, so filling pi_down in index order (pi_up in reverse order) finds
 every target already done.
+
+Each weak order keeps one walk per signature type (``weak_order_walk``),
+for as long as the lattice lives: a process walks each group once, and
+dropping the group, or resetting ``coxeter._SYSTEMS``, drops its walk.
+A walk keeps what it computes, inside the two methods themselves, so a
+test that replaces a method bypasses its memo.  ``eta_masks`` is
+kept per (signature, boundary mask) as the distinct masks and an array
+of places in them; ``projection_tables`` per marking of the values
+2..n-1, as two arrays.  The projections ignore the marks of 1 and n
+because a move reads only the values strictly between its pair, and
+neither end value is ever between two others, so the four markings of
+1 and n share one pair of tables.  Each call returns new lists, and a
+call that raises keeps nothing.  Each suite reads a group's eta once
+per signature, so the eta memo is read back only when two or more of
+``congruence-eq``, ``descent`` and ``fibers`` run in one process.
 """
 
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from operator import or_
@@ -345,11 +361,16 @@ class GroupWalk:
     values strictly between the pair that come before it or, shifted by
     n+1, after it: at most 241 masks for n <= 8, so a byte holds the
     place.
+
+    ``eta_masks`` and ``projection_tables`` keep their results, in the
+    compact forms the module docstring gives.
     """
 
     def __init__(self, elements):
         self.elements = elements
         self.n = len(elements[0]) if elements else 0
+        self._eta: dict = {}
+        self._projections: dict = {}
 
     @cached_property
     def index(self) -> dict:
@@ -375,9 +396,15 @@ class GroupWalk:
 
     def eta_masks(self, signature: UpDownSignature) -> list[int]:
         """``_eta_mask`` of every permutation: the step table read along
-        the tree one level at a time, then the boundary cleared."""
-        n = signature.n
+        the tree one level at a time, then the boundary cleared.  The key
+        holds the boundary mask as well as the signature, so a polygon
+        with another boundary is read afresh."""
         boundary = polygon_from_signature(signature).boundary_mask
+        key = (signature, boundary)
+        if key in self._eta:
+            distinct, places = self._eta[key]
+            return list(map(distinct.__getitem__, places))
+        n = signature.n
         under = _step_key(signature.upmask, 0, n).__xor__
         step = _step_table(self.n)
         edges = [0]
@@ -385,8 +412,12 @@ class GroupWalk:
             steps = map(step.__getitem__, map(under, keys))
             edges = list(map(or_, map(edges.__getitem__, parents), steps))
         masks = list(map((~boundary).__and__, edges))
-        if set(map(int.bit_count, masks)) != {n - 1}:
-            return [_off_boundary(e, n, boundary) for e in edges]
+        distinct = tuple(dict.fromkeys(masks))
+        if set(map(int.bit_count, distinct)) != {n - 1}:
+            for e in edges:  # raises at the first element off count
+                _off_boundary(e, n, boundary)
+        place = {mask: k for k, mask in enumerate(distinct)}
+        self._eta[key] = distinct, _packed(list(map(place.__getitem__, masks)), len(distinct))
         return masks
 
     @cached_property
@@ -419,9 +450,23 @@ class GroupWalk:
         ``sides`` mask.  An element whose leftmost moving pair takes it to
         another shares that element's projection, which pi_down (pi_up)
         has filled already if the move goes down (up) in index order.
+        The values strictly between a pair are never 1 or n, so the
+        tables are keyed by the marks of 2..n-1 alone and the four
+        markings of 1 and n share them.
         """
         up, down = _value_masks(signature)
-        moving = up | down << (self.n + 1)
+        shift, ends = self.n + 1, 1 << 1 | 1 << self.n
+        moving = (up | down << shift) & ~(ends | ends << shift)
+        if moving in self._projections:
+            return tuple(map(list, self._projections[moving]))
+        tables = self._projected(moving)
+        size = len(self.elements)
+        self._projections[moving] = tuple(_packed(t, size) for t in tables)
+        return tables[0], tables[1]
+
+    def _projected(self, moving: int) -> list[list[int]]:
+        """The two tables of ``projection_tables`` for the ``sides`` bits
+        ``moving`` of the values that make a pair move."""
         tables = []
         for descending, (owner, target, place, sides) in zip((True, False), self.moves):
             fires = place.translate(bytes(bool(m & moving) for m in sides).ljust(256, b"\0"))
@@ -434,7 +479,24 @@ class GroupWalk:
                     raise AssertionError(f"the move from {self.elements[i]} leaves index order")
                 table[i] = table[j]
             tables.append(table)
-        return tables[0], tables[1]
+        return tables
+
+
+def _packed(values, bound: int) -> array:
+    """``values``, each below ``bound``, as an array of the narrowest
+    unsigned type that holds them."""
+    return array(next(c for c in "BHIQ" if bound <= 256 ** array(c).itemsize), values)
+
+
+def weak_order_walk(lattice: FiniteLattice, signature) -> GroupWalk:
+    """``signature.walk`` of the elements of the weak order ``lattice``,
+    built on the first read and kept in ``lattice.walks`` by signature
+    type, so a group is walked once per process and its memos go with
+    it."""
+    kind = type(signature)
+    if kind not in lattice.walks:
+        lattice.walks[kind] = signature.walk(lattice.elements)
+    return lattice.walks[kind]
 
 
 def eta_masks(elements, signature: UpDownSignature) -> list[int]:
@@ -455,32 +517,39 @@ def _pattern_masks(x: tuple[int, ...]):
     for a given signature is a mask intersection.  The marked letter a of
     231 (213) sees to its right a larger (smaller) value and then a
     smaller (larger) one; that of 312 (132) sees the same to its left,
-    read leftwards.  Two flags per direction find both.
+    read leftwards.  So 312 and 132 are ``_inside_pairs`` of x read
+    forward, 231 and 213 of x read backward.
     """
-    m231 = m312 = m213 = m132 = 0
-    for i, a in enumerate(x):
-        bit = 1 << a
-        larger = smaller = False
-        for b in x[i + 1:]:
-            if b > a:
-                if smaller:
-                    m213 |= bit
-                larger = True
-            else:
-                if larger:
-                    m231 |= bit
-                smaller = True
-        larger = smaller = False
-        for b in reversed(x[:i]):
-            if b > a:
-                if smaller:
-                    m312 |= bit
-                larger = True
-            else:
-                if larger:
-                    m132 |= bit
-                smaller = True
+    m132, m312 = _inside_pairs(x)
+    m231, m213 = _inside_pairs(x[::-1])
     return m231, m312, m213, m132
+
+
+def _inside_pairs(values) -> tuple[int, int]:
+    """Masks of the values read strictly inside a pair read before them:
+    a smaller then a larger value, and a larger then a smaller one.
+
+    The pairs a value v makes with the values read before it span
+    (low, v) for their minimum low below v and (v, high) for their
+    maximum high above it, so the running minimum and maximum keep the
+    union of each kind of pair.  A value below the minimum (above the
+    maximum) lies inside no pair of the first (second) kind.
+    """
+    rising = falling = inside_rising = inside_falling = 0
+    low = high = values[0] if values else 0
+    for v in values:
+        bit = 1 << v
+        if v > low:
+            inside_rising |= rising & bit
+            rising |= bit - (2 << low)
+        else:
+            low = v
+        if v < high:
+            inside_falling |= falling & bit
+            falling |= (1 << high) - (bit << 1)
+        else:
+            high = v
+    return inside_rising, inside_falling
 
 
 def contains_colored_pattern(

@@ -62,6 +62,7 @@ from .polygon_a import (
     eta,  # noqa: F401
     shard_digraph_a,
     transitive_closure_digraph,
+    weak_order_walk,
 )
 from .polygon_b import (
     all_symmetric_signatures,
@@ -165,7 +166,7 @@ def _congruence_eq_checks(n: int, system: CoxeterSystem, label: str) -> list:
     lattice = system.weak_order_lattice()
     checks, class_of = [], {}
     signatures = _signatures(system, n)
-    walk = signatures[0].walk(lattice.elements)
+    walk = weak_order_walk(lattice, signatures[0])
     for sig in signatures:
         orientation = orientation_from_edges(system, sig.orientation_edges())
         if orientation not in class_of:
@@ -183,9 +184,10 @@ def _fibers_checks(n: int, system: CoxeterSystem, label: str) -> list:
     member.  Being an interval, it is connected in the Hasse diagram: a
     saturated chain from its bottom to any member stays inside it."""
     lattice = system.weak_order_lattice()
-    walk = GroupWalk(lattice.elements)
+    signatures = all_updown_signatures(n)
+    walk = weak_order_walk(lattice, signatures[0])
     checks = []
-    for sig in all_updown_signatures(n):
+    for sig in signatures:
         ok, witness = _fibers_ok(lattice, sig, walk)
         checks.append(_check(f"{label} sig {sig.to_string()}", ok, witness=witness))
     return checks
@@ -492,7 +494,7 @@ def _case_table_check(
         sum(1 << a for a in system.left_descents(x)) for x in lattice.elements
     ]
     signatures = _signatures(system, n)
-    walk = signatures[0].walk(lattice.elements)
+    walk = weak_order_walk(lattice, signatures[0])
     sides = {}
     for sig in signatures:
         masks = sig.eta_masks(walk)

@@ -1,6 +1,9 @@
 """Tests for polygon triangulations and pattern machinery in type A."""
 
+import gc
 import itertools
+import json
+import weakref
 from types import SimpleNamespace
 
 import pytest
@@ -35,8 +38,8 @@ from cambrian import (
     triangulation_lattice,
     uncontracted_ji_subsets,
 )
-from cambrian import polygon_a, suites
-from cambrian.coxeter import all_ji_subsets_a
+from cambrian import coxeter, polygon_a, suites
+from cambrian.coxeter import all_ji_subsets_a, embed_b_in_a
 from cambrian.lattices import FiniteLattice
 from cambrian.polygon_b import shard_digraph_b
 from cambrian.suites import _firing_masks, all_updown_signatures, catalan
@@ -431,6 +434,41 @@ def _scanned_pattern_checks(last):
     ]
 
 
+def _double_loop_pattern_masks(x):
+    """(m231, m312, m213, m132) with two flags per direction from each
+    position: the quadratic scan ``_pattern_masks`` replaced."""
+    m231 = m312 = m213 = m132 = 0
+    for i, a in enumerate(x):
+        bit = 1 << a
+        larger = smaller = False
+        for b in x[i + 1:]:
+            if b > a:
+                if smaller:
+                    m213 |= bit
+                larger = True
+            else:
+                if larger:
+                    m231 |= bit
+                smaller = True
+        larger = smaller = False
+        for b in reversed(x[:i]):
+            if b > a:
+                if smaller:
+                    m312 |= bit
+                larger = True
+            else:
+                if larger:
+                    m132 |= bit
+                smaller = True
+    return m231, m312, m213, m132
+
+
+def test_pattern_masks_match_the_double_loop():
+    for n in range(1, 8):
+        for x in itertools.permutations(range(1, n + 1)):
+            assert suites._pattern_masks(x) == _double_loop_pattern_masks(x), x
+
+
 def test_pattern_masks_match_the_triple_loop():
     for n in range(1, 8):
         for x in itertools.permutations(range(1, n + 1)):
@@ -659,15 +697,14 @@ def test_mask_case_table_matches_descent_set():
             assert got == sum(1 << a for a, _ in want), (tri, sig)
 
 
-@pytest.mark.parametrize("which", [0, 1])
-def test_fibers_fail_when_one_projection_entry_moves(monkeypatch, which):
-    real = polygon_a.GroupWalk.projection_tables
+def _moved_entry(real, which):
+    """``GroupWalk.projection_tables`` with, under udud, a middle member of
+    a fiber, whose own entry is checked against the fiber's ends, sent to
+    itself in table ``which``."""
 
     def moved(walk, sig):
         tables = real(walk, sig)
         if sig.to_string() == "udud":
-            # A middle member of a fiber, whose own entry is checked
-            # against the fiber's ends, is sent to itself.
             fibers = {}
             for j, mask in enumerate(walk.eta_masks(sig)):
                 fibers.setdefault(mask, []).append(j)
@@ -676,15 +713,12 @@ def test_fibers_fail_when_one_projection_entry_moves(monkeypatch, which):
             tables[which][i] = i
         return tuple(tables)
 
-    monkeypatch.setattr(polygon_a.GroupWalk, "projection_tables", moved)
-    report = suites.suite_fibers(max_rank=4)
-    assert not report["passed"]
-    failed = [c for c in report["checks"] if not c["passed"]]
-    assert [(c["name"], c["witness"]) for c in failed] == [("A n=4 sig udud", "(3, 1, 2, 4)")]
+    return moved
 
 
-def test_fibers_fail_when_two_fibers_merge(monkeypatch):
-    real = polygon_a.GroupWalk.eta_masks
+def _merged_fibers(real):
+    """``GroupWalk.eta_masks`` with, under ddu, the fiber of the second
+    distinct mask merged into the first."""
 
     def merged(walk, sig):
         masks = real(walk, sig)
@@ -693,11 +727,103 @@ def test_fibers_fail_when_two_fibers_merge(monkeypatch):
             masks = [first if m == other else m for m in masks]
         return masks
 
-    monkeypatch.setattr(polygon_a.GroupWalk, "eta_masks", merged)
-    report = suites.suite_fibers(max_rank=3)
+    return merged
+
+
+def _failures(report):
     assert not report["passed"]
-    failed = [c for c in report["checks"] if not c["passed"]]
-    assert [(c["name"], c["witness"]) for c in failed] == [("A n=3 sig ddu", "(1, 2, 3)")]
+    return [(c["name"], c["witness"]) for c in report["checks"] if not c["passed"]]
+
+
+@pytest.mark.parametrize("which", [0, 1])
+def test_fibers_fail_when_one_projection_entry_moves(monkeypatch, which):
+    real = polygon_a.GroupWalk.projection_tables
+    monkeypatch.setattr(polygon_a.GroupWalk, "projection_tables", _moved_entry(real, which))
+    report = suites.suite_fibers(max_rank=4)
+    assert _failures(report) == [("A n=4 sig udud", "(3, 1, 2, 4)")]
+
+
+def test_fibers_fail_when_two_fibers_merge(monkeypatch):
+    monkeypatch.setattr(
+        polygon_a.GroupWalk, "eta_masks", _merged_fibers(polygon_a.GroupWalk.eta_masks)
+    )
+    report = suites.suite_fibers(max_rank=3)
+    assert _failures(report) == [("A n=3 sig ddu", "(1, 2, 3)")]
+
+
+def test_memos_hide_no_fault(monkeypatch):
+    """After clean runs have filled the memos of every walk they read, the
+    fibers faults still fail with their witnesses and an eta that keeps
+    the boundary still raises; then a clean rerun is byte-identical."""
+    names = ("congruence-eq", "descent", "fibers")
+    clean = [json.dumps(suites.run_suite(name)) for name in names]
+    walk = polygon_a.GroupWalk
+    with monkeypatch.context() as m:
+        m.setattr(walk, "eta_masks", _merged_fibers(walk.eta_masks))
+        assert _failures(suites.suite_fibers(max_rank=3)) == [("A n=3 sig ddu", "(1, 2, 3)")]
+    with monkeypatch.context() as m:
+        m.setattr(walk, "projection_tables", _moved_entry(walk.projection_tables, 0))
+        assert _failures(suites.suite_fibers(max_rank=4)) == [("A n=4 sig udud", "(3, 1, 2, 4)")]
+    with monkeypatch.context() as m:
+        m.setattr(PolygonQ, "boundary_mask", property(lambda self: 0))
+        for name in names:
+            with pytest.raises(AssertionError, match="eta produced 3 diagonals, wanted 2"):
+                suites.run_suite(name)
+    assert [json.dumps(suites.run_suite(name)) for name in names] == clean
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_projection_memo_serves_every_marking_of_1_and_n(n):
+    """The four markings of the values 1 and n share one pair of kept
+    tables, which equal pi_down and pi_up of each element under each of
+    them; a caller's change to the lists it got is not kept."""
+    lattice = _weak_order(n)
+    walk = polygon_a.GroupWalk(lattice.elements)
+    interior = range(2, n)
+    for r in range(len(interior) + 1):
+        for ups in itertools.combinations(interior, r):
+            for ends in ((), (1,), (n,), (1, n)):
+                sig = UpDownSignature(n, frozenset(ups + ends))
+                down, up = walk.projection_tables(sig)
+                assert down == [lattice.index[pi_down(x, sig)] for x in lattice.elements], sig
+                assert up == [lattice.index[pi_up(x, sig)] for x in lattice.elements], sig
+                down[0] = up[0] = -1
+    assert len(walk._projections) == 2 ** len(interior)
+
+
+def test_eta_memo_returns_new_lists():
+    walk, sig = polygon_a.GroupWalk(_weak_order(4).elements), UpDownSignature(4, frozenset({2}))
+    want = walk.eta_masks(sig)
+    walk.eta_masks(sig).clear()
+    assert walk.eta_masks(sig) == want
+    assert len(walk._eta) == 1
+
+
+def test_each_weak_order_keeps_one_walk_per_signature_type(monkeypatch):
+    """One process running the three suites that read eta builds one walk
+    per group, computes eta once per group and signature and the
+    projections once per marking of 2..n-1; the walk goes with its group."""
+    monkeypatch.setattr(coxeter, "_SYSTEMS", {})
+    built = []
+    real = polygon_a.GroupWalk.__init__
+    monkeypatch.setattr(
+        polygon_a.GroupWalk, "__init__", lambda walk, elements: built.append(walk) or real(walk, elements)
+    )
+    for name in ("congruence-eq", "descent", "fibers"):
+        suites.run_suite(name, max_rank=4)
+    groups = [("A", 2), ("A", 3), ("B", 2), ("B", 3)]
+    walks = [get_system(family, rank).weak_order_lattice().walks for family, rank in groups]
+    assert [w for kept in walks for w in kept.values()] == built
+    assert [len(w._eta) for w in built] == [8, 16, 4, 8]
+    assert [len(w._projections) for w in built] == [2, 4, 0, 0]
+    b2 = get_system("B", 2).weak_order_lattice()
+    assert built[2].elements == [embed_b_in_a(x) for x in b2.elements]
+    kept = weakref.ref(built[0])
+    built.clear()
+    walks.clear()
+    coxeter._SYSTEMS.clear()
+    gc.collect()
+    assert kept() is None
 
 
 # ---------------------------------------------------------------------------
