@@ -24,7 +24,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from array import array
 from fractions import Fraction
 from types import SimpleNamespace
 from typing import Optional
@@ -491,30 +490,24 @@ class CoxeterSystem:
 
     @functools.cached_property
     def _weak_order(self) -> FiniteLattice:
-        """The weak order; its forcing table is read off its rank-2 cosets."""
-        elements, covers, ascents = self._enumerate()
-        lattice = FiniteLattice.from_covers(elements, covers)
-        lattice.cosets = functools.partial(self._coset_table, elements, ascents)
-        return lattice
+        """The weak order, built from its covers and validated; its forcing
+        table is built on the first read, as for any lattice."""
+        return FiniteLattice.from_covers(*self._enumerate())
 
     def _enumerate(self):
-        """Elements by breadth-first search from the identity, the covers
-        (w, ws) as sorted index pairs, and ``ascents[w * r + k]``: the index
-        of w s_k for the k-th generator, -1 where s_k is a descent of w."""
+        """Elements by breadth-first search from the identity, and the
+        covers (w, ws) as sorted index pairs."""
         start = self.identity()
         seen = {start: 0}
         order = [start]
         names = self.generator_names
-        r = len(names)
-        blank = array("i", [-1]) * r
-        ascents = array("i", blank)
         covers = []
         frontier = [start]
         while frontier:
             nxt = []
             for w in frontier:
                 i = seen[w]
-                for k, name in enumerate(names):
+                for name in names:
                     if self.is_right_descent(w, name):
                         continue
                     ws = self.right_multiply(w, name)
@@ -522,25 +515,10 @@ class CoxeterSystem:
                     if j is None:
                         j = seen[ws] = len(order)
                         order.append(ws)
-                        ascents += blank
                         nxt.append(ws)
                     covers.append((i, j))
-                    ascents[i * r + k] = j
             frontier = nxt
-        return order, sorted(covers), ascents
-
-    def _coset_table(self, order, ascents, lattice):
-        """``ascents`` of ``_enumerate`` over the elements ``order``, as
-        indices of the weak order ``lattice``, and the bonds m(s, t), for
-        ``PolygonForcing.from_cosets``."""
-        names = self.generator_names
-        r = len(names)
-        position = [lattice.index[w] for w in order]
-        table = array("i", [-1]) * len(ascents)
-        for i, j in enumerate(ascents):
-            if j >= 0:
-                table[position[i // r] * r + i % r] = position[j]
-        return table, [[self.bond_label(s, t) for t in names] for s in names]
+        return order, sorted(covers)
 
     # -- generic engine internals -------------------------------------------
 

@@ -11,35 +11,22 @@ must be a cover, and a ^ b must be a greatest lower bound for any two
 lower covers a, b of one element, which is enough for all meets and so
 for all joins (see ``FiniteLattice._validate``).
 
-A congruence is determined by the covers it contracts.  In a polygonal
-lattice, such as the weak order of a finite Coxeter group and its
-Cambrian quotients, edge forcing is generated by polygons [x, a v b]
-(a, b upper covers of x): contracting a bottom edge forces the opposite
-top edge and every side edge, and dually for top edges (N. Reading,
-Lattice congruences of the weak order, Order 21 (2004)).  Each cover is
-labelled by a join-irreducible, and a congruence contracts a cover
-exactly when it contracts its label (see ``PolygonForcing``).  The
-forcing table holds the labels and, for each label, the bitmask of the
-labels it forces, closed transitively.  A weak order reads it off its
-rank-2 cosets [x, x w0(s, t)], whose opposite edges are perspective
-(``PolygonForcing.from_cosets``): for each pair s, t the cosets are
-walked as one column, the elements with both ascents, stepped along both
-chains by a gather per step.  The congruences of a quotient L/T are
-those of L above T, so a quotient by a congruence with a table restricts
-that table to the labels T leaves uncontracted
-(``PolygonForcing.restricted``).  A closure is then an OR of the masks
-of its seed labels.  The class bottoms are the elements with no
-contracted lower cover, and the table keeps, for each label, the mask of
-the elements with a lower cover of that label (its heads), so the class
+A congruence is determined by the covers it contracts.  Each cover
+x -> y is labelled by a join-irreducible, the least element of down(y)
+outside down(x), and a congruence contracts a cover exactly when it
+contracts its label (see ``PolygonForcing``).  One forcing table serves
+every lattice, a weak order, a quotient or one built by hand
+(``PolygonForcing.of``): it holds the labels and, for each label, the
+bitmask of the labels it forces, read off the arrow relations between
+join- and meet-irreducibles with one bitmask of join-irreducibles per
+element, and closed transitively (Freese, Jezek and Nation, Free
+lattices, AMS 1995, ch. II).  A closure is then an OR of the masks of
+its seed labels.  The class bottoms are the elements with no contracted
+lower cover, and the table keeps, for each label, the mask of the
+elements with a lower cover of that label (its heads), so the class
 count is the number of elements outside the OR of the contracted labels'
 heads; the classes, read only when needed, join the ends of each
-contracted cover.  Any other lattice, such as one built from its
-covers, closes by a union-find over the generating pairs, propagating
-x ~ y to x v z ~ y v z for join-irreducible z and to x ^ z ~ y ^ z for
-meet-irreducible z; every element is a join of join-irreducibles, so by
-induction through transitivity the result is closed under joins and
-meets with arbitrary elements.  The union-find is also the oracle the
-tests check the polygonal closure against.
+contracted cover.
 """
 
 from __future__ import annotations
@@ -47,9 +34,9 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from functools import cached_property, reduce
-from itertools import combinations, compress
-from operator import itemgetter, ne, or_
-from typing import Callable, Optional, Sequence
+from itertools import compress
+from operator import itemgetter, or_
+from typing import Optional, Sequence
 
 
 def _lsb(mask: int) -> int:
@@ -78,11 +65,6 @@ class FiniteLattice:
         self.n = len(elements)
         self.bottom = next(i for i in range(self.n) if not lower[i])
         self.top = next(i for i in range(self.n) if not upper[i])
-        self._forcing: Optional[PolygonForcing] = None
-        # What the forcing table is read from: for a weak order, a function
-        # giving its ascents and bonds; for a quotient, its congruence.
-        self.cosets: Optional[Callable] = None
-        self.quotient_of: Optional[LatticeCongruence] = None
         # A weak order's polygon walks, by signature type
         # (``polygon_a.weak_order_walk``), dropped with the lattice.
         self.walks: dict = {}
@@ -203,16 +185,13 @@ class FiniteLattice:
     def meet_irreducibles(self) -> list[int]:
         return [i for i in range(self.n) if len(self.upper[i]) == 1]
 
-    def polygon_forcing(self) -> Optional["PolygonForcing"]:
-        """The forcing table of a weak order or of a quotient by a congruence
-        with a table, built on the first read; None for any other lattice,
-        which closes by union-find."""
-        if self._forcing is None:
-            if self.cosets is not None:
-                self._forcing = PolygonForcing.from_cosets(self, *self.cosets(self))
-            elif self.quotient_of is not None:
-                self._forcing = PolygonForcing.restricted(self.quotient_of, self)
+    def polygon_forcing(self) -> "PolygonForcing":
+        """The forcing table (``PolygonForcing.of``), built on the first read."""
         return self._forcing
+
+    @cached_property
+    def _forcing(self) -> "PolygonForcing":
+        return PolygonForcing.of(self)
 
     def atoms(self) -> list[int]:
         return list(self.upper[self.bottom])
@@ -387,13 +366,6 @@ def _edge_starts(upper) -> array:
     return first
 
 
-def _gather(table, index) -> tuple:
-    """``table[i]`` for each i of ``index``, as a tuple."""
-    if len(index) > 1:
-        return itemgetter(*index)(table)
-    return tuple(table[i] for i in index)
-
-
 def _transitive(reach: list[int]) -> list[int]:
     """Close the label forcing rows transitively, one pivot at a time;
     each row also gets its own label."""
@@ -407,7 +379,9 @@ def _transitive(reach: list[int]) -> list[int]:
 
 
 class PolygonForcing:
-    """Polygonal forcing of a lattice, on join-irreducible labels.
+    """Congruence forcing of any finite lattice, on join-irreducible labels
+    (the name is from the polygons of the weak order, which generate it
+    there).
 
     Edge ``first[x] + k`` is the cover x -> upper[x][k], which is also its
     position in ``lattice.covers``.  ``labels[e]`` is the label of edge e
@@ -442,160 +416,46 @@ class PolygonForcing:
         self.heads = [reduce(or_, map((1).__lshift__, ys), 0) for ys in ends]
 
     @classmethod
-    def from_cosets(cls, lattice: FiniteLattice, ascents: array, bonds) -> "PolygonForcing":
-        """The table of a weak order, read off its rank-2 cosets.
+    def of(cls, lattice: FiniteLattice) -> "PolygonForcing":
+        """The table of ``lattice``, read off its irreducibles.
 
-        ``ascents[x * r + s]`` is the index of xs, or -1 where s is a
-        descent of x, over r generators whose bonds m(s, t) are
-        ``bonds[s][t]``.  Each polygon of the weak order is a coset
-        interval [x, x w0(s, t)] for two ascents s, t of x, made of the
-        chains x, xs, xst, ... and x, xt, xts, ... of m(s, t) edges each,
-        and the bottom edge of one chain is perspective to the top edge of
-        the other, so it has the same label.  For each pair s, t the
-        cosets are walked together, as the column of their bottoms x: the
-        elements where both s and t are ascents, stepped m(s, t) times
-        along each chain, each step a gather over the whole column.  A
-        cover j_* -> j into a join-irreducible j has label j; every other
-        cover is the top edge of the coset of its upper end by two of its
-        descents, and points at the opposite bottom edge, whose lower end
-        comes earlier in index order, so one pass in edge order labels
-        every edge.  A second walk compares the labels of all perspective
-        edges and collects the side edges each bottom edge forces.  Raises
-        AssertionError where the table does not describe such cosets:
-        ascents that are not the covers, a chain that leaves the table,
-        two chains that do not meet, an edge with two labels or none.
+        ``below[x]`` has bit k for the k-th join-irreducible at or below
+        x, filled along the lower covers.  The least element of down(y)
+        outside down(x) is join-irreducible, so the label of a cover
+        x -> y is the lowest bit of below[y] ^ below[x].  Contracting
+        label k forces label j where a meet-irreducible m, with upper
+        cover m*, has k, j not <= m, k_* <= m and j <= m*: if k ~ k_*,
+        then m* <= k v m ~ k_* v m = m, so j = j ^ m* ~ j ^ m < j.  These
+        forcings, closed transitively, are all of them (Freese, Jezek and
+        Nation, Free lattices, AMS 1995, ch. II).  Raises AssertionError
+        on a cover whose ends have the same join-irreducibles below them,
+        which no lattice has.
         """
-        upper, lower, covers = lattice.upper, lattice.lower, lattice.covers
-        n, r, size = lattice.n, len(bonds), len(covers)
-        first = _edge_starts(upper)
-        head = list(map(itemgetter(1), covers))
-        # edges[s][x]: the edge x -> xs, or ``size`` where s is a descent of
-        # x, which no gather from ``head`` accepts; byte x of ascent[s] is 1
-        # where s is an ascent of x.
-        edges = [[size] * n for _ in range(r)]
-        ascent = [bytearray(n) for _ in range(r)]
-        for edge, (x, y) in enumerate(covers):
-            at = x * r
-            try:
-                s = ascents.index(y, at, at + r) - at
-            except ValueError:
-                raise AssertionError(f"cover {x} -> {y} is no ascent of {x}") from None
-            edges[s][x] = edge
-            ascent[s][x] = 1
-        if sum(column.count(1) for column in ascent) != len(ascents) - ascents.count(-1):
-            raise AssertionError("an ascent is not a cover")
-        # The bottoms of the cosets of each pair s, t: the elements where
-        # both are ascents, read off one AND of their ascent flags.
-        flags = [int.from_bytes(column, "little") for column in ascent]
-        columns = {
-            (s, t): array("i", compress(range(n), (flags[s] & flags[t]).to_bytes(n, "little")))
-            for s, t in combinations(range(r), 2)
-        }
-
-        def walk(visit) -> None:
-            """Call ``visit`` with the edges of the chains xs... and xt...,
-            step by step, over the bottoms x of the cosets of each pair
-            s, t in index order."""
-            for (s, t), bottoms in columns.items():
-                if not bottoms:
-                    continue
-                chains = []
-                for word in ((s, t), (t, s)):
-                    level, path = bottoms, []
-                    for k in range(bonds[s][t]):
-                        g = word[k % 2]
-                        path.append(_gather(edges[g], level))
-                        try:
-                            level = _gather(head, path[-1])
-                        except IndexError:
-                            last = path[-2][path[-1].index(size)]
-                            message = f"edge {last} has no ascent {g} after it"
-                            raise AssertionError(message) from None
-                    chains.append((path, level))
-                (path_s, end_s), (path_t, end_t) = chains
-                if end_s != end_t:
-                    i = list(map(ne, end_s, end_t)).index(True)
-                    raise AssertionError(
-                        f"the chains of {s}, {t} from {bottoms[i]} end at {end_s[i]} and {end_t[i]}"
-                    )
-                visit(path_s, path_t)
-
-        # below[e]: a bottom edge perspective to the top edge e, or -1.
-        below = array("i", [-1]) * size
-
-        def point(path_s, path_t):
-            deque(map(below.__setitem__, path_s[-1], path_t[0]), 0)
-            deque(map(below.__setitem__, path_t[-1], path_s[0]), 0)
-
-        walk(point)
-        ji = lattice.join_irreducibles
-        labels = array("i", [-1]) * size
-        for k, g in enumerate(ji):
-            x = lower[g][0]
-            edge = first[x] + upper[x].index(g)
-            labels[edge], below[edge] = k, -1
-        for edge, bottom in enumerate(below):
-            if bottom >= 0:
-                labels[edge] = labels[bottom]
-        if -1 in labels:
-            raise AssertionError(f"edge {labels.index(-1)} has no label")
-        # The top edges carry the bottom labels, so only the side edges add
-        # to the rows; two-edge chains have none.
-        forced = set()
-
-        def compare(path_s, path_t):
-            bottom_s, bottom_t = _gather(labels, path_s[0]), _gather(labels, path_t[0])
-            for top, bottom in ((path_s[-1], bottom_t), (path_t[-1], bottom_s)):
-                got = _gather(labels, top)
-                if got != bottom:
-                    i = list(map(ne, got, bottom)).index(True)
-                    raise AssertionError(f"edge {top[i]} has labels {got[i]} and {bottom[i]}")
-            for side in path_s[1:-1] + path_t[1:-1]:
-                sides = _gather(labels, side)
-                forced.update(zip(bottom_s + bottom_t, sides + sides))
-
-        walk(compare)
+        ji, lower, upper = lattice.join_irreducibles, lattice.lower, lattice.upper
+        bit = {g: 1 << k for k, g in enumerate(ji)}
+        below = [0] * lattice.n
+        for x, lx in enumerate(lower):
+            mask = bit.get(x, 0)
+            for a in lx:
+                mask |= below[a]
+            below[x] = mask
+        labels = array("i", [0]) * len(lattice.covers)
+        for edge, (x, y) in enumerate(lattice.covers):
+            diff = below[y] ^ below[x]
+            if not diff:
+                raise AssertionError(f"edge {edge} has no label")
+            labels[edge] = _lsb(diff)
+        # k_* <= m and k not <= m: of k and the labels below k_*, only k
+        # is outside below[m].
+        lows = [(below[lower[g][0]] | b, b) for g, b in bit.items()]
         reach = [0] * len(ji)
-        for j, k in forced:
-            reach[j] |= 1 << k
-        return cls(lattice, first, labels, _transitive(reach))
-
-    @classmethod
-    def restricted(cls, cong: LatticeCongruence, quotient: FiniteLattice) -> "PolygonForcing":
-        """The table of ``quotient``, the quotient by ``cong``, restricted
-        from the table ``cong.forcing`` of its lattice.
-
-        The congruences of the quotient are those of the lattice above
-        ``cong``, so a label outside ``cong.hit`` forces in the quotient
-        what it forces in the lattice, less the hit labels.  Such a label
-        is a join-irreducible g that is a class bottom, [g] is
-        join-irreducible in the quotient, and each quotient cover carries
-        the label of the uncontracted covers it is the image of.  Raises
-        AssertionError if a quotient cover gets two labels or none, or if
-        the kept labels are not the quotient's join-irreducibles one to one.
-        """
-        lattice, forcing, hit = cong.lattice, cong.forcing, cong.hit
-        # The quotient index of each element's class: from_covers re-sorts.
-        at = [quotient.index[lattice.elements[b]] for b in cong.down_projection]
-        ordinal = {g: k for k, g in enumerate(quotient.join_irreducibles)}
-        ji = lattice.join_irreducibles
-        kept = {k: ordinal.get(at[g], -1) for k, g in enumerate(ji) if not hit >> k & 1}
-        if sorted(kept.values()) != list(range(len(ordinal))):
-            raise AssertionError("the kept labels are not the quotient's join-irreducibles")
-        first = _edge_starts(quotient.upper)
-        labels = array("i", [-1]) * len(quotient.covers)
-        for (x, y), k in zip(lattice.covers, forcing.labels):
-            if not hit >> k & 1:
-                a, b = at[x], at[y]
-                edge = first[a] + quotient.upper[a].index(b)
-                if labels[edge] not in (-1, kept[k]):
-                    raise AssertionError(f"edge {edge} has labels {labels[edge]} and {kept[k]}")
-                labels[edge] = kept[k]
-        if -1 in labels:
-            raise AssertionError(f"edge {labels.index(-1)} has no label")
-        order = sorted(kept, key=kept.get)
-        reach = [sum(1 << kept[j] for j in kept if forcing.reach[k] >> j & 1) for k in order]
-        return cls(quotient, first, labels, reach)
+        for m in lattice.meet_irreducibles:
+            outside = ~below[m]
+            forced = below[upper[m][0]] & outside
+            for k, (low, b) in enumerate(lows):
+                if low & outside == b:
+                    reach[k] |= forced
+        return cls(lattice, _edge_starts(upper), labels, _transitive(reach))
 
     def closure(self, lattice: FiniteLattice, pairs) -> LatticeCongruence:
         """Contract every cover in [a ^ b, a v b] for each pair and close
@@ -622,61 +482,9 @@ class PolygonForcing:
 
 
 def congruence_closure(lattice: FiniteLattice, pairs) -> LatticeCongruence:
-    """Smallest lattice congruence identifying each given pair of indices.
-
-    A lattice with a forcing table, a weak order or one of its quotients,
-    closes over it; any other lattice falls back to ``union_find_closure``.
-    """
-    forcing = lattice.polygon_forcing()
-    if forcing is None:
-        return union_find_closure(lattice, pairs)
-    return forcing.closure(lattice, pairs)
-
-
-def union_find_closure(lattice: FiniteLattice, pairs) -> LatticeCongruence:
     """Smallest lattice congruence identifying each given pair of indices,
-    by propagating merges through joins and meets with irreducibles."""
-    parent = list(range(lattice.n))
-
-    def find(i: int) -> int:
-        root = i
-        while parent[root] != root:
-            root = parent[root]
-        while parent[i] != root:
-            parent[i], i = root, parent[i]
-        return root
-
-    work: deque[tuple[int, int]] = deque()
-
-    def merge(i: int, j: int) -> None:
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[ri] = rj
-            work.append((i, j))
-
-    for a, b in pairs:
-        merge(a, b)
-    ji = lattice.join_irreducibles
-    mi = lattice.meet_irreducibles
-    up = lattice.up
-    down = lattice.down
-    while work:
-        x, y = work.popleft()
-        ux, uy = up[x], up[y]
-        dx, dy = down[x], down[y]
-        for z in ji:
-            uz = up[z]
-            a = ux & uz
-            b = uy & uz
-            if a != b:
-                merge(_lsb(a), _lsb(b))
-        for z in mi:
-            dz = down[z]
-            a = dx & dz
-            b = dy & dz
-            if a != b:
-                merge(a.bit_length() - 1, b.bit_length() - 1)
-    return LatticeCongruence(lattice, [find(i) for i in range(lattice.n)])
+    closed over the lattice's forcing table."""
+    return lattice.polygon_forcing().closure(lattice, pairs)
 
 
 def congruence_from_partition(
@@ -711,10 +519,7 @@ def quotient_lattice(cong: LatticeCongruence) -> FiniteLattice:
     images = {(class_of[a], class_of[b]) for a, b in lattice.covers}
     covers = sorted((c, d) for c, d in images if c != d)
     elements = tuple(lattice.elements[cls[0]] for cls in cong.classes)
-    quotient = FiniteLattice.from_covers(elements, covers)
-    if cong.forcing is not None:
-        quotient.quotient_of = cong
-    return quotient
+    return FiniteLattice.from_covers(elements, covers)
 
 
 def contraction_congruence(lattice: FiniteLattice, ji_index: int) -> LatticeCongruence:
@@ -727,19 +532,13 @@ def contraction_congruence(lattice: FiniteLattice, ji_index: int) -> LatticeCong
 def forcing_arrows(lattice: FiniteLattice) -> dict[int, frozenset[int]]:
     """For each join-irreducible g, the join-irreducibles contracted by Cg(g).
 
-    The cover g_* -> g has label g, so with a forcing table the answer is
-    g's row of label forcing; other lattices close Cg(g) one g at a time.
+    The cover g_* -> g has label g, so the answer is g's row of label
+    forcing.
     """
     ji = lattice.join_irreducibles
-    forcing = lattice.polygon_forcing()
-    if forcing is None:
-        return {
-            g: frozenset(contraction_congruence(lattice, g).contracted_join_irreducibles())
-            for g in ji
-        }
     return {
         g: frozenset(h for k, h in enumerate(ji) if row >> k & 1)
-        for g, row in zip(ji, forcing.reach)
+        for g, row in zip(ji, lattice.polygon_forcing().reach)
     }
 
 

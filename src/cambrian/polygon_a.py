@@ -105,6 +105,11 @@ class UpDownSignature:
         """Bitmask with bit i set for each up index i."""
         return sum(1 << i for i in self.ups)
 
+    @cached_property
+    def polygon(self) -> PolygonQ:
+        """The convex polygon of the signature, built once."""
+        return polygon_from_signature(self)
+
     def is_up(self, i: int) -> bool:
         if i == 0 or i == self.n + 1:
             return True
@@ -399,7 +404,7 @@ class GroupWalk:
         the tree one level at a time, then the boundary cleared.  The key
         holds the boundary mask as well as the signature, so a polygon
         with another boundary is read afresh."""
-        boundary = polygon_from_signature(signature).boundary_mask
+        boundary = signature.polygon.boundary_mask
         key = (signature, boundary)
         if key in self._eta:
             distinct, places = self._eta[key]

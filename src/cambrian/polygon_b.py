@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 from .coxeter import (
     _b_value_to_a,
@@ -331,9 +331,11 @@ def descent_set_b(tri: TriangulationB) -> frozenset[int]:
     return frozenset(_members(sig.descents(sig.sides(_diagonal_mask(tri.base)))))
 
 
-def all_symmetric_signatures(n: int):
-    out = []
-    for bits in itertools.product([False, True], repeat=n):
-        pos = frozenset(i + 1 for i, b in enumerate(bits) if b)
-        out.append(SymmetricSignature.from_positive_ups(n, pos))
-    return out
+@lru_cache(maxsize=None)
+def all_symmetric_signatures(n: int) -> tuple[SymmetricSignature, ...]:
+    """The signatures of +-[n], built once per n, so that each keeps its
+    polygon from one suite run to the next."""
+    return tuple(
+        SymmetricSignature.from_positive_ups(n, frozenset(i + 1 for i, b in enumerate(bits) if b))
+        for bits in itertools.product([False, True], repeat=n)
+    )

@@ -26,6 +26,7 @@ lower it.  ``cap`` bounds the order of every group a suite reads.
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 from math import comb
 from typing import Callable, NamedTuple
 
@@ -92,12 +93,15 @@ def catalan(k: int) -> int:
     return comb(2 * k, k) // (k + 1)
 
 
-def all_updown_signatures(n: int) -> list[UpDownSignature]:
-    out = []
-    for r in range(n + 1):
-        for ups in itertools.combinations(range(1, n + 1), r):
-            out.append(UpDownSignature(n, frozenset(ups)))
-    return out
+@lru_cache(maxsize=None)
+def all_updown_signatures(n: int) -> tuple[UpDownSignature, ...]:
+    """The signatures of 1..n, built once per n, so that each keeps its
+    polygon (``UpDownSignature.polygon``) from one suite run to the next."""
+    return tuple(
+        UpDownSignature(n, frozenset(ups))
+        for r in range(n + 1)
+        for ups in itertools.combinations(range(1, n + 1), r)
+    )
 
 
 def _pairs_repr(system: CoxeterSystem, orientation: Orientation) -> list:

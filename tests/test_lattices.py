@@ -1,6 +1,6 @@
 import functools
 import itertools
-from array import array
+from collections import deque
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,17 +19,19 @@ from cambrian import (
     is_lattice_congruence,
     quotient,
 )
+from cambrian.fans import b_cluster_poset, cluster_poset
 from cambrian.lattices import (
     FiniteLattice,
     LatticeCongruence,
-    PolygonForcing,
+    _lsb,
     congruence_from_partition,
     forcing_arrows,
     poset_anti_isomorphism,
     poset_isomorphism,
     quotient_lattice,
-    union_find_closure,
 )
+from cambrian.polygon_a import UpDownSignature, triangulation_lattice
+from cambrian.polygon_b import all_symmetric_signatures, symmetric_triangulation_lattice
 from cambrian.suites import run_suite
 
 
@@ -236,7 +238,59 @@ def test_closure_outputs_verify():
             assert ok, reason
 
 
-# -- polygonal closure against the union-find oracle -------------------------
+# -- the forcing table's closure against the union-find oracle --------------
+
+
+def union_find_closure(lattice: FiniteLattice, pairs) -> LatticeCongruence:
+    """Smallest lattice congruence identifying each given pair of indices,
+    by propagating merges through joins and meets with irreducibles.
+
+    x ~ y is propagated to x v z ~ y v z for join-irreducible z and to
+    x ^ z ~ y ^ z for meet-irreducible z; every element is a join of
+    join-irreducibles, so by induction through transitivity the result is
+    closed under joins and meets with arbitrary elements."""
+    parent = list(range(lattice.n))
+
+    def find(i: int) -> int:
+        root = i
+        while parent[root] != root:
+            root = parent[root]
+        while parent[i] != root:
+            parent[i], i = root, parent[i]
+        return root
+
+    work: deque[tuple[int, int]] = deque()
+
+    def merge(i: int, j: int) -> None:
+        ri, rj = find(i), find(j)
+        if ri != rj:
+            parent[ri] = rj
+            work.append((i, j))
+
+    for a, b in pairs:
+        merge(a, b)
+    ji = lattice.join_irreducibles
+    mi = lattice.meet_irreducibles
+    up = lattice.up
+    down = lattice.down
+    while work:
+        x, y = work.popleft()
+        ux, uy = up[x], up[y]
+        dx, dy = down[x], down[y]
+        for z in ji:
+            uz = up[z]
+            a = ux & uz
+            b = uy & uz
+            if a != b:
+                merge(_lsb(a), _lsb(b))
+        for z in mi:
+            dz = down[z]
+            a = dx & dz
+            b = dy & dz
+            if a != b:
+                merge(a.bit_length() - 1, b.bit_length() - 1)
+    return LatticeCongruence(lattice, [find(i) for i in range(lattice.n)])
+
 
 ORACLE_SYSTEMS = [
     ("A", 3, None),
@@ -306,7 +360,69 @@ def test_polygonal_closure_matches_union_find_on_random_pairs(key, data):
     assert partition_fields(fast) == partition_fields(union_find_closure(lattice, pairs))
 
 
-# -- weak-order tables from rank-2 cosets and congruences from labels -------
+def subset_lattice(size, generators):
+    """The family of subsets of a ``size``-set (as bitmasks) generated by
+    ``generators`` under intersection, with the empty and the whole set:
+    a lattice under inclusion, meets being intersections."""
+    family = {0, (1 << size) - 1}
+    for g in generators:
+        family |= {g & f for f in family}
+    elements = sorted(family)
+    covers = [
+        (i, j)
+        for i, a in enumerate(elements)
+        for j, b in enumerate(elements)
+        if a != b and a & b == a
+        and not any(c not in (a, b) and a & c == a and c & b == c for c in elements)
+    ]
+    return FiniteLattice.from_covers(tuple(elements), covers)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(3, 7).flatmap(
+    lambda size: st.tuples(st.just(size), st.lists(st.integers(0, (1 << size) - 1), max_size=8))
+), st.data())
+def test_closure_matches_union_find_on_random_lattices(family, data):
+    lattice = subset_lattice(*family)
+    index = st.integers(0, lattice.n - 1)
+    pairs = data.draw(st.lists(st.tuples(index, index), max_size=3))
+    assert_same_as_oracle(lattice, pairs)
+    assert partition_fields(congruence_closure(lattice, pairs)) == partition_fields(
+        union_find_closure(lattice, pairs)
+    )
+
+
+def flip_and_cluster_lattices():
+    """Lattices built from their covers that no suite closes."""
+    signatures = [UpDownSignature(n, frozenset(range(1, n + 1, 2))) for n in range(3, 7)]
+    signatures += [UpDownSignature(n, frozenset()) for n in range(3, 7)]
+    lattices = [triangulation_lattice(sig) for sig in signatures]
+    for n in (2, 3):
+        lattices += [symmetric_triangulation_lattice(sig) for sig in all_symmetric_signatures(n)]
+    return lattices + [cluster_poset(n) for n in (3, 4, 5)] + [b_cluster_poset(n) for n in (2, 3)]
+
+
+BUILT_FROM_COVERS = {
+    "M3": lambda: [m3()],
+    "N5": lambda: [pentagon()],
+    "flips-and-clusters": flip_and_cluster_lattices,
+}
+
+
+@pytest.mark.parametrize("make", BUILT_FROM_COVERS.values(), ids=BUILT_FROM_COVERS.keys())
+def test_closure_matches_union_find_on_lattices_built_from_covers(make):
+    """Every pair of M3 and N5, and every cover of the flip and cluster
+    lattices, closes as the union-find oracle closes it."""
+    for lattice in make():
+        if lattice.n <= 5:
+            seeds = [[pair] for pair in itertools.combinations(range(lattice.n), 2)]
+        else:
+            seeds = [[cover] for cover in lattice.covers]
+        for pairs in [[]] + seeds:
+            assert_same_as_oracle(lattice, pairs)
+
+
+# -- weak-order tables against the polygons, and congruences from labels ---
 
 WEAK_ORDERS = (
     [("A", rank, None) for rank in range(2, 6)]
@@ -359,141 +475,57 @@ def polygon_walk(lattice):
 
 @pytest.mark.parametrize("family, rank, bond", WEAK_ORDERS)
 def test_coset_table_matches_polygon_walk(family, rank, bond):
-    """The table read off the rank-2 cosets is the one read off each
-    polygon of the weak order as a lattice."""
+    """The forcing table of the weak order, read off its irreducibles, is
+    the one read off each polygon of the weak order as a lattice."""
     lattice = get_system(family, rank, bond).weak_order_lattice()
-    assert lattice.cosets is not None
-    cosets = PolygonForcing.from_cosets(lattice, *lattice.cosets(lattice))
+    table = lattice.polygon_forcing()
     labels, reach = polygon_walk(lattice)
     for x, ux in enumerate(lattice.upper):
         for k, y in enumerate(ux):
-            assert lattice.covers[cosets.first[x] + k] == (x, y)
-    assert list(cosets.labels) == labels
-    assert cosets.reach == reach
+            assert lattice.covers[table.first[x] + k] == (x, y)
+    assert list(table.labels) == labels
+    assert table.reach == reach
     heads = [0] * len(reach)
     for (_, y), label in zip(lattice.covers, labels):
         heads[label] |= 1 << y
-    assert cosets.heads == heads
+    assert table.heads == heads
 
 
-@pytest.mark.parametrize("family, rank, bond", [("A", 3, None), ("B", 3, None), ("H3", None, None)])
-def test_coset_table_fails_closed_on_a_swapped_generator(family, rank, bond):
-    """Swapping the ascents of two generators at any element, where one of
-    them is an ascent, raises instead of returning a table."""
-    lattice = get_system(family, rank, bond).weak_order_lattice()
-    ascents, bonds = lattice.cosets(lattice)
-    r = len(bonds)
-    swaps = 0
-    for x in range(lattice.n):
-        for s, t in itertools.combinations(range(x * r, x * r + r), 2):
-            if ascents[s] < 0 and ascents[t] < 0:
-                continue
-            swapped = array("i", ascents)
-            swapped[s], swapped[t] = ascents[t], ascents[s]
-            with pytest.raises(AssertionError):
-                PolygonForcing.from_cosets(lattice, swapped, bonds)
-            swaps += 1
-    assert swaps > lattice.n
-
-
-def forged_hexagon(forge):
-    """The weak order of S3 and its coset table, forged by ``forge``: a
-    function of (lattice, ascents, bonds) giving the forged (ascents,
-    bonds) and the message ``from_cosets`` must raise on them."""
-    lattice = hexagon()
-    ascents, bonds = lattice.cosets(lattice)
-    return (lattice, *forge(lattice, array("i", ascents), bonds))
-
-
-def drop_an_ascent(lattice, ascents, bonds):
-    x = lattice.bottom
-    y, ascents[2 * x] = ascents[2 * x], -1
-    return ascents, bonds, f"cover {x} -> {y} is no ascent of {x}"
-
-
-def add_an_ascent(lattice, ascents, bonds):
-    ascents[2 * lattice.top] = lattice.bottom
-    return ascents, bonds, "an ascent is not a cover"
-
-
-def chain_from_bottom(ascents, word):
-    """The elements x, xs, xst, ... from the bottom 0 along ``word``."""
-    chain = [0]
-    for s in word:
-        chain.append(ascents[2 * chain[-1] + s])
-    return chain
-
-
-def lengthen_the_bond(lattice, ascents, bonds):
-    # Chains of m(s, t) = 4 edges climb past the top, w0 = sts.
-    *_, st, sts = chain_from_bottom(ascents, (0, 1, 0))
-    edge = lattice.covers.index((st, sts))
-    return ascents, [[1, 4], [4, 1]], f"edge {edge} has no ascent 1 after it"
-
-
-def shorten_the_bond(lattice, ascents, bonds):
-    # Chains of m(s, t) = 2 edges stop at st and ts, which differ.
-    st, ts = chain_from_bottom(ascents, (0, 1))[-1], chain_from_bottom(ascents, (1, 0))[-1]
-    return ascents, [[1, 2], [2, 1]], f"the chains of 0, 1 from 0 end at {st} and {ts}"
-
-
-def drop_a_root(lattice, ascents, bonds):
-    # The cover into a join-irreducible is the top edge of no coset, so
-    # with the join-irreducible left out of the roots nothing labels it.
+def drop_a_root(lattice):
+    # With the join-irreducible g left out of the roots, g and g_* have
+    # the same roots below them, so nothing labels the cover g_* -> g.
     *kept, g = lattice.join_irreducibles
     lattice.join_irreducibles = kept
     edge = lattice.covers.index((lattice.lower[g][0], g))
-    return ascents, bonds, f"edge {edge} has no label"
+    return f"edge {edge} has no label"
 
 
-@pytest.mark.parametrize(
-    "forge",
-    [drop_an_ascent, add_an_ascent, lengthen_the_bond, shorten_the_bond, drop_a_root],
-)
+@pytest.mark.parametrize("forge", [drop_a_root])
 def test_coset_table_fails_closed_with_its_message(forge):
-    """Each check of the table walk refuses its forged table, by name; a
-    perspective edge with a second label is refused in the test below."""
-    lattice, ascents, bonds, message = forged_hexagon(forge)
+    """The weak order of S3, forged by ``forge``, is refused by name."""
+    lattice = hexagon()
+    message = forge(lattice)
     assert lattice.bottom == 0
     with pytest.raises(AssertionError) as raised:
-        PolygonForcing.from_cosets(lattice, ascents, bonds)
+        lattice.polygon_forcing()
     assert str(raised.value) == message
 
 
-def test_coset_table_fails_closed_on_two_labels_for_one_edge():
-    """Squares [0, p], [x1, T] and [x2, T] close, but p -> T is the top edge
-    opposite both x1 -> u1 and x2 -> u2, which have different labels."""
-    s, t, t2 = range(3)
-    moves = {
-        "0": {t: "x2", t2: "x1"},
-        "x1": {s: "u1", t: "p"},
-        "x2": {s: "u2", t2: "p"},
-        "u1": {t: "T"},
-        "u2": {t2: "T"},
-        "p": {s: "T"},
-        "T": {},
-    }
-    names = tuple(moves)
-    lattice = FiniteLattice.from_covers(
-        names,
-        [(names.index(x), names.index(y)) for x, row in moves.items() for y in row.values()],
-    )
-    index = lattice.index
-    ascents = array("i", [-1]) * (3 * lattice.n)
-    for x, row in moves.items():
-        for gen, y in row.items():
-            ascents[index[x] * 3 + gen] = index[y]
-    top = lattice.covers.index((index["p"], index["T"]))
-    labels = sorted(
-        lattice.join_irreducibles.index(index[u]) for u in ("u1", "u2")
-    )
-    bonds = [[1, 2, 2], [2, 1, 2], [2, 2, 1]]
+def test_forcing_table_fails_closed_on_a_poset_that_is_no_lattice():
+    """0 < a, b < c, d < 1 is no lattice: a and b have two minimal upper
+    bounds.  Its only join-irreducibles are a and b, so c, d and 1 have
+    the same ones below them, and the first cover c -> 1 has no label."""
+    elements = ("0", "a", "b", "c", "d", "1")
+    covers = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]
+    with pytest.raises(ValueError):
+        FiniteLattice.from_covers(elements, covers)
+    poset = FiniteLattice.from_covers(elements, covers, validate=False)
+    index = poset.index
+    assert [poset.elements[g] for g in poset.join_irreducibles] == ["a", "b"]
+    edge = poset.covers.index((index["c"], index["1"]))
     with pytest.raises(AssertionError) as raised:
-        PolygonForcing.from_cosets(lattice, ascents, bonds)
-    assert str(raised.value) in (
-        f"edge {top} has labels {labels[0]} and {labels[1]}",
-        f"edge {top} has labels {labels[1]} and {labels[0]}",
-    )
+        poset.polygon_forcing()
+    assert str(raised.value) == f"edge {edge} has no label"
 
 
 def eager_congruence(lattice, forcing, hit):
@@ -530,7 +562,7 @@ def test_class_count_from_heads_matches_union_find(family, rank, bond):
     """The class count read off the head masks is the number of classes the
     union-find oracle finds, on every Cambrian congruence of the weak order
     and on every contraction of a join-irreducible in each Cambrian
-    quotient, whose table is restricted from the weak order's."""
+    quotient, which builds its own table."""
     system = get_system(family, rank, bond)
     lattice = system.weak_order_lattice()
     for orientation in all_orientations(system):
@@ -627,7 +659,7 @@ def m3():
 
 def test_m3_is_not_polygonal_and_still_closes():
     lattice = m3()
-    assert lattice.polygon_forcing() is None
+    assert lattice.polygon_forcing() is not None
     idx = lattice.index
     pairs = [(idx["0"], idx["a"])]
     # M3 is simple: contracting any edge collapses it.
@@ -670,8 +702,7 @@ LABEL_CASES = {
 @pytest.mark.parametrize("make", LABEL_CASES.values(), ids=LABEL_CASES.keys())
 def test_cover_labels_are_join_irreducibles_contracted_with_their_cover(make):
     """Each cover's label is a join-irreducible contracted with it, and
-    where the lattice has a forcing table (each weak order and Cambrian
-    quotient), its edge ids, labels and head masks are those of the
+    the forcing table's edge ids, labels and head masks are those of the
     definitions."""
     for lattice in make():
         ji = lattice.join_irreducibles
@@ -682,14 +713,13 @@ def test_cover_labels_are_join_irreducibles_contracted_with_their_cover(make):
             assert lattice.le(lattice.lower[m][0], x)
             assert lattice.join(x, m) == y
         forcing = lattice.polygon_forcing()
-        if forcing is not None:
-            assert list(forcing.labels) == [ji.index(labels[e]) for e in lattice.covers]
-            for x, ux in enumerate(lattice.upper):
-                for k, y in enumerate(ux):
-                    assert lattice.covers[forcing.first[x] + k] == (x, y)
-            assert forcing.heads == [
-                sum(1 << y for y in {y for (_, y), m in labels.items() if m == g}) for g in ji
-            ]
+        assert list(forcing.labels) == [ji.index(labels[e]) for e in lattice.covers]
+        for x, ux in enumerate(lattice.upper):
+            for k, y in enumerate(ux):
+                assert lattice.covers[forcing.first[x] + k] == (x, y)
+        assert forcing.heads == [
+            sum(1 << y for y in {y for (_, y), m in labels.items() if m == g}) for g in ji
+        ]
         for g in ji:
             class_of = union_find_closure(lattice, [(lattice.lower[g][0], g)]).class_of
             for (x, y), m in labels.items():
@@ -728,52 +758,13 @@ def test_forcing_arrows_match_per_ji_union_find(family, rank, bond):
 
 
 def test_forcing_arrows_fall_back_on_m3():
+    """M3, which is not polygonal, reads its arrows off its table too."""
     lattice = m3()
-    assert lattice.polygon_forcing() is None
+    assert lattice.polygon_forcing() is not None
     arrows = forcing_arrows(lattice)
     assert arrows == per_ji_forcing_arrows(lattice)
     # M3 is simple: each atom forces every atom.
     assert all(forced == set(lattice.atoms()) for forced in arrows.values())
-
-
-def test_polygon_forcing_fails_closed_on_a_label_outside_the_join_irreducibles():
-    """A congruence whose hit mask leaves out a label it contracts keeps
-    one label too many, whose join-irreducible is no class bottom, so the
-    quotient's table is refused."""
-    system = get_system("A", 3)
-    cong = cambrian_congruence(system, all_orientations(system)[0])
-    dropped = cong.hit.bit_length() - 1
-    bad = LatticeCongruence(
-        cong.lattice, cong.class_of, forcing=cong.forcing, hit=cong.hit & ~(1 << dropped)
-    )
-    quotient = quotient_lattice(bad)
-    with pytest.raises(AssertionError, match="not the quotient's join-irreducibles"):
-        quotient.polygon_forcing()
-
-
-def test_restriction_fails_closed_on_two_labels_for_one_quotient_cover():
-    """Relabelling one uncontracted cover of a Cambrian congruence, whose
-    quotient cover is also the image of another, makes the two disagree:
-    the restriction raises on every read and leaves no table."""
-    system = get_system("A", 3)
-    cong = cambrian_congruence(system, all_orientations(system)[0])
-    lattice, forcing, hit, class_of = cong.lattice, cong.forcing, cong.hit, cong.class_of
-    images = {}
-    for edge, ((x, y), label) in enumerate(zip(lattice.covers, forcing.labels)):
-        if not hit >> label & 1:
-            images.setdefault((class_of[x], class_of[y]), []).append(edge)
-    edge = next(edges[0] for edges in images.values() if len(edges) > 1)
-    other = next(
-        k for k in range(len(forcing.reach)) if k != forcing.labels[edge] and not hit >> k & 1
-    )
-    labels = array("i", forcing.labels)
-    labels[edge] = other
-    bad = PolygonForcing(lattice, forcing.first, labels, forcing.reach)
-    quotient = quotient_lattice(LatticeCongruence(lattice, class_of, forcing=bad, hit=hit))
-    assert poset_isomorphism(quotient, quotient_lattice(cong)) is not None
-    for _ in range(2):
-        with pytest.raises(AssertionError, match=r"edge \d+ has labels"):
-            quotient.polygon_forcing()
 
 
 # -- crosscut Möbius function against the recursive definition --------------
