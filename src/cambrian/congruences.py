@@ -199,24 +199,21 @@ def recover_orientation(lattice: FiniteLattice, system: CoxeterSystem) -> Orient
 # Isomorphism and anti-isomorphism of Cambrian lattices.
 
 
-def _diagram_maps(a: Orientation, b: Orientation, reverse: bool) -> bool:
+def _diagram_maps(a: Orientation, b: Orientation) -> bool:
     """A vertex bijection carrying directed edges of a onto those of b."""
     eb = {(s, t): m for s, t, m in b.edges}
     for perm in itertools.permutations(b.vertices):
         phi = dict(zip(a.vertices, perm))
-        image = {
-            ((phi[t], phi[s]) if reverse else (phi[s], phi[t])): m
-            for s, t, m in a.edges
-        }
-        if image == eb:
+        if {(phi[s], phi[t]): m for s, t, m in a.edges} == eb:
             return True
     return False
 
 
 def check_iso_anti_iso(system: CoxeterSystem, a: Orientation, b: Orientation) -> dict:
-    """Diagram-level decision, confirmed by lattice-level search."""
-    iso = _diagram_maps(a, b, reverse=False)
-    anti = _diagram_maps(a, b, reverse=True)
+    """Diagram-level decision, confirmed by lattice-level search: b is an
+    anti-image of a when it is an image of a reversed."""
+    iso = _diagram_maps(a, b)
+    anti = _diagram_maps(a.reverse(), b)
     la = cambrian_lattice(system, a).quotient
     lb = cambrian_lattice(system, b).quotient
     lat_iso = poset_isomorphism(la, lb) is not None

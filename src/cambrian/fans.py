@@ -50,16 +50,21 @@ a wall's reflection is read off the root permutation
 The cluster model depends on n alone, so ``clusters`` is cached per n
 and returns one frozen complex per n to every suite check and lattice
 that reads it; ``nice_coroot`` scans the positive roots in one cached
-order per n.
+order per n.  The cluster posets are the polygon model's flip order
+(``polygon_a._flip_order``): A clusters trade one root, B clusters one
+chi-orbit of roots, and the lower cluster gives up the orbit with the
+smaller rotation number.  The cluster fan's walls, for the nice-coroot
+and refinement checks, and the wall pairing of ``_fan_faces`` are read
+off the same index of walls (``_walls``).
 """
 
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
 from operator import mul
 
@@ -68,7 +73,9 @@ from .coxeter import CoxeterSystem, embed_b_in_a, get_system
 from .lattices import FiniteLattice
 from .polygon_a import (
     UpDownSignature,
+    _flip_order,
     _mask_diagonals,
+    _walls,
     all_triangulations,
     polygon_from_signature,
 )
@@ -268,28 +275,26 @@ def _fan_faces(camb, cones, side, simplicial, tiling, **extra) -> dict:
     class c, and ``side(wall, a, b)`` says whether rays a and b lie
     strictly on opposite sides of the hyperplane spanned by the rays of
     ``wall``.  The tiling also needs every cone to have rank-many rays
-    and every codimension-1 face to lie in exactly two cones, on
-    opposite sides; the dual graph joins those two cones and is compared
-    with the Hasse diagram of the Cambrian quotient; the f-vector counts
-    the faces spanned by 1, 2, ..., rank rays.
+    and every codimension-1 face, a rank-many cone minus one ray
+    (``_walls``), to lie in exactly two cones, on opposite sides; the
+    dual graph joins those two cones and is compared with the Hasse
+    diagram of the Cambrian quotient; the f-vector counts the faces
+    spanned by 1, 2, ..., rank rays.
     """
     dim = camb.system.rank
     paired = all(len(cone) == dim for cone in cones)
     faces = set()
-    owners = defaultdict(list)
-    for c, cone in enumerate(cones):
+    for cone in cones:
         for size in range(1, dim + 1):
             faces.update(map(frozenset, itertools.combinations(cone, size)))
-        if len(cone) == dim:
-            for ray in cone:
-                owners[frozenset(cone) - {ray}].append((c, ray))
+    sets = [frozenset(cone) for cone in cones]
     dual_edges = set()
-    for wall, sides in owners.items():
-        if len(sides) != 2:
+    for wall, owners in _walls(sets, lambda s: zip(s) if len(s) == dim else ()).items():
+        if len(owners) != 2:
             paired = False
             continue
-        (c1, a), (c2, b) = sides
-        dual_edges.add(frozenset((c1, c2)))
+        dual_edges.add(frozenset(owners))
+        (a,), (b,) = (sets[c] - wall for c in owners)
         paired = paired and side(tuple(wall), a, b)
 
     cong, quotient = camb.congruence, camb.quotient
@@ -765,35 +770,22 @@ def clusters(n: int) -> ClusterComplex:
     return ClusterComplex(n, roots, pairs, tuple(found))
 
 
-def _flip_order(items, m: int, flip) -> FiniteLattice:
-    """Clusters of S_m ordered across flips.
-
-    Two clusters are joined when they trade exactly one orbit {r, flip(r)}
-    of roots; the one that gives up the orbit with the smaller
-    (orbit-constant) rotation number is the lower.  Such clusters agree
-    once each drops its traded orbit, so keying every cluster minus each
-    of its orbits finds the flips as the clusters sharing a key.  The
-    covers go to ``from_covers`` in index-pair order, which its linear
-    extension follows.
-    """
-    sharing = {}
-    for i, cluster in enumerate(items):
-        for orbit in {frozenset((r, flip(r))) for r in cluster}:
-            sharing.setdefault(cluster - orbit, []).append(i)
-    covers = []
-    for i, j in sorted(p for group in sharing.values() for p in itertools.combinations(group, 2)):
-        gone, came = items[i] - items[j], items[j] - items[i]
-        rb = {rotation_number(m, r) for r in gone}
-        rt = {rotation_number(m, r) for r in came}
-        if len(rb) != 1 or len(rt) != 1 or rb == rt:
-            raise AssertionError("flip with ambiguous rotation numbers")
-        covers.append((i, j) if rb.pop() < rt.pop() else (j, i))
-    return FiniteLattice.from_covers(tuple(items), covers)
+def _rotation_lower(m: int, gone, came) -> bool:
+    """Whether the cluster of S_m that trades the roots ``gone`` for
+    ``came`` is the lower across the flip: the traded orbit has one
+    rotation number, smaller than that of the orbit it comes to."""
+    rb = {rotation_number(m, r) for r in gone}
+    rt = {rotation_number(m, r) for r in came}
+    if len(rb) != 1 or len(rt) != 1 or rb == rt:
+        raise AssertionError("flip with ambiguous rotation numbers")
+    return rb.pop() < rt.pop()
 
 
 def cluster_poset(n: int) -> FiniteLattice:
-    """Clusters ordered by rotation-number comparison across flips."""
-    return _flip_order(clusters(n).clusters, n, lambda r: r)
+    """Clusters ordered by rotation-number comparison across flips, each
+    root trading alone."""
+    items = clusters(n).clusters
+    return _flip_order(items, items, zip, partial(_rotation_lower, n))
 
 
 # ---------------------------------------------------------------------------
@@ -812,6 +804,11 @@ def _chi_root(r):
     return tuple(reversed(r))
 
 
+def _chi_orbits(cluster) -> set:
+    """The orbits {r, chi(r)} of the roots of a chi-fixed cluster."""
+    return {frozenset((r, _chi_root(r))) for r in cluster}
+
+
 def _invariant_clusters(n: int) -> list:
     """The clusters of S_{2n} fixed by chi."""
     return [
@@ -823,7 +820,8 @@ def _invariant_clusters(n: int) -> list:
 def b_cluster_poset(n: int) -> FiniteLattice:
     """Flip-invariant clusters of S_{2n} ordered across orbit flips; the
     diagram flip chi acts on roots by coordinate reversal."""
-    return _flip_order(_invariant_clusters(n), 2 * n, _chi_root)
+    items = _invariant_clusters(n)
+    return _flip_order(items, items, _chi_orbits, partial(_rotation_lower, 2 * n))
 
 
 def bracket(x, y) -> Fraction:
@@ -860,17 +858,11 @@ def nice_coroot(n: int, near_cluster):
 
 def wall_without_nice_coroot(n: int):
     """The first wall of the S_n cluster fan with no nice coroot, or None."""
-    seen = set()
-    for cluster in clusters(n).clusters:
-        for alpha in cluster:
-            wall = cluster - {alpha}
-            if wall in seen:
-                continue
-            seen.add(wall)
-            try:
-                nice_coroot(n, wall)
-            except LookupError:
-                return wall
+    for wall in _walls(clusters(n).clusters, zip):
+        try:
+            nice_coroot(n, wall)
+        except LookupError:
+            return wall
     return None
 
 
@@ -884,17 +876,12 @@ def cluster_refine_check(n: int, family: str = "A") -> bool:
         invariant = _invariant_clusters(n)
         if len(invariant) != comb(2 * n, n):
             return False
-        for cluster in invariant:
-            orbits = {frozenset((r, _chi_root(r))) for r in cluster}
-            for orbit in orbits:
-                wall = [
-                    tuple(a + b for a, b in zip(r, _chi_root(r)))
-                    for r in cluster - orbit
-                ]
-                try:
-                    nice_coroot(2 * n, wall)
-                except LookupError:
-                    return False
+        for wall in _walls(invariant, _chi_orbits):
+            folded = [tuple(a + b for a, b in zip(r, _chi_root(r))) for r in wall]
+            try:
+                nice_coroot(2 * n, folded)
+            except LookupError:
+                return False
         return True
     raise ValueError(f"unsupported family {family!r}")
 

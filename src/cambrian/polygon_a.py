@@ -30,8 +30,10 @@ reads a group through four methods, which ``SymmetricSignature`` shares:
 ``walk``, ``eta_masks``, then the descent case table in two stages, a
 mask's signature-free ``sides`` (``_mask_sides``) and the four up/down
 cases (``descents``).
-``_flip_lattice`` is the one flip order, over orbits of diagonals:
-single diagonals here, mirror pairs in type B.
+``_flip_order`` is the one flip order, of triangulations and of
+clusters: two sets are one flip apart when they share a wall
+(``_walls``), a set minus one orbit of its members: a diagonal here, a
+mirror pair in type B, a root or a chi-orbit of roots in ``fans``.
 
 The projections carry the mask of the values already read, so whether
 an adjacent pair has its "2" is one mask intersection; ``_first_move``
@@ -693,49 +695,41 @@ def all_triangulations(polygon: PolygonQ) -> list[TriangulationA]:
     ]
 
 
-def _flip(polygon: PolygonQ, tri: frozenset, diag: tuple[int, int]):
-    """The opposite diagonal of the quadrilateral around diag."""
-    edges = tri | polygon.boundary_edges
-    a, b = diag
-
-    def connected(u, v):
-        return (min(u, v), max(u, v)) in edges
-
-    apexes = [
-        c
-        for c in range(polygon.n + 2)
-        if c not in diag and connected(a, c) and connected(b, c)
-    ]
-    if len(apexes) != 2:
-        raise AssertionError(f"diagonal {diag} has {len(apexes)} apexes")
-    c, d = apexes
-    return (min(c, d), max(c, d))
+def _walls(sets, orbits) -> dict:
+    """Each wall ``s - orbit`` of the sets s in ``sets``, for every orbit
+    in ``orbits(s)``, mapped to the positions of the sets that hold it, in
+    order of first occurrence.  An orbit is any iterable of members of s:
+    ``zip`` makes each member an orbit of its own."""
+    walls = {}
+    for i, s in enumerate(sets):
+        for orbit in orbits(s):
+            walls.setdefault(s.difference(orbit), []).append(i)
+    return walls
 
 
-def _flip_lattice(polygon: PolygonQ, elements, diagonal_sets, orbit) -> FiniteLattice:
-    """``elements``, the triangulations of ``polygon`` with the listed
-    diagonal sets, under slope-increasing flips.  Each orbit of diagonals
-    flips once: ``orbit(d)`` gives way to the orbit of d's flip."""
-    index = {diagonals: i for i, diagonals in enumerate(diagonal_sets)}
+def _flip_order(items, sets, orbits, lower) -> FiniteLattice:
+    """``items`` ordered across flips: item i has the set ``sets[i]``, and
+    two items whose sets share a wall (``_walls``) trade one orbit for
+    another.  ``lower(gone, came)`` says whether the item that gives up
+    ``gone`` for ``came`` is the lower.  The covers go to ``from_covers``
+    in sorted index-pair order, which its linear extension follows."""
+    walls = _walls(sets, orbits).values()
     covers = []
-    for i, diagonals in enumerate(diagonal_sets):
-        done = set()
-        for diag in diagonals:
-            if diag in done:
-                continue
-            old = orbit(diag)
-            done |= old
-            new = _flip(polygon, diagonals, diag)
-            if polygon.slope_less(diag, new):
-                covers.append((i, index[(diagonals - old) | orbit(new)]))
-    return FiniteLattice.from_covers(elements, covers)
+    for i, j in sorted(p for group in walls for p in itertools.combinations(group, 2)):
+        gone, came = sets[i] - sets[j], sets[j] - sets[i]
+        covers.append((i, j) if lower(gone, came) else (j, i))
+    return FiniteLattice.from_covers(items, covers)
 
 
 def triangulation_lattice(signature: UpDownSignature) -> FiniteLattice:
-    """Lattice of triangulations of Q under slope-increasing flips."""
+    """Lattice of triangulations of Q under slope-increasing flips: each
+    diagonal flips alone."""
     polygon = polygon_from_signature(signature)
     tris = all_triangulations(polygon)
-    return _flip_lattice(polygon, tris, [t.diagonals for t in tris], lambda d: {d})
+    return _flip_order(
+        tris, [t.diagonals for t in tris], zip,
+        lambda gone, came: polygon.slope_less(min(gone), min(came)),
+    )
 
 
 # ---------------------------------------------------------------------------

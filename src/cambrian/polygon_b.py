@@ -6,8 +6,9 @@ i+n+1 for i < 0 and to i+n for i > 0, so -(n+1) sits at 0 and n+1 at
 2n+1.  ``eta_b`` is eta of the embedding, checked to be fixed by the
 central symmetry.  The descent case table is the doubled one shifted by
 n: positions n and n+1 hold -1 and 1, of opposite colours, so their
-mixed case is the s_0 rule.  The flip lattice flips a diameter alone and
-a mirror pair together.
+mixed case is the s_0 rule.  The flip lattice is ``_flip_order`` over the
+orbits of the symmetry: a diameter flips alone and a mirror pair
+together.
 
 ``SymmetricSignature`` has the four polygon methods of
 ``UpDownSignature``, so the suites and the fan checks read eta and the
@@ -43,7 +44,7 @@ from .polygon_a import (
     _case_descents,
     _chain_triangulations,
     _diagonal_mask,
-    _flip_lattice,
+    _flip_order,
     _mask_diagonals,
     _mask_sides,
     _orientation_edges,
@@ -315,10 +316,14 @@ def symmetric_triangulations(signature: SymmetricSignature) -> list[Triangulatio
 def symmetric_triangulation_lattice(signature: SymmetricSignature) -> FiniteLattice:
     """Symmetric triangulations under diameter flips and symmetric flip
     pairs: a diameter flips to a diameter, a mirror pair to a mirror pair."""
-    two_n = 2 * signature.n
+    two_n, polygon = 2 * signature.n, signature.polygon
     tris = symmetric_triangulations(signature)
-    diagonals = [t.base.diagonals for t in tris]
-    return _flip_lattice(signature.polygon, tris, diagonals, lambda d: {d, _mirror(d, two_n)})
+    # Central symmetry keeps slopes: either diagonal of a pair orients it.
+    return _flip_order(
+        tris, [t.base.diagonals for t in tris],
+        lambda s: {frozenset((d, _mirror(d, two_n))) for d in s},
+        lambda gone, came: polygon.slope_less(min(gone), min(came)),
+    )
 
 
 # ---------------------------------------------------------------------------

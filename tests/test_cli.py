@@ -171,6 +171,15 @@ def test_internal_error_exit_code(capsys, monkeypatch):
     assert "invariant broken" in captured.err
 
 
+def test_cluster_suite_exits_4_on_ambiguous_flip(capsys, monkeypatch):
+    monkeypatch.setattr(fans, "rotation_number", lambda m, root: 0)
+    code = main(["verify", "--suite", "cluster"])
+    captured = capsys.readouterr()
+    assert code == INTERNAL_ERROR == 4
+    assert captured.out == ""
+    assert captured.err == "internal error: flip with ambiguous rotation numbers\n"
+
+
 def test_out_of_memory_exits_4_with_one_error_line():
     """S_8's weak order outgrows 160 MB of address space.  The limit is set
     on the child alone, so the host's memory is never exhausted."""

@@ -306,6 +306,14 @@ def test_b_cluster_poset_counts():
     assert b_bipartite_signature(2).n == 2
 
 
+@pytest.mark.parametrize("poset,n", [(cluster_poset, 3), (b_cluster_poset, 2)])
+def test_cluster_flip_fails_closed_on_ambiguous_rotation(monkeypatch, poset, n):
+    """With one rotation number for every root no flip has a direction."""
+    monkeypatch.setattr(fans, "rotation_number", lambda m, root: 0)
+    with pytest.raises(AssertionError, match="flip with ambiguous rotation numbers"):
+        poset(n)
+
+
 def test_bracket_and_twist():
     assert bracket((1, 0), (1, 0)) == 1
     for beta in positive_roots(3):
@@ -357,6 +365,7 @@ def test_cluster_refine_fails_closed_without_nice_coroot(monkeypatch):
     monkeypatch.setattr(fans, "nice_coroot", _no_nice_coroot)
     assert fans.wall_without_nice_coroot(3) is not None
     assert not cluster_refine_check(3, "A")
+    assert not cluster_refine_check(2, "B")
 
 
 def test_psi_examples():

@@ -859,19 +859,44 @@ def test_descent_set_matches_diagonal_pair_reader():
                 assert got == _diagonal_case_descents(tri, sig), (tri, sig)
 
 
+def _apex_flip(polygon, diagonals, diag):
+    """The opposite diagonal of the quadrilateral around diag: the two
+    vertices joined to both of its ends."""
+    edges = diagonals | polygon.boundary_edges
+    apexes = [
+        c for c in range(polygon.n + 2)
+        if c not in diag and all(tuple(sorted((v, c))) in edges for v in diag)
+    ]
+    assert len(apexes) == 2, (diag, apexes)
+    return tuple(apexes)
+
+
 def _per_diagonal_flip_lattice(sig):
     """triangulation_lattice as one loop over every diagonal of every
-    triangulation."""
+    triangulation, each flip found by its apexes.  The covers go to
+    from_covers sorted, which gives it the successor order of the
+    lattice's covers, listed in sorted index-pair order, and so the same
+    linear extension."""
     polygon = polygon_from_signature(sig)
     tris = all_triangulations(polygon)
     index = {t.diagonals: i for i, t in enumerate(tris)}
     covers = []
     for i, t in enumerate(tris):
         for diag in t.diagonals:
-            other = polygon_a._flip(polygon, t.diagonals, diag)
+            other = _apex_flip(polygon, t.diagonals, diag)
             if polygon.slope_less(diag, other):
                 covers.append((i, index[(t.diagonals - {diag}) | {other}]))
-    return FiniteLattice.from_covers(tris, covers)
+    return FiniteLattice.from_covers(tris, sorted(covers))
+
+
+def test_walls_key_each_set_minus_an_orbit_by_first_occurrence():
+    sets = [frozenset({1, 2}), frozenset({2, 3}), frozenset({1, 3})]
+    walls = polygon_a._walls(sets, zip)
+    assert list(walls.items()) == [
+        (frozenset({2}), [0, 1]), (frozenset({1}), [0, 2]), (frozenset({3}), [1, 2]),
+    ]
+    whole = polygon_a._walls(sets, lambda s: [s])
+    assert whole == {frozenset(): [0, 1, 2]}
 
 
 def test_triangulation_lattice_matches_per_diagonal_flips():

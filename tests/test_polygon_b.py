@@ -35,7 +35,7 @@ from cambrian.coxeter import (
 from cambrian import polygon_a, suites
 from cambrian.lattices import FiniteLattice
 from cambrian.polygon_a import _mask_diagonals, all_triangulations
-from cambrian.polygon_b import B_TAMARI_PATTERNS, _is_symmetric, b_tamari_avoiders
+from cambrian.polygon_b import B_TAMARI_PATTERNS, _is_symmetric, _mirror, b_tamari_avoiders
 
 
 def unbridge(sig, p):
@@ -327,10 +327,25 @@ def _mirror_pair(d, two_n):
     return (two_n + 1 - d[1], two_n + 1 - d[0])
 
 
+def _apex_flip(polygon, diagonals, diag):
+    """The opposite diagonal of the quadrilateral around diag: the two
+    vertices joined to both of its ends."""
+    edges = diagonals | polygon.boundary_edges
+    apexes = [
+        c for c in range(polygon.n + 2)
+        if c not in diag and all(tuple(sorted((v, c))) in edges for v in diag)
+    ]
+    assert len(apexes) == 2, (diag, apexes)
+    return tuple(apexes)
+
+
 def _per_orbit_flip_lattice(sig):
     """symmetric_triangulation_lattice as its own loop: each orbit of
-    diagonals flips once, a diameter alone and a mirror pair together, and
-    a flip that lands off the list is dropped."""
+    diagonals flips once, found by its apexes, a diameter alone and a
+    mirror pair together, and a flip that lands off the list is dropped.
+    The covers go to from_covers sorted, which gives it the successor
+    order of the lattice's covers, listed in sorted index-pair order, and
+    so the same linear extension."""
     polygon, two_n = sig.polygon, 2 * sig.n
     tris = symmetric_triangulations(sig)
     index = {t.base.diagonals: i for i, t in enumerate(tris)}
@@ -344,7 +359,7 @@ def _per_orbit_flip_lattice(sig):
             if orbit in seen:
                 continue
             seen.add(orbit)
-            new = polygon_a._flip(polygon, diagonals, diag)
+            new = _apex_flip(polygon, diagonals, diag)
             if mirror == diag:
                 candidate = (diagonals - {diag}) | {new}
             else:
@@ -352,7 +367,20 @@ def _per_orbit_flip_lattice(sig):
             j = index.get(frozenset(candidate))
             if j is not None and polygon.slope_less(diag, new):
                 covers.append((i, j))
-    return FiniteLattice.from_covers(tris, covers)
+    return FiniteLattice.from_covers(tris, sorted(covers))
+
+
+def test_mirror_keeps_slopes():
+    """Central symmetry is a point reflection of the (2n+2)-gon, so it keeps
+    slopes: either diagonal of a mirror pair orients its flip."""
+    for n in range(1, 6):
+        two_n = 2 * n
+        for sig in all_symmetric_signatures(n):
+            polygon = sig.polygon
+            for u, w in itertools.combinations(range(two_n + 2), 2):
+                if (u, w) != (0, two_n + 1):
+                    mirror = _mirror((u, w), two_n)
+                    assert polygon.slope_key(u, w) == polygon.slope_key(*mirror), (sig, u, w)
 
 
 def test_symmetric_triangulation_lattice_matches_per_orbit_flips():
