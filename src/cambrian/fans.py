@@ -272,14 +272,15 @@ def _fan_faces(camb, cones, side, simplicial, tiling, **extra) -> dict:
     """The report of a fan check, with wall pairing, dual graph, f-vector.
 
     ``cones[c]`` holds the ray keys of the maximal cone of congruence
-    class c, and ``side(wall, a, b)`` says whether rays a and b lie
+    class c, and ``side(wall, c, a, b)`` says whether rays a and b lie
     strictly on opposite sides of the hyperplane spanned by the rays of
-    ``wall``.  The tiling also needs every cone to have rank-many rays
-    and every codimension-1 face, a rank-many cone minus one ray
-    (``_walls``), to lie in exactly two cones, on opposite sides; the
-    dual graph joins those two cones and is compared with the Hasse
-    diagram of the Cambrian quotient; the f-vector counts the faces
-    spanned by 1, 2, ..., rank rays.
+    ``wall``, c being the position of the cone of ``wall`` and a.  The
+    tiling also needs every cone to have rank-many rays and every
+    codimension-1 face, a rank-many cone minus one ray (``_walls``), to
+    lie in exactly two cones, on opposite sides; the dual graph joins
+    those two cones and is compared with the Hasse diagram of the
+    Cambrian quotient; the f-vector counts the faces spanned by 1, 2,
+    ..., rank rays.
     """
     dim = camb.system.rank
     paired = all(len(cone) == dim for cone in cones)
@@ -295,7 +296,7 @@ def _fan_faces(camb, cones, side, simplicial, tiling, **extra) -> dict:
             continue
         dual_edges.add(frozenset(owners))
         (a,), (b,) = (sets[c] - wall for c in owners)
-        paired = paired and side(tuple(wall), a, b)
+        paired = paired and side(tuple(wall), owners[0], a, b)
 
     cong, quotient = camb.congruence, camb.quotient
     index = cong.lattice.index
@@ -346,10 +347,8 @@ def _check_fan_ab(camb, cones, vectors, region_rays, lineality=(), fan_rays=None
             for c, cone in enumerate(cones)
             for a in fan_rays
         )
-    owner = {frozenset(cone): c for c, cone in enumerate(cones)}
 
-    def side(wall, a, b):
-        c = owner[frozenset(wall) | {a}]
+    def side(wall, c, a, b):
         # A cone without normals has already failed the tiling.
         return simplicial and _dot(normals[c][cones[c].index(a)], vectors[b]) < 0
 
@@ -603,7 +602,7 @@ def _check_fan_h3(system: CoxeterSystem, camb: CambrianLattice) -> dict:
             simplicial = False
         cones.append(tuple(extreme))
 
-    def side(wall, a, b):
+    def side(wall, c, a, b):
         normal = _cross(field, *(rays[r] for r in wall))
         sign_a = field.sign(_dot3(field, normal, rays[a]))
         return sign_a * field.sign(_dot3(field, normal, rays[b])) < 0

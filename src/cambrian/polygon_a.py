@@ -20,16 +20,21 @@ P ^ U, so a step depends on (P ^ U, v) alone and one table,
 ``_step_table(n)``, serves every signature.  ``_eta_mask`` walks one
 permutation.  A ``GroupWalk`` holds the signature-free part of a whole
 group, built once: the prefix tree of its permutations, each node one
-step table key, and the move table of the projections.  ``eta_masks``
-reads the tree under a signature one level at a time, each level a few
-passes of ``map``.  Both clear the boundary
+step table key, and the move table of the projections.  The walk reads
+the tree under a signature one level at a time, each level a few
+passes of ``map``.  Both it and ``_eta_mask`` clear the boundary
 (``PolygonQ.boundary_mask``) and check that n-1 diagonals are left.
-``eta`` decodes the mask; the masks of ``eta_masks`` name the
-triangulations injectively, so fibers are grouped by them.  A signature
-reads a group through four methods, which ``SymmetricSignature`` shares:
-``walk``, ``eta_masks``, then the descent case table in two stages, a
-mask's signature-free ``sides`` (``_mask_sides``) and the four up/down
-cases (``descents``).
+``eta`` decodes the mask.  A mask names its triangulation injectively,
+so a fiber of eta is the set of elements with one mask, and
+``eta_fibers`` gives a group's fibers directly: its distinct masks in
+order of first member and each element's place among them, the fibers
+numbered as ``class_of`` numbers congruence classes.  The suites read
+the fibers, and one case-table row per fiber, through the places;
+``eta_masks`` spells out one mask per element.  A signature reads a
+group through five methods, which ``SymmetricSignature`` shares:
+``walk``, ``eta_fibers`` and ``eta_masks``, then the descent case table
+in two stages, a mask's signature-free ``sides`` (``_mask_sides``) and
+the four up/down cases (``descents``).
 ``_flip_order`` is the one flip order, of triangulations and of
 clusters: two sets are one flip apart when they share a wall
 (``_walls``), a set minus one orbit of its members: a diagonal here, a
@@ -50,17 +55,18 @@ every target already done.
 Each weak order keeps one walk per signature type (``weak_order_walk``),
 for as long as the lattice lives: a process walks each group once, and
 dropping the group, or resetting ``coxeter._SYSTEMS``, drops its walk.
-A walk keeps what it computes, inside the two methods themselves, so a
-test that replaces a method bypasses its memo.  ``eta_masks`` is
-kept per (signature, boundary mask) as the distinct masks and an array
-of places in them; ``projection_tables`` per marking of the values
-2..n-1, as two arrays.  The projections ignore the marks of 1 and n
-because a move reads only the values strictly between its pair, and
-neither end value is ever between two others, so the four markings of
-1 and n share one pair of tables.  Each call returns new lists, and a
-call that raises keeps nothing.  Each suite reads a group's eta once
-per signature, so the eta memo is read back only when two or more of
-``congruence-eq``, ``descent`` and ``fibers`` run in one process.
+A walk keeps what it computes, inside the methods themselves, so a
+test that replaces a method bypasses its memo.  eta is kept per
+(signature, boundary mask) as the distinct masks and an array of places
+in them, the pair ``eta_fibers`` returns; ``projection_tables`` per
+marking of the values 2..n-1, as two arrays.  The projections ignore
+the marks of 1 and n because a move reads only the values strictly
+between its pair, and neither end value is ever between two others, so
+the four markings of 1 and n share one pair of tables.  ``eta_masks``
+and ``projection_tables`` return new lists, and a call that raises
+keeps nothing.  Each suite reads a group's eta once per signature, so
+the eta memo is read back only when two or more of ``congruence-eq``,
+``descent`` and ``fibers`` run in one process.
 """
 
 from __future__ import annotations
@@ -133,6 +139,10 @@ class UpDownSignature:
     def eta_masks(self, walk: GroupWalk) -> list[int]:
         """eta's diagonal mask of each element of ``walk``."""
         return walk.eta_masks(self)
+
+    def eta_fibers(self, walk: GroupWalk) -> tuple[tuple[int, ...], array]:
+        """``walk.eta_fibers``: the distinct masks and each element's place."""
+        return walk.eta_fibers(self)
 
     def sides(self, mask: int) -> tuple[int, int]:
         """``_mask_sides`` of a diagonal mask of the (n+2)-gon."""
@@ -369,8 +379,8 @@ class GroupWalk:
     n+1, after it: at most 241 masks for n <= 8, so a byte holds the
     place.
 
-    ``eta_masks`` and ``projection_tables`` keep their results, in the
-    compact forms the module docstring gives.
+    ``eta_fibers`` (which ``eta_masks`` reads) and ``projection_tables``
+    keep their results, in the compact forms the module docstring gives.
     """
 
     def __init__(self, elements):
@@ -401,16 +411,32 @@ class GroupWalk:
             levels.append((parents, keys))
         return levels
 
+    def eta_fibers(self, signature: UpDownSignature) -> tuple[tuple[int, ...], array]:
+        """eta by fiber: the distinct ``_eta_mask`` values in order of
+        first member, and each element's place among them, so the places
+        number the fibers by first member.  The pair is the memo's own:
+        callers read it and change neither part."""
+        key = (signature, signature.polygon.boundary_mask)
+        if key not in self._eta:
+            self._walk_eta(key)
+        return self._eta[key]
+
     def eta_masks(self, signature: UpDownSignature) -> list[int]:
-        """``_eta_mask`` of every permutation: the step table read along
-        the tree one level at a time, then the boundary cleared.  The key
-        holds the boundary mask as well as the signature, so a polygon
-        with another boundary is read afresh."""
-        boundary = signature.polygon.boundary_mask
-        key = (signature, boundary)
-        if key in self._eta:
-            distinct, places = self._eta[key]
-            return list(map(distinct.__getitem__, places))
+        """``_eta_mask`` of every permutation, as a new list: read off the
+        memo of ``eta_fibers``, or on a miss the masks just walked."""
+        key = (signature, signature.polygon.boundary_mask)
+        if key not in self._eta:
+            return self._walk_eta(key)
+        distinct, places = self._eta[key]
+        return list(map(distinct.__getitem__, places))
+
+    def _walk_eta(self, key) -> list[int]:
+        """The masks of ``key``, (signature, boundary mask): the step
+        table read along the tree one level at a time, then the boundary
+        cleared.  They are kept by fiber under the key, which holds the
+        boundary as well as the signature, so a polygon with another
+        boundary is read afresh."""
+        signature, boundary = key
         n = signature.n
         under = _step_key(signature.upmask, 0, n).__xor__
         step = _step_table(self.n)
@@ -492,7 +518,13 @@ class GroupWalk:
 def _packed(values, bound: int) -> array:
     """``values``, each below ``bound``, as an array of the narrowest
     unsigned type that holds them."""
-    return array(next(c for c in "BHIQ" if bound <= 256 ** array(c).itemsize), values)
+    return array(_typecode(bound), values)
+
+
+def _typecode(bound: int) -> str:
+    """The narrowest unsigned array type that holds every value below
+    ``bound``."""
+    return next(c for c in "BHIQ" if bound <= 256 ** array(c).itemsize)
 
 
 def weak_order_walk(lattice: FiniteLattice, signature) -> GroupWalk:

@@ -10,12 +10,13 @@ mixed case is the s_0 rule.  The flip lattice is ``_flip_order`` over the
 orbits of the symmetry: a diameter flips alone and a mirror pair
 together.
 
-``SymmetricSignature`` has the four polygon methods of
+``SymmetricSignature`` has the five polygon methods of
 ``UpDownSignature``, so the suites and the fan checks read eta and the
 descent case table the same way in both types: ``walk`` (the
-``GroupWalk`` of the embedded elements), ``eta_masks`` (the doubled
-signature's masks, each distinct one checked to be centrally symmetric,
-a refusal naming the signed element), ``sides`` (a mask's
+``GroupWalk`` of the embedded elements), ``eta_fibers`` and
+``eta_masks`` (the doubled signature's, each distinct mask checked to
+be centrally symmetric, a refusal naming the signed element of the
+first asymmetric fiber), ``sides`` (a mask's
 signature-free sides on the (2n+2)-gon) and ``descents`` (the shifted
 case table).  ``eta`` and ``eta_b``, one element at a time, are kept as
 the public API and as test oracles.
@@ -24,6 +25,7 @@ the public API and as test oracles.
 from __future__ import annotations
 
 import itertools
+from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -126,13 +128,25 @@ class SymmetricSignature:
     def eta_masks(self, walk: GroupWalk) -> list[int]:
         """The doubled signature's eta masks of ``walk``, each distinct mask
         checked to be centrally symmetric."""
-        two_n = 2 * self.n
         masks = walk.eta_masks(self.polygon.signature)
-        for mask in set(masks):
-            if not _is_symmetric(_mask_diagonals(mask, two_n), two_n):
-                x = project_a_to_b(walk.elements[masks.index(mask)])
-                raise AssertionError(f"eta_b({x}) is not centrally symmetric")
+        self._refuse_asymmetric(walk, dict.fromkeys(masks), masks.index)
         return masks
+
+    def eta_fibers(self, walk: GroupWalk) -> tuple[tuple[int, ...], array]:
+        """The doubled signature's ``eta_fibers`` of ``walk``, each distinct
+        mask checked to be centrally symmetric."""
+        distinct, places = walk.eta_fibers(self.polygon.signature)
+        self._refuse_asymmetric(walk, distinct, lambda mask: places.index(distinct.index(mask)))
+        return distinct, places
+
+    def _refuse_asymmetric(self, walk: GroupWalk, distinct, first) -> None:
+        """Raise for the first mask of ``distinct`` that is not centrally
+        symmetric, naming the signed element at position ``first(mask)``."""
+        two_n = 2 * self.n
+        for mask in distinct:
+            if not _is_symmetric(_mask_diagonals(mask, two_n), two_n):
+                x = project_a_to_b(walk.elements[first(mask)])
+                raise AssertionError(f"eta_b({x}) is not centrally symmetric")
 
     def sides(self, mask: int) -> tuple[int, int]:
         """``_mask_sides`` of a diagonal mask of the (2n+2)-gon."""

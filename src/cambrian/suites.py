@@ -26,8 +26,10 @@ lower it.  ``cap`` bounds the order of every group a suite reads.
 from __future__ import annotations
 
 import itertools
+from array import array
 from functools import lru_cache
-from math import comb
+from math import comb, factorial
+from operator import ne, or_
 from typing import Callable, NamedTuple
 
 from .coxeter import (
@@ -39,7 +41,6 @@ from .coxeter import (
 from .lattices import (
     FiniteLattice,
     _members,
-    _numbered,
     forcing_arrows,
     poset_anti_isomorphism,
     poset_isomorphism,
@@ -59,6 +60,7 @@ from .polygon_a import (
     GroupWalk,
     UpDownSignature,
     _pattern_masks,
+    _typecode,
     # Not called here any more, but perfbench's tracing test reads suites.eta.
     eta,  # noqa: F401
     shard_digraph_a,
@@ -164,9 +166,10 @@ def _catalan_checks(n: int, system: CoxeterSystem, label: str) -> list:
 
 
 def _congruence_eq_checks(n: int, system: CoxeterSystem, label: str) -> list:
-    """Fiber partitions of eta equal the Cambrian congruence classes:
-    ``_numbered`` names the fibers, as ``class_of`` names the classes, by
-    first member in index order, so the lists are equal iff the partitions are."""
+    """Fiber partitions of eta equal the Cambrian congruence classes: the
+    places of ``eta_fibers`` name the fibers, as ``class_of`` names the
+    classes, by first member in index order, so the lists are equal iff
+    the partitions are."""
     lattice = system.weak_order_lattice()
     checks, class_of = [], {}
     signatures = _signatures(system, n)
@@ -175,9 +178,9 @@ def _congruence_eq_checks(n: int, system: CoxeterSystem, label: str) -> list:
         orientation = orientation_from_edges(system, sig.orientation_edges())
         if orientation not in class_of:
             class_of[orientation] = cambrian_congruence(system, orientation).class_of
-        fibers = _numbered(sig.eta_masks(walk))
+        _, places = sig.eta_fibers(walk)
         checks.append(_check(
-            f"{label} sig {sig.to_string()}", fibers == class_of[orientation],
+            f"{label} sig {sig.to_string()}", places.tolist() == class_of[orientation],
             generating_pairs=_pairs_repr(system, orientation),
         ))
     return checks
@@ -205,34 +208,35 @@ def suite_fibers(max_rank=None, cap=None, family=None) -> dict:
 
 def _fibers_ok(lattice: FiniteLattice, sig: UpDownSignature, walk: GroupWalk):
     """Whether the fibers of eta are the intervals [pi_down x, pi_up x],
-    in one pass over the fibers' member masks: it holds iff each distinct
-    (mask, pi_down, pi_up) gives a fiber equal to its interval.  A
-    nonempty interval has one bottom and one top, so two members of a
-    fiber with different projections, or two fibers with the same ones,
-    fail that test too and the block counts need no test of their own.
-    The interval is read as up(bot) & down(top), which derives the weak
-    order's up-sets; testing each x in down(top) for bot in down(x) keeps
-    to down-sets but made ``suite_fibers(6)`` three to seven times slower.
-    A failure is rescanned by ``_fiber_witness``."""
-    masks = sig.eta_masks(walk)
+    in one pass over the fibers' member masks, grouped by each element's
+    place in ``eta_fibers``: it holds iff each distinct (place, pi_down,
+    pi_up) gives a fiber equal to its interval.  A nonempty interval has
+    one bottom and one top, so two members of a fiber with different
+    projections, or two fibers with the same ones, fail that test too and
+    the block counts need no test of their own.  The interval is read as
+    up(bot) & down(top), which derives the weak order's up-sets; testing
+    each x in down(top) for bot in down(x) keeps to down-sets but made
+    ``suite_fibers(6)`` three to seven times slower.  A failure is
+    rescanned by ``_fiber_witness``."""
+    distinct, places = sig.eta_fibers(walk)
     down, up = walk.projection_tables(sig)
-    fibers: dict = {}
-    for i, mask in enumerate(masks):
-        fibers[mask] = fibers.get(mask, 0) | 1 << i
+    fibers = [0] * len(distinct)
+    for i, k in enumerate(places):
+        fibers[k] |= 1 << i
     if all(
-        fibers[mask] == lattice.up[bot] & lattice.down[top]
-        for mask, bot, top in set(zip(masks, down, up))
+        fibers[k] == lattice.up[bot] & lattice.down[top]
+        for k, bot, top in set(zip(places, down, up))
     ):
         return True, None
     return False, _fiber_witness(lattice, fibers, down, up)
 
 
-def _fiber_witness(lattice: FiniteLattice, fibers: dict, down, up) -> str:
-    """The first member, in the fibers (eta mask -> member mask) that
-    ``_fibers_ok`` grouped in order of first members, whose fiber is not
-    the interval between the first member's projections or whose own
-    projections differ from the first member's."""
-    for fiber in fibers.values():
+def _fiber_witness(lattice: FiniteLattice, fibers: list, down, up) -> str:
+    """The first member, in the fibers' member masks that ``_fibers_ok``
+    grouped in order of first members, whose fiber is not the interval
+    between the first member's projections or whose own projections
+    differ from the first member's."""
+    for fiber in fibers:
         first, *rest = _members(fiber)
         bot, top = down[first], up[first]
         if fiber != lattice.up[bot] & lattice.down[top]:
@@ -270,11 +274,85 @@ def _firing_masks(x: tuple[int, ...], descending: bool):
 def _signature_intervals(x: tuple[int, ...]):
     """(avoid down, fixed down, avoid up, fixed up) of x, each as the
     interval of up masks U where it holds, a pair (low, high) standing
-    for low <= U <= complement of high."""
+    for low <= U <= complement of high.  One permutation at a time: the
+    reference ``_pattern_sweep`` is tested against."""
     m231, m312, m213, m132 = _pattern_masks(x)
     down_before, down_after = _firing_masks(x, True)
     up_before, up_after = _firing_masks(x, False)
     return (m312, m231), (down_after, down_before), (m132, m213), (up_after, up_before)
+
+
+def _pattern_sweep(n: int) -> tuple[array, array, array, array]:
+    """``_signature_intervals`` of every permutation of 1..n, in
+    lexicographic order, from one depth-first sweep over their prefixes:
+    four arrays (avoid down, fixed down, avoid up, fixed up), interval
+    (low, high) packed as low | high << (n+1), the masks having bits 1..n.
+
+    Each prefix carries the forward state of ``_inside_pairs`` (running
+    minimum and maximum, the unions of rising and of falling pairs, and
+    the values found inside them) and of ``_firing_masks`` in both
+    directions (the earlier and later witnesses so far); the pair a value
+    makes with the last one reads only the set of values before it.  The
+    backward scan of x, ``_inside_pairs(x[::-1])``, is the forward scan
+    of rev(x), so each permutation's forward masks are the low ends of
+    its own avoid intervals and the high ends of those of rev(x), at the
+    lexicographic rank of rev(x): the sum over positions p of p! times
+    the number of earlier values below x_p, which the sweep adds up along
+    the prefix.
+    """
+    width, values = n + 1, (1 << n + 1) - 2
+    code = _typecode(1 << 2 * width)
+    avoid_down, avoid_up = array(code, [0]) * factorial(n), array(code, [0]) * factorial(n)
+    fixed_down, fixed_up = array(code), array(code)
+    weight = [factorial(p) for p in range(n)]
+
+    def visit(depth, seen, last, low, high, rising, falling, in_rising, in_falling,
+              down_early, down_late, up_early, up_late, rank):
+        if depth == n:
+            i = len(fixed_down)
+            fixed_down.append(down_late | down_early << width)
+            fixed_up.append(up_late | up_early << width)
+            avoid_down[i] |= in_falling
+            avoid_up[i] |= in_rising
+            avoid_down[rank] |= in_rising << width
+            avoid_up[rank] |= in_falling << width
+            return
+        rest = values & ~seen
+        while rest:
+            bit = rest & -rest
+            rest ^= bit
+            v = bit.bit_length() - 1
+            child_low, child_rising, child_in_rising = low, rising, in_rising
+            if v > low:
+                child_in_rising |= rising & bit
+                child_rising |= bit - (2 << low)
+            else:
+                child_low = v
+            child_high, child_falling, child_in_falling = high, falling, in_falling
+            if v < high:
+                child_in_falling |= falling & bit
+                child_falling |= (1 << high) - (bit << 1)
+            else:
+                child_high = v
+            child_down_early, child_down_late = down_early, down_late
+            child_up_early, child_up_late = up_early, up_late
+            if last > v:
+                between = (1 << last) - (bit << 1)
+                child_down_early |= seen & between
+                child_down_late |= between & ~seen
+            else:
+                between = bit - (2 << last)
+                child_up_early |= seen & between
+                child_up_late |= between & ~seen
+            visit(
+                depth + 1, seen | bit, v, child_low, child_high, child_rising, child_falling,
+                child_in_rising, child_in_falling, child_down_early, child_down_late,
+                child_up_early, child_up_late, rank + weight[depth] * (seen & bit - 1).bit_count(),
+            )
+
+    for v in range(1, width):  # a first value makes no pair and sits inside none
+        visit(1, 1 << v, v, v, v, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+    return avoid_down, fixed_down, avoid_up, fixed_up
 
 
 def _in_interval(up: int, interval) -> bool:
@@ -297,17 +375,25 @@ def _patterns_checks(n: int, system: CoxeterSystem, label: str) -> list:
     iff the later witnesses of ``_firing_masks`` lie in U and the earlier
     ones miss it; likewise for pi_up.  Each is an interval of U, so the
     claim for every signature at once is one interval comparison per
-    permutation.  A failing n reports the first (x, signature) that
-    breaks it, signatures in ``all_updown_signatures`` order and then
-    permutations in lexicographic order.
+    permutation, read off ``_pattern_sweep``: packed intervals with equal
+    ends hold the same masks, and only a pair that differs is unpacked
+    for ``_same_interval``.  A failing n reports the first
+    (x, signature) that breaks it, signatures in
+    ``all_updown_signatures`` order and then permutations in
+    lexicographic order.
     """
     name, failed = f"{label} all signatures", []
-    for x in itertools.permutations(range(1, n + 1)):
-        avoid_down, fixed_down, avoid_up, fixed_up = intervals = _signature_intervals(x)
+    avoid_down, fixed_down, avoid_up, fixed_up = sweep = _pattern_sweep(n)
+    differ = map(or_, map(ne, avoid_down, fixed_down), map(ne, avoid_up, fixed_up))
+    width = n + 1
+    for i in itertools.compress(itertools.count(), differ):
+        intervals = [(packed[i] & (1 << width) - 1, packed[i] >> width) for packed in sweep]
+        avoid_down, fixed_down, avoid_up, fixed_up = intervals
         if not (
             _same_interval(avoid_down, fixed_down)
             and _same_interval(avoid_up, fixed_up)
         ):
+            x = next(itertools.islice(itertools.permutations(range(1, n + 1)), i, None))
             failed.append((x, intervals))
     if not failed:
         return [_check(name, True, witness=None)]
@@ -489,10 +575,10 @@ def _case_table_check(
     system: CoxeterSystem, n: int, lattice: FiniteLattice, label: str
 ) -> dict:
     """The triangulation case tables give the left descents of every
-    element of the weak order, for every signature, read off eta's
-    diagonal masks once per triangulation.  The sides of a mask do not
-    depend on the signature, so each distinct mask of the group is read
-    once for all signatures."""
+    element of the weak order, for every signature: one descent row per
+    fiber of eta, read through each element's place (``eta_fibers``).
+    The sides of a mask do not depend on the signature, so each distinct
+    mask of the group is read once for all signatures."""
     name = f"{label} case tables"
     descents = [
         sum(1 << a for a in system.left_descents(x)) for x in lattice.elements
@@ -501,13 +587,12 @@ def _case_table_check(
     walk = weak_order_walk(lattice, signatures[0])
     sides = {}
     for sig in signatures:
-        masks = sig.eta_masks(walk)
-        table = {}
-        for mask in set(masks):
+        distinct, places = sig.eta_fibers(walk)
+        for mask in distinct:
             if mask not in sides:
                 sides[mask] = sig.sides(mask)
-            table[mask] = sig.descents(sides[mask])
-        ours = list(map(table.__getitem__, masks))
+        rows = [sig.descents(sides[mask]) for mask in distinct]
+        ours = list(map(rows.__getitem__, places))
         if ours != descents:
             x = next(
                 x for x, mine, theirs in zip(lattice.elements, ours, descents)

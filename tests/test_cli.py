@@ -356,11 +356,11 @@ def test_every_suite_refuses_an_over_cap_group_before_enumerating(
     admits S_3, S_4, B_2 and B_3 but not S_5 or H3, which ``catalan``,
     ``fan`` and ``patterns`` reach after them; they refuse before they
     build or enumerate any group."""
-    intervals = []
-    monkeypatch.setattr(suites, "_signature_intervals", intervals.append)
+    sweeps = []
+    monkeypatch.setattr(suites, "_pattern_sweep", sweeps.append)
     with pytest.raises(CapExceeded, match=f"cap {cap}$"):
         suites.run_suite(suite, cap=cap)
-    assert enumerations == [] and intervals == []
+    assert enumerations == [] and sweeps == []
 
 
 def test_patterns_refusal_names_the_first_n_over_the_cap():

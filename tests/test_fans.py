@@ -857,7 +857,7 @@ def _unpruned_check_fan_h3(system, camb):
             tiling = False
         cones.append(tuple(extreme))
 
-    def side(wall, a, b):
+    def side(wall, c, a, b):
         u, v = wall
         sign_a = field.sign(fans._det3(field, u, v, a))
         return sign_a * field.sign(fans._det3(field, u, v, b)) < 0
@@ -951,7 +951,7 @@ def _per_orientation_check_fan_h3(system, camb):
             simplicial = False
         cones.append(tuple(extreme))
 
-    def side(wall, a, b):
+    def side(wall, c, a, b):
         u, v = wall
         sign_a = field.sign(fans._det3(field, u, v, a))
         return sign_a * field.sign(fans._det3(field, u, v, b)) < 0
@@ -1216,7 +1216,8 @@ def _per_member_check_fan_ab(camb, cones, vectors, region_rays, lineality=(), fa
         )
     owner = {frozenset(cone): c for c, cone in enumerate(cones)}
 
-    def side(wall, a, b):
+    def side(wall, _, a, b):
+        # The cone is looked up here, not taken from _fan_faces.
         c = owner[frozenset(wall) | {a}]
         return simplicial and fans._dot(normals[c][cones[c].index(a)], vectors[b]) < 0
 

@@ -17,6 +17,7 @@ dropped; one shard node without its arrows; two eta fibers merged.
 
 import dataclasses
 import json
+from array import array
 
 import pytest
 
@@ -300,15 +301,21 @@ def test_verify_descent_exits_1_when_an_atom_loses_its_descent(atom_without_its_
 
 
 def test_verify_patterns_exits_1_when_a_firing_witness_is_dropped(monkeypatch, capsys):
-    real = suites._firing_masks
+    """The sweep's fixed-down intervals (later, earlier), packed as
+    later | earlier << (n+1), lose the lowest earlier witness."""
+    real = suites._pattern_sweep
 
-    def dropped(x, descending):
-        earlier, later = real(x, descending)
-        if descending:
-            earlier &= earlier - 1
-        return earlier, later
+    def dropped(n):
+        avoid_down, fixed_down, avoid_up, fixed_up = real(n)
+        width = n + 1
 
-    monkeypatch.setattr(suites, "_firing_masks", dropped)
+        def drop(packed):
+            earlier = packed >> width
+            return packed & (1 << width) - 1 | (earlier & earlier - 1) << width
+
+        return avoid_down, array(fixed_down.typecode, map(drop, fixed_down)), avoid_up, fixed_up
+
+    monkeypatch.setattr(suites, "_pattern_sweep", dropped)
     report = _verify_fails(capsys, "--suite", "patterns", "--max-rank", "5")
     assert {c["name"]: c["witness"] for c in _failed(report)} == {
         "A n=3 all signatures": "((2, 3, 1), 'dud')",
@@ -318,16 +325,17 @@ def test_verify_patterns_exits_1_when_a_firing_witness_is_dropped(monkeypatch, c
 
 
 def test_verify_fibers_exits_1_when_two_fibers_merge(monkeypatch, capsys):
-    real = GroupWalk.eta_masks
+    """Under ddu the members of the second fiber take the first's place."""
+    real = GroupWalk.eta_fibers
 
     def merged(walk, sig):
-        masks = real(walk, sig)
+        distinct, places = real(walk, sig)
         if sig.to_string() == "ddu":
-            first, other = masks[0], next(m for m in masks if m != masks[0])
-            masks = [first if m == other else m for m in masks]
-        return masks
+            distinct = distinct[:1] + distinct[2:]
+            places = array(places.typecode, [k - (k >= 1) for k in places])
+        return distinct, places
 
-    monkeypatch.setattr(GroupWalk, "eta_masks", merged)
+    monkeypatch.setattr(GroupWalk, "eta_fibers", merged)
     report = _verify_fails(capsys, "--suite", "fibers", "--max-rank", "3")
     assert [(c["name"], c["witness"]) for c in _failed(report)] == [("A n=3 sig ddu", "(1, 2, 3)")]
 

@@ -4,6 +4,7 @@ import gc
 import itertools
 import json
 import weakref
+from array import array
 from types import SimpleNamespace
 
 import pytest
@@ -40,8 +41,8 @@ from cambrian import (
 )
 from cambrian import coxeter, polygon_a, suites
 from cambrian.coxeter import all_ji_subsets_a, embed_b_in_a
-from cambrian.lattices import FiniteLattice
-from cambrian.polygon_b import shard_digraph_b
+from cambrian.lattices import FiniteLattice, _numbered
+from cambrian.polygon_b import all_symmetric_signatures, shard_digraph_b
 from cambrian.suites import _firing_masks, all_updown_signatures, catalan
 
 
@@ -405,12 +406,12 @@ def _triple_loop_pattern_masks(x):
     return m231, m312, m213, m132
 
 
-def _patterns_by_signature_scan(n):
+def _patterns_by_signature_scan(n, firing):
     """The patterns check for S_n, every signature against every
-    permutation; the witness is the first failure in that order."""
+    permutation, with ``firing`` for ``_firing_masks``; the witness is
+    the first failure in that order."""
     per_perm = [
-        (x, _triple_loop_pattern_masks(x), suites._firing_masks(x, True),
-         suites._firing_masks(x, False))
+        (x, _triple_loop_pattern_masks(x), firing(x, True), firing(x, False))
         for x in itertools.permutations(range(1, n + 1))
     ]
     full = ((1 << n) - 1) << 1
@@ -427,9 +428,9 @@ def _patterns_by_signature_scan(n):
     return {"passed": True, "witness": None}
 
 
-def _scanned_pattern_checks(last):
+def _scanned_pattern_checks(last, firing=_firing_masks):
     return [
-        {"name": f"A n={n} all signatures", **_patterns_by_signature_scan(n)}
+        {"name": f"A n={n} all signatures", **_patterns_by_signature_scan(n, firing)}
         for n in range(3, last + 1)
     ]
 
@@ -491,6 +492,22 @@ def test_fixed_point_tests_match_the_triple_loop():
                 assert fixed == fixed_by_triple_loop(x, sig), (x, sig.to_string())
 
 
+@pytest.mark.parametrize("n", range(1, 9))
+def test_pattern_sweep_matches_the_per_permutation_intervals(n):
+    """The sweep's packed intervals, low | high << (n+1), are
+    ``_signature_intervals`` of each permutation in lexicographic order;
+    n = 8 needs 9-bit fields."""
+    width = n + 1
+    sweep = suites._pattern_sweep(n)
+    perms = list(itertools.permutations(range(1, n + 1)))
+    assert [len(packed) for packed in sweep] == [len(perms)] * 4
+    unpacked = [
+        tuple((packed[i] & (1 << width) - 1, packed[i] >> width) for packed in sweep)
+        for i in range(len(perms))
+    ]
+    assert list(zip(perms, unpacked)) == [(x, suites._signature_intervals(x)) for x in perms]
+
+
 def test_patterns_suite_matches_the_signature_scan():
     report = suites.run_suite("patterns", max_rank=6)
     assert report["passed"]
@@ -516,19 +533,32 @@ def test_interval_identity_matches_every_up_set(n, data):
 
 
 def test_patterns_suite_fails_with_the_scan_witness(monkeypatch):
-    real = suites._firing_masks
+    """The lowest earlier witness of the downward moves dropped, in the
+    sweep's fixed-down intervals (later, earlier), packed as
+    later | earlier << (n+1), and in the scan's ``_firing_masks``."""
+    real = suites._pattern_sweep
+
+    def dropped_sweep(n):
+        avoid_down, fixed_down, avoid_up, fixed_up = real(n)
+        width = n + 1
+
+        def drop(packed):
+            earlier = packed >> width
+            return packed & (1 << width) - 1 | (earlier & earlier - 1) << width
+
+        return avoid_down, array(fixed_down.typecode, map(drop, fixed_down)), avoid_up, fixed_up
 
     def dropped(x, descending):
-        earlier, later = real(x, descending)
+        earlier, later = _firing_masks(x, descending)
         if descending:
             earlier &= earlier - 1
         return earlier, later
 
-    monkeypatch.setattr(suites, "_firing_masks", dropped)
+    monkeypatch.setattr(suites, "_pattern_sweep", dropped_sweep)
     report = suites.run_suite("patterns", max_rank=5)
     assert not report["passed"]
     assert all(c["witness"] for c in report["checks"])
-    assert report["checks"] == _scanned_pattern_checks(5)
+    assert report["checks"] == _scanned_pattern_checks(5, dropped)
 
 
 @pytest.mark.parametrize("x", [(1, 1, 2), (1, 2), (0, 1, 2), (1, 2, 4)])
@@ -717,15 +747,16 @@ def _moved_entry(real, which):
 
 
 def _merged_fibers(real):
-    """``GroupWalk.eta_masks`` with, under ddu, the fiber of the second
-    distinct mask merged into the first."""
+    """``GroupWalk.eta_fibers`` with, under ddu, the second fiber merged
+    into the first: its members take place 0 and the later fibers move
+    down one place."""
 
     def merged(walk, sig):
-        masks = real(walk, sig)
+        distinct, places = real(walk, sig)
         if sig.to_string() == "ddu":
-            first, other = masks[0], next(m for m in masks if m != masks[0])
-            masks = [first if m == other else m for m in masks]
-        return masks
+            distinct = distinct[:1] + distinct[2:]
+            places = array(places.typecode, [k - (k >= 1) for k in places])
+        return distinct, places
 
     return merged
 
@@ -745,7 +776,7 @@ def test_fibers_fail_when_one_projection_entry_moves(monkeypatch, which):
 
 def test_fibers_fail_when_two_fibers_merge(monkeypatch):
     monkeypatch.setattr(
-        polygon_a.GroupWalk, "eta_masks", _merged_fibers(polygon_a.GroupWalk.eta_masks)
+        polygon_a.GroupWalk, "eta_fibers", _merged_fibers(polygon_a.GroupWalk.eta_fibers)
     )
     report = suites.suite_fibers(max_rank=3)
     assert _failures(report) == [("A n=3 sig ddu", "(1, 2, 3)")]
@@ -759,7 +790,7 @@ def test_memos_hide_no_fault(monkeypatch):
     clean = [json.dumps(suites.run_suite(name)) for name in names]
     walk = polygon_a.GroupWalk
     with monkeypatch.context() as m:
-        m.setattr(walk, "eta_masks", _merged_fibers(walk.eta_masks))
+        m.setattr(walk, "eta_fibers", _merged_fibers(walk.eta_fibers))
         assert _failures(suites.suite_fibers(max_rank=3)) == [("A n=3 sig ddu", "(1, 2, 3)")]
     with monkeypatch.context() as m:
         m.setattr(walk, "projection_tables", _moved_entry(walk.projection_tables, 0))
@@ -789,6 +820,29 @@ def test_projection_memo_serves_every_marking_of_1_and_n(n):
                 assert up == [lattice.index[pi_up(x, sig)] for x in lattice.elements], sig
                 down[0] = up[0] = -1
     assert len(walk._projections) == 2 ** len(interior)
+
+
+@pytest.mark.parametrize(
+    "family, n", [("A", n) for n in range(2, 7)] + [("B", n) for n in range(1, 4)]
+)
+def test_eta_fibers_number_the_masks_by_first_member(family, n):
+    """Under every signature, ``eta_fibers`` gives the distinct masks in
+    order of first member and each element's place among them, and
+    returns the pair it keeps; ``eta_masks`` on a fresh walk, and on the
+    read walk, gives the same masks one per element."""
+    if family == "A":
+        system, signatures = get_system("A", n - 1), all_updown_signatures(n)
+    else:
+        system, signatures = get_system("B", n), all_symmetric_signatures(n)
+    elements = system.weak_order_lattice().elements
+    walk = signatures[0].walk(elements)
+    for sig in signatures:
+        masks = sig.eta_masks(sig.walk(elements))
+        distinct, places = sig.eta_fibers(walk)
+        assert distinct == tuple(dict.fromkeys(masks)), sig
+        assert places.tolist() == _numbered(masks), sig
+        assert sig.eta_fibers(walk)[1] is places
+        assert sig.eta_masks(walk) == masks, sig
 
 
 def test_eta_memo_returns_new_lists():

@@ -439,24 +439,35 @@ def _refusal(x):
 
 
 def test_b_mask_path_refuses_an_asymmetric_triangulation(monkeypatch):
-    # eta_b walks one element through polygon_a._eta_mask; the suites read
-    # the signature's eta_masks, which calls GroupWalk.eta_masks.
-    real_mask, real_masks = polygon_a._eta_mask, polygon_a.GroupWalk.eta_masks
+    # eta_b walks one element through polygon_a._eta_mask; the signature's
+    # eta_masks calls GroupWalk.eta_masks, and the suites read the
+    # signature's eta_fibers, which calls GroupWalk.eta_fibers.
+    walk_type = polygon_a.GroupWalk
+    real_mask, real_masks, real_fibers = (
+        polygon_a._eta_mask, walk_type.eta_masks, walk_type.eta_fibers
+    )
     monkeypatch.setattr(
         polygon_a, "_eta_mask",
         lambda x, n, up, boundary: _drop_a_mirror(real_mask(x, n, up, boundary), n),
     )
     monkeypatch.setattr(
-        polygon_a.GroupWalk, "eta_masks",
+        walk_type, "eta_masks",
         lambda walk, sig: [_drop_a_mirror(m, sig.n) for m in real_masks(walk, sig)],
     )
+
+    def asymmetric_fibers(walk, sig):
+        distinct, places = real_fibers(walk, sig)
+        return tuple(_drop_a_mirror(m, sig.n) for m in distinct), places
+
+    monkeypatch.setattr(walk_type, "eta_fibers", asymmetric_fibers)
     system = get_system("B", 3)
     lattice = system.weak_order_lattice()
     sig = SymmetricSignature.from_positive_ups(3, {2})
     with pytest.raises(AssertionError, match=_refusal((1, 2, 3))):
         eta_b((1, 2, 3), sig)
-    with pytest.raises(AssertionError, match=_refusal((1, 2, 3))):
-        sig.eta_masks(sig.walk(lattice.elements))
+    for read in (sig.eta_masks, sig.eta_fibers):
+        with pytest.raises(AssertionError, match=_refusal((1, 2, 3))):
+            read(sig.walk(lattice.elements))
     with pytest.raises(AssertionError, match=_refusal((1, 2, 3))):
         suites._case_table_check(system, 3, lattice, "B n=3")
     with pytest.raises(AssertionError, match=_refusal((1, 2))):
