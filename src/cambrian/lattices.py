@@ -34,8 +34,8 @@ from __future__ import annotations
 from array import array
 from collections import deque
 from functools import cached_property, reduce
-from itertools import compress
-from operator import itemgetter, or_
+from itertools import accumulate, compress
+from operator import and_, or_
 from typing import Optional, Sequence
 
 
@@ -357,24 +357,20 @@ def _numbered(class_of) -> list[int]:
     return [number.setdefault(c, len(number)) for c in class_of]
 
 
-def _edge_starts(upper) -> array:
-    """``first[x]``: the id of x's first upper cover, covers numbered in
-    order of their lower end."""
-    first = array("i", [0])
-    for ux in upper:
-        first.append(first[-1] + len(ux))
-    return first
-
-
 def _transitive(reach: list[int]) -> list[int]:
-    """Close the label forcing rows transitively, one pivot at a time;
-    each row also gets its own label."""
+    """Close the label forcing rows transitively; each row also gets its
+    own label.  Sparse: row j ORs in the rows of the labels it holds,
+    then those of the labels that brought in, until no new label comes,
+    so each label of the closed row is read once for j.  Every row read
+    lies between its direct row and its closure, so row j ends at its
+    closure whatever order the rows are closed in, cycles included."""
     reach = [row | 1 << j for j, row in enumerate(reach)]
-    for k in range(len(reach)):
-        bit, row_k = 1 << k, reach[k]
-        for j, row in enumerate(reach):
-            if row & bit:
-                reach[j] = row | row_k
+    for j, row in enumerate(reach):
+        fresh = row
+        while fresh:
+            grown = reduce(or_, map(reach.__getitem__, _members(fresh)), row)
+            fresh, row = grown & ~row, grown
+        reach[j] = row
     return reach
 
 
@@ -405,57 +401,77 @@ class PolygonForcing:
 
     __slots__ = ("first", "labels", "reach", "heads")
 
-    def __init__(self, lattice: FiniteLattice, first: array, labels: array, reach: list[int]):
+    def __init__(self, first: array, labels: array, reach: list[int], heads: list[int]):
         self.first = first
         self.labels = labels
         self.reach = reach
-        # The upper end of each cover, appended to its label's list.
-        ends = [[] for _ in reach]
-        tops = map(itemgetter(1), lattice.covers)
-        deque(map(list.append, map(ends.__getitem__, labels), tops), 0)
-        self.heads = [reduce(or_, map((1).__lshift__, ys), 0) for ys in ends]
+        self.heads = heads
 
     @classmethod
     def of(cls, lattice: FiniteLattice) -> "PolygonForcing":
-        """The table of ``lattice``, read off its irreducibles.
+        """The table of ``lattice``, read off its irreducibles in a few
+        passes over whole rows.
 
         ``below[x]`` has bit k for the k-th join-irreducible at or below
         x, filled along the lower covers.  The least element of down(y)
         outside down(x) is join-irreducible, so the label of a cover
-        x -> y is the lowest bit of below[y] ^ below[x].  Contracting
-        label k forces label j where a meet-irreducible m, with upper
-        cover m*, has k, j not <= m, k_* <= m and j <= m*: if k ~ k_*,
-        then m* <= k v m ~ k_* v m = m, so j = j ^ m* ~ j ^ m < j.  These
-        forcings, closed transitively, are all of them (Freese, Jezek and
-        Nation, Free lattices, AMS 1995, ch. II).  Raises AssertionError
-        on a cover whose ends have the same join-irreducibles below them,
-        which no lattice has.
+        x -> y is the lowest bit of below[y] ^ below[x].  One pass over
+        the covers reads each label and sets the cover's upper end in its
+        label's row of heads, a bytearray with bit y in byte y >> 3, made
+        into an int once.  Raises AssertionError on the first cover whose
+        ends have the same join-irreducibles below them, which no lattice
+        has.
+
+        Contracting label k forces label j where a meet-irreducible m,
+        with upper cover m*, has k, j not <= m, k_* <= m and j <= m*: if
+        k ~ k_*, then m* <= k v m ~ k_* v m = m, so j = j ^ m* ~ j ^ m < j.
+        These forcings, closed transitively (``_transitive``), are all of
+        them (Freese, Jezek and Nation, Free lattices, AMS 1995, ch. II).
+        The rows below[m] are transposed into one column per
+        join-irreducible, the bitmask of the meet-irreducibles above it,
+        so the m for label k are one AND of columns: above every
+        join-irreducible at or below k_*, and not above k.
         """
-        ji, lower, upper = lattice.join_irreducibles, lattice.lower, lattice.upper
-        bit = {g: 1 << k for k, g in enumerate(ji)}
+        ji, lower, upper, covers = (
+            lattice.join_irreducibles, lattice.lower, lattice.upper, lattice.covers
+        )
         below = [0] * lattice.n
+        for k, g in enumerate(ji):
+            below[g] = 1 << k
         for x, lx in enumerate(lower):
-            mask = bit.get(x, 0)
+            mask = below[x]
             for a in lx:
                 mask |= below[a]
             below[x] = mask
-        labels = array("i", [0]) * len(lattice.covers)
-        for edge, (x, y) in enumerate(lattice.covers):
+        labels = array("i", [0]) * len(covers)
+        heads = [bytearray((lattice.n + 7) >> 3) for _ in ji]
+        for edge, (x, y) in enumerate(covers):
             diff = below[y] ^ below[x]
             if not diff:
                 raise AssertionError(f"edge {edge} has no label")
-            labels[edge] = _lsb(diff)
-        # k_* <= m and k not <= m: of k and the labels below k_*, only k
-        # is outside below[m].
-        lows = [(below[lower[g][0]] | b, b) for g, b in bit.items()]
-        reach = [0] * len(ji)
-        for m in lattice.meet_irreducibles:
-            outside = ~below[m]
-            forced = below[upper[m][0]] & outside
-            for k, (low, b) in enumerate(lows):
-                if low & outside == b:
-                    reach[k] |= forced
-        return cls(lattice, _edge_starts(upper), labels, _transitive(reach))
+            k = labels[edge] = (diff & -diff).bit_length() - 1
+            heads[k][y >> 3] |= 1 << (y & 7)
+        # In place, so that each packed row is freed once its int is made.
+        for k, row in enumerate(heads):
+            heads[k] = int.from_bytes(row, "little")
+        # Column k has bit i where the k-th join-irreducible is below the
+        # i-th meet-irreducible: the binary strings of below[m], last m
+        # first and each read from bit 0, zipped.
+        mis = lattice.meet_irreducibles
+        width = f"0{len(ji)}b"
+        cols = [
+            int("".join(col), 2)
+            for col in zip(*(format(below[m], width)[::-1] for m in reversed(mis)))
+        ]
+        forced = [below[upper[m][0]] & ~below[m] for m in mis]
+        everything = (1 << len(mis)) - 1
+        reach = []
+        for k, g in enumerate(ji):
+            columns = map(cols.__getitem__, _members(below[lower[g][0]]))
+            meets = reduce(and_, columns, everything ^ cols[k])
+            reach.append(reduce(or_, map(forced.__getitem__, _members(meets)), 0))
+        first = array("i", accumulate(map(len, upper), initial=0))
+        return cls(first, labels, _transitive(reach), heads)
 
     def closure(self, lattice: FiniteLattice, pairs) -> LatticeCongruence:
         """Contract every cover in [a ^ b, a v b] for each pair and close
@@ -577,7 +593,31 @@ def _refine_signatures(lattice: FiniteLattice):
 
 
 def poset_isomorphism(a: FiniteLattice, b: FiniteLattice):
-    """An order isomorphism a -> b as an index list, or None."""
+    """An order isomorphism a -> b as an index list, or None.
+
+    The search's mapping is returned only once it is checked
+    (``_is_cover_bijection``), so a search that goes wrong answers None
+    and the verdict that asked fails."""
+    mapping = _isomorphism_search(a, b)
+    if mapping is None or not _is_cover_bijection(a, b, mapping):
+        return None
+    return mapping
+
+
+def _is_cover_bijection(a: FiniteLattice, b: FiniteLattice, mapping) -> bool:
+    """Whether ``mapping`` is a bijection onto b that sends every cover of
+    a to a cover of b.  With as many covers in a as in b, the covers of a
+    then go onto those of b, and the orders, generated by their covers,
+    correspond."""
+    if sorted(mapping) != list(range(b.n)) or len(a.covers) != len(b.covers):
+        return False
+    covers = set(b.covers)
+    return all((mapping[x], mapping[y]) in covers for x, y in a.covers)
+
+
+def _isomorphism_search(a: FiniteLattice, b: FiniteLattice):
+    """A backtracking search for an order isomorphism a -> b, over the
+    elements whose refined signatures agree; the mapping or None."""
     if a.n != b.n or len(a.covers) != len(b.covers):
         return None
     sig_a = _refine_signatures(a)

@@ -847,8 +847,8 @@ def shard_digraph_a(n: int) -> dict[frozenset[int], frozenset[frozenset[int]]]:
 
 def transitive_closure_digraph(graph: dict) -> dict:
     """Each node's reach in ``graph`` (node -> its targets), without the
-    node itself: ``_transitive``, the forcing table's Warshall pass, closes
-    the target masks of the nodes numbered in order."""
+    node itself: ``_transitive``, the forcing table's sparse closure,
+    closes the target masks of the nodes numbered in order."""
     nodes = list(graph)
     number = {a: i for i, a in enumerate(nodes)}
     reach = _transitive([sum(1 << number[b] for b in graph[a]) for a in nodes])

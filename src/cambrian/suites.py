@@ -59,7 +59,6 @@ from .congruences import (
 from .polygon_a import (
     GroupWalk,
     UpDownSignature,
-    _pattern_masks,
     _typecode,
     # Not called here any more, but perfbench's tracing test reads suites.eta.
     eta,  # noqa: F401
@@ -251,54 +250,24 @@ def _fiber_witness(lattice: FiniteLattice, fibers: list, down, up) -> str:
 # Pattern characterization of the projections' fixed points.
 
 
-def _firing_masks(x: tuple[int, ...], descending: bool):
-    """Witness masks for the moves a downward (upward) projection could make.
-
-    Over every adjacent inversion (or ascent), returns the union of the
-    masks of earlier values strictly between the pair, and the union of
-    the masks of later ones.  Some move fires exactly when an earlier
-    witness is up or a later witness is down, so x is fixed under the
-    projection iff neither union meets the matching mask.
-    """
-    before = earlier = later = 0
-    for a, b in zip(x, x[1:]):
-        if (a > b) == descending:
-            lo, hi = (b, a) if descending else (a, b)
-            between = (1 << hi) - (2 << lo)
-            earlier |= before & between
-            later |= ~before & between
-        before |= 1 << a
-    return earlier, later
-
-
-def _signature_intervals(x: tuple[int, ...]):
-    """(avoid down, fixed down, avoid up, fixed up) of x, each as the
-    interval of up masks U where it holds, a pair (low, high) standing
-    for low <= U <= complement of high.  One permutation at a time: the
-    reference ``_pattern_sweep`` is tested against."""
-    m231, m312, m213, m132 = _pattern_masks(x)
-    down_before, down_after = _firing_masks(x, True)
-    up_before, up_after = _firing_masks(x, False)
-    return (m312, m231), (down_after, down_before), (m132, m213), (up_after, up_before)
-
-
 def _pattern_sweep(n: int) -> tuple[array, array, array, array]:
-    """``_signature_intervals`` of every permutation of 1..n, in
+    """The pattern intervals of every permutation of 1..n, in
     lexicographic order, from one depth-first sweep over their prefixes:
     four arrays (avoid down, fixed down, avoid up, fixed up), interval
     (low, high) packed as low | high << (n+1), the masks having bits 1..n.
 
     Each prefix carries the forward state of ``_inside_pairs`` (running
     minimum and maximum, the unions of rising and of falling pairs, and
-    the values found inside them) and of ``_firing_masks`` in both
-    directions (the earlier and later witnesses so far); the pair a value
-    makes with the last one reads only the set of values before it.  The
-    backward scan of x, ``_inside_pairs(x[::-1])``, is the forward scan
-    of rev(x), so each permutation's forward masks are the low ends of
-    its own avoid intervals and the high ends of those of rev(x), at the
-    lexicographic rank of rev(x): the sum over positions p of p! times
-    the number of earlier values below x_p, which the sweep adds up along
-    the prefix.
+    the values found inside them) and of the projections' firing
+    witnesses in both directions (over each adjacent inversion, or
+    ascent, the values strictly between the pair that come earlier, and
+    those that come later); the pair a value makes with the last one
+    reads only the set of values before it.  The backward scan of x,
+    ``_inside_pairs(x[::-1])``, is the forward scan of rev(x), so each
+    permutation's forward masks are the low ends of its own avoid
+    intervals and the high ends of those of rev(x), at the lexicographic
+    rank of rev(x): the sum over positions p of p! times the number of
+    earlier values below x_p, which the sweep adds up along the prefix.
     """
     width, values = n + 1, (1 << n + 1) - 2
     code = _typecode(1 << 2 * width)
@@ -372,9 +341,9 @@ def _patterns_checks(n: int, system: CoxeterSystem, label: str) -> list:
 
     For a permutation x and up set U, x avoids up231 and 31down2 iff
     m312 <= U and U misses m231 (``_pattern_masks``), and pi_down fixes x
-    iff the later witnesses of ``_firing_masks`` lie in U and the earlier
-    ones miss it; likewise for pi_up.  Each is an interval of U, so the
-    claim for every signature at once is one interval comparison per
+    iff the later firing witnesses (``_pattern_sweep``) lie in U and the
+    earlier ones miss it; likewise for pi_up.  Each is an interval of U,
+    so the claim for every signature at once is one interval comparison per
     permutation, read off ``_pattern_sweep``: packed intervals with equal
     ends hold the same masks, and only a pair that differs is unpacked
     for ``_same_interval``.  A failing n reports the first

@@ -1,6 +1,8 @@
 import functools
 import itertools
+from array import array
 from collections import deque
+from operator import or_
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +25,10 @@ from cambrian.fans import b_cluster_poset, cluster_poset
 from cambrian.lattices import (
     FiniteLattice,
     LatticeCongruence,
+    PolygonForcing,
+    _is_cover_bijection,
     _lsb,
+    _transitive,
     congruence_from_partition,
     forcing_arrows,
     poset_anti_isomorphism,
@@ -227,6 +232,23 @@ def test_poset_isomorphism_and_dual():
     assert poset_isomorphism(lattice, lattice.dual()) is not None
     assert poset_anti_isomorphism(lattice, lattice) is not None
     assert poset_isomorphism(lattice, pentagon()) is None
+
+
+def test_isomorphism_certificate_accepts_found_mappings_only():
+    """The hexagon to its dual: the search's mapping passes; a list with
+    every element unmapped, one that maps two elements to one, and one
+    that swaps the images of the bottom and the top do not.  Nor does a
+    bijection from the pentagon onto the five-element chain, which has
+    one cover fewer."""
+    lattice, dual = hexagon(), hexagon().dual()
+    mapping = poset_isomorphism(lattice, dual)
+    assert _is_cover_bijection(lattice, dual, mapping)
+    swapped = list(mapping)
+    swapped[0], swapped[-1] = swapped[-1], swapped[0]
+    for wrong in ([-1] * lattice.n, [mapping[0]] + mapping[:-1], swapped):
+        assert not _is_cover_bijection(lattice, dual, wrong)
+    chain = FiniteLattice.from_covers(tuple("01234"), [(0, 1), (1, 2), (2, 3), (3, 4)])
+    assert not _is_cover_bijection(pentagon(), chain, list(range(5)))
 
 
 def test_closure_outputs_verify():
@@ -526,6 +548,148 @@ def test_forcing_table_fails_closed_on_a_poset_that_is_no_lattice():
     with pytest.raises(AssertionError) as raised:
         poset.polygon_forcing()
     assert str(raised.value) == f"edge {edge} has no label"
+
+
+# -- the forcing table against its per-cover builder --------------------------
+
+
+def warshall(reach):
+    """The label forcing rows closed one pivot at a time, each row with
+    its own label: the closure ``_transitive`` replaced."""
+    reach = [row | 1 << j for j, row in enumerate(reach)]
+    for k in range(len(reach)):
+        bit, row_k = 1 << k, reach[k]
+        for j, row in enumerate(reach):
+            if row & bit:
+                reach[j] = row | row_k
+    return reach
+
+
+def per_cover_table(lattice):
+    """(first, labels, reach, heads) as ``PolygonForcing.of`` built them
+    one item at a time: each label by ``_lsb``, each meet-irreducible
+    tested against one join-irreducible at a time, the Warshall closure,
+    the edge starts summed one element at a time, and the heads OR-ed
+    bit by bit from each label's list of upper ends."""
+    ji, lower, upper = lattice.join_irreducibles, lattice.lower, lattice.upper
+    bit = {g: 1 << k for k, g in enumerate(ji)}
+    below = [0] * lattice.n
+    for x, lx in enumerate(lower):
+        mask = bit.get(x, 0)
+        for a in lx:
+            mask |= below[a]
+        below[x] = mask
+    labels = array("i", [0]) * len(lattice.covers)
+    for edge, (x, y) in enumerate(lattice.covers):
+        diff = below[y] ^ below[x]
+        if not diff:
+            raise AssertionError(f"edge {edge} has no label")
+        labels[edge] = _lsb(diff)
+    lows = [(below[lower[g][0]] | b, b) for g, b in bit.items()]
+    reach = [0] * len(ji)
+    for m in lattice.meet_irreducibles:
+        outside = ~below[m]
+        forced = below[upper[m][0]] & outside
+        for k, (low, b) in enumerate(lows):
+            if low & outside == b:
+                reach[k] |= forced
+    first = array("i", [0])
+    for ux in upper:
+        first.append(first[-1] + len(ux))
+    ends = [[] for _ in reach]
+    for (_, y), label in zip(lattice.covers, labels):
+        ends[label].append(y)
+    heads = [functools.reduce(or_, map((1).__lshift__, ys), 0) for ys in ends]
+    return first, labels, warshall(reach), heads
+
+
+def assert_table_matches_per_cover_builder(lattice):
+    table = PolygonForcing.of(lattice)
+    assert (table.first, table.labels, table.reach, table.heads) == per_cover_table(lattice)
+    assert (table.first.typecode, table.labels.typecode) == ("i", "i")
+
+
+@pytest.mark.parametrize("family, rank, bond", ORACLE_SYSTEMS)
+def test_forcing_table_matches_per_cover_builder_on_weak_orders(family, rank, bond):
+    assert_table_matches_per_cover_builder(get_system(family, rank, bond).weak_order_lattice())
+
+
+@pytest.mark.parametrize(
+    "family, rank, bond",
+    [("A", 3, None), ("A", 4, None), ("A", 5, None), ("B", 3, None), ("H3", None, None), ("I2", None, 5)],
+)
+def test_forcing_table_matches_per_cover_builder_on_cambrian_quotients(family, rank, bond):
+    for lattice in with_quotients(family, rank, bond)[1:]:
+        assert_table_matches_per_cover_builder(lattice)
+
+
+def test_forcing_table_matches_per_cover_builder_on_lattices_built_from_covers():
+    singleton = FiniteLattice.from_covers(("0",), [])
+    for lattice in [singleton, m3(), pentagon(), *flip_and_cluster_lattices()]:
+        assert_table_matches_per_cover_builder(lattice)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 7).flatmap(
+    lambda size: st.tuples(st.just(size), st.lists(st.integers(0, (1 << size) - 1), max_size=8))
+))
+def test_forcing_table_matches_per_cover_builder_on_random_lattices(family):
+    assert_table_matches_per_cover_builder(subset_lattice(*family))
+
+
+def test_forcing_table_refuses_the_edge_the_per_cover_builder_refuses():
+    """With one join-irreducible left out of the roots (as ``drop_a_root``
+    forges it, on a copy), both builders name the same first edge without
+    a label, for every join-irreducible of S3, S4, B3 and I2(5), and for
+    the poset 0 < a, b < c, d < 1, which is no lattice."""
+    weak_orders = [hexagon()] + [
+        get_system(*key).weak_order_lattice() for key in [("A", 3), ("B", 3), ("I2", None, 5)]
+    ]
+    forged = []
+    for weak_order in weak_orders:
+        for g in weak_order.join_irreducibles:
+            copy = FiniteLattice.from_covers(weak_order.elements, weak_order.covers)
+            copy.join_irreducibles = [h for h in copy.join_irreducibles if h != g]
+            forged.append(copy)
+    covers = [(0, 1), (0, 2), (1, 3), (1, 4), (2, 3), (2, 4), (3, 5), (4, 5)]
+    forged.append(FiniteLattice.from_covers(tuple("0abcd1"), covers, validate=False))
+    for lattice in forged:
+        with pytest.raises(AssertionError) as built:
+            PolygonForcing.of(lattice)
+        with pytest.raises(AssertionError) as oracle:
+            per_cover_table(lattice)
+        assert str(built.value) == str(oracle.value)
+        assert str(built.value).startswith("edge ")
+
+
+def relations(max_size=40):
+    """Random relations as rows of target bits: sparse, dense, cyclic."""
+    return st.integers(1, max_size).flatmap(lambda size: st.one_of(
+        st.lists(st.integers(0, (1 << size) - 1), min_size=size, max_size=size),
+        st.lists(
+            st.sets(st.integers(0, size - 1), max_size=3).map(lambda bits: sum(1 << b for b in bits)),
+            min_size=size, max_size=size,
+        ),
+    ))
+
+
+@settings(max_examples=200, deadline=None)
+@given(relations())
+def test_sparse_closure_matches_warshall_on_random_relations(rows):
+    assert _transitive(rows) == warshall(rows)
+
+
+@pytest.mark.parametrize("size", [1, 2, 17, 64])
+def test_sparse_closure_matches_warshall_on_chains_and_cycles(size):
+    """Each row reaching its successor only, each row reaching its
+    predecessor only, the cycle through all, and every row full."""
+    forward = [1 << j + 1 if j + 1 < size else 0 for j in range(size)]
+    backward = [1 << j - 1 if j else 0 for j in range(size)]
+    cycle = [1 << (j + 1) % size for j in range(size)]
+    full = [(1 << size) - 1] * size
+    for rows in (forward, backward, cycle, full):
+        assert _transitive(rows) == warshall(rows)
+    assert _transitive(cycle) == full
 
 
 def eager_congruence(lattice, forcing, hit):

@@ -12,7 +12,8 @@ under them, and each has faults of its own: a congruence generated by one
 join-irreducible whose class bottoms are not a sublattice; M3, a lattice
 that is no quotient of a weak order, in place of each Cambrian quotient;
 one element's left descents changed; one projection firing witness
-dropped; one shard node without its arrows; two eta fibers merged.
+dropped; one shard node without its arrows; two eta fibers merged; an
+isomorphism search that returns a wrong mapping.
 """
 
 import dataclasses
@@ -21,7 +22,7 @@ from array import array
 
 import pytest
 
-from cambrian import congruences, suites
+from cambrian import congruences, lattices, suites
 from cambrian.cli import main
 from cambrian.coxeter import _SYSTEMS, get_system
 from cambrian.lattices import FiniteLattice, contraction_congruence
@@ -124,6 +125,32 @@ def test_iso_fails_a_quotient_that_is_not_cambrian(dropped_pair, capsys, family,
     assert (code, captured.err) == (1, "")
     first = _failed(json.loads(captured.out))[0]
     assert (first["name"], first["recovered"], first["witness"]) == (name, None, witness)
+
+
+def _unsearched(search, a, b):
+    """The search's base case flipped: it answers at once, nothing mapped."""
+    return [-1] * a.n
+
+
+def _swapped(search, a, b):
+    """A true isomorphism with the images of the bottom and the top
+    swapped: a bijection that sends the bottom's covers off the covers."""
+    mapping = search(a, b)
+    if mapping is not None:
+        mapping[0], mapping[-1] = mapping[-1], mapping[0]
+    return mapping
+
+
+@pytest.mark.parametrize("fault", [_unsearched, _swapped], ids=["unsearched", "swapped"])
+def test_verify_iso_exits_1_when_the_search_returns_a_wrong_mapping(monkeypatch, capsys, fault):
+    """The search's mapping is checked before it counts, so every duality
+    check fails and ``verify`` exits 1 with the failing report."""
+    real = lattices._isomorphism_search
+    monkeypatch.setattr(lattices, "_isomorphism_search", lambda a, b: fault(real, a, b))
+    report = _verify_fails(capsys, "--suite", "iso", "--max-rank", "3")
+    assert [c["name"] for c in _failed(report)] == [
+        "Tamari self-duality n=3", "B-Tamari anti-isomorphism n=2", "B-Tamari anti-isomorphism n=3"
+    ]
 
 
 def _class_bottoms(cong):

@@ -43,7 +43,7 @@ from cambrian import coxeter, polygon_a, suites
 from cambrian.coxeter import all_ji_subsets_a, embed_b_in_a
 from cambrian.lattices import FiniteLattice, _numbered
 from cambrian.polygon_b import all_symmetric_signatures, shard_digraph_b
-from cambrian.suites import _firing_masks, all_updown_signatures, catalan
+from cambrian.suites import all_updown_signatures, catalan
 
 
 SIG6 = UpDownSignature(6, frozenset({1, 3, 4}))
@@ -377,6 +377,37 @@ def test_descent_set_matches_scan_oracle():
             assert got == _scan_descents(tri, sig), (tri, sig)
 
 
+def _firing_masks(x: tuple[int, ...], descending: bool):
+    """Witness masks for the moves a downward (upward) projection could make.
+
+    Over every adjacent inversion (or ascent), returns the union of the
+    masks of earlier values strictly between the pair, and the union of
+    the masks of later ones.  Some move fires exactly when an earlier
+    witness is up or a later witness is down, so x is fixed under the
+    projection iff neither union meets the matching mask.
+    """
+    before = earlier = later = 0
+    for a, b in zip(x, x[1:]):
+        if (a > b) == descending:
+            lo, hi = (b, a) if descending else (a, b)
+            between = (1 << hi) - (2 << lo)
+            earlier |= before & between
+            later |= ~before & between
+        before |= 1 << a
+    return earlier, later
+
+
+def _signature_intervals(x: tuple[int, ...]):
+    """(avoid down, fixed down, avoid up, fixed up) of x, each as the
+    interval of up masks U where it holds, a pair (low, high) standing
+    for low <= U <= complement of high.  One permutation at a time: the
+    reference ``suites._pattern_sweep`` is tested against."""
+    m231, m312, m213, m132 = polygon_a._pattern_masks(x)
+    down_before, down_after = _firing_masks(x, True)
+    up_before, up_after = _firing_masks(x, False)
+    return (m312, m231), (down_after, down_before), (m132, m213), (up_after, up_before)
+
+
 def test_or_reduced_firing_masks_match_per_pair_form():
     for sig, perms in _small_cases():
         up = sum(1 << i for i in sig.ups)
@@ -467,13 +498,13 @@ def _double_loop_pattern_masks(x):
 def test_pattern_masks_match_the_double_loop():
     for n in range(1, 8):
         for x in itertools.permutations(range(1, n + 1)):
-            assert suites._pattern_masks(x) == _double_loop_pattern_masks(x), x
+            assert polygon_a._pattern_masks(x) == _double_loop_pattern_masks(x), x
 
 
 def test_pattern_masks_match_the_triple_loop():
     for n in range(1, 8):
         for x in itertools.permutations(range(1, n + 1)):
-            assert suites._pattern_masks(x) == _triple_loop_pattern_masks(x), x
+            assert polygon_a._pattern_masks(x) == _triple_loop_pattern_masks(x), x
 
 
 def fixed_by_triple_loop(x, sig):
@@ -505,7 +536,7 @@ def test_pattern_sweep_matches_the_per_permutation_intervals(n):
         tuple((packed[i] & (1 << width) - 1, packed[i] >> width) for packed in sweep)
         for i in range(len(perms))
     ]
-    assert list(zip(perms, unpacked)) == [(x, suites._signature_intervals(x)) for x in perms]
+    assert list(zip(perms, unpacked)) == [(x, _signature_intervals(x)) for x in perms]
 
 
 def test_patterns_suite_matches_the_signature_scan():
