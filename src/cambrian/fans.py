@@ -2,8 +2,8 @@
 
 Type-A geometry lives in the sum-zero hyperplane of an n-coordinate
 space; the type-B fan is the restriction of the type-A fan of the
-doubled polygon to the antisymmetric subspace; the H3 fan is built over
-the exact degree-2 number field of the generic realization.
+doubled polygon to the antisymmetric subspace; the H3 fan is read off
+the root permutations of the generic engine, with no field arithmetic.
 
 Inside the module the A and B rays are integers: n * ray in S_n and 2n
 * ray in B_n, where rank, cone membership and wall sides are unchanged.
@@ -33,19 +33,13 @@ signature, suite or command meets it first.
 In H3 a cone is cut out by the walls that leave its class: the wall of
 w's chamber opposite w * omega_k bounds the class exactly when w * s_k is
 in another class.  Everything but the classes is fixed by the group, so
-one chamber table per weak order (``_chamber_table``) holds the 62 chamber
-rays as ids, the three rays, neighbours and wall reflections of each
-chamber, and one row of determinant signs per reflection: the side of its
-hyperplane that each ray lies on.  Every wall on a reflection's hyperplane
-spans the same plane, so its determinant with any ray is one fixed
-nonzero multiple of the row's; the check reads only whether it is zero
-and whether it agrees in sign with the inner ray's, which that multiple
-keeps.  Each orientation is then a pass of table lookups.  The table
-computes each thing once: a row dots one normal u x v per reflection
-with every ray, as det(u, v, r) = (u x v) . r; a chamber copies the rays
-it shares with a lower cover w * s_d and acts only for w * omega_d; and
-a wall's reflection is read off the root permutation
-(``CoxeterSystem.wall_reflection``).
+one chamber table per weak order (``_chamber_table``) holds the three
+rays, neighbours and wall reflections of each chamber.  A ray is keyed by
+its sign vector over the 15 reflections, the side of each hyperplane it
+lies on: <beta, w * omega_k> = <w^-1 beta, omega_k> has the sign of the
+alpha_k coordinate of the root w^-1(beta), which the root permutation w
+names (Reading-Speyer, "Cambrian fans").  Each orientation is then a
+pass of table lookups.
 
 The cluster model depends on n alone, so ``clusters`` is cached per n
 and returns one frozen complex per n to every suite check and lattice
@@ -455,96 +449,54 @@ def _check_fan_b(signature: SymmetricSignature, camb: CambrianLattice) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Fan verification, H3 (exact number-field arithmetic).
-
-
-def _cross(field, u, v):
-    def minor(i, j):
-        return field.sub(field.mul(u[i], v[j]), field.mul(u[j], v[i]))
-
-    return (minor(1, 2), minor(2, 0), minor(0, 1))
-
-
-def _dot3(field, u, v):
-    return field.add(
-        field.add(field.mul(u[0], v[0]), field.mul(u[1], v[1])),
-        field.mul(u[2], v[2]),
-    )
+# Fan verification, H3 (signs read off the root permutations).
 
 
 def _det3(field, u, v, w):
-    """det of the 3x3 matrix with rows u, v, w: u . (v x w).
+    """det of the 3x3 matrix with rows u, v, w, by cofactors along u.
 
-    No fan check calls it: ``_chamber_table`` dots one normal per
-    reflection instead.  It stays as the tests' oracle for those sign
-    rows, and as the function that the benchmark's ``fans.det3`` span
+    No fan check calls it: the H3 check reads its signs off the root
+    permutations.  It stays as the tests' oracle for those signs, and as
+    the function that the benchmark's ``fans.det3`` span
     (``perfbench/tracing.py``) wraps.
     """
-    return _dot3(field, u, _cross(field, v, w))
+    def minor(i, j):
+        return field.sub(field.mul(v[i], w[j]), field.mul(v[j], w[i]))
 
-
-def _scaled_weights(system: CoxeterSystem):
-    """Positive multiples of the fundamental weights with entries in Z[c].
-
-    The columns of adj(2*Gram), the cross products of its rows, are
-    det(2*Gram)/2 times the fundamental weights, and det(2*Gram) > 0.
-    """
-    field = system.field
-    two_gram = [[field.scale(x, 2) for x in row] for row in system.gram]
-    return [
-        _cross(field, two_gram[(i + 1) % 3], two_gram[(i + 2) % 3]) for i in range(3)
-    ]
+    terms = [field.mul(x, minor((i + 1) % 3, (i + 2) % 3)) for i, x in enumerate(u)]
+    return field.add(field.add(terms[0], terms[1]), terms[2])
 
 
 @lru_cache(maxsize=None)
 def _chamber_table(system: CoxeterSystem, lattice: FiniteLattice):
     """The orientation-free part of the H3 fan check, on the weak order
-    ``lattice`` of the H3 ``system``: (rays, rays_of, moves, signs).
+    ``lattice`` of the H3 ``system``: (rays_of, moves).
 
-    ``rays[r]`` is the vector of ray id r.  Chamber i, of the element w at
-    lattice index i, has the rays ``rays_of[i][k]`` = w * omega_k; its wall
-    opposite that ray leads to the chamber ``moves[i][k][0]`` = w * s_k,
-    across the hyperplane of the reflection ``moves[i][k][1]``, the positive
-    root of w(alpha_k) (``CoxeterSystem.wall_reflection``).  ``signs[t][r]``
-    is the sign of det(u, v, ray r) = (u x v) . ray r for the rays u, v of
-    the first chamber wall found on the hyperplane of t: one normal u x v
-    per reflection, dotted with every ray.
+    Chamber i, of the element w at lattice index i, has the rays
+    ``rays_of[i][k]`` = w * omega_k; its wall opposite that ray leads to
+    the chamber ``moves[i][k][0]`` = w * s_k, across the hyperplane of the
+    reflection ``moves[i][k][1]``, the positive root of w(alpha_k)
+    (``CoxeterSystem.wall_reflection``).
 
-    Every chamber ray w * omega_k is an integer vector over Z[c], from the
-    scaled weights.  Each ray of the Coxeter arrangement is w * omega_k for
-    exactly one k, so the raw vector is its canonical key; and only signs
-    of determinants are read, which positive scaling does not change.
-    Elements come in lattice order, so the lower cover w * s_d of each w
-    but the identity, for its first right descent d, is already done: s_d
-    fixes omega_j for j != d, so w shares those rays with it and only
-    w * omega_d is computed.
+    A ray is its sign vector over the positive roots: entry t is the sign
+    of <beta_t, w * omega_k> = <w^-1 beta_t, omega_k>, the sign of the
+    alpha_k coordinate of w^-1(beta_t), the root id j with w[j] = t: 0 off
+    its support, else +1 or -1 as the root is positive or negative.  Rays
+    of the arrangement differ in some sign, so no field arithmetic is done.
     """
-    field = system.field
+    zero = system.field.zero
+    supports = [tuple(int(x != zero) for x in root) for root in system.roots]
+    signs = supports + [tuple(-s for s in row) for row in supports]
+    n = len(supports)
     names = system.generator_names
-    weights = _scaled_weights(system)
-    ids = {}
-    rays_of, moves, first_wall = [], [], {}
+    rays_of, moves = [], []
     for w in lattice.elements:
-        row = tuple(
-            (lattice.index[system.right_multiply(w, name)], system.wall_reflection(w, name))
-            for name in names
-        )
-        d = next((k for k, name in enumerate(names) if system.is_right_descent(w, name)), None)
-        if d is None:
-            rays = [ids.setdefault(system.act(w, omega), len(ids)) for omega in weights]
-        else:
-            rays = list(rays_of[row[d][0]])
-            rays[d] = ids.setdefault(system.act(w, weights[d]), len(ids))
-        for k, (_, t) in enumerate(row):
-            first_wall.setdefault(t, (rays[k - 2], rays[k - 1]))
-        rays_of.append(tuple(rays))
-        moves.append(row)
-    vectors = tuple(ids)
-    signs = {}
-    for t, (u, v) in first_wall.items():
-        normal = _cross(field, vectors[u], vectors[v])
-        signs[t] = tuple(field.sign(_dot3(field, normal, r)) for r in vectors)
-    return vectors, tuple(rays_of), tuple(moves), signs
+        preimages = sorted(range(2 * n), key=w.__getitem__)[:n]
+        rays_of.append(tuple(zip(*(signs[j] for j in preimages))))
+        moves.append(tuple(
+            (lattice.index[system.right_multiply(w, s)], system.wall_reflection(w, s)) for s in names
+        ))
+    return tuple(rays_of), tuple(moves)
 
 
 def check_fan_h3(system: CoxeterSystem, orientation: Orientation) -> dict:
@@ -563,17 +515,15 @@ def _check_fan_h3(system: CoxeterSystem, camb: CambrianLattice) -> dict:
     is simplicial when it has three extreme rays; in rank 3 no other test
     can change the report.
 
-    Rays, neighbours, wall reflections and signs are read off the group's
-    chamber table (``_chamber_table``).  A leaving wall's signs are those
-    of its reflection's row: every wall on that hyperplane spans the same
-    plane, so its determinant with a ray is the row's times one nonzero
-    factor, which keeps both tests made of it, whether a ray is on the
-    wall and whether it is on the inner ray's side.
+    Rays, neighbours and wall reflections are read off the group's chamber
+    table (``_chamber_table``): ray r is on the hyperplane of t when r[t]
+    is 0, and on the inner ray's side when r[t] agrees with the inner
+    ray's.  A wall of two cones lies on the hyperplane where both its rays
+    read 0, and a, b are on opposite sides when a[t] * b[t] < 0 there.
     """
-    field = system.field
     cong = camb.congruence
     class_of = cong.class_of
-    rays, rays_of, moves, signs_of = _chamber_table(system, cong.lattice)
+    rays_of, moves = _chamber_table(system, cong.lattice)
 
     simplicial = tiling = True
     cones = []
@@ -587,12 +537,10 @@ def _check_fan_h3(system: CoxeterSystem, camb: CambrianLattice) -> dict:
         member_rays = {r for i in members for r in rays_of[i]}
         on_walls = Counter()
         for t, inner in walls.items():
-            signs = signs_of[t]
             for r in member_rays:
-                s = signs[r]
-                if s == 0:
+                if r[t] == 0:
                     on_walls[r] += 1
-                elif s != signs[inner]:
+                elif r[t] != inner[t]:
                     tiling = False
         extreme = [r for r in member_rays if on_walls[r] >= 2]
         # Rank 3 only: on the 2-sphere three extreme rays force exactly
@@ -603,9 +551,9 @@ def _check_fan_h3(system: CoxeterSystem, camb: CambrianLattice) -> dict:
         cones.append(tuple(extreme))
 
     def side(wall, c, a, b):
-        normal = _cross(field, *(rays[r] for r in wall))
-        sign_a = field.sign(_dot3(field, normal, rays[a]))
-        return sign_a * field.sign(_dot3(field, normal, rays[b])) < 0
+        u, v = wall
+        t = next((t for t, pair in enumerate(zip(u, v)) if pair == (0, 0)), None)
+        return t is not None and a[t] * b[t] < 0
 
     return {"family": "H3", **_fan_faces(camb, cones, side, simplicial, tiling)}
 

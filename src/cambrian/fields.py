@@ -5,8 +5,9 @@ its largest bond label m, whose generator is c = 2*cos(pi/m).  Elements of
 Q(c) are coefficient tuples (a_0, ..., a_{d-1}) standing for a_0 + a_1*c +
 ... + a_{d-1}*c^(d-1), where d is the degree of the minimal polynomial of
 c.  That polynomial is monic with integer coefficients, so Z[c] is closed
-under multiplication: roots, chamber rays and scaled weights keep plain
-``int`` coefficients, and only inverses bring in ``Fraction``.  Q itself
+under multiplication: roots keep plain ``int`` coefficients, and only
+inverses bring in ``Fraction``.  The fan checks compute no vectors over
+the field, and only the tests' oracles call ``sign``.  Q itself
 is ``NumberField(3)``: c = 1, the minimal polynomial is x - 1, and its
 elements are 1-tuples.  Every operation is exact; no floating point is
 used anywhere.

@@ -481,10 +481,26 @@ def test_int_ray_is_scaled_ray_vector():
         assert fans._int_ray(4, members) == tuple(4 * x for x in ray_vector(4, members))
 
 
+def _scaled_weights(system):
+    """Positive multiples of the fundamental weights with entries in Z[c].
+
+    The columns of adj(2*Gram), the cross products of its rows, are
+    det(2*Gram)/2 times the fundamental weights, and det(2*Gram) > 0; entry
+    j of the cross product u x v is det(e_j, u, v).
+    """
+    field = system.field
+    two_gram = [tuple(field.scale(x, 2) for x in row) for row in system.gram]
+    unit = [tuple(field.one if i == j else field.zero for j in range(3)) for i in range(3)]
+    return [
+        tuple(fans._det3(field, e, two_gram[(i + 1) % 3], two_gram[(i + 2) % 3]) for e in unit)
+        for i in range(3)
+    ]
+
+
 def test_h3_chamber_rays_are_62_integer_keys():
     system = get_system("H3")
     field = system.field
-    weights = fans._scaled_weights(system)
+    weights = _scaled_weights(system)
     # Positive multiples of the fundamental weights Gram^-1 e_i.
     for i, omega in enumerate(weights):
         exact = solve_linear(field, system.gram, [field.one if j == i else field.zero for j in range(3)])
@@ -676,7 +692,7 @@ def _old_check_fan_h3(system, camb):
     base-sign search per boundary wall, and the neighbour graph."""
     field = system.field
     lattice = camb.congruence.lattice
-    weights = fans._scaled_weights(system)
+    weights = _scaled_weights(system)
     rays_of = [[system.act(w, omega) for omega in weights] for w in lattice.elements]
     det3 = fans._det3
     simplicial = tiling = True
@@ -826,7 +842,7 @@ def _unpruned_check_fan_h3(system, camb):
     count of leaving hyperplanes and the containment of every member ray
     in the cone of the extreme rays."""
     field = system.field
-    weights = fans._scaled_weights(system)
+    weights = _scaled_weights(system)
     cong = camb.congruence
     lattice = cong.lattice
     rays_of = [[system.act(w, omega) for omega in weights] for w in lattice.elements]
@@ -922,7 +938,7 @@ def _per_orientation_check_fan_h3(system, camb):
     reflections found again for each orientation, and one determinant per
     leaving wall and member ray, from that wall's own two rays."""
     field = system.field
-    weights = fans._scaled_weights(system)
+    weights = _scaled_weights(system)
     cong = camb.congruence
     lattice = cong.lattice
     rays_of = [[system.act(w, omega) for omega in weights] for w in lattice.elements]
@@ -990,7 +1006,11 @@ def test_h3_chamber_table_matches_per_orientation_body(monkeypatch):
 
 
 def test_h3_second_orientation_builds_nothing(monkeypatch):
+    """The chamber table and the four orientations' checks do no field
+    arithmetic, act on no vector and take no determinant; the table is
+    built once for all four."""
     system = get_system("H3")
+    lattice = system.weak_order_lattice()
     calls = Counter()
 
     def counted(name, fn):
@@ -1000,46 +1020,76 @@ def test_h3_second_orientation_builds_nothing(monkeypatch):
 
         return wrapper
 
+    for name in ("mul", "sign"):
+        monkeypatch.setattr(NumberField, name, counted(name, getattr(NumberField, name)))
     monkeypatch.setattr(system, "act", counted("act", system.act))
     monkeypatch.setattr(fans, "_det3", counted("det3", fans._det3))
-    monkeypatch.setattr(fans, "_cross", counted("cross", fans._cross))
     fans._chamber_table.cache_clear()
-    fans._chamber_table(system, system.weak_order_lattice())
-    # Three rays for the identity and one for each other chamber, which
-    # copies the rest from a lower cover; three crosses for the scaled
-    # weights and one normal per reflection; no determinant.
-    assert calls == {"act": 3 + 119, "cross": 3 + 15}
+    fans._chamber_table(system, lattice)
+    assert calls == {}
     for orientation in all_orientations(system):
         fans.check_fan_h3(system, orientation)
-    assert calls["act"] == 122 and calls["det3"] == 0
+    assert calls == {}
+    assert fans._chamber_table.cache_info().misses == 1
 
 
 def test_h3_chamber_table_matches_act_inversions_and_det3():
-    """Every chamber's rays are w * omega_k, every wall's reflection is the
-    one inversion of w and w * s_k that the other lacks, and on every wall,
-    not only the first one found on a hyperplane, the signs of det(u, v, r)
-    over all 62 rays are its reflection's row times one nonzero factor."""
+    """The chamber rays w * omega_k have 62 distinct sign vectors, one per
+    ray vector; every wall's reflection is the one inversion of w and
+    w * s_k that the other lacks; and on every wall the signs of
+    det(u, v, r) over all 62 ray vectors r are the sign vectors' entries at
+    its reflection times one nonzero factor."""
     system = get_system("H3")
     field = system.field
     lattice = system.weak_order_lattice()
-    rays, rays_of, moves, signs = fans._chamber_table(system, lattice)
-    assert len(rays) == 62 and len(signs) == 15
-    weights = fans._scaled_weights(system)
-    ids = {v: r for r, v in enumerate(rays)}
+    rays_of, moves = fans._chamber_table(system, lattice)
+    weights = _scaled_weights(system)
+    vector_of = {}
+    for i, w in enumerate(lattice.elements):
+        for key, omega in zip(rays_of[i], weights):
+            vector = system.act(w, omega)
+            assert vector_of.setdefault(key, vector) == vector
+    assert len(vector_of) == len(set(vector_of.values())) == 62
     walls = 0
     for i, w in enumerate(lattice.elements):
-        assert rays_of[i] == tuple(ids[system.act(w, omega)] for omega in weights)
         for k, name in enumerate(system.generator_names):
             ws = system.right_multiply(w, name)
             (flipped,) = system.inversion_set(w) ^ system.inversion_set(ws)
             assert moves[i][k] == (lattice.index[ws], flipped)
             assert system.wall_reflection(w, name) == flipped
-            u, v = (rays[r] for m, r in enumerate(rays_of[i]) if m != k)
-            row = [field.sign(fans._det3(field, u, v, r)) for r in rays]
-            factors = {a * b for a, b in zip(row, signs[flipped]) if a or b}
+            u, v = (vector_of[r] for m, r in enumerate(rays_of[i]) if m != k)
+            row = {key: field.sign(fans._det3(field, u, v, r)) for key, r in vector_of.items()}
+            factors = {sign * key[flipped] for key, sign in row.items() if sign or key[flipped]}
             assert factors in ({1}, {-1}), (i, name)
             walls += 1
     assert walls == 120 * 3
+
+
+def test_h3_fan_suite_fault_is_not_hidden_by_the_chamber_table_cache(monkeypatch):
+    """The chamber table is kept per weak order: after a clean run has
+    filled it, a fault in one entry of one chamber's ray still fails the
+    suite, and a clean rerun reports the same bytes as the first run."""
+    from cambrian import suites
+
+    clean = json.dumps(suites.run_suite("fan", "H3"), indent=2)
+    fans._chamber_table.cache_clear()
+    chamber_table = fans._chamber_table
+
+    def faulty_table(system, lattice):
+        # Negate the first nonzero entry of the identity chamber's first ray.
+        rays_of, moves = chamber_table(system, lattice)
+        ray, *rest = rays_of[0]
+        t = next(t for t, s in enumerate(ray) if s)
+        wrong = (*ray[:t], -ray[t], *ray[t + 1 :])
+        return ((wrong, *rest), *rays_of[1:]), moves
+
+    monkeypatch.setattr(fans, "_chamber_table", faulty_table)
+    faulty = suites.run_suite("fan", "H3")
+    assert not faulty["passed"]
+    fan_checks = [c for c in faulty["checks"] if "tiling" in c]
+    assert len(fan_checks) == 4 and not any(c["tiling"] for c in fan_checks)
+    monkeypatch.undo()
+    assert json.dumps(suites.run_suite("fan", "H3"), indent=2) == clean
 
 
 def test_h3_fan_suite_builds_each_cambrian_lattice_once(monkeypatch):
