@@ -17,11 +17,11 @@ Every fan check builds the cone of each Cambrian class and a
 side-of-wall test, then hands them to one report (``_fan_faces``): wall
 pairing, dual graph against the Hasse diagram, and f-vector.  In A and B
 a cone is spanned by the rays of the class bottom's triangulation, which
-``_class_diagonals`` reads off the same whole-group eta tables as the
-suites, through the signature's ``walk`` and ``eta_masks``; one
-elimination per cone gives its facet normals, and one class loop
-(``_check_fan_ab``) reads off them its rank, the regions and rays it
-holds, and its wall sides; the member regions' rays come from one table
+``_class_diagonals`` reads off the weak order's own walk, through the
+signature's ``eta_fibers``, so the fan checks share the suites' eta
+memo; one elimination per cone gives its facet normals, and one class
+loop (``_check_fan_ab``) reads off them its rank, the regions and rays
+it holds, and its wall sides; the member regions' rays come from one table
 per weak order (``_region_table``), and each class tests its distinct
 member rays once.  The internal checks ``_check_fan_a``/``_check_fan_b``
 take the Cambrian lattice, so that the fan suite builds each
@@ -72,6 +72,7 @@ from .polygon_a import (
     _walls,
     all_triangulations,
     polygon_from_signature,
+    weak_order_walk,
 )
 from .polygon_b import SymmetricSignature, _mirror
 
@@ -371,10 +372,12 @@ def _signature_lattice(system: CoxeterSystem, signature) -> CambrianLattice:
 
 def _class_diagonals(camb: CambrianLattice, signature, n: int):
     """The sorted diagonals of each class bottom's triangulation, in class
-    order, of the signature's Cambrian lattice ``camb``, read off the eta
-    tables of the signature's type-A n-gon."""
-    masks = signature.eta_masks(signature.walk(camb.class_representatives))
-    return [sorted(_mask_diagonals(m, n)) for m in masks]
+    order, of the signature's Cambrian lattice ``camb``: the mask of the
+    bottom's fiber, read off the weak order's walk (``weak_order_walk``)
+    on the signature's type-A n-gon."""
+    cong = camb.congruence
+    distinct, places = signature.eta_fibers(weak_order_walk(cong.lattice, signature))
+    return [sorted(_mask_diagonals(distinct[places[cls[0]]], n)) for cls in cong.classes]
 
 
 # ---------------------------------------------------------------------------

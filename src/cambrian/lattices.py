@@ -474,26 +474,24 @@ class PolygonForcing:
         return cls(first, labels, _transitive(reach), heads)
 
     def closure(self, lattice: FiniteLattice, pairs) -> LatticeCongruence:
-        """Contract every cover in [a ^ b, a v b] for each pair and close
-        their labels under forcing; the classes follow from the labels.
-        For a comparable pair a <= b, such as a Cambrian generating pair,
-        the interval is the part of down(b) above a, so it needs no
-        up-sets."""
+        """Contract every cover in [a ^ b, a] and [a ^ b, b] for each pair
+        a, b and close their labels under forcing; the classes follow from
+        the labels.  The two comparable pairs generate the congruence of
+        a ~ b, and for a comparable pair one of them is trivial.  Each
+        interval [c, d] is the part of down(d) above c, so no closure
+        derives up-sets."""
         down, upper = lattice.down, lattice.upper
         first, labels, reach = self.first, self.labels, self.reach
         hit = 0
         for a, b in pairs:
-            if down[a] >> b & 1:
-                a, b = b, a
-            if down[b] >> a & 1:
-                inside = [x for x in _members(down[b]) if down[x] >> a & 1]
-            else:
-                inside = lattice.interval(lattice.meet(a, b), lattice.join(a, b))
-            mask = reduce(or_, map((1).__lshift__, inside), 0)
-            for x in inside:
-                for k, y in enumerate(upper[x], first[x]):
-                    if mask >> y & 1:
-                        hit |= reach[labels[k]]
+            bottom = lattice.meet(a, b)
+            for top in {a, b} - {bottom}:
+                inside = [x for x in _members(down[top]) if down[x] >> bottom & 1]
+                mask = reduce(or_, map((1).__lshift__, inside), 0)
+                for x in inside:
+                    for k, y in enumerate(upper[x], first[x]):
+                        if mask >> y & 1:
+                            hit |= reach[labels[k]]
         return LatticeCongruence(lattice, forcing=self, hit=hit)
 
 

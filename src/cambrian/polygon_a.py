@@ -28,13 +28,14 @@ passes of ``map``.  Both it and ``_eta_mask`` clear the boundary
 so a fiber of eta is the set of elements with one mask, and
 ``eta_fibers`` gives a group's fibers directly: its distinct masks in
 order of first member and each element's place among them, the fibers
-numbered as ``class_of`` numbers congruence classes.  The suites read
-the fibers, and one case-table row per fiber, through the places;
-``eta_masks`` spells out one mask per element.  A signature reads a
-group through five methods, which ``SymmetricSignature`` shares:
-``walk``, ``eta_fibers`` and ``eta_masks``, then the descent case table
-in two stages, a mask's signature-free ``sides`` (``_mask_sides``) and
-the four up/down cases (``descents``).
+numbered as ``class_of`` numbers congruence classes.  It is the one
+reader of eta over a group: the suites read the fibers, and one
+case-table row per fiber, through the places, the fan checks each
+class bottom's mask, and the exported ``eta_masks`` spells out one mask
+per element.  A signature reads a group through four methods, which
+``SymmetricSignature`` shares: ``walk``, ``eta_fibers``, then the
+descent case table in two stages, a mask's signature-free ``sides``
+(``_mask_sides``) and the two colour cases (``descents``).
 ``_flip_order`` is the one flip order, of triangulations and of
 clusters: two sets are one flip apart when they share a wall
 (``_walls``), a set minus one orbit of its members: a diagonal here, a
@@ -62,11 +63,11 @@ in them, the pair ``eta_fibers`` returns; ``projection_tables`` per
 marking of the values 2..n-1, as two arrays.  The projections ignore
 the marks of 1 and n because a move reads only the values strictly
 between its pair, and neither end value is ever between two others, so
-the four markings of 1 and n share one pair of tables.  ``eta_masks``
-and ``projection_tables`` return new lists, and a call that raises
-keeps nothing.  Each suite reads a group's eta once per signature, so
-the eta memo is read back only when two or more of ``congruence-eq``,
-``descent`` and ``fibers`` run in one process.
+the four markings of 1 and n share one pair of tables.
+``projection_tables`` returns new lists, and a call that raises keeps
+nothing.  Each suite reads a group's eta once per signature, so the eta
+memo is read back only when two or more of ``congruence-eq``,
+``descent``, ``fibers`` and ``fan`` run in one process.
 """
 
 from __future__ import annotations
@@ -135,10 +136,6 @@ class UpDownSignature:
     def walk(self, elements) -> GroupWalk:
         """The ``GroupWalk`` of permutations of 1..n."""
         return GroupWalk(elements)
-
-    def eta_masks(self, walk: GroupWalk) -> list[int]:
-        """eta's diagonal mask of each element of ``walk``."""
-        return walk.eta_masks(self)
 
     def eta_fibers(self, walk: GroupWalk) -> tuple[tuple[int, ...], array]:
         """``walk.eta_fibers``: the distinct masks and each element's place."""
@@ -379,8 +376,8 @@ class GroupWalk:
     n+1, after it: at most 241 masks for n <= 8, so a byte holds the
     place.
 
-    ``eta_fibers`` (which ``eta_masks`` reads) and ``projection_tables``
-    keep their results, in the compact forms the module docstring gives.
+    ``eta_fibers`` and ``projection_tables`` keep their results, in the
+    compact forms the module docstring gives.
     """
 
     def __init__(self, elements):
@@ -421,21 +418,11 @@ class GroupWalk:
             self._walk_eta(key)
         return self._eta[key]
 
-    def eta_masks(self, signature: UpDownSignature) -> list[int]:
-        """``_eta_mask`` of every permutation, as a new list: read off the
-        memo of ``eta_fibers``, or on a miss the masks just walked."""
-        key = (signature, signature.polygon.boundary_mask)
-        if key not in self._eta:
-            return self._walk_eta(key)
-        distinct, places = self._eta[key]
-        return list(map(distinct.__getitem__, places))
-
-    def _walk_eta(self, key) -> list[int]:
-        """The masks of ``key``, (signature, boundary mask): the step
-        table read along the tree one level at a time, then the boundary
-        cleared.  They are kept by fiber under the key, which holds the
-        boundary as well as the signature, so a polygon with another
-        boundary is read afresh."""
+    def _walk_eta(self, key) -> None:
+        """Keep the fibers of ``key``, (signature, boundary mask): the
+        step table read along the tree one level at a time, then the
+        boundary cleared.  The key holds the boundary as well as the
+        signature, so a polygon with another boundary is read afresh."""
         signature, boundary = key
         n = signature.n
         under = _step_key(signature.upmask, 0, n).__xor__
@@ -451,7 +438,6 @@ class GroupWalk:
                 _off_boundary(e, n, boundary)
         place = {mask: k for k, mask in enumerate(distinct)}
         self._eta[key] = distinct, _packed(list(map(place.__getitem__, masks)), len(distinct))
-        return masks
 
     @cached_property
     def moves(self) -> list[tuple[list[int], list[int], bytes, list[int]]]:
@@ -539,9 +525,10 @@ def weak_order_walk(lattice: FiniteLattice, signature) -> GroupWalk:
 
 
 def eta_masks(elements, signature: UpDownSignature) -> list[int]:
-    """``_eta_mask`` of each permutation of 1..n in ``elements``, read off
-    their ``GroupWalk``."""
-    return GroupWalk(elements).eta_masks(signature)
+    """``_eta_mask`` of each permutation of 1..n in ``elements``, spelled
+    out from the fibers of their ``GroupWalk``."""
+    distinct, places = GroupWalk(elements).eta_fibers(signature)
+    return list(map(distinct.__getitem__, places))
 
 
 # ---------------------------------------------------------------------------
@@ -793,24 +780,19 @@ def _mask_sides(mask: int, n: int) -> tuple[int, int]:
 
 def _case_descents(sides: tuple[int, int], signature: UpDownSignature) -> int:
     """Mask of the a in 1..n-1 for which (a, a+1) is a descent of the
-    triangulation with ``_mask_sides`` ``sides``, by the four up/down cases
-    of a and a+1, for every a at once."""
+    triangulation with ``_mask_sides`` ``sides``, for every a at once.
+    Where a and a+1 have one colour the descent is a diagonal beyond a,
+    where they differ the diagonal (a, a+1); an up a reverses either."""
     beyond, adjacent = sides
-    a_up = signature.upmask
-    b_up = a_up >> 1
-    descents = (
-        ~a_up & ~b_up & beyond
-        | ~a_up & b_up & adjacent
-        | a_up & b_up & ~beyond
-        | a_up & ~b_up & ~adjacent
-    )
-    return descents & ((1 << signature.n) - 2)
+    up = signature.upmask
+    same = ~(up ^ up >> 1)
+    return ((beyond ^ up) & same | (adjacent ^ up) & ~same) & ((1 << signature.n) - 2)
 
 
 def descent_set_of_triangulation(
     tri: TriangulationA, signature: UpDownSignature
 ) -> frozenset[tuple[int, int]]:
-    """Reflections (a, a+1) that are descents, by the four up/down cases."""
+    """Reflections (a, a+1) that are descents, by the two colour cases."""
     descents = signature.descents(signature.sides(_diagonal_mask(tri)))
     return frozenset((a, a + 1) for a in _members(descents))
 

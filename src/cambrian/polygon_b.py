@@ -10,16 +10,15 @@ mixed case is the s_0 rule.  The flip lattice is ``_flip_order`` over the
 orbits of the symmetry: a diameter flips alone and a mirror pair
 together.
 
-``SymmetricSignature`` has the five polygon methods of
+``SymmetricSignature`` has the four polygon methods of
 ``UpDownSignature``, so the suites and the fan checks read eta and the
 descent case table the same way in both types: ``walk`` (the
-``GroupWalk`` of the embedded elements), ``eta_fibers`` and
-``eta_masks`` (the doubled signature's, each distinct mask checked to
-be centrally symmetric, a refusal naming the signed element of the
-first asymmetric fiber), ``sides`` (a mask's
-signature-free sides on the (2n+2)-gon) and ``descents`` (the shifted
-case table).  ``eta`` and ``eta_b``, one element at a time, are kept as
-the public API and as test oracles.
+``GroupWalk`` of the embedded elements), ``eta_fibers`` (the doubled
+signature's, each distinct mask checked to be centrally symmetric, a
+refusal naming the signed element of the first asymmetric fiber),
+``sides`` (a mask's signature-free sides on the (2n+2)-gon) and
+``descents`` (the shifted case table).  ``eta`` and ``eta_b``, one
+element at a time, are kept as the public API and as test oracles.
 """
 
 from __future__ import annotations
@@ -125,28 +124,17 @@ class SymmetricSignature:
         """The ``GroupWalk`` of the signed permutations, embedded in S_2n."""
         return GroupWalk([embed_b_in_a(x) for x in elements])
 
-    def eta_masks(self, walk: GroupWalk) -> list[int]:
-        """The doubled signature's eta masks of ``walk``, each distinct mask
-        checked to be centrally symmetric."""
-        masks = walk.eta_masks(self.polygon.signature)
-        self._refuse_asymmetric(walk, dict.fromkeys(masks), masks.index)
-        return masks
-
     def eta_fibers(self, walk: GroupWalk) -> tuple[tuple[int, ...], array]:
         """The doubled signature's ``eta_fibers`` of ``walk``, each distinct
-        mask checked to be centrally symmetric."""
+        mask checked to be centrally symmetric: the first that is not
+        raises, naming the signed element that first has it."""
         distinct, places = walk.eta_fibers(self.polygon.signature)
-        self._refuse_asymmetric(walk, distinct, lambda mask: places.index(distinct.index(mask)))
-        return distinct, places
-
-    def _refuse_asymmetric(self, walk: GroupWalk, distinct, first) -> None:
-        """Raise for the first mask of ``distinct`` that is not centrally
-        symmetric, naming the signed element at position ``first(mask)``."""
         two_n = 2 * self.n
-        for mask in distinct:
+        for k, mask in enumerate(distinct):
             if not _is_symmetric(_mask_diagonals(mask, two_n), two_n):
-                x = project_a_to_b(walk.elements[first(mask)])
+                x = project_a_to_b(walk.elements[places.index(k)])
                 raise AssertionError(f"eta_b({x}) is not centrally symmetric")
+        return distinct, places
 
     def sides(self, mask: int) -> tuple[int, int]:
         """``_mask_sides`` of a diagonal mask of the (2n+2)-gon."""

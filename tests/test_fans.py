@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from cambrian import UpDownSignature, fans, get_system
+from cambrian import UpDownSignature, coxeter, fans, get_system, polygon_a, suites
 from cambrian.congruences import (
     CambrianLattice,
     all_orientations,
@@ -1488,6 +1488,49 @@ def test_class_diagonals_match_per_element_eta(family, n):
         else:
             want = [sorted(eta_b(x, sig).base.diagonals) for x in bottoms]
         assert got == want, sig
+
+
+def test_fan_suite_walks_each_weak_order_once(monkeypatch):
+    """The fan checks read eta off the weak order's own walk: the first
+    fan suite in a process builds one walk per A and B group, S_3, S_4,
+    B_2 and B_3, and a second builds none."""
+    monkeypatch.setattr(coxeter, "_SYSTEMS", {})
+    built = []
+    real = polygon_a.GroupWalk.__init__
+    monkeypatch.setattr(
+        polygon_a.GroupWalk, "__init__", lambda walk, elements: built.append(walk) or real(walk, elements)
+    )
+    first = suites.run_suite("fan")
+    groups = [("A", 2), ("A", 3), ("B", 2), ("B", 3)]
+    walks = [get_system(family, rank).weak_order_lattice().walks for family, rank in groups]
+    assert [w for kept in walks for w in kept.values()] == built
+    assert [len(w.elements) for w in built] == [6, 24, 8, 48]
+    built.clear()
+    assert suites.run_suite("fan") == first
+    assert built == []
+
+
+def test_fan_suite_fault_is_not_hidden_by_the_eta_memo(monkeypatch):
+    """After clean fan and congruence-eq runs have filled the walks' eta
+    memos, the first two fibers of S_4 under uudu with their masks
+    swapped fail the fan check of that signature alone; then a clean
+    rerun is byte-identical."""
+    clean = json.dumps(suites.run_suite("fan"), indent=2)
+    assert suites.run_suite("congruence-eq")["passed"]
+    real = polygon_a.GroupWalk.eta_fibers
+
+    def swapped(walk, sig):
+        distinct, places = real(walk, sig)
+        if len(walk.elements) == 24 and sig.to_string() == "uudu":
+            distinct = (distinct[1], distinct[0], *distinct[2:])
+        return distinct, places
+
+    monkeypatch.setattr(polygon_a.GroupWalk, "eta_fibers", swapped)
+    faulty = suites.run_suite("fan")
+    assert not faulty["passed"]
+    assert [c["name"] for c in faulty["checks"] if not c["passed"]] == ["A n=4 sig uudu"]
+    monkeypatch.undo()
+    assert json.dumps(suites.run_suite("fan"), indent=2) == clean
 
 
 def test_no_check_walks_eta_one_element_at_a_time(monkeypatch, capsys):

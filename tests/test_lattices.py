@@ -382,6 +382,39 @@ def test_polygonal_closure_matches_union_find_on_random_pairs(key, data):
     assert partition_fields(fast) == partition_fields(union_find_closure(lattice, pairs))
 
 
+def interval_closure_hit(lattice, a, b):
+    """The labels, closed under forcing, of the covers in the whole
+    interval [a ^ b, a v b], read off its up-sets."""
+    forcing = lattice.polygon_forcing()
+    inside = lattice.interval(lattice.meet(a, b), lattice.join(a, b))
+    mask = sum(1 << x for x in inside)
+    hit = 0
+    for x in inside:
+        for k, y in enumerate(lattice.upper[x], forcing.first[x]):
+            if mask >> y & 1:
+                hit |= forcing.reach[forcing.labels[k]]
+    return hit
+
+
+@pytest.mark.parametrize(
+    "family, rank, bond", [("A", 3, None), ("B", 3, None), ("H3", None, None), ("I2", None, 5)]
+)
+def test_incomparable_pair_closes_as_two_comparable_pairs(family, rank, bond):
+    """Closing an incomparable pair as a ^ b <= a and a ^ b <= b contracts
+    the labels its whole interval does, on every such pair of the weak
+    order, and derives no up-set."""
+    weak = get_system(family, rank, bond).weak_order_lattice()
+    lattice = FiniteLattice.from_covers(weak.elements, weak.covers)
+    down = lattice.down
+    pairs = [
+        (a, b) for a, b in itertools.combinations(range(lattice.n), 2) if not down[b] >> a & 1
+    ]
+    assert pairs
+    hits = [congruence_closure(lattice, [pair]).hit for pair in pairs]
+    assert "up" not in vars(lattice)
+    assert hits == [interval_closure_hit(lattice, a, b) for a, b in pairs]
+
+
 def subset_lattice(size, generators):
     """The family of subsets of a ``size``-set (as bitmasks) generated by
     ``generators`` under intersection, with the empty and the whole set:

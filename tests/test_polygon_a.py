@@ -40,9 +40,10 @@ from cambrian import (
     uncontracted_ji_subsets,
 )
 from cambrian import coxeter, polygon_a, suites
+from cambrian.polygon_a import PATTERNS
 from cambrian.coxeter import all_ji_subsets_a, embed_b_in_a
 from cambrian.lattices import FiniteLattice, _numbered
-from cambrian.polygon_b import all_symmetric_signatures, shard_digraph_b
+from cambrian.polygon_b import SymmetricSignature, all_symmetric_signatures, shard_digraph_b
 from cambrian.suites import all_updown_signatures, catalan
 
 
@@ -82,6 +83,16 @@ def test_polygon_chains():
     assert [0] + sorted(SIG6.downs) + [7] == [0, 2, 5, 6, 7]
 
 
+def test_slope_key_reads_each_segment_left_to_right():
+    """A segment's slope key is (dy, dx) from its left end to its right
+    end, whichever end comes first."""
+    poly = polygon_from_signature(SIG6)
+    for a, b in itertools.permutations(range(SIG6.n + 2), 2):
+        (xa, ya), (xb, yb) = sorted((poly.coords[a], poly.coords[b]))
+        assert poly.slope_key(a, b) == (yb - ya, xb - xa), (a, b)
+        assert xb > xa
+
+
 def test_lambda_paths_example():
     poly = polygon_from_signature(SIG6)
     paths = lambda_paths((4, 2, 6, 3, 1, 5), poly)
@@ -107,6 +118,23 @@ def test_colored_pattern_witness():
     assert found and witness == (4, 6, 3)
     with pytest.raises(ValueError):
         contains_colored_pattern((1, 2), SIG6, "no-such-pattern")
+
+
+@pytest.mark.parametrize(
+    "pattern, x, up", [
+        ("up231", (2, 3, 1), True),
+        ("31down2", (3, 1, 2), False),
+        ("up213", (2, 1, 3), True),
+        ("13down2", (1, 3, 2), False),
+    ],
+)
+def test_each_colored_pattern_alone(pattern, x, up):
+    """Each pattern of S_3, its marked letter 2 of the pattern's colour,
+    contains that pattern and none of the other three."""
+    sig = UpDownSignature(3, frozenset({2} if up else ()))
+    for other in PATTERNS:
+        want = (True, x) if other == pattern else (False, None)
+        assert contains_colored_pattern(x, sig, other) == want, other
 
 
 def test_pi_down_small_examples():
@@ -621,6 +649,13 @@ def _encode(diagonals, n):
     return sum(1 << (u * (n + 2) + w) for u, w in diagonals)
 
 
+def _spelled(fibers):
+    """One mask per element, from the distinct masks and places of
+    ``eta_fibers``."""
+    distinct, places = fibers
+    return [distinct[k] for k in places]
+
+
 def test_eta_masks_decode_to_eta():
     cases = [(sig, n) for n in range(3, 6) for sig in all_updown_signatures(n)]
     cases.append((SIG6, 6))
@@ -693,7 +728,7 @@ def test_one_group_walk_reads_eta_under_every_signature():
         for sig in all_updown_signatures(n):
             boundary = polygon_from_signature(sig).boundary_mask
             walked = [polygon_a._eta_mask(x, n, sig.upmask, boundary) for x in elements]
-            assert walk.eta_masks(sig) == walked, sig
+            assert _spelled(walk.eta_fibers(sig)) == walked, sig
         sizes = [len(parents) for parents, _ in walk.levels]
         prefixes = [len({x[:k] for x in elements}) for k in range(1, n - 1)]
         assert sizes == prefixes + [len(elements)]
@@ -743,7 +778,7 @@ def test_case_tables_read_each_mask_of_a_group_once(monkeypatch, family, n, mask
     walk = signatures[0].walk(lattice.elements)
     distinct = set()
     for sig in signatures:
-        distinct.update(sig.eta_masks(walk))
+        distinct.update(sig.eta_fibers(walk)[0])
     assert sorted(read) == sorted(distinct)
     assert masks is None or len(read) == masks
 
@@ -767,8 +802,8 @@ def _moved_entry(real, which):
         tables = real(walk, sig)
         if sig.to_string() == "udud":
             fibers = {}
-            for j, mask in enumerate(walk.eta_masks(sig)):
-                fibers.setdefault(mask, []).append(j)
+            for j, k in enumerate(walk.eta_fibers(sig)[1]):
+                fibers.setdefault(k, []).append(j)
             i = next(members for members in fibers.values() if len(members) >= 3)[1]
             tables = [list(t) for t in tables]
             tables[which][i] = i
@@ -858,9 +893,9 @@ def test_projection_memo_serves_every_marking_of_1_and_n(n):
 )
 def test_eta_fibers_number_the_masks_by_first_member(family, n):
     """Under every signature, ``eta_fibers`` gives the distinct masks in
-    order of first member and each element's place among them, and
-    returns the pair it keeps; ``eta_masks`` on a fresh walk, and on the
-    read walk, gives the same masks one per element."""
+    order of first member and each element's place among them, against
+    the per-element walk of the type-A polygon, and returns the pair it
+    keeps; a fresh walk gives the same pair."""
     if family == "A":
         system, signatures = get_system("A", n - 1), all_updown_signatures(n)
     else:
@@ -868,19 +903,38 @@ def test_eta_fibers_number_the_masks_by_first_member(family, n):
     elements = system.weak_order_lattice().elements
     walk = signatures[0].walk(elements)
     for sig in signatures:
-        masks = sig.eta_masks(sig.walk(elements))
+        polygon = sig.polygon
+        upmask, size = polygon.signature.upmask, polygon.signature.n
+        masks = [
+            polygon_a._eta_mask(x, size, upmask, polygon.boundary_mask) for x in walk.elements
+        ]
         distinct, places = sig.eta_fibers(walk)
         assert distinct == tuple(dict.fromkeys(masks)), sig
         assert places.tolist() == _numbered(masks), sig
         assert sig.eta_fibers(walk)[1] is places
-        assert sig.eta_masks(walk) == masks, sig
+        fresh = sig.eta_fibers(sig.walk(elements))
+        assert (fresh[0], fresh[1].tolist()) == (distinct, places.tolist()), sig
+
+
+def test_signatures_read_a_group_through_four_methods():
+    """Both signature types read a group through ``walk``, ``eta_fibers``,
+    ``sides`` and ``descents``; neither they nor the walk spell out masks."""
+    for kind in (UpDownSignature, SymmetricSignature):
+        for name in ("walk", "eta_fibers", "sides", "descents"):
+            assert callable(getattr(kind, name)), (kind, name)
+    for kind in (polygon_a.GroupWalk, UpDownSignature, SymmetricSignature):
+        assert not hasattr(kind, "eta_masks"), kind
 
 
 def test_eta_memo_returns_new_lists():
-    walk, sig = polygon_a.GroupWalk(_weak_order(4).elements), UpDownSignature(4, frozenset({2}))
-    want = walk.eta_masks(sig)
-    walk.eta_masks(sig).clear()
-    assert walk.eta_masks(sig) == want
+    """The exported ``eta_masks`` spells out a new list per call from the
+    fibers, which a walk keeps once per signature and boundary."""
+    elements, sig = _weak_order(4).elements, UpDownSignature(4, frozenset({2}))
+    walk = polygon_a.GroupWalk(elements)
+    want = eta_masks(elements, sig)
+    eta_masks(elements, sig).clear()
+    assert eta_masks(elements, sig) == want == _spelled(walk.eta_fibers(sig))
+    assert walk.eta_fibers(sig) is walk.eta_fibers(sig)
     assert len(walk._eta) == 1
 
 
@@ -915,6 +969,18 @@ def test_each_weak_order_keeps_one_walk_per_signature_type(monkeypatch):
 # The shared mask reader and flip body against the per-type forms they replace.
 
 
+def _four_case_descents(beyond, adjacent, a_up, n):
+    """The descent mask by the four up/down cases of a and a+1."""
+    b_up = a_up >> 1
+    descents = (
+        ~a_up & ~b_up & beyond
+        | ~a_up & b_up & adjacent
+        | a_up & b_up & ~beyond
+        | a_up & ~b_up & ~adjacent
+    )
+    return descents & ((1 << n) - 2)
+
+
 def _diagonal_case_descents(tri, sig):
     """descent_set_of_triangulation read straight off the diagonal pairs:
     (beyond, adjacent) masks of the a >= 1, then the four up/down cases."""
@@ -925,15 +991,20 @@ def _diagonal_case_descents(tri, sig):
                 beyond |= 1 << a
             else:
                 adjacent |= 1 << a
-    a_up = sum(1 << i for i in sig.ups)
-    b_up = a_up >> 1
-    descents = (
-        ~a_up & ~b_up & beyond
-        | ~a_up & b_up & adjacent
-        | a_up & b_up & ~beyond
-        | a_up & ~b_up & ~adjacent
-    ) & ((1 << sig.n) - 2)
+    descents = _four_case_descents(beyond, adjacent, sum(1 << i for i in sig.ups), sig.n)
     return frozenset((a, a + 1) for a in range(1, sig.n) if descents >> a & 1)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_two_case_descents_match_the_four_cases(n):
+    """The colour-pair form of the case table against the four up/down
+    cases, on every (beyond, adjacent) mask of bits 0..n and every
+    marking of 1..n."""
+    for ups in itertools.product((False, True), repeat=n):
+        sig = UpDownSignature(n, frozenset(i + 1 for i, up in enumerate(ups) if up))
+        for beyond, adjacent in itertools.product(range(1 << (n + 1)), repeat=2):
+            got = polygon_a._case_descents((beyond, adjacent), sig)
+            assert got == _four_case_descents(beyond, adjacent, sig.upmask, n), (beyond, adjacent, sig)
 
 
 def test_descent_set_matches_diagonal_pair_reader():

@@ -3,6 +3,7 @@
 import itertools
 import math
 import re
+from array import array
 
 import pytest
 
@@ -33,6 +34,7 @@ from cambrian.coxeter import (
     signed_ji_bounds,
 )
 from cambrian import polygon_a, suites
+from cambrian.fans import check_fan_b
 from cambrian.lattices import FiniteLattice
 from cambrian.polygon_a import _mask_diagonals, all_triangulations
 from cambrian.polygon_b import B_TAMARI_PATTERNS, _is_symmetric, _mirror, b_tamari_avoiders
@@ -163,6 +165,14 @@ def test_b_shard_arrow_validation():
         b_shard_arrow(2, frozenset({1, 3}), frozenset({-1, 2}))
     # Atoms force nothing but may be forced.
     assert not b_shard_arrow(2, frozenset({-1, 2}), frozenset({-1, 2}))
+
+
+@pytest.mark.parametrize("n", [4, 5])
+def test_b_shard_arrows_close_to_the_forcing_above_the_suite(n):
+    """The shard suite stops at B_3, where an arrow too many can hide in
+    the closure; B_4 and B_5 close the arrows to the brute forcing too."""
+    (check,) = suites._shard_checks(n, get_system("B", n), f"B n={n}")
+    assert check["passed"], check["witness"]
 
 
 def test_b_tamari_counts_and_identity():
@@ -400,7 +410,8 @@ def test_suite_b_bodies_match_per_element_eta_b():
         lattice = system.weak_order_lattice()
         for sig in all_symmetric_signatures(n):
             fibers, got = {}, {}
-            masks = sig.eta_masks(sig.walk(lattice.elements))
+            distinct, places = sig.eta_fibers(sig.walk(lattice.elements))
+            masks = [distinct[k] for k in places]
             for i, (x, mask) in enumerate(zip(lattice.elements, masks)):
                 tri = eta_b(x, sig)
                 assert _mask_diagonals(mask, 2 * n) == tri.base.diagonals, (x, sig)
@@ -418,7 +429,8 @@ def test_one_b_group_walk_reads_eta_b_under_every_signature():
         walk = signatures[0].walk(elements)
         for sig in signatures:
             want = [eta_b(x, sig).base.diagonals for x in elements]
-            got = [_mask_diagonals(m, 2 * n) for m in sig.eta_masks(walk)]
+            distinct, places = sig.eta_fibers(walk)
+            got = [_mask_diagonals(distinct[k], 2 * n) for k in places]
             assert got == want, sig
 
 
@@ -439,20 +451,14 @@ def _refusal(x):
 
 
 def test_b_mask_path_refuses_an_asymmetric_triangulation(monkeypatch):
-    # eta_b walks one element through polygon_a._eta_mask; the signature's
-    # eta_masks calls GroupWalk.eta_masks, and the suites read the
-    # signature's eta_fibers, which calls GroupWalk.eta_fibers.
+    # eta_b walks one element through polygon_a._eta_mask; the suites and
+    # the fan checks read the signature's eta_fibers, which calls
+    # GroupWalk.eta_fibers.
     walk_type = polygon_a.GroupWalk
-    real_mask, real_masks, real_fibers = (
-        polygon_a._eta_mask, walk_type.eta_masks, walk_type.eta_fibers
-    )
+    real_mask, real_fibers = polygon_a._eta_mask, walk_type.eta_fibers
     monkeypatch.setattr(
         polygon_a, "_eta_mask",
         lambda x, n, up, boundary: _drop_a_mirror(real_mask(x, n, up, boundary), n),
-    )
-    monkeypatch.setattr(
-        walk_type, "eta_masks",
-        lambda walk, sig: [_drop_a_mirror(m, sig.n) for m in real_masks(walk, sig)],
     )
 
     def asymmetric_fibers(walk, sig):
@@ -465,29 +471,33 @@ def test_b_mask_path_refuses_an_asymmetric_triangulation(monkeypatch):
     sig = SymmetricSignature.from_positive_ups(3, {2})
     with pytest.raises(AssertionError, match=_refusal((1, 2, 3))):
         eta_b((1, 2, 3), sig)
-    for read in (sig.eta_masks, sig.eta_fibers):
-        with pytest.raises(AssertionError, match=_refusal((1, 2, 3))):
-            read(sig.walk(lattice.elements))
+    with pytest.raises(AssertionError, match=_refusal((1, 2, 3))):
+        sig.eta_fibers(sig.walk(lattice.elements))
     with pytest.raises(AssertionError, match=_refusal((1, 2, 3))):
         suites._case_table_check(system, 3, lattice, "B n=3")
+    with pytest.raises(AssertionError, match=_refusal((1, 2, 3))):
+        check_fan_b(sig)
     with pytest.raises(AssertionError, match=_refusal((1, 2))):
         suites.run_suite("congruence-eq", family="B", max_rank=2)
 
 
 def test_b_mask_path_refusal_names_the_signed_element(monkeypatch):
-    """One element's mask alone loses a diagonal: the refusal names that
-    signed permutation, negative entries included, not its embedding."""
+    """One element's mask alone loses a diagonal, in a last fiber of its
+    own: the refusal names that signed permutation, negative entries
+    included, not its embedding."""
     lattice = get_system("B", 3).weak_order_lattice()
     x = (-2, 3, -1)
-    real_masks = polygon_a.GroupWalk.eta_masks
+    real_fibers = polygon_a.GroupWalk.eta_fibers
 
     def broken(walk, sig):
-        masks = real_masks(walk, sig)
+        distinct, places = real_fibers(walk, sig)
         i = walk.elements.index(embed_b_in_a(x))
-        masks[i] = _drop_a_mirror(masks[i], sig.n)
-        return masks
+        asymmetric = _drop_a_mirror(distinct[places[i]], sig.n)
+        places = array(places.typecode, places)
+        places[i] = len(distinct)
+        return distinct + (asymmetric,), places
 
-    monkeypatch.setattr(polygon_a.GroupWalk, "eta_masks", broken)
+    monkeypatch.setattr(polygon_a.GroupWalk, "eta_fibers", broken)
     for sig in all_symmetric_signatures(3):
         with pytest.raises(AssertionError, match=_refusal(x)):
-            sig.eta_masks(sig.walk(lattice.elements))
+            sig.eta_fibers(sig.walk(lattice.elements))
