@@ -44,12 +44,11 @@ from .lattices import FiniteLattice
 from .polygon_a import UpDownSignature, signatures_for_orientation
 from .polygon_b import SymmetricSignature
 from .fans import (
-    _check_fan_a,
-    _fan_to_json,
-    _signature_lattice,
+    check_fan_a,
     check_fan_b,
     check_fan_h3,
     fan_passed,
+    fan_to_json,
     stasheff_ray_check,
 )
 from .suites import SUITE_NAMES, run_suite
@@ -227,11 +226,10 @@ def cmd_fan(args) -> int:
     extra = {}
     if args.family == "A":
         sig = _a_signature_for(args, system)
-        camb = _signature_lattice(system, sig)
-        report = _check_fan_a(sig, camb)
+        report = check_fan_a(sig)
         head = {"signature": sig.to_string()}
         summary = ("num_rays", "num_cones", "simplicial")
-        extra["fan"] = _fan_to_json(sig, camb)
+        extra["fan"] = fan_to_json(sig)
     elif args.family == "B":
         _require(args, "signature")
         positive = UpDownSignature.from_string(args.signature)

@@ -13,7 +13,10 @@ subset with its polygon diagonal, and the ray list, the ray-to-diagonal
 map and its inverse all read it.  In both types a fan ray is keyed by
 its diagonal: a cone is the sorted diagonals of a triangulation.
 
-Every fan check builds the cone of each Cambrian class and a
+Each fan check (``check_fan_a``/``_b``/``_h3``) closes the Cambrian
+congruence of its input and builds no quotient: the fan's dual graph is
+the quotient's Hasse diagram, the class pairs of the covers the
+congruence does not contract.  It builds the cone of each class and a
 side-of-wall test, then hands them to one report (``_fan_faces``): wall
 pairing, dual graph against the Hasse diagram, and f-vector.  In A and B
 a cone is spanned by the rays of the class bottom's triangulation, which
@@ -23,12 +26,9 @@ memo; one elimination per cone gives its facet normals, and one class
 loop (``_check_fan_ab``) reads off them its rank, the regions and rays
 it holds, and its wall sides; the member regions' rays come from one table
 per weak order (``_region_table``), and each class tests its distinct
-member rays once.  The internal checks ``_check_fan_a``/``_check_fan_b``
-take the Cambrian lattice, so that the fan suite builds each
-orientation's lattice once.  A cone's normals depend on its ray vectors
-alone, so ``_inward_normals`` is cached for the process, like the region
-and chamber tables: each distinct cone is eliminated once, whichever
-signature, suite or command meets it first.
+member rays once.  A cone's normals depend on its ray vectors alone, so
+``_inward_normals`` is cached for the process; the region and chamber
+tables live in the weak order's ``tables`` and go with it.
 
 In H3 a cone is cut out by the walls that leave its class: the wall of
 w's chamber opposite w * omega_k bounds the class exactly when w * s_k is
@@ -62,9 +62,9 @@ from functools import lru_cache, partial
 from math import comb
 from operator import mul
 
-from .congruences import CambrianLattice, Orientation, cambrian_lattice, orientation_from_edges
+from .congruences import Orientation, cambrian_congruence, orientation_from_edges
 from .coxeter import CoxeterSystem, embed_b_in_a, get_system
-from .lattices import FiniteLattice
+from .lattices import FiniteLattice, LatticeCongruence
 from .polygon_a import (
     UpDownSignature,
     _flip_order,
@@ -263,21 +263,20 @@ def diagonal_ray_map(signature: UpDownSignature) -> dict:
 # Fan verification: one report for A, B and H3.
 
 
-def _fan_faces(camb, cones, side, simplicial, tiling, **extra) -> dict:
+def _fan_faces(cong, dim, cones, side, simplicial, tiling, **extra) -> dict:
     """The report of a fan check, with wall pairing, dual graph, f-vector.
 
-    ``cones[c]`` holds the ray keys of the maximal cone of congruence
-    class c, and ``side(wall, c, a, b)`` says whether rays a and b lie
-    strictly on opposite sides of the hyperplane spanned by the rays of
-    ``wall``, c being the position of the cone of ``wall`` and a.  The
-    tiling also needs every cone to have rank-many rays and every
-    codimension-1 face, a rank-many cone minus one ray (``_walls``), to
-    lie in exactly two cones, on opposite sides; the dual graph joins
-    those two cones and is compared with the Hasse diagram of the
-    Cambrian quotient; the f-vector counts the faces spanned by 1, 2,
-    ..., rank rays.
+    ``cones[c]`` holds the ray keys of the maximal cone of class c of
+    ``cong``, in rank ``dim``, and ``side(wall, c, a, b)`` says whether
+    rays a and b lie strictly on opposite sides of the hyperplane spanned
+    by the rays of ``wall``, c being the position of the cone of ``wall``
+    and a.  The tiling also needs every cone to have rank-many rays and
+    every codimension-1 face, a rank-many cone minus one ray (``_walls``),
+    to lie in exactly two cones, on opposite sides; the dual graph joins
+    those two cones and is compared with the class pairs of the covers
+    ``cong`` does not contract, the quotient's Hasse diagram; the f-vector
+    counts the faces spanned by 1, 2, ..., rank rays.
     """
-    dim = camb.system.rank
     paired = all(len(cone) == dim for cone in cones)
     faces = set()
     for cone in cones:
@@ -293,11 +292,11 @@ def _fan_faces(camb, cones, side, simplicial, tiling, **extra) -> dict:
         (a,), (b,) = (sets[c] - wall for c in owners)
         paired = paired and side(tuple(wall), owners[0], a, b)
 
-    cong, quotient = camb.congruence, camb.quotient
-    index = cong.lattice.index
+    class_of = cong.class_of
     hasse_edges = {
-        frozenset(cong.class_of[index[quotient.elements[q]]] for q in cover)
-        for cover in quotient.covers
+        frozenset((class_of[a], class_of[b]))
+        for a, b in cong.lattice.covers
+        if class_of[a] != class_of[b]
     }
     sizes = Counter(map(len, faces))
     f_vector = tuple(sizes[size] for size in range(1, dim + 1))
@@ -312,8 +311,9 @@ def _fan_faces(camb, cones, side, simplicial, tiling, **extra) -> dict:
     }
 
 
-def _check_fan_ab(camb, cones, vectors, region_rays, lineality=(), fan_rays=None) -> dict:
-    """The fan report of type A or B, from the ray keys of each class cone.
+def _check_fan_ab(cong, dim, cones, vectors, region_rays, lineality=(), fan_rays=None) -> dict:
+    """The fan report of type A or B in rank ``dim``, from the ray keys of
+    each class cone of ``cong``.
 
     Each cone needs inward facet normals modulo the ``lineality`` and must
     contain the region of every member x, whose rays are ``region_rays(x)``
@@ -328,10 +328,10 @@ def _check_fan_ab(camb, cones, vectors, region_rays, lineality=(), fan_rays=None
         return normals[c] is not None and all(_dot(b, v) >= 0 for b in normals[c])
 
     simplicial = None not in normals
-    region_vectors, rays_of = _region_table(camb.congruence.lattice, region_rays)
+    region_vectors, rays_of = _region_table(cong.lattice, region_rays)
     tiling = all(
         inside(c, region_vectors[r])
-        for c, members in enumerate(camb.congruence.classes)
+        for c, members in enumerate(cong.classes)
         for r in {r for i in members for r in rays_of[i]}
     )
     extra = {}
@@ -347,35 +347,35 @@ def _check_fan_ab(camb, cones, vectors, region_rays, lineality=(), fan_rays=None
         # A cone without normals has already failed the tiling.
         return simplicial and _dot(normals[c][cones[c].index(a)], vectors[b]) < 0
 
-    return _fan_faces(camb, cones, side, simplicial, tiling, **extra)
+    return _fan_faces(cong, dim, cones, side, simplicial, tiling, **extra)
 
 
-@lru_cache(maxsize=None)
 def _region_table(lattice: FiniteLattice, region_rays):
     """The distinct rays of the members' regions, ``region_rays(x)`` over
     the elements x of a weak order, and the ids of each element's rays in
-    lattice order; built once per weak order and family."""
-    ids = {}
-    rays_of = tuple(
-        tuple(ids.setdefault(v, len(ids)) for v in region_rays(x))
-        for x in lattice.elements
-    )
-    return tuple(ids), rays_of
+    lattice order; kept in the lattice's ``tables`` under ``region_rays``."""
+    if region_rays not in lattice.tables:
+        ids = {}
+        rays_of = tuple(
+            tuple(ids.setdefault(v, len(ids)) for v in region_rays(x))
+            for x in lattice.elements
+        )
+        lattice.tables[region_rays] = tuple(ids), rays_of
+    return lattice.tables[region_rays]
 
 
-def _signature_lattice(system: CoxeterSystem, signature) -> CambrianLattice:
-    """The Cambrian lattice of the signature's orientation of ``system``."""
-    return cambrian_lattice(
+def _signature_congruence(system: CoxeterSystem, signature) -> LatticeCongruence:
+    """The Cambrian congruence of the signature's orientation of ``system``."""
+    return cambrian_congruence(
         system, orientation_from_edges(system, signature.orientation_edges())
     )
 
 
-def _class_diagonals(camb: CambrianLattice, signature, n: int):
+def _class_diagonals(cong: LatticeCongruence, signature, n: int):
     """The sorted diagonals of each class bottom's triangulation, in class
-    order, of the signature's Cambrian lattice ``camb``: the mask of the
-    bottom's fiber, read off the weak order's walk (``weak_order_walk``)
-    on the signature's type-A n-gon."""
-    cong = camb.congruence
+    order, of the signature's Cambrian congruence ``cong``: the mask of
+    the bottom's fiber, read off the weak order's walk
+    (``weak_order_walk``) on the signature's type-A n-gon."""
     distinct, places = signature.eta_fibers(weak_order_walk(cong.lattice, signature))
     return [sorted(_mask_diagonals(distinct[places[cls[0]]], n)) for cls in cong.classes]
 
@@ -388,22 +388,18 @@ def check_fan_a(signature: UpDownSignature) -> dict:
     """Verify the Cambrian fan of a type-A signature.
 
     Checks, in exact arithmetic, that the maximal cones indexed by the
-    congruence classes are simplicial with rays matching the class
-    triangulations, contain no other fan ray, contain all member regions,
-    and glue along facets in opposite-side pairs; the dual graph is
-    compared with the quotient's Hasse diagram.
+    classes of the signature's Cambrian congruence are simplicial with
+    rays matching the class triangulations, contain no other fan ray,
+    contain all member regions, and glue along facets in opposite-side
+    pairs; the dual graph is compared with the quotient's Hasse diagram.
     """
-    system = get_system("A", signature.n - 1)
-    return _check_fan_a(signature, _signature_lattice(system, signature))
-
-
-def _check_fan_a(signature: UpDownSignature, camb: CambrianLattice) -> dict:
-    """The fan check of the signature's Cambrian lattice ``camb``; rays
-    and cones are keyed by diagonals, as in type B."""
     n = signature.n
+    system = get_system("A", n - 1)
+    cong = _signature_congruence(system, signature)
     vectors = {d: _int_ray(n, a) for a, d in _rays_and_diagonals(signature)}
-    cones = _class_diagonals(camb, signature, n)
-    report = _check_fan_ab(camb, cones, vectors, _suffix_rays_a, ((1,) * n,), vectors)
+    cones = _class_diagonals(cong, signature, n)
+    lineality = ((1,) * n,)
+    report = _check_fan_ab(cong, system.rank, cones, vectors, _suffix_rays_a, lineality, vectors)
     return {"family": "A", **report, "num_rays": len(vectors)}
 
 
@@ -431,13 +427,9 @@ def check_fan_b(signature: SymmetricSignature) -> dict:
     antisymmetric vector is kept as its last n coordinates.
     """
     system = get_system("B", signature.n)
-    return _check_fan_b(signature, _signature_lattice(system, signature))
-
-
-def _check_fan_b(signature: SymmetricSignature, camb: CambrianLattice) -> dict:
-    """The fan check of the signature's Cambrian lattice ``camb``."""
+    cong = _signature_congruence(system, signature)
     two_n = 2 * signature.n
-    diagonals = _class_diagonals(camb, signature, two_n)
+    diagonals = _class_diagonals(cong, signature, two_n)
     # Both diagonals of an orbit under the central symmetry give its ray;
     # cones name each orbit by its smaller diagonal.
     vectors = {
@@ -447,7 +439,7 @@ def _check_fan_b(signature: SymmetricSignature, camb: CambrianLattice) -> dict:
     cones = [
         tuple(sorted({min(d, _mirror(d, two_n)) for d in diags})) for diags in diagonals
     ]
-    report = _check_fan_ab(camb, cones, vectors, _symmetric_region_rays)
+    report = _check_fan_ab(cong, system.rank, cones, vectors, _symmetric_region_rays)
     return {"family": "B", **report}
 
 
@@ -470,10 +462,9 @@ def _det3(field, u, v, w):
     return field.add(field.add(terms[0], terms[1]), terms[2])
 
 
-@lru_cache(maxsize=None)
 def _chamber_table(system: CoxeterSystem, lattice: FiniteLattice):
     """The orientation-free part of the H3 fan check, on the weak order
-    ``lattice`` of the H3 ``system``: (rays_of, moves).
+    ``lattice`` of the H3 ``system``, kept in its ``tables``: (rays_of, moves).
 
     Chamber i, of the element w at lattice index i, has the rays
     ``rays_of[i][k]`` = w * omega_k; its wall opposite that ray leads to
@@ -487,6 +478,8 @@ def _chamber_table(system: CoxeterSystem, lattice: FiniteLattice):
     its support, else +1 or -1 as the root is positive or negative.  Rays
     of the arrangement differ in some sign, so no field arithmetic is done.
     """
+    if _chamber_table in lattice.tables:
+        return lattice.tables[_chamber_table]
     zero = system.field.zero
     supports = [tuple(int(x != zero) for x in root) for root in system.roots]
     signs = supports + [tuple(-s for s in row) for row in supports]
@@ -499,18 +492,12 @@ def _chamber_table(system: CoxeterSystem, lattice: FiniteLattice):
         moves.append(tuple(
             (lattice.index[system.right_multiply(w, s)], system.wall_reflection(w, s)) for s in names
         ))
-    return tuple(rays_of), tuple(moves)
+    lattice.tables[_chamber_table] = tuple(rays_of), tuple(moves)
+    return lattice.tables[_chamber_table]
 
 
 def check_fan_h3(system: CoxeterSystem, orientation: Orientation) -> dict:
-    """Verify the Cambrian fan of an H3 orientation (``_check_fan_h3``)."""
-    if system.family != "H3":
-        raise ValueError("expected an H3 system")
-    return _check_fan_h3(system, cambrian_lattice(system, orientation))
-
-
-def _check_fan_h3(system: CoxeterSystem, camb: CambrianLattice) -> dict:
-    """The fan check of the Cambrian lattice ``camb`` of H3.
+    """Verify the Cambrian fan of an H3 orientation from its congruence.
 
     A class is bounded by the walls its chambers share with chambers of
     other classes; it must lie weakly on the inner side of each, and its
@@ -524,7 +511,9 @@ def _check_fan_h3(system: CoxeterSystem, camb: CambrianLattice) -> dict:
     ray's.  A wall of two cones lies on the hyperplane where both its rays
     read 0, and a, b are on opposite sides when a[t] * b[t] < 0 there.
     """
-    cong = camb.congruence
+    if system.family != "H3":
+        raise ValueError("expected an H3 system")
+    cong = cambrian_congruence(system, orientation)
     class_of = cong.class_of
     rays_of, moves = _chamber_table(system, cong.lattice)
 
@@ -558,7 +547,7 @@ def _check_fan_h3(system: CoxeterSystem, camb: CambrianLattice) -> dict:
         t = next((t for t, pair in enumerate(zip(u, v)) if pair == (0, 0)), None)
         return t is not None and a[t] * b[t] < 0
 
-    return {"family": "H3", **_fan_faces(camb, cones, side, simplicial, tiling)}
+    return {"family": "H3", **_fan_faces(cong, system.rank, cones, side, simplicial, tiling)}
 
 
 def fan_passed(report: dict) -> bool:
@@ -903,16 +892,13 @@ def stasheff_ray_check(n: int) -> bool:
 
 
 def fan_to_json(signature: UpDownSignature) -> dict:
-    return _fan_to_json(signature, _signature_lattice(get_system("A", signature.n - 1), signature))
-
-
-def _fan_to_json(signature: UpDownSignature, camb: CambrianLattice) -> dict:
-    """The fan of the signature's Cambrian lattice ``camb``."""
+    """The signature's fan: rays, lineality and each class cone by ray index."""
     n = signature.n
+    cong = _signature_congruence(get_system("A", n - 1), signature)
     subsets, diagonals = zip(*_rays_and_diagonals(signature))
     ray_index = {d: k for k, d in enumerate(diagonals)}
     cones = [
-        sorted(ray_index[d] for d in diags) for diags in _class_diagonals(camb, signature, n)
+        sorted(ray_index[d] for d in diags) for diags in _class_diagonals(cong, signature, n)
     ]
     return {
         "dim": n - 1,

@@ -65,9 +65,10 @@ class FiniteLattice:
         self.n = len(elements)
         self.bottom = next(i for i in range(self.n) if not lower[i])
         self.top = next(i for i in range(self.n) if not upper[i])
-        # A weak order's polygon walks, by signature type
-        # (``polygon_a.weak_order_walk``), dropped with the lattice.
-        self.walks: dict = {}
+        # A weak order's group-wide tables, dropped with the lattice: polygon
+        # walks by signature type (``polygon_a.weak_order_walk``), fan
+        # tables by the function that reads them (``fans._region_table``).
+        self.tables: dict = {}
 
     # -- construction -------------------------------------------------------
 

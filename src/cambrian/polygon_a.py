@@ -53,9 +53,10 @@ stores its elements along a linear extension and a move goes to a
 cover, so filling pi_down in index order (pi_up in reverse order) finds
 every target already done.
 
-Each weak order keeps one walk per signature type (``weak_order_walk``),
-for as long as the lattice lives: a process walks each group once, and
-dropping the group, or resetting ``coxeter._SYSTEMS``, drops its walk.
+Each weak order keeps one walk per signature type (``weak_order_walk``)
+in its ``tables``, as the fan checks keep theirs: a process walks each
+group once, and dropping the group, or resetting ``coxeter._SYSTEMS``,
+frees the weak order with every table.
 A walk keeps what it computes, inside the methods themselves, so a
 test that replaces a method bypasses its memo.  eta is kept per
 (signature, boundary mask) as the distinct masks and an array of places
@@ -515,13 +516,13 @@ def _typecode(bound: int) -> str:
 
 def weak_order_walk(lattice: FiniteLattice, signature) -> GroupWalk:
     """``signature.walk`` of the elements of the weak order ``lattice``,
-    built on the first read and kept in ``lattice.walks`` by signature
+    built on the first read and kept in ``lattice.tables`` by signature
     type, so a group is walked once per process and its memos go with
     it."""
     kind = type(signature)
-    if kind not in lattice.walks:
-        lattice.walks[kind] = signature.walk(lattice.elements)
-    return lattice.walks[kind]
+    if kind not in lattice.tables:
+        lattice.tables[kind] = signature.walk(lattice.elements)
+    return lattice.tables[kind]
 
 
 def eta_masks(elements, signature: UpDownSignature) -> list[int]:

@@ -73,12 +73,12 @@ from .polygon_b import (
     shard_digraph_b,
 )
 from .fans import (
-    _check_fan_a,
-    _check_fan_b,
-    _check_fan_h3,
     alternating_signature,
     b_bipartite_signature,
     b_cluster_poset,
+    check_fan_a,
+    check_fan_b,
+    check_fan_h3,
     cluster_poset,
     cluster_refine_check,
     clusters,
@@ -456,19 +456,12 @@ def _shard_checks(n: int, system: CoxeterSystem, label: str) -> list:
 
 def _fan_ab_checks(n: int, system: CoxeterSystem, label: str) -> list:
     """Exact fan checks of every signature of an A or B group: simplicial
-    tiling, dual graph, ray dictionary.  Each orientation's Cambrian
-    lattice is built once for the signatures that induce it, and dropped
-    with the group; each distinct cone is eliminated once for the whole
-    process (``fans._inward_normals``)."""
-    check_fan = _check_fan_a if system.family == "A" else _check_fan_b
-    checks, lattices = [], {}
-    for sig in _signatures(system, n):
-        orientation = orientation_from_edges(system, sig.orientation_edges())
-        if orientation not in lattices:
-            lattices[orientation] = cambrian_lattice(system, orientation)
-        report = check_fan(sig, lattices[orientation])
-        checks.append(_check(f"{label} sig {sig.to_string()}", fan_passed(report), **report))
-    return checks
+    tiling, dual graph, ray dictionary.  Each check builds its signature's
+    Cambrian congruence, and no quotient; each distinct cone is eliminated
+    once for the whole process (``fans._inward_normals``)."""
+    check_fan = check_fan_a if system.family == "A" else check_fan_b
+    reports = [(sig, check_fan(sig)) for sig in _signatures(system, n)]
+    return [_check(f"{label} sig {sig.to_string()}", fan_passed(r), **r) for sig, r in reports]
 
 
 def _fan_h3_checks(n: int, system: CoxeterSystem, label: str) -> list:
@@ -476,10 +469,9 @@ def _fan_h3_checks(n: int, system: CoxeterSystem, label: str) -> list:
     a 3-regular Hasse diagram, and one f-vector for all of them."""
     checks, f_vectors = [], set()
     for orientation in all_orientations(system):
-        camb = cambrian_lattice(system, orientation)
-        report = _check_fan_h3(system, camb)
+        report = check_fan_h3(system, orientation)
         f_vectors.add(tuple(report["f_vector"]))
-        quotient = camb.quotient
+        quotient = cambrian_lattice(system, orientation).quotient
         degrees = {len(low) + len(up) for low, up in zip(quotient.lower, quotient.upper)}
         ok = fan_passed(report) and report["num_cones"] == system.catalan_number()
         ok = ok and degrees == {3}

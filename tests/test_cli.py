@@ -236,21 +236,23 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert err.value.code == 2
 
 
-def test_fan_a_builds_its_cambrian_lattice_once(capsys, monkeypatch):
-    """The fan check and the cone export read one Cambrian lattice."""
+def test_fan_a_builds_one_congruence_per_output(capsys, monkeypatch):
+    """The fan check and the cone export each close the signature's
+    Cambrian congruence, and neither builds a quotient."""
     from cambrian import congruences
 
-    closures = []
-    closure = congruences.congruence_closure
+    calls = []
+    for name in ("congruence_closure", "quotient_lattice"):
+        fn = getattr(congruences, name)
 
-    def counted(*args):
-        closures.append(args)
-        return closure(*args)
+        def counted(*args, fn=fn, name=name):
+            calls.append(name)
+            return fn(*args)
 
-    monkeypatch.setattr(congruences, "congruence_closure", counted)
+        monkeypatch.setattr(congruences, name, counted)
     code, out = run_cli(capsys, "fan", "--family", "A", "--rank", "3", "--signature", "udud")
     assert code == 0 and json.loads(out)["fan"]["cones"]
-    assert len(closures) == 1
+    assert calls == ["congruence_closure"] * 2
 
 
 def test_fan_a_summary(capsys):

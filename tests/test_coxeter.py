@@ -27,6 +27,7 @@ from cambrian.coxeter import (
     inversion_set_a,
     inversion_set_b,
     ji_subset_bounds,
+    ji_subset_to_perm,
     standardize_signed,
 )
 from cambrian.suites import catalan
@@ -307,6 +308,25 @@ def test_join_meet_match_weak_order_on_s4():
     elements = system.weak_order_lattice().elements
     for x, y in itertools.product(elements, repeat=2):
         assert (system.join(x, y), system.meet(x, y)) == _lattice_join_meet(system, x, y)
+
+
+@pytest.mark.parametrize("family,rank,bond", [("I2", None, 5), ("H3", None, None)])
+def test_join_meet_match_weak_order_beyond_a_and_b(family, rank, bond):
+    """I2 and H3 read join and meet off the weak order itself, not the
+    permutation formulas of types A and B."""
+    system = get_system(family, rank, bond)
+    elements = system.weak_order_lattice().elements
+    for x, y in itertools.product(elements, elements[::7]):
+        assert (system.join(x, y), system.meet(x, y)) == _lattice_join_meet(system, x, y)
+
+
+@pytest.mark.parametrize(
+    "members,message",
+    [({4}, "members outside 1..3"), ({3}, "min exceeding max"), (set(), "proper and nonempty")],
+)
+def test_ji_subset_to_perm_names_what_is_wrong(members, message):
+    with pytest.raises(ValueError, match=message):
+        ji_subset_to_perm(3, frozenset(members))
 
 
 @st.composite

@@ -1,10 +1,12 @@
 """Tests for region cones, Cambrian fan rays, and the cluster machinery."""
 
 import dataclasses
+import gc
 import itertools
 import json
 import math
 import sys
+import weakref
 from collections import Counter, defaultdict
 from fractions import Fraction
 
@@ -13,9 +15,8 @@ from hypothesis import given, strategies as st
 
 from cambrian import UpDownSignature, coxeter, fans, get_system, polygon_a, suites
 from cambrian.congruences import (
-    CambrianLattice,
     all_orientations,
-    cambrian_lattice,
+    cambrian_congruence,
     orientation_from_edges,
 )
 from cambrian.fans import (
@@ -136,12 +137,10 @@ def test_check_fan_a_tiling_fails_when_a_wall_does_not_separate(monkeypatch):
 
     monkeypatch.setattr(fans, "_int_ray", reflected)
     # The region rays are kept per weak order: read them afresh from the
-    # reflected rays, and drop them again so that no later check sees them.
-    fans._region_table.cache_clear()
-    try:
-        report = check_fan_a(TAMARI3)
-    finally:
-        fans._region_table.cache_clear()
+    # reflected rays on a fresh S3, which goes when the test ends, so that
+    # no later check sees them.
+    monkeypatch.setattr(coxeter, "_SYSTEMS", {})
+    report = check_fan_a(TAMARI3)
     assert report["simplicial"] and report["dual_graph_is_hasse"]
     assert report["tiling"] is False
 
@@ -152,10 +151,10 @@ def test_check_fan_a_consistency_fails_when_a_cone_lists_a_neighbours_ray(monkey
     class_diagonals = fans._class_diagonals
     d12, d2, d23 = (ray_to_diagonal(frozenset(a), TAMARI3) for a in ({1, 2}, {2}, {2, 3}))
 
-    def swapped(camb, signature, n):
+    def swapped(cong, signature, n):
         return [
             sorted((d12, d23)) if set(cone) == {d12, d2} else cone
-            for cone in class_diagonals(camb, signature, n)
+            for cone in class_diagonals(cong, signature, n)
         ]
 
     monkeypatch.setattr(fans, "_class_diagonals", swapped)
@@ -168,8 +167,8 @@ def _first_cone_replaced(monkeypatch, signature, rays):
     class_diagonals = fans._class_diagonals
     first = sorted(ray_to_diagonal(frozenset(a), signature) for a in rays)
 
-    def replaced(camb, signature, n):
-        return [first] + class_diagonals(camb, signature, n)[1:]
+    def replaced(cong, signature, n):
+        return [first] + class_diagonals(cong, signature, n)[1:]
 
     monkeypatch.setattr(fans, "_class_diagonals", replaced)
 
@@ -526,8 +525,7 @@ def test_h3_chamber_rays_are_62_integer_keys():
 # (most of whose fans fail).
 
 
-def _old_fan_faces(camb, cones, side):
-    dim = camb.system.rank
+def _old_fan_faces(cong, dim, cones, side):
     paired = all(len(cone) == dim for cone in cones)
     faces = set()
     owners = defaultdict(list)
@@ -545,15 +543,9 @@ def _old_fan_faces(camb, cones, side):
         (c1, a), (c2, b) = sides
         dual_edges.add(frozenset((c1, c2)))
         paired = paired and side(tuple(wall), a, b)
-    cong, quotient = camb.congruence, camb.quotient
-    index = cong.lattice.index
-    hasse_edges = {
-        frozenset(cong.class_of[index[quotient.elements[q]]] for q in cover)
-        for cover in quotient.covers
-    }
     sizes = Counter(map(len, faces))
     f_vector = tuple(sizes[size] for size in range(1, dim + 1))
-    return paired, dual_edges == hasse_edges, f_vector
+    return paired, dual_edges == _cover_image(cong), f_vector
 
 
 def _kernel_vector(vectors):
@@ -580,17 +572,17 @@ def _nonneg_combo(rays, v):
     return tuple(Fraction(row[k], d) for row in rows[:k])
 
 
-def _old_check_fan_a(signature, camb):
+def _old_check_fan_a(signature, cong):
     """One class loop per family, as check_fan_a was before the A/B body."""
     n = signature.n
-    lattice = camb.congruence.lattice
+    lattice = cong.lattice
     polygon = polygon_from_signature(signature)
     d2s = diagonal_ray_map(signature)
     subsets = fan_ray_subsets(signature)
     vectors = {a: fans._int_ray(n, a) for a in subsets}
     simplicial = tiling = consistent = True
     cones = []
-    for members in camb.congruence.classes:
+    for members in cong.classes:
         t = eta(lattice.elements[members[0]], polygon)
         cone = tuple(d2s[d] for d in sorted(t.diagonals))
         cones.append(cone)
@@ -611,7 +603,7 @@ def _old_check_fan_a(signature, camb):
         normal = _kernel_vector([vectors[r] for r in wall] + [ones])
         return fans._dot(normal, vectors[a]) * fans._dot(normal, vectors[b]) < 0
 
-    paired, dual_is_hasse, f_vector = _old_fan_faces(camb, cones, side)
+    paired, dual_is_hasse, f_vector = _old_fan_faces(cong, n - 1, cones, side)
     return {
         "family": "A",
         "num_cones": len(cones),
@@ -628,10 +620,10 @@ def _old_symmetrize(v):
     return tuple(a - b for a, b in zip(v, reversed(v)))
 
 
-def _old_check_fan_b(signature, camb):
+def _old_check_fan_b(signature, cong):
     """check_fan_b before the A/B body, in doubled coordinates."""
     n = signature.n
-    lattice = camb.congruence.lattice
+    lattice = cong.lattice
     two_n = 2 * n
     vectors = {
         d: _old_symmetrize(fans._int_ray(two_n, a))
@@ -639,7 +631,7 @@ def _old_check_fan_b(signature, camb):
     }
     simplicial = tiling = True
     cones = []
-    for members in camb.congruence.classes:
+    for members in cong.classes:
         t = eta_b(lattice.elements[members[0]], signature)
         cone = tuple(
             sorted(
@@ -664,7 +656,7 @@ def _old_check_fan_b(signature, camb):
         normal = _kernel_vector([vectors[r][:n] for r in wall] + [(0,) * n])
         return fans._dot(normal, vectors[a][:n]) * fans._dot(normal, vectors[b][:n]) < 0
 
-    paired, dual_is_hasse, f_vector = _old_fan_faces(camb, cones, side)
+    paired, dual_is_hasse, f_vector = _old_fan_faces(cong, n, cones, side)
     return {
         "family": "B",
         "num_cones": len(cones),
@@ -687,17 +679,17 @@ def _in_simplicial_cone(field, extreme, r):
     )
 
 
-def _old_check_fan_h3(system, camb):
+def _old_check_fan_h3(system, cong):
     """check_fan_h3 with cones from boundary cycles: pair counting, a
     base-sign search per boundary wall, and the neighbour graph."""
     field = system.field
-    lattice = camb.congruence.lattice
+    lattice = cong.lattice
     weights = _scaled_weights(system)
     rays_of = [[system.act(w, omega) for omega in weights] for w in lattice.elements]
     det3 = fans._det3
     simplicial = tiling = True
     cones = []
-    for members in camb.congruence.classes:
+    for members in cong.classes:
         facet_count: dict = {}
         member_rays = set()
         for i in members:
@@ -743,7 +735,7 @@ def _old_check_fan_h3(system, camb):
         sign_a = field.sign(det3(field, u, v, a))
         return sign_a * field.sign(det3(field, u, v, b)) < 0
 
-    paired, dual_is_hasse, f_vector = _old_fan_faces(camb, cones, side)
+    paired, dual_is_hasse, f_vector = _old_fan_faces(cong, system.rank, cones, side)
     return {
         "family": "H3",
         "num_cones": len(cones),
@@ -755,25 +747,17 @@ def _old_check_fan_h3(system, camb):
     }
 
 
-def _with_quotient(system, orientation, congruences):
-    return [
-        CambrianLattice(system, orientation, cong, quotient_lattice(cong))
-        for cong in congruences
-    ]
-
-
 def _contractions(system):
     """The congruence generated by each join-irreducible of the weak order."""
     lattice = system.weak_order_lattice()
     return [contraction_congruence(lattice, g) for g in lattice.join_irreducibles]
 
 
-def _moved_members(camb):
+def _moved_members(cong):
     """Partitions, not congruences, that move one member x other than a
     class bottom into the class of a lower cover of x.  No class bottom
-    changes, so the A and B cones and the quotient stay, but the region of
-    x leaves the cone of its new class."""
-    cong = camb.congruence
+    changes, so the A and B cones stay, but the region of x leaves the
+    cone of its new class."""
     lattice = cong.lattice
     bottoms = {members[0] for members in cong.classes}
     out = []
@@ -783,8 +767,37 @@ def _moved_members(camb):
                 class_of = list(cong.class_of)
                 class_of[x] = cong.class_of[y]
                 moved = LatticeCongruence(lattice, class_of)
-                out.append(CambrianLattice(camb.system, None, moved, camb.quotient))
+                out.append(moved)
     return out
+
+
+def _cover_image(cong):
+    """The class pairs of the covers the partition ``cong`` does not
+    contract: for a congruence, the Hasse diagram of its quotient."""
+    class_of = cong.class_of
+    return {
+        frozenset((class_of[a], class_of[b]))
+        for a, b in cong.lattice.covers
+        if class_of[a] != class_of[b]
+    }
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3), ("H3", None)])
+def test_cover_image_is_the_quotient_hasse_diagram(family, rank):
+    """The fan checks read the quotient's Hasse diagram as the class pairs
+    of the uncontracted covers, with no quotient built: the same edges,
+    in class numbers, as the covers of ``quotient_lattice``."""
+    system = get_system(family, rank)
+    for orientation in all_orientations(system):
+        cong = cambrian_congruence(system, orientation)
+        quotient = quotient_lattice(cong)
+        index = cong.lattice.index
+        covers = {
+            frozenset(cong.class_of[index[quotient.elements[q]]] for q in cover)
+            for cover in quotient.covers
+        }
+        assert _cover_image(cong) == covers
+        assert len(covers) == len(quotient.covers)
 
 
 def _memoize(monkeypatch, name, key, module=fans):
@@ -803,14 +816,14 @@ def _memoize(monkeypatch, name, key, module=fans):
     monkeypatch.setattr(module, name, cached)
 
 
-def _same_reports(monkeypatch, cambs, check, oracle):
-    """The report of ``check`` on each lattice, fed to it through
-    ``fans.cambrian_lattice``, after comparing it with ``oracle``."""
+def _same_reports(monkeypatch, congruences, check, oracle):
+    """The report of ``check`` on each congruence, fed to it through
+    ``fans.cambrian_congruence``, after comparing it with ``oracle``."""
     reports = []
-    for camb in cambs:
-        monkeypatch.setattr(fans, "cambrian_lattice", lambda *args, **kwargs: camb)
+    for cong in congruences:
+        monkeypatch.setattr(fans, "cambrian_congruence", lambda *args, **kwargs: cong)
         report = check()
-        assert report == oracle(camb)
+        assert report == oracle(cong)
         reports.append(report)
     return reports
 
@@ -822,14 +835,14 @@ def test_h3_leaving_walls_match_boundary_cycles(monkeypatch):
     trivial = LatticeCongruence(lattice, list(range(lattice.n)))
     reports = []
     for k, orientation in enumerate(all_orientations(system)):
-        congruences = [cambrian_lattice(system, orientation).congruence]
+        congruences = [cambrian_congruence(system, orientation)]
         if k == 0:
             congruences += [trivial] + _contractions(system)
         reports += _same_reports(
             monkeypatch,
-            _with_quotient(system, orientation, congruences),
+            congruences,
             lambda: fans.check_fan_h3(system, orientation),
-            lambda camb: _old_check_fan_h3(system, camb),
+            lambda cong: _old_check_fan_h3(system, cong),
         )
     assert len(reports) == 4 + 1 + 59
     assert sum(fan_passed(r) for r in reports) >= 5
@@ -837,13 +850,12 @@ def test_h3_leaving_walls_match_boundary_cycles(monkeypatch):
     assert any(not r["tiling"] for r in reports)
 
 
-def _unpruned_check_fan_h3(system, camb):
+def _unpruned_check_fan_h3(system, cong):
     """check_fan_h3 with the tests that cannot change a rank-3 report: the
     count of leaving hyperplanes and the containment of every member ray
     in the cone of the extreme rays."""
     field = system.field
     weights = _scaled_weights(system)
-    cong = camb.congruence
     lattice = cong.lattice
     rays_of = [[system.act(w, omega) for omega in weights] for w in lattice.elements]
     simplicial = tiling = True
@@ -878,15 +890,14 @@ def _unpruned_check_fan_h3(system, camb):
         sign_a = field.sign(fans._det3(field, u, v, a))
         return sign_a * field.sign(fans._det3(field, u, v, b)) < 0
 
-    report = fans._fan_faces(camb, cones, side, simplicial, tiling)
+    report = fans._fan_faces(cong, system.rank, cones, side, simplicial, tiling)
     return {"family": "H3", **report}
 
 
-def _moved_and_merged(camb):
+def _moved_and_merged(cong):
     """Partitions, not congruences, made from a Cambrian congruence: one
     chamber moved into the class of an adjacent chamber, or two adjacent
-    classes merged.  The quotient stays, so most dual graphs fail too."""
-    cong = camb.congruence
+    classes merged."""
     lattice = cong.lattice
     class_of = cong.class_of
     moves, merges = set(), set()
@@ -898,32 +909,29 @@ def _moved_and_merged(camb):
     partitions = [
         [b if i == x else c for i, c in enumerate(class_of)] for x, b in sorted(moves)
     ] + [[a if c == b else c for c in class_of] for a, b in sorted(merges)]
-    return [
-        CambrianLattice(camb.system, None, LatticeCongruence(lattice, p), camb.quotient)
-        for p in partitions
-    ]
+    return [LatticeCongruence(lattice, p) for p in partitions]
 
 
 def test_h3_pruned_check_matches_unpruned(monkeypatch):
     _memoize(monkeypatch, "_det3", lambda field, *rows: rows)
     faces = fans._fan_faces
 
-    def faces_and_class_flag(camb, cones, side, simplicial, tiling):
+    def faces_and_class_flag(cong, dim, cones, side, simplicial, tiling):
         # Report the class tests' verdict too, which wall pairing can hide.
-        return {**faces(camb, cones, side, simplicial, tiling), "classes_tile": tiling}
+        return {**faces(cong, dim, cones, side, simplicial, tiling), "classes_tile": tiling}
 
     monkeypatch.setattr(fans, "_fan_faces", faces_and_class_flag)
     system = get_system("H3")
     reports = []
     for orientation in all_orientations(system):
-        camb = cambrian_lattice(system, orientation)
+        cong = cambrian_congruence(system, orientation)
         # Every tenth of the 196 or 204 partitions of each orientation.
-        partitions = _moved_and_merged(camb)[::10]
+        partitions = _moved_and_merged(cong)[::10]
         reports += _same_reports(
             monkeypatch,
-            [camb] + partitions,
+            [cong] + partitions,
             lambda: fans.check_fan_h3(system, orientation),
-            lambda camb: _unpruned_check_fan_h3(system, camb),
+            lambda cong: _unpruned_check_fan_h3(system, cong),
         )
     assert len(reports) == 4 + 82
     assert sum(fan_passed(r) for r in reports) == 4
@@ -933,13 +941,12 @@ def test_h3_pruned_check_matches_unpruned(monkeypatch):
     assert any(not r["classes_tile"] for r in reports)
 
 
-def _per_orientation_check_fan_h3(system, camb):
+def _per_orientation_check_fan_h3(system, cong):
     """check_fan_h3 before the chamber table: rays, neighbours and wall
     reflections found again for each orientation, and one determinant per
     leaving wall and member ray, from that wall's own two rays."""
     field = system.field
     weights = _scaled_weights(system)
-    cong = camb.congruence
     lattice = cong.lattice
     rays_of = [[system.act(w, omega) for omega in weights] for w in lattice.elements]
     simplicial = tiling = True
@@ -972,15 +979,15 @@ def _per_orientation_check_fan_h3(system, camb):
         sign_a = field.sign(fans._det3(field, u, v, a))
         return sign_a * field.sign(fans._det3(field, u, v, b)) < 0
 
-    return {"family": "H3", **fans._fan_faces(camb, cones, side, simplicial, tiling)}
+    return {"family": "H3", **fans._fan_faces(cong, system.rank, cones, side, simplicial, tiling)}
 
 
 def test_h3_chamber_table_matches_per_orientation_body(monkeypatch):
     _memoize(monkeypatch, "_det3", lambda field, *rows: rows)
     faces = fans._fan_faces
 
-    def faces_and_class_flag(camb, cones, side, simplicial, tiling):
-        return {**faces(camb, cones, side, simplicial, tiling), "classes_tile": tiling}
+    def faces_and_class_flag(cong, dim, cones, side, simplicial, tiling):
+        return {**faces(cong, dim, cones, side, simplicial, tiling), "classes_tile": tiling}
 
     monkeypatch.setattr(fans, "_fan_faces", faces_and_class_flag)
     system = get_system("H3")
@@ -988,15 +995,15 @@ def test_h3_chamber_table_matches_per_orientation_body(monkeypatch):
     trivial = LatticeCongruence(lattice, list(range(lattice.n)))
     reports = []
     for k, orientation in enumerate(all_orientations(system)):
-        camb = cambrian_lattice(system, orientation)
-        cambs = [camb] + _moved_and_merged(camb)[::10]
+        cong = cambrian_congruence(system, orientation)
+        congruences = [cong] + _moved_and_merged(cong)[::10]
         if k == 0:
-            cambs += _with_quotient(system, orientation, [trivial] + _contractions(system))
+            congruences += [trivial] + _contractions(system)
         reports += _same_reports(
             monkeypatch,
-            cambs,
+            congruences,
             lambda: fans.check_fan_h3(system, orientation),
-            lambda camb: _per_orientation_check_fan_h3(system, camb),
+            lambda cong: _per_orientation_check_fan_h3(system, cong),
         )
     assert len(reports) == 4 + 82 + 1 + 59
     assert sum(fan_passed(r) for r in reports) >= 5
@@ -1008,7 +1015,9 @@ def test_h3_chamber_table_matches_per_orientation_body(monkeypatch):
 def test_h3_second_orientation_builds_nothing(monkeypatch):
     """The chamber table and the four orientations' checks do no field
     arithmetic, act on no vector and take no determinant; the table is
-    built once for all four."""
+    built once for all four, with one wall reflection per chamber wall,
+    and kept in the weak order's tables."""
+    monkeypatch.setattr(coxeter, "_SYSTEMS", {})
     system = get_system("H3")
     lattice = system.weak_order_lattice()
     calls = Counter()
@@ -1024,13 +1033,13 @@ def test_h3_second_orientation_builds_nothing(monkeypatch):
         monkeypatch.setattr(NumberField, name, counted(name, getattr(NumberField, name)))
     monkeypatch.setattr(system, "act", counted("act", system.act))
     monkeypatch.setattr(fans, "_det3", counted("det3", fans._det3))
-    fans._chamber_table.cache_clear()
-    fans._chamber_table(system, lattice)
-    assert calls == {}
+    monkeypatch.setattr(system, "wall_reflection", counted("walls", system.wall_reflection))
+    table = fans._chamber_table(system, lattice)
+    assert calls == {"walls": 120 * 3}
     for orientation in all_orientations(system):
         fans.check_fan_h3(system, orientation)
-    assert calls == {}
-    assert fans._chamber_table.cache_info().misses == 1
+    assert calls == {"walls": 120 * 3}
+    assert lattice.tables[fans._chamber_table] is table
 
 
 def test_h3_chamber_table_matches_act_inversions_and_det3():
@@ -1066,13 +1075,14 @@ def test_h3_chamber_table_matches_act_inversions_and_det3():
 
 
 def test_h3_fan_suite_fault_is_not_hidden_by_the_chamber_table_cache(monkeypatch):
-    """The chamber table is kept per weak order: after a clean run has
-    filled it, a fault in one entry of one chamber's ray still fails the
-    suite, and a clean rerun reports the same bytes as the first run."""
+    """The chamber table is kept per weak order: after a clean run on a
+    fresh H3 has filled it, a fault in one entry of one chamber's ray
+    still fails the suite, and a clean rerun reports the same bytes as
+    the first run."""
     from cambrian import suites
 
+    monkeypatch.setattr(coxeter, "_SYSTEMS", {})
     clean = json.dumps(suites.run_suite("fan", "H3"), indent=2)
-    fans._chamber_table.cache_clear()
     chamber_table = fans._chamber_table
 
     def faulty_table(system, lattice):
@@ -1093,7 +1103,9 @@ def test_h3_fan_suite_fault_is_not_hidden_by_the_chamber_table_cache(monkeypatch
 
 
 def test_h3_fan_suite_builds_each_cambrian_lattice_once(monkeypatch):
-    """One closure and one quotient per orientation of H3."""
+    """One quotient per orientation of H3, for its Hasse degrees; the fan
+    check of each orientation closes its own congruence and builds no
+    quotient."""
     from cambrian import congruences, suites
 
     calls = Counter()
@@ -1106,14 +1118,14 @@ def test_h3_fan_suite_builds_each_cambrian_lattice_once(monkeypatch):
 
         monkeypatch.setattr(congruences, name, wrapper)
     assert suites.run_suite("fan", "H3")["passed"]
-    assert calls == {"congruence_closure": 4, "quotient_lattice": 4}
+    assert calls == {"congruence_closure": 4 + 4, "quotient_lattice": 4}
 
 
-def test_ab_fan_suite_builds_each_lattice_and_cone_once(monkeypatch):
-    """One closure and one quotient per orientation and one elimination per
+def test_ab_fan_suite_builds_one_congruence_per_signature_and_each_cone_once(monkeypatch):
+    """One closure per signature, no quotient, and one elimination per
     distinct cone of each group (24 and 264 in A, 12 and 184 in B when each
-    signature built its own).  A second call builds the lattices again, but
-    the eliminations are cached for the process and are not repeated."""
+    signature built its own).  A second call closes the congruences again,
+    but the eliminations are cached for the process and are not repeated."""
     from cambrian import congruences, suites
 
     fans._inward_normals.cache_clear()
@@ -1131,13 +1143,12 @@ def test_ab_fan_suite_builds_each_lattice_and_cone_once(monkeypatch):
             return fn(*args)
 
         monkeypatch.setattr(module, name, wrapper)
-    for args, lattices, cones in ((("fan", "A", 7), 2 + 4, 88), (("fan", "B"), 2 + 4, 108)):
+    for family, signatures, cones in (("A", 8 + 16, 88), ("B", 4 + 8, 108)):
         for eliminations in (cones, 0):
             calls.clear()
-            assert suites.run_suite(*args)["passed"]
-            assert calls == Counter(
-                congruence_closure=lattices, quotient_lattice=lattices, _echelon=eliminations
-            ), args
+            assert suites.run_suite("fan", family)["passed"]
+            assert set(calls) <= {"congruence_closure", "_echelon"}
+            assert (calls["congruence_closure"], calls["_echelon"]) == (signatures, eliminations)
 
 
 def _swap_first_ray(cones):
@@ -1157,8 +1168,8 @@ def test_fan_suite_fails_a_cone_with_a_swapped_ray(monkeypatch, family, broken):
 
     class_diagonals = fans._class_diagonals
 
-    def swapped(camb, signature, n):
-        diagonals = class_diagonals(camb, signature, n)
+    def swapped(cong, signature, n):
+        diagonals = class_diagonals(cong, signature, n)
         if signature.to_string() != broken:
             return diagonals
         return [sorted(d) for d in _swap_first_ray(diagonals)]
@@ -1219,28 +1230,31 @@ def test_ab_body_matches_per_family_loops(monkeypatch):
             "A": (check_fan_a, _old_check_fan_a),
             "B": (check_fan_b, _old_check_fan_b),
         }[family]
-        congruences = [cambrian_lattice(system, orientation).congruence]
-        cambs = _with_quotient(system, orientation, congruences + _contractions(system))
+        congruences = [cambrian_congruence(system, orientation), *_contractions(system)]
         reports += _same_reports(
-            monkeypatch, cambs, lambda: check(sig), lambda camb: oracle(sig, camb)
+            monkeypatch, congruences, lambda: check(sig), lambda cong: oracle(sig, cong)
         )
         if rank == 3:
-            moved += _same_reports(
-                monkeypatch,
-                _moved_members(cambs[0]),
-                lambda: check(sig),
-                lambda camb: oracle(sig, camb),
+            partitions = _moved_members(congruences[0])
+            image = _cover_image(congruences[0])
+            reported = _same_reports(
+                monkeypatch, partitions, lambda: check(sig), lambda cong: oracle(sig, cong)
             )
+            moved += [(r, _cover_image(p) == image) for r, p in zip(reported, partitions)]
     assert len(reports) == 16 * 12 + 8 * 24 + 6 * 27
     assert sum(fan_passed(r) for r in reports) == len(cases)
     assert sum(not r["tiling"] for r in reports) == len(reports) - len(cases)
-    # Only the member regions show that a moved member left its cone.
+    # The cones stay, so their dual graph is the Cambrian Hasse diagram:
+    # it fails exactly when the move changes the image of the covers.
+    # Where it does not, only the member regions show that a moved member
+    # left its cone.
     assert len(moved) == 72 + 88
-    assert not any(r["tiling"] for r in moved)
-    assert all(r["simplicial"] and r["dual_graph_is_hasse"] for r in moved)
+    assert not any(r["tiling"] for r, _ in moved)
+    assert all(r["simplicial"] and r["dual_graph_is_hasse"] == same for r, same in moved)
+    assert sum(same for _, same in moved) == 32 + 60
 
 
-def _per_member_check_fan_ab(camb, cones, vectors, region_rays, lineality=(), fan_rays=None):
+def _per_member_check_fan_ab(cong, dim, cones, vectors, region_rays, lineality=(), fan_rays=None):
     """_check_fan_ab before the region table: every ray of every member's
     region tested against its class cone."""
     normals = [
@@ -1253,9 +1267,9 @@ def _per_member_check_fan_ab(camb, cones, vectors, region_rays, lineality=(), fa
     simplicial = None not in normals
     tiling = all(
         inside(c, v)
-        for c, members in enumerate(camb.congruence.classes)
+        for c, members in enumerate(cong.classes)
         for i in members
-        for v in region_rays(camb.congruence.lattice.elements[i])
+        for v in region_rays(cong.lattice.elements[i])
     )
     extra = {}
     if fan_rays is not None:
@@ -1271,7 +1285,7 @@ def _per_member_check_fan_ab(camb, cones, vectors, region_rays, lineality=(), fa
         c = owner[frozenset(wall) | {a}]
         return simplicial and fans._dot(normals[c][cones[c].index(a)], vectors[b]) < 0
 
-    return fans._fan_faces(camb, cones, side, simplicial, tiling, **extra)
+    return fans._fan_faces(cong, dim, cones, side, simplicial, tiling, **extra)
 
 
 @pytest.mark.parametrize(
@@ -1304,12 +1318,12 @@ def test_region_table_matches_per_member_loop(monkeypatch, family, n, moved_coun
     moved = []
     for sig in signatures:
         orientation = orientation_from_edges(system, sig.orientation_edges())
-        camb = cambrian_lattice(system, orientation)
-        partitions = _moved_members(camb)[:: 10 if n == 5 else 1]
-        for partition in [camb] + partitions:
-            monkeypatch.setattr(fans, "cambrian_lattice", lambda *_, **__: partition)
+        cong = cambrian_congruence(system, orientation)
+        partitions = _moved_members(cong)[:: 10 if n == 5 else 1]
+        for partition in [cong] + partitions:
+            monkeypatch.setattr(fans, "cambrian_congruence", lambda *_, **__: partition)
             report = check(sig)
-            if partition is camb:
+            if partition is cong:
                 assert fan_passed(report), sig
             else:
                 moved.append(report)
@@ -1478,10 +1492,10 @@ def test_class_diagonals_match_per_element_eta(family, n):
     else:
         system, signatures, size = get_system("B", n), all_symmetric_signatures(n), 2 * n
     for sig in signatures:
-        camb = fans._signature_lattice(system, sig)
-        got = fans._class_diagonals(camb, sig, size)
-        elements = camb.congruence.lattice.elements
-        bottoms = [elements[members[0]] for members in camb.congruence.classes]
+        cong = fans._signature_congruence(system, sig)
+        got = fans._class_diagonals(cong, sig, size)
+        elements = cong.lattice.elements
+        bottoms = [elements[members[0]] for members in cong.classes]
         if family == "A":
             polygon = polygon_from_signature(sig)
             want = [sorted(eta(x, polygon).diagonals) for x in bottoms]
@@ -1502,12 +1516,30 @@ def test_fan_suite_walks_each_weak_order_once(monkeypatch):
     )
     first = suites.run_suite("fan")
     groups = [("A", 2), ("A", 3), ("B", 2), ("B", 3)]
-    walks = [get_system(family, rank).weak_order_lattice().walks for family, rank in groups]
-    assert [w for kept in walks for w in kept.values()] == built
+    tables = [get_system(family, rank).weak_order_lattice().tables for family, rank in groups]
+    walks = [w for kept in tables for w in kept.values() if isinstance(w, polygon_a.GroupWalk)]
+    assert walks == built
     assert [len(w.elements) for w in built] == [6, 24, 8, 48]
     built.clear()
     assert suites.run_suite("fan") == first
     assert built == []
+
+
+def test_fan_tables_go_with_their_weak_orders(monkeypatch):
+    """The fan checks keep their region and chamber tables, beside the
+    walks, in each weak order's ``tables``: after a fan run, resetting
+    ``coxeter._SYSTEMS`` frees every weak order the run built."""
+    monkeypatch.setattr(coxeter, "_SYSTEMS", {})
+    assert suites.run_suite("fan")["passed"]
+    groups = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("H3", None)]
+    lattices = [get_system(family, rank).weak_order_lattice() for family, rank in groups]
+    tables = [fans._suffix_rays_a] * 2 + [fans._symmetric_region_rays] * 2 + [fans._chamber_table]
+    assert all(key in lattice.tables for key, lattice in zip(tables, lattices))
+    kept = [weakref.ref(lattice) for lattice in lattices]
+    lattices.clear()
+    coxeter._SYSTEMS.clear()
+    gc.collect()
+    assert [ref() for ref in kept] == [None] * len(groups)
 
 
 def test_fan_suite_fault_is_not_hidden_by_the_eta_memo(monkeypatch):

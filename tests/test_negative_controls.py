@@ -39,14 +39,18 @@ DROPPED_PAIR = {
 }
 
 
-@pytest.fixture
-def dropped_pair(monkeypatch):
+def _drop_last_pair(monkeypatch):
     real = congruences.generating_pairs
 
     def dropped(system, orientation):
         return list(real(system, orientation))[:-1]
 
     monkeypatch.setattr(congruences, "generating_pairs", dropped)
+
+
+@pytest.fixture
+def dropped_pair(monkeypatch):
+    _drop_last_pair(monkeypatch)
 
 
 @pytest.fixture
@@ -84,6 +88,20 @@ def test_suite_fails_when_a_generating_pair_is_dropped(dropped_pair, suite):
     failed = _failed(report)
     assert report["passed"] is False
     assert (len(failed), len(report["checks"]), failed[0]["name"]) == DROPPED_PAIR[suite]
+
+
+def test_fan_suite_fails_a_dropped_pair_after_a_clean_run(monkeypatch):
+    """Each fan check closes its own congruence: after a clean run, the
+    dropped pair fails the same checks as in a fresh process, so no memo
+    of a Cambrian lattice or congruence hides it, and a clean rerun is
+    byte-identical to the first run."""
+    clean = json.dumps(suites.run_suite("fan"), indent=2)
+    _drop_last_pair(monkeypatch)
+    report = suites.run_suite("fan", max_rank=3)
+    failed = _failed(report)
+    assert (len(failed), len(report["checks"]), failed[0]["name"]) == DROPPED_PAIR["fan"]
+    monkeypatch.undo()
+    assert json.dumps(suites.run_suite("fan"), indent=2) == clean
 
 
 @pytest.mark.parametrize("suite", DROPPED_PAIR)

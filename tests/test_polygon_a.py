@@ -951,7 +951,7 @@ def test_each_weak_order_keeps_one_walk_per_signature_type(monkeypatch):
     for name in ("congruence-eq", "descent", "fibers"):
         suites.run_suite(name, max_rank=4)
     groups = [("A", 2), ("A", 3), ("B", 2), ("B", 3)]
-    walks = [get_system(family, rank).weak_order_lattice().walks for family, rank in groups]
+    walks = [get_system(family, rank).weak_order_lattice().tables for family, rank in groups]
     assert [w for kept in walks for w in kept.values()] == built
     assert [len(w._eta) for w in built] == [8, 16, 4, 8]
     assert [len(w._projections) for w in built] == [2, 4, 0, 0]
