@@ -19,8 +19,9 @@ Exit codes: 0 pass, 1 suite or check failure (a suite with no checks
 fails), 2 usage error (including a family a suite does not cover and an
 ``--output`` that cannot be written), 3
 element cap exceeded, 4 internal error (an invariant of the program
-failed, or memory ran out; one message goes to stderr and nothing to
-stdout).  The element cap is ``DEFAULT_CAP``
+failed, such as a poset the program built that is not a lattice, or
+memory ran out; one message goes to stderr and nothing to stdout).  The
+element cap is ``DEFAULT_CAP``
 unless the environment variable ``CAMB_CAP`` sets it; the ``--cap`` flag
 overrides both.  Every command checks the order of each group it reads
 against the cap before it builds or enumerates any; the refusal names the
@@ -35,11 +36,7 @@ import os
 import sys
 
 from .coxeter import CapExceeded, CoxeterSystem, get_system
-from .congruences import (
-    NotCambrianError,
-    cambrian_lattice,
-    parse_orientation,
-)
+from .congruences import cambrian_lattice, parse_orientation
 from .lattices import FiniteLattice
 from .polygon_a import UpDownSignature, signatures_for_orientation
 from .polygon_b import SymmetricSignature
@@ -315,7 +312,7 @@ def main(argv=None) -> int:
     except CapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CAP_ERROR
-    except (NotCambrianError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     except AssertionError as exc:

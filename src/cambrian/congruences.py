@@ -16,6 +16,8 @@ from .coxeter import CoxeterSystem
 from .lattices import (
     FiniteLattice,
     LatticeCongruence,
+    _members,
+    built_lattice,
     congruence_closure,
     congruence_from_partition,
     poset_anti_isomorphism,
@@ -250,27 +252,17 @@ def descent_quotient_check(system: CoxeterSystem, orientation: Orientation):
     return True, None
 
 
-def parabolic_elements(system: CoxeterSystem, K) -> set:
-    """The parabolic subgroup generated by K, as a set of elements."""
-    seen = {system.identity()}
-    frontier = [system.identity()]
-    while frontier:
-        w = frontier.pop()
-        for name in K:
-            nxt = system.right_multiply(w, name)
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return seen
-
-
 def parabolic_restriction_check(system: CoxeterSystem, orientation: Orientation, K):
-    """Restricting the congruence to W_K matches the sub-orientation's one."""
+    """Restricting the congruence to W_K matches the sub-orientation's one.
+    W_K is the weak-order down-set of w0(K), where a walk from e up by
+    ascents in K ends: w <= w0(K) iff the inversions of w are roots of K."""
     K = frozenset(K)
     cong = cambrian_congruence(system, orientation)
     lattice = cong.lattice
-    members = parabolic_elements(system, K)
-    member_idx = [i for i, w in enumerate(lattice.elements) if w in members]
+    top = system.identity()
+    while ascents := [s for s in K if not system.is_right_descent(top, s)]:
+        top = system.right_multiply(top, ascents[0])
+    member_idx = _members(lattice.down[lattice.index[top]])
     pos = {i: k for k, i in enumerate(member_idx)}
     covers = [
         (pos[i], pos[j])
@@ -278,9 +270,7 @@ def parabolic_restriction_check(system: CoxeterSystem, orientation: Orientation,
         for j in lattice.upper[i]
         if j in pos
     ]
-    sub = FiniteLattice.from_covers(
-        tuple(lattice.elements[i] for i in member_idx), covers
-    )
+    sub = built_lattice(tuple(lattice.elements[i] for i in member_idx), covers)
 
     restricted: dict[int, list[int]] = {}
     for i in member_idx:

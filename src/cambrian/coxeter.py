@@ -13,10 +13,10 @@ Supported families:
   and its word is read by stripping left descents.  A and B read the
   engine only for their roots, field or Gram matrix.
 
-The right weak order is generated by covers w < ws; joins and meets are
-computed per family (inversion-set closure for A, an embedding into a
-symmetric group for B; for I2 and H3, the weak order lattice's up-sets,
-derived on the first read, for joins and its down-sets for meets).
+The right weak order is generated by covers w < ws.  Joins close the
+inversion sets transitively in A (``lattices._transitive``), join in S_2n
+in B, and read the weak order's up-sets in I2 and H3; meets are joins
+under x -> x w0 in A and B, and read the down-sets in I2 and H3.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from types import SimpleNamespace
 from typing import Optional
 
 from .fields import NumberField
-from .lattices import FiniteLattice
+from .lattices import FiniteLattice, _transitive, built_lattice
 
 
 class CapExceeded(Exception):
@@ -50,42 +50,27 @@ def inversion_set_a(x: tuple[int, ...]) -> frozenset[tuple[int, int]]:
     return frozenset(out)
 
 
-def closure_inversions(n: int, inv: set[tuple[int, int]]) -> frozenset[tuple[int, int]]:
-    """Close a pair set under (a,b),(b,c) -> (a,c) for a < b < c."""
-    inv = set(inv)
-    changed = True
-    while changed:
-        changed = False
-        for a, b in list(inv):
-            for c in range(b + 1, n + 1):
-                if (b, c) in inv and (a, c) not in inv:
-                    inv.add((a, c))
-                    changed = True
-    return frozenset(inv)
-
-
-def perm_from_inversions(n: int, inv: frozenset[tuple[int, int]]) -> tuple[int, ...]:
-    def cmp(u: int, v: int) -> int:
-        if u < v:
-            return 1 if (u, v) in inv else -1
-        return -1 if (v, u) in inv else 1
-
-    perm = tuple(sorted(range(1, n + 1), key=functools.cmp_to_key(cmp)))
-    if inversion_set_a(perm) != inv:
-        raise ValueError(f"{sorted(inv)} is not the inversion set of a permutation")
-    return perm
-
-
 def join_a(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
+    """The weak-order join, whose inversions close those of x and y
+    transitively.  Row b has bit a - 1 for each inversion (a, b): the a < b
+    not yet seen when b is read.  Closed, with its own bit, row v puts v
+    after v - |row v| smaller values and each w > v whose row holds v."""
     n = len(x)
-    closed = closure_inversions(n, set(inversion_set_a(x)) | set(inversion_set_a(y)))
-    return perm_from_inversions(n, closed)
-
-
-def meet_a(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    # x -> x*w0 reverses one-line notation and is an anti-automorphism.
-    rx, ry = x[::-1], y[::-1]
-    return join_a(rx, ry)[::-1]
+    rows = [0] * n
+    for perm in (x, y):
+        seen = 0
+        for b in perm:
+            bit = 1 << (b - 1)
+            rows[b - 1] |= (bit - 1) & ~seen
+            seen |= bit
+    rows = _transitive(rows)
+    out = [0] * n
+    for v, row in enumerate(rows):
+        # The sum counts row v itself, as the bit count counts v.
+        out[v - row.bit_count() + sum(r >> v & 1 for r in rows)] = v + 1
+    if 0 in out:
+        raise AssertionError(f"the closed inversions of {x} and {y} leave a position empty")
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -110,14 +95,8 @@ def canonical_reflection(a: int, b: int) -> tuple[int, int]:
 
 
 def inversion_set_b(x: tuple[int, ...]) -> frozenset[tuple[int, int]]:
-    """Left inversions of a signed permutation, as canonical reflections."""
-    full = full_notation(x)
-    out = set()
-    for i, big in enumerate(full):
-        for small in full[i + 1 :]:
-            if small < big:
-                out.add(canonical_reflection(small, big))
-    return frozenset(out)
+    """Left inversions of a signed permutation's full notation, as canonical reflections."""
+    return frozenset(canonical_reflection(a, b) for a, b in inversion_set_a(full_notation(x)))
 
 
 def _b_value_to_a(v: int, n: int) -> int:
@@ -146,12 +125,6 @@ def join_b(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
     # The signed permutations sit inside the symmetric group on 2n letters
     # as a sublattice of the weak order, so join there and project back.
     return project_a_to_b(join_a(embed_b_in_a(x), embed_b_in_a(y)))
-
-
-def meet_b(x: tuple[int, ...], y: tuple[int, ...]) -> tuple[int, ...]:
-    nx = tuple(-v for v in x)
-    ny = tuple(-v for v in y)
-    return tuple(-v for v in join_b(nx, ny))
 
 
 def standardize_signed(seq: tuple[int, ...]) -> tuple[int, ...]:
@@ -466,10 +439,11 @@ class CoxeterSystem:
         return lattice.elements[lattice.join(lattice.index[x], lattice.index[y])]
 
     def meet(self, x, y):
-        if self.family == "A":
-            return meet_a(x, y)
-        if self.family == "B":
-            return meet_b(x, y)
+        if self.family in ("A", "B"):
+            # x -> x w0 reverses the weak order: it reverses one-line
+            # notation in A and negates it in B.
+            flip = (lambda w: w[::-1]) if self.family == "A" else (lambda w: tuple(-v for v in w))
+            return flip(self.join(flip(x), flip(y)))
         lattice = self.weak_order_lattice()
         return lattice.elements[lattice.meet(lattice.index[x], lattice.index[y])]
 
@@ -492,7 +466,7 @@ class CoxeterSystem:
     def _weak_order(self) -> FiniteLattice:
         """The weak order, built from its covers and validated; its forcing
         table is built on the first read, as for any lattice."""
-        return FiniteLattice.from_covers(*self._enumerate())
+        return built_lattice(*self._enumerate())
 
     def _enumerate(self):
         """Elements by breadth-first search from the identity, and the
@@ -563,6 +537,8 @@ class CoxeterSystem:
 
         # Positive roots: close the simple roots under the generators.  A
         # simple reflection permutes the positive roots other than its own.
+        # There are as many as reflections: sum(d - 1) over the degrees.
+        reflections = sum(d - 1 for d in self.degrees)
         simples = [
             tuple(field.one if j == i else field.zero for j in range(r))
             for i in range(r)
@@ -570,6 +546,8 @@ class CoxeterSystem:
         roots = {v: i for i, v in enumerate(simples)}
         frontier = list(simples)
         while frontier:
+            if len(roots) > reflections:
+                raise AssertionError(f"over {reflections} positive roots, the number of reflections")
             nxt = []
             for v in frontier:
                 for i in range(r):

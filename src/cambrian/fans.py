@@ -273,8 +273,8 @@ def _fan_faces(cong, dim, cones, side, simplicial, tiling, **extra) -> dict:
     and a.  The tiling also needs every cone to have rank-many rays and
     every codimension-1 face, a rank-many cone minus one ray (``_walls``),
     to lie in exactly two cones, on opposite sides; the dual graph joins
-    those two cones and is compared with the class pairs of the covers
-    ``cong`` does not contract, the quotient's Hasse diagram; the f-vector
+    those two cones and is compared with ``cong.cover_image``, the
+    quotient's Hasse diagram, read as unordered pairs; the f-vector
     counts the faces spanned by 1, 2, ..., rank rays.
     """
     paired = all(len(cone) == dim for cone in cones)
@@ -292,12 +292,7 @@ def _fan_faces(cong, dim, cones, side, simplicial, tiling, **extra) -> dict:
         (a,), (b,) = (sets[c] - wall for c in owners)
         paired = paired and side(tuple(wall), owners[0], a, b)
 
-    class_of = cong.class_of
-    hasse_edges = {
-        frozenset((class_of[a], class_of[b]))
-        for a, b in cong.lattice.covers
-        if class_of[a] != class_of[b]
-    }
+    hasse_edges = set(map(frozenset, cong.cover_image))
     sizes = Counter(map(len, faces))
     f_vector = tuple(sizes[size] for size in range(1, dim + 1))
     return {

@@ -248,6 +248,15 @@ class FiniteLattice:
         return True, None
 
 
+def built_lattice(elements: Sequence, covers) -> FiniteLattice:
+    """``FiniteLattice.from_covers`` for covers the program derived, whose
+    ValueError is then an internal error: raised again as AssertionError."""
+    try:
+        return FiniteLattice.from_covers(elements, covers)
+    except ValueError as exc:
+        raise AssertionError(f"built a poset that is not a lattice: {exc}") from exc
+
+
 class LatticeCongruence:
     """A lattice congruence, given either by ``class_of``, a class name for
     each element, or, on a lattice with a forcing table, by ``hit``, the
@@ -299,6 +308,13 @@ class LatticeCongruence:
             return len(self.classes)
         heads = reduce(or_, compress(self.forcing.heads, self._contracted), 0)
         return self.lattice.n - heads.bit_count()
+
+    @cached_property
+    def cover_image(self) -> set[tuple[int, int]]:
+        """The class pairs of the covers whose ends lie in different
+        classes: for a congruence, the quotient's covers."""
+        c = self.class_of
+        return {(c[a], c[b]) for a, b in self.lattice.covers if c[a] != c[b]}
 
     @cached_property
     def classes(self) -> list[list[int]]:
@@ -359,12 +375,13 @@ def _numbered(class_of) -> list[int]:
 
 
 def _transitive(reach: list[int]) -> list[int]:
-    """Close the label forcing rows transitively; each row also gets its
-    own label.  Sparse: row j ORs in the rows of the labels it holds,
-    then those of the labels that brought in, until no new label comes,
-    so each label of the closed row is read once for j.  Every row read
-    lies between its direct row and its closure, so row j ends at its
-    closure whatever order the rows are closed in, cycles included."""
+    """Close the rows of any relation transitively: row j holds bit k when
+    j relates to k (label forcing, a digraph's arcs, inversions), and each
+    row also gets its own bit.  Sparse: row j ORs in the rows of the bits
+    it holds, then those of the bits that brought in, until no new bit
+    comes, so each bit of the closed row is read once for j.  Every row
+    read lies between its direct row and its closure, so row j ends at
+    its closure whatever order the rows are closed in, cycles included."""
     reach = [row | 1 << j for j, row in enumerate(reach)]
     for j, row in enumerate(reach):
         fresh = row
@@ -527,14 +544,11 @@ def quotient_lattice(cong: LatticeCongruence) -> FiniteLattice:
 
     ``cong`` must be a lattice congruence.  Then a cover it does not
     contract maps to a cover of the quotient, and every cover of the
-    quotient is such an image, so the covers are read off the edges.
+    quotient is such an image, so the covers are ``cong.cover_image``.
     """
-    lattice, class_of = cong.lattice, cong.class_of
     # Classes are numbered by their least index, which is their bottom.
-    images = {(class_of[a], class_of[b]) for a, b in lattice.covers}
-    covers = sorted((c, d) for c, d in images if c != d)
-    elements = tuple(lattice.elements[cls[0]] for cls in cong.classes)
-    return FiniteLattice.from_covers(elements, covers)
+    elements = tuple(cong.lattice.elements[cls[0]] for cls in cong.classes)
+    return built_lattice(elements, sorted(cong.cover_image))
 
 
 def contraction_congruence(lattice: FiniteLattice, ji_index: int) -> LatticeCongruence:

@@ -81,7 +81,7 @@ from operator import or_
 from typing import Optional
 
 from .coxeter import all_ji_subsets_a, ji_subset_bounds
-from .lattices import FiniteLattice, _members, _transitive
+from .lattices import FiniteLattice, _members, _transitive, built_lattice
 
 PATTERNS = ("up231", "31down2", "up213", "13down2")
 
@@ -731,14 +731,14 @@ def _flip_order(items, sets, orbits, lower) -> FiniteLattice:
     """``items`` ordered across flips: item i has the set ``sets[i]``, and
     two items whose sets share a wall (``_walls``) trade one orbit for
     another.  ``lower(gone, came)`` says whether the item that gives up
-    ``gone`` for ``came`` is the lower.  The covers go to ``from_covers``
+    ``gone`` for ``came`` is the lower.  The covers go to ``built_lattice``
     in sorted index-pair order, which its linear extension follows."""
     walls = _walls(sets, orbits).values()
     covers = []
     for i, j in sorted(p for group in walls for p in itertools.combinations(group, 2)):
         gone, came = sets[i] - sets[j], sets[j] - sets[i]
         covers.append((i, j) if lower(gone, came) else (j, i))
-    return FiniteLattice.from_covers(items, covers)
+    return built_lattice(items, covers)
 
 
 def triangulation_lattice(signature: UpDownSignature) -> FiniteLattice:

@@ -471,8 +471,8 @@ def _fan_h3_checks(n: int, system: CoxeterSystem, label: str) -> list:
     for orientation in all_orientations(system):
         report = check_fan_h3(system, orientation)
         f_vectors.add(tuple(report["f_vector"]))
-        quotient = cambrian_lattice(system, orientation).quotient
-        degrees = {len(low) + len(up) for low, up in zip(quotient.lower, quotient.upper)}
+        cong = cambrian_congruence(system, orientation)
+        degrees = {sum(c in cover for cover in cong.cover_image) for c in range(cong.num_classes)}
         ok = fan_passed(report) and report["num_cones"] == system.catalan_number()
         ok = ok and degrees == {3}
         checks.append(

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from cambrian import congruences
@@ -15,7 +17,6 @@ from cambrian import (
 from cambrian.congruences import (
     all_orientations,
     orientation_from_edges,
-    parabolic_elements,
 )
 
 
@@ -112,10 +113,60 @@ def test_parabolic_restriction():
     assert parabolic_restriction_check(b3, ob, {1, 2})
     # H3 multiplies by descents on the generic engine.
     h3 = build_system("H3")
-    for K, size in [({1, 2}, 10), ({2, 3}, 6), ({1, 3}, 4)]:
-        assert len(parabolic_elements(h3, K)) == size
+    for K in [{1, 2}, {2, 3}, {1, 3}]:
         for o in all_orientations(h3):
             assert parabolic_restriction_check(h3, o, K), (o, K)
+
+
+def _parabolic_search(system, K) -> set:
+    """Oracle: W_K by a search over the group from e, right-multiplying
+    by every generator in K, the search the down-set of w0(K) replaced."""
+    seen = {system.identity()}
+    frontier = [system.identity()]
+    while frontier:
+        w = frontier.pop()
+        for name in K:
+            nxt = system.right_multiply(w, name)
+            if nxt not in seen:
+                seen.add(nxt)
+                frontier.append(nxt)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "key, sizes",
+    [
+        (("A", 3), None),
+        (("A", 4), None),
+        (("B", 3), None),
+        (("I2", None, 5), None),
+        (("H3",), {(1, 2): 10, (2, 3): 6, (1, 3): 4}),
+    ],
+)
+def test_parabolic_restriction_reads_w_k_as_the_down_set_of_its_longest_element(
+    monkeypatch, key, sizes
+):
+    """For every proper nonempty K, the sub-weak-order the check builds
+    holds exactly the elements the search reaches (H3's three rank-2
+    parabolics have 10, 6 and 4)."""
+    system = build_system(*key)
+    names = system.generator_names
+    built = []
+
+    def spy(elements, covers):
+        built.append(set(elements))
+        return build(elements, covers)
+
+    build = congruences.built_lattice
+    monkeypatch.setattr(congruences, "built_lattice", spy)
+    orientation = all_orientations(system)[0]
+    for r in range(1, len(names)):
+        for K in itertools.combinations(names, r):
+            expected = _parabolic_search(system, K)
+            if sizes is not None and r == 2:
+                assert len(expected) == sizes[K]
+            assert parabolic_restriction_check(system, orientation, K)
+            assert built.pop() == expected, K
 
 
 def test_parabolic_restriction_fails_when_the_sub_closure_drops_its_pairs(monkeypatch):

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import random
 from functools import reduce
 
 import pytest
@@ -21,13 +23,16 @@ from cambrian.coxeter import (
     CapExceeded,
     all_ji_subsets_a,
     all_signed_ji_subsets,
+    canonical_reflection,
     contains_signed_pattern,
     embed_b_in_a,
+    full_notation,
     get_system,
     inversion_set_a,
     inversion_set_b,
     ji_subset_bounds,
     ji_subset_to_perm,
+    project_a_to_b,
     standardize_signed,
 )
 from cambrian.suites import catalan
@@ -318,6 +323,94 @@ def test_join_meet_match_weak_order_beyond_a_and_b(family, rank, bond):
     elements = system.weak_order_lattice().elements
     for x, y in itertools.product(elements, elements[::7]):
         assert (system.join(x, y), system.meet(x, y)) == _lattice_join_meet(system, x, y)
+
+
+def _fixed_point_join_a(x, y):
+    """Oracle: the type-A join that ``join_a`` replaced.  It closes the two
+    inversion sets under (a, b), (b, c) -> (a, c) until nothing changes,
+    then sorts 1..n so that b comes before a exactly for the closed pairs."""
+    n = len(x)
+    inv = set(inversion_set_a(x)) | set(inversion_set_a(y))
+    changed = True
+    while changed:
+        changed = False
+        for a, b in list(inv):
+            for c in range(b + 1, n + 1):
+                if (b, c) in inv and (a, c) not in inv:
+                    inv.add((a, c))
+                    changed = True
+
+    def cmp(u, v):
+        if u < v:
+            return 1 if (u, v) in inv else -1
+        return -1 if (v, u) in inv else 1
+
+    perm = tuple(sorted(range(1, n + 1), key=functools.cmp_to_key(cmp)))
+    assert inversion_set_a(perm) == inv
+    return perm
+
+
+def _fixed_point_join_meet(system, x, y):
+    """Oracle: the parent's per-family join and meet.  B joins in the
+    symmetric group on 2n letters; meets reverse one-line notation in A
+    and negate it in B, the two anti-automorphisms x -> x w0."""
+    if system.family == "A":
+        return _fixed_point_join_a(x, y), _fixed_point_join_a(x[::-1], y[::-1])[::-1]
+
+    def join_b(u, v):
+        return project_a_to_b(_fixed_point_join_a(embed_b_in_a(u), embed_b_in_a(v)))
+
+    def neg(w):
+        return tuple(-v for v in w)
+
+    return join_b(x, y), neg(join_b(neg(x), neg(y)))
+
+
+@pytest.mark.parametrize("family,rank", [("A", 3), ("B", 3)])
+def test_join_meet_match_the_fixed_point_closure_on_every_pair(family, rank):
+    system = get_system(family, rank)
+    elements = system.weak_order_lattice().elements
+    for x, y in itertools.product(elements, repeat=2):
+        assert (system.join(x, y), system.meet(x, y)) == _fixed_point_join_meet(system, x, y)
+
+
+@pytest.mark.parametrize("n", [8, 12])
+def test_join_meet_match_the_fixed_point_closure_on_random_pairs(n):
+    """300 random pairs of S_8 and of S_12, whose weak orders are never
+    enumerated: join and meet read only the permutations."""
+    system = get_system("A", n - 1)
+    rng = random.Random(n)
+    for _ in range(300):
+        x, y = (tuple(rng.sample(range(1, n + 1), n)) for _ in "xy")
+        assert (system.join(x, y), system.meet(x, y)) == _fixed_point_join_meet(system, x, y)
+
+
+@pytest.mark.parametrize("rank", range(1, 6))
+def test_inversion_set_b_matches_the_full_notation_loop(rank):
+    """Oracle: the loop ``inversion_set_b`` replaced, over every pair of
+    positions of the full notation, on every element of B_1 - B_5."""
+    system = get_system("B", rank)
+    for w in system.weak_order_lattice().elements:
+        full = full_notation(w)
+        expected = {
+            canonical_reflection(small, big)
+            for i, big in enumerate(full)
+            for small in full[i + 1 :]
+            if small < big
+        }
+        assert inversion_set_b(w) == expected, w
+
+
+def test_root_closure_stops_at_the_reflection_count():
+    """The root search raises once it finds more positive roots than the
+    degrees allow, sum(d - 1): the number of reflections."""
+    for system, degrees in ((build_system("H3"), (2, 6, 9)), (build_system("I2", None, 5), (2, 4))):
+        system.degrees = degrees
+        with pytest.raises(AssertionError, match="the number of reflections"):
+            system.roots
+    for key, count in ((("H3",), 15), (("I2", None, 7), 7), (("A", 4), 10), (("B", 3), 9)):
+        system = build_system(*key)
+        assert len(system.roots) == sum(d - 1 for d in system.degrees) == count
 
 
 @pytest.mark.parametrize(

@@ -29,6 +29,7 @@ from cambrian.lattices import (
     _is_cover_bijection,
     _lsb,
     _transitive,
+    built_lattice,
     congruence_from_partition,
     forcing_arrows,
     poset_anti_isomorphism,
@@ -58,6 +59,10 @@ def test_from_covers_trivial_and_bowtie():
     bowtie = [(0, 2), (0, 3), (1, 2), (1, 3)]
     with pytest.raises(ValueError):
         FiniteLattice.from_covers(elements, bowtie)
+    # Covers the program derived that give no lattice are an internal
+    # error; by hand, as above, they stay a ValueError.
+    with pytest.raises(AssertionError, match="built a poset that is not a lattice: not bounded"):
+        built_lattice(elements, bowtie)
 
 
 def test_congruence_closure_hexagon():

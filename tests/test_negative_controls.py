@@ -14,6 +14,10 @@ that is no quotient of a weak order, in place of each Cambrian quotient;
 one element's left descents changed; one projection firing witness
 dropped; one shard node without its arrows; two eta fibers merged; an
 isomorphism search that returns a wrong mapping.
+
+A fault that makes the program build a poset that is no lattice is an
+internal error, not a failed check: with the top's class merged into
+class 0, every command that builds a quotient exits 4.
 """
 
 import dataclasses
@@ -25,7 +29,7 @@ import pytest
 from cambrian import congruences, lattices, suites
 from cambrian.cli import main
 from cambrian.coxeter import _SYSTEMS, get_system
-from cambrian.lattices import FiniteLattice, contraction_congruence
+from cambrian.lattices import FiniteLattice, LatticeCongruence, contraction_congruence
 from cambrian.polygon_a import GroupWalk
 
 # Per suite at --max-rank 3: failing checks, all checks, first failing check.
@@ -414,3 +418,35 @@ def test_descent_faults_leave_no_system_attribute_behind(monkeypatch, fault_left
     monkeypatch.undo()
     assert [key for key, system in _SYSTEMS.items() if "left_descents" in vars(system)] == []
     assert b3.left_descents(atom) == {b3.generator_names[0]}
+
+
+@pytest.fixture
+def top_in_class_zero(monkeypatch):
+    """Every closure also merges the top's class into class 0, the
+    bottom's: the classes' images then have a cycle, so no quotient."""
+    real = congruences.congruence_closure
+
+    def merged(lattice, pairs):
+        class_of = real(lattice, pairs).class_of
+        top = class_of[lattice.top]
+        return LatticeCongruence(lattice, [0 if c == top else c for c in class_of])
+
+    monkeypatch.setattr(congruences, "congruence_closure", merged)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "mobius", "--family", "A", "--max-rank", "3"],
+        ["verify", "--suite", "iso", "--family", "A", "--max-rank", "3"],
+        ["verify", "--suite", "b-tamari", "--max-rank", "2"],
+        ["build", "--family", "A", "--rank", "2", "--orientation", "1>2"],
+    ],
+)
+def test_a_built_poset_that_is_no_lattice_exits_4(top_in_class_zero, capsys, argv):
+    assert main(argv) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("internal error: built a poset that is not a lattice: ")
+

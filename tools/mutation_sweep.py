@@ -8,6 +8,9 @@ repository itself is never written), and runs the module's own tests
 tests/test_golden.py under ``pytest -x``.  A mutant that passes them
 survives, and each survivor is run again against the whole Tier-1
 suite.  A mutant whose run exceeds TIMEOUT seconds counts as killed.
+On Linux each pytest run is also limited to MEMORY bytes of address
+space, so a mutant that allocates without end fails with MemoryError and
+counts as killed too.
 
     python tools/mutation_sweep.py src/cambrian/fans.py
 
@@ -32,6 +35,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 TIMEOUT = 600.0
+# Unmutated Tier-1 peaks near 124 MB of address space in one pytest
+# process on Python 3.11; its out-of-memory test sets a lower limit of its
+# own for its child.
+MEMORY = 2**30
 FLIPS = {
     ast.Eq: ast.NotEq,
     ast.NotEq: ast.Eq,
@@ -70,6 +77,12 @@ def mutants(source: str):
     return sorted(found, key=lambda m: m[:2])
 
 
+def _limit_memory() -> None:
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY, MEMORY))
+
+
 def _pytest(copy: Path, targets) -> str:
     """'passed', 'failed' or 'timeout' for one pytest run in ``copy``."""
     env = {**os.environ, "PYTHONPATH": str(copy / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
@@ -78,6 +91,7 @@ def _pytest(copy: Path, targets) -> str:
         done = subprocess.run(
             command, cwd=copy, env=env, timeout=TIMEOUT,
             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            preexec_fn=_limit_memory if sys.platform == "linux" else None,
         )
     except subprocess.TimeoutExpired:
         return "timeout"
