@@ -245,6 +245,19 @@ def all_signed_ji_subsets(n: int) -> list[frozenset[int]]:
     return out
 
 
+def _length_counts(degrees) -> list:
+    """The coefficients of prod (1 + q + ... + q^(d-1)) over the degrees
+    d: the number of elements of each length in a Coxeter group with
+    these degrees."""
+    coefficients = [1]
+    for d in degrees:
+        coefficients = [
+            sum(coefficients[max(0, k - d + 1) : k + 1])
+            for k in range(len(coefficients) + d - 1)
+        ]
+    return coefficients
+
+
 class CoxeterSystem:
     """A finite Coxeter system with a fixed simple-generator labelling.
 
@@ -470,14 +483,21 @@ class CoxeterSystem:
 
     def _enumerate(self):
         """Elements by breadth-first search from the identity, and the
-        covers (w, ws) as sorted index pairs."""
+        covers (w, ws) as sorted index pairs.
+
+        The frontiers hold the elements of each length, whose numbers are
+        the coefficients of prod (1 + q + ... + q^(d-1)) over the degrees
+        d; AssertionError, naming both lists, if they are not.
+        """
         start = self.identity()
         seen = {start: 0}
         order = [start]
         names = self.generator_names
         covers = []
         frontier = [start]
+        sizes = []
         while frontier:
+            sizes.append(len(frontier))
             nxt = []
             for w in frontier:
                 i = seen[w]
@@ -492,6 +512,11 @@ class CoxeterSystem:
                         nxt.append(ws)
                     covers.append((i, j))
             frontier = nxt
+        expected = _length_counts(self.degrees)
+        if sizes != expected:
+            raise AssertionError(
+                f"elements by length {sizes}, but the degrees {self.degrees} give {expected}"
+            )
         return order, sorted(covers)
 
     # -- generic engine internals -------------------------------------------

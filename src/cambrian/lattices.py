@@ -66,8 +66,9 @@ class FiniteLattice:
         self.bottom = next(i for i in range(self.n) if not lower[i])
         self.top = next(i for i in range(self.n) if not upper[i])
         # A weak order's group-wide tables, dropped with the lattice: polygon
-        # walks by signature type (``polygon_a.weak_order_walk``), fan
-        # tables by the function that reads them (``fans._region_table``).
+        # walks by signature type (``polygon_a.weak_order_walk``), and the
+        # fan checks' chamber table under the function that builds it
+        # (``fans._chamber_table``).
         self.tables: dict = {}
 
     # -- construction -------------------------------------------------------

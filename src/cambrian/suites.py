@@ -457,8 +457,8 @@ def _shard_checks(n: int, system: CoxeterSystem, label: str) -> list:
 def _fan_ab_checks(n: int, system: CoxeterSystem, label: str) -> list:
     """Exact fan checks of every signature of an A or B group: simplicial
     tiling, dual graph, ray dictionary.  Each check builds its signature's
-    Cambrian congruence, and no quotient; each distinct cone is eliminated
-    once for the whole process (``fans._inward_normals``)."""
+    Cambrian congruence, and no quotient; all of them read the weak
+    order's one chamber table (``fans._chamber_table``)."""
     check_fan = check_fan_a if system.family == "A" else check_fan_b
     reports = [(sig, check_fan(sig)) for sig in _signatures(system, n)]
     return [_check(f"{label} sig {sig.to_string()}", fan_passed(r), **r) for sig, r in reports]

@@ -1,3 +1,4 @@
+import collections
 import functools
 import itertools
 import math
@@ -411,6 +412,35 @@ def test_root_closure_stops_at_the_reflection_count():
     for key, count in ((("H3",), 15), (("I2", None, 7), 7), (("A", 4), 10), (("B", 3), 9)):
         system = build_system(*key)
         assert len(system.roots) == sum(d - 1 for d in system.degrees) == count
+
+
+@pytest.mark.parametrize(
+    "key", [("A", 6), ("B", 4), ("I2", None, 5), ("I2", None, 8), ("H3",)]
+)
+def test_elements_by_length_are_the_degree_product(key):
+    """The elements of each length of every group are counted by its
+    degrees: the number of ways to write the length as a sum of one
+    exponent 0 <= e < d per degree d."""
+    system = build_system(*key)
+    elements, _ = system._enumerate()
+    by_length = collections.Counter(map(system.length, elements))
+    sums = collections.Counter(map(sum, itertools.product(*(range(d) for d in system.degrees))))
+    assert by_length == sums
+    assert coxeter._length_counts(system.degrees) == [sums[k] for k in range(len(sums))]
+
+
+def test_enumeration_refuses_a_degree_row_that_does_not_match_its_group():
+    """H3 with the degrees (2, 7, 9) keeps 15 reflections, so the root
+    search passes, but its 120 elements by length are no q-product of
+    those degrees."""
+    system = build_system("H3")
+    system.degrees = (2, 7, 9)
+    with pytest.raises(AssertionError) as raised:
+        system._enumerate()
+    assert str(raised.value) == (
+        "elements by length [1, 3, 5, 7, 9, 11, 12, 12, 12, 12, 11, 9, 7, 5, 3, 1], but the"
+        " degrees (2, 7, 9) give [1, 3, 5, 7, 9, 11, 13, 14, 14, 13, 11, 9, 7, 5, 3, 1]"
+    )
 
 
 @pytest.mark.parametrize(

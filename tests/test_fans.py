@@ -9,11 +9,12 @@ import sys
 import weakref
 from collections import Counter, defaultdict
 from fractions import Fraction
+from functools import lru_cache, partial
 
 import pytest
 from hypothesis import given, strategies as st
 
-from cambrian import UpDownSignature, coxeter, fans, get_system, polygon_a, suites
+from cambrian import UpDownSignature, coxeter, fans, get_system, polygon_a, polygon_b, suites
 from cambrian.congruences import (
     all_orientations,
     cambrian_congruence,
@@ -124,30 +125,50 @@ def test_check_fan_a_small():
     assert report["dual_graph_is_hasse"]
 
 
+def _faulty_chamber_tables(monkeypatch, fault):
+    """Every fan check reads ``fault(system, lattice, table)`` in place of
+    its weak order's chamber table; the kept table is not touched."""
+    chamber_table = fans._chamber_table
+
+    def faulty(system, lattice):
+        return fault(system, lattice, chamber_table(system, lattice))
+
+    monkeypatch.setattr(fans, "_chamber_table", faulty)
+
+
+def _with_signs(table, ray, signs_of_ray):
+    """The chamber table with the sign vector of the ray id ``ray`` replaced."""
+    rays_of, moves, signs, ids = table
+    signs = (*signs[:ray], signs_of_ray, *signs[ray + 1 :])
+    return rays_of, moves, signs, ids
+
+
+def _ray_id(system, table, members):
+    """The id of the type-A ray of the value set ``members``."""
+    return table[3][fans._int_ray(system.n, frozenset(members))]
+
+
 def test_check_fan_a_tiling_fails_when_a_wall_does_not_separate(monkeypatch):
-    # Reflect the ray {2} of the S3 Tamari fan through the origin, in the
-    # fan rays and the region rays alike.  Every class still fills its
-    # cone and every wall still has two cones, but the two cones on the
-    # wall {2,3} now lie on the same side of it.
-    int_ray = fans._int_ray
+    # Reflect the ray {2} of the S3 Tamari fan through the origin in the
+    # chamber table: its signs are negated on every hyperplane.  Every
+    # class still has two extreme rays and every wall two cones, but the
+    # classes holding {2} leave the inner side of its walls, and {2} now
+    # reads the sides of {1,3}.
+    def reflected(system, lattice, table):
+        ray = _ray_id(system, table, {2})
+        return _with_signs(table, ray, tuple(-x for x in table[2][ray]))
 
-    def reflected(n, members):
-        ray = int_ray(n, members)
-        return tuple(-x for x in ray) if members == {2} else ray
-
-    monkeypatch.setattr(fans, "_int_ray", reflected)
-    # The region rays are kept per weak order: read them afresh from the
-    # reflected rays on a fresh S3, which goes when the test ends, so that
-    # no later check sees them.
-    monkeypatch.setattr(coxeter, "_SYSTEMS", {})
+    _faulty_chamber_tables(monkeypatch, reflected)
     report = check_fan_a(TAMARI3)
     assert report["simplicial"] and report["dual_graph_is_hasse"]
-    assert report["tiling"] is False
+    assert (report["tiling"], report["consistency"]) == (False, False)
+    assert report["f_vector"] == (5, 5)
 
 
 def test_check_fan_a_consistency_fails_when_a_cone_lists_a_neighbours_ray(monkeypatch):
-    # The cone on the rays {1,2} and {2} lists {2,3}, a ray of its
-    # neighbour, in place of {2}; the cone it spans holds the unlisted {2}.
+    # The triangulation of the class cone on the rays {1,2} and {2} lists
+    # {2,3}, a ray of its neighbour, in place of {2}: the listed rays are
+    # not the class's extreme rays.
     class_diagonals = fans._class_diagonals
     d12, d2, d23 = (ray_to_diagonal(frozenset(a), TAMARI3) for a in ({1, 2}, {2}, {2, 3}))
 
@@ -174,8 +195,9 @@ def _first_cone_replaced(monkeypatch, signature, rays):
 
 
 def test_check_fan_a_consistency_fails_when_a_cone_holds_an_unlisted_ray(monkeypatch):
-    # The rays {1}, {3,4}, {4} of the S4 fan for dddd are independent, and
-    # the cone they span holds the fan rays {1,4} and {1,3,4} too.
+    # The first class of the S4 fan for dddd lists the rays {1}, {3,4},
+    # {4}, which are not its extreme rays; the chambers still tile
+    # simplicial cones.
     sig = UpDownSignature.from_string("dddd")
     _first_cone_replaced(monkeypatch, sig, [{1}, {3, 4}, {4}])
     report = check_fan_a(sig)
@@ -183,11 +205,42 @@ def test_check_fan_a_consistency_fails_when_a_cone_holds_an_unlisted_ray(monkeyp
     assert not fan_passed(report)
 
 
-def test_check_fan_a_fails_everywhere_when_a_cone_repeats_a_ray(monkeypatch):
+def test_check_fan_a_consistency_fails_when_a_fan_ray_lies_in_a_cone(monkeypatch):
+    # A ray of the arrangement that is no ray of the dddd fan, listed as
+    # one more fan ray, lies in some class cone, on or inside every
+    # leaving hyperplane of it; each cone still has its own listed rays.
     sig = UpDownSignature.from_string("dddd")
-    _first_cone_replaced(monkeypatch, sig, [{2, 3, 4}, {4}, {4}])
+    pairs = fans._rays_and_diagonals(sig)
+    listed = {a for a, _ in pairs}
+    extra = next(
+        frozenset(a)
+        for size in range(1, 4)
+        for a in itertools.combinations(range(1, 5), size)
+        if frozenset(a) not in listed
+    )
+    monkeypatch.setattr(fans, "_rays_and_diagonals", lambda signature: [*pairs, (extra, (-1, -1))])
     report = check_fan_a(sig)
+    assert report["simplicial"] and report["tiling"] and report["dual_graph_is_hasse"]
+    assert report["consistency"] is False
+    assert report["num_rays"] == len(pairs) + 1 == 10
+
+
+def test_check_fan_a_fails_everywhere_when_a_cone_repeats_a_ray(monkeypatch):
+    # The identity chamber's cone in S4 lists its first ray in place of its
+    # second: its class loses a ray and reads the repeated ray as the
+    # inner ray of a wall the ray lies on.
+    def repeated(system, lattice, table):
+        rays_of, *rest = table
+        first = rays_of[lattice.bottom]
+        rows = list(rays_of)
+        rows[lattice.bottom] = (first[0], first[0], *first[2:])
+        return (tuple(rows), *rest)
+
+    _faulty_chamber_tables(monkeypatch, repeated)
+    report = check_fan_a(UpDownSignature.from_string("dddd"))
     assert not (report["simplicial"] or report["tiling"] or report["consistency"])
+    assert not report["dual_graph_is_hasse"]
+    assert (report["num_cones"], report["f_vector"], report["num_rays"]) == (14, (9, 21, 13), 9)
 
 
 def test_check_fan_a4_f_vector():
@@ -202,12 +255,24 @@ def test_check_fan_b2():
     assert report["simplicial"] and report["tiling"]
 
 
+RANK_ONE = {
+    "num_cones": 2, "simplicial": True, "tiling": True, "dual_graph_is_hasse": True,
+    "f_vector": (2,), "num_rays": 2,
+}
+
+
 @pytest.mark.parametrize("ups", [(), (1,)])
 def test_check_fan_b1(ups):
-    # B_1: two rays on a line, glued along the origin.
+    # B_1: two rays on a line, glued along the origin; the wall has no
+    # rays and lies on the one hyperplane.
     report = check_fan_b(SymmetricSignature.from_positive_ups(1, ups))
-    assert report["num_cones"] == 2 and report["f_vector"] == (2,)
-    assert fan_passed(report)
+    assert report == {"family": "B", **RANK_ONE}
+
+
+@pytest.mark.parametrize("signature", ["uu", "ud", "du", "dd"])
+def test_check_fan_a_of_s2(signature):
+    report = check_fan_a(UpDownSignature.from_string(signature))
+    assert report == {"family": "A", **RANK_ONE, "consistency": True}
 
 
 def test_check_fan_dispatch():
@@ -402,6 +467,29 @@ def test_fan_to_json():
 # The integer fast paths against the simple field algorithms.
 
 
+@lru_cache(maxsize=None)
+def _inward_normals(rays: tuple, lineality: tuple = ()):
+    """Integer b_i, one per ray, with b_i . ray_j = d * [i == j] for one
+    d > 0 and b_i . l = 0 for each lineality vector l; None unless the rays
+    and the lineality form a basis.  The b_i are the rows of d times the
+    inverse of the basis, which one elimination leaves beside the identity.
+    Rays and lineality are tuples of integer tuples, the cache's key.
+
+    The facet normals of the fan checks' elimination oracle
+    (``_check_fan_ab``), cached for the process as they were in ``fans``.
+    """
+    basis = [*rays, *lineality]
+    dim = len(basis)
+    if any(len(v) != dim for v in basis):
+        return None
+    identity = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    matrix = [[*coords, *e] for coords, e in zip(zip(*basis), identity)]
+    rows, pivots, d = fans._echelon(matrix)
+    if pivots != list(range(dim)):
+        return None
+    return tuple(tuple(x if d > 0 else -x for x in row[dim:]) for row in rows[: len(rays)])
+
+
 def _rank_oracle(vectors):
     """Rank by Gaussian elimination over Fractions."""
     rows = [[Fraction(x) for x in v] for v in vectors]
@@ -442,7 +530,7 @@ def test_integer_elimination_matches_rational_solve(rows, cols, data):
     # A square basis, its first k vectors the rays and the rest lineality.
     basis = [data.draw(st.lists(entries, min_size=cols, max_size=cols)) for _ in range(cols)]
     k = data.draw(st.integers(1, cols))
-    normals = fans._inward_normals(_rows(basis[:k]), _rows(basis[k:]))
+    normals = _inward_normals(_rows(basis[:k]), _rows(basis[k:]))
     assert (normals is None) == (_rank_oracle(basis) < cols)
     if normals is not None:
         assert all(type(x) is int for b in normals for x in b)
@@ -455,7 +543,7 @@ def test_integer_elimination_matches_rational_solve(rows, cols, data):
     v = data.draw(st.lists(entries, min_size=cols, max_size=cols))
     for scale in (1, 3):
         rays = [[scale * x for x in r] for r in basis]
-        normals = fans._inward_normals(_rows(rays))
+        normals = _inward_normals(_rows(rays))
         inside = normals is not None and all(fans._dot(b, v) >= 0 for b in normals)
         assert inside == (_combo_oracle(rays, v) is not None)
 
@@ -465,14 +553,14 @@ def test_inward_normals_on_cone_members():
     # on every facet but the one opposite it; the first ray's negation
     # lies outside.
     rays = tuple(fans._suffix_rays_a((2, 4, 1, 3)))
-    normals = fans._inward_normals(rays, ((1,) * 4,))
+    normals = _inward_normals(rays, ((1,) * 4,))
     d = fans._dot(normals[0], rays[0])
     assert d > 0
     for k, ray in enumerate(rays):
         assert [fans._dot(b, ray) for b in normals] == [d * (j == k) for j in range(3)]
     assert any(fans._dot(b, tuple(-x for x in rays[0])) < 0 for b in normals)
     # Two rays and the lineality are no basis of the 4-space.
-    assert fans._inward_normals(rays[1:], ((1,) * 4,)) is None
+    assert _inward_normals(rays[1:], ((1,) * 4,)) is None
 
 
 def test_int_ray_is_scaled_ray_vector():
@@ -897,22 +985,32 @@ def _unpruned_check_fan_h3(system, cong):
     return {"family": "H3", **report}
 
 
-def _moved_and_merged(cong):
-    """Partitions, not congruences, made from a Cambrian congruence: one
-    chamber moved into the class of an adjacent chamber, or two adjacent
-    classes merged."""
-    lattice = cong.lattice
+def _moved_cover_ends(cong):
+    """Partitions, not congruences, made from a Cambrian congruence: for
+    every cover whose ends lie in different classes, one end moved into
+    the other end's class."""
     class_of = cong.class_of
-    moves, merges = set(), set()
-    for x, y in lattice.covers:
-        a, b = class_of[x], class_of[y]
-        if a != b:
-            moves |= {(x, b), (y, a)}
-            merges.add((min(a, b), max(a, b)))
-    partitions = [
-        [b if i == x else c for i, c in enumerate(class_of)] for x, b in sorted(moves)
-    ] + [[a if c == b else c for c in class_of] for a, b in sorted(merges)]
-    return [LatticeCongruence(lattice, p) for p in partitions]
+    moves = set()
+    for x, y in cong.lattice.covers:
+        if class_of[x] != class_of[y]:
+            moves |= {(x, class_of[y]), (y, class_of[x])}
+    return [
+        LatticeCongruence(cong.lattice, [b if i == x else c for i, c in enumerate(class_of)])
+        for x, b in sorted(moves)
+    ]
+
+
+def _moved_and_merged(cong):
+    """The partitions of ``_moved_cover_ends``, then those that merge two
+    adjacent classes."""
+    class_of = cong.class_of
+    merges = {
+        tuple(sorted((class_of[x], class_of[y])))
+        for x, y in cong.lattice.covers
+        if class_of[x] != class_of[y]
+    }
+    merged = [[a if c == b else c for c in class_of] for a, b in sorted(merges)]
+    return _moved_cover_ends(cong) + [LatticeCongruence(cong.lattice, p) for p in merged]
 
 
 def test_h3_pruned_check_matches_unpruned(monkeypatch):
@@ -1046,21 +1144,22 @@ def test_h3_second_orientation_builds_nothing(monkeypatch):
 
 
 def test_h3_chamber_table_matches_act_inversions_and_det3():
-    """The chamber rays w * omega_k have 62 distinct sign vectors, one per
-    ray vector; every wall's reflection is the one inversion of w and
-    w * s_k that the other lacks; and on every wall the signs of
-    det(u, v, r) over all 62 ray vectors r are the sign vectors' entries at
-    its reflection times one nonzero factor."""
+    """The chamber rays w * omega_k have 62 ids, one per ray vector, and
+    each id's sign vector is its key; every wall's reflection is the one
+    inversion of w and w * s_k that the other lacks; and on every wall the
+    signs of det(u, v, r) over all 62 ray vectors r are the sign vectors'
+    entries at its reflection times one nonzero factor."""
     system = get_system("H3")
     field = system.field
     lattice = system.weak_order_lattice()
-    rays_of, moves = fans._chamber_table(system, lattice)
+    rays_of, moves, signs, ids = fans._chamber_table(system, lattice)
+    assert list(ids) == list(signs) and list(ids.values()) == list(range(62))
     weights = _scaled_weights(system)
     vector_of = {}
     for i, w in enumerate(lattice.elements):
-        for key, omega in zip(rays_of[i], weights):
+        for ray, omega in zip(rays_of[i], weights):
             vector = system.act(w, omega)
-            assert vector_of.setdefault(key, vector) == vector
+            assert vector_of.setdefault(signs[ray], vector) == vector
     assert len(vector_of) == len(set(vector_of.values())) == 62
     walls = 0
     for i, w in enumerate(lattice.elements):
@@ -1069,7 +1168,7 @@ def test_h3_chamber_table_matches_act_inversions_and_det3():
             (flipped,) = system.inversion_set(w) ^ system.inversion_set(ws)
             assert moves[i][k] == (lattice.index[ws], flipped)
             assert system.wall_reflection(w, name) == flipped
-            u, v = (vector_of[r] for m, r in enumerate(rays_of[i]) if m != k)
+            u, v = (vector_of[signs[r]] for m, r in enumerate(rays_of[i]) if m != k)
             row = {key: field.sign(fans._det3(field, u, v, r)) for key, r in vector_of.items()}
             factors = {sign * key[flipped] for key, sign in row.items() if sign or key[flipped]}
             assert factors in ({1}, {-1}), (i, name)
@@ -1089,12 +1188,14 @@ def test_h3_fan_suite_fault_is_not_hidden_by_the_chamber_table_cache(monkeypatch
     chamber_table = fans._chamber_table
 
     def faulty_table(system, lattice):
-        # Negate the first nonzero entry of the identity chamber's first ray.
-        rays_of, moves = chamber_table(system, lattice)
-        ray, *rest = rays_of[0]
+        # Negate the first nonzero entry of the identity chamber's first
+        # ray, as a new ray that no other chamber has.
+        rays_of, moves, signs, ids = chamber_table(system, lattice)
+        first, *rest = rays_of[0]
+        ray = signs[first]
         t = next(t for t, s in enumerate(ray) if s)
         wrong = (*ray[:t], -ray[t], *ray[t + 1 :])
-        return ((wrong, *rest), *rays_of[1:]), moves
+        return ((len(signs), *rest), *rays_of[1:]), moves, (*signs, wrong), ids
 
     monkeypatch.setattr(fans, "_chamber_table", faulty_table)
     faulty = suites.run_suite("fan", "H3")
@@ -1125,13 +1226,11 @@ def test_h3_fan_suite_builds_each_cambrian_lattice_once(monkeypatch):
 
 
 def test_ab_fan_suite_builds_one_congruence_per_signature_and_each_cone_once(monkeypatch):
-    """One closure per signature, no quotient, and one elimination per
-    distinct cone of each group (24 and 264 in A, 12 and 184 in B when each
-    signature built its own).  A second call closes the congruences again,
-    but the eliminations are cached for the process and are not repeated."""
+    """One closure per signature, no quotient and no elimination (88 in A
+    and 108 in B when each distinct cone had its own): the cones are read
+    off the chamber table, kept per weak order.  A second call closes the
+    congruences again, and eliminates nothing either."""
     from cambrian import congruences, suites
-
-    fans._inward_normals.cache_clear()
 
     calls = Counter()
     for module, name in (
@@ -1146,12 +1245,52 @@ def test_ab_fan_suite_builds_one_congruence_per_signature_and_each_cone_once(mon
             return fn(*args)
 
         monkeypatch.setattr(module, name, wrapper)
-    for family, signatures, cones in (("A", 8 + 16, 88), ("B", 4 + 8, 108)):
-        for eliminations in (cones, 0):
+    for family, signatures in (("A", 8 + 16), ("B", 4 + 8)):
+        for _ in range(2):
             calls.clear()
             assert suites.run_suite("fan", family)["passed"]
-            assert set(calls) <= {"congruence_closure", "_echelon"}
-            assert (calls["congruence_closure"], calls["_echelon"]) == (signatures, eliminations)
+            assert calls == {"congruence_closure": signatures}
+
+
+@pytest.mark.parametrize(
+    "family,rank,name,count",
+    [("H3", None, "1>2,2>3", 156), ("A", 4, "ddddd", 308), ("B", 3, "ddd", 84)],
+)
+def test_fan_check_fails_every_moved_cover_end(monkeypatch, family, rank, name, count):
+    """Each partition that moves one end of an uncontracted cover into the
+    other end's class fails the fan check."""
+    system = get_system(family, rank)
+    if family == "H3":
+        (orientation,) = (o for o in all_orientations(system) if str(o) == name)
+        check = partial(fans.check_fan_h3, system, orientation)
+    else:
+        sig = UpDownSignature.from_string(name)
+        if family == "B":
+            sig = SymmetricSignature.from_positive_ups(rank, sig.ups)
+        orientation = orientation_from_edges(system, sig.orientation_edges())
+        check = partial(check_fan, sig)
+    partitions = _moved_cover_ends(cambrian_congruence(system, orientation))
+    assert len(partitions) == count
+    for partition in partitions:
+        monkeypatch.setattr(fans, "cambrian_congruence", lambda *_, **__: partition)
+        assert not fan_passed(check())
+
+
+@pytest.mark.parametrize("family,rank", [("A", 1), ("A", 3), ("B", 1), ("B", 3), ("H3", None)])
+def test_chamber_table_moves_cross_one_wall(family, rank):
+    """On every chamber wall, the move's inner ray is the one ray of w that
+    w * s lacks, and the move's hyperplane is one on which every shared
+    ray reads 0 and the inner ray does not; the rays' sign vectors are
+    distinct, one per ray of the arrangement."""
+    system = get_system(family, rank)
+    lattice = system.weak_order_lattice()
+    rays_of, moves, signs, ids = fans._chamber_table(system, lattice)
+    assert len(set(signs)) == len(signs) == len(ids)
+    for i, rays in enumerate(rays_of):
+        for inner, (j, t) in zip(rays, moves[i]):
+            assert set(rays) - set(rays_of[j]) == {inner}
+            assert all(signs[r][t] == 0 for r in set(rays) - {inner})
+            assert signs[inner][t] != 0
 
 
 def _swap_first_ray(cones):
@@ -1184,34 +1323,46 @@ def test_fan_suite_fails_a_cone_with_a_swapped_ray(monkeypatch, family, broken):
     assert not (failed[0]["tiling"] and failed[0].get("consistency", True))
 
 
-def test_fan_suite_fault_is_not_hidden_by_the_elimination_cache(monkeypatch):
-    """The cache is keyed by ray vectors: after a clean run has filled it,
-    a ray fault still fails the suite, and a clean rerun reports the same
-    bytes as the first run.  The fault tilts the ray {2} a little, which
-    keeps every wall side and fan ray test; only the tilted cones' own
-    normals show that the clean region rays, kept per weak order, left
-    them."""
+def test_fan_suite_fault_is_not_hidden_by_the_chamber_tables(monkeypatch):
+    """The chamber tables are kept per weak order: after a clean run has
+    filled them, a ray fault still fails the suite, and a clean rerun
+    reports the same bytes as the first run.  The fault tilts the ray {2}
+    of every type-A table a little, off the hyperplanes (1, b) and (a, n)
+    it lay on; every failing check fails its tiling."""
     from cambrian import suites
 
     clean = json.dumps(suites.run_suite("fan"), indent=2)
-    int_ray = fans._int_ray
 
-    def tilted(n, members):
-        ray = int_ray(n, members)
-        if members != {2}:
-            return ray
-        ray = [10 * x for x in ray]
-        return (ray[0] + 1, *ray[1:-1], ray[-1] - 1)
+    def tilted(system, lattice, table):
+        if system.family != "A":
+            return table
+        ray = [10 * x for x in fans._int_ray(system.n, frozenset({2}))]
+        ray = (ray[0] + 1, *ray[1:-1], ray[-1] - 1)
+        reflections = sorted(system.inversion_set(lattice.elements[lattice.top]))
+        return _with_signs(table, _ray_id(system, table, {2}), fans._sign_vector(ray, reflections))
 
-    monkeypatch.setattr(fans, "_int_ray", tilted)
+    _faulty_chamber_tables(monkeypatch, tilted)
     faulty = suites.run_suite("fan")
     assert not faulty["passed"]
-    assert any(not c.get("tiling", True) for c in faulty["checks"] if not c["passed"])
+    failed = [c for c in faulty["checks"] if not c["passed"]]
+    assert len(failed) == 4 + 16
+    assert all(c["name"].startswith("A ") and not c["tiling"] for c in failed)
     monkeypatch.undo()
     assert json.dumps(suites.run_suite("fan"), indent=2) == clean
 
 
+def _flags(report):
+    """The fan properties of a report, in ``fan_passed`` order."""
+    return tuple(report.get(k) for k in ("simplicial", "tiling", "consistency", "dual_graph_is_hasse"))
+
+
 def test_ab_body_matches_per_family_loops(monkeypatch):
+    """The fan checks against one class loop per family, as they were
+    before the A/B body: equal reports on the Cambrian congruences.  On
+    the congruences that contract one join-irreducible, and on the
+    partitions that move one member into the class of a lower cover, both
+    fail; the checks read their flags off the chamber classes, the loops
+    off the class bottoms' triangulations, so the flags are pinned."""
     _memoize(monkeypatch, "_rank", _rows)
     _memoize(
         monkeypatch,
@@ -1224,8 +1375,8 @@ def test_ab_body_matches_per_family_loops(monkeypatch):
         + [("B", 3, sig) for sig in all_symmetric_signatures(3)]
         + [("A", 4, sig) for sig in all_updown_signatures(5)[::6]]
     )
-    reports = []
-    moved = []
+    passed = []
+    faulty = {"contracted": Counter(), "moved": Counter()}
     for family, rank, sig in cases:
         system = get_system(family, rank)
         orientation = orientation_from_edges(system, sig.orientation_edges())
@@ -1233,35 +1384,123 @@ def test_ab_body_matches_per_family_loops(monkeypatch):
             "A": (check_fan_a, _old_check_fan_a),
             "B": (check_fan_b, _old_check_fan_b),
         }[family]
-        congruences = [cambrian_congruence(system, orientation), *_contractions(system)]
-        reports += _same_reports(
-            monkeypatch, congruences, lambda: check(sig), lambda cong: oracle(sig, cong)
-        )
+        cong = cambrian_congruence(system, orientation)
+        passed += _same_reports(monkeypatch, [cong], lambda: check(sig), lambda c: oracle(sig, c))
+        partitions = {"contracted": _contractions(system)}
         if rank == 3:
-            partitions = _moved_members(congruences[0])
-            image = _cover_image(congruences[0])
-            reported = _same_reports(
-                monkeypatch, partitions, lambda: check(sig), lambda cong: oracle(sig, cong)
-            )
-            moved += [(r, _cover_image(p) == image) for r, p in zip(reported, partitions)]
-    assert len(reports) == 16 * 12 + 8 * 24 + 6 * 27
-    assert sum(fan_passed(r) for r in reports) == len(cases)
-    assert sum(not r["tiling"] for r in reports) == len(reports) - len(cases)
-    # The cones stay, so their dual graph is the Cambrian Hasse diagram:
-    # it fails exactly when the move changes the image of the covers.
-    # Where it does not, only the member regions show that a moved member
-    # left its cone.
-    assert len(moved) == 72 + 88
-    assert not any(r["tiling"] for r, _ in moved)
-    assert all(r["simplicial"] and r["dual_graph_is_hasse"] == same for r, same in moved)
-    assert sum(same for _, same in moved) == 32 + 60
+            partitions["moved"] = _moved_members(cong)
+        for kind, congruences in partitions.items():
+            for partition in congruences:
+                monkeypatch.setattr(fans, "cambrian_congruence", lambda *_, **__: partition)
+                report = check(sig)
+                assert not fan_passed(oracle(sig, partition))
+                faulty[kind][(family, rank, *_flags(report))] += 1
+    assert all(map(fan_passed, passed)) and len(passed) == len(cases)
+    # A contraction is a congruence, and many of them keep simplicial
+    # cones with the Hasse diagram as dual graph; their cones are not the
+    # class bottoms' triangulations (type A's consistency, type B's
+    # tiling).  A moved member fails every flag.
+    assert faulty["contracted"] == {
+        ("A", 3, True, True, False, True): 96,
+        ("A", 3, False, False, False, False): 80,
+        ("B", 3, True, False, None, True): 112,
+        ("B", 3, False, False, None, False): 72,
+        ("A", 4, True, True, False, True): 72,
+        ("A", 4, False, False, False, False): 84,
+    }
+    assert faulty["moved"] == {
+        ("A", 3, False, False, False, False): 72,
+        ("B", 3, False, False, None, False): 88,
+    }
+    assert sum(faulty["contracted"].values()) + sum(faulty["moved"].values()) == 676
+
+
+def _check_fan_ab(cong, dim, cones, vectors, region_rays, lineality=(), fan_rays=None) -> dict:
+    """The fan report of type A or B in rank ``dim``, from the ray keys of
+    each class cone of ``cong``.
+
+    Each cone needs inward facet normals modulo the ``lineality`` and must
+    contain the region of every member x, whose rays are ``region_rays(x)``
+    in the coordinates of ``vectors``.  Given ``fan_rays``, ``consistency``
+    says whether each cone holds exactly the fan rays it lists.  Ray b is
+    across a wall from a when b is on the negative side of a's normal in
+    the cone on the wall and a.
+
+    The A and B fan check of ``fans`` before the chamber table: one
+    elimination per cone, kept as the tests' oracle.
+    """
+    normals = [_inward_normals(tuple(vectors[a] for a in cone), lineality) for cone in cones]
+
+    def inside(c, v):
+        return normals[c] is not None and all(fans._dot(b, v) >= 0 for b in normals[c])
+
+    simplicial = None not in normals
+    region_vectors, rays_of = _region_table(cong.lattice, region_rays)
+    tiling = all(
+        inside(c, region_vectors[r])
+        for c, members in enumerate(cong.classes)
+        for r in {r for i in members for r in rays_of[i]}
+    )
+    extra = {}
+    if fan_rays is not None:
+        # A cone with normals holds its own rays: b_i . ray_j = d * [i == j].
+        extra["consistency"] = all(
+            normals[c] is not None if a in cone else not inside(c, vectors[a])
+            for c, cone in enumerate(cones)
+            for a in fan_rays
+        )
+
+    def side(wall, c, a, b):
+        # A cone without normals has already failed the tiling.
+        return simplicial and fans._dot(normals[c][cones[c].index(a)], vectors[b]) < 0
+
+    return fans._fan_faces(cong, dim, cones, side, simplicial, tiling, **extra)
+
+
+def _region_table(lattice: FiniteLattice, region_rays):
+    """The distinct rays of the members' regions, ``region_rays(x)`` over
+    the elements x of a weak order, and the ids of each element's rays in
+    lattice order; kept in the lattice's ``tables`` under ``region_rays``."""
+    if region_rays not in lattice.tables:
+        ids = {}
+        rays_of = tuple(
+            tuple(ids.setdefault(v, len(ids)) for v in region_rays(x))
+            for x in lattice.elements
+        )
+        lattice.tables[region_rays] = tuple(ids), rays_of
+    return lattice.tables[region_rays]
+
+
+def _elimination_check(signature, cong, body=_check_fan_ab) -> dict:
+    """``check_fan_a`` or ``check_fan_b`` of the signature as they were
+    before the chamber table, on the partition ``cong``: cones keyed by
+    the class bottoms' diagonals (one per orbit in type B), integer rays,
+    and ``body`` for the class loop."""
+    if isinstance(signature, UpDownSignature):
+        n = signature.n
+        vectors = {d: fans._int_ray(n, a) for a, d in fans._rays_and_diagonals(signature)}
+        cones = fans._class_diagonals(cong, signature, n)
+        lineality = ((1,) * n,)
+        report = body(cong, n - 1, cones, vectors, fans._suffix_rays_a, lineality, vectors)
+        return {"family": "A", **report, "num_rays": len(vectors)}
+    two_n = 2 * signature.n
+    diagonals = fans._class_diagonals(cong, signature, two_n)
+    vectors = {
+        d: fans._antisymmetric_part(fans._int_ray(two_n, a))
+        for d, a in diagonal_ray_map(signature.a_signature()).items()
+    }
+    cones = [
+        tuple(sorted({min(d, polygon_b._mirror(d, two_n)) for d in diags})) for diags in diagonals
+    ]
+    report = body(cong, signature.n, cones, vectors, fans._symmetric_region_rays)
+    return {"family": "B", **report}
 
 
 def _per_member_check_fan_ab(cong, dim, cones, vectors, region_rays, lineality=(), fan_rays=None):
     """_check_fan_ab before the region table: every ray of every member's
     region tested against its class cone."""
     normals = [
-        fans._inward_normals(tuple(vectors[a] for a in cone), lineality) for cone in cones
+        _inward_normals(tuple(vectors[a] for a in cone), lineality) for cone in cones
     ]
 
     def inside(c, v):
@@ -1296,22 +1535,12 @@ def _per_member_check_fan_ab(cong, dim, cones, vectors, region_rays, lineality=(
     [("A", 3, 0), ("A", 4, 72), ("A", 5, 216), ("B", 2, 0), ("B", 3, 88)],
 )
 def test_region_table_matches_per_member_loop(monkeypatch, family, n, moved_count):
-    """The fan check of every signature against the per-member tiling loop,
-    and of the partitions that move one member into the class of a lower
-    neighbour (every tenth of them for S5), where the tiling fails."""
-    _memoize(
-        monkeypatch,
-        "_inward_normals",
-        lambda rays, lineality=(): (_rows(rays), _rows(lineality)),
-    )
-    check_ab = fans._check_fan_ab
-
-    def both(*args, **kwargs):
-        report = check_ab(*args, **kwargs)
-        assert report == _per_member_check_fan_ab(*args, **kwargs)
-        return report
-
-    monkeypatch.setattr(fans, "_check_fan_ab", both)
+    """The elimination oracle, with its region table, against its
+    per-member tiling loop; and the fan check against the oracle: equal
+    reports on the Cambrian congruence of every signature, which pass.  On
+    the partitions that move one member into the class of a lower
+    neighbour (every tenth of them for S5) both fail, the oracle on its
+    tiling."""
     if family == "A":
         system, check = get_system("A", n - 1), check_fan_a
         signatures = all_updown_signatures(n)
@@ -1326,10 +1555,13 @@ def test_region_table_matches_per_member_loop(monkeypatch, family, n, moved_coun
         for partition in [cong] + partitions:
             monkeypatch.setattr(fans, "cambrian_congruence", lambda *_, **__: partition)
             report = check(sig)
+            oracle = _elimination_check(sig, partition)
+            assert oracle == _elimination_check(sig, partition, _per_member_check_fan_ab)
             if partition is cong:
-                assert fan_passed(report), sig
+                assert report == oracle and fan_passed(report), sig
             else:
-                moved.append(report)
+                assert not fan_passed(report)
+                moved.append(oracle)
     assert len(moved) == moved_count
     assert not any(r["tiling"] for r in moved)
 
@@ -1346,6 +1578,9 @@ def _counted(monkeypatch, name, calls):
 
 
 def test_region_rays_are_read_once_per_weak_order(monkeypatch):
+    """The chamber table of a fresh S4 reads each element's region rays
+    once, for all 16 signatures; the fan rays are read per signature."""
+    monkeypatch.setattr(coxeter, "_SYSTEMS", {})
     calls = Counter()
     _counted(monkeypatch, "_suffix_rays_a", calls)
     for sig in all_updown_signatures(4):
@@ -1529,15 +1764,18 @@ def test_fan_suite_walks_each_weak_order_once(monkeypatch):
 
 
 def test_fan_tables_go_with_their_weak_orders(monkeypatch):
-    """The fan checks keep their region and chamber tables, beside the
-    walks, in each weak order's ``tables``: after a fan run, resetting
-    ``coxeter._SYSTEMS`` frees every weak order the run built."""
+    """The fan checks keep their chamber tables, beside the walks, in each
+    weak order's ``tables``, with 2^n - 2 rays in S_n, 3^n - 1 in B_n and
+    62 in H3: after a fan run, resetting ``coxeter._SYSTEMS`` frees every
+    weak order the run built."""
     monkeypatch.setattr(coxeter, "_SYSTEMS", {})
     assert suites.run_suite("fan")["passed"]
     groups = [("A", 2), ("A", 3), ("B", 2), ("B", 3), ("H3", None)]
     lattices = [get_system(family, rank).weak_order_lattice() for family, rank in groups]
-    tables = [fans._suffix_rays_a] * 2 + [fans._symmetric_region_rays] * 2 + [fans._chamber_table]
-    assert all(key in lattice.tables for key, lattice in zip(tables, lattices))
+    fan_keys = [[k for k in lattice.tables if k.__module__ == fans.__name__] for lattice in lattices]
+    assert fan_keys == [[fans._chamber_table]] * len(groups)
+    rays = [len(lattice.tables[fans._chamber_table][2]) for lattice in lattices]
+    assert rays == [2**3 - 2, 2**4 - 2, 3**2 - 1, 3**3 - 1, 62]
     kept = [weakref.ref(lattice) for lattice in lattices]
     lattices.clear()
     coxeter._SYSTEMS.clear()

@@ -17,7 +17,8 @@ isomorphism search that returns a wrong mapping.
 
 A fault that makes the program build a poset that is no lattice is an
 internal error, not a failed check: with the top's class merged into
-class 0, every command that builds a quotient exits 4.
+class 0, every command that builds a quotient exits 4.  So is a group
+whose degrees do not count its elements by length.
 """
 
 import dataclasses
@@ -26,7 +27,7 @@ from array import array
 
 import pytest
 
-from cambrian import congruences, lattices, suites
+from cambrian import congruences, coxeter, lattices, suites
 from cambrian.cli import main
 from cambrian.coxeter import _SYSTEMS, get_system
 from cambrian.lattices import FiniteLattice, LatticeCongruence, contraction_congruence
@@ -450,3 +451,16 @@ def test_a_built_poset_that_is_no_lattice_exits_4(top_in_class_zero, capsys, arg
     assert err.count("\n") == 1
     assert err.startswith("internal error: built a poset that is not a lattice: ")
 
+
+
+def test_a_degree_row_that_does_not_match_its_group_exits_4(monkeypatch, capsys):
+    """H3 given the degrees (2, 7, 9): the root count, 15, still holds, but
+    the enumeration's elements by length are no q-product of the degrees.
+    A wrong table is an internal error, not a failed Catalan claim."""
+    monkeypatch.setattr(coxeter, "_SYSTEMS", {})
+    get_system("H3").degrees = (2, 7, 9)
+    assert main(["verify", "--suite", "catalan", "--family", "H3"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("internal error: elements by length ")
