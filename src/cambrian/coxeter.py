@@ -479,11 +479,14 @@ class CoxeterSystem:
     def _weak_order(self) -> FiniteLattice:
         """The weak order, built from its covers and validated; its forcing
         table is built on the first read, as for any lattice."""
-        return built_lattice(*self._enumerate())
+        order, succ = self._enumerate()
+        return built_lattice(order, ((i, j) for i, row in enumerate(succ) for j in row))
 
     def _enumerate(self):
-        """Elements by breadth-first search from the identity, and the
-        covers (w, ws) as sorted index pairs.
+        """Elements by breadth-first search from the identity, and each
+        element's successors: ``succ[i]`` holds the index of every cover
+        ws of the i-th element w, ascending, so the rows read in turn give
+        the covers (w, ws) as sorted index pairs.
 
         The frontiers hold the elements of each length, whose numbers are
         the coefficients of prod (1 + q + ... + q^(d-1)) over the degrees
@@ -493,14 +496,15 @@ class CoxeterSystem:
         seen = {start: 0}
         order = [start]
         names = self.generator_names
-        covers = []
+        succ = []
         frontier = [start]
         sizes = []
         while frontier:
             sizes.append(len(frontier))
             nxt = []
+            # Frontiers are met in index order, so w is the len(succ)-th element.
             for w in frontier:
-                i = seen[w]
+                row = []
                 for name in names:
                     if self.is_right_descent(w, name):
                         continue
@@ -510,14 +514,16 @@ class CoxeterSystem:
                         j = seen[ws] = len(order)
                         order.append(ws)
                         nxt.append(ws)
-                    covers.append((i, j))
+                    row.append(j)
+                row.sort()
+                succ.append(row)
             frontier = nxt
         expected = _length_counts(self.degrees)
         if sizes != expected:
             raise AssertionError(
                 f"elements by length {sizes}, but the degrees {self.degrees} give {expected}"
             )
-        return order, sorted(covers)
+        return order, succ
 
     # -- generic engine internals -------------------------------------------
 

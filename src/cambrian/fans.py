@@ -259,10 +259,11 @@ def _fan_faces(cong, dim, cones, side, simplicial, tiling, **extra) -> dict:
     counts the faces spanned by 1, 2, ..., rank rays.
     """
     paired = all(len(cone) == dim for cone in cones)
+    # A face is the tuple of its ray keys in sorted order.
     faces = set()
-    for cone in cones:
+    for cone in map(sorted, cones):
         for size in range(1, dim + 1):
-            faces.update(map(frozenset, itertools.combinations(cone, size)))
+            faces.update(itertools.combinations(cone, size))
     sets = [frozenset(cone) for cone in cones]
     dual_edges = set()
     for wall, owners in _walls(sets, lambda s: zip(s) if len(s) == dim else ()).items():

@@ -1,38 +1,45 @@
 """Finite lattices, congruences, quotients and forcing.
 
-Lattices are stored over an internal linear extension; each element
-carries its down-set as a Python integer bitmask, and the up-sets, the
-same masks read the other way, are derived from the upper covers on the
-first read (a weak order closed under Cambrian congruences never reads
-them).  With indices respecting the order, the meet of x and y is the
-highest set bit of down(x) & down(y) and the join is the lowest set bit
-of up(x) & up(y).  Construction reads only the down-sets: every edge
-must be a cover, and a ^ b must be a greatest lower bound for any two
-lower covers a, b of one element, which is enough for all meets and so
-for all joins (see ``FiniteLattice._validate``).
+A lattice stores its Hasse diagram once, as two families of rows:
+``lower[y]`` lists the lower covers of y and ``upper[x]`` the upper
+covers of x, each row in increasing index order.  The covers are
+numbered row by row, so edge ``first[x] + k`` is x -> upper[x][k] and
+the edges run in sorted pair order; ``FiniteLattice.edges`` walks them
+without building a list, and the list of pairs, ``covers``, is made
+only on a read (output and tests).  Elements are indexed along an
+internal linear extension; each carries its down-set as a Python
+integer bitmask, and the up-sets, the same masks read the other way,
+are derived from the upper covers on the first read (a weak order
+closed under Cambrian congruences never reads them).  With indices
+respecting the order, the meet of x and y is the highest set bit of
+down(x) & down(y) and the join is the lowest set bit of up(x) & up(y).
+Construction reads only the down-sets: every edge must be a cover, and
+a ^ b must be a greatest lower bound for any two lower covers a, b of
+one element, which is enough for all meets and so for all joins (see
+``FiniteLattice._validate``).
 
 A congruence is determined by the covers it contracts.  Each cover
 x -> y is labelled by a join-irreducible, the least element of down(y)
 outside down(x), and a congruence contracts a cover exactly when it
 contracts its label (see ``PolygonForcing``).  One forcing table serves
 every lattice, a weak order, a quotient or one built by hand
-(``PolygonForcing.of``): it holds the labels and, for each label, the
-bitmask of the labels it forces, read off the arrow relations between
-join- and meet-irreducibles with one bitmask of join-irreducibles per
-element, and closed transitively (Freese, Jezek and Nation, Free
-lattices, AMS 1995, ch. II).  A closure is then an OR of the masks of
-its seed labels.  The class bottoms are the elements with no contracted
-lower cover, and the table keeps, for each label, the mask of the
-elements with a lower cover of that label (its heads), so the class
-count is the number of elements outside the OR of the contracted labels'
-heads; the classes, read only when needed, join the ends of each
-contracted cover.
+(``PolygonForcing.of``): it holds the label of each edge and, for each
+label, the bitmask of the labels it forces, read off the arrow
+relations between join- and meet-irreducibles with one bitmask of
+join-irreducibles per element, and closed transitively (Freese, Jezek
+and Nation, Free lattices, AMS 1995, ch. II).  A closure is then an OR
+of the masks of its seed labels.  The class bottoms are the elements
+with no contracted lower cover, and the table keeps, for each label,
+the mask of the elements with a lower cover of that label (its heads),
+so the class bottoms are the elements outside the OR of the contracted
+labels' heads.  The class count is their number, and the classes, read
+only when needed, name each element by the greatest class bottom below
+it.
 """
 
 from __future__ import annotations
 
 from array import array
-from collections import deque
 from functools import cached_property, reduce
 from itertools import accumulate, compress
 from operator import and_, or_
@@ -53,18 +60,21 @@ def _members(mask: int) -> list[int]:
 
 
 class FiniteLattice:
-    """A finite lattice given by its Hasse diagram."""
+    """A finite lattice given by its Hasse diagram, stored once: ``lower``
+    and ``upper`` hold each element's lower and upper covers as rows in
+    increasing index order, and ``down`` its down-set mask.  The edges are
+    the covers x -> upper[x][k] in row order, which is sorted pair order;
+    ``edges()`` walks them and ``covers`` lists them on the first read."""
 
-    def __init__(self, elements, covers, down, lower, upper):
+    def __init__(self, elements, down, lower, upper):
         self.elements = elements
         self.index = {e: i for i, e in enumerate(elements)}
-        self.covers = covers
         self.down = down
         self.lower = lower
         self.upper = upper
         self.n = len(elements)
-        self.bottom = next(i for i in range(self.n) if not lower[i])
-        self.top = next(i for i in range(self.n) if not upper[i])
+        self.bottom = lower.index([])
+        self.top = upper.index([])
         # A weak order's group-wide tables, dropped with the lattice: polygon
         # walks by signature type (``polygon_a.weak_order_walk``), and the
         # fan checks' chamber table under the function that builds it
@@ -75,50 +85,63 @@ class FiniteLattice:
 
     @classmethod
     def from_covers(cls, elements: Sequence, covers, validate: bool = True):
-        """Build from elements and cover pairs (as indices into elements).
+        """Build from elements and cover pairs (as indices into elements),
+        any iterable of pairs, read once.
 
-        Elements are re-ordered internally along a linear extension.
+        Elements are re-ordered internally along a linear extension: Kahn's
+        algorithm over each element's successors in input order.  Raises
+        ValueError, naming the pair, on an index outside 0..n-1 or a pair
+        given twice, and on a cycle or more than one minimal or maximal
+        element.
         """
         n = len(elements)
         succ = [[] for _ in range(n)]
         indeg = [0] * n
-        for a, b in covers:
-            succ[a].append(b)
-            indeg[b] += 1
+        # An index past the end raises IndexError; a negative one would be
+        # read from the end, so it is sent to the same handler.
+        try:
+            for a, b in covers:
+                if a < 0 or b < 0:
+                    raise IndexError
+                succ[a].append(b)
+                indeg[b] += 1
+        except IndexError:
+            raise ValueError(f"cover ({a}, {b}) is not a pair of indices 0..{n - 1}") from None
         order = [i for i in range(n) if indeg[i] == 0]
-        queue = deque(order)
-        while queue:
-            i = queue.popleft()
+        for i in order:  # the list grows as it is read: a FIFO queue
             for j in succ[i]:
                 indeg[j] -= 1
                 if indeg[j] == 0:
                     order.append(j)
-                    queue.append(j)
         if len(order) != n:
             raise ValueError("cover relation contains a cycle")
         new_pos = [0] * n
         for pos, old in enumerate(order):
             new_pos[old] = pos
-        new_elements = tuple(elements[old] for old in order)
-        new_covers = sorted((new_pos[a], new_pos[b]) for a, b in covers)
+        # Each successor row becomes its element's upper row in place.  Index
+        # order is a linear extension, so lower[x] and down[x] are complete
+        # when x is reached; a pair given twice is two equal neighbours in
+        # the sorted row.
+        upper = [succ[old] for old in order]
         lower = [[] for _ in range(n)]
-        upper = [[] for _ in range(n)]
-        for a, b in new_covers:
-            upper[a].append(b)
-            lower[b].append(a)
         down = [0] * n
-        for i in range(n):
-            mask = 1 << i
-            for a in lower[i]:
+        for x, row in enumerate(upper):
+            mask = 1 << x
+            for a in lower[x]:
                 mask |= down[a]
-            down[i] = mask
-        bottoms = [i for i in range(n) if not lower[i]]
-        tops = [i for i in range(n) if not upper[i]]
-        if len(bottoms) != 1 or len(tops) != 1:
-            raise ValueError(
-                f"not bounded: {len(bottoms)} minimal and {len(tops)} maximal elements"
-            )
-        lattice = cls(new_elements, new_covers, down, lower, upper)
+            down[x] = mask
+            row[:] = map(new_pos.__getitem__, row)
+            row.sort()
+            last = -1
+            for y in row:
+                if y == last:
+                    raise ValueError(f"cover ({order[x]}, {order[y]}) is given more than once")
+                last = y
+                lower[y].append(x)
+        bottoms, tops = lower.count([]), upper.count([])
+        if bottoms != 1 or tops != 1:
+            raise ValueError(f"not bounded: {bottoms} minimal and {tops} maximal elements")
+        lattice = cls(tuple(map(elements.__getitem__, order)), down, lower, upper)
         if validate:
             lattice._validate()
         return lattice
@@ -139,10 +162,11 @@ class FiniteLattice:
         DCG 5 (1990), Lemma 2.1).
         """
         down, lower = self.down, self.lower
-        for a, y in self.covers:
-            for b in lower[y]:
-                if down[b] >> a & 1 and b != a:
-                    raise ValueError(f"edge {a} -> {y} is not a cover")
+        for a, ua in enumerate(self.upper):
+            for y in ua:
+                for b in lower[y]:
+                    if down[b] >> a & 1 and b != a:
+                        raise ValueError(f"edge {a} -> {y} is not a cover")
         for ly in lower:
             for i, a in enumerate(ly):
                 da = down[a]
@@ -150,6 +174,17 @@ class FiniteLattice:
                     m = da & down[b]
                     if m != down[m.bit_length() - 1]:
                         raise ValueError(f"covers {a}, {b} have no greatest lower bound")
+
+    def edges(self):
+        """The covers (x, y) in edge order, x -> upper[x][k] row by row,
+        walked off the upper rows without building a list."""
+        return ((x, y) for x, row in enumerate(self.upper) for y in row)
+
+    @cached_property
+    def covers(self) -> list[tuple[int, int]]:
+        """The cover pairs in edge order, which is sorted order, listed on
+        the first read."""
+        return list(self.edges())
 
     @cached_property
     def up(self) -> list[int]:
@@ -199,7 +234,8 @@ class FiniteLattice:
         return list(self.upper[self.bottom])
 
     def dual(self) -> "FiniteLattice":
-        rev = [(self.n - 1 - b, self.n - 1 - a) for a, b in self.covers]
+        last = self.n - 1
+        rev = ((last - b, last - a) for a, b in self.edges())
         return FiniteLattice.from_covers(
             tuple(reversed(self.elements)), rev, validate=False
         )
@@ -266,9 +302,9 @@ class LatticeCongruence:
     ``class_of`` (from ``hit`` unless given) numbers the classes by their
     least elements, ``classes`` lists their members, and the projections
     map each element to the first or last member of its class.  With
-    ``hit``, ``num_classes`` counts the class bottoms without deriving the
-    classes: every other element has a lower cover with a hit label, so
-    is in the OR of the hit labels' ``heads`` masks.
+    ``hit``, both ``class_of`` and ``num_classes`` start from the class
+    bottoms (``_bottoms``), and ``num_classes`` counts them without
+    deriving the classes.
     """
 
     def __init__(
@@ -284,38 +320,37 @@ class LatticeCongruence:
         if class_of is not None:
             self.class_of = _numbered(class_of)
 
-    @cached_property
-    def _contracted(self) -> bytes:
-        """Byte j is 1 where label j is hit."""
+    def _bottoms(self) -> int:
+        """With ``hit``, the bitmask of the class bottoms.  An element
+        other than its class bottom has a lower cover in its class, so an
+        edge with a hit label into it, and is in the OR of the hit
+        labels' ``heads`` masks; a class bottom has neither."""
         hit = self.hit
-        return bytes(hit >> j & 1 for j in range(len(self.forcing.reach)))
+        contracted = bytes(hit >> j & 1 for j in range(len(self.forcing.reach)))
+        heads = reduce(or_, compress(self.forcing.heads, contracted), 0)
+        return ((1 << self.lattice.n) - 1) ^ heads
 
     @cached_property
     def class_of(self) -> list[int]:
-        """Join the ends of each cover with a hit label.  Covers are sorted
-        by their lower end, so the class of x is final before its upper
-        covers are reached."""
-        lattice = self.lattice
-        class_of = list(range(lattice.n))
-        contracted = map(self._contracted.__getitem__, self.forcing.labels)
-        for x, y in compress(lattice.covers, contracted):
-            class_of[y] = class_of[x]
-        return _numbered(class_of)
+        """Each element x is named by its class bottom, the highest set
+        bit of down(x) & ``_bottoms()``: the down projection preserves
+        order, so every class bottom at or below x is at or below x's
+        own, which has the highest index among them."""
+        bottoms = self._bottoms()
+        return _numbered(map(int.bit_length, map(bottoms.__and__, self.lattice.down)))
 
     @cached_property
     def num_classes(self) -> int:
-        """With ``hit``, the elements outside the heads of the hit labels."""
         if self.hit is None:
             return len(self.classes)
-        heads = reduce(or_, compress(self.forcing.heads, self._contracted), 0)
-        return self.lattice.n - heads.bit_count()
+        return self._bottoms().bit_count()
 
     @cached_property
     def cover_image(self) -> set[tuple[int, int]]:
         """The class pairs of the covers whose ends lie in different
         classes: for a congruence, the quotient's covers."""
         c = self.class_of
-        return {(c[a], c[b]) for a, b in self.lattice.covers if c[a] != c[b]}
+        return {(cx, c[y]) for cx, row in zip(c, self.lattice.upper) for y in row if cx != c[y]}
 
     @cached_property
     def classes(self) -> list[list[int]]:
@@ -359,7 +394,7 @@ class LatticeCongruence:
                 cls_mask |= 1 << i
             if mask != cls_mask:
                 return False, f"class [{bottom}, {top}] is not a full interval"
-        for a, b in lattice.covers:
+        for a, b in lattice.edges():
             if not lattice.le(
                 self.down_projection[a], self.down_projection[b]
             ):
@@ -398,8 +433,8 @@ class PolygonForcing:
     (the name is from the polygons of the weak order, which generate it
     there).
 
-    Edge ``first[x] + k`` is the cover x -> upper[x][k], which is also its
-    position in ``lattice.covers``.  ``labels[e]`` is the label of edge e
+    Edge ``first[x] + k`` is the cover x -> upper[x][k], the lattice's
+    edge order (``FiniteLattice.edges``).  ``labels[e]`` is the label of edge e
     as an ordinal into ``lattice.join_irreducibles``: for a cover x -> y
     it is m, the lowest index in down(y) outside down(x).  ``reach[j]`` is
     the bitmask of the labels that contracting label j forces, j included.
@@ -435,7 +470,7 @@ class PolygonForcing:
         x, filled along the lower covers.  The least element of down(y)
         outside down(x) is join-irreducible, so the label of a cover
         x -> y is the lowest bit of below[y] ^ below[x].  One pass over
-        the covers reads each label and sets the cover's upper end in its
+        the edges reads each label and sets the cover's upper end in its
         label's row of heads, a bytearray with bit y in byte y >> 3, made
         into an int once.  Raises AssertionError on the first cover whose
         ends have the same join-irreducibles below them, which no lattice
@@ -451,9 +486,7 @@ class PolygonForcing:
         so the m for label k are one AND of columns: above every
         join-irreducible at or below k_*, and not above k.
         """
-        ji, lower, upper, covers = (
-            lattice.join_irreducibles, lattice.lower, lattice.upper, lattice.covers
-        )
+        ji, lower, upper = lattice.join_irreducibles, lattice.lower, lattice.upper
         below = [0] * lattice.n
         for k, g in enumerate(ji):
             below[g] = 1 << k
@@ -462,14 +495,18 @@ class PolygonForcing:
             for a in lx:
                 mask |= below[a]
             below[x] = mask
-        labels = array("i", [0]) * len(covers)
+        first = array("i", accumulate(map(len, upper), initial=0))
+        labels = array("i", [0]) * first[-1]
         heads = [bytearray((lattice.n + 7) >> 3) for _ in ji]
-        for edge, (x, y) in enumerate(covers):
-            diff = below[y] ^ below[x]
-            if not diff:
-                raise AssertionError(f"edge {edge} has no label")
-            k = labels[edge] = (diff & -diff).bit_length() - 1
-            heads[k][y >> 3] |= 1 << (y & 7)
+        edge = 0
+        for bx, row in zip(below, upper):
+            for y in row:
+                diff = below[y] ^ bx
+                if not diff:
+                    raise AssertionError(f"edge {edge} has no label")
+                k = labels[edge] = (diff & -diff).bit_length() - 1
+                heads[k][y >> 3] |= 1 << (y & 7)
+                edge += 1
         # In place, so that each packed row is freed once its int is made.
         for k, row in enumerate(heads):
             heads[k] = int.from_bytes(row, "little")
@@ -489,7 +526,6 @@ class PolygonForcing:
             columns = map(cols.__getitem__, _members(below[lower[g][0]]))
             meets = reduce(and_, columns, everything ^ cols[k])
             reach.append(reduce(or_, map(forced.__getitem__, _members(meets)), 0))
-        first = array("i", accumulate(map(len, upper), initial=0))
         return cls(first, labels, _transitive(reach), heads)
 
     def closure(self, lattice: FiniteLattice, pairs) -> LatticeCongruence:
@@ -623,16 +659,19 @@ def _is_cover_bijection(a: FiniteLattice, b: FiniteLattice, mapping) -> bool:
     a to a cover of b.  With as many covers in a as in b, the covers of a
     then go onto those of b, and the orders, generated by their covers,
     correspond."""
-    if sorted(mapping) != list(range(b.n)) or len(a.covers) != len(b.covers):
+    if sorted(mapping) != list(range(b.n)) or _edge_count(a) != _edge_count(b):
         return False
-    covers = set(b.covers)
-    return all((mapping[x], mapping[y]) in covers for x, y in a.covers)
+    return all(mapping[y] in b.upper[mapping[x]] for x, y in a.edges())
+
+
+def _edge_count(lattice: FiniteLattice) -> int:
+    return sum(map(len, lattice.upper))
 
 
 def _isomorphism_search(a: FiniteLattice, b: FiniteLattice):
     """A backtracking search for an order isomorphism a -> b, over the
     elements whose refined signatures agree; the mapping or None."""
-    if a.n != b.n or len(a.covers) != len(b.covers):
+    if a.n != b.n or _edge_count(a) != _edge_count(b):
         return None
     sig_a = _refine_signatures(a)
     sig_b = _refine_signatures(b)

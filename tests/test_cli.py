@@ -181,12 +181,12 @@ def test_cluster_suite_exits_4_on_ambiguous_flip(capsys, monkeypatch):
 
 
 def test_out_of_memory_exits_4_with_one_error_line():
-    """S_8's weak order outgrows 160 MB of address space.  The limit is set
+    """S_8's weak order outgrows 128 MB of address space.  The limit is set
     on the child alone, so the host's memory is never exhausted."""
     resource = pytest.importorskip("resource")
     if not hasattr(resource, "RLIMIT_AS"):
         pytest.skip("no RLIMIT_AS on this platform")
-    limit = 160 * 2**20
+    limit = 128 * 2**20
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
     argv = ["verify", "--suite", "catalan", "--family", "A", "--max-rank", "8", "--cap", "100000"]

@@ -103,12 +103,14 @@ def test_weak_order_s3():
 )
 def test_enumerate_records_the_generator_of_each_cover(family, rank, bond):
     system = build_system(family, rank, bond)
-    order, covers = system._enumerate()
+    order, succ = system._enumerate()
     expected = []
     for i, w in enumerate(order):
         for name in system.generator_names:
             if not system.is_right_descent(w, name):
                 expected.append((i, order.index(system.right_multiply(w, name))))
+    covers = [(i, j) for i, row in enumerate(succ) for j in row]
+    assert len(succ) == len(order)
     assert covers == sorted(expected)
     assert len(set(covers)) == len(covers)
 

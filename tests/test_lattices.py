@@ -1,5 +1,6 @@
 import functools
 import itertools
+import re
 from array import array
 from collections import deque
 from operator import or_
@@ -19,6 +20,7 @@ from cambrian import (
     generating_pairs,
     get_system,
     is_lattice_congruence,
+    polygon_a,
     quotient,
 )
 from cambrian.fans import b_cluster_poset, cluster_poset
@@ -63,6 +65,93 @@ def test_from_covers_trivial_and_bowtie():
     # error; by hand, as above, they stay a ValueError.
     with pytest.raises(AssertionError, match="built a poset that is not a lattice: not bounded"):
         built_lattice(elements, bowtie)
+
+
+@pytest.mark.parametrize(
+    "covers, message",
+    [
+        # Taken as given, a repeated pair makes lower[1] == [0, 0], so 1
+        # would lose its join-irreducibility and 0 its meet-irreducibility.
+        ([(0, 1), (0, 1), (1, 2)], "cover (0, 1) is given more than once"),
+        # Read from the end, -2 is 1: a chain from a pair not given.
+        ([(0, -2), (1, 2)], "cover (0, -2) is not a pair of indices 0..2"),
+        ([(0, 1), (1, 3)], "cover (1, 3) is not a pair of indices 0..2"),
+    ],
+)
+def test_from_covers_refuses_malformed_pairs(covers, message):
+    elements = ("0", "a", "1")
+    for validate in (True, False):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            FiniteLattice.from_covers(elements, iter(covers), validate=validate)
+    with pytest.raises(AssertionError, match=f"not a lattice: {re.escape(message)}$"):
+        built_lattice(elements, covers)
+
+
+def tuple_list_lattice(elements, covers):
+    """The construction that reads one sorted list of cover tuples: Kahn's
+    algorithm over the successors in input order, every pair re-indexed
+    into a new list and sorted, and the rows and down-sets read off it.
+    (elements, covers, lower, upper, down)."""
+    covers = list(covers)
+    n = len(elements)
+    succ = [[] for _ in range(n)]
+    indeg = [0] * n
+    for a, b in covers:
+        succ[a].append(b)
+        indeg[b] += 1
+    order = [i for i in range(n) if indeg[i] == 0]
+    queue = deque(order)
+    while queue:
+        for j in succ[queue.popleft()]:
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                order.append(j)
+                queue.append(j)
+    new_pos = {old: pos for pos, old in enumerate(order)}
+    new_covers = sorted((new_pos[a], new_pos[b]) for a, b in covers)
+    lower = [[] for _ in range(n)]
+    upper = [[] for _ in range(n)]
+    for a, b in new_covers:
+        upper[a].append(b)
+        lower[b].append(a)
+    down = [0] * n
+    for i in range(n):
+        down[i] = functools.reduce(or_, (down[a] for a in lower[i]), 1 << i)
+    return tuple(elements[old] for old in order), new_covers, lower, upper, down
+
+
+def assert_built_as_tuple_list(elements, covers):
+    lattice = FiniteLattice.from_covers(elements, iter(covers))
+    built = (lattice.elements, lattice.covers, lattice.lower, lattice.upper, lattice.down)
+    assert built == tuple_list_lattice(elements, covers)
+    assert list(lattice.edges()) == lattice.covers
+
+
+@pytest.mark.parametrize(
+    "key", [("A", 2), ("A", 3), ("A", 4), ("B", 2), ("B", 3), ("H3",), ("I2", None, 5)]
+)
+def test_weak_order_rows_build_as_the_tuple_list(key):
+    """The successor rows of the enumeration, read as pairs, give the
+    elements, covers, rows and down-sets of the sorted tuple list."""
+    order, succ = build_system(*key)._enumerate()
+    assert_built_as_tuple_list(order, [(i, j) for i, row in enumerate(succ) for j in row])
+
+
+def test_quotients_flip_orders_and_an_ungraded_lattice_build_as_the_tuple_list(monkeypatch):
+    """The covers of a Cambrian quotient, those of a flip lattice (not in
+    sorted order) and the pentagon's, given out of order: the pentagon
+    0 < a < 1, 0 < b1 < b2 < 1 is not graded."""
+    cong = cambrian_congruence(get_system("A", 3), all_orientations(get_system("A", 3))[1])
+    elements = tuple(cong.lattice.elements[cls[0]] for cls in cong.classes)
+    assert_built_as_tuple_list(elements, sorted(cong.cover_image))
+    flips = []
+    monkeypatch.setattr(polygon_a, "built_lattice", lambda *args: flips.append(args))
+    triangulation_lattice(UpDownSignature.from_string("udud"))
+    ((items, covers),) = flips
+    assert covers != sorted(covers)
+    assert_built_as_tuple_list(items, covers)
+    pentagon_covers = [(3, 4), (0, 2), (1, 4), (2, 3), (0, 1)]
+    assert_built_as_tuple_list(("0", "a", "b1", "b2", "1"), pentagon_covers)
 
 
 def test_congruence_closure_hexagon():
@@ -1165,10 +1254,12 @@ def test_derived_up_sets_match_the_down_sets(family, rank, bond):
 
 def test_catalan_suite_reads_no_up_set_of_a_weak_order(monkeypatch):
     """Building, validating and closing a weak order reads only down-sets,
-    so the up-sets are never derived."""
+    so the up-sets are never derived, and walks the rows, so the list of
+    cover pairs is never made."""
     systems = {}
     monkeypatch.setattr(coxeter, "_SYSTEMS", systems)
     assert run_suite("catalan", family="A", max_rank=7)["passed"]
     assert [system.order for system in systems.values()] == [6, 24, 120, 720, 5040]
     for system in systems.values():
-        assert "up" not in vars(system.weak_order_lattice())
+        stored = vars(system.weak_order_lattice())
+        assert "up" not in stored and "covers" not in stored
