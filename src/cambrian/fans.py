@@ -853,14 +853,15 @@ def stasheff_ray_check(n: int) -> bool:
 
 
 def fan_to_json(signature: UpDownSignature) -> dict:
-    """The signature's fan: rays, lineality and each class cone by ray index."""
+    """The signature's fan: rays, lineality and each class cone by ray index,
+    the cones read off the eta fibers (the Cambrian classes, numbered by
+    first member as ``class_of`` numbers them) with no congruence closed."""
     n = signature.n
-    cong = _signature_congruence(get_system("A", n - 1), signature)
+    lattice = get_system("A", n - 1).weak_order_lattice()
+    distinct, _ = signature.eta_fibers(weak_order_walk(lattice, signature))
     subsets, diagonals = zip(*_rays_and_diagonals(signature))
     ray_index = {d: k for k, d in enumerate(diagonals)}
-    cones = [
-        sorted(ray_index[d] for d in diags) for diags in _class_diagonals(cong, signature, n)
-    ]
+    cones = [sorted(ray_index[d] for d in _mask_diagonals(mask, n)) for mask in distinct]
     return {
         "dim": n - 1,
         "lineality": [fraction_str(Fraction(1)) for _ in range(n)],

@@ -7,7 +7,8 @@ Q(c) are coefficient tuples (a_0, ..., a_{d-1}) standing for a_0 + a_1*c +
 c.  That polynomial is monic with integer coefficients, so Z[c] is closed
 under multiplication: roots keep plain ``int`` coefficients, and only
 inverses bring in ``Fraction``.  The fan checks compute no vectors over
-the field, and only the tests' oracles call ``sign``.  Q itself
+the field, and only the tests' oracles call ``sign``, which is exact in
+closed form for degree <= 2 and raises ValueError above.  Q itself
 is ``NumberField(3)``: c = 1, the minimal polynomial is x - 1, and its
 elements are 1-tuples.  Every operation is exact; no floating point is
 used anywhere.
@@ -102,26 +103,6 @@ def _poly_divmod(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
     return _trim(quo), _trim(rem)
 
 
-def _poly_eval(coeffs: Sequence, x):
-    total = 0
-    for c in reversed(coeffs):
-        total = total * x + c
-    return total
-
-
-def _sturm_chain(f: Sequence) -> list[Coeffs]:
-    """f, f', then negated remainders, for counting real roots of f."""
-    chain = [_trim(f), _trim([k * c for k, c in enumerate(f)][1:])]
-    while len(chain[-1]) > 1:
-        chain.append(tuple(-c for c in _poly_divmod(chain[-2], chain[-1])[1]))
-    return chain
-
-
-def _sign_changes(chain: list[Coeffs], x) -> int:
-    signs = [v > 0 for v in (_poly_eval(p, x) for p in chain) if v != 0]
-    return sum(a != b for a, b in zip(signs, signs[1:]))
-
-
 class NumberField:
     """The field Q(c) where c = 2*cos(pi/m), with exact elements.
 
@@ -151,7 +132,6 @@ class NumberField:
             power = [0] + power[:-1]
             if lead:
                 power = [c - lead * mc for c, mc in zip(power, self.minpoly)]
-        self._bracket = None
 
     def from_rational(self, q) -> Coeffs:
         return (_rational(q),) + (0,) * (self.degree - 1)
@@ -221,7 +201,7 @@ class NumberField:
             v = a[0]
             return (v > 0) - (v < 0)
         if self.degree > 2:
-            return self._sign_by_bisection(a)
+            raise ValueError(f"no sign in NumberField({self.m}): degree {self.degree} > 2")
         # c is the largest root of x^2 + p*x + q, so 2c = -p + sqrt(D), and
         # 2*(a0 + a1*c) = A + B*sqrt(D) with A = 2*a0 - a1*p, B = a1.
         q_, p_, _ = self.minpoly
@@ -243,43 +223,6 @@ class NumberField:
         if big_a > 0:
             return 1 if lhs > rhs else -1
         return -1 if lhs > rhs else 1
-
-    def _sign_by_bisection(self, a: Coeffs) -> int:
-        """Sign for degree >= 3: shrink a rational interval (lo, hi] around
-        c until the interval value of a excludes 0.  A nonzero element of
-        degree below the field's has no root at c, so this terminates."""
-        if self.is_zero(a):
-            return 0
-        if self._bracket is None:
-            # c is the largest root of the minimal polynomial, all of whose
-            # roots 2*cos(k*pi/m) lie in (-2, 2); none is rational.
-            chain = _sturm_chain(self.minpoly)
-            lo, hi = Fraction(0), Fraction(2)
-            while _sign_changes(chain, lo) - _sign_changes(chain, hi) > 1:
-                mid = (lo + hi) / 2
-                if _sign_changes(chain, mid) > _sign_changes(chain, hi):
-                    lo = mid
-                else:
-                    hi = mid
-            self._bracket = (lo, hi)
-        lo, hi = self._bracket
-        while True:
-            low = high = 0
-            for k, ak in enumerate(a):
-                # 0 <= lo < c <= hi, so c^k lies in [lo^k, hi^k].
-                ends = (ak * lo**k, ak * hi**k)
-                low += min(ends)
-                high += max(ends)
-            if low > 0:
-                return 1
-            if high < 0:
-                return -1
-            mid = (lo + hi) / 2
-            if (_poly_eval(self.minpoly, mid) > 0) == (_poly_eval(self.minpoly, hi) > 0):
-                hi = mid
-            else:
-                lo = mid
-            self._bracket = (lo, hi)
 
 
 def solve_linear(field, matrix, rhs):

@@ -536,49 +536,6 @@ def eta_masks(elements, signature: UpDownSignature) -> list[int]:
 # Colored patterns and the projections.
 
 
-def _pattern_masks(x: tuple[int, ...]):
-    """Bitmasks of values usable as the marked letter of each pattern.
-
-    Returns (m231, m312, m213, m132); the marked letter carries the up or
-    down requirement, everything else is signature-free, so containment
-    for a given signature is a mask intersection.  The marked letter a of
-    231 (213) sees to its right a larger (smaller) value and then a
-    smaller (larger) one; that of 312 (132) sees the same to its left,
-    read leftwards.  So 312 and 132 are ``_inside_pairs`` of x read
-    forward, 231 and 213 of x read backward.
-    """
-    m132, m312 = _inside_pairs(x)
-    m231, m213 = _inside_pairs(x[::-1])
-    return m231, m312, m213, m132
-
-
-def _inside_pairs(values) -> tuple[int, int]:
-    """Masks of the values read strictly inside a pair read before them:
-    a smaller then a larger value, and a larger then a smaller one.
-
-    The pairs a value v makes with the values read before it span
-    (low, v) for their minimum low below v and (v, high) for their
-    maximum high above it, so the running minimum and maximum keep the
-    union of each kind of pair.  A value below the minimum (above the
-    maximum) lies inside no pair of the first (second) kind.
-    """
-    rising = falling = inside_rising = inside_falling = 0
-    low = high = values[0] if values else 0
-    for v in values:
-        bit = 1 << v
-        if v > low:
-            inside_rising |= rising & bit
-            rising |= bit - (2 << low)
-        else:
-            low = v
-        if v < high:
-            inside_falling |= falling & bit
-            falling |= (1 << high) - (bit << 1)
-        else:
-            high = v
-    return inside_rising, inside_falling
-
-
 def contains_colored_pattern(
     x: tuple[int, ...], signature: UpDownSignature, pattern: str
 ) -> tuple[bool, Optional[tuple[int, int, int]]]:
@@ -667,16 +624,13 @@ def projection_tables(
 
 
 def is_pi_down_fixed(x: tuple[int, ...], signature: UpDownSignature) -> bool:
-    """Whether x avoids up231 and 31down2: m312 lies in the up set and
-    m231 misses it (``_pattern_masks``)."""
-    m231, m312, _, _ = _pattern_masks(x)
-    return not (m312 & ~signature.upmask or m231 & signature.upmask)
+    """Whether pi_down fixes x, that is, x avoids up231 and 31down2."""
+    return pi_down(x, signature) == tuple(x)
 
 
 def is_pi_up_fixed(x: tuple[int, ...], signature: UpDownSignature) -> bool:
-    """Whether x avoids up213 and 13down2, as ``is_pi_down_fixed``."""
-    _, _, m213, m132 = _pattern_masks(x)
-    return not (m132 & ~signature.upmask or m213 & signature.upmask)
+    """Whether pi_up fixes x, that is, x avoids up213 and 13down2."""
+    return pi_up(x, signature) == tuple(x)
 
 
 # ---------------------------------------------------------------------------

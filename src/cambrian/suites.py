@@ -256,18 +256,22 @@ def _pattern_sweep(n: int) -> tuple[array, array, array, array]:
     four arrays (avoid down, fixed down, avoid up, fixed up), interval
     (low, high) packed as low | high << (n+1), the masks having bits 1..n.
 
-    Each prefix carries the forward state of ``_inside_pairs`` (running
-    minimum and maximum, the unions of rising and of falling pairs, and
-    the values found inside them) and of the projections' firing
+    Each prefix carries the values found strictly inside a pair read
+    before them, rising (smaller then larger) and falling: the pairs a
+    value v makes with earlier values span (low, v) and (v, high) for
+    the running minimum low below v and maximum high above it, so those
+    two keep each union, and a value past either lies inside no pair of
+    that kind.  Forwards these are the marked letters of 132 and 312;
+    backwards, of 213 and 231.  It also carries the projections' firing
     witnesses in both directions (over each adjacent inversion, or
     ascent, the values strictly between the pair that come earlier, and
     those that come later); the pair a value makes with the last one
-    reads only the set of values before it.  The backward scan of x,
-    ``_inside_pairs(x[::-1])``, is the forward scan of rev(x), so each
-    permutation's forward masks are the low ends of its own avoid
-    intervals and the high ends of those of rev(x), at the lexicographic
-    rank of rev(x): the sum over positions p of p! times the number of
-    earlier values below x_p, which the sweep adds up along the prefix.
+    reads only the set of values before it.  The backward scan of x is
+    the forward scan of rev(x), so each permutation's forward masks are
+    the low ends of its own avoid intervals and the high ends of those
+    of rev(x), at the lexicographic rank of rev(x): the sum over
+    positions p of p! times the number of earlier values below x_p,
+    which the sweep adds up along the prefix.
     """
     width, values = n + 1, (1 << n + 1) - 2
     code = _typecode(1 << 2 * width)
@@ -340,7 +344,8 @@ def _patterns_checks(n: int, system: CoxeterSystem, label: str) -> list:
     """Fixed points of the projections are the colored-pattern avoiders.
 
     For a permutation x and up set U, x avoids up231 and 31down2 iff
-    m312 <= U and U misses m231 (``_pattern_masks``), and pi_down fixes x
+    m312 <= U and U misses m231, where m231 (m312) holds the values that
+    are the marked letter of some 231 (312) in x, and pi_down fixes x
     iff the later firing witnesses (``_pattern_sweep``) lie in U and the
     earlier ones miss it; likewise for pi_up.  Each is an interval of U,
     so the claim for every signature at once is one interval comparison per

@@ -549,12 +549,13 @@ def test_root_permutations_match_matrix_products(key):
         matrix = _word_matrix(system, word)
         for j, alpha in enumerate(simples):
             assert system.act(w, alpha) == tuple(row[j] for row in matrix)
+        # Each image w^-1 beta is a root, and it is negative iff it is not
+        # a positive root: exact membership, with no sign in the field.
         inverse = _word_matrix(system, word[::-1])
-        negated = {
-            k
-            for k, beta in enumerate(system.roots)
-            if any(field.sign(x) < 0 for x in mat_vec(field, inverse, beta))
-        }
+        images = [mat_vec(field, inverse, beta) for beta in system.roots]
+        assert all(image in system._engine.root_vectors for image in images), word
+        positive = set(system.roots)
+        negated = {k for k, image in enumerate(images) if image not in positive}
         assert inversions == negated, word
 
 

@@ -463,6 +463,21 @@ def test_fan_to_json():
     assert len(data["cones"]) == 5
 
 
+@pytest.mark.parametrize("n", range(3, 7))
+def test_fan_to_json_cones_are_the_class_diagonals(n):
+    """The exported cones, read off the eta fibers, are the class bottoms'
+    diagonals of the closed Cambrian congruence, class by class."""
+    system = get_system("A", n - 1)
+    for sig in all_updown_signatures(n):
+        ray_index = {d: k for k, (_, d) in enumerate(fans._rays_and_diagonals(sig))}
+        cong = fans._signature_congruence(system, sig)
+        expected = [
+            sorted(ray_index[d] for d in diagonals)
+            for diagonals in fans._class_diagonals(cong, sig, n)
+        ]
+        assert fan_to_json(sig)["cones"] == expected, sig.to_string()
+
+
 # ---------------------------------------------------------------------------
 # The integer fast paths against the simple field algorithms.
 

@@ -122,20 +122,35 @@ def test_integer_elements_never_become_floats(m, data):
         for _ in range(2)
     )
     assert _exact(field.mul(a, b))
-    sign = field.sign(a)
-    assert sign == field.sign(tuple(Fraction(x) for x in a))
-    value = _approx(field, a)
-    if abs(value) > 1e-6:
-        assert sign == (1 if value > 0 else -1)
+    exact_sign = field.degree <= 2
+    if exact_sign:
+        sign = field.sign(a)
+        assert sign == field.sign(tuple(Fraction(x) for x in a))
+        value = _approx(field, a)
+        if abs(value) > 1e-6:
+            assert sign == (1 if value > 0 else -1)
+        assert (sign == 0) == field.is_zero(a)
+        assert type(field.sign(field.sub(b, a))) is int
+    else:
+        with pytest.raises(ValueError, match=f"degree {field.degree}"):
+            field.sign(a)
     if field.is_zero(a):
-        assert sign == 0
         return
     inverse = field.inv(a)
     assert _exact(inverse)
     assert field.mul(a, inverse) == field.one
     assert _exact(_div(field, b, a))
-    assert field.sign(inverse) == sign
-    assert type(field.sign(field.sub(b, a))) is int
+    if exact_sign:
+        assert field.sign(inverse) == sign
+
+
+@pytest.mark.parametrize("m, degree", [(7, 3), (8, 4)])
+def test_sign_refuses_a_field_of_degree_above_two(m, degree):
+    field = NumberField(m)
+    assert field.degree == degree
+    for element in (field.zero, field.one, field.generator):
+        with pytest.raises(ValueError, match=f"NumberField\\({m}\\): degree {degree} > 2"):
+            field.sign(element)
 
 
 def test_rational_field_divides_ints_exactly():
