@@ -3,19 +3,19 @@
 A lattice stores its Hasse diagram once, as two families of rows:
 ``lower[y]`` lists the lower covers of y and ``upper[x]`` the upper
 covers of x, each row in increasing index order.  The covers are
-numbered row by row, so edge ``first[x] + k`` is x -> upper[x][k] and
-the edges run in sorted pair order; ``FiniteLattice.edges`` walks them
-without building a list, and the list of pairs, ``covers``, is made
-only on a read (output and tests).  Elements are indexed along an
-internal linear extension; each carries its down-set as a Python
-integer bitmask, and the up-sets, the same masks read the other way,
-are derived from the upper covers on the first read (a weak order
-closed under Cambrian congruences never reads them).  With indices
-respecting the order, the meet of x and y is the highest set bit of
-down(x) & down(y) and the join is the lowest set bit of up(x) & up(y).
-Construction reads only the down-sets: every edge must be a cover, and
-a ^ b must be a greatest lower bound for any two lower covers a, b of
-one element, which is enough for all meets and so for all joins (see
+numbered row by row, x -> upper[x][k] in turn, so the edges run in
+sorted pair order; ``FiniteLattice.edges`` walks them without building
+a list, and the list of pairs, ``covers``, is made only on a read
+(output and tests).  Elements are indexed along an internal linear
+extension; each carries its down-set as a Python integer bitmask, and
+the up-sets, the same masks read the other way, are derived from the
+upper covers on the first read (a weak order closed under Cambrian
+congruences never reads them).  With indices respecting the order, the
+meet of x and y is the highest set bit of down(x) & down(y) and the
+join is the lowest set bit of up(x) & up(y).  Construction reads only
+the down-sets: every edge must be a cover, and a ^ b must be a greatest
+lower bound for any two lower covers a, b of one element, which is
+enough for all meets and so for all joins (see
 ``FiniteLattice._validate``).
 
 A congruence is determined by the covers it contracts.  Each cover
@@ -23,25 +23,25 @@ x -> y is labelled by a join-irreducible, the least element of down(y)
 outside down(x), and a congruence contracts a cover exactly when it
 contracts its label (see ``PolygonForcing``).  One forcing table serves
 every lattice, a weak order, a quotient or one built by hand
-(``PolygonForcing.of``): it holds the label of each edge and, for each
-label, the bitmask of the labels it forces, read off the arrow
-relations between join- and meet-irreducibles with one bitmask of
-join-irreducibles per element, and closed transitively (Freese, Jezek
-and Nation, Free lattices, AMS 1995, ch. II).  A closure is then an OR
-of the masks of its seed labels.  The class bottoms are the elements
-with no contracted lower cover, and the table keeps, for each label,
-the mask of the elements with a lower cover of that label (its heads),
-so the class bottoms are the elements outside the OR of the contracted
-labels' heads.  The class count is their number, and the classes, read
-only when needed, name each element by the greatest class bottom below
-it.
+(``PolygonForcing.of``): it keeps no per-edge data, only one bitmask
+of join-irreducibles per element, from which each cover's label is one
+XOR and a lowest bit, and, for each label, the bitmask of the labels it
+forces, read off the arrow relations between join- and
+meet-irreducibles with the same bitmasks and closed transitively
+(Freese, Jezek and Nation, Free lattices, AMS 1995, ch. II).  A closure
+is then an OR of the masks of its seed labels.  The class bottoms are
+the elements with no contracted lower cover, and the table keeps, for
+each label, the mask of the elements with a lower cover of that label
+(its heads), so the class bottoms are the elements outside the OR of
+the contracted labels' heads.  The class count is their number, and
+the classes, read only when needed, name each element by the greatest
+class bottom below it.
 """
 
 from __future__ import annotations
 
-from array import array
 from functools import cached_property, reduce
-from itertools import accumulate, compress
+from itertools import compress
 from operator import and_, or_
 from typing import Optional, Sequence
 
@@ -160,20 +160,35 @@ class FiniteLattice:
         greatest lower bound is a lattice (the dual of Bjorner, Edelman
         and Ziegler, Hyperplane arrangements with a lattice of regions,
         DCG 5 (1990), Lemma 2.1).
+
+        One AND per pair serves both checks: the AND is down(a) or down(b)
+        exactly when one of the two lies below the other.  A refusal names
+        the first non-cover in edge order (``_non_cover``) if there is one,
+        and otherwise the first pair, row by row, without a greatest lower
+        bound, which is the pair the pass stopped at.
         """
+        down = self.down
+        for ly in self.lower:
+            for i, a in enumerate(ly):
+                da = down[a]
+                for b in ly[i + 1 :]:
+                    db = down[b]
+                    m = da & db
+                    if m == da or m == db or m != down[m.bit_length() - 1]:
+                        raise self._non_cover() or ValueError(
+                            f"covers {a}, {b} have no greatest lower bound"
+                        )
+
+    def _non_cover(self) -> Optional[ValueError]:
+        """The refusal of the first edge, in edge order, that is not a
+        cover, or None when every edge is one."""
         down, lower = self.down, self.lower
         for a, ua in enumerate(self.upper):
             for y in ua:
                 for b in lower[y]:
                     if down[b] >> a & 1 and b != a:
-                        raise ValueError(f"edge {a} -> {y} is not a cover")
-        for ly in lower:
-            for i, a in enumerate(ly):
-                da = down[a]
-                for b in ly[i + 1 :]:
-                    m = da & down[b]
-                    if m != down[m.bit_length() - 1]:
-                        raise ValueError(f"covers {a}, {b} have no greatest lower bound")
+                        return ValueError(f"edge {a} -> {y} is not a cover")
+        return None
 
     def edges(self):
         """The covers (x, y) in edge order, x -> upper[x][k] row by row,
@@ -433,13 +448,13 @@ class PolygonForcing:
     (the name is from the polygons of the weak order, which generate it
     there).
 
-    Edge ``first[x] + k`` is the cover x -> upper[x][k], the lattice's
-    edge order (``FiniteLattice.edges``).  ``labels[e]`` is the label of edge e
-    as an ordinal into ``lattice.join_irreducibles``: for a cover x -> y
-    it is m, the lowest index in down(y) outside down(x).  ``reach[j]`` is
-    the bitmask of the labels that contracting label j forces, j included.
-    ``heads[j]`` is the bitmask of the elements with a lower cover
-    labelled j.
+    ``below[x]`` has bit k for the k-th join-irreducible of
+    ``lattice.join_irreducibles`` at or below x.  The label of a cover
+    x -> y is m, the lowest index in down(y) outside down(x), named by its
+    ordinal k, the lowest bit of below[y] ^ below[x]; no label is stored.
+    ``reach[j]`` is the bitmask of the labels that contracting label j
+    forces, j included.  ``heads[j]`` is the bitmask of the elements with
+    a lower cover labelled j.
 
     The elements of down(y) outside down(x) form an up-set of [0, y], so
     everything strictly below m is below x: m is join-irreducible with
@@ -453,28 +468,27 @@ class PolygonForcing:
     so the elements outside the heads of the contracted labels.
     """
 
-    __slots__ = ("first", "labels", "reach", "heads")
+    __slots__ = ("below", "reach", "heads")
 
-    def __init__(self, first: array, labels: array, reach: list[int], heads: list[int]):
-        self.first = first
-        self.labels = labels
+    def __init__(self, below: list[int], reach: list[int], heads: list[int]):
+        self.below = below
         self.reach = reach
         self.heads = heads
 
     @classmethod
     def of(cls, lattice: FiniteLattice) -> "PolygonForcing":
-        """The table of ``lattice``, read off its irreducibles in a few
-        passes over whole rows.
+        """The table of ``lattice``, read off its irreducibles in one walk
+        of the lower rows and a few passes over whole rows.
 
-        ``below[x]`` has bit k for the k-th join-irreducible at or below
-        x, filled along the lower covers.  The least element of down(y)
-        outside down(x) is join-irreducible, so the label of a cover
-        x -> y is the lowest bit of below[y] ^ below[x].  One pass over
-        the edges reads each label and sets the cover's upper end in its
-        label's row of heads, a bytearray with bit y in byte y >> 3, made
-        into an int once.  Raises AssertionError on the first cover whose
-        ends have the same join-irreducibles below them, which no lattice
-        has.
+        ``below`` starts with each join-irreducible's own bit, and the walk
+        ORs each row's lower covers into it in index order, a linear
+        extension.  The least element of down(y) outside down(x) is
+        join-irreducible, so once below[y] is complete, each lower cover a
+        of y labels a -> y with the lowest bit of below[y] ^ below[a], and y
+        is set in that label's row of heads, a bytearray with bit y in byte
+        y >> 3, made into an int once.  Raises AssertionError naming the
+        first edge, in edge order, whose ends have the same
+        join-irreducibles below them, which no lattice has.
 
         Contracting label k forces label j where a meet-irreducible m,
         with upper cover m*, has k, j not <= m, k_* <= m and j <= m*: if
@@ -490,23 +504,21 @@ class PolygonForcing:
         below = [0] * lattice.n
         for k, g in enumerate(ji):
             below[g] = 1 << k
-        for x, lx in enumerate(lower):
-            mask = below[x]
-            for a in lx:
+        # One row more than labels: a cover without a label, diff 0, has
+        # "label" -1 and lands in the last row.
+        heads = [bytearray((lattice.n + 7) >> 3) for _ in range(len(ji) + 1)]
+        for y, ly in enumerate(lower):
+            mask = below[y]
+            for a in ly:
                 mask |= below[a]
-            below[x] = mask
-        first = array("i", accumulate(map(len, upper), initial=0))
-        labels = array("i", [0]) * first[-1]
-        heads = [bytearray((lattice.n + 7) >> 3) for _ in ji]
-        edge = 0
-        for bx, row in zip(below, upper):
-            for y in row:
-                diff = below[y] ^ bx
-                if not diff:
-                    raise AssertionError(f"edge {edge} has no label")
-                k = labels[edge] = (diff & -diff).bit_length() - 1
-                heads[k][y >> 3] |= 1 << (y & 7)
-                edge += 1
+            below[y] = mask
+            byte, bit = y >> 3, 1 << (y & 7)
+            for a in ly:
+                diff = mask ^ below[a]
+                heads[(diff & -diff).bit_length() - 1][byte] |= bit
+        if any(heads.pop()):
+            edge = next(e for e, (x, y) in enumerate(lattice.edges()) if below[x] == below[y])
+            raise AssertionError(f"edge {edge} has no label")
         # In place, so that each packed row is freed once its int is made.
         for k, row in enumerate(heads):
             heads[k] = int.from_bytes(row, "little")
@@ -526,17 +538,17 @@ class PolygonForcing:
             columns = map(cols.__getitem__, _members(below[lower[g][0]]))
             meets = reduce(and_, columns, everything ^ cols[k])
             reach.append(reduce(or_, map(forced.__getitem__, _members(meets)), 0))
-        return cls(first, labels, _transitive(reach), heads)
+        return cls(below, _transitive(reach), heads)
 
     def closure(self, lattice: FiniteLattice, pairs) -> LatticeCongruence:
         """Contract every cover in [a ^ b, a] and [a ^ b, b] for each pair
         a, b and close their labels under forcing; the classes follow from
-        the labels.  The two comparable pairs generate the congruence of
-        a ~ b, and for a comparable pair one of them is trivial.  Each
-        interval [c, d] is the part of down(d) above c, so no closure
-        derives up-sets."""
+        the labels, each cover's read off ``below`` as ``of`` reads it.
+        The two comparable pairs generate the congruence of a ~ b, and for
+        a comparable pair one of them is trivial.  Each interval [c, d] is
+        the part of down(d) above c, so no closure derives up-sets."""
         down, upper = lattice.down, lattice.upper
-        first, labels, reach = self.first, self.labels, self.reach
+        below, reach = self.below, self.reach
         hit = 0
         for a, b in pairs:
             bottom = lattice.meet(a, b)
@@ -544,9 +556,10 @@ class PolygonForcing:
                 inside = [x for x in _members(down[top]) if down[x] >> bottom & 1]
                 mask = reduce(or_, map((1).__lshift__, inside), 0)
                 for x in inside:
-                    for k, y in enumerate(upper[x], first[x]):
+                    bx = below[x]
+                    for y in upper[x]:
                         if mask >> y & 1:
-                            hit |= reach[labels[k]]
+                            hit |= reach[_lsb(below[y] ^ bx)]
         return LatticeCongruence(lattice, forcing=self, hit=hit)
 
 

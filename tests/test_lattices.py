@@ -1,7 +1,6 @@
 import functools
 import itertools
 import re
-from array import array
 from collections import deque
 from operator import or_
 
@@ -476,6 +475,13 @@ def test_polygonal_closure_matches_union_find_on_random_pairs(key, data):
     assert partition_fields(fast) == partition_fields(union_find_closure(lattice, pairs))
 
 
+def cover_labels(lattice, table):
+    """Each cover's label in edge order, read off the table's ``below``:
+    the lowest bit of below[y] ^ below[x]."""
+    below = table.below
+    return [_lsb(below[y] ^ below[x]) for x, y in lattice.edges()]
+
+
 def interval_closure_hit(lattice, a, b):
     """The labels, closed under forcing, of the covers in the whole
     interval [a ^ b, a v b], read off its up-sets."""
@@ -483,10 +489,9 @@ def interval_closure_hit(lattice, a, b):
     inside = lattice.interval(lattice.meet(a, b), lattice.join(a, b))
     mask = sum(1 << x for x in inside)
     hit = 0
-    for x in inside:
-        for k, y in enumerate(lattice.upper[x], forcing.first[x]):
-            if mask >> y & 1:
-                hit |= forcing.reach[forcing.labels[k]]
+    for (x, y), label in zip(lattice.edges(), cover_labels(lattice, forcing)):
+        if mask >> x & 1 and mask >> y & 1:
+            hit |= forcing.reach[label]
     return hit
 
 
@@ -629,10 +634,7 @@ def test_coset_table_matches_polygon_walk(family, rank, bond):
     lattice = get_system(family, rank, bond).weak_order_lattice()
     table = lattice.polygon_forcing()
     labels, reach = polygon_walk(lattice)
-    for x, ux in enumerate(lattice.upper):
-        for k, y in enumerate(ux):
-            assert lattice.covers[table.first[x] + k] == (x, y)
-    assert list(table.labels) == labels
+    assert cover_labels(lattice, table) == labels
     assert table.reach == reach
     heads = [0] * len(reach)
     for (_, y), label in zip(lattice.covers, labels):
@@ -693,11 +695,11 @@ def warshall(reach):
 
 
 def per_cover_table(lattice):
-    """(first, labels, reach, heads) as ``PolygonForcing.of`` built them
-    one item at a time: each label by ``_lsb``, each meet-irreducible
-    tested against one join-irreducible at a time, the Warshall closure,
-    the edge starts summed one element at a time, and the heads OR-ed
-    bit by bit from each label's list of upper ends."""
+    """(below, labels, reach, heads), ``below`` and ``labels`` in two
+    passes, the labels stored per edge in edge order, and the rest one
+    item at a time: each label by ``_lsb``, each meet-irreducible tested
+    against one join-irreducible at a time, the Warshall closure, and the
+    heads OR-ed bit by bit from each label's list of upper ends."""
     ji, lower, upper = lattice.join_irreducibles, lattice.lower, lattice.upper
     bit = {g: 1 << k for k, g in enumerate(ji)}
     below = [0] * lattice.n
@@ -706,12 +708,12 @@ def per_cover_table(lattice):
         for a in lx:
             mask |= below[a]
         below[x] = mask
-    labels = array("i", [0]) * len(lattice.covers)
+    labels = []
     for edge, (x, y) in enumerate(lattice.covers):
         diff = below[y] ^ below[x]
         if not diff:
             raise AssertionError(f"edge {edge} has no label")
-        labels[edge] = _lsb(diff)
+        labels.append(_lsb(diff))
     lows = [(below[lower[g][0]] | b, b) for g, b in bit.items()]
     reach = [0] * len(ji)
     for m in lattice.meet_irreducibles:
@@ -720,20 +722,18 @@ def per_cover_table(lattice):
         for k, (low, b) in enumerate(lows):
             if low & outside == b:
                 reach[k] |= forced
-    first = array("i", [0])
-    for ux in upper:
-        first.append(first[-1] + len(ux))
     ends = [[] for _ in reach]
     for (_, y), label in zip(lattice.covers, labels):
         ends[label].append(y)
     heads = [functools.reduce(or_, map((1).__lshift__, ys), 0) for ys in ends]
-    return first, labels, warshall(reach), heads
+    return below, labels, warshall(reach), heads
 
 
 def assert_table_matches_per_cover_builder(lattice):
     table = PolygonForcing.of(lattice)
-    assert (table.first, table.labels, table.reach, table.heads) == per_cover_table(lattice)
-    assert (table.first.typecode, table.labels.typecode) == ("i", "i")
+    assert (
+        table.below, cover_labels(lattice, table), table.reach, table.heads
+    ) == per_cover_table(lattice)
 
 
 @pytest.mark.parametrize("family, rank, bond", ORACLE_SYSTEMS)
@@ -789,6 +789,57 @@ def test_forcing_table_refuses_the_edge_the_per_cover_builder_refuses():
         assert str(built.value).startswith("edge ")
 
 
+def test_forcing_table_names_the_first_unlabelled_edge_in_edge_order():
+    """0 < a, b, g; c covers a, b, g; d covers b, g; e covers d; 1 covers
+    c and e, with e left out of the roots (as ``drop_a_root`` forges it).
+    Then c -> 1 and d -> e, and no other cover, have no label.  The walk
+    by upper end meets d -> e, edge 9, in row e before c -> 1, edge 8, in
+    row 1; the refusal names edge 8, as the per-cover builder does."""
+    covers = [
+        (0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4), (2, 5), (3, 5), (5, 6), (4, 7), (6, 7)
+    ]
+    poset = FiniteLattice.from_covers(tuple("0abgcde1"), covers, validate=False)
+    assert poset.elements == tuple("0abgcde1")
+    e = poset.index["e"]
+    assert poset.join_irreducibles == [1, 2, 3, e]
+    poset.join_irreducibles = [1, 2, 3]
+    down = poset.down
+    unlabelled = [
+        k
+        for k, (x, y) in enumerate(poset.covers)
+        if not any(down[y] >> g & 1 and not down[x] >> g & 1 for g in poset.join_irreducibles)
+    ]
+    assert [poset.covers[k] for k in unlabelled] == [(4, 7), (5, 6)]
+    assert unlabelled == [8, 9]
+    with pytest.raises(AssertionError) as built:
+        PolygonForcing.of(poset)
+    with pytest.raises(AssertionError) as oracle:
+        per_cover_table(poset)
+    assert str(built.value) == str(oracle.value) == "edge 8 has no label"
+
+
+@pytest.mark.parametrize("family, rank, bond", WEAK_ORDERS)
+def test_closure_hit_matches_per_cover_labels_on_orientations(family, rank, bond):
+    """On every orientation, the labels ``closure`` reads off ``below``
+    hit what the per-cover builder's stored labels hit: each cover of
+    [a ^ b, a] and [a ^ b, b] for each generating pair a, b, closed under
+    the oracle's forcing rows."""
+    system = get_system(family, rank, bond)
+    lattice = system.weak_order_lattice()
+    _, labels, reach, _ = per_cover_table(lattice)
+    down = lattice.down
+    for orientation in all_orientations(system):
+        pairs = [(lattice.index[a], lattice.index[b]) for a, b in generating_pairs(system, orientation)]
+        hit = 0
+        for a, b in pairs:
+            bottom = lattice.meet(a, b)
+            for top in {a, b} - {bottom}:
+                for (x, y), label in zip(lattice.covers, labels):
+                    if down[x] >> bottom & 1 and down[top] >> y & 1:
+                        hit |= reach[label]
+        assert congruence_closure(lattice, pairs).hit == hit
+
+
 def relations(max_size=40):
     """Random relations as rows of target bits: sparse, dense, cyclic."""
     return st.integers(1, max_size).flatmap(lambda size: st.one_of(
@@ -822,7 +873,7 @@ def test_sparse_closure_matches_warshall_on_chains_and_cycles(size):
 def eager_congruence(lattice, forcing, hit):
     """The congruence joining the covers with a hit label, built at once."""
     class_of = list(range(lattice.n))
-    for (x, y), label in zip(lattice.covers, forcing.labels):
+    for (x, y), label in zip(lattice.covers, cover_labels(lattice, forcing)):
         if hit >> label & 1:
             class_of[y] = class_of[x]
     return LatticeCongruence(lattice, class_of)
@@ -993,7 +1044,7 @@ LABEL_CASES = {
 @pytest.mark.parametrize("make", LABEL_CASES.values(), ids=LABEL_CASES.keys())
 def test_cover_labels_are_join_irreducibles_contracted_with_their_cover(make):
     """Each cover's label is a join-irreducible contracted with it, and
-    the forcing table's edge ids, labels and head masks are those of the
+    the labels and head masks read off the forcing table are those of the
     definitions."""
     for lattice in make():
         ji = lattice.join_irreducibles
@@ -1004,10 +1055,7 @@ def test_cover_labels_are_join_irreducibles_contracted_with_their_cover(make):
             assert lattice.le(lattice.lower[m][0], x)
             assert lattice.join(x, m) == y
         forcing = lattice.polygon_forcing()
-        assert list(forcing.labels) == [ji.index(labels[e]) for e in lattice.covers]
-        for x, ux in enumerate(lattice.upper):
-            for k, y in enumerate(ux):
-                assert lattice.covers[forcing.first[x] + k] == (x, y)
+        assert cover_labels(lattice, forcing) == [ji.index(labels[e]) for e in lattice.covers]
         assert forcing.heads == [
             sum(1 << y for y in {y for (_, y), m in labels.items() if m == g}) for g in ji
         ]
