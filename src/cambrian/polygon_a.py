@@ -21,8 +21,14 @@ P ^ U, so a step depends on (P ^ U, v) alone and one table,
 permutation.  A ``GroupWalk`` holds the signature-free part of a whole
 group, built once: the prefix tree of its permutations, each node one
 step table key, and the move table of the projections.  The walk reads
-the tree under a signature one level at a time, each level a few
-passes of ``map``.  Both it and ``_eta_mask`` clear the boundary
+the tree under many signatures at once, bit-sliced: each signature is
+a lane of 64-bit words inside one int per node, a step key's lanes
+hold ``step[key ^ under]`` for each signature's ``under``, so a node
+is one OR of its parent's int and its step's, one AND clears every
+lane's boundary, and the last level is read back lane by lane from
+one buffer of native words.  ``walk_eta`` walks a batch of signatures
+in passes of at most ``LANES``, ``eta_fibers`` one signature as a pass
+of one lane.  Both it and ``_eta_mask`` clear the boundary
 (``PolygonQ.boundary_mask``) and check that n-1 diagonals are left.
 ``eta`` decodes the mask.  A mask names its triangulation injectively,
 so a fiber of eta is the set of elements with one mask, and
@@ -66,24 +72,32 @@ the marks of 1 and n because a move reads only the values strictly
 between its pair, and neither end value is ever between two others, so
 the four markings of 1 and n share one pair of tables.
 ``projection_tables`` returns new lists, and a call that raises keeps
-nothing.  Each suite reads a group's eta once per signature, so the eta
-memo is read back only when two or more of ``congruence-eq``,
-``descent``, ``fibers`` and ``fan`` run in one process.
+nothing.  Each of ``congruence-eq``, ``descent``, ``fibers`` and ``fan``
+hands a group's walk all its signatures first (``walk_eta``), then
+reads each one's fibers back from the memo, so a second of them in
+one process walks nothing.
 """
 
 from __future__ import annotations
 
+import io
 import itertools
+import sys
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from operator import or_
+from operator import lshift, or_, rshift
 from typing import Optional
 
 from .coxeter import all_ji_subsets_a, ji_subset_bounds
 from .lattices import FiniteLattice, _members, _transitive, built_lattice
 
 PATTERNS = ("up231", "31down2", "up213", "13down2")
+
+# Signatures per pass of ``GroupWalk.walk_eta``: passes of 64 ran no
+# faster than passes of 32 and held twice the memory.  And one 64-bit word.
+LANES = 32
+_WORD = (1 << 64) - 1
 
 
 @dataclass(frozen=True)
@@ -146,9 +160,10 @@ class UpDownSignature:
         """``_mask_sides`` of a diagonal mask of the (n+2)-gon."""
         return _mask_sides(mask, self.n)
 
-    def descents(self, sides: tuple[int, int]) -> int:
-        """Left descents, bit a for s_a, of the triangulation with ``sides``."""
-        return _case_descents(sides, self)
+    def descents(self, sides) -> list[int]:
+        """Left descents, bit a for s_a, of the triangulation of each
+        ``sides`` pair in the list ``sides`` (``_case_rows``)."""
+        return _case_rows(sides, self)
 
 
 def _orientation_edges(ups, indices) -> tuple[tuple[int, int], ...]:
@@ -358,14 +373,24 @@ def _step_key(values: int, v: int, n: int) -> int:
 
 class GroupWalk:
     """The signature-free part of eta and of the projections over a list
-    of permutations of 1..n, built once and read once per signature.
+    of permutations of 1..n, built once and read under many signatures.
 
     ``levels`` is a prefix tree: level k lists the distinct k-prefixes of
-    the permutations, each by its parent on level k-1 and the
+    the permutations, each by its parent on level k-1 and the place in
+    ``step_keys``, the distinct keys in order of first use, of the
     ``_step_key`` of its last value after the set of the others.  It
     stops at the (n-1)-prefixes of the permutations, in list order: the
     last value read only closes lambda_n, the upper boundary, so its step
     adds boundary edges alone.
+
+    eta reads the tree bit-sliced, many signatures in one pass
+    (``walk_eta``): each signature is a lane of L = ceil((n+2)^2 / 64)
+    64-bit words inside one int per node, so a node costs one big-int OR
+    whatever the number of lanes.  A pass of k lanes over m elements
+    holds about 2 * 8 * L * k * m bytes at once: the last level, read
+    back as one buffer, and the level above it.  ``LANES`` bounds k: the
+    lanes are read back one at a time, which costs the same per lane in
+    a pass of any size, so larger passes only hold more memory.
 
     ``moves`` lists, per direction (descents, then ascents), every
     adjacent pair a projection could swap, backwards through the list and
@@ -377,8 +402,8 @@ class GroupWalk:
     n+1, after it: at most 241 masks for n <= 8, so a byte holds the
     place.
 
-    ``eta_fibers`` and ``projection_tables`` keep their results, in the
-    compact forms the module docstring gives.
+    ``walk_eta``, ``eta_fibers`` and ``projection_tables`` keep their
+    results, in the compact forms the module docstring gives.
     """
 
     def __init__(self, elements):
@@ -392,7 +417,8 @@ class GroupWalk:
         return {x: i for i, x in enumerate(self.elements)}
 
     @cached_property
-    def levels(self) -> list[tuple[list[int], list[int]]]:
+    def _tree(self) -> tuple[tuple[int, ...], list[tuple[list[int], list[int]]]]:
+        """``step_keys`` and ``levels``, built together."""
         elements, n = self.elements, self.n
         depth = max(n - 1, 1)
         node, sets, levels = {(): 0}, [0], []
@@ -407,38 +433,74 @@ class GroupWalk:
             sets = [sets[a] | 1 << v for a, v in zip(parents, last)]
             node = {p: i for i, p in enumerate(prefixes)}
             levels.append((parents, keys))
-        return levels
+        step_keys = tuple(dict.fromkeys(itertools.chain.from_iterable(k for _, k in levels)))
+        place = dict(zip(step_keys, itertools.count()))
+        levels = [(parents, list(map(place.__getitem__, keys))) for parents, keys in levels]
+        return step_keys, levels
+
+    step_keys = property(lambda self: self._tree[0])
+    levels = property(lambda self: self._tree[1])
 
     def eta_fibers(self, signature: UpDownSignature) -> tuple[tuple[int, ...], array]:
         """eta by fiber: the distinct ``_eta_mask`` values in order of
         first member, and each element's place among them, so the places
         number the fibers by first member.  The pair is the memo's own:
-        callers read it and change neither part."""
+        callers read it and change neither part.  A signature not kept
+        yet is walked alone, as a pass of one lane."""
         key = (signature, signature.polygon.boundary_mask)
         if key not in self._eta:
-            self._walk_eta(key)
+            self._walk_lanes([key])
         return self._eta[key]
 
-    def _walk_eta(self, key) -> None:
-        """Keep the fibers of ``key``, (signature, boundary mask): the
-        step table read along the tree one level at a time, then the
-        boundary cleared.  The key holds the boundary as well as the
-        signature, so a polygon with another boundary is read afresh."""
-        signature, boundary = key
-        n = signature.n
-        under = _step_key(signature.upmask, 0, n).__xor__
-        step = _step_table(self.n)
+    def walk_eta(self, signatures) -> None:
+        """Keep the fibers of every signature in ``signatures`` not kept
+        yet, in passes of at most ``LANES``.  The memo is keyed by
+        (signature, boundary mask), so a polygon with another boundary is
+        read afresh; each pass keeps its signatures in order, so a
+        signature off count raises with the earlier ones kept."""
+        keys = [
+            key for key in dict.fromkeys((s, s.polygon.boundary_mask) for s in signatures)
+            if key not in self._eta
+        ]
+        for start in range(0, len(keys), LANES):
+            self._walk_lanes(keys[start:start + LANES])
+
+    def _walk_lanes(self, keys) -> None:
+        """Keep the fibers of the (signature, boundary) ``keys`` from one
+        pass over the tree, each signature a lane of ``words`` 64-bit
+        words in one int per node (``_to_lanes``).  Each step key's lanes,
+        ``step[key ^ under]`` for each signature's ``under``, and the
+        lanes of the boundaries' complements are packed once; a node is
+        then its parent's int OR its step's, and one AND clears every
+        lane's boundary.  The last level goes to one buffer
+        (``_lane_cells``) and the tree is dropped, so a pass holds at most
+        the buffer and one level of the tree; then each lane is read back
+        and numbered in turn."""
+        n, lanes = self.n, len(keys)
+        words = -(-(n + 2) ** 2 // 64)
+        step, (step_keys, levels) = _step_table(n), self._tree
+        full = (1 << 64 * words) - 1
+        lane = _to_lanes([
+            [*map(step.__getitem__, map(_step_key(sig.upmask, 0, n).__xor__, step_keys)),
+             full & ~boundary]
+            for sig, boundary in keys
+        ], words)
+        keep = lane.pop()
         edges = [0]
-        for parents, keys in self.levels:
-            steps = map(step.__getitem__, map(under, keys))
-            edges = list(map(or_, map(edges.__getitem__, parents), steps))
-        masks = list(map((~boundary).__and__, edges))
-        distinct = tuple(dict.fromkeys(masks))
-        if set(map(int.bit_count, distinct)) != {n - 1}:
-            for e in edges:  # raises at the first element off count
-                _off_boundary(e, n, boundary)
-        place = {mask: k for k, mask in enumerate(distinct)}
-        self._eta[key] = distinct, _packed(list(map(place.__getitem__, masks)), len(distinct))
+        for parents, places in levels[:-1]:
+            edges = list(map(or_, map(edges.__getitem__, parents), map(lane.__getitem__, places)))
+        parents, places = levels[-1]
+        last = map(or_, map(edges.__getitem__, parents), map(lane.__getitem__, places))
+        cells = _lane_cells(map(keep.__and__, last), words, lanes)
+        del edges, lane, last
+        for j, key in enumerate(keys):
+            masks = _lane(cells, j, words, lanes)
+            distinct = tuple(dict.fromkeys(masks))
+            if set(map(int.bit_count, distinct)) != {n - 1}:
+                for mask in masks:  # raises at the first element off count
+                    _off_boundary(mask, n, key[1])
+            place = {mask: k for k, mask in enumerate(distinct)}
+            self._eta[key] = distinct, _packed(list(map(place.__getitem__, masks)), len(distinct))
 
     @cached_property
     def moves(self) -> list[tuple[list[int], list[int], bytes, list[int]]]:
@@ -502,6 +564,52 @@ class GroupWalk:
         return tables
 
 
+def _to_lanes(columns, words: int) -> list[int]:
+    """The lists ``columns``, one per lane and all of one length, as one
+    int per row: lane j of a row holds the row's value in column j as the
+    native 64-bit words ``j * words`` onwards, low word first, read by
+    ``int.from_bytes`` in ``sys.byteorder``.  A lane of one word alone is
+    its value."""
+    stride = words * len(columns)
+    if stride == 1:
+        return columns[0]
+    cells = array("Q", bytes(8 * stride * len(columns[0])))
+    for j, values in enumerate(columns):
+        for w in range(words):
+            word = values if words == 1 else map(
+                _WORD.__and__, map(rshift, values, itertools.repeat(64 * w))
+            )
+            cells[j * words + w::stride] = array("Q", word)
+    raw, size = cells.tobytes(), 8 * stride
+    cuts = map(slice, range(0, len(raw), size), range(size, len(raw) + size, size))
+    return list(map(int.from_bytes, map(raw.__getitem__, cuts), itertools.repeat(sys.byteorder)))
+
+
+def _lane_cells(ints, words: int, lanes: int):
+    """The native 64-bit words of the ints ``ints``, packed by
+    ``_to_lanes``, in order, as one buffer written by ``int.to_bytes``
+    in ``sys.byteorder``.  A lane of one word alone is its value."""
+    if lanes == words == 1:
+        return list(ints)
+    buffer = io.BytesIO()
+    size = itertools.repeat(8 * words * lanes)
+    buffer.writelines(map(int.to_bytes, ints, size, itertools.repeat(sys.byteorder)))
+    return buffer.getbuffer().cast("Q")
+
+
+def _lane(cells, j: int, words: int, lanes: int) -> list[int]:
+    """The values of lane j of the ``_lane_cells`` ``cells``, low word
+    first, read as strided slices."""
+    stride = words * lanes
+    if stride == 1:
+        return cells
+    values = list(cells[j * words::stride])
+    for w in range(1, words):
+        high = map(lshift, cells[j * words + w::stride], itertools.repeat(64 * w))
+        values = list(map(or_, values, high))
+    return values
+
+
 def _packed(values, bound: int) -> array:
     """``values``, each below ``bound``, as an array of the narrowest
     unsigned type that holds them."""
@@ -511,7 +619,13 @@ def _packed(values, bound: int) -> array:
 def _typecode(bound: int) -> str:
     """The narrowest unsigned array type that holds every value below
     ``bound``."""
-    return next(c for c in "BHIQ" if bound <= 256 ** array(c).itemsize)
+    for limit, code in _LIMITS:
+        if bound <= limit:
+            return code
+    raise OverflowError(f"no array type holds {bound - 1}")
+
+
+_LIMITS = tuple((256 ** array(code).itemsize, code) for code in "BHIQ")
 
 
 def weak_order_walk(lattice: FiniteLattice, signature) -> GroupWalk:
@@ -733,22 +847,42 @@ def _mask_sides(mask: int, n: int) -> tuple[int, int]:
     return beyond, adjacent
 
 
-def _case_descents(sides: tuple[int, int], signature: UpDownSignature) -> int:
+def _case_descents(sides: tuple[int, int], signature: UpDownSignature, ones: int = 1) -> int:
     """Mask of the a in 1..n-1 for which (a, a+1) is a descent of the
     triangulation with ``_mask_sides`` ``sides``, for every a at once.
     Where a and a+1 have one colour the descent is a diagonal beyond a,
-    where they differ the diagonal (a, a+1); an up a reverses either."""
+    where they differ the diagonal (a, a+1); an up a reverses either.
+
+    With ``ones`` the sum of 1 << kw over lanes k of w > n bits, and
+    ``sides`` one pair per lane, it gives every lane's mask at once: the
+    marks are repeated in each lane, and shifting them by one moves a
+    lane's bit 0, never marked, into the top bit of the lane below, above
+    the bits kept."""
     beyond, adjacent = sides
-    up = signature.upmask
+    up = signature.upmask * ones
     same = ~(up ^ up >> 1)
-    return ((beyond ^ up) & same | (adjacent ^ up) & ~same) & ((1 << signature.n) - 2)
+    return ((beyond ^ up) & same | (adjacent ^ up) & ~same) & ((1 << signature.n) - 2) * ones
+
+
+def _case_rows(sides, signature: UpDownSignature) -> list[int]:
+    """``_case_descents`` of each (beyond, adjacent) pair in the list
+    ``sides``, in one call: each pair is a lane, one item of the
+    narrowest array type that holds n+1 bits, packed into an int by
+    ``int.from_bytes`` and read back by ``int.to_bytes``."""
+    if not sides:
+        return []
+    code, order = _typecode(2 << signature.n), sys.byteorder
+    beyond, adjacent = (int.from_bytes(array(code, part).tobytes(), order) for part in zip(*sides))
+    ones = int.from_bytes(array(code, [1]).tobytes() * len(sides), order)
+    rows = _case_descents((beyond, adjacent), signature, ones)
+    return memoryview(rows.to_bytes(array(code).itemsize * len(sides), order)).cast(code).tolist()
 
 
 def descent_set_of_triangulation(
     tri: TriangulationA, signature: UpDownSignature
 ) -> frozenset[tuple[int, int]]:
     """Reflections (a, a+1) that are descents, by the two colour cases."""
-    descents = signature.descents(signature.sides(_diagonal_mask(tri)))
+    (descents,) = signature.descents([signature.sides(_diagonal_mask(tri))])
     return frozenset((a, a + 1) for a in _members(descents))
 
 

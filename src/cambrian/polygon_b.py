@@ -42,7 +42,7 @@ from .polygon_a import (
     PolygonQ,
     TriangulationA,
     UpDownSignature,
-    _case_descents,
+    _case_rows,
     _chain_triangulations,
     _diagonal_mask,
     _flip_order,
@@ -140,10 +140,11 @@ class SymmetricSignature:
         """``_mask_sides`` of a diagonal mask of the (2n+2)-gon."""
         return _mask_sides(mask, 2 * self.n)
 
-    def descents(self, sides: tuple[int, int]) -> int:
-        """Left descents, bit i for s_i: the doubled signature's case table
-        shifted by n."""
-        return _case_descents(sides, self.polygon.signature) >> self.n
+    def descents(self, sides) -> list[int]:
+        """Left descents, bit i for s_i, of the triangulation of each
+        ``sides`` pair in the list ``sides``: the doubled signature's case
+        table shifted by n."""
+        return [row >> self.n for row in _case_rows(sides, self.polygon.signature)]
 
 
 @dataclass(frozen=True)
@@ -335,7 +336,8 @@ def symmetric_triangulation_lattice(signature: SymmetricSignature) -> FiniteLatt
 def descent_set_b(tri: TriangulationB) -> frozenset[int]:
     """Left descents as generator names 0..n-1, read off the triangulation."""
     sig = tri.signature
-    return frozenset(_members(sig.descents(sig.sides(_diagonal_mask(tri.base)))))
+    (descents,) = sig.descents([sig.sides(_diagonal_mask(tri.base))])
+    return frozenset(_members(descents))
 
 
 @lru_cache(maxsize=None)

@@ -164,6 +164,15 @@ def _catalan_checks(n: int, system: CoxeterSystem, label: str) -> list:
 # Fibers of eta versus the Cambrian congruence.
 
 
+def _walked(lattice: FiniteLattice, signatures) -> GroupWalk:
+    """The weak order's walk (``weak_order_walk``) with eta kept for every
+    signature, all walked together in lanes (``GroupWalk.walk_eta``);
+    type B hands over its doubled signatures."""
+    walk = weak_order_walk(lattice, signatures[0])
+    walk.walk_eta([sig.polygon.signature for sig in signatures])
+    return walk
+
+
 def _congruence_eq_checks(n: int, system: CoxeterSystem, label: str) -> list:
     """Fiber partitions of eta equal the Cambrian congruence classes: the
     places of ``eta_fibers`` name the fibers, as ``class_of`` names the
@@ -172,7 +181,7 @@ def _congruence_eq_checks(n: int, system: CoxeterSystem, label: str) -> list:
     lattice = system.weak_order_lattice()
     checks, class_of = [], {}
     signatures = _signatures(system, n)
-    walk = weak_order_walk(lattice, signatures[0])
+    walk = _walked(lattice, signatures)
     for sig in signatures:
         orientation = orientation_from_edges(system, sig.orientation_edges())
         if orientation not in class_of:
@@ -191,7 +200,7 @@ def _fibers_checks(n: int, system: CoxeterSystem, label: str) -> list:
     saturated chain from its bottom to any member stays inside it."""
     lattice = system.weak_order_lattice()
     signatures = all_updown_signatures(n)
-    walk = weak_order_walk(lattice, signatures[0])
+    walk = _walked(lattice, signatures)
     checks = []
     for sig in signatures:
         ok, witness = _fibers_ok(lattice, sig, walk)
@@ -463,9 +472,12 @@ def _fan_ab_checks(n: int, system: CoxeterSystem, label: str) -> list:
     """Exact fan checks of every signature of an A or B group: simplicial
     tiling, dual graph, ray dictionary.  Each check builds its signature's
     Cambrian congruence, and no quotient; all of them read the weak
-    order's one chamber table (``fans._chamber_table``)."""
+    order's one chamber table (``fans._chamber_table``) and its one walk,
+    whose eta of every signature is walked first, in lanes."""
     check_fan = check_fan_a if system.family == "A" else check_fan_b
-    reports = [(sig, check_fan(sig)) for sig in _signatures(system, n)]
+    signatures = _signatures(system, n)
+    _walked(system.weak_order_lattice(), signatures)
+    reports = [(sig, check_fan(sig)) for sig in signatures]
     return [_check(f"{label} sig {sig.to_string()}", fan_passed(r), **r) for sig, r in reports]
 
 
@@ -544,20 +556,21 @@ def _case_table_check(
     element of the weak order, for every signature: one descent row per
     fiber of eta, read through each element's place (``eta_fibers``).
     The sides of a mask do not depend on the signature, so each distinct
-    mask of the group is read once for all signatures."""
+    mask of the group is read once for all signatures, and a signature's
+    rows come from one ``descents`` call over its fibers' sides."""
     name = f"{label} case tables"
     descents = [
         sum(1 << a for a in system.left_descents(x)) for x in lattice.elements
     ]
     signatures = _signatures(system, n)
-    walk = weak_order_walk(lattice, signatures[0])
+    walk = _walked(lattice, signatures)
     sides = {}
     for sig in signatures:
         distinct, places = sig.eta_fibers(walk)
         for mask in distinct:
             if mask not in sides:
                 sides[mask] = sig.sides(mask)
-        rows = [sig.descents(sides[mask]) for mask in distinct]
+        rows = sig.descents(list(map(sides.__getitem__, distinct)))
         ours = list(map(rows.__getitem__, places))
         if ours != descents:
             x = next(

@@ -3,8 +3,11 @@
 import gc
 import itertools
 import json
+import random
+import re
 import weakref
 from array import array
+from operator import or_
 from types import SimpleNamespace
 
 import pytest
@@ -779,7 +782,7 @@ def test_mask_case_table_matches_descent_set():
         if sig.n < 3:
             continue
         for tri in all_triangulations(polygon_from_signature(sig)):
-            got = sig.descents(sig.sides(_encode(tri.diagonals, sig.n)))
+            (got,) = sig.descents([sig.sides(_encode(tri.diagonals, sig.n))])
             want = descent_set_of_triangulation(tri, sig)
             assert got == sum(1 << a for a, _ in want), (tri, sig)
 
@@ -954,6 +957,159 @@ def test_each_weak_order_keeps_one_walk_per_signature_type(monkeypatch):
     coxeter._SYSTEMS.clear()
     gc.collect()
     assert kept() is None
+
+
+# ---------------------------------------------------------------------------
+# The lane walk against the walk of one signature at a time.
+
+
+def _walked_alone(walk, signature):
+    """The oracle of the lane walk: the step table read along the tree
+    under one signature, one level at a time, then the boundary cleared
+    and the n-1 diagonals checked; the fibers as ``eta_fibers`` gives
+    them, the places as a list."""
+    n, boundary = signature.n, signature.polygon.boundary_mask
+    under = polygon_a._step_key(signature.upmask, 0, n).__xor__
+    step = polygon_a._step_table(walk.n)
+    edges = [0]
+    for parents, places in walk.levels:
+        keys = map(walk.step_keys.__getitem__, places)
+        steps = map(step.__getitem__, map(under, keys))
+        edges = list(map(or_, map(edges.__getitem__, parents), steps))
+    masks = list(map((~boundary).__and__, edges))
+    distinct = tuple(dict.fromkeys(masks))
+    if set(map(int.bit_count, distinct)) != {n - 1}:
+        for e in edges:  # raises at the first element off count
+            polygon_a._off_boundary(e, n, boundary)
+    place = {mask: k for k, mask in enumerate(distinct)}
+    return distinct, [place[mask] for mask in masks]
+
+
+def _group(family, n):
+    """The weak order's elements and the signatures of S_n or B_n."""
+    if family == "A":
+        return _weak_order(n).elements, all_updown_signatures(n)
+    return get_system("B", n).weak_order_lattice().elements, all_symmetric_signatures(n)
+
+
+def _passes(monkeypatch):
+    """The lane count of every pass the lane walk makes from now on."""
+    passes = []
+    real = polygon_a.GroupWalk._walk_lanes
+    monkeypatch.setattr(
+        polygon_a.GroupWalk, "_walk_lanes",
+        lambda walk, keys: passes.append(len(keys)) or real(walk, keys),
+    )
+    return passes
+
+
+def _kept(walk):
+    """The walk's eta memo, with each array of places spelled out."""
+    return {
+        key: (distinct, places.typecode, places.tolist())
+        for key, (distinct, places) in walk._eta.items()
+    }
+
+
+@pytest.mark.parametrize(
+    "family, n", [("A", n) for n in range(3, 7)] + [("B", n) for n in range(2, 4)]
+)
+def test_lane_walk_matches_the_walk_alone_and_each_element(monkeypatch, family, n):
+    """All signatures of a group in passes of at most ``LANES`` lanes: each
+    signature's fibers equal the walk of that signature alone and
+    ``_eta_mask`` of each element, and reading them back walks nothing."""
+    elements, signatures = _group(family, n)
+    walk = signatures[0].walk(elements)
+    passes = _passes(monkeypatch)
+    walk.walk_eta([sig.polygon.signature for sig in signatures])
+    lanes = polygon_a.LANES
+    want = [len(signatures[i:i + lanes]) for i in range(0, len(signatures), lanes)]
+    assert passes == want
+    for sig in signatures:
+        doubled = sig.polygon.signature
+        distinct, places = sig.eta_fibers(walk)
+        assert (distinct, places.tolist()) == _walked_alone(walk, doubled), sig
+        masks = [
+            polygon_a._eta_mask(x, doubled.n, doubled.upmask, sig.polygon.boundary_mask)
+            for x in walk.elements
+        ]
+        assert [distinct[k] for k in places] == masks, sig
+    assert passes == want
+
+
+@pytest.mark.parametrize("family, n, words", [("A", 7, 2), ("B", 4, 2)])
+def test_lane_walk_matches_the_walk_alone_on_two_word_lanes(monkeypatch, family, n, words):
+    """S_7 (81 bits a mask, 128 signatures) and B_4 (100 bits on the
+    10-gon, 16 signatures) take two words a lane."""
+    elements, signatures = _group(family, n)
+    walk = signatures[0].walk(elements)
+    assert -(-(walk.n + 2) ** 2 // 64) == words
+    passes = _passes(monkeypatch)
+    walk.walk_eta([sig.polygon.signature for sig in signatures])
+    assert sum(passes) == len(signatures) and max(passes) == min(len(signatures), polygon_a.LANES)
+    for sig in signatures:
+        distinct, places = sig.eta_fibers(walk)
+        assert (distinct, places.tolist()) == _walked_alone(walk, sig.polygon.signature), sig
+
+
+@pytest.mark.parametrize("family, n", [("A", 5), ("B", 3), ("A", 7)])
+def test_lane_walk_keeps_one_memo_however_the_passes_fall(monkeypatch, family, n):
+    """One batch, one signature at a time, and shuffled passes of random
+    sizes, with at most 5 lanes a pass, leave identical memos."""
+    elements, signatures = _group(family, n)
+    doubled = [sig.polygon.signature for sig in signatures]
+    batch = signatures[0].walk(elements)
+    batch.walk_eta(doubled)
+    alone = signatures[0].walk(elements)
+    for sig in reversed(doubled):
+        alone.eta_fibers(sig)
+    monkeypatch.setattr(polygon_a, "LANES", 5)
+    shuffled = signatures[0].walk(elements)
+    rng = random.Random(n)
+    order = rng.sample(doubled, len(doubled))
+    while order:
+        cut = rng.randint(1, 8)
+        shuffled.walk_eta(order[:cut] + order[:1])
+        order = order[cut:]
+    assert _kept(batch) == _kept(alone) == _kept(shuffled)
+    assert list(batch._eta) == [(sig, sig.polygon.boundary_mask) for sig in doubled]
+
+
+def test_lane_walk_corrupted_in_one_lane_fails_that_signature_alone(monkeypatch):
+    """Under udud of S_4 the batch reads the up set of dudu, whose polygon
+    has the same boundary: that lane alone gives another signature's
+    fibers, so the congruence-eq check of udud fails and no other does."""
+    monkeypatch.setattr(coxeter, "_SYSTEMS", {})
+    passes = _passes(monkeypatch)
+    sig = UpDownSignature.from_string("udud")
+    other = UpDownSignature.from_string("dudu")
+    assert sig.polygon.boundary_mask == other.polygon.boundary_mask
+    (kept,) = (s for s in all_updown_signatures(4) if s == sig)
+    monkeypatch.setitem(vars(kept), "upmask", other.upmask)
+    report = suites.run_suite("congruence-eq", family="A", max_rank=4)
+    assert passes == [8, 16]
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == ["A n=4 sig udud"]
+
+
+def test_lane_walk_without_one_step_refuses_as_the_walk_alone(monkeypatch):
+    """One step table entry that a diagonal of the first element comes
+    from, under the first signature, dropped: the batch raises the walk
+    alone's refusal, at the first signature, and keeps nothing."""
+    elements, signatures = _group("A", 5)
+    first = signatures[0]
+    step = list(polygon_a._step_table(5))
+    under = polygon_a._step_key(first.upmask, 0, 5)
+    walk = first.walk(elements)
+    keys = [walk.step_keys[places[0]] for _, places in walk.levels]
+    key = next(k ^ under for k in keys if step[k ^ under] & ~first.polygon.boundary_mask)
+    step[key] = 0
+    monkeypatch.setattr(polygon_a, "_step_table", lambda n: tuple(step))
+    with pytest.raises(AssertionError) as alone:
+        _walked_alone(walk, first)
+    assert re.fullmatch(r"eta produced \d diagonals, wanted 4", str(alone.value))
+    with pytest.raises(AssertionError, match=f"^{re.escape(str(alone.value))}$"):
+        walk.walk_eta(signatures)
+    assert walk._eta == {}
 
 
 # ---------------------------------------------------------------------------
