@@ -3,7 +3,7 @@
 The package is organized as:
 
 - ``coxeter``: Coxeter systems of types A, B, I2(m), H3; weak order.
-- ``fields``: exact arithmetic in the fields Q(2cos(pi/m)) the groups need.
+- ``fields``: exact arithmetic in Q, Q(sqrt 2) and Q(sqrt 5) for root closures.
 - ``lattices``: finite lattices, congruences, quotients, forcing.
 - ``congruences``: orientations of the diagram and Cambrian quotients.
 - ``polygon_a``: triangulations of a labeled polygon and the type A map eta.

@@ -6,12 +6,15 @@ Supported families:
   one-line permutation tuples.
 * ``B`` (rank n): signed permutations, elements as abbreviated signed
   tuples (x_1, ..., x_n) with x_{-i} = -x_i implied.
-* ``I2`` (parameter m) and ``H3``: a generic engine that closes the roots
-  over Z[2cos(pi/m)] on its first read, once per system.  An element is
-  the tuple of root ids it sends the roots to, and nothing else: its
+* ``I2`` (parameter m) and ``H3``: a generic engine of root
+  permutations, built on its first read, once per system.  I2(m) numbers
+  its 2m roots by angle, in closed form, with no number field; H3 closes
+  its roots over Z[2cos(pi/5)] = Z[golden ratio].  An element is the
+  tuple of root ids it sends the roots to, and nothing else: its
   (positive-root) inversions are the positive roots it sends negative,
   and its word is read by stripping left descents.  A and B read the
-  engine only for their roots, field or Gram matrix.
+  engine only for their roots, field or Gram matrix, which only the tests
+  do; I2 has no root vectors and refuses them.
 
 The right weak order is generated by covers w < ws.  Joins close the
 inversion sets transitively in A (``lattices._transitive``), join in S_2n
@@ -323,7 +326,7 @@ class CoxeterSystem:
     def identity(self):
         if self.family in ("A", "B"):
             return tuple(range(1, self.n + 1))
-        return tuple(range(2 * len(self._engine.roots)))
+        return tuple(range(2 * self._engine.positive))
 
     def generator(self, name):
         return self.right_multiply(self.identity(), name)
@@ -348,7 +351,7 @@ class CoxeterSystem:
     def is_right_descent(self, w, name) -> bool:
         if self.family in ("A", "B"):
             return w[0] < 0 if name == 0 else w[name - 1] > w[name]
-        return w[self._gen_index(name)] >= len(self._engine.roots)
+        return w[self._gen_index(name)] >= self._engine.positive
 
     def length(self, w) -> int:
         return len(self.inversion_set(w))
@@ -358,7 +361,7 @@ class CoxeterSystem:
             return inversion_set_a(w)
         if self.family == "B":
             return inversion_set_b(w)
-        n = len(self._engine.roots)
+        n = self._engine.positive
         return frozenset(p - n for p in w[:n] if p >= n)
 
     def wall_reflection(self, w, name):
@@ -372,7 +375,7 @@ class CoxeterSystem:
             if name == 0:
                 return canonical_reflection(-abs(w[0]), abs(w[0]))
             return canonical_reflection(*sorted(w[name - 1 : name + 1]))
-        return w[self._gen_index(name)] % len(self._engine.roots)
+        return w[self._gen_index(name)] % self._engine.positive
 
     def left_descents(self, w) -> frozenset:
         """Generators s with l(sw) < l(w).
@@ -402,7 +405,8 @@ class CoxeterSystem:
 
     def act(self, w, v):
         """w(v) for v in the simple-root basis: sum of v_j * w(alpha_j)."""
-        field, root_vectors = self._engine.field, self._engine.root_vectors
+        engine = self._root_vectors()
+        field, root_vectors = engine.field, engine.root_vectors
         images = [root_vectors[k] for k in w[: self.rank]]
         return tuple(
             functools.reduce(
@@ -532,10 +536,29 @@ class CoxeterSystem:
 
     @functools.cached_property
     def _engine(self) -> SimpleNamespace:
-        """The generic engine: the field Z[c], the Gram matrix in the
-        simple-root basis, the positive roots in id order (alpha_i has id
-        i), every root by id (``root_vectors[k + N]`` is -roots[k]) and
-        each simple reflection as a permutation of the root ids."""
+        """The generic engine: the number N of positive roots and each
+        simple reflection as a permutation of the root ids 0..2N-1, where
+        alpha_i has id i and -(root k) has id k + N.
+
+        I2(m) needs no field.  Root a (0 <= a < 2m) lies at angle a*pi/m,
+        -(root a) is root a + m, and the reflection in root j sends a to
+        2j + m - a (mod 2m).  alpha_1 is angle 0 and alpha_2 angle
+        (m - 1)*pi/m, so B(alpha_1, alpha_2) = -cos(pi/m); the positive
+        roots between them follow by angle.  Every other group closes its
+        simple roots over a number field (``_root_closure``)."""
+        if self.family != "I2":
+            return self._root_closure()
+        m = self.bond
+        angles = [0, m - 1, *range(1, m - 1)]
+        angles += [a + m for a in angles]
+        ids = {a: k for k, a in enumerate(angles)}
+        gens = tuple(tuple(ids[(2 * j + m - a) % (2 * m)] for a in angles) for j in (0, m - 1))
+        return SimpleNamespace(positive=m, gen_perms=gens)
+
+    def _root_closure(self) -> SimpleNamespace:
+        """The engine of a group with root vectors: also the field Z[c],
+        the Gram matrix in the simple-root basis, the positive roots in id
+        order and every root by id (``root_vectors[k + N]`` is -roots[k])."""
         r = self.rank
         labels = [
             [self.bond_label(self.generator_names[i], self.generator_names[j]) for j in range(r)]
@@ -600,21 +623,19 @@ class CoxeterSystem:
             ]
             gens.append(tuple(positive + [(k + n) % (2 * n) for k in positive]))
         return SimpleNamespace(
-            field=field, gram=gram, roots=root_list, root_vectors=root_vectors, gen_perms=tuple(gens)
+            positive=n, field=field, gram=gram, roots=root_list, root_vectors=root_vectors,
+            gen_perms=tuple(gens),
         )
 
-    @property
-    def roots(self):
-        return self._engine.roots
+    def _root_vectors(self) -> SimpleNamespace:
+        """The engine of a group with root vectors: ValueError in I2."""
+        if self.family == "I2":
+            raise ValueError(f"I2({self.bond}) has no root vectors, field or Gram matrix")
+        return self._engine
 
-    @property
-    def field(self):
-        return self._engine.field
-
-    @property
-    def gram(self):
-        return self._engine.gram
-
+    roots = property(lambda self: self._root_vectors().roots)
+    field = property(lambda self: self._root_vectors().field)
+    gram = property(lambda self: self._root_vectors().gram)
 
 def _system_key(family: str, rank: Optional[int], bond: Optional[int]) -> tuple:
     """One (family, rank, bond) spelling per group: I2 has rank 2, H3 rank

@@ -1,26 +1,29 @@
-"""Exact arithmetic in real number fields generated by 2*cos(pi/m).
+"""Exact arithmetic in the number fields Q(2*cos(pi/m)) for m = 3, 4, 5.
 
-Every reflection group runs over one field class, ``NumberField(m)`` for
-its largest bond label m, whose generator is c = 2*cos(pi/m).  Elements of
-Q(c) are coefficient tuples (a_0, ..., a_{d-1}) standing for a_0 + a_1*c +
-... + a_{d-1}*c^(d-1), where d is the degree of the minimal polynomial of
-c.  That polynomial is monic with integer coefficients, so Z[c] is closed
-under multiplication: roots keep plain ``int`` coefficients, and only
-inverses bring in ``Fraction``.  The fan checks compute no vectors over
-the field, and only the tests' oracles call ``sign``, which is exact in
-closed form for degree <= 2 and raises ValueError above.  Q itself
-is ``NumberField(3)``: c = 1, the minimal polynomial is x - 1, and its
-elements are 1-tuples.  Every operation is exact; no floating point is
-used anywhere.
+A root closure runs over ``NumberField(m)`` for its group's largest bond
+label m, with generator c = 2*cos(pi/m): Q for m = 3 (c = 1), Q(sqrt 2)
+for m = 4 and Q(sqrt 5) for m = 5 (c is the golden ratio).  Every group
+the tool has or plans needs one of these three: simply laced diagrams the
+integers, B and F4 Q(sqrt 2), H3 and H4 Q(sqrt 5); I2(m) numbers its
+roots by angle and needs no field.  Elements of Q(c) are coefficient
+tuples (a_0,) or (a_0, a_1), standing for a_0 + a_1*c, where the length is
+the degree of the minimal polynomial of c.  That polynomial is monic with
+integer coefficients, so Z[c] is closed under multiplication: roots keep
+plain ``int`` coefficients, and only inverses bring in ``Fraction``.  The
+fan checks compute no vectors over the field, and only the tests' oracles
+call ``sign``.  Every operation is exact; no floating point is used
+anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
-from typing import Sequence
 
 Coeffs = tuple  # of int or Fraction
+
+# The monic minimal polynomial of 2*cos(pi/m), as integer coefficients
+# (c0, c1, ..., 1) in increasing degree: x - 1, x^2 - 2 and x^2 - x - 1.
+_MINIMAL_POLYNOMIALS = {3: (-1, 1), 4: (-2, 0, 1), 5: (-1, -1, 1)}
 
 
 def _rational(q):
@@ -29,109 +32,35 @@ def _rational(q):
     return q.numerator if q.denominator == 1 else q
 
 
-def _divide_monic(a: Sequence[int], b: Sequence[int]) -> list[int]:
-    """Exact quotient of integer polynomials (increasing degree), b monic."""
-    rem = list(a)
-    quo = [0] * (len(a) - len(b) + 1)
-    for i in range(len(quo) - 1, -1, -1):
-        q = quo[i] = rem[i + len(b) - 1]
-        if q:
-            for j, bj in enumerate(b):
-                rem[i + j] -= q * bj
-    if any(rem):
-        raise AssertionError("polynomial division left a remainder")
-    return quo
-
-
-@lru_cache(maxsize=None)
-def _cyclotomic(n: int) -> tuple[int, ...]:
-    """Phi_n: x^n - 1 divided by Phi_d for every proper divisor d of n."""
-    poly = [-1] + [0] * (n - 1) + [1]
-    for d in range(1, n):
-        if n % d == 0:
-            poly = _divide_monic(poly, _cyclotomic(d))
-    return tuple(poly)
-
-
-@lru_cache(maxsize=None)
 def minimal_polynomial_2cos(m: int) -> tuple[int, ...]:
-    """Monic minimal polynomial of 2*cos(pi/m) over Q.
+    """Monic minimal polynomial of 2*cos(pi/m) over Q, for m = 3, 4 or 5.
 
     Returned as an integer coefficient tuple (c0, c1, ..., 1) in
-    increasing degree.  c = z + 1/z for z = exp(i*pi/m), a primitive
-    2m-th root of unity.  Phi_2m is palindromic of degree 2d, so
-    z^-d Phi_2m(z) = a_d + sum_j a_(d+j) (z^j + z^-j), and
-    z^j + z^-j = T_j(z + 1/z) with T_0 = 2, T_1 = y and
-    T_(j+1) = y T_j - T_(j-1).
+    increasing degree; ValueError for any other m.
     """
-    if m < 2:
-        raise ValueError(f"bond label must be at least 2, got {m}")
-    phi = _cyclotomic(2 * m)
-    d = (len(phi) - 1) // 2
-    out = [phi[d]] + [0] * d
-    t_prev, t = [2], [0, 1]
-    for j in range(1, d + 1):
-        for k, tk in enumerate(t):
-            out[k] += phi[d + j] * tk
-        t_next = [0] + t
-        for k, tk in enumerate(t_prev):
-            t_next[k] -= tk
-        t_prev, t = t, t_next
-    return tuple(out)
-
-
-def _trim(coeffs: Sequence) -> Coeffs:
-    i = len(coeffs)
-    while i > 0 and coeffs[i - 1] == 0:
-        i -= 1
-    return tuple(coeffs[:i])
-
-
-def _poly_divmod(a: Coeffs, b: Coeffs) -> tuple[Coeffs, Coeffs]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    rem = list(a)
-    quo = [0] * max(0, len(a) - len(b) + 1)
-    lead = b[-1]
-    for i in range(len(a) - len(b), -1, -1):
-        top = rem[i + len(b) - 1]
-        if top == 0:
-            continue
-        factor = quo[i] = Fraction(top) / lead
-        for j, bj in enumerate(b):
-            rem[i + j] -= factor * bj
-    return _trim(quo), _trim(rem)
+    try:
+        return _MINIMAL_POLYNOMIALS[m]
+    except KeyError:
+        raise ValueError(
+            f"no number field for bond label {m}: only 3, 4 and 5 (Q, Q(sqrt 2), Q(sqrt 5))"
+        ) from None
 
 
 class NumberField:
-    """The field Q(c) where c = 2*cos(pi/m), with exact elements.
+    """The field Q(c) where c = 2*cos(pi/m), m = 3, 4 or 5, with exact elements.
 
-    Elements are coefficient tuples of length deg(minpoly).  The field
-    object supplies arithmetic; elements themselves stay plain tuples so
-    they hash and compare structurally.
+    Elements are coefficient tuples of length deg(minpoly), 1 or 2.  The
+    field object supplies arithmetic; elements themselves stay plain tuples
+    so they hash and compare structurally.
     """
 
     def __init__(self, m: int):
         self.m = m
         self.minpoly = minimal_polynomial_2cos(m)
         self.degree = d = len(self.minpoly) - 1
-        if d < 1:
-            raise ValueError(f"degenerate minimal polynomial for m={m}")
         self.zero: Coeffs = (0,) * d
         self.one: Coeffs = (1,) + (0,) * (d - 1)
-        if d == 1:
-            self.generator = (-self.minpoly[0],)
-        else:
-            self.generator = (0, 1) + (0,) * (d - 2)
-        # c^k mod minpoly for k up to 2*degree - 2, for fast reduction.
-        self._powers: list[Coeffs] = []
-        power = list(self.one)
-        for _ in range(2 * d - 1):
-            self._powers.append(tuple(power))
-            lead = power[-1]
-            power = [0] + power[:-1]
-            if lead:
-                power = [c - lead * mc for c, mc in zip(power, self.minpoly)]
+        self.generator = (-self.minpoly[0],) if d == 1 else (0, 1)
 
     def from_rational(self, q) -> Coeffs:
         return (_rational(q),) + (0,) * (self.degree - 1)
@@ -146,51 +75,30 @@ class NumberField:
         return tuple(-x for x in a)
 
     def mul(self, a: Coeffs, b: Coeffs) -> Coeffs:
-        d = self.degree
-        if d == 2:
-            # c^2 = -p*c - q for minpoly x^2 + p*x + q.
-            a0, a1 = a
-            b0, b1 = b
-            top = a1 * b1
-            q, p, _ = self.minpoly
-            return (a0 * b0 - top * q, a0 * b1 + a1 * b0 - top * p)
-        conv = [0] * (2 * d - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    if bj:
-                        conv[i + j] += ai * bj
-        out = conv[:d]
-        for k in range(d, 2 * d - 1):
-            ck = conv[k]
-            if ck:
-                pk = self._powers[k]
-                for t in range(d):
-                    out[t] += ck * pk[t]
-        return tuple(out)
+        if self.degree == 1:
+            return (a[0] * b[0],)
+        # c^2 = -p*c - q for minpoly x^2 + p*x + q.
+        a0, a1 = a
+        b0, b1 = b
+        top = a1 * b1
+        q, p, _ = self.minpoly
+        return (a0 * b0 - top * q, a0 * b1 + a1 * b0 - top * p)
 
     def scale(self, a: Coeffs, q) -> Coeffs:
         return tuple(_rational(x * q) for x in a)
 
     def inv(self, a: Coeffs) -> Coeffs:
-        if all(x == 0 for x in a):
+        if self.is_zero(a):
             raise ZeroDivisionError("inverse of zero field element")
-        # Extended Euclid over Q[x]: find u with u*a = 1 mod minpoly.
-        r0, r1 = self.minpoly, _trim(a)
-        t0: Coeffs = ()
-        t1: Coeffs = (1,)
-        while len(r1) > 1:
-            q, r = _poly_divmod(r0, r1)
-            t = list(t0) + [0] * max(0, len(q) + len(t1) - 1 - len(t0))
-            for i, qi in enumerate(q):
-                for j, tj in enumerate(t1):
-                    t[i + j] -= qi * tj
-            r0, r1 = r1, r
-            t0, t1 = t1, _trim(t)
-        lead = r1[0]
-        result = [_rational(Fraction(c) / lead) for c in t1]
-        result += [0] * (self.degree - len(result))
-        return tuple(result[: self.degree])
+        if self.degree == 1:
+            return (_rational(1 / Fraction(a[0])),)
+        # c and its conjugate -p - c are the roots of x^2 + p*x + q, so
+        # a = a0 + a1*c times its conjugate (a0 - p*a1) - a1*c is the norm
+        # a0^2 - p*a0*a1 + q*a1^2, nonzero for a != 0.
+        a0, a1 = a
+        q, p, _ = self.minpoly
+        norm = Fraction(a0 * a0 - p * a0 * a1 + q * a1 * a1)
+        return (_rational((a0 - p * a1) / norm), _rational(-a1 / norm))
 
     def is_zero(self, a: Coeffs) -> bool:
         return all(x == 0 for x in a)
@@ -200,8 +108,6 @@ class NumberField:
         if self.degree == 1:
             v = a[0]
             return (v > 0) - (v < 0)
-        if self.degree > 2:
-            raise ValueError(f"no sign in NumberField({self.m}): degree {self.degree} > 2")
         # c is the largest root of x^2 + p*x + q, so 2c = -p + sqrt(D), and
         # 2*(a0 + a1*c) = A + B*sqrt(D) with A = 2*a0 - a1*p, B = a1.
         q_, p_, _ = self.minpoly

@@ -424,7 +424,7 @@ def test_fan_i2_is_usage_error(capsys):
 )
 def test_runs_without_sympy(argv):
     # The package has no runtime dependency: with sympy's import blocked,
-    # the number-field paths (I2 up to m = 8, the H3 fan) still run.
+    # I2 up to m = 8 and the H3 fan, over Q(sqrt 5), still run.
     script = (
         "import sys; sys.modules['sympy'] = None\n"
         "from cambrian.cli import main\n"

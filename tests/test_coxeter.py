@@ -151,6 +151,22 @@ def test_generic_engine_is_built_once(monkeypatch):
     assert fields == [5]
 
 
+def test_i2_has_no_root_vectors_field_or_gram():
+    """I2(m) numbers its roots by angle: asked for root vectors, a field,
+    a Gram matrix or an action on vectors, it fails closed."""
+    system = get_system("I2", None, 7)
+    system.weak_order_lattice()
+    reads = (
+        lambda: system.roots,
+        lambda: system.field,
+        lambda: system.gram,
+        lambda: system.act(system.identity(), (1, 0)),
+    )
+    for read in reads:
+        with pytest.raises(ValueError, match=r"^I2\(7\) has no root vectors, field or Gram matrix$"):
+            read()
+
+
 @pytest.mark.parametrize("family", ["A", "B"])
 def test_a_and_b_build_the_engine_only_for_roots_field_and_gram(family):
     system = build_system(family, 3)
@@ -407,11 +423,11 @@ def test_inversion_set_b_matches_the_full_notation_loop(rank):
 def test_root_closure_stops_at_the_reflection_count():
     """The root search raises once it finds more positive roots than the
     degrees allow, sum(d - 1): the number of reflections."""
-    for system, degrees in ((build_system("H3"), (2, 6, 9)), (build_system("I2", None, 5), (2, 4))):
-        system.degrees = degrees
-        with pytest.raises(AssertionError, match="the number of reflections"):
-            system.roots
-    for key, count in ((("H3",), 15), (("I2", None, 7), 7), (("A", 4), 10), (("B", 3), 9)):
+    system = build_system("H3")
+    system.degrees = (2, 6, 9)
+    with pytest.raises(AssertionError, match="the number of reflections"):
+        system.roots
+    for key, count in ((("H3",), 15), (("A", 4), 10), (("B", 3), 9)):
         system = build_system(*key)
         assert len(system.roots) == sum(d - 1 for d in system.degrees) == count
 
@@ -434,7 +450,8 @@ def test_elements_by_length_are_the_degree_product(key):
 def test_enumeration_refuses_a_degree_row_that_does_not_match_its_group():
     """H3 with the degrees (2, 7, 9) keeps 15 reflections, so the root
     search passes, but its 120 elements by length are no q-product of
-    those degrees."""
+    those degrees.  I2(7) builds its roots from its bond label, not its
+    degrees, so this check is its one guard against a wrong row (2, 6)."""
     system = build_system("H3")
     system.degrees = (2, 7, 9)
     with pytest.raises(AssertionError) as raised:
@@ -442,6 +459,14 @@ def test_enumeration_refuses_a_degree_row_that_does_not_match_its_group():
     assert str(raised.value) == (
         "elements by length [1, 3, 5, 7, 9, 11, 12, 12, 12, 12, 11, 9, 7, 5, 3, 1], but the"
         " degrees (2, 7, 9) give [1, 3, 5, 7, 9, 11, 13, 14, 14, 13, 11, 9, 7, 5, 3, 1]"
+    )
+    system = build_system("I2", None, 7)
+    system.degrees = (2, 6)
+    with pytest.raises(AssertionError) as raised:
+        system._enumerate()
+    assert str(raised.value) == (
+        "elements by length [1, 2, 2, 2, 2, 2, 2, 1], but the"
+        " degrees (2, 6) give [1, 2, 2, 2, 2, 2, 1]"
     )
 
 
@@ -536,11 +561,54 @@ def _word_matrix(system, word):
     return matrix
 
 
+def _roots_by_angle(m):
+    """The unit vectors of the roots of I2(m) by id: alpha_1 at angle 0,
+    alpha_2 at (m - 1)*pi/m, the positive roots between them by angle, and
+    -(root k) as k + m."""
+    angles = [0, m - 1, *range(1, m - 1)]
+    angles += [a + m for a in angles]
+    return [(math.cos(a * math.pi / m), math.sin(a * math.pi / m)) for a in angles]
+
+
+def _reflected(u, v):
+    """v - 2<v, u> u: v reflected in the line orthogonal to the unit vector u."""
+    dot = u[0] * v[0] + u[1] * v[1]
+    return (v[0] - 2 * dot * u[0], v[1] - 2 * dot * u[1])
+
+
+def _dihedral_permutations_match_reflections(system):
+    """Each element w of I2(m), as the reflections of its word applied to
+    the unit root vectors, sends root k within 1e-9 of exactly the root
+    w[k]; its inversions are the positive roots w^-1 sends negative; and
+    s_i^2 = e and (s_1 s_2)^m = e as root permutations."""
+    m = system.bond
+    vectors = _roots_by_angle(m)
+
+    def named(word, v):
+        for name in reversed(word):
+            v = _reflected(vectors[name - 1], v)
+        (k,) = [k for k, root in enumerate(vectors) if math.dist(root, v) < 1e-9]
+        return k
+
+    for w in system.weak_order_lattice().elements:
+        word, inversions = system._word(w), system.inversion_set(w)
+        assert len(word) == len(inversions)
+        assert tuple(named(word, v) for v in vectors) == w, word
+        negated = {k for k, v in enumerate(vectors[:m]) if named(word[::-1], v) >= m}
+        assert inversions == negated, word
+    e = system.identity()
+    assert system.from_word((1, 1)) == system.from_word((2, 2)) == e
+    assert system.from_word((1, 2) * m) == e
+
+
 @pytest.mark.parametrize(
-    "key", [("H3", None, None), ("I2", None, 5), ("I2", None, 7), ("I2", None, 8)]
+    "key", [("H3", None, None)] + [("I2", None, m) for m in range(3, 31)]
 )
 def test_root_permutations_match_matrix_products(key):
     system = get_system(*key)
+    if system.family == "I2":
+        _dihedral_permutations_match_reflections(system)
+        return
     field, r = system.field, system.rank
     simples = [tuple(field.one if j == i else field.zero for j in range(r)) for i in range(r)]
     for w in system.weak_order_lattice().elements:
