@@ -564,7 +564,7 @@ class CoxeterSystem:
             [self.bond_label(self.generator_names[i], self.generator_names[j]) for j in range(r)]
             for i in range(r)
         ]
-        max_label = max(max(row) for row in labels)
+        max_label = max((m for row in labels for m in row if m > 2), default=3)
         field = NumberField(max_label)
         # 2*B(alpha_i, alpha_j) = -2*cos(pi / m_ij), an element of Z[c].
         def two_b(m):

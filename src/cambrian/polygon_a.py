@@ -26,9 +26,9 @@ a lane of 64-bit words inside one int per node, a step key's lanes
 hold ``step[key ^ under]`` for each signature's ``under``, so a node
 is one OR of its parent's int and its step's, one AND clears every
 lane's boundary, and the last level is read back lane by lane from
-one buffer of native words.  ``walk_eta`` walks a batch of signatures
-in passes of at most ``LANES``, ``eta_fibers`` one signature as a pass
-of one lane.  Both it and ``_eta_mask`` clear the boundary
+one buffer of native words.  ``walk_eta`` walks the signatures not
+kept yet in passes of at most ``LANES``; ``eta_fibers`` reads one
+through it.  The walk and ``_eta_mask`` clear the boundary
 (``PolygonQ.boundary_mask``) and check that n-1 diagonals are left.
 ``eta`` decodes the mask.  A mask names its triangulation injectively,
 so a fiber of eta is the set of elements with one mask, and
@@ -47,17 +47,17 @@ clusters: two sets are one flip apart when they share a wall
 (``_walls``), a set minus one orbit of its members: a diagonal here, a
 mirror pair in type B, a root or a chi-orbit of roots in ``fans``.
 
-The projections carry the mask of the values already read, so whether
-an adjacent pair has its "2" is one mask intersection; ``_first_move``
-finds the leftmost pair that moves.  ``pi_down`` / ``pi_up`` apply that
-rule until nothing moves.  ``projection_tables`` reads it off the
-walk's move table, which keeps for every adjacent descent (ascent) the
-values between the pair before and after it and the element the swap
-gives: a signature marks the masks that move, and each element takes
-the projection of its leftmost moving pair's target.  The lattice
-stores its elements along a linear extension and a move goes to a
-cover, so filling pi_down in index order (pi_up in reverse order) finds
-every target already done.
+``_pair_interval`` is the one move rule of pi_down (pi_up): the up sets
+under which an adjacent descent (ascent) stays put, packed as an
+interval, which ``_first_move``, the move table and
+``suites._pattern_sweep`` read.  The pair moves iff the interval meets
+the signature's ``_moving`` marks.  ``pi_down`` / ``pi_up`` swap the
+leftmost pair that moves until none does.  ``projection_tables`` reads
+the move table, each adjacent descent's (ascent's) interval and the
+element the swap gives: each element takes the projection of its
+leftmost moving pair's target.  The lattice stores its elements along
+a linear extension and a move goes to a cover, so filling pi_down in
+index order (pi_up in reverse order) finds every target already done.
 
 Each weak order keeps one walk per signature type (``weak_order_walk``)
 in its ``tables``, as the fan checks keep theirs: a process walks each
@@ -398,9 +398,8 @@ class GroupWalk:
     leftmost.  Each pair is its element's position, the position of the
     permutation with the pair swapped (``index``, which only the
     projections need), and, as one byte, the place in ``sides`` of the
-    values strictly between the pair that come before it or, shifted by
-    n+1, after it: at most 241 masks for n <= 8, so a byte holds the
-    place.
+    pair's ``_pair_interval``, shifted by n+1: at most 241 intervals for
+    n <= 8, so a byte holds the place.
 
     ``walk_eta``, ``eta_fibers`` and ``projection_tables`` keep their
     results, in the compact forms the module docstring gives.
@@ -446,11 +445,9 @@ class GroupWalk:
         first member, and each element's place among them, so the places
         number the fibers by first member.  The pair is the memo's own:
         callers read it and change neither part.  A signature not kept
-        yet is walked alone, as a pass of one lane."""
-        key = (signature, signature.polygon.boundary_mask)
-        if key not in self._eta:
-            self._walk_lanes([key])
-        return self._eta[key]
+        yet is walked alone by ``walk_eta``."""
+        self.walk_eta([signature])
+        return self._eta[signature, signature.polygon.boundary_mask]
 
     def walk_eta(self, signatures) -> None:
         """Keep the fibers of every signature in ``signatures`` not kept
@@ -513,13 +510,10 @@ class GroupWalk:
                 for j in range(len(x) - 1):
                     a, b = x[j], x[j + 1]
                     if (a > b) == descending:
-                        lo, hi = (b, a) if descending else (a, b)
-                        between = (1 << hi) - (2 << lo)
                         owner.append(i)
                         target.append(index[x[:j] + (b, a) + x[j + 2:]])
-                        side = between & before | (between & ~before) << shift
-                        sides.setdefault(side, len(sides))
-                        place.append(sides[side])
+                        side = _pair_interval(a, b, before, shift)
+                        place.append(sides.setdefault(side, len(sides)))
                     before |= 1 << a
             out.append((owner[::-1], target[::-1], bytes(place[::-1]), list(sides)))
         return out
@@ -527,18 +521,17 @@ class GroupWalk:
     def projection_tables(self, signature: UpDownSignature) -> tuple[list[int], list[int]]:
         """pi_down and pi_up of every element, as positions.
 
-        A pair moves iff a value before it is up or one after it is down
-        (``_first_move``'s rule), one mask intersection per distinct
-        ``sides`` mask.  An element whose leftmost moving pair takes it to
-        another shares that element's projection, which pi_down (pi_up)
-        has filled already if the move goes down (up) in index order.
-        The values strictly between a pair are never 1 or n, so the
-        tables are keyed by the marks of 2..n-1 alone and the four
-        markings of 1 and n share them.
+        A pair moves iff its ``sides`` interval meets the signature's
+        ``_moving`` marks, one mask intersection per distinct interval.
+        An element whose leftmost moving pair takes it to another shares
+        that element's projection, which pi_down (pi_up) has filled
+        already if the move goes down (up) in index order.  The values
+        strictly between a pair are never 1 or n, so the tables are keyed
+        by the marks of 2..n-1 alone and the four markings of 1 and n
+        share them.
         """
-        up, down = _value_masks(signature)
         shift, ends = self.n + 1, 1 << 1 | 1 << self.n
-        moving = (up | down << shift) & ~(ends | ends << shift)
+        moving = _moving(signature) & ~(ends | ends << shift)
         if moving in self._projections:
             return tuple(map(list, self._projections[moving]))
         tables = self._projected(moving)
@@ -568,11 +561,8 @@ def _to_lanes(columns, words: int) -> list[int]:
     """The lists ``columns``, one per lane and all of one length, as one
     int per row: lane j of a row holds the row's value in column j as the
     native 64-bit words ``j * words`` onwards, low word first, read by
-    ``int.from_bytes`` in ``sys.byteorder``.  A lane of one word alone is
-    its value."""
+    ``int.from_bytes`` in ``sys.byteorder``."""
     stride = words * len(columns)
-    if stride == 1:
-        return columns[0]
     cells = array("Q", bytes(8 * stride * len(columns[0])))
     for j, values in enumerate(columns):
         for w in range(words):
@@ -588,9 +578,7 @@ def _to_lanes(columns, words: int) -> list[int]:
 def _lane_cells(ints, words: int, lanes: int):
     """The native 64-bit words of the ints ``ints``, packed by
     ``_to_lanes``, in order, as one buffer written by ``int.to_bytes``
-    in ``sys.byteorder``.  A lane of one word alone is its value."""
-    if lanes == words == 1:
-        return list(ints)
+    in ``sys.byteorder``."""
     buffer = io.BytesIO()
     size = itertools.repeat(8 * words * lanes)
     buffer.writelines(map(int.to_bytes, ints, size, itertools.repeat(sys.byteorder)))
@@ -601,8 +589,6 @@ def _lane(cells, j: int, words: int, lanes: int) -> list[int]:
     """The values of lane j of the ``_lane_cells`` ``cells``, low word
     first, read as strided slices."""
     stride = words * lanes
-    if stride == 1:
-        return cells
     values = list(cells[j * words::stride])
     for w in range(1, words):
         high = map(lshift, cells[j * words + w::stride], itertools.repeat(64 * w))
@@ -674,29 +660,31 @@ def contains_colored_pattern(
     return False, None
 
 
-def _first_move(x, up: int, down: int, descending: bool) -> Optional[int]:
-    """The leftmost j whose adjacent descent (ascent) x[j], x[j+1] has its
-    "2", or None.
+def _pair_interval(a: int, b: int, before: int, shift: int) -> int:
+    """The one move rule of pi_down and pi_up: the up sets U under which
+    the adjacent pair a, b stays put, as an interval low | high << shift
+    (low <= U, U misses high) of the values strictly between a and b,
+    low those after the pair and high those in ``before``."""
+    between = (1 << a) - (2 << b) if a > b else (1 << b) - (2 << a)
+    return between & ~before | (between & before) << shift
 
-    The "2" is a value strictly between the pair that is up and before j,
-    or down and after j+1.  ``before`` holds x[0..j-1]; the pair is not
-    strictly between itself, so the rest of ``~before`` is after.
-    """
-    before = 0
-    for j in range(len(x) - 1):
-        a, b = x[j], x[j + 1]
-        if (a > b) == descending:
-            lo, hi = (b, a) if descending else (a, b)
-            if ((1 << hi) - (2 << lo)) & (before & up | ~before & down):
-                return j
+
+def _moving(signature: UpDownSignature) -> int:
+    """The down values 1..n | the up values << (n+1), which a pair's
+    ``_pair_interval`` meets iff the pair moves."""
+    up, shift = signature.upmask, signature.n + 1
+    return ((1 << shift) - 2) ^ up | up << shift
+
+
+def _first_move(x, moving: int, descending: bool) -> Optional[int]:
+    """The leftmost j whose adjacent descent (ascent) x[j], x[j+1] moves
+    under the ``_moving`` marks ``moving``, or None."""
+    before, shift = 0, len(x) + 1
+    for j, (a, b) in enumerate(zip(x, x[1:])):
+        if (a > b) == descending and _pair_interval(a, b, before, shift) & moving:
+            return j
         before |= 1 << a
     return None
-
-
-def _value_masks(signature: UpDownSignature) -> tuple[int, int]:
-    """Masks of the up and of the down values 1..n."""
-    up = signature.upmask
-    return up, ((1 << (signature.n + 1)) - 2) ^ up
 
 
 def _project(
@@ -705,9 +693,8 @@ def _project(
     """Swap the pair of ``_first_move``, then start again from the left,
     until no pair moves."""
     _check_permutation(x, signature.n)
-    x = list(x)
-    up, down = _value_masks(signature)
-    while (j := _first_move(x, up, down, descending)) is not None:
+    x, moving = list(x), _moving(signature)
+    while (j := _first_move(x, moving, descending)) is not None:
         x[j], x[j + 1] = x[j + 1], x[j]
     return tuple(x)
 

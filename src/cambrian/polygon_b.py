@@ -27,6 +27,7 @@ import itertools
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
+from typing import NoReturn
 
 from .coxeter import (
     _b_value_to_a,
@@ -132,8 +133,7 @@ class SymmetricSignature:
         two_n = 2 * self.n
         for k, mask in enumerate(distinct):
             if not _is_symmetric(_mask_diagonals(mask, two_n), two_n):
-                x = project_a_to_b(walk.elements[places.index(k)])
-                raise AssertionError(f"eta_b({x}) is not centrally symmetric")
+                _refuse_asymmetric(project_a_to_b(walk.elements[places.index(k)]))
         return distinct, places
 
     def sides(self, mask: int) -> tuple[int, int]:
@@ -167,8 +167,13 @@ def _is_symmetric(tri: frozenset[tuple[int, int]], two_n: int) -> bool:
 def eta_b(x: tuple[int, ...], signature: SymmetricSignature) -> TriangulationB:
     base = eta(embed_b_in_a(x), signature.polygon)
     if not _is_symmetric(base.diagonals, 2 * signature.n):
-        raise AssertionError(f"eta_b({x}) is not centrally symmetric")
+        _refuse_asymmetric(x)
     return TriangulationB(signature, base)
+
+
+def _refuse_asymmetric(x: tuple[int, ...]) -> NoReturn:
+    """Refuse eta_b(x), for ``eta_b`` and ``eta_fibers`` alike."""
+    raise AssertionError(f"eta_b({x}) is not centrally symmetric")
 
 
 # ---------------------------------------------------------------------------

@@ -59,6 +59,7 @@ from .congruences import (
 from .polygon_a import (
     GroupWalk,
     UpDownSignature,
+    _pair_interval,
     _typecode,
     # Not called here any more, but perfbench's tracing test reads suites.eta.
     eta,  # noqa: F401
@@ -76,8 +77,7 @@ from .fans import (
     alternating_signature,
     b_bipartite_signature,
     b_cluster_poset,
-    check_fan_a,
-    check_fan_b,
+    check_fan,
     check_fan_h3,
     cluster_poset,
     cluster_refine_check,
@@ -271,16 +271,16 @@ def _pattern_sweep(n: int) -> tuple[array, array, array, array]:
     the running minimum low below v and maximum high above it, so those
     two keep each union, and a value past either lies inside no pair of
     that kind.  Forwards these are the marked letters of 132 and 312;
-    backwards, of 213 and 231.  It also carries the projections' firing
-    witnesses in both directions (over each adjacent inversion, or
-    ascent, the values strictly between the pair that come earlier, and
-    those that come later); the pair a value makes with the last one
-    reads only the set of values before it.  The backward scan of x is
-    the forward scan of rev(x), so each permutation's forward masks are
-    the low ends of its own avoid intervals and the high ends of those
-    of rev(x), at the lexicographic rank of rev(x): the sum over
-    positions p of p! times the number of earlier values below x_p,
-    which the sweep adds up along the prefix.
+    backwards, of 213 and 231.  It also carries, per direction, the OR
+    of the ``_pair_interval`` of each adjacent inversion (ascent) read
+    so far, which packs the intersection of those intervals: the up sets
+    under which no such pair moves.  The pair a value makes with the
+    last one reads only the set of values before it.  The backward scan
+    of x is the forward scan of rev(x), so each permutation's forward
+    masks are the low ends of its own avoid intervals and the high ends
+    of those of rev(x), at the lexicographic rank of rev(x): the sum
+    over positions p of p! times the number of earlier values below
+    x_p, which the sweep adds up along the prefix.
     """
     width, values = n + 1, (1 << n + 1) - 2
     code = _typecode(1 << 2 * width)
@@ -289,11 +289,11 @@ def _pattern_sweep(n: int) -> tuple[array, array, array, array]:
     weight = [factorial(p) for p in range(n)]
 
     def visit(depth, seen, last, low, high, rising, falling, in_rising, in_falling,
-              down_early, down_late, up_early, up_late, rank):
+              down, up, rank):
         if depth == n:
             i = len(fixed_down)
-            fixed_down.append(down_late | down_early << width)
-            fixed_up.append(up_late | up_early << width)
+            fixed_down.append(down)
+            fixed_up.append(up)
             avoid_down[i] |= in_falling
             avoid_up[i] |= in_rising
             avoid_down[rank] |= in_rising << width
@@ -304,36 +304,30 @@ def _pattern_sweep(n: int) -> tuple[array, array, array, array]:
             bit = rest & -rest
             rest ^= bit
             v = bit.bit_length() - 1
-            child_low, child_rising, child_in_rising = low, rising, in_rising
             if v > low:
-                child_in_rising |= rising & bit
-                child_rising |= bit - (2 << low)
+                child_low, child_rising, child_in_rising = (
+                    low, rising | bit - (2 << low), in_rising | rising & bit
+                )
             else:
-                child_low = v
-            child_high, child_falling, child_in_falling = high, falling, in_falling
+                child_low, child_rising, child_in_rising = v, rising, in_rising
             if v < high:
-                child_in_falling |= falling & bit
-                child_falling |= (1 << high) - (bit << 1)
+                child_high, child_falling, child_in_falling = (
+                    high, falling | (1 << high) - (bit << 1), in_falling | falling & bit
+                )
             else:
-                child_high = v
-            child_down_early, child_down_late = down_early, down_late
-            child_up_early, child_up_late = up_early, up_late
+                child_high, child_falling, child_in_falling = v, falling, in_falling
             if last > v:
-                between = (1 << last) - (bit << 1)
-                child_down_early |= seen & between
-                child_down_late |= between & ~seen
+                child_down, child_up = down | _pair_interval(last, v, seen, width), up
             else:
-                between = bit - (2 << last)
-                child_up_early |= seen & between
-                child_up_late |= between & ~seen
+                child_down, child_up = down, up | _pair_interval(last, v, seen, width)
             visit(
                 depth + 1, seen | bit, v, child_low, child_high, child_rising, child_falling,
-                child_in_rising, child_in_falling, child_down_early, child_down_late,
-                child_up_early, child_up_late, rank + weight[depth] * (seen & bit - 1).bit_count(),
+                child_in_rising, child_in_falling, child_down, child_up,
+                rank + weight[depth] * (seen & bit - 1).bit_count(),
             )
 
     for v in range(1, width):  # a first value makes no pair and sits inside none
-        visit(1, 1 << v, v, v, v, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+        visit(1, 1 << v, v, v, v, 0, 0, 0, 0, 0, 0, 0)
     return avoid_down, fixed_down, avoid_up, fixed_up
 
 
@@ -355,9 +349,11 @@ def _patterns_checks(n: int, system: CoxeterSystem, label: str) -> list:
     For a permutation x and up set U, x avoids up231 and 31down2 iff
     m312 <= U and U misses m231, where m231 (m312) holds the values that
     are the marked letter of some 231 (312) in x, and pi_down fixes x
-    iff the later firing witnesses (``_pattern_sweep``) lie in U and the
-    earlier ones miss it; likewise for pi_up.  Each is an interval of U,
-    so the claim for every signature at once is one interval comparison per
+    iff U lies in the ``_pair_interval`` of each adjacent inversion of x
+    (the values between such a pair that come later are up, those before
+    it down), an intersection ``_pattern_sweep`` packs as one OR;
+    likewise for pi_up with the ascents.  Each is an interval of U, so
+    the claim for every signature at once is one interval comparison per
     permutation, read off ``_pattern_sweep``: packed intervals with equal
     ends hold the same masks, and only a pair that differs is unpacked
     for ``_same_interval``.  A failing n reports the first
@@ -372,10 +368,7 @@ def _patterns_checks(n: int, system: CoxeterSystem, label: str) -> list:
     for i in itertools.compress(itertools.count(), differ):
         intervals = [(packed[i] & (1 << width) - 1, packed[i] >> width) for packed in sweep]
         avoid_down, fixed_down, avoid_up, fixed_up = intervals
-        if not (
-            _same_interval(avoid_down, fixed_down)
-            and _same_interval(avoid_up, fixed_up)
-        ):
+        if not (_same_interval(avoid_down, fixed_down) and _same_interval(avoid_up, fixed_up)):
             x = next(itertools.islice(itertools.permutations(range(1, n + 1)), i, None))
             failed.append((x, intervals))
     if not failed:
@@ -474,7 +467,6 @@ def _fan_ab_checks(n: int, system: CoxeterSystem, label: str) -> list:
     Cambrian congruence, and no quotient; all of them read the weak
     order's one chamber table (``fans._chamber_table``) and its one walk,
     whose eta of every signature is walked first, in lanes."""
-    check_fan = check_fan_a if system.family == "A" else check_fan_b
     signatures = _signatures(system, n)
     _walked(system.weak_order_lattice(), signatures)
     reports = [(sig, check_fan(sig)) for sig in signatures]
@@ -505,7 +497,20 @@ def _fan_h3_checks(n: int, system: CoxeterSystem, label: str) -> list:
 
 
 def _cluster_count(n: int) -> dict:
-    count = len(clusters(n).clusters)
+    """The (n-1)-sets of pairwise compatible roots of S_n, counted from
+    ``compatible_pairs`` alone: a set grows by later roots compatible
+    with every member so far.  ``clusters(n).clusters``, the
+    triangulations, would count Catalan(n) by construction."""
+    roots, pairs = clusters(n).roots, clusters(n).compatible_pairs
+    later = [
+        sum(1 << j for j in range(i + 1, len(roots)) if frozenset((b, roots[j])) in pairs)
+        for i, b in enumerate(roots)
+    ]
+
+    def sets(size, free):
+        return sum(sets(size - 1, free & later[i]) for i in _members(free)) if size else 1
+
+    count = sets(n - 1, (1 << len(roots)) - 1)
     return {"passed": count == catalan(n), "count": count, "expected": catalan(n)}
 
 

@@ -83,6 +83,17 @@ def test_build_system_families():
     assert i25.bond_label(1, 2) == 5
 
 
+@pytest.mark.parametrize("family", ["A", "B"])
+def test_rank_one_has_its_simple_root_over_q(family):
+    """The one bond label of a rank-1 diagram is 1, which names no field:
+    the roots are taken over Q, and the one positive root is simple."""
+    system = build_system(family, 1)
+    field = system.field
+    assert (field.m, field.degree) == (3, 1)
+    assert system.roots == [(field.one,)]
+    assert system.gram == ((field.one,),)
+
+
 def test_build_system_rejects_bad_input():
     with pytest.raises(ValueError):
         build_system("I2", None, 2)

@@ -27,7 +27,7 @@ from array import array
 
 import pytest
 
-from cambrian import congruences, coxeter, lattices, suites
+from cambrian import congruences, coxeter, fans, lattices, suites
 from cambrian.cli import main
 from cambrian.coxeter import _SYSTEMS, get_system
 from cambrian.lattices import FiniteLattice, LatticeCongruence, contraction_congruence
@@ -344,6 +344,30 @@ def test_descent_quotients_fail_when_an_atom_loses_its_descent(atom_without_its_
 def test_verify_descent_exits_1_when_an_atom_loses_its_descent(atom_without_its_descent, capsys):
     report = _verify_fails(capsys, "--suite", "descent", "--max-rank", "3")
     assert _quotient_descent_failures(report) == DESCENT_QUOTIENT_FAILS
+
+
+@pytest.fixture
+def every_pair_compatible(monkeypatch):
+    """A too-permissive ``compatible``: every two almost positive roots.
+    ``clusters`` is emptied before and after, so no complex built under
+    the fault outlives the test."""
+    fans.clusters.cache_clear()
+    monkeypatch.setattr(fans, "compatible", lambda n, beta, theta: True)
+    yield
+    fans.clusters.cache_clear()
+
+
+def test_cluster_count_fails_when_every_pair_is_compatible(every_pair_compatible):
+    """Each triangulation is still a compatible set, so only the count of
+    compatible (n-1)-sets tells, C(roots, n-1) of them; the two clusters
+    of S_2 are single roots, which no compatibility can change."""
+    report = suites.run_suite("cluster")
+    assert {c["name"]: c["count"] for c in _failed(report)} == {
+        "cluster count n=3": 10,
+        "cluster count n=4": 84,
+        "cluster count n=5": 1001,
+        "cluster count n=6": 15504,
+    }
 
 
 # The faults of the ``run_suite`` controls in test_polygon_a, through the

@@ -614,6 +614,33 @@ def test_patterns_suite_fails_with_the_scan_witness(monkeypatch):
     assert report["checks"] == _scanned_pattern_checks(5, dropped)
 
 
+def test_a_fault_in_the_move_rule_reaches_every_reader(monkeypatch):
+    """Before and after swapped in ``_pair_interval``, the one statement
+    of the move rule: at S_4 and S_5, pi_down leaves the scan oracle and
+    the fibers and patterns suites fail.  A reader with its own copy of
+    the rule would keep passing.  The weak orders are built afresh, so
+    no move table built under the fault outlives the test."""
+    real = polygon_a._pair_interval
+
+    def swapped(a, b, before, shift):
+        return real(a, b, ~before, shift)
+
+    for module in (polygon_a, suites):
+        monkeypatch.setattr(module, "_pair_interval", swapped)
+    monkeypatch.setattr(coxeter, "_SYSTEMS", {})
+    reports = [suites.run_suite(suite, max_rank=5) for suite in ("fibers", "patterns")]
+    for n in (4, 5):
+        perms = list(itertools.permutations(range(1, n + 1)))
+        assert any(
+            pi_down(x, sig) != _scan_pi_down(x, sig)
+            for sig in all_updown_signatures(n) for x in perms
+        )
+        for report in reports:
+            assert any(
+                not c["passed"] for c in report["checks"] if c["name"].startswith(f"A n={n} ")
+            )
+
+
 @pytest.mark.parametrize("x", [(1, 1, 2), (1, 2), (0, 1, 2), (1, 2, 4)])
 def test_maps_reject_non_permutations(x):
     sig = UpDownSignature(3, frozenset({2}))
