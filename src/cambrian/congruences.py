@@ -16,6 +16,7 @@ from .coxeter import CoxeterSystem
 from .lattices import (
     FiniteLattice,
     LatticeCongruence,
+    _lsb,
     _members,
     built_lattice,
     congruence_closure,
@@ -240,16 +241,57 @@ def check_iso_anti_iso(system: CoxeterSystem, a: Orientation, b: Orientation) ->
 
 def descent_quotient_check(system: CoxeterSystem, orientation: Orientation):
     """Classwise descents respect joins (union) and meets (intersection),
-    compared as masks of generator positions."""
+    compared as masks of generator positions, one generator s at a time
+    (``_descents_respected``): the classes lacking s must be a down-set
+    closed under joins, and down-set plus join-closed means principal
+    ideal; those having s an up-set closed under meets, and up-set plus
+    meet-closed means principal filter."""
     quotient = cambrian_lattice(system, orientation).quotient
     bit = {name: 1 << k for k, name in enumerate(system.generator_names)}
     delta = [sum(bit[s] for s in system.left_descents(e)) for e in quotient.elements]
+    return _descents_respected(quotient, delta)
+
+
+def _descents_respected(quotient: FiniteLattice, delta: list):
+    """Whether the masks ``delta`` of the elements of ``quotient`` take
+    joins to unions and meets to intersections, as (True, None) or
+    (False, the first failing pair of ``_descent_pair_scan``).
+
+    It is decided one bit s at a time.  Joins respect s iff the elements
+    lacking s form a down-set closed under joins (s is missing from x v y
+    iff it is missing from x and y, and z = x v z when x <= z), and a
+    down-set plus join-closed means principal ideal.  Dually, meets
+    respect s iff the elements having s form an up-set closed under meets,
+    and an up-set plus meet-closed means principal filter.  Index order is
+    a linear extension, so an ideal's top is its highest member and a
+    filter's bottom its lowest; an empty set holds s vacuously.  Only a
+    failing bit runs the pair scan."""
+    down, up, every = quotient.down, quotient.up, (1 << quotient.n) - 1
+    for k in range(max(delta, default=0).bit_length()):
+        has = sum(1 << i for i, d in enumerate(delta) if d >> k & 1)
+        lacks = every ^ has
+        if lacks and lacks != down[lacks.bit_length() - 1] or has and has != up[_lsb(has)]:
+            witness = _descent_pair_scan(quotient, delta)
+            if witness is None:
+                raise AssertionError(
+                    f"the elements with and without descent bit {k} are "
+                    "no filter and ideal, but no pair breaks a join or meet"
+                )
+            return False, witness
+    return True, None
+
+
+def _descent_pair_scan(quotient: FiniteLattice, delta: list):
+    """The first pair of indices x <= y, in ``combinations_with_replacement``
+    order, whose join or meet the descent masks ``delta`` do not respect,
+    as (x, y, "join" or "meet") with x and y the quotient's elements;
+    None when every pair respects both."""
     for x, y in itertools.combinations_with_replacement(range(quotient.n), 2):
         if delta[quotient.join(x, y)] != delta[x] | delta[y]:
-            return False, (quotient.elements[x], quotient.elements[y], "join")
+            return quotient.elements[x], quotient.elements[y], "join"
         if delta[quotient.meet(x, y)] != delta[x] & delta[y]:
-            return False, (quotient.elements[x], quotient.elements[y], "meet")
-    return True, None
+            return quotient.elements[x], quotient.elements[y], "meet"
+    return None
 
 
 def parabolic_restriction_check(system: CoxeterSystem, orientation: Orientation, K):

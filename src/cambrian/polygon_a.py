@@ -492,12 +492,14 @@ class GroupWalk:
         del edges, lane, last
         for j, key in enumerate(keys):
             masks = _lane(cells, j, words, lanes)
-            distinct = tuple(dict.fromkeys(masks))
+            # One hash per mask: a mask takes the next place at its first member.
+            place = {}
+            places = [place.setdefault(m, len(place)) for m in masks]
+            distinct = tuple(place)
             if set(map(int.bit_count, distinct)) != {n - 1}:
                 for mask in masks:  # raises at the first element off count
                     _off_boundary(mask, n, key[1])
-            place = {mask: k for k, mask in enumerate(distinct)}
-            self._eta[key] = distinct, _packed(list(map(place.__getitem__, masks)), len(distinct))
+            self._eta[key] = distinct, _packed(places, len(distinct))
 
     @cached_property
     def moves(self) -> list[tuple[list[int], list[int], bytes, list[int]]]:
@@ -518,20 +520,25 @@ class GroupWalk:
             out.append((owner[::-1], target[::-1], bytes(place[::-1]), list(sides)))
         return out
 
+    def projection_key(self, signature: UpDownSignature) -> int:
+        """The key of ``projection_tables``: the signature's ``_moving``
+        marks of 2..n-1.  The values strictly between a pair are never 1
+        or n, so the four markings of 1 and n share one key and one pair
+        of tables."""
+        shift, ends = self.n + 1, 1 << 1 | 1 << self.n
+        return _moving(signature) & ~(ends | ends << shift)
+
     def projection_tables(self, signature: UpDownSignature) -> tuple[list[int], list[int]]:
-        """pi_down and pi_up of every element, as positions.
+        """pi_down and pi_up of every element, as positions, kept under
+        ``projection_key``.
 
         A pair moves iff its ``sides`` interval meets the signature's
         ``_moving`` marks, one mask intersection per distinct interval.
         An element whose leftmost moving pair takes it to another shares
         that element's projection, which pi_down (pi_up) has filled
-        already if the move goes down (up) in index order.  The values
-        strictly between a pair are never 1 or n, so the tables are keyed
-        by the marks of 2..n-1 alone and the four markings of 1 and n
-        share them.
+        already if the move goes down (up) in index order.
         """
-        shift, ends = self.n + 1, 1 << 1 | 1 << self.n
-        moving = _moving(signature) & ~(ends | ends << shift)
+        moving = self.projection_key(signature)
         if moving in self._projections:
             return tuple(map(list, self._projections[moving]))
         tables = self._projected(moving)

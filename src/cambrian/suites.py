@@ -197,15 +197,40 @@ def _congruence_eq_checks(n: int, system: CoxeterSystem, label: str) -> list:
 def _fibers_checks(n: int, system: CoxeterSystem, label: str) -> list:
     """Each eta fiber is the interval between the two projections of any
     member.  Being an interval, it is connected in the Hasse diagram: a
-    saturated chain from its bottom to any member stays inside it."""
+    saturated chain from its bottom to any member stays inside it.
+
+    ``_fibers_ok`` reads only the places of ``eta_fibers`` and the two
+    tables of ``projection_tables``, so a signature whose three lists
+    equal those of an earlier passing signature takes its verdict.  The
+    candidate is the first passing signature of its ``projection_key``:
+    the four markings of 1 and n share the tables and, when the check
+    holds, the fibers.  Both signatures' lists are read afresh, so only
+    the candidate is kept, and a signature with any list of its own is
+    checked, and named in a failure, by itself."""
     lattice = system.weak_order_lattice()
     signatures = all_updown_signatures(n)
     walk = _walked(lattice, signatures)
-    checks = []
+    checks, passed = [], {}
     for sig in signatures:
-        ok, witness = _fibers_ok(lattice, sig, walk)
+        key = walk.projection_key(sig)
+        kept = passed.get(key)
+        if kept is not None and _same_fiber_inputs(walk, sig, kept):
+            ok, witness = True, None
+        else:
+            ok, witness = _fibers_ok(lattice, sig, walk)
+            if ok:
+                passed.setdefault(key, sig)
         checks.append(_check(f"{label} sig {sig.to_string()}", ok, witness=witness))
     return checks
+
+
+def _same_fiber_inputs(walk: GroupWalk, sig: UpDownSignature, kept: UpDownSignature) -> bool:
+    """Whether ``_fibers_ok`` reads the same places and projection tables
+    under ``sig`` as under ``kept``."""
+    return (
+        sig.eta_fibers(walk)[1] == kept.eta_fibers(walk)[1]
+        and walk.projection_tables(sig) == walk.projection_tables(kept)
+    )
 
 
 def suite_fibers(max_rank=None, cap=None, family=None) -> dict:
@@ -226,9 +251,9 @@ def _fibers_ok(lattice: FiniteLattice, sig: UpDownSignature, walk: GroupWalk):
     each x in down(top) for bot in down(x) keeps to down-sets but made
     ``suite_fibers(6)`` three to seven times slower.  A failure is
     rescanned by ``_fiber_witness``."""
-    distinct, places = sig.eta_fibers(walk)
+    _, places = sig.eta_fibers(walk)
     down, up = walk.projection_tables(sig)
-    fibers = [0] * len(distinct)
+    fibers = [0] * (max(places) + 1)
     for i, k in enumerate(places):
         fibers[k] |= 1 << i
     if all(
@@ -597,7 +622,12 @@ def _quotient_descent_checks(n: int, system: CoxeterSystem, label: str) -> list:
     join-irreducible g pass (11 in A_3, 23 in B_3, 26 in A_4).  For joins it
     holds for every congruence: left descents, the simple roots among the
     inversions, take joins to unions, and the class bottom of x v y lies
-    between x and x v y.  Its control faults the descent data instead."""
+    between x and x v y.  Its control faults the descent data instead.
+
+    ``descent_quotient_check`` tests each generator s once: the classes
+    lacking s must be a down-set closed under joins, and down-set plus
+    join-closed means principal ideal; those having s an up-set closed
+    under meets, and up-set plus meet-closed means principal filter."""
 
     def respected(orientation):
         ok, witness = descent_quotient_check(system, orientation)

@@ -18,6 +18,8 @@ from cambrian.congruences import (
     all_orientations,
     orientation_from_edges,
 )
+from cambrian.coxeter import get_system
+from cambrian.lattices import contraction_congruence, quotient_lattice
 
 
 def test_parse_orientation_and_reverse():
@@ -99,6 +101,100 @@ def test_descent_quotient_check():
         for o in all_orientations(system):
             ok, witness = descent_quotient_check(system, o)
             assert ok, witness
+
+
+def _descent_masks(system, quotient):
+    """The left descents of each element of ``quotient``, as masks of
+    generator positions, read as ``descent_quotient_check`` reads them."""
+    bit = {name: 1 << k for k, name in enumerate(system.generator_names)}
+    return [sum(bit[s] for s in system.left_descents(e)) for e in quotient.elements]
+
+
+def _decided_as_scanned(system, quotient):
+    """The one-test-per-generator decision against the pair scan, called
+    directly: the same verdict and the same witness.  Gives the verdict."""
+    delta = _descent_masks(system, quotient)
+    ok, witness = congruences._descents_respected(quotient, delta)
+    scanned = congruences._descent_pair_scan(quotient, delta)
+    assert (ok, witness) == (scanned is None, scanned)
+    return ok
+
+
+ORIENTATION_GROUPS = (
+    [("A", n - 1, None) for n in range(3, 7)]
+    + [("B", n, None) for n in range(2, 5)]
+    + [("I2", None, m) for m in range(3, 9)]
+    + [("H3", None, None)]
+)
+
+
+@pytest.mark.parametrize("family, rank, m", ORIENTATION_GROUPS)
+def test_descent_decision_matches_the_pair_scan_on_orientations(family, rank, m):
+    system = get_system(family, rank, m)
+    for o in all_orientations(system):
+        assert _decided_as_scanned(system, cambrian_lattice(system, o).quotient), str(o)
+
+
+@pytest.mark.parametrize("family, rank, passing", [("A", 3, 11), ("A", 4, 26), ("B", 3, 23)])
+def test_descent_decision_matches_the_pair_scan_on_contractions(family, rank, passing):
+    """Cg(g) for every join-irreducible g; each passes, and in some the
+    classes having a generator are empty, a filter that holds vacuously."""
+    system = get_system(family, rank)
+    lattice = system.weak_order_lattice()
+    verdicts = [
+        _decided_as_scanned(system, quotient_lattice(contraction_congruence(lattice, g)))
+        for g in lattice.join_irreducibles
+    ]
+    assert verdicts == [True] * passing
+
+
+def _every_element_but_e_has(system, name):
+    """A fault giving every element but the identity the descent ``name``.
+    The elements lacking it are then the ideal of the bottom, so joins
+    still hold, but those having it are every other element, which is no
+    filter when there are two atoms: their meet is the bottom."""
+    identity = system.identity()
+    return lambda descents, w: descents if w == identity else descents | {name}
+
+
+@pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3)])
+def test_descent_check_fails_at_the_scans_meet_witness_when_only_meets_break(
+    fault_left_descents, family, rank
+):
+    system = get_system(family, rank)
+    fault_left_descents(system, _every_element_but_e_has(system, system.generator_names[-1]))
+    for o in all_orientations(system):
+        quotient = cambrian_lattice(system, o).quotient
+        ok, witness = descent_quotient_check(system, o)
+        assert not ok and witness[2] == "meet"
+        assert witness == congruences._descent_pair_scan(quotient, _descent_masks(system, quotient))
+
+
+@pytest.mark.parametrize("family, rank", [("A", 3), ("B", 3)])
+def test_descent_check_holds_vacuously_when_every_element_has_a_descent(
+    fault_left_descents, family, rank
+):
+    """With one generator a descent of every element, the identity
+    included, no element lacks it: an empty ideal, which joins respect,
+    beside the filter of the bottom.  The check passes, as the scan does."""
+    system = get_system(family, rank)
+    name = system.generator_names[0]
+    fault_left_descents(system, lambda descents, w: descents | {name})
+    for o in all_orientations(system):
+        assert descent_quotient_check(system, o) == (True, None)
+        assert _decided_as_scanned(system, cambrian_lattice(system, o).quotient)
+
+
+def test_descent_check_raises_when_the_scan_finds_no_failing_pair(
+    fault_left_descents, monkeypatch
+):
+    """A generator that fails its ideal or filter test while no pair breaks
+    a join or meet is an internal error."""
+    system = get_system("A", 3)
+    fault_left_descents(system, _every_element_but_e_has(system, 1))
+    monkeypatch.setattr(congruences, "_descent_pair_scan", lambda quotient, delta: None)
+    with pytest.raises(AssertionError, match="no pair breaks a join or meet"):
+        descent_quotient_check(system, all_orientations(system)[0])
 
 
 def test_parabolic_restriction():

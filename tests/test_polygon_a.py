@@ -890,6 +890,72 @@ def test_memos_hide_no_fault(monkeypatch):
     assert [json.dumps(suites.run_suite(name)) for name in names] == clean
 
 
+def _per_signature_fibers(n, label):
+    """The fibers checks of S_n from a loop that runs ``_fibers_ok`` under
+    every signature, sharing nothing."""
+    lattice = _weak_order(n)
+    signatures = all_updown_signatures(n)
+    walk = suites._walked(lattice, signatures)
+    checks = []
+    for sig in signatures:
+        ok, witness = suites._fibers_ok(lattice, sig, walk)
+        checks.append({"name": f"{label} sig {sig.to_string()}", "passed": ok, "witness": witness})
+    return checks
+
+
+def test_shared_fiber_verdicts_match_the_per_signature_loop(monkeypatch):
+    """The report of S_3..S_6 equals the loop's, and ``_fibers_ok`` runs
+    once per projection key: 2 + 4 + 8 + 16 times for 120 signatures."""
+    loop = [c for n in range(3, 7) for c in _per_signature_fibers(n, f"A n={n}")]
+    calls = []
+    real = suites._fibers_ok
+    monkeypatch.setattr(suites, "_fibers_ok", lambda *args: calls.append(args) or real(*args))
+    report = suites.suite_fibers(max_rank=6)
+    assert report["checks"] == loop
+    assert report["passed"] and len(loop) == 120
+    assert len(calls) == 30
+    assert len({(sig.n, walk.projection_key(sig)) for _, sig, walk in calls}) == 30
+
+
+def _swapped_places(real, name, i, j):
+    """``GroupWalk.eta_fibers`` with, under the signature ``name``, the
+    places of elements i and j swapped in a copy of the kept array."""
+
+    def swapped(walk, sig):
+        distinct, places = real(walk, sig)
+        if sig.to_string() == name:
+            places = array(places.typecode, places)
+            places[i], places[j] = places[j], places[i]
+        return distinct, places
+
+    return swapped
+
+
+@pytest.mark.parametrize("name", ["uddd", "dudu", "uuuu", "dddu"])
+def test_fibers_fail_when_a_later_sibling_swaps_two_places(monkeypatch, name):
+    """A signature after the first of its projection key, whose own places
+    swap a member of a fiber of two or more with a member of another
+    fiber, fails alone, with the witness of the per-signature loop under
+    the same fault: sharing a sibling's verdict never hides a signature's
+    own fault."""
+    lattice = _weak_order(4)
+    signatures = all_updown_signatures(4)
+    walk = suites._walked(lattice, signatures)
+    sig = UpDownSignature.from_string(name)
+    earlier = signatures[: signatures.index(sig)]
+    assert walk.projection_key(sig) in {walk.projection_key(s) for s in earlier}
+    places = sig.eta_fibers(walk)[1].tolist()
+    i = next(k for k, p in enumerate(places) if places.count(p) >= 2)
+    j = next(k for k, p in enumerate(places) if p != places[i])
+    monkeypatch.setattr(
+        polygon_a.GroupWalk, "eta_fibers",
+        _swapped_places(polygon_a.GroupWalk.eta_fibers, name, i, j),
+    )
+    loop = [(c["name"], c["witness"]) for c in _per_signature_fibers(4, "A n=4") if not c["passed"]]
+    assert [check for check, _ in loop] == [f"A n=4 sig {name}"] and loop[0][1] is not None
+    assert _failures(suites.suite_fibers(max_rank=4)) == loop
+
+
 @pytest.mark.parametrize("n", range(2, 7))
 def test_projection_memo_serves_every_marking_of_1_and_n(n):
     """The four markings of the values 1 and n share one pair of kept
