@@ -11,6 +11,12 @@ The package is organized as:
 - ``fans``: region cones, Cambrian fan rays, cluster complexes.
 - ``suites``: the named verification suites used by the command line tool.
 - ``cli``: the ``cambrian`` command line entry point.
+
+The functional names below (``weak_join``, ``mobius``, ``cg`` and the
+rest) are bindings of the methods and functions they name, so each takes
+its system or lattice first: ``weak_join(system, x, y)`` is
+``system.join(x, y)``.  ``is_lattice_congruence`` and ``quotient`` add
+their own checks, and ``forcing_poset`` is the class ``ForcingPoset``.
 """
 
 from .coxeter import (
@@ -113,44 +119,18 @@ from .fans import (
 __version__ = "0.1.0"
 
 
-def enumerate_weak_order(system: CoxeterSystem, cap=None) -> FiniteLattice:
-    """The weak order on the group as a finite lattice."""
-    return system.weak_order_lattice(cap)
-
-
-def weak_join(system: CoxeterSystem, x, y):
-    """Join of two group elements in the weak order."""
-    return system.join(x, y)
-
-
-def weak_meet(system: CoxeterSystem, x, y):
-    """Meet of two group elements in the weak order."""
-    return system.meet(x, y)
-
-
-def inversion_set(system: CoxeterSystem, w):
-    """Left inversion set of an element, as canonical reflection keys."""
-    return system.inversion_set(w)
-
-
-def ji_from_subset(n: int, members) -> tuple:
-    """The join-irreducible permutation with the given subset of [1, n]."""
-    return ji_subset_to_perm(n, frozenset(members))
-
-
-def subset_of_ji(x: tuple) -> frozenset:
-    """Inverse of ``ji_from_subset`` on join-irreducible permutations."""
-    return perm_to_ji_subset(x)
-
-
-def signed_ji_from_signed_subset(n: int, members) -> tuple:
-    """The join-irreducible signed permutation of a signed subset."""
-    return signed_ji_to_perm(n, frozenset(members))
-
-
-def signed_subset_of_ji(x: tuple) -> frozenset:
-    """Inverse of ``signed_ji_from_signed_subset``."""
-    return perm_to_signed_ji(x)
+enumerate_weak_order = CoxeterSystem.weak_order_lattice
+weak_join = CoxeterSystem.join
+weak_meet = CoxeterSystem.meet
+inversion_set = CoxeterSystem.inversion_set
+ji_from_subset = ji_subset_to_perm
+subset_of_ji = perm_to_ji_subset
+signed_ji_from_signed_subset = signed_ji_to_perm
+signed_subset_of_ji = perm_to_signed_ji
+cg = contraction_congruence
+mobius = FiniteLattice.mobius
+is_atomic_interval = FiniteLattice.is_atomic_interval
+is_sublattice = FiniteLattice.is_sublattice
 
 
 def is_lattice_congruence(lattice: FiniteLattice, blocks):
@@ -178,11 +158,6 @@ def quotient(lattice: FiniteLattice, cong: LatticeCongruence) -> FiniteLattice:
     return quotient_lattice(cong)
 
 
-def cg(lattice: FiniteLattice, ji_index: int) -> LatticeCongruence:
-    """Smallest congruence contracting a join-irreducible (by index)."""
-    return contraction_congruence(lattice, ji_index)
-
-
 class ForcingPoset:
     """Forcing among join-irreducibles: g forces g' when every congruence
     contracting g also contracts g'."""
@@ -196,21 +171,4 @@ class ForcingPoset:
         return h in self.forced[g]
 
 
-def forcing_poset(lattice: FiniteLattice) -> ForcingPoset:
-    """The forcing relation on the join-irreducibles of the lattice."""
-    return ForcingPoset(lattice)
-
-
-def mobius(lattice: FiniteLattice, i: int, j: int) -> int:
-    """Mobius function of the interval [i, j] (element indices)."""
-    return lattice.mobius(i, j)
-
-
-def is_atomic_interval(lattice: FiniteLattice, i: int, j: int) -> bool:
-    """Whether the join of the atoms of [i, j] is j."""
-    return lattice.is_atomic_interval(i, j)
-
-
-def is_sublattice(lattice: FiniteLattice, subset):
-    """Whether a set of element indices is closed under join and meet."""
-    return lattice.is_sublattice(subset)
+forcing_poset = ForcingPoset

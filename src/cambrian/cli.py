@@ -15,10 +15,10 @@ not read (``--m`` outside I2, ``--rank`` for I2 and H3; for ``fan``,
 ``--orientation`` and ``--stasheff-check`` for B, ``--signature`` and
 ``--stasheff-check`` for H3) is a usage error, not ignored.
 
-Exit codes: 0 pass, 1 suite or check failure (a suite with no checks
-fails), 2 usage error (including a family a suite does not cover and an
-``--output`` that cannot be written), 3
-element cap exceeded, 4 internal error (an invariant of the program
+Exit codes: 0 pass, 1 suite or check failure (a report with no checks,
+or a family it names with none, fails), 2 usage error (including a
+family a suite does not cover and an ``--output`` that cannot be
+written), 3 element cap exceeded, 4 internal error (an invariant of the program
 failed, such as a poset the program built that is not a lattice, or
 memory ran out; one message goes to stderr and nothing to stdout).  The
 element cap is ``DEFAULT_CAP``
@@ -35,7 +35,7 @@ import json
 import os
 import sys
 
-from .coxeter import CapExceeded, CoxeterSystem, get_system
+from .coxeter import FAMILIES, CapExceeded, CoxeterSystem, get_system
 from .congruences import cambrian_lattice, parse_orientation
 from .lattices import FiniteLattice
 from .polygon_a import UpDownSignature, signatures_for_orientation
@@ -117,9 +117,13 @@ def _resolve_cap(args) -> int:
     return DEFAULT_CAP
 
 
-# Per command, the flags each family does not read.
+# Per command, the flags each family does not read: for build, the flags
+# of --rank and --m that do not pick its group.
 _UNREAD = {
-    "build": {"A": ("m",), "B": ("m",), "I2": ("rank",), "H3": ("rank", "m")},
+    "build": {
+        family: tuple(flag for flag in ("rank", "m") if flag != row.parameter)
+        for family, row in FAMILIES.items()
+    },
     "fan": {
         "A": (),
         "B": ("orientation", "stasheff_check"),
@@ -151,18 +155,16 @@ def _require(args, flag: str) -> None:
 
 
 def _build_target_system(args) -> CoxeterSystem:
-    _reject_unread(args)
-    if args.family == "I2":
-        _require(args, "m")
-        return get_system("I2", None, args.m)
-    if args.family == "H3":
-        return get_system("H3")
-    _require(args, "rank")
-    return get_system(args.family, args.rank)
+    """The group that the flag named by its row picks, after ``_reject_unread``."""
+    parameter = FAMILIES[args.family].parameter
+    if parameter is not None:
+        _require(args, parameter)
+    return get_system(args.family, args.rank, getattr(args, "m", None))
 
 
 def cmd_build(args) -> int:
     cap = _resolve_cap(args)
+    _reject_unread(args)
     system = _build_target_system(args)
     meta = {
         "family": args.family,
@@ -216,9 +218,7 @@ def _a_signature_for(args, system: CoxeterSystem) -> UpDownSignature:
 def cmd_fan(args) -> int:
     _reject_unread(args)
     cap = _resolve_cap(args)
-    if args.family != "H3":
-        _require(args, "rank")
-    system = get_system(args.family, args.rank)
+    system = _build_target_system(args)
     system.check_cap(cap)
     extra = {}
     if args.family == "A":
@@ -269,7 +269,7 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, families=("A", "B", "I2", "H3"), default="A"):
+    def common(p, families=tuple(FAMILIES), default="A"):
         p.add_argument("--family", choices=families, default=default)
         p.add_argument("--output", help="output file (default: stdout)")
         p.add_argument("--cap", type=int, help="element cap for enumeration")

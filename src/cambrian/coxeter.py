@@ -29,7 +29,7 @@ import itertools
 import math
 from fractions import Fraction
 from types import SimpleNamespace
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .fields import NumberField
 from .lattices import FiniteLattice, _transitive, built_lattice
@@ -163,8 +163,9 @@ def ji_subset_bounds(n: int, members: frozenset[int]) -> tuple[int, int] | None:
     return None
 
 
-def ji_subset_to_perm(n: int, members: frozenset[int]) -> tuple[int, ...]:
-    """Permutation of the join-irreducible labelled by A, as Ac asc + A asc."""
+def ji_subset_to_perm(n: int, members) -> tuple[int, ...]:
+    """The join-irreducible permutation Ac asc + A asc of A in [1, n] (any iterable)."""
+    members = frozenset(members)
     a = sorted(members)
     ac = sorted(set(range(1, n + 1)) - set(members))
     if ji_subset_bounds(n, members) is None:
@@ -177,6 +178,7 @@ def ji_subset_to_perm(n: int, members: frozenset[int]) -> tuple[int, ...]:
 
 
 def perm_to_ji_subset(x: tuple[int, ...]) -> frozenset[int]:
+    """Inverse of ``ji_subset_to_perm`` on join-irreducible permutations."""
     descents = [i for i in range(len(x) - 1) if x[i] > x[i + 1]]
     if len(descents) != 1:
         raise ValueError(f"{x} is not join-irreducible in the weak order")
@@ -210,8 +212,9 @@ def signed_ji_bounds(n: int, members: frozenset[int]) -> tuple[int, int]:
     return (m, max(rest))
 
 
-def signed_ji_to_perm(n: int, members: frozenset[int]) -> tuple[int, ...]:
-    """Abbreviated notation of the join-irreducible labelled by signed A."""
+def signed_ji_to_perm(n: int, members) -> tuple[int, ...]:
+    """Abbreviated notation of the join-irreducible labelled by signed A (any iterable)."""
+    members = frozenset(members)
     if not signed_ji_members_valid(n, members):
         raise ValueError(f"{sorted(members)} is not a valid signed subset")
     pm = {v for a in members for v in (a, -a)}
@@ -221,6 +224,7 @@ def signed_ji_to_perm(n: int, members: frozenset[int]) -> tuple[int, ...]:
 
 
 def perm_to_signed_ji(x: tuple[int, ...]) -> frozenset[int]:
+    """Inverse of ``signed_ji_to_perm``."""
     n = _check_signed(x)
     full = full_notation(x)
     descents = {i for i in range(2 * n - 1) if full[i] > full[i + 1]}
@@ -261,11 +265,37 @@ def _length_counts(degrees) -> list:
     return coefficients
 
 
-class CoxeterSystem:
-    """A finite Coxeter system with a fixed simple-generator labelling.
+class Family(NamedTuple):
+    """A family's row: the argument that picks a group ("rank", "m" for the
+    bond of I2, None for H3), the rank it fixes (None if the rank picks)
+    and, for rank r and bond m, the generator names, the bonds m(s, t) > 2
+    of the diagram, the degrees of the basic invariants and the group's name."""
 
-    Generator names: 1..r for family A, 0..n-1 for family B (0 is the
-    sign-change generator), 1..2 for I2, 1..3 for H3 (bond m(1,2) = 5).
+    parameter: Optional[str]
+    rank: Optional[int]
+    names: Callable
+    bonds: Callable
+    degrees: Callable
+    group: Callable
+
+
+# Generator 0 of B changes a sign; bond m(1, 2) of H3 is 5.
+FAMILIES = {
+    "A": Family("rank", None, lambda r, m: tuple(range(1, r + 1)),
+                lambda r, m: {(s, s + 1): 3 for s in range(1, r)},
+                lambda r, m: tuple(range(2, r + 2)), lambda r, m: f"S_{r + 1}"),
+    "B": Family("rank", None, lambda r, m: tuple(range(r)),
+                lambda r, m: {(s, s + 1): 4 if s == 0 else 3 for s in range(r - 1)},
+                lambda r, m: tuple(range(2, 2 * r + 1, 2)), lambda r, m: f"B_{r}"),
+    "I2": Family("m", 2, lambda r, m: (1, 2), lambda r, m: {(1, 2): m},
+                 lambda r, m: (2, m), lambda r, m: f"I2({m})"),
+    "H3": Family(None, 3, lambda r, m: (1, 2, 3), lambda r, m: {(1, 2): 5, (2, 3): 3},
+                 lambda r, m: (2, 6, 10), lambda r, m: "H3"),
+}
+
+
+class CoxeterSystem:
+    """A finite Coxeter system, labelled as its row of ``FAMILIES`` says.
 
     An I2 or H3 element w is one tuple: ``w[k]`` is the id of w(rho_k) for
     every root id k, where the positive roots are 0..N-1 and -rho_k is
@@ -274,36 +304,13 @@ class CoxeterSystem:
     word of s_i w, the lexicographically least reduced word.
     """
 
-    def __init__(self, family: str, rank: int, bond: Optional[int] = None):
-        self.family = family
-        self.rank = rank
-        self.bond = bond
-        # The bonds m(s, t) > 2 of the Coxeter diagram, and the degrees of
-        # the group's basic invariants.
-        if family == "A":
-            self.n = rank + 1
-            names = tuple(range(1, rank + 1))
-            bonds = {(s, s + 1): 3 for s in names[:-1]}
-            self.degrees = tuple(range(2, rank + 2))
-        elif family == "B":
-            self.n = rank
-            names = tuple(range(rank))
-            bonds = {(s, s + 1): 4 if s == 0 else 3 for s in names[:-1]}
-            self.degrees = tuple(range(2, 2 * rank + 1, 2))
-        elif family == "I2":
-            if bond is None or bond < 3:
-                raise ValueError("I2 needs a bond label m >= 3")
-            names = (1, 2)
-            bonds = {(1, 2): bond}
-            self.degrees = (2, bond)
-        elif family == "H3":
-            names = (1, 2, 3)
-            bonds = {(1, 2): 5, (2, 3): 3}
-            self.degrees = (2, 6, 10)
-        else:
-            raise ValueError(f"unknown family {family!r}")
-        self.generator_names = names
-        self._bonds = {**bonds, **{(t, s): m for (s, t), m in bonds.items()}}
+    def __init__(self, family: str, rank: Optional[int] = None, bond: Optional[int] = None):
+        self.family, self.rank, self.bond = family, rank, bond = _system_key(family, rank, bond)
+        row = FAMILIES[family]
+        self.generator_names = names = row.names(rank, bond)
+        self.n = max(names) + 1  # letters of one-line notation, in A and B
+        self._bonds = {p: m for (s, t), m in row.bonds(rank, bond).items() for p in ((s, t), (t, s))}
+        self.degrees = row.degrees(rank, bond)
 
     # -- Coxeter matrix -----------------------------------------------------
 
@@ -357,6 +364,7 @@ class CoxeterSystem:
         return len(self.inversion_set(w))
 
     def inversion_set(self, w):
+        """Left inversion set of an element, as canonical reflection keys."""
         if self.family == "A":
             return inversion_set_a(w)
         if self.family == "B":
@@ -448,6 +456,7 @@ class CoxeterSystem:
     # -- joins and meets ----------------------------------------------------
 
     def join(self, x, y):
+        """Join of two group elements in the weak order."""
         if self.family == "A":
             return join_a(x, y)
         if self.family == "B":
@@ -456,6 +465,7 @@ class CoxeterSystem:
         return lattice.elements[lattice.join(lattice.index[x], lattice.index[y])]
 
     def meet(self, x, y):
+        """Meet of two group elements in the weak order."""
         if self.family in ("A", "B"):
             # x -> x w0 reverses the weak order: it reverses one-line
             # notation in A and negates it in B.
@@ -475,8 +485,7 @@ class CoxeterSystem:
     def check_cap(self, cap: Optional[int]) -> None:
         """Raise CapExceeded, naming the group, if it has over ``cap`` elements."""
         if cap is not None and self.order > cap:
-            names = {"A": f"S_{self.rank + 1}", "B": f"B_{self.rank}", "I2": f"I2({self.bond})"}
-            name = names.get(self.family, self.family)
+            name = FAMILIES[self.family].group(self.rank, self.bond)
             raise CapExceeded(f"{name} has {self.order} elements, more than cap {cap}")
 
     @functools.cached_property
@@ -638,24 +647,25 @@ class CoxeterSystem:
     gram = property(lambda self: self._root_vectors().gram)
 
 def _system_key(family: str, rank: Optional[int], bond: Optional[int]) -> tuple:
-    """One (family, rank, bond) spelling per group: I2 has rank 2, H3 rank
-    3, and only I2 a bond.  ValueError on a bond outside I2, a rank that
-    I2 or H3 contradicts, or a family A or B without a positive rank."""
-    if bond is not None and family != "I2":
+    """One (family, rank, bond) spelling per group, with the rank its row
+    fixes.  ValueError on an unknown family, a bond or rank the row refuses,
+    a family A or B without a positive rank, or I2 without a bond m >= 3."""
+    row = FAMILIES.get(family)
+    if row is None:
+        raise ValueError(f"unknown family {family!r}")
+    if bond is not None and row.parameter != "m":
         raise ValueError(f"family {family} takes no bond label, got {bond}")
-    fixed = {"I2": 2, "H3": 3}.get(family)
-    if fixed is not None:
-        if rank not in (None, fixed):
-            raise ValueError(f"family {family} has rank {fixed}, got {rank}")
-        return family, fixed, bond
-    if rank is None or rank < 1:
+    if row.rank is not None and rank not in (None, row.rank):
+        raise ValueError(f"family {family} has rank {row.rank}, got {rank}")
+    if row.rank is None and (rank is None or rank < 1):
         raise ValueError(f"family {family} needs a positive rank")
-    return family, rank, bond
+    if row.parameter == "m" and (bond is None or bond < 3):
+        raise ValueError(f"{family} needs a bond label m >= 3")
+    return family, row.rank or rank, bond
 
 
-def build_system(family: str, rank: Optional[int] = None, bond: Optional[int] = None) -> CoxeterSystem:
-    """Construct a Coxeter system for family A, B, I2(m) or H3."""
-    return CoxeterSystem(*_system_key(family, rank, bond))
+# A system for family A, B, I2(m) or H3, built anew.
+build_system = CoxeterSystem
 
 
 _SYSTEMS: dict = {}

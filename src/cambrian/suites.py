@@ -20,7 +20,9 @@ builds a weak order only if it reads it (``system.weak_order_lattice()``).
 ``max_rank`` bounds the index n: S_n for family A (Coxeter rank n-1), B_n,
 I2(n), and n in an index part; H3 is one group.  In ``catalan`` it replaces
 the default largest index, and so can raise it; elsewhere it can only
-lower it.  ``cap`` bounds the order of every group a suite reads.
+lower it.  A report fails unless every family it names (the ``--family``
+given, else the row's families) keeps a check: a ``max_rank`` that empties
+one fails it.  ``cap`` bounds the order of every group a suite reads.
 """
 
 from __future__ import annotations
@@ -114,16 +116,6 @@ def _pairs_repr(system: CoxeterSystem, orientation: Orientation) -> list:
 
 def _check(name: str, passed, **extra) -> dict:
     return {"name": name, "passed": bool(passed), **extra}
-
-
-def _report(suite: str, checks: list[dict], **meta) -> dict:
-    """A report passes when it has checks and every one of them passes."""
-    return {
-        "suite": suite,
-        **meta,
-        "passed": bool(checks) and all(c["passed"] for c in checks),
-        "checks": checks,
-    }
 
 
 def _per_orientation(system: CoxeterSystem, label: str, check) -> list[dict]:
@@ -797,7 +789,8 @@ def _run(name: str, family, max_rank, cap) -> dict:
     """The report of suite ``name``: refuse a family it does not cover,
     keep the parts of ``family``, cut (or, where the row says so, set)
     each largest index at ``max_rank``, refuse a group over ``cap`` before
-    building any, then run the parts in order."""
+    building any, then run the parts in order.  It passes when it has
+    checks, all passing, and at least one of every family it names."""
     suite = SUITES[name]
     if family is not None and family not in suite.families:
         raise ValueError(f"suite {name} does not cover family {family!r}")
@@ -810,27 +803,35 @@ def _run(name: str, family, max_rank, cap) -> dict:
             last = max_rank if suite.max_rank_replaces else min(last, max_rank)
         return range(first, last + 1)
 
-    runs = []  # (part, n, system, label) in report order; None for an index part
+    runs = []  # (part, n, family, system, label); an index part has no system
     for part in suite.parts:
         if isinstance(part, _Index):
             if family in (None, part.family):
-                runs += [(part, n, None, None) for n in indices(part.first, part.last)]
+                runs += [(part, n, part.family, None, None) for n in indices(part.first, part.last)]
             continue
         for fam, last in part.bounds.items():
             if family in (None, fam):
                 first, group, label = _FAMILIES[fam]
-                runs += [(part, n, group(n), label.format(n=n)) for n in indices(first, last)]
-    for _, _, system, _ in runs:
+                runs += [(part, n, fam, group(n), label.format(n=n)) for n in indices(first, last)]
+    for _, _, _, system, _ in runs:
         if system is not None:
             system.check_cap(cap)
-    checks = []
-    for part, n, system, label in runs:
+    checks, covered = [], set()
+    for part, n, fam, system, label in runs:
         if system is None:
-            checks.append(_check(part.name.format(n=n), **part.check(n)))
+            found = [_check(part.name.format(n=n), **part.check(n))]
         else:
-            checks += part.check(n, system, label)
-    meta = {"family": family or ",".join(suite.families)} if suite.families else {}
-    return _report(name, checks, **meta)
+            found = part.check(n, system, label)
+        checks += found
+        if found:
+            covered.add(fam)
+    named = (family,) if family else suite.families
+    return {
+        "suite": name,
+        **({"family": ",".join(named)} if named else {}),
+        "passed": bool(checks) and all(c["passed"] for c in checks) and covered.issuperset(named),
+        "checks": checks,
+    }
 
 
 def run_suite(name: str, family=None, max_rank=None, cap=None) -> dict:

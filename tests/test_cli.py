@@ -147,6 +147,37 @@ def test_verify_without_checks_fails(capsys):
     assert report["checks"] == [] and report["passed"] is False
 
 
+@pytest.mark.parametrize(
+    "suite, max_rank, families",
+    [
+        ("iso", "0", "A,B,I2,H3"),
+        ("congruence-eq", "2", "A,B"),
+        ("sublattice", "2", "A,B"),
+        ("shard", "2", "A,B"),
+        ("fan", "2", "A,B,H3"),
+        ("descent", "2", "A,B"),
+        ("mobius", "2", "A,B"),
+    ],
+)
+def test_verify_fails_when_max_rank_empties_a_named_family(capsys, suite, max_rank, families):
+    # S_n starts at n = 3 and B_n at n = 2: the checks left all pass, but
+    # the report still names A (and, at 0, B and I2), which has none.
+    code, out = run_cli(capsys, "verify", "--suite", suite, "--max-rank", max_rank)
+    report = json.loads(out)
+    assert code == 1 and report["passed"] is False
+    assert report["family"] == families
+    assert report["checks"] and all(c["passed"] for c in report["checks"])
+    assert not any(c["name"].startswith("A ") for c in report["checks"])
+
+
+def test_verify_passes_when_the_named_family_keeps_its_checks(capsys):
+    # H3 is one group, which --max-rank does not cut.
+    code, out = run_cli(
+        capsys, "verify", "--suite", "catalan", "--family", "H3", "--max-rank", "1"
+    )
+    assert code == 0 and json.loads(out)["family"] == "H3"
+
+
 def test_verify_iso_honours_max_rank_for_i2(capsys):
     code, out = run_cli(
         capsys, "verify", "--suite", "iso", "--family", "I2", "--max-rank", "4"

@@ -3,6 +3,7 @@ import functools
 import itertools
 import math
 import random
+import re
 from functools import reduce
 
 import pytest
@@ -19,7 +20,8 @@ from cambrian import (
     weak_join,
     weak_meet,
 )
-from cambrian import coxeter
+import cambrian
+from cambrian import coxeter, lattices
 from cambrian.coxeter import (
     CapExceeded,
     all_ji_subsets_a,
@@ -677,3 +679,78 @@ def test_word_is_least_over_lower_covers(key):
         assert word == words[i], i
         assert system.from_word(word) == w
         assert len(word) == system.length(w)
+
+
+@pytest.mark.parametrize(
+    "name, target",
+    [
+        ("enumerate_weak_order", coxeter.CoxeterSystem.weak_order_lattice),
+        ("weak_join", coxeter.CoxeterSystem.join),
+        ("weak_meet", coxeter.CoxeterSystem.meet),
+        ("inversion_set", coxeter.CoxeterSystem.inversion_set),
+        ("ji_from_subset", coxeter.ji_subset_to_perm),
+        ("subset_of_ji", coxeter.perm_to_ji_subset),
+        ("signed_ji_from_signed_subset", coxeter.signed_ji_to_perm),
+        ("signed_subset_of_ji", coxeter.perm_to_signed_ji),
+        ("cg", lattices.contraction_congruence),
+        ("forcing_poset", cambrian.ForcingPoset),
+        ("mobius", lattices.FiniteLattice.mobius),
+        ("is_atomic_interval", lattices.FiniteLattice.is_atomic_interval),
+        ("is_sublattice", lattices.FiniteLattice.is_sublattice),
+    ],
+)
+def test_functional_names_are_bindings(name, target):
+    assert getattr(cambrian, name) is target
+
+
+def test_ji_subsets_may_be_one_shot_iterators():
+    assert ji_from_subset(3, iter([1])) == (2, 3, 1)
+    assert signed_ji_from_signed_subset(2, iter([-1])) == (2, -1)
+    assert signed_ji_from_signed_subset(3, iter([2, -3])) == (1, -3, 2)
+
+
+def _closed_form(family, r, m):
+    """(generator names, bond of each pair, degrees, |W|, group name), from
+    the classification, not from the family table."""
+    if family == "A":
+        names = tuple(range(1, r + 1))
+        bond = lambda s, t: 3 if abs(s - t) == 1 else 2
+        return names, bond, tuple(range(2, r + 2)), math.factorial(r + 1), f"S_{r + 1}"
+    if family == "B":
+        names = tuple(range(r))
+        bond = lambda s, t: (4 if 0 in (s, t) else 3) if abs(s - t) == 1 else 2
+        degrees = tuple(2 * k for k in range(1, r + 1))
+        return names, bond, degrees, 2**r * math.factorial(r), f"B_{r}"
+    if family == "I2":
+        return (1, 2), lambda s, t: m, (2, m), 2 * m, f"I2({m})"
+    bond = lambda s, t: 5 if {s, t} == {1, 2} else 3 if {s, t} == {2, 3} else 2
+    return (1, 2, 3), bond, (2, 6, 10), 120, "H3"
+
+
+@pytest.mark.parametrize(
+    "family, rank, bond",
+    [("A", r, None) for r in range(1, 8)]
+    + [("B", r, None) for r in range(1, 7)]
+    + [("I2", None, m) for m in range(3, 31)]
+    + [("H3", None, None)],
+)
+def test_family_rows_match_the_closed_forms(family, rank, bond):
+    system = build_system(family, rank, bond)
+    names, bond_of, degrees, order, group = _closed_form(family, system.rank, bond)
+    assert system.generator_names == names
+    for s in names:
+        for t in names:
+            assert system.bond_label(s, t) == (1 if s == t else bond_of(s, t)), (s, t)
+    assert system.degrees == degrees
+    assert system.order == order
+    refusal = rf"^{re.escape(group)} has {order} elements, more than cap 0$"
+    with pytest.raises(CapExceeded, match=refusal):
+        system.check_cap(0)
+
+
+@pytest.mark.parametrize("make", [get_system, coxeter.CoxeterSystem])
+def test_unknown_family_is_refused_and_not_kept(make):
+    before = dict(coxeter._SYSTEMS)
+    with pytest.raises(ValueError, match=r"^unknown family 'D'$"):
+        make("D", 4)
+    assert coxeter._SYSTEMS == before
