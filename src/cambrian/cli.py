@@ -6,14 +6,18 @@ Three commands, each taking only the flags it reads:
   [--format json|dot]``: weak order or Cambrian lattice, as JSON or DOT.
 - ``cambrian verify --suite S [--family F] [--max-rank N]``: run a named
   verification suite; exit 0 iff it passes.
-- ``cambrian fan --family A|B|H3 [--rank R] [--signature S |
-  --orientation O] [--stasheff-check]``: Cambrian fan artifacts and exact
-  fan checks.
+- ``cambrian fan --family F [--rank R] [--signature S | --orientation O]
+  [--stasheff-check]``: Cambrian fan artifacts and exact fan checks, for
+  the families of the ``fan`` suite's row (A, B and H3).
 
-All three take ``--output`` and ``--cap``.  A flag the chosen family does
-not read (``--m`` outside I2, ``--rank`` for I2 and H3; for ``fan``,
-``--orientation`` and ``--stasheff-check`` for B, ``--signature`` and
-``--stasheff-check`` for H3) is a usage error, not ignored.
+All three take ``--output`` and ``--cap``.  The ``--family`` choices and
+the flag that picks a group come from the rows of ``coxeter.FAMILIES``.
+A flag the chosen family does not read is a usage error, not ignored:
+``--rank`` or ``--m`` where the row does not pick the group by it (``--m``
+outside I2, ``--rank`` for I2 and H3), and for ``fan`` the chamber input
+the family does not take: A and B take a signature (B reads no
+``--orientation``), every other family an orientation (no
+``--signature``), and only A reads ``--stasheff-check``.
 
 Exit codes: 0 pass, 1 suite or check failure (a report with no checks,
 or a family it names with none, fails), 2 usage error (including a
@@ -43,12 +47,12 @@ from .polygon_b import SymmetricSignature
 from .fans import (
     check_fan_a,
     check_fan_b,
-    check_fan_h3,
+    check_fan_orientation,
     fan_passed,
     fan_to_json,
     stasheff_ray_check,
 )
-from .suites import SUITE_NAMES, run_suite
+from .suites import SUITE_NAMES, SUITES, run_suite
 
 USAGE_ERROR = 2
 CAP_ERROR = 3
@@ -88,6 +92,12 @@ def lattice_to_dot(system: CoxeterSystem, lattice: FiniteLattice, title: str) ->
     return "\n".join(lines) + "\n"
 
 
+def _refuse(message: str):
+    """Exit with a usage error, the message on one line of stderr."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(USAGE_ERROR)
+
+
 def _emit(text: str, output) -> None:
     if not output:
         sys.stdout.write(text)
@@ -96,8 +106,7 @@ def _emit(text: str, output) -> None:
         with open(output, "w") as handle:
             handle.write(text)
     except OSError as exc:
-        print(f"error: cannot write --output {output}: {exc.strerror}", file=sys.stderr)
-        raise SystemExit(USAGE_ERROR)
+        _refuse(f"cannot write --output {output}: {exc.strerror}")
 
 
 def _emit_json(obj: dict, output) -> None:
@@ -112,46 +121,37 @@ def _resolve_cap(args) -> int:
         try:
             return int(env)
         except ValueError:
-            print("error: CAMB_CAP must be an integer", file=sys.stderr)
-            raise SystemExit(USAGE_ERROR)
+            _refuse("CAMB_CAP must be an integer")
     return DEFAULT_CAP
 
 
-# Per command, the flags each family does not read: for build, the flags
-# of --rank and --m that do not pick its group.
-_UNREAD = {
-    "build": {
-        family: tuple(flag for flag in ("rank", "m") if flag != row.parameter)
-        for family, row in FAMILIES.items()
-    },
-    "fan": {
-        "A": (),
-        "B": ("orientation", "stasheff_check"),
-        "H3": ("rank", "signature", "stasheff_check"),
-    },
-}
+# The fan flags the signature families do not read; every other family's
+# fan takes an orientation, not --signature or --stasheff-check.
+_SIGNATURE_FAN_UNREAD = {"A": (), "B": ("orientation", "stasheff_check")}
+
+
+def _unread(command: str, family: str) -> tuple:
+    """The flags a command does not read for a family, in refusal order:
+    of --rank and --m, those that do not pick its group, and in ``fan`` the
+    chamber input it does not take."""
+    flags = ("rank", "m") if command == "build" else ("rank",)
+    unread = tuple(flag for flag in flags if flag != FAMILIES[family].parameter)
+    if command == "build":
+        return unread
+    return _SIGNATURE_FAN_UNREAD.get(family, unread + ("signature", "stasheff_check"))
 
 
 def _reject_unread(args) -> None:
     """Fail closed on a flag the chosen family would silently ignore."""
-    for flag in _UNREAD[args.command][args.family]:
+    for flag in _unread(args.command, args.family):
         value = getattr(args, flag)
         if value is not None and value is not False:
-            option = "--" + flag.replace("_", "-")
-            print(
-                f"error: {option} does not apply to family {args.family}",
-                file=sys.stderr,
-            )
-            raise SystemExit(USAGE_ERROR)
+            _refuse(f"--{flag.replace('_', '-')} does not apply to family {args.family}")
 
 
 def _require(args, flag: str) -> None:
     if getattr(args, flag) is None:
-        print(
-            f"error: --{flag} is required for family {args.family}",
-            file=sys.stderr,
-        )
-        raise SystemExit(USAGE_ERROR)
+        _refuse(f"--{flag} is required for family {args.family}")
 
 
 def _build_target_system(args) -> CoxeterSystem:
@@ -201,18 +201,13 @@ def _a_signature_for(args, system: CoxeterSystem) -> UpDownSignature:
     if args.signature is not None:
         sig = UpDownSignature.from_string(args.signature)
         if sig.n != n:
-            print(
-                f"error: signature length {sig.n} does not match n={n}",
-                file=sys.stderr,
-            )
-            raise SystemExit(USAGE_ERROR)
+            _refuse(f"signature length {sig.n} does not match n={n}")
         return sig
     if args.orientation is not None:
         orientation = parse_orientation(system, args.orientation)
         directed = [(s, t) for s, t, _ in orientation.edges]
         return signatures_for_orientation(n, directed)[0]
-    print("error: provide --signature or --orientation", file=sys.stderr)
-    raise SystemExit(USAGE_ERROR)
+    _refuse("provide --signature or --orientation")
 
 
 def cmd_fan(args) -> int:
@@ -231,12 +226,7 @@ def cmd_fan(args) -> int:
         _require(args, "signature")
         positive = UpDownSignature.from_string(args.signature)
         if positive.n != args.rank:
-            print(
-                f"error: signature length {positive.n} does not match rank "
-                f"{args.rank}",
-                file=sys.stderr,
-            )
-            raise SystemExit(USAGE_ERROR)
+            _refuse(f"signature length {positive.n} does not match rank {args.rank}")
         report = check_fan_b(
             SymmetricSignature.from_positive_ups(args.rank, positive.ups)
         )
@@ -244,7 +234,7 @@ def cmd_fan(args) -> int:
         summary = ("num_cones", "simplicial")
     else:
         _require(args, "orientation")
-        report = check_fan_h3(system, parse_orientation(system, args.orientation))
+        report = check_fan_orientation(system, parse_orientation(system, args.orientation))
         head = {"orientation": args.orientation}
         summary = ("num_cones", "simplicial")
     ok = fan_passed(report)
@@ -289,7 +279,7 @@ def make_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(func=cmd_verify)
 
     p_fan = sub.add_parser("fan", help="build and check a Cambrian fan")
-    common(p_fan, families=("A", "B", "H3"))
+    common(p_fan, families=SUITES["fan"].families)
     p_fan.add_argument("--rank", type=int)
     chamber = p_fan.add_mutually_exclusive_group()
     chamber.add_argument("--signature", help='up/down string, e.g. "uudu"')

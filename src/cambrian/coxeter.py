@@ -269,7 +269,9 @@ class Family(NamedTuple):
     """A family's row: the argument that picks a group ("rank", "m" for the
     bond of I2, None for H3), the rank it fixes (None if the rank picks)
     and, for rank r and bond m, the generator names, the bonds m(s, t) > 2
-    of the diagram, the degrees of the basic invariants and the group's name."""
+    of the diagram, the degrees of the basic invariants and the group's name.
+    The suites number the groups by an index n from ``first``: ``key(n)``
+    gives the (rank, bond) of group n, and ``label`` names it in checks."""
 
     parameter: Optional[str]
     rank: Optional[int]
@@ -277,20 +279,26 @@ class Family(NamedTuple):
     bonds: Callable
     degrees: Callable
     group: Callable
+    first: int
+    key: Callable
+    label: str
 
 
-# Generator 0 of B changes a sign; bond m(1, 2) of H3 is 5.
+# Generator 0 of B changes a sign; bond m(1, 2) of H3 is 5.  Index n is
+# S_n in A, B_n in B and I2(n) in I2; H3 is one group.
 FAMILIES = {
     "A": Family("rank", None, lambda r, m: tuple(range(1, r + 1)),
                 lambda r, m: {(s, s + 1): 3 for s in range(1, r)},
-                lambda r, m: tuple(range(2, r + 2)), lambda r, m: f"S_{r + 1}"),
+                lambda r, m: tuple(range(2, r + 2)), lambda r, m: f"S_{r + 1}",
+                3, lambda n: (n - 1, None), "A n={n}"),
     "B": Family("rank", None, lambda r, m: tuple(range(r)),
                 lambda r, m: {(s, s + 1): 4 if s == 0 else 3 for s in range(r - 1)},
-                lambda r, m: tuple(range(2, 2 * r + 1, 2)), lambda r, m: f"B_{r}"),
+                lambda r, m: tuple(range(2, 2 * r + 1, 2)), lambda r, m: f"B_{r}",
+                2, lambda n: (n, None), "B n={n}"),
     "I2": Family("m", 2, lambda r, m: (1, 2), lambda r, m: {(1, 2): m},
-                 lambda r, m: (2, m), lambda r, m: f"I2({m})"),
+                 lambda r, m: (2, m), lambda r, m: f"I2({m})", 3, lambda n: (None, n), "I2({n})"),
     "H3": Family(None, 3, lambda r, m: (1, 2, 3), lambda r, m: {(1, 2): 5, (2, 3): 3},
-                 lambda r, m: (2, 6, 10), lambda r, m: "H3"),
+                 lambda r, m: (2, 6, 10), lambda r, m: "H3", 3, lambda n: (None, None), "H3"),
 }
 
 

@@ -2,8 +2,8 @@
 
 Type-A geometry lives in the sum-zero hyperplane of an n-coordinate
 space; the type-B fan is the restriction of the type-A fan of the
-doubled polygon to the antisymmetric subspace; the H3 fan is read off
-the root permutations of the generic engine, with no field arithmetic.
+doubled polygon to the antisymmetric subspace; any other fan, as H3's,
+is read off the generic engine's root permutations, with no arithmetic.
 
 Inside the module the A and B rays are integers: n * ray in S_n and 2n
 * ray in B_n, where cone membership and wall sides are unchanged.  Only
@@ -12,9 +12,9 @@ public boundary.  One table, ``_rays_and_diagonals``, pairs each ray
 subset with its polygon diagonal, and the ray list, the ray-to-diagonal
 map and its inverse all read it.
 
-Each fan check (``check_fan_a``/``_b``/``_h3``) closes the Cambrian
-congruence of its input and builds no quotient: the fan's dual graph is
-the quotient's Hasse diagram, the class pairs of the covers the
+Each fan check (``check_fan_a``/``_b``/``_orientation``) closes the
+Cambrian congruence of its input and builds no quotient: the fan's dual
+graph is the quotient's Hasse diagram, the class pairs of the covers the
 congruence does not contract.  The three share one class loop
 (``_class_cones``) over one chamber table per weak order
 (``_chamber_table``, kept in its ``tables``): the rays of each chamber as
@@ -37,11 +37,11 @@ those of the class bottom's triangulation, which ``_class_diagonals``
 reads off the weak order's own walk, through the signature's
 ``eta_fibers``, so the fan checks share the suites' eta memo.  In A that
 comparison, with every other fan ray strictly outside the cone, is
-``consistency``; in B it joins ``tiling``.  In H3 a ray is its own sign
-vector over the 15 reflections: <beta, w * omega_k> = <w^-1 beta,
-omega_k> has the sign of the alpha_k coordinate of the root w^-1(beta),
-which the root permutation w names (Reading-Speyer, "Cambrian fans"), so
-no field arithmetic is done.
+``consistency``; in B it joins ``tiling``.  On the root-permutation
+engine a ray is its own sign vector over the reflections: <beta, w *
+omega_k> = <w^-1 beta, omega_k> has the sign of the alpha_k coordinate
+of the root w^-1(beta), which the root permutation w names
+(Reading-Speyer, "Cambrian fans"), so no field arithmetic is done.
 
 The cluster model depends on n alone, so ``clusters`` is cached per n
 and returns one frozen complex per n to every suite check and lattice
@@ -241,7 +241,7 @@ def diagonal_ray_map(signature: UpDownSignature) -> dict:
 
 # ---------------------------------------------------------------------------
 # Fan verification: one chamber table, one class loop and one report for
-# A, B and H3.
+# A, B and the root-permutation engine.
 
 
 def _fan_faces(cong, dim, cones, side, simplicial, tiling, **extra) -> dict:
@@ -307,10 +307,11 @@ def _chamber_table(system: CoxeterSystem, lattice: FiniteLattice):
 
     In A, ray k of x is the value set x[k:] (``_suffix_rays_a``), in B the
     antisymmetric part of the doubled region's ray n + 1 - k; both are
-    integer vectors.  In H3, ray k of w is w * omega_k, kept as its sign
-    vector: entry t, the sign of <w^-1 beta_t, omega_k>, is that of the
-    alpha_k coordinate of the root j with w[j] = t, 0 off its support
-    (Reading-Speyer, "Cambrian fans"), so no field arithmetic is done.
+    integer vectors.  On root permutations (H3, D_n, ...), ray k of w is
+    w * omega_k, kept as its sign vector: entry t, the sign of <w^-1
+    beta_t, omega_k>, is that of the alpha_k coordinate of the root j with
+    w[j] = t, 0 off its support (Reading-Speyer, "Cambrian fans"), so no
+    field arithmetic is done.
     """
     if _chamber_table in lattice.tables:
         return lattice.tables[_chamber_table]
@@ -481,14 +482,14 @@ def check_fan_b(signature: SymmetricSignature) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Fan verification, H3 (signs read off the root permutations).
+# Fan verification on root permutations (H3, and any group with roots).
 
 
 def _det3(field, u, v, w):
     """det of the 3x3 matrix with rows u, v, w, by cofactors along u.
 
-    No fan check calls it: the H3 check reads its signs off the root
-    permutations.  It stays as the tests' oracle for those signs, and as
+    No fan check calls it: the orientation check reads its signs off the
+    root permutations.  It stays as the tests' oracle for those signs, and as
     the function that the benchmark's ``fans.det3`` span
     (``perfbench/tracing.py``) wraps.
     """
@@ -499,16 +500,17 @@ def _det3(field, u, v, w):
     return field.add(field.add(terms[0], terms[1]), terms[2])
 
 
-def check_fan_h3(system: CoxeterSystem, orientation: Orientation) -> dict:
-    """Verify the Cambrian fan of an H3 orientation, with the class loop
-    and report of A and B and no polygon to compare the cones with."""
-    if system.family != "H3":
-        raise ValueError("expected an H3 system")
+def check_fan_orientation(system: CoxeterSystem, orientation: Orientation) -> dict:
+    """Verify the Cambrian fan of an orientation on root permutations, with
+    the class loop and report of A and B and no polygon to compare with."""
     cong = cambrian_congruence(system, orientation)
     table = _chamber_table(system, cong.lattice)
     cones, _, simplicial, tiling = _class_cones(cong, system.rank, table)
     report = _fan_faces(cong, system.rank, cones, _side(table[2]), simplicial, tiling)
-    return {"family": "H3", **report}
+    return {"family": system.family, **report}
+
+
+check_fan_h3 = check_fan_orientation  # its public name, and a benchmark span
 
 
 def fan_passed(report: dict) -> bool:
@@ -520,16 +522,19 @@ def fan_passed(report: dict) -> bool:
 
 
 def check_fan(arg, orientation: Orientation = None) -> dict:
-    """The fan check of an A or B signature, or of H3 with an orientation."""
+    """The fan check of an A or B signature, or of a system with root
+    vectors (H3, or any group on the root-permutation engine) and an orientation."""
     if isinstance(arg, CoxeterSystem):
-        if arg.family != "H3":
-            raise ValueError(
-                f"unsupported fan input: a Coxeter system of family {arg.family}"
-                " (the A and B fan checks take a signature)"
-            )
+        unsupported = f"unsupported fan input: a Coxeter system of family {arg.family}"
+        if arg.family in ("A", "B"):
+            raise ValueError(f"{unsupported} (the A and B fan checks take a signature)")
+        try:
+            arg.roots  # read only for the refusal of a system without them
+        except ValueError as exc:
+            raise ValueError(f"{unsupported} ({exc})") from None
         if orientation is None:
-            raise ValueError("the H3 fan check needs an orientation")
-        return check_fan_h3(arg, orientation)
+            raise ValueError(f"the {arg.family} fan check needs an orientation")
+        return check_fan_orientation(arg, orientation)
     if orientation is not None:
         raise ValueError("a signature fixes its own orientation")
     if isinstance(arg, UpDownSignature):

@@ -12,10 +12,13 @@ Each claim is one row of ``SUITES``, and a new claim is a new row: the
 runs A, the others every part), and its parts in report order.  A group
 part maps each family it covers to its default largest group index and
 gives the checks of one group; an index part gives one check per index n.
-One driver, ``_run``, refuses a family the row does not cover, keeps the
-parts of the chosen family, applies ``max_rank``, checks the cap of every
-group of every part before building any, and writes the report.  A check
-builds a weak order only if it reads it (``system.weak_order_lattice()``).
+A suite opts in a family with that one bound: the family's row in
+``coxeter.FAMILIES`` gives its first index, the group of each index and
+the group's label in check names.  One driver, ``_run``, refuses a family
+the row does not cover, keeps the parts of the chosen family, applies
+``max_rank``, checks the cap of every group of every part before building
+any, and writes the report.  A check builds a weak order only if it reads
+it (``system.weak_order_lattice()``).
 
 ``max_rank`` bounds the index n: S_n for family A (Coxeter rank n-1), B_n,
 I2(n), and n in an index part; H3 is one group.  In ``catalan`` it replaces
@@ -35,6 +38,7 @@ from operator import ne, or_
 from typing import Callable, NamedTuple
 
 from .coxeter import (
+    FAMILIES,
     CoxeterSystem,
     get_system,
     perm_to_ji_subset,
@@ -80,7 +84,7 @@ from .fans import (
     b_bipartite_signature,
     b_cluster_poset,
     check_fan,
-    check_fan_h3,
+    check_fan_orientation,
     cluster_poset,
     cluster_refine_check,
     clusters,
@@ -490,17 +494,18 @@ def _fan_ab_checks(n: int, system: CoxeterSystem, label: str) -> list:
     return [_check(f"{label} sig {sig.to_string()}", fan_passed(r), **r) for sig, r in reports]
 
 
-def _fan_h3_checks(n: int, system: CoxeterSystem, label: str) -> list:
-    """The H3 fan of every orientation, with a Catalan number of cones and
-    a 3-regular Hasse diagram, and one f-vector for all of them."""
+def _fan_orientation_checks(n: int, system: CoxeterSystem, label: str) -> list:
+    """The fan of every orientation of a group on the root-permutation
+    engine, with a Catalan number of cones and a Hasse diagram in which
+    every class has rank-many neighbours, and one f-vector for all of them."""
     checks, f_vectors = [], set()
     for orientation in all_orientations(system):
-        report = check_fan_h3(system, orientation)
+        report = check_fan_orientation(system, orientation)
         f_vectors.add(tuple(report["f_vector"]))
         cong = cambrian_congruence(system, orientation)
         degrees = {sum(c in cover for cover in cong.cover_image) for c in range(cong.num_classes)}
         ok = fan_passed(report) and report["num_cones"] == system.catalan_number()
-        ok = ok and degrees == {3}
+        ok = ok and degrees == {system.rank}
         checks.append(
             _check(f"{label} [{orientation}]", ok, hasse_degrees=sorted(degrees), **report)
         )
@@ -691,8 +696,9 @@ def _duality_checks(n: int, system: CoxeterSystem, label: str) -> list:
 
 
 class _Groups(NamedTuple):
-    """``bounds``: family -> default largest index (None for H3), in report
-    order; ``check(n, system, label)``: one group's checks."""
+    """``bounds``: family -> default largest index (None for a family whose
+    row fixes its group), in report order; ``check(n, system, label)``: one
+    group's checks."""
 
     bounds: dict
     check: Callable
@@ -719,16 +725,6 @@ class _Suite(NamedTuple):
     max_rank_replaces: bool = False
 
 
-# Per family: the first group index, the group of index n, and its label
-# in check names.
-_FAMILIES = {
-    "A": (3, lambda n: get_system("A", n - 1), "A n={n}"),
-    "B": (2, lambda n: get_system("B", n), "B n={n}"),
-    "I2": (3, lambda n: get_system("I2", None, n), "I2({n})"),
-    "H3": (3, lambda n: get_system("H3"), "H3"),
-}
-
-
 SUITES = {
     "catalan": _Suite(
         ("A", "B", "I2", "H3"),
@@ -746,7 +742,7 @@ SUITES = {
             _Groups({"A": 4}, _fan_ab_checks),
             _Index("A", "stasheff rays n={n}", 3, 7, lambda n: {"passed": stasheff_ray_check(n)}),
             _Groups({"B": 3}, _fan_ab_checks),
-            _Groups({"H3": None}, _fan_h3_checks),
+            _Groups({"H3": None}, _fan_orientation_checks),
         ),
     ),
     "cluster": _Suite(
@@ -805,14 +801,13 @@ def _run(name: str, family, max_rank, cap) -> dict:
 
     runs = []  # (part, n, family, system, label); an index part has no system
     for part in suite.parts:
-        if isinstance(part, _Index):
-            if family in (None, part.family):
-                runs += [(part, n, part.family, None, None) for n in indices(part.first, part.last)]
-            continue
-        for fam, last in part.bounds.items():
+        index = isinstance(part, _Index)
+        for fam, last in ({part.family: part.last} if index else part.bounds).items():
             if family in (None, fam):
-                first, group, label = _FAMILIES[fam]
-                runs += [(part, n, fam, group(n), label.format(n=n)) for n in indices(first, last)]
+                row = FAMILIES[fam]
+                for n in indices(part.first if index else row.first, last):
+                    system = None if index else get_system(fam, *row.key(n))
+                    runs.append((part, n, fam, system, row.label.format(n=n)))
     for _, _, _, system, _ in runs:
         if system is not None:
             system.check_cap(cap)

@@ -178,6 +178,63 @@ def test_verify_passes_when_the_named_family_keeps_its_checks(capsys):
     assert code == 0 and json.loads(out)["family"] == "H3"
 
 
+@pytest.fixture
+def family_d(monkeypatch):
+    """A row for D_n (bonds (i, i+1) for i <= n-2 and (n-2, n), degrees
+    2, 4, ..., 2n-2 and n, index n from 4), opted into the parts of the
+    catalan and fan suites that run H3, with one bound each, on a fresh
+    system table."""
+    row = coxeter.Family(
+        "rank", None, lambda r, m: tuple(range(1, r + 1)),
+        lambda r, m: {**{(s, s + 1): 3 for s in range(1, r - 1)}, (r - 2, r): 3},
+        lambda r, m: (*range(2, 2 * r - 1, 2), r), lambda r, m: f"D_{r}",
+        4, lambda n: (n, None), "D n={n}",
+    )
+    monkeypatch.setitem(coxeter.FAMILIES, "D", row)
+    monkeypatch.setattr(coxeter, "_SYSTEMS", {})
+    for name in ("catalan", "fan"):
+        suite = suites.SUITES[name]
+        parts = tuple(
+            part._replace(bounds={**part.bounds, "D": 5})
+            if "H3" in getattr(part, "bounds", ()) else part
+            for part in suite.parts
+        )
+        monkeypatch.setitem(
+            suites.SUITES, name, suite._replace(families=suite.families + ("D",), parts=parts)
+        )
+
+
+def test_a_new_family_is_its_row_and_one_bound_per_suite(capsys, family_d):
+    code, out = run_cli(capsys, "verify", "--suite", "catalan", "--family", "D", "--max-rank", "5")
+    report = json.loads(out)
+    assert code == 0 and report["family"] == "D"
+    assert [c["count"] for c in report["checks"]] == [50] * 8 + [182] * 16
+    assert report["checks"][0]["name"].startswith("D n=4 [")
+
+    code, out = run_cli(capsys, "verify", "--suite", "fan", "--family", "D", "--max-rank", "5")
+    names = [c["name"] for c in json.loads(out)["checks"]]
+    assert code == 0
+    assert len(names) == 8 + 1 + 16 + 1
+    assert (names[8], names[-1]) == ("D n=4 equal f-vectors", "D n=5 equal f-vectors")
+
+    code, out = run_cli(
+        capsys, "fan", "--family", "D", "--rank", "4", "--orientation", "1>2,3>2,4>2"
+    )
+    fan = json.loads(out)
+    assert code == 0 and fan["family"] == fan["report"]["family"] == "D"
+    assert fan["summary"] == {"num_cones": 50, "simplicial": True}
+    assert fan["report"]["f_vector"] == [16, 66, 100, 50]
+
+
+def test_fan_unread_flags_follow_the_chamber_input():
+    # The table these flags were written as before the rows derived them.
+    assert {family: cli._unread("fan", family) for family in suites.SUITES["fan"].families} == {
+        "A": (),
+        "B": ("orientation", "stasheff_check"),
+        "H3": ("rank", "signature", "stasheff_check"),
+    }
+
+
 def test_verify_iso_honours_max_rank_for_i2(capsys):
     code, out = run_cli(
         capsys, "verify", "--suite", "iso", "--family", "I2", "--max-rank", "4"

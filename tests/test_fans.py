@@ -305,6 +305,25 @@ def test_check_fan_names_the_family_of_an_unsupported_system(
         check_fan(system, orientation)
 
 
+@pytest.mark.parametrize(
+    "family,rank,bond,reason",
+    [
+        ("A", 2, None, "(the A and B fan checks take a signature)"),
+        ("B", 2, None, "(the A and B fan checks take a signature)"),
+        ("I2", None, 5, "(I2(5) has no root vectors, field or Gram matrix)"),
+    ],
+)
+def test_check_fan_gives_the_reason_a_system_is_refused(family, rank, bond, reason):
+    system = get_system(family, rank, bond)
+    with pytest.raises(ValueError) as err:
+        check_fan(system, all_orientations(system)[0])
+    assert str(err.value) == f"unsupported fan input: a Coxeter system of family {family} {reason}"
+
+
+def test_the_h3_fan_check_is_the_orientation_fan_check():
+    assert fans.check_fan_h3 is fans.check_fan_orientation
+
+
 def test_check_fan_refuses_other_input():
     with pytest.raises(ValueError, match="unsupported fan input"):
         check_fan("udu")
