@@ -6,9 +6,9 @@ Three commands, each taking only the flags it reads:
   [--format json|dot]``: weak order or Cambrian lattice, as JSON or DOT.
 - ``cambrian verify --suite S [--family F] [--max-rank N]``: run a named
   verification suite; exit 0 iff it passes.
-- ``cambrian fan --family F [--rank R] [--signature S | --orientation O]
-  [--stasheff-check]``: Cambrian fan artifacts and exact fan checks, for
-  the families of the ``fan`` suite's row (A, B and H3).
+- ``cambrian fan --family F [--rank R | --m M] [--signature S |
+  --orientation O] [--stasheff-check]``: fan artifacts and exact fan
+  checks, for the ``fan`` suite's families (A, B, H3 and I2).
 
 All three take ``--output`` and ``--cap``.  The ``--family`` choices and
 the flag that picks a group come from the rows of ``coxeter.FAMILIES``.
@@ -134,11 +134,10 @@ def _unread(command: str, family: str) -> tuple:
     """The flags a command does not read for a family, in refusal order:
     of --rank and --m, those that do not pick its group, and in ``fan`` the
     chamber input it does not take."""
-    flags = ("rank", "m") if command == "build" else ("rank",)
-    unread = tuple(flag for flag in flags if flag != FAMILIES[family].parameter)
+    unread = tuple(flag for flag in ("rank", "m") if flag != FAMILIES[family].parameter)
     if command == "build":
         return unread
-    return _SIGNATURE_FAN_UNREAD.get(family, unread + ("signature", "stasheff_check"))
+    return unread + _SIGNATURE_FAN_UNREAD.get(family, ("signature", "stasheff_check"))
 
 
 def _reject_unread(args) -> None:
@@ -159,7 +158,7 @@ def _build_target_system(args) -> CoxeterSystem:
     parameter = FAMILIES[args.family].parameter
     if parameter is not None:
         _require(args, parameter)
-    return get_system(args.family, args.rank, getattr(args, "m", None))
+    return get_system(args.family, args.rank, args.m)
 
 
 def cmd_build(args) -> int:
@@ -259,28 +258,28 @@ def make_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, families=tuple(FAMILIES), default="A"):
+    def common(p, families=tuple(FAMILIES), default="A", picks_a_group=True):
         p.add_argument("--family", choices=families, default=default)
         p.add_argument("--output", help="output file (default: stdout)")
         p.add_argument("--cap", type=int, help="element cap for enumeration")
+        if picks_a_group:  # the flags a row's ``parameter`` can name
+            p.add_argument("--rank", type=int)
+            p.add_argument("--m", type=int, help="bond label for I2")
 
     p_build = sub.add_parser("build", help="build a lattice artifact")
     common(p_build)
-    p_build.add_argument("--rank", type=int)
-    p_build.add_argument("--m", type=int, help="bond label for I2")
     p_build.add_argument("--orientation", help='directed edges, e.g. "1>2,3>2"')
     p_build.add_argument("--format", choices=["json", "dot"], default="json")
     p_build.set_defaults(func=cmd_build)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    common(p_verify, default=None)
+    common(p_verify, default=None, picks_a_group=False)
     p_verify.add_argument("--suite", choices=list(SUITE_NAMES), required=True)
     p_verify.add_argument("--max-rank", type=int, dest="max_rank")
     p_verify.set_defaults(func=cmd_verify)
 
     p_fan = sub.add_parser("fan", help="build and check a Cambrian fan")
     common(p_fan, families=SUITES["fan"].families)
-    p_fan.add_argument("--rank", type=int)
     chamber = p_fan.add_mutually_exclusive_group()
     chamber.add_argument("--signature", help='up/down string, e.g. "uudu"')
     chamber.add_argument("--orientation", help='directed edges, e.g. "1>2,3>2"')

@@ -13,8 +13,8 @@ Supported families:
   tuple of root ids it sends the roots to, and nothing else: its
   (positive-root) inversions are the positive roots it sends negative,
   and its word is read by stripping left descents.  A and B read the
-  engine only for their roots, field or Gram matrix, which only the tests
-  do; I2 has no root vectors and refuses them.
+  engine only in the tests.  I2 has no root vectors, field or Gram
+  matrix, but its root supports, all the fan checks read, are closed-form.
 
 The right weak order is generated by covers w < ws.  Joins close the
 inversion sets transitively in A (``lattices._transitive``), join in S_2n
@@ -380,19 +380,6 @@ class CoxeterSystem:
         n = self._engine.positive
         return frozenset(p - n for p in w[:n] if p >= n)
 
-    def wall_reflection(self, w, name):
-        """The reflection w s w^-1 across the wall that the chambers of w
-        and w s share, named as in ``inversion_set``: the one inversion of
-        exactly one of them.  In I2 and H3 it is the positive root of
-        w(alpha_s), read off the root permutation."""
-        if self.family == "A":
-            return tuple(sorted(w[name - 1 : name + 1]))
-        if self.family == "B":
-            if name == 0:
-                return canonical_reflection(-abs(w[0]), abs(w[0]))
-            return canonical_reflection(*sorted(w[name - 1 : name + 1]))
-        return w[self._gen_index(name)] % self._engine.positive
-
     def left_descents(self, w) -> frozenset:
         """Generators s with l(sw) < l(w).
 
@@ -553,9 +540,9 @@ class CoxeterSystem:
 
     @functools.cached_property
     def _engine(self) -> SimpleNamespace:
-        """The generic engine: the number N of positive roots and each
-        simple reflection as a permutation of the root ids 0..2N-1, where
-        alpha_i has id i and -(root k) has id k + N.
+        """The generic engine: the number N of positive roots, their 0/1
+        supports, and each simple reflection as a permutation of the root
+        ids 0..2N-1, where alpha_i has id i and -(root k) has id k + N.
 
         I2(m) needs no field.  Root a (0 <= a < 2m) lies at angle a*pi/m,
         -(root a) is root a + m, and the reflection in root j sends a to
@@ -570,7 +557,8 @@ class CoxeterSystem:
         angles += [a + m for a in angles]
         ids = {a: k for k, a in enumerate(angles)}
         gens = tuple(tuple(ids[(2 * j + m - a) % (2 * m)] for a in angles) for j in (0, m - 1))
-        return SimpleNamespace(positive=m, gen_perms=gens)
+        supports = ((1, 0), (0, 1)) + ((1, 1),) * (m - 2)
+        return SimpleNamespace(positive=m, gen_perms=gens, supports=supports)
 
     def _root_closure(self) -> SimpleNamespace:
         """The engine of a group with root vectors: also the field Z[c],
@@ -642,6 +630,7 @@ class CoxeterSystem:
         return SimpleNamespace(
             positive=n, field=field, gram=gram, roots=root_list, root_vectors=root_vectors,
             gen_perms=tuple(gens),
+            supports=tuple(tuple(int(x != field.zero) for x in v) for v in root_list),
         )
 
     def _root_vectors(self) -> SimpleNamespace:
@@ -653,6 +642,7 @@ class CoxeterSystem:
     roots = property(lambda self: self._root_vectors().roots)
     field = property(lambda self: self._root_vectors().field)
     gram = property(lambda self: self._root_vectors().gram)
+    supports = property(lambda self: self._engine.supports)
 
 def _system_key(family: str, rank: Optional[int], bond: Optional[int]) -> tuple:
     """One (family, rank, bond) spelling per group, with the rank its row

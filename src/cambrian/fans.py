@@ -18,16 +18,16 @@ graph is the quotient's Hasse diagram, the class pairs of the covers the
 congruence does not contract.  The three share one class loop
 (``_class_cones``) over one chamber table per weak order
 (``_chamber_table``, kept in its ``tables``): the rays of each chamber as
-ids, its neighbours w * s_k, the hyperplanes of its walls, and one sign
-vector per distinct ray, the side of each reflection's hyperplane it
-lies on.  A class is bounded by the walls its chambers share with
-chambers of other classes; it must lie weakly on the inner side of each,
-its extreme rays are the member rays on rank - 1 of those hyperplanes,
-and its cone, the sorted ids of those rays, is simplicial when it has
-rank-many.  One report (``_fan_faces``) then pairs the walls, with the
-side test of ``_side``, compares the dual graph with the Hasse diagram
-and counts the f-vector.  Each signature or orientation is a pass of
-table lookups, with no elimination.
+ids, its neighbours (its covers) and the hyperplanes of its walls (ANDs
+of zero masks), and one sign vector per distinct ray, the side of each
+reflection's hyperplane it lies on.  A class is bounded by the walls its
+chambers share with chambers of other classes; it must lie weakly on the
+inner side of each, its extreme rays are the member rays on rank - 1 of
+those hyperplanes, and its cone, the sorted ids of those rays, is
+simplicial when it has rank-many.  One report (``_fan_faces``) then
+pairs the walls, with the side test of ``_side``, compares the dual
+graph with the Hasse diagram and counts the f-vector.  Each signature or
+orientation is a pass of table lookups, with no elimination.
 
 Per family only the table and the polygon comparison differ.  In A the
 rays of x's chamber are the suffix value sets of x, and in B the
@@ -41,7 +41,7 @@ comparison, with every other fan ray strictly outside the cone, is
 engine a ray is its own sign vector over the reflections: <beta, w *
 omega_k> = <w^-1 beta, omega_k> has the sign of the alpha_k coordinate
 of the root w^-1(beta), which the root permutation w names
-(Reading-Speyer, "Cambrian fans"), so no field arithmetic is done.
+(Reading-Speyer, "Cambrian fans"), so only the root supports are read.
 
 The cluster model depends on n alone, so ``clusters`` is cached per n
 and returns one frozen complex per n to every suite check and lattice
@@ -60,9 +60,9 @@ import itertools
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, reduce
 from math import comb
-from operator import mul
+from operator import and_, mul
 
 from .congruences import Orientation, cambrian_congruence, orientation_from_edges
 from .coxeter import CoxeterSystem, embed_b_in_a, get_system
@@ -295,28 +295,35 @@ def _sign_vector(v, reflections) -> tuple:
     return tuple((d > 0) - (d < 0) for d in (q[a] - q[b] for a, b in reflections))
 
 
+def _common_zeros(signs):
+    """The mask of the hyperplanes some rays all lie on, by their ids."""
+    zeros = [sum(1 << t for t, s in enumerate(row) if s == 0) for row in signs]
+    everywhere = (1 << len(signs[0])) - 1
+    return lambda rays: reduce(and_, map(zeros.__getitem__, rays), everywhere)
+
+
 def _chamber_table(system: CoxeterSystem, lattice: FiniteLattice):
     """The orientation-free part of the fan checks on the weak order
     ``lattice`` of ``system``, kept in its ``tables``: (rays_of, moves,
-    signs, ids).  Chamber i, of the element w at index i, has the ray ids
-    ``rays_of[i]``; its wall opposite ray k leads to chamber
-    ``moves[i][k][0]`` = w * s_k across hyperplane ``moves[i][k][1]``, the
-    position of ``wall_reflection`` in the sorted inversions of the top.
-    ``ids`` numbers the distinct rays, and ``signs[r]`` says on which side
-    of each hyperplane ray r lies (0 on it).
+    signs, ids).  Chamber i has the ray ids ``rays_of[i]``, and across its
+    wall opposite ray k lies chamber ``moves[i][k][0]``, on hyperplane
+    ``moves[i][k][1]``: the chambers of a cover share all rays but one of
+    each, and their wall lies on the one hyperplane that the AND of the
+    shared rays' zero masks keeps (``_common_zeros``), else AssertionError.
+    ``ids`` numbers the distinct rays, and ``signs[r]`` gives the side of
+    each hyperplane (the sorted inversions of the top) ray r lies on.
 
     In A, ray k of x is the value set x[k:] (``_suffix_rays_a``), in B the
     antisymmetric part of the doubled region's ray n + 1 - k; both are
-    integer vectors.  On root permutations (H3, D_n, ...), ray k of w is
-    w * omega_k, kept as its sign vector: entry t, the sign of <w^-1
+    integer vectors.  On root permutations (H3, I2, D_n, ...), ray k of w
+    is w * omega_k, kept as its sign vector: entry t, the sign of <w^-1
     beta_t, omega_k>, is that of the alpha_k coordinate of the root j with
-    w[j] = t, 0 off its support (Reading-Speyer, "Cambrian fans"), so no
-    field arithmetic is done.
+    w[j] = t, 0 off its support (Reading-Speyer, "Cambrian fans"), so only
+    the engine's root supports are read.
     """
     if _chamber_table in lattice.tables:
         return lattice.tables[_chamber_table]
     reflections = sorted(system.inversion_set(lattice.elements[lattice.top]))
-    hyperplane = {t: k for k, t in enumerate(reflections)}
     sign = partial(_sign_vector, reflections=reflections)
     if system.family == "A":
         chamber_rays = _suffix_rays_a
@@ -324,25 +331,30 @@ def _chamber_table(system: CoxeterSystem, lattice: FiniteLattice):
         def chamber_rays(x):
             return _symmetric_region_rays(x)[::-1]
     else:
-        zero = system.field.zero
-        supports = [tuple(int(x != zero) for x in root) for root in system.roots]
-        root_signs = supports + [tuple(-s for s in row) for row in supports]
+        supports = system.supports
+        root_signs = supports + tuple(tuple(-s for s in row) for row in supports)
         n = len(supports)
 
         def chamber_rays(w):
             preimages = sorted(range(2 * n), key=w.__getitem__)[:n]
             return zip(*(root_signs[j] for j in preimages))
-
-        def sign(ray):
-            return ray
-    ids, rays_of, moves = {}, [], []
+        sign = tuple  # a ray is its own sign vector
+    ids, rays_of = {}, []
     for w in lattice.elements:
         rays_of.append(tuple(ids.setdefault(ray, len(ids)) for ray in chamber_rays(w)))
-        moves.append(tuple(
-            (lattice.index[system.right_multiply(w, s)], hyperplane[system.wall_reflection(w, s)])
-            for s in system.generator_names
-        ))
-    table = tuple(rays_of), tuple(moves), tuple(map(sign, ids)), ids
+    signs = tuple(map(sign, ids))
+    common_zeros = _common_zeros(signs)
+    moves = [[None] * len(rays) for rays in rays_of]
+    for i, j in lattice.edges():
+        shared = set(rays_of[i]).intersection(rays_of[j])
+        wall = common_zeros(shared)
+        if len(shared) != len(rays_of[i]) - 1 or wall.bit_count() != 1:
+            raise AssertionError(f"chambers {i} and {j} do not share one wall")
+        for a, b in ((i, j), (j, i)):
+            for k, r in enumerate(rays_of[a]):
+                if r not in shared:
+                    moves[a][k] = (b, wall.bit_length() - 1)
+    table = tuple(rays_of), tuple(map(tuple, moves)), signs, ids
     lattice.tables[_chamber_table] = table
     return table
 
@@ -380,14 +392,15 @@ def _class_cones(cong, rank: int, table):
 
 
 def _side(signs):
-    """``side`` of ``_fan_faces``: a wall lies on the first hyperplane
-    where all its rays read 0 (a rank-1 wall has none, so every index is
-    scanned), and a, b are on opposite sides when their signs there are."""
-    hyperplanes = range(len(signs[0]))
+    """``side`` of ``_fan_faces``: a wall lies on the lowest hyperplane
+    that all its rays lie on (``_common_zeros``), and a, b are on
+    opposite sides when their signs there are."""
+    common_zeros = _common_zeros(signs)
 
     def side(wall, c, a, b):
-        t = next((t for t in hyperplanes if all(signs[r][t] == 0 for r in wall)), None)
-        return t is not None and signs[a][t] * signs[b][t] < 0
+        common = common_zeros(wall)
+        t = (common & -common).bit_length() - 1
+        return t >= 0 and signs[a][t] * signs[b][t] < 0
 
     return side
 
@@ -522,16 +535,12 @@ def fan_passed(report: dict) -> bool:
 
 
 def check_fan(arg, orientation: Orientation = None) -> dict:
-    """The fan check of an A or B signature, or of a system with root
-    vectors (H3, or any group on the root-permutation engine) and an orientation."""
+    """The fan check of an A or B signature, or of a system on the
+    root-permutation engine (I2, H3, ...) and an orientation."""
     if isinstance(arg, CoxeterSystem):
         unsupported = f"unsupported fan input: a Coxeter system of family {arg.family}"
         if arg.family in ("A", "B"):
             raise ValueError(f"{unsupported} (the A and B fan checks take a signature)")
-        try:
-            arg.roots  # read only for the refusal of a system without them
-        except ValueError as exc:
-            raise ValueError(f"{unsupported} ({exc})") from None
         if orientation is None:
             raise ValueError(f"the {arg.family} fan check needs an orientation")
         return check_fan_orientation(arg, orientation)

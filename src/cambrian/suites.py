@@ -8,24 +8,24 @@ Each check that builds a Cambrian congruence records the generating pairs
 used, so a failing run can be replayed from the report alone.
 
 Each claim is one row of ``SUITES``, and a new claim is a new row: the
-``--family`` values it accepts, the family it runs without one (``catalan``
-runs A, the others every part), and its parts in report order.  A group
-part maps each family it covers to its default largest group index and
-gives the checks of one group; an index part gives one check per index n.
-A suite opts in a family with that one bound: the family's row in
-``coxeter.FAMILIES`` gives its first index, the group of each index and
-the group's label in check names.  One driver, ``_run``, refuses a family
-the row does not cover, keeps the parts of the chosen family, applies
-``max_rank``, checks the cap of every group of every part before building
-any, and writes the report.  A check builds a weak order only if it reads
-it (``system.weak_order_lattice()``).
+``--family`` values it accepts, the families it runs without one
+(``catalan`` runs A, ``fan`` A, B and H3, the others every part), and its
+parts in report order.  A group part maps each family it covers to its
+default largest group index and gives the checks of one group; an index part
+gives one check per index n.  A suite opts in a family with that one bound:
+the family's row in ``coxeter.FAMILIES`` gives its first index, the group of
+each index and the group's label in check names.  One driver, ``_run``,
+refuses a family the row does not cover, keeps the parts of the chosen
+families, applies ``max_rank``, checks the cap of every group of every part
+before building any, and writes the report.  A check builds a weak order
+only if it reads it (``system.weak_order_lattice()``).
 
 ``max_rank`` bounds the index n: S_n for family A (Coxeter rank n-1), B_n,
 I2(n), and n in an index part; H3 is one group.  In ``catalan`` it replaces
-the default largest index, and so can raise it; elsewhere it can only
-lower it.  A report fails unless every family it names (the ``--family``
-given, else the row's families) keeps a check: a ``max_rank`` that empties
-one fails it.  ``cap`` bounds the order of every group a suite reads.
+the default largest index, and so can raise it; elsewhere it can only lower
+it.  A report fails unless every family it names (the ``--family`` given,
+else those run without one) keeps a check: a ``max_rank`` that empties one
+fails it.  ``cap`` bounds the order of every group a suite reads.
 """
 
 from __future__ import annotations
@@ -716,12 +716,12 @@ class _Index(NamedTuple):
 
 
 class _Suite(NamedTuple):
-    """The accepted ``--family`` values, the parts, the family run without
+    """The ``--family`` values accepted, the parts, the families run without
     one (None: all), and whether ``max_rank`` replaces the largest indices."""
 
     families: tuple
     parts: tuple
-    default: str | None = None
+    default: tuple | None = None
     max_rank_replaces: bool = False
 
 
@@ -729,7 +729,7 @@ SUITES = {
     "catalan": _Suite(
         ("A", "B", "I2", "H3"),
         (_Groups({"A": 7, "B": 4, "I2": 8, "H3": None}, _catalan_checks),),
-        default="A",
+        default=("A",),
         max_rank_replaces=True,
     ),
     "congruence-eq": _Suite(("A", "B"), (_Groups({"A": 5, "B": 3}, _congruence_eq_checks),)),
@@ -737,13 +737,14 @@ SUITES = {
     "patterns": _Suite(("A",), (_Groups({"A": 7}, _patterns_checks),)),
     "shard": _Suite(("A", "B"), (_Groups({"A": 5, "B": 3}, _shard_checks),)),
     "fan": _Suite(
-        ("A", "B", "H3"),
+        ("A", "B", "H3", "I2"),
         (
             _Groups({"A": 4}, _fan_ab_checks),
             _Index("A", "stasheff rays n={n}", 3, 7, lambda n: {"passed": stasheff_ray_check(n)}),
             _Groups({"B": 3}, _fan_ab_checks),
-            _Groups({"H3": None}, _fan_orientation_checks),
+            _Groups({"H3": None, "I2": 8}, _fan_orientation_checks),
         ),
+        default=("A", "B", "H3"),
     ),
     "cluster": _Suite(
         (),
@@ -783,14 +784,15 @@ SUITE_NAMES = tuple(SUITES)
 
 def _run(name: str, family, max_rank, cap) -> dict:
     """The report of suite ``name``: refuse a family it does not cover,
-    keep the parts of ``family``, cut (or, where the row says so, set)
+    keep the parts of the families it names (``family``, else the row's
+    default; every part if none), cut (or, where the row says so, set)
     each largest index at ``max_rank``, refuse a group over ``cap`` before
     building any, then run the parts in order.  It passes when it has
     checks, all passing, and at least one of every family it names."""
     suite = SUITES[name]
     if family is not None and family not in suite.families:
         raise ValueError(f"suite {name} does not cover family {family!r}")
-    family = family or suite.default
+    named = (family,) if family else suite.default or suite.families
 
     def indices(first: int, last):
         if last is None:
@@ -803,7 +805,7 @@ def _run(name: str, family, max_rank, cap) -> dict:
     for part in suite.parts:
         index = isinstance(part, _Index)
         for fam, last in ({part.family: part.last} if index else part.bounds).items():
-            if family in (None, fam):
+            if fam in named or not named:
                 row = FAMILIES[fam]
                 for n in indices(part.first if index else row.first, last):
                     system = None if index else get_system(fam, *row.key(n))
@@ -820,7 +822,6 @@ def _run(name: str, family, max_rank, cap) -> dict:
         checks += found
         if found:
             covered.add(fam)
-    named = (family,) if family else suite.families
     return {
         "suite": name,
         **({"family": ",".join(named)} if named else {}),

@@ -227,11 +227,13 @@ def test_a_new_family_is_its_row_and_one_bound_per_suite(capsys, family_d):
 
 
 def test_fan_unread_flags_follow_the_chamber_input():
-    # The table these flags were written as before the rows derived them.
+    # The table these flags were written as before the rows derived them;
+    # --m, which fan takes for I2, is unread by every other family.
     assert {family: cli._unread("fan", family) for family in suites.SUITES["fan"].families} == {
-        "A": (),
-        "B": ("orientation", "stasheff_check"),
-        "H3": ("rank", "signature", "stasheff_check"),
+        "A": ("m",),
+        "B": ("m", "orientation", "stasheff_check"),
+        "H3": ("rank", "m", "signature", "stasheff_check"),
+        "I2": ("rank", "signature", "stasheff_check"),
     }
 
 
@@ -495,12 +497,28 @@ def test_bad_orientation_is_usage_error(capsys):
 
 
 def test_fan_i2_is_usage_error(capsys):
+    # I2's fan picks its group by --m, as build does: without it, a usage error.
     with pytest.raises(SystemExit) as err:
         main(["fan", "--family", "I2", "--orientation", "1>2,2>3"])
     assert err.value.code == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert "I2" in captured.err
+    assert captured.err == "error: --m is required for family I2\n"
+
+
+def test_fan_i2_runs_both_orientations_up_to_m_30(capsys):
+    # The fan check reads I2(m)'s root supports, in closed form: m + 2
+    # simplicial cones on both orientations, as the fan suite counts.
+    for m in range(3, 31):
+        for orientation in ("1>2", "2>1"):
+            code, out = run_cli(
+                capsys, "fan", "--family", "I2", "--m", str(m), "--orientation", orientation
+            )
+            fan = json.loads(out)
+            assert code == 0, (m, orientation)
+            assert fan["family"] == fan["report"]["family"] == "I2"
+            assert fan["summary"] == {"num_cones": m + 2, "simplicial": True}
+            assert fan["report"]["f_vector"] == [m + 2, m + 2]
 
 
 @pytest.mark.parametrize(
@@ -578,7 +596,7 @@ def test_fan_cap_env_variable(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "flag, argv",
     [
-        # Flags a command does not take.
+        # Flags a command does not take (fan takes --m for I2 alone).
         ("--rank", ["verify", "--suite", "mobius", "--rank", "9", "--m", "4", "--signature", "uu"]),
         ("--orientation", ["verify", "--suite", "catalan", "--orientation", "1>2"]),
         ("--signature", ["build", "--family", "A", "--rank", "3", "--signature", "uudu"]),
@@ -603,6 +621,11 @@ def test_fan_cap_env_variable(capsys, monkeypatch):
         ("--m", ["build", "--family", "A", "--rank", "3", "--m", "5"]),
         ("--rank", ["build", "--family", "I2", "--m", "5", "--rank", "2"]),
         ("--rank", ["build", "--family", "H3", "--rank", "3"]),
+        ("--m", ["fan", "--family", "H3", "--orientation", "1>2,2>3", "--m", "5"]),
+        ("--rank", ["fan", "--family", "I2", "--m", "5", "--orientation", "1>2", "--rank", "2"]),
+        ("--signature", ["fan", "--family", "I2", "--m", "5", "--signature", "ud"]),
+        ("--stasheff-check", ["fan", "--family", "I2", "--m", "5", "--orientation", "1>2",
+                              "--stasheff-check"]),
     ],
 )
 def test_unread_flag_is_usage_error(capsys, flag, argv):

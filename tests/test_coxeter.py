@@ -21,7 +21,7 @@ from cambrian import (
     weak_meet,
 )
 import cambrian
-from cambrian import coxeter, lattices
+from cambrian import coxeter, fans, lattices
 from cambrian.coxeter import (
     CapExceeded,
     all_ji_subsets_a,
@@ -547,16 +547,24 @@ def test_left_descents_match_inversion_sets(family, rank):
     "key",
     [("A", r, None) for r in range(1, 5)]
     + [("B", r, None) for r in range(1, 4)]
-    + [("I2", None, 5), ("I2", None, 8), ("H3", None, None)],
+    + [("I2", None, 5), ("I2", None, 8), ("H3", None, None)]
+    + [("A", 5, None), ("B", 4, None)],
 )
 def test_wall_reflection_is_the_one_inversion_of_w_or_ws(key):
+    """The fan checks' chamber table, which reads its moves off the Hasse
+    diagram and the rays' zero masks, crosses from w to w * s_k on the
+    wall of generator k, whose reflection is the one inversion of w or w
+    * s_k: its position among the sorted inversions of the top."""
     system = get_system(*key)
-    for w in system.weak_order_lattice().elements:
-        for name in system.generator_names:
+    lattice = system.weak_order_lattice()
+    _, moves, _, _ = fans._chamber_table(system, lattice)
+    top = lattice.elements[lattice.top]
+    position = {t: k for k, t in enumerate(sorted(system.inversion_set(top)))}
+    for i, w in enumerate(lattice.elements):
+        for k, name in enumerate(system.generator_names):
             ws = system.right_multiply(w, name)
             (flipped,) = system.inversion_set(w) ^ system.inversion_set(ws)
-            assert system.wall_reflection(w, name) == flipped, (w, name)
-            assert system.wall_reflection(ws, name) == flipped, (w, name)
+            assert moves[i][k] == (lattice.index[ws], position[flipped]), (w, name)
 
 
 def _word_matrix(system, word):

@@ -294,7 +294,7 @@ def test_check_fan_refuses_an_orientation_with_a_signature(signature):
         check_fan(signature, all_orientations(system)[0])
 
 
-@pytest.mark.parametrize("family,rank,bond", [("A", 2, None), ("I2", None, 5)])
+@pytest.mark.parametrize("family,rank,bond", [("A", 2, None), ("B", 2, None)])
 @pytest.mark.parametrize("oriented", [False, True])
 def test_check_fan_names_the_family_of_an_unsupported_system(
     family, rank, bond, oriented
@@ -310,7 +310,6 @@ def test_check_fan_names_the_family_of_an_unsupported_system(
     [
         ("A", 2, None, "(the A and B fan checks take a signature)"),
         ("B", 2, None, "(the A and B fan checks take a signature)"),
-        ("I2", None, 5, "(I2(5) has no root vectors, field or Gram matrix)"),
     ],
 )
 def test_check_fan_gives_the_reason_a_system_is_refused(family, rank, bond, reason):
@@ -318,6 +317,20 @@ def test_check_fan_gives_the_reason_a_system_is_refused(family, rank, bond, reas
     with pytest.raises(ValueError) as err:
         check_fan(system, all_orientations(system)[0])
     assert str(err.value) == f"unsupported fan input: a Coxeter system of family {family} {reason}"
+
+
+@pytest.mark.parametrize("m", [3, 8])
+def test_check_fan_runs_i2_on_both_orientations(m):
+    """I2(m) has no root vectors, but its root supports are closed-form,
+    and the fan check reads nothing else of its roots: m + 2 simplicial
+    cones tiling the plane on each orientation."""
+    system = get_system("I2", None, m)
+    with pytest.raises(ValueError, match="^the I2 fan check needs an orientation$"):
+        check_fan(system)
+    for orientation in all_orientations(system):
+        report = check_fan(system, orientation)
+        assert fan_passed(report) and report["family"] == "I2"
+        assert (report["num_cones"], report["f_vector"]) == (m + 2, (m + 2, m + 2))
 
 
 def test_the_h3_fan_check_is_the_orientation_fan_check():
@@ -1149,9 +1162,10 @@ def test_h3_chamber_table_matches_per_orientation_body(monkeypatch):
 
 def test_h3_second_orientation_builds_nothing(monkeypatch):
     """The chamber table and the four orientations' checks do no field
-    arithmetic, act on no vector and take no determinant; the table is
-    built once for all four, with one wall reflection per chamber wall,
-    and kept in the weak order's tables."""
+    arithmetic, act on no vector and take no determinant, and the table
+    multiplies no group elements, its moves being read off the Hasse
+    diagram; it is built once for all four and kept in the weak order's
+    tables."""
     monkeypatch.setattr(coxeter, "_SYSTEMS", {})
     system = get_system("H3")
     lattice = system.weak_order_lattice()
@@ -1168,12 +1182,13 @@ def test_h3_second_orientation_builds_nothing(monkeypatch):
         monkeypatch.setattr(NumberField, name, counted(name, getattr(NumberField, name)))
     monkeypatch.setattr(system, "act", counted("act", system.act))
     monkeypatch.setattr(fans, "_det3", counted("det3", fans._det3))
-    monkeypatch.setattr(system, "wall_reflection", counted("walls", system.wall_reflection))
+    monkeypatch.setattr(system, "right_multiply", counted("multiply", system.right_multiply))
     table = fans._chamber_table(system, lattice)
-    assert calls == {"walls": 120 * 3}
+    assert calls == {}
     for orientation in all_orientations(system):
         fans.check_fan_h3(system, orientation)
-    assert calls == {"walls": 120 * 3}
+    # Only the generating pairs of the congruences multiply, to spell their words.
+    assert set(calls) <= {"multiply"}
     assert lattice.tables[fans._chamber_table] is table
 
 
@@ -1201,7 +1216,6 @@ def test_h3_chamber_table_matches_act_inversions_and_det3():
             ws = system.right_multiply(w, name)
             (flipped,) = system.inversion_set(w) ^ system.inversion_set(ws)
             assert moves[i][k] == (lattice.index[ws], flipped)
-            assert system.wall_reflection(w, name) == flipped
             u, v = (vector_of[signs[r]] for m, r in enumerate(rays_of[i]) if m != k)
             row = {key: field.sign(fans._det3(field, u, v, r)) for key, r in vector_of.items()}
             factors = {sign * key[flipped] for key, sign in row.items() if sign or key[flipped]}

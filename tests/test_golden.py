@@ -23,7 +23,7 @@ VERIFY_FAMILIES = {
     "sublattice": (None, "A", "B"),
     "patterns": (None, "A"),
     "shard": (None, "A", "B"),
-    "fan": (None, "A", "B", "H3"),
+    "fan": (None, "A", "B", "H3", "I2"),
     "cluster": (None,),
     "descent": (None, "A", "B"),
     "mobius": (None, "A", "B"),
@@ -71,6 +71,10 @@ CASES = {
     **{
         f"fan H3 {o}": ["fan", "--family", "H3", "--orientation", o]
         for o in H3_ORIENTATIONS
+    },
+    **{
+        f"fan I2 m=5 {o}": ["fan", "--family", "I2", "--m", "5", "--orientation", o]
+        for o in ("1>2", "2>1")
     },
     **{
         f"build {label} {fmt}": ["build", *argv, "--format", fmt]
@@ -312,6 +316,8 @@ GOLDEN = {
     "fan H3 1>2,3>2": (0, "40373bc7c6574b4f96fcf8f4a094ab7f2d010fb3533ae8eb85f5a50b4bfe0d29"),
     "fan H3 2>1,2>3": (0, "f0507ae22db989f931b13bd1a3e4911d28ea1a088095fceacff349bad4a3e80b"),
     "fan H3 2>1,3>2": (0, "7f4c8b1c922a0d10fe2b4b83179d3706494c1e2af627a518b5febf1a745352a1"),
+    "fan I2 m=5 1>2": (0, "7307c43a49becf0cd26b60c006cdc596e47f5613c7f20e6fbc860160f572d59c"),
+    "fan I2 m=5 2>1": (0, "6d2345faa3c68da3e15cefb2b80c45df13fea1326e3bbe4e836cce82c1b1045a"),
     "suite_fibers": "2760b609d66a7dd56da9b0605dec40c0065901b2f0f43e4f7b5491cbe0f208f2",
     "verify b-tamari B": (0, "e0560d930fd5f9e037baa23495694ed9047ee2148dd89abeb962fa32d6389949"),
     "verify b-tamari B max-rank 3": (0, "1b5d36edf877df9ea3e1fa6b6fe7717e9280e66f8b1930f84cabf92252ede3d6"),
@@ -349,6 +355,8 @@ GOLDEN = {
     "verify fan B max-rank 3": (0, "024b02c280fc8e7d0f11cffcdd82fcf90d77a607358678325d01f7269467df99"),
     "verify fan H3": (0, "769e9bfaa981a552e2e0b0baafb2b6dd76750923efb0d93a7a870494de274ea6"),
     "verify fan H3 max-rank 3": (0, "769e9bfaa981a552e2e0b0baafb2b6dd76750923efb0d93a7a870494de274ea6"),
+    "verify fan I2": (0, "733c9c643ec0e5facdfa9b09281a7133b34598c239b0e0cb05bf554238cf3092"),
+    "verify fan I2 max-rank 3": (0, "1cf7ed9746423fa9f4c3087112a98b9392fdb327d7d8b245f9c30bf201b29377"),
     "verify fan default": (0, "d03bba0f9eb506c7a8af5d63adc9447efb36082ccc5ee623c192f4e5aa800e62"),
     "verify fan default max-rank 3": (0, "f694320767223ff8992ecdecffa6b8c12d908950adfc96a66648d3d2f45122f0"),
     "verify fibers A": (0, "2760b609d66a7dd56da9b0605dec40c0065901b2f0f43e4f7b5491cbe0f208f2"),

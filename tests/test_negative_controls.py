@@ -18,7 +18,9 @@ isomorphism search that returns a wrong mapping.
 A fault that makes the program build a poset that is no lattice is an
 internal error, not a failed check: with the top's class merged into
 class 0, every command that builds a quotient exits 4.  So is a group
-whose degrees do not count its elements by length.
+whose degrees do not count its elements by length, and an I2(m) whose
+non-simple roots are given the support {1}: the fan's chamber table then
+finds two adjacent chambers that share no wall.
 """
 
 import dataclasses
@@ -495,3 +497,27 @@ def test_a_degree_row_that_does_not_match_its_group_exits_4(monkeypatch, capsys)
         assert out == ""
         assert err.count("\n") == 1
         assert err.startswith("internal error: elements by length ")
+
+
+def test_wrong_i2_root_supports_exit_4(monkeypatch, capsys):
+    """Every non-simple positive root of I2(m) has both simple roots in its
+    support.  Given {1} alone, the chamber rays of adjacent chambers no
+    longer meet on one hyperplane: the fan check of every orientation of
+    I2(3..8) raises, and ``verify --suite fan --family I2`` exits 4 with
+    nothing on stdout, not a failed claim."""
+    monkeypatch.setattr(coxeter, "_SYSTEMS", {})
+    real = coxeter.CoxeterSystem.supports.fget
+
+    def wrong(system):
+        return tuple(s if k < 2 else (1, 0) for k, s in enumerate(real(system)))
+
+    monkeypatch.setattr(coxeter.CoxeterSystem, "supports", property(wrong))
+    for m in range(3, 9):
+        system = get_system("I2", None, m)
+        for orientation in congruences.all_orientations(system):
+            with pytest.raises(AssertionError, match="do not share one wall"):
+                fans.check_fan_orientation(system, orientation)
+    assert main(["verify", "--suite", "fan", "--family", "I2"]) == 4
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "internal error: chambers 0 and 1 do not share one wall\n"

@@ -3,11 +3,11 @@
 Parses every module of ``src/cambrian`` with ``ast`` and lists its
 top-level functions and the methods of its top-level classes.  Then runs
 ``cli.main`` in this one process under ``sys.setprofile`` for a fixed set
-of 80 invocations and records every code object entered:
+of 81 invocations and records every code object entered:
 
 - each of the 12 suites with the default family and with A, B, I2, H3;
 - ``fan`` for A by ``--signature`` with ``--stasheff-check``, for A by
-  ``--orientation``, for B by ``--signature``, and for H3;
+  ``--orientation``, for B by ``--signature``, for H3, and for I2(5);
 - ``build`` for A, B, I2 and H3, as json and as dot, each for the weak
   order and for one orientation.
 
@@ -22,7 +22,7 @@ neighbour.  Each invocation's stdout and stderr are discarded, and its
 
 Prints one line per unreached function (path, line, name, lines), then a
 last JSON line: the tally of exit codes, and the unreached functions and
-their lines, in total and by module.  The 24 refusals with exit 2 are
+their lines, in total and by module.  The 23 refusals with exit 2 are
 the suites that do not cover a family.
 """
 
@@ -54,6 +54,7 @@ FANS = (
     ["--family", "A", "--rank", "3", "--orientation", "1>2,3>2"],
     ["--family", "B", "--rank", "3", "--signature", "udu"],
     ["--family", "H3", "--orientation", "1>2,2>3"],
+    ["--family", "I2", "--m", "5", "--orientation", "1>2"],
 )
 
 
