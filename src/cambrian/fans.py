@@ -43,6 +43,9 @@ omega_k> = <w^-1 beta, omega_k> has the sign of the alpha_k coordinate
 of the root w^-1(beta), which the root permutation w names
 (Reading-Speyer, "Cambrian fans"), so only the root supports are read.
 
+tau_+/tau_- are Fomin-Zelevinsky's on Phi_{>=-1}, and compatibility and
+rotation numbers read them alone; the cluster suite checks the polygon
+model (triangulations through ``roots_and_diagonals_a``) against them.
 The cluster model depends on n alone, so ``clusters`` is cached per n
 and returns one frozen complex per n to every suite check and lattice
 that reads it; ``nice_coroot`` scans the positive roots in one cached
@@ -599,36 +602,28 @@ def roots_and_diagonals_a(n: int):
 
 
 @lru_cache(maxsize=None)
-def _polygon_positions(n: int):
-    polygon = polygon_from_signature(alternating_signature(n))
-    cycle = polygon.boundary_cycle()
-    return polygon, {lab: pos for pos, lab in enumerate(cycle)}, cycle
-
-
-def _reflect_diagonal(n: int, d, fixed_sum: int):
-    polygon, pos, cycle = _polygon_positions(n)
-    size = n + 2
-
-    def ref(lab):
-        return cycle[(fixed_sum - pos[lab]) % size]
-
-    return tuple(sorted((ref(d[0]), ref(d[1]))))
+def _almost_positive(n: int) -> frozenset:
+    return frozenset(all_roots_ge_minus_one(n))
 
 
 def tau(n: int, eps, root):
-    """The combinatorial polygon reflections tau_+ and tau_- on roots."""
-    if eps in ("+", 1):
-        a, b = 0, 2
-    elif eps in ("-", -1):
-        a, b = 1, 2
-    else:
+    """Fomin-Zelevinsky's tau_eps on Phi_{>=-1} of S_n in simple-root
+    coordinates, I_+ the odd i and I_- the even: it fixes -alpha_i for i
+    in I_{-eps}, else applies the commuting s_i, i in I_eps, each setting
+    coordinate i to the sum of its two neighbours minus itself."""
+    if eps not in ("+", 1, "-", -1):
         raise ValueError(f"bad sign {eps!r}")
-    r2d, d2r = roots_and_diagonals_a(n)
-    if root not in r2d:
+    parity = 1 if eps in ("+", 1) else 0
+    roots = _almost_positive(n)
+    if root not in roots:
         raise ValueError(f"{root} is not in Phi_>=-1")
-    _, pos, _ = _polygon_positions(n)
-    d = _reflect_diagonal(n, r2d[root], pos[a] + pos[b])
-    return d2r[d]
+    if sum(root) < 0 and root.index(-1) % 2 == parity:
+        return root  # -alpha_i with i = index + 1 in I_{-eps}
+    c = (0, *root, 0)
+    image = tuple(c[i - 1] + c[i + 1] - c[i] if i % 2 == parity else c[i] for i in range(1, n))
+    if image not in roots:
+        raise AssertionError(f"tau_{eps} sends {root} outside Phi_>=-1")
+    return image
 
 
 def rotation_number(n: int, root) -> int:
@@ -665,7 +660,9 @@ class ClusterComplex:
 
 @lru_cache(maxsize=None)
 def clusters(n: int) -> ClusterComplex:
-    """All clusters for S_n, via triangulations of the alternating polygon."""
+    """The compatible pairs of Phi_{>=-1} for S_n, read off tau, and the
+    polygon model's clusters, the root sets of the alternating polygon's
+    triangulations; the suite's ``cluster count`` checks that they agree."""
     polygon = polygon_from_signature(alternating_signature(n))
     _, d2r = roots_and_diagonals_a(n)
     roots = tuple(all_roots_ge_minus_one(n))
@@ -674,14 +671,8 @@ def clusters(n: int) -> ClusterComplex:
         for b, t in itertools.combinations(roots, 2)
         if compatible(n, b, t)
     )
-    found = []
-    for t in all_triangulations(polygon):
-        cluster = frozenset(d2r[d] for d in t.diagonals)
-        for b, t2 in itertools.combinations(cluster, 2):
-            if frozenset((b, t2)) not in pairs:
-                raise AssertionError("triangulation is not a compatible set")
-        found.append(cluster)
-    return ClusterComplex(n, roots, pairs, tuple(found))
+    found = tuple(frozenset(d2r[d] for d in t.diagonals) for t in all_triangulations(polygon))
+    return ClusterComplex(n, roots, pairs, found)
 
 
 def _rotation_lower(m: int, gone, came) -> bool:
@@ -780,24 +771,21 @@ def wall_without_nice_coroot(n: int):
     return None
 
 
-def cluster_refine_check(n: int, family: str = "A") -> bool:
-    """Walls of the cluster fan lie inside twisted-arrangement hyperplanes."""
-    if family == "A":
-        return wall_without_nice_coroot(n) is None
-    if family == "B":
-        # Fold S_{2n} by the diagram flip chi; B walls are the chi-fixed
-        # restrictions of invariant cluster walls.
-        invariant = _invariant_clusters(n)
-        if len(invariant) != comb(2 * n, n):
+def b_cluster_refine_check(n: int) -> bool:
+    """Walls of the B_n cluster fan lie inside twisted-arrangement
+    hyperplanes (in A that is ``wall_without_nice_coroot(n) is None``).
+    S_{2n} is folded by the diagram flip chi: B walls are the chi-fixed
+    restrictions of invariant cluster walls."""
+    invariant = _invariant_clusters(n)
+    if len(invariant) != comb(2 * n, n):
+        return False
+    for wall in _walls(invariant, _chi_orbits):
+        folded = [tuple(a + b for a, b in zip(r, _chi_root(r))) for r in wall]
+        try:
+            nice_coroot(2 * n, folded)
+        except LookupError:
             return False
-        for wall in _walls(invariant, _chi_orbits):
-            folded = [tuple(a + b for a, b in zip(r, _chi_root(r))) for r in wall]
-            try:
-                nice_coroot(2 * n, folded)
-            except LookupError:
-                return False
-        return True
-    raise ValueError(f"unsupported family {family!r}")
+    return True
 
 
 # ---------------------------------------------------------------------------

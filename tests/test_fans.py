@@ -24,6 +24,7 @@ from cambrian.fans import (
     alternating_signature,
     b_bipartite_signature,
     b_cluster_poset,
+    b_cluster_refine_check,
     bracket,
     cambrian_fan_rays,
     check_fan,
@@ -31,7 +32,6 @@ from cambrian.fans import (
     check_fan_b,
     clusters,
     cluster_poset,
-    cluster_refine_check,
     compatible,
     diagonal_ray_map,
     fan_passed,
@@ -368,6 +368,40 @@ def test_tau_and_rotation_number():
         assert current == root
 
 
+def _polygon_tau(n, eps, root):
+    """tau_eps as the polygon model reads it: the root's diagonal of the
+    alternating polygon, reflected in the axis through the boundary
+    positions of labels 0 and 2 (eps = +) or 1 and 2 (eps = -), read
+    back as a root."""
+    cycle = polygon_from_signature(alternating_signature(n)).boundary_cycle()
+    pos = {label: k for k, label in enumerate(cycle)}
+    axis = pos[0 if eps in ("+", 1) else 1] + pos[2]
+    to_diag, to_root = roots_and_diagonals_a(n)
+    return to_root[tuple(sorted(cycle[(axis - pos[v]) % (n + 2)] for v in to_diag[root]))]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_tau_is_the_polygon_reflection(n):
+    for eps in ("+", 1, "-", -1):
+        for root in fans.all_roots_ge_minus_one(n):
+            assert tau(n, eps, root) == _polygon_tau(n, eps, root)
+
+
+def test_tau_refuses_a_bad_sign_or_a_root_outside_phi():
+    with pytest.raises(ValueError, match="bad sign"):
+        tau(3, 0, (1, 0))
+    with pytest.raises(ValueError, match="is not in Phi_>=-1"):
+        tau(3, "+", (1, -1))
+
+
+def test_tau_fails_closed_on_an_image_outside_phi(monkeypatch):
+    """A root set that lacks tau_+'s image of -alpha_1 (alpha_1) is an
+    internal fault, not a root."""
+    monkeypatch.setattr(fans, "_almost_positive", lambda n: frozenset({(-1, 0), (0, -1)}))
+    with pytest.raises(AssertionError, match="outside Phi_>=-1"):
+        tau(3, "+", (-1, 0))
+
+
 def test_compatibility_and_cluster_counts():
     assert compatible(3, (-1, 0), (0, -1))
     for n in range(2, 6):
@@ -448,9 +482,12 @@ def test_nice_coroot_matches_a_per_call_sort(n):
             assert nice_coroot(n, wall) == expected
 
 
+REFINED = {"A": lambda n: fans.wall_without_nice_coroot(n) is None, "B": b_cluster_refine_check}
+
+
 @pytest.mark.parametrize("n,family", [(3, "A"), (2, "B")])
 def test_cluster_refine(n, family):
-    assert cluster_refine_check(n, family)
+    assert REFINED[family](n)
 
 
 def _no_nice_coroot(n, wall):
@@ -460,8 +497,7 @@ def _no_nice_coroot(n, wall):
 def test_cluster_refine_fails_closed_without_nice_coroot(monkeypatch):
     monkeypatch.setattr(fans, "nice_coroot", _no_nice_coroot)
     assert fans.wall_without_nice_coroot(3) is not None
-    assert not cluster_refine_check(3, "A")
-    assert not cluster_refine_check(2, "B")
+    assert not b_cluster_refine_check(2)
 
 
 def test_psi_examples():

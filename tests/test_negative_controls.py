@@ -13,7 +13,10 @@ join-irreducible whose class bottoms are not a sublattice; M3, a lattice
 that is no quotient of a weak order, in place of each Cambrian quotient;
 one element's left descents changed; one projection firing witness
 dropped; one shard node without its arrows; two eta fibers merged; an
-isomorphism search that returns a wrong mapping.
+isomorphism search that returns a wrong mapping; tau_+ and tau_- swapped;
+a compatibility that rejects one compatible pair, or accepts every pair;
+triangulations read with two roots swapped; every H3 congruence
+collapsed to one class.
 
 A fault that makes the program build a poset that is no lattice is an
 internal error, not a failed check: with the top's class merged into
@@ -231,6 +234,22 @@ def test_verify_sublattice_exits_1_with_the_failing_report(bottoms_not_a_sublatt
     assert {c["name"]: c["witness"] for c in _failed(report)} == SUBLATTICE_FAILS
 
 
+def test_fan_names_degree_0_for_a_quotient_of_one_class(monkeypatch):
+    """With every H3 orientation's congruence collapsed to one class, the
+    Hasse-degree check fails each orientation, and the report counts the
+    class no cover reaches as degree 0."""
+
+    def collapsed(system, orientation):
+        lattice = system.weak_order_lattice()
+        return lattices.congruence_closure(lattice, [(lattice.bottom, lattice.top)])
+
+    monkeypatch.setattr(suites, "cambrian_congruence", collapsed)
+    report = suites.run_suite("fan", "H3")
+    assert [(c["name"], c["hasse_degrees"]) for c in _failed(report)] == [
+        (f"H3 [{o}]", [0]) for o in congruences.all_orientations(get_system("H3"))
+    ]
+
+
 def m3():
     elements = ("0", "a", "b", "c", "1")
     covers = [(0, 1), (0, 2), (0, 3), (1, 4), (2, 4), (3, 4)]
@@ -349,14 +368,18 @@ def test_verify_descent_exits_1_when_an_atom_loses_its_descent(atom_without_its_
 
 
 @pytest.fixture
-def every_pair_compatible(monkeypatch):
-    """A too-permissive ``compatible``: every two almost positive roots.
-    ``clusters`` is emptied before and after, so no complex built under
-    the fault outlives the test."""
+def fresh_clusters():
+    """``clusters`` emptied before and after, so no complex built under a
+    fault outlives the test."""
     fans.clusters.cache_clear()
-    monkeypatch.setattr(fans, "compatible", lambda n, beta, theta: True)
     yield
     fans.clusters.cache_clear()
+
+
+@pytest.fixture
+def every_pair_compatible(monkeypatch, fresh_clusters):
+    """A too-permissive ``compatible``: every two almost positive roots."""
+    monkeypatch.setattr(fans, "compatible", lambda n, beta, theta: True)
 
 
 def test_cluster_count_fails_when_every_pair_is_compatible(every_pair_compatible):
@@ -370,6 +393,57 @@ def test_cluster_count_fails_when_every_pair_is_compatible(every_pair_compatible
         "cluster count n=5": 1001,
         "cluster count n=6": 15504,
     }
+
+
+def test_verify_cluster_exits_1_when_tau_plus_and_minus_swap(monkeypatch, capsys, fresh_clusters):
+    """With tau_+ and tau_- swapped, every pair keeps its compatibility,
+    so the counts, twists and walls pass; the rotation numbers that orient
+    the flips change, and psi no longer inverts the tau_- shifted
+    dictionary."""
+    real = fans.tau
+    monkeypatch.setattr(fans, "tau", lambda n, eps, root: real(n, "-" if eps in ("+", 1) else "+", root))
+    report = _verify_fails(capsys, "--suite", "cluster")
+    assert [c["name"] for c in _failed(report)] == [
+        "cluster poset iso A n=4",
+        "cluster poset iso B n=3",
+        "psi cone bijection n=3",
+        "psi cone bijection n=4",
+        "psi cone bijection n=5",
+    ]
+
+
+def test_verify_cluster_exits_1_when_a_triangulation_is_not_compatible(
+    monkeypatch, capsys, fresh_clusters
+):
+    """A ``compatible`` that rejects one compatible pair of S_4 splits the
+    triangulations holding both roots: a failed ``cluster count n=4``,
+    not an internal error."""
+    real = fans.compatible
+    rejected = {(-1, 0, 0), (0, 1, 0)}
+    monkeypatch.setattr(fans, "compatible", lambda n, b, t: {b, t} != rejected and real(n, b, t))
+    report = _verify_fails(capsys, "--suite", "cluster")
+    assert [c["name"] for c in _failed(report)] == ["cluster count n=4"]
+
+
+def test_cluster_count_fails_a_misread_triangulation_at_the_right_count(monkeypatch):
+    """Triangulations of S_4 read with alpha_2 and alpha_1 + alpha_2
+    swapped: the compatible sets still number Catalan(4), so only the
+    check that each triangulation is one of them tells."""
+    real = suites.clusters
+    swap = {(0, 1, 0): (1, 1, 0), (1, 1, 0): (0, 1, 0)}
+
+    def misread(n):
+        complex_ = real(n)
+        if n != 4:
+            return complex_
+        found = tuple(frozenset(swap.get(r, r) for r in c) for c in complex_.clusters)
+        return dataclasses.replace(complex_, clusters=found)
+
+    monkeypatch.setattr(suites, "clusters", misread)
+    report = suites.run_suite("cluster")
+    assert [(c["name"], c["count"], c["expected"]) for c in _failed(report)] == [
+        ("cluster count n=4", 14, 14)
+    ]
 
 
 # The faults of the ``run_suite`` controls in test_polygon_a, through the
